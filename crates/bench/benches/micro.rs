@@ -175,6 +175,36 @@ fn bench_chord(c: &mut Criterion) {
             black_box(states[0].local_lookup(ChordId(k)))
         })
     });
+    // The mutation side of the maintained routing view, per
+    // maintenance message (multiplier: `engine.recv_dht_maintenance`).
+    // A converged ring's finger fixes and stabilize replies rewrite
+    // what is already there ("unchanged": compare, no rebuild);
+    // "changed" pays for the new view.
+    let succ = states[0].successor().expect("600-member ring");
+    let succ_at = members
+        .iter()
+        .position(|m| m.node == succ.node)
+        .expect("successor is a member");
+    let same_list = states[succ_at].successors().to_vec();
+    let other_list = same_list[1..].to_vec();
+    let top_finger = states[0].fingers().last().expect("converged fingers");
+    g.bench_function("set_finger_unchanged", |b| {
+        let mut st = states[0].clone();
+        b.iter(|| st.set_finger(black_box(ChordId::BITS - 1), black_box(top_finger)))
+    });
+    g.bench_function("refresh_successor_list_unchanged", |b| {
+        let mut st = states[0].clone();
+        b.iter(|| st.refresh_successor_list(black_box(succ), black_box(&same_list)))
+    });
+    g.bench_function("refresh_successor_list_changed", |b| {
+        let mut st = states[0].clone();
+        let mut flip = false;
+        b.iter(|| {
+            flip = !flip;
+            let list = if flip { &other_list } else { &same_list };
+            st.refresh_successor_list(black_box(succ), black_box(list))
+        })
+    });
     g.finish();
 }
 

@@ -53,6 +53,11 @@ pub struct ChordState {
     /// `fingers[i]` ≈ successor(me.id + 2^i).
     fingers: Vec<Option<PeerRef>>,
     next_finger: u32,
+    /// The routing view [`Self::known_peers`] hands out: a function of
+    /// `predecessor`, `successors` and `fingers` only, kept at its
+    /// exact length. Every mutator below that changes one of those
+    /// slots calls [`Self::rebuild_view`]; nothing else writes it.
+    view: Box<[PeerRef]>,
 }
 
 impl ChordState {
@@ -65,6 +70,7 @@ impl ChordState {
             successors: Vec::new(),
             fingers: vec![None; ChordId::BITS as usize],
             next_finger: 0,
+            view: Box::default(),
         }
     }
 
@@ -117,28 +123,71 @@ impl ChordState {
         }
     }
 
-    /// Every peer this node knows: fingers, successor list and
-    /// predecessor (deduplicated).
-    pub fn known_peers(&self) -> Vec<PeerRef> {
-        let mut out: Vec<PeerRef> = Vec::with_capacity(self.successors.len() + 8);
-        out.extend(self.successors.iter().copied());
-        out.extend(self.fingers.iter().flatten().copied());
-        if let Some(p) = self.predecessor {
-            out.push(p);
+    /// Every peer this node knows — successor list, fingers and
+    /// predecessor — in ascending ring-id order (entries with equal
+    /// ids keep that listing order).
+    ///
+    /// Deduplication is by underlay node and *adjacent-only*, applied
+    /// after the sort: of a run of neighbouring entries with the same
+    /// node, the first stays. So a peer present in several slots
+    /// appears once; a node known under two ids loses the larger id
+    /// when nothing sorts between the two; and two nodes claiming one
+    /// id (racing §5.2 replacements) both stay, possibly more than
+    /// once (`a, b, a`). Routing tie-breaks depend on this order.
+    ///
+    /// The slice is maintained state, rebuilt only when a routing slot
+    /// changes; reading it allocates and sorts nothing.
+    pub fn known_peers(&self) -> &[PeerRef] {
+        debug_assert_eq!(
+            *self.view,
+            *self.build_view(),
+            "routing view drifted from the routing slots"
+        );
+        &self.view
+    }
+
+    /// The view from scratch. Consecutive equal finger slots are
+    /// collected once: nothing is listed between them, so the stable
+    /// sort would leave them adjacent and the dedup drop the repeat
+    /// anyway — and on a converged ring that is 50-odd of the 64
+    /// slots, which keeps the sort on its short-slice path.
+    fn build_view(&self) -> Box<[PeerRef]> {
+        // Room for the ≈ log2(n) distinct fingers of a converged ring.
+        let mut out: Vec<PeerRef> = Vec::with_capacity(self.successors.len() + 16);
+        out.extend_from_slice(&self.successors);
+        let mut last = None;
+        for f in &self.fingers {
+            if *f != last {
+                out.extend(*f);
+                last = *f;
+            }
         }
+        out.extend(self.predecessor);
         out.sort_by_key(|p| p.id.0);
         out.dedup_by_key(|p| p.node);
-        out
+        out.into_boxed_slice()
+    }
+
+    /// Recompute the view after a routing slot changed.
+    fn rebuild_view(&mut self) {
+        self.view = self.build_view();
     }
 
     /// The classic `closest_preceding_node`: the known peer with the
     /// largest id in `(me, key)`, i.e. the longest safe jump toward
-    /// `key` that cannot overshoot the owner.
+    /// `key` that cannot overshoot the owner (the last such entry of
+    /// [`Self::known_peers`] when several share that id).
     pub fn closest_preceding(&self, key: ChordId) -> Option<PeerRef> {
+        // `x ∈ (me, key)` is `0 < d(x) < d(key)` clockwise from `me`,
+        // and the whole ring but `me` when `key == me`: less one and
+        // wrapping, both are the single compare `d(x) - 1 < d(key) - 1`.
+        let from_me = |id: ChordId| self.me.id.clockwise_distance(id).wrapping_sub(1);
+        let span = from_me(key);
         self.known_peers()
-            .into_iter()
-            .filter(|p| p.node != self.me.node && ChordId::in_open(self.me.id, key, p.id))
-            .max_by_key(|p| self.me.id.clockwise_distance(p.id))
+            .iter()
+            .filter(|p| from_me(p.id) < span && p.node != self.me.node)
+            .max_by_key(|p| from_me(p.id))
+            .copied()
     }
 
     /// The paper's `local_lookup(key)` (Algorithm 1): the best
@@ -160,10 +209,12 @@ impl ChordState {
 
     /// Install a peer into the finger table slot it fixes.
     pub fn set_finger(&mut self, index: u32, peer: PeerRef) {
-        if peer.node == self.me.node {
-            self.fingers[index as usize] = None;
-        } else {
-            self.fingers[index as usize] = Some(peer);
+        let slot = (peer.node != self.me.node).then_some(peer);
+        // A converged ring's finger fixes rewrite the value already
+        // there: only a real change pays for a new view.
+        if self.fingers[index as usize] != slot {
+            self.fingers[index as usize] = slot;
+            self.rebuild_view();
         }
     }
 
@@ -180,9 +231,17 @@ impl ChordState {
         if s.node == self.me.node {
             return;
         }
+        // Already first and listed nowhere else: the steps below would
+        // rewrite the same list.
+        if self.successors.first() == Some(&s)
+            && self.successors[1..].iter().all(|p| p.node != s.node)
+        {
+            return;
+        }
         self.successors.retain(|p| p.node != s.node);
         self.successors.insert(0, s);
         self.successors.truncate(self.cfg.successor_list_len);
+        self.rebuild_view();
     }
 
     /// Merge the successor's own list into ours (stabilization step):
@@ -198,7 +257,11 @@ impl ChordState {
                 break;
             }
         }
-        self.successors = merged;
+        // Stabilize replies on a converged ring carry the list we hold.
+        if self.successors != merged {
+            self.successors = merged;
+            self.rebuild_view();
+        }
     }
 
     /// Chord's `notify`: `candidate` claims to be our predecessor.
@@ -214,6 +277,7 @@ impl ChordState {
         };
         if adopt {
             self.predecessor = Some(candidate);
+            self.rebuild_view();
         }
         adopt
     }
@@ -248,6 +312,9 @@ impl ChordState {
                 touched = true;
             }
         }
+        if touched {
+            self.rebuild_view();
+        }
         touched
     }
 
@@ -269,6 +336,7 @@ impl ChordState {
         self.successors = successors;
         self.successors.truncate(self.cfg.successor_list_len);
         self.fingers = fingers;
+        self.rebuild_view();
     }
 }
 
@@ -280,12 +348,19 @@ impl ChordState {
 /// same order as `members`.
 pub fn stable_ring(members: &[PeerRef], cfg: &ChordConfig) -> Vec<ChordState> {
     assert!(!members.is_empty(), "ring needs at least one member");
-    let mut sorted: Vec<PeerRef> = members.to_vec();
-    sorted.sort_by_key(|p| p.id.0);
+    let n = members.len();
+    // Sort member indices, not members: the sort then also yields each
+    // member's ring position, without a search per member.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| members[i].id.0);
+    let sorted: Vec<PeerRef> = order.iter().map(|&i| members[i]).collect();
     for w in sorted.windows(2) {
         assert!(w[0].id != w[1].id, "duplicate ring id {:?}", w[0].id);
     }
-    let n = sorted.len();
+    let mut position = vec![0usize; n];
+    for (pos, &i) in order.iter().enumerate() {
+        position[i] = pos;
+    }
     // successor(key): first member with id >= key, wrapping.
     let successor_of_key = |key: ChordId| -> PeerRef {
         match sorted.binary_search_by(|p| p.id.0.cmp(&key.0)) {
@@ -296,20 +371,24 @@ pub fn stable_ring(members: &[PeerRef], cfg: &ChordConfig) -> Vec<ChordState> {
 
     members
         .iter()
-        .map(|me| {
-            let pos = sorted
-                .iter()
-                .position(|p| p.node == me.node)
-                .expect("member in ring");
+        .zip(position)
+        .map(|(me, pos)| {
             let mut st = ChordState::new(*me, cfg.clone());
             let pred = sorted[(pos + n - 1) % n];
             let succs: Vec<PeerRef> = (1..=cfg.successor_list_len.min(n - 1))
                 .map(|d| sorted[(pos + d) % n])
                 .collect();
+            // All but the top ≈ log2(n) finger targets fall short of
+            // the immediate successor: those need no search.
+            let next = sorted[(pos + 1) % n];
             let fingers: Vec<Option<PeerRef>> = (0..ChordId::BITS)
                 .map(|i| {
                     let t = me.id.finger_target(i);
-                    let s = successor_of_key(t);
+                    let s = if ChordId::in_open_closed(me.id, next.id, t) {
+                        next
+                    } else {
+                        successor_of_key(t)
+                    };
                     if s.node == me.node {
                         None
                     } else {
@@ -322,6 +401,45 @@ pub fn stable_ring(members: &[PeerRef], cfg: &ChordConfig) -> Vec<ChordState> {
             st
         })
         .collect()
+}
+
+/// The routing decision as it was computed before the view became
+/// state — collect every slot, sort, dedup, scan, on each call. Kept
+/// as the oracle the maintained view and the scans over it are tested
+/// against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn known_peers(st: &ChordState) -> Vec<PeerRef> {
+        let mut out: Vec<PeerRef> = st.successors.clone();
+        out.extend(st.fingers.iter().flatten().copied());
+        out.extend(st.predecessor);
+        out.sort_by_key(|p| p.id.0);
+        out.dedup_by_key(|p| p.node);
+        out
+    }
+
+    pub fn closest_preceding(st: &ChordState, key: ChordId) -> Option<PeerRef> {
+        known_peers(st)
+            .into_iter()
+            .filter(|p| p.node != st.me.node && ChordId::in_open(st.me.id, key, p.id))
+            .max_by_key(|p| st.me.id.clockwise_distance(p.id))
+    }
+
+    pub fn local_lookup(st: &ChordState, key: ChordId) -> PeerRef {
+        if st.is_responsible(key) {
+            return st.me;
+        }
+        if let Some(s) = st.successor() {
+            if ChordId::in_open_closed(st.me.id, s.id, key) {
+                return s;
+            }
+        }
+        closest_preceding(st, key)
+            .or(st.successor())
+            .unwrap_or(st.me)
+    }
 }
 
 #[cfg(test)]
@@ -470,6 +588,87 @@ mod tests {
         assert_eq!(st.fingers().count(), 1);
     }
 
+    /// A state at id 100 / node 0 with exactly these fingers (slot =
+    /// position in `fingers`), no successors, no predecessor.
+    fn with_fingers(fingers: &[PeerRef]) -> ChordState {
+        let mut st = ChordState::new(peer(100, 0), ChordConfig::default());
+        for (i, f) in fingers.iter().enumerate() {
+            st.set_finger(i as u32, *f);
+        }
+        st
+    }
+
+    #[test]
+    fn view_dedup_is_by_node_and_adjacent_only() {
+        // One peer in several slots: listed once.
+        let st = with_fingers(&[peer(200, 1), peer(200, 1), peer(300, 2), peer(200, 1)]);
+        assert_eq!(st.known_peers(), [peer(200, 1), peer(300, 2)]);
+        // One node under two ids, nothing sorting between them: the
+        // larger id is dropped ...
+        let st = with_fingers(&[peer(300, 1), peer(200, 1)]);
+        assert_eq!(st.known_peers(), [peer(200, 1)]);
+        // ... but kept when another node's id separates the two.
+        let st = with_fingers(&[peer(300, 1), peer(200, 1), peer(250, 2)]);
+        assert_eq!(st.known_peers(), [peer(200, 1), peer(250, 2), peer(300, 1)]);
+        // Two nodes claiming one id stay in listing order, repeats
+        // included while they alternate.
+        let st = with_fingers(&[peer(200, 1), peer(200, 2), peer(200, 1)]);
+        assert_eq!(st.known_peers(), [peer(200, 1), peer(200, 2), peer(200, 1)]);
+    }
+
+    #[test]
+    fn closest_preceding_takes_the_last_of_equal_ids() {
+        // Nodes 1 and 2 both claim id 200 (a §5.2 replacement race):
+        // the later-listed claimant is the jump target.
+        let st = with_fingers(&[peer(200, 1), peer(200, 2), peer(150, 3)]);
+        assert_eq!(st.closest_preceding(ChordId(250)), Some(peer(200, 2)));
+        let st = with_fingers(&[peer(200, 2), peer(200, 1), peer(150, 3)]);
+        assert_eq!(st.closest_preceding(ChordId(250)), Some(peer(200, 1)));
+        // The key itself and `me` bound the interval, both excluded;
+        // `key == me` opens it to the whole ring.
+        assert_eq!(st.closest_preceding(ChordId(200)), Some(peer(150, 3)));
+        assert_eq!(st.closest_preceding(ChordId(150)), None);
+        assert_eq!(st.closest_preceding(ChordId(100)), Some(peer(200, 1)));
+    }
+
+    #[test]
+    fn unchanged_rewrites_keep_the_view() {
+        let sts = ring(&[10, 20, 30, 40, 50]);
+        let mut st = sts[0].clone();
+        let before = st.known_peers().as_ptr();
+        let (succ, list) = (sts[1].me(), sts[1].successors().to_vec());
+        st.refresh_successor_list(succ, &list);
+        st.adopt_successor(succ);
+        let slot = st.fingers.iter().position(|f| f.is_some()).unwrap();
+        st.set_finger(slot as u32, st.fingers[slot].unwrap());
+        assert!(!st.on_notify(sts[3].me()));
+        assert!(!st.on_peer_dead(NodeId(99)));
+        assert_eq!(st.known_peers().as_ptr(), before, "view was rebuilt");
+        assert_eq!(st.known_peers(), reference::known_peers(&st));
+    }
+
+    #[test]
+    fn adopting_the_current_successor_purges_its_other_ids() {
+        // Not an unchanged rewrite: node 1 is also listed under id 40.
+        let mut st = ChordState::new(peer(10, 0), ChordConfig::default());
+        let fingers = vec![None; ChordId::BITS as usize];
+        st.install(None, vec![peer(20, 1), peer(30, 2), peer(40, 1)], fingers);
+        st.adopt_successor(peer(20, 1));
+        assert_eq!(st.successors(), [peer(20, 1), peer(30, 2)]);
+        assert_eq!(st.known_peers(), reference::known_peers(&st));
+    }
+
+    #[test]
+    fn dead_peer_in_successors_and_fingers_leaves_the_view() {
+        let sts = ring(&[10, 20, 30, 40, 50]);
+        let mut st = sts[0].clone();
+        let dead = st.successor().unwrap();
+        assert!(st.fingers().any(|f| f.node == dead.node));
+        assert!(st.on_peer_dead(dead.node));
+        assert_eq!(st.known_peers(), reference::known_peers(&st));
+        assert!(st.known_peers().iter().all(|p| p.node != dead.node));
+    }
+
     #[test]
     #[should_panic(expected = "duplicate ring id")]
     fn stable_ring_rejects_duplicate_ids() {
@@ -487,8 +686,118 @@ mod proptests {
         proptest::collection::btree_set(any::<u64>(), 1..40).prop_map(|s| s.into_iter().collect())
     }
 
+    /// Ring ids of the peer pool: both ends of the id space, close
+    /// pairs and far jumps, so intervals wrap.
+    const POOL_IDS: [u64; 6] = [0, 5, 1 << 20, 1 << 40, 1 << 63, u64::MAX - 3];
+
+    /// A peer out of 6 ids × 5 nodes. A pool this small makes random
+    /// sequences rewrite slots with the value they hold, list one node
+    /// under two ids and two nodes under one id, and reference node 0,
+    /// which is `me`.
+    fn pool_peer() -> impl Strategy<Value = PeerRef> {
+        (0usize..POOL_IDS.len(), 0u32..5).prop_map(|(i, node)| PeerRef {
+            id: ChordId(POOL_IDS[i]),
+            node: NodeId(node),
+        })
+    }
+
+    /// One call of one of the seven mutators, drawn from `kind`.
+    type Step = (u32, u32, PeerRef, PeerRef, Vec<PeerRef>);
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            0u32..7,
+            0u32..ChordId::BITS,
+            pool_peer(),
+            pool_peer(),
+            proptest::collection::vec(pool_peer(), 0..10),
+        )
+    }
+
+    fn apply(st: &mut ChordState, (kind, slot, a, b, list): &Step) {
+        match kind {
+            0 => st.set_finger(*slot, *a),
+            1 => st.adopt_successor(*a),
+            2 => st.refresh_successor_list(*a, list),
+            3 => {
+                st.on_notify(*a);
+            }
+            4 => {
+                st.on_successor_predecessor(*a, (slot % 2 == 0).then_some(*b));
+            }
+            5 => {
+                st.on_peer_dead(a.node);
+            }
+            _ => {
+                let mut fingers = vec![None; ChordId::BITS as usize];
+                for (k, f) in list.iter().enumerate() {
+                    // Runs of equal slots and gaps between them.
+                    fingers[(*slot as usize + 3 * k) % 64] = Some(*f);
+                    fingers[(*slot as usize + 3 * k + 1) % 64] = Some(*f);
+                }
+                st.install((slot % 3 != 0).then_some(*b), list.clone(), fingers);
+            }
+        }
+    }
+
+    /// Every pool id and its two neighbours on the ring.
+    fn pool_keys() -> impl Iterator<Item = u64> {
+        POOL_IDS
+            .iter()
+            .flat_map(|id| [id.wrapping_sub(1), *id, id.wrapping_add(1)])
+    }
+
+    /// The view is the from-scratch build, and the scans over it take
+    /// the decisions the sort-per-call routing took for `keys`.
+    fn check_against_reference(st: &ChordState, keys: impl IntoIterator<Item = u64>) {
+        prop_assert_eq!(st.known_peers(), reference::known_peers(st));
+        for key in keys.into_iter().map(ChordId) {
+            prop_assert_eq!(
+                st.closest_preceding(key),
+                reference::closest_preceding(st, key)
+            );
+            prop_assert_eq!(st.local_lookup(key), reference::local_lookup(st, key));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever the mutators are fed — values already in place,
+        /// references to `me`, a node listed under several ids, a dead
+        /// peer that sits in successors and fingers — the maintained
+        /// view and the routing over it match the oracle after every
+        /// step, and applying a step a second time moves nothing.
+        #[test]
+        fn view_tracks_every_mutation(
+            me in pool_peer(),
+            steps in proptest::collection::vec(step(), 1..40),
+            probe in any::<u64>(),
+        ) {
+            let mut st = ChordState::new(me, ChordConfig::default());
+            for s in &steps {
+                apply(&mut st, s);
+                check_against_reference(&st, pool_keys().chain([probe]));
+                let view = st.known_peers().to_vec();
+                apply(&mut st, s);
+                check_against_reference(&st, pool_keys().chain([probe]));
+                prop_assert_eq!(st.known_peers(), &view[..]);
+            }
+        }
+
+        /// Converged rings route as they did with the per-call sort.
+        #[test]
+        fn stable_ring_routes_like_the_reference(ids in distinct_ids(), probe in any::<u64>()) {
+            let members: Vec<PeerRef> = ids
+                .iter()
+                .enumerate()
+                .map(|(i, id)| PeerRef { id: ChordId(*id), node: NodeId(i as u32) })
+                .collect();
+            for st in stable_ring(&members, &ChordConfig::default()) {
+                let keys = ids.iter().map(|id| id.wrapping_add(1)).chain([probe]);
+                check_against_reference(&st, keys);
+            }
+        }
 
         /// In a stable ring, exactly one member is responsible for any
         /// key, and it is the clockwise successor of the key.

@@ -293,6 +293,24 @@ impl SubstrateOut for CtxTransport<'_, '_> {
     }
 }
 
+/// Send a copy of `msg` to every directory peer of this role's own
+/// website that its routing table knows — the neighbourhood §4.2.1
+/// summaries and §8 replica offers travel on — in ascending ring-id
+/// order.
+fn send_to_website_neighbours(
+    ctx: &mut Ctx<'_, FlowerMsg>,
+    substrate: &dyn DhtSubstrate,
+    scheme: KeyScheme,
+    msg: &FlowerMsg,
+) {
+    let (me, my_id) = (ctx.id(), substrate.key());
+    for p in substrate.known_peers().iter() {
+        if p.node != me && scheme.same_website(p.id, my_id) {
+            ctx.send(p.node, msg.clone());
+        }
+    }
+}
+
 impl FlowerNode {
     /// A plain client node.
     pub fn client(shared: Arc<Deployment>) -> Self {
@@ -805,34 +823,19 @@ impl FlowerNode {
     fn maybe_broadcast_summary(&mut self, ctx: &mut Ctx<'_, FlowerMsg>) {
         let scheme = self.shared.scheme;
         let threshold = self.shared.cfg.summary_refresh_threshold;
-        let me = ctx.id();
         let Some(role) = &mut self.dir_role else {
             return;
         };
         let Some(summary) = role.dir.take_summary_refresh(threshold) else {
             return;
         };
-        let my_id = role.substrate.key();
-        let ws = role.dir.website();
-        let loc = role.dir.locality();
-        let neighbours: Vec<NodeId> = role
-            .substrate
-            .known_peers()
-            .into_iter()
-            .filter(|p| p.node != me && scheme.same_website(p.id, my_id))
-            .map(|p| p.node)
-            .collect();
-        for n in neighbours {
-            ctx.send(
-                n,
-                FlowerMsg::DirSummary {
-                    website: ws,
-                    locality: loc,
-                    dir_id: my_id,
-                    summary: summary.clone(),
-                },
-            );
-        }
+        let msg = FlowerMsg::DirSummary {
+            website: role.dir.website(),
+            locality: role.dir.locality(),
+            dir_id: role.substrate.key(),
+            summary,
+        };
+        send_to_website_neighbours(ctx, role.substrate.as_ref(), scheme, &msg);
     }
 
     // ------------------------------------------------------------------
@@ -1543,7 +1546,6 @@ impl FlowerNode {
         };
         let top_k = self.shared.cfg.replication_top_k;
         let scheme = self.shared.scheme;
-        let me = ctx.id();
         let Some(role) = &mut self.dir_role else {
             return;
         };
@@ -1553,24 +1555,11 @@ impl FlowerNode {
         }
         let hot = role.dir.take_hot_objects(ctx.rng(), top_k);
         if !hot.is_empty() {
-            let my_id = role.substrate.key();
-            let ws = role.dir.website();
-            let neighbours: Vec<NodeId> = role
-                .substrate
-                .known_peers()
-                .into_iter()
-                .filter(|p| p.node != me && scheme.same_website(p.id, my_id))
-                .map(|p| p.node)
-                .collect();
-            for n in neighbours {
-                ctx.send(
-                    n,
-                    FlowerMsg::ReplicaOffer {
-                        website: ws,
-                        objects: hot.clone(),
-                    },
-                );
-            }
+            let msg = FlowerMsg::ReplicaOffer {
+                website: role.dir.website(),
+                objects: hot,
+            };
+            send_to_website_neighbours(ctx, role.substrate.as_ref(), scheme, &msg);
         }
         ctx.set_timer(period, timers::REPLICATE, 0);
     }

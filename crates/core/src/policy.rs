@@ -43,7 +43,8 @@ impl DringPolicy {
     pub fn conditional_local_lookup(&self, st: &ChordState, key: ChordId) -> Option<PeerRef> {
         let me = st.me();
         st.known_peers()
-            .into_iter()
+            .iter()
+            .copied()
             .chain(std::iter::once(me))
             .filter(|p| self.scheme.same_website(p.id, key))
             .min_by_key(|p| (p.id.ring_distance(key), p.id.0))
@@ -137,6 +138,25 @@ mod tests {
     }
 
     #[test]
+    fn conditional_lookup_takes_the_first_of_equal_ids() {
+        // Node 9 also claims (1,1)'s key — a racing §5.2 replacement.
+        // Both are equally close to any key; the one listed first in
+        // `known_peers` (successors before fingers) is the answer.
+        let (states, members) = dring(&[(1, 0), (1, 1), (2, 0)]);
+        let p = DringPolicy::new(scheme());
+        let mut st = states[0].clone();
+        let rival = PeerRef {
+            id: members[1].id,
+            node: NodeId(9),
+        };
+        st.set_finger(0, rival);
+        let key = scheme().key(WebsiteId(1), Locality(2));
+        assert_eq!(p.conditional_local_lookup(&st, key), Some(members[1]));
+        st.on_peer_dead(members[1].node);
+        assert_eq!(p.conditional_local_lookup(&st, key), Some(rival));
+    }
+
+    #[test]
     fn conditional_lookup_may_return_self() {
         let (states, _) = dring(&[(1, 0), (2, 0)]);
         let p = DringPolicy::new(scheme());
@@ -145,5 +165,74 @@ mod tests {
         let key = scheme().key(WebsiteId(1), Locality(3));
         let got = p.conditional_local_lookup(&states[0], key).unwrap();
         assert_eq!(got.node, states[0].me().node);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use chord::{stable_ring, ChordConfig};
+    use proptest::prelude::*;
+    use simnet::{Locality, NodeId};
+    use workload::WebsiteId;
+
+    /// `conditional_local_lookup` as it read while `known_peers` was
+    /// computed per call: collect every routing slot, sort, dedup by
+    /// adjacent node, scan.
+    fn reference(p: &DringPolicy, st: &ChordState, key: ChordId) -> Option<PeerRef> {
+        let mut known: Vec<PeerRef> = st.successors().to_vec();
+        known.extend(st.fingers());
+        known.extend(st.predecessor());
+        known.sort_by_key(|q| q.id.0);
+        known.dedup_by_key(|q| q.node);
+        known
+            .into_iter()
+            .chain(std::iter::once(st.me()))
+            .filter(|q| p.scheme.same_website(q.id, key))
+            .min_by_key(|q| (q.id.ring_distance(key), q.id.0))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random D-rings — as converged, then with a stranger
+        /// claiming a member's key (possibly this node's own) and a
+        /// member listed under a second id — Algorithm 2's lookup
+        /// picks what the sort-per-call scan picked, tie-breaks
+        /// included.
+        #[test]
+        fn conditional_lookup_matches_the_reference(
+            pairs in proptest::collection::btree_set((0u16..4, 0u16..8), 2..20),
+            picks in (0usize..20, 0usize..20, 0usize..20),
+            slots in (0u32..64, 0u32..64),
+        ) {
+            let s = KeyScheme::new(8, 0);
+            let p = DringPolicy::new(s);
+            let members: Vec<PeerRef> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, (ws, loc))| PeerRef {
+                    id: s.key(WebsiteId(*ws), Locality(*loc)),
+                    node: NodeId(i as u32),
+                })
+                .collect();
+            let n = members.len();
+            let keys: Vec<ChordId> = (0u16..5)
+                .flat_map(|ws| (0u16..8).map(move |loc| s.key(WebsiteId(ws), Locality(loc))))
+                .collect();
+            for mut st in stable_ring(&members, &ChordConfig::default()) {
+                for &key in &keys {
+                    prop_assert_eq!(p.conditional_local_lookup(&st, key), reference(&p, &st, key));
+                }
+                st.set_finger(slots.0, PeerRef { id: members[picks.0 % n].id, node: NodeId(1000) });
+                st.set_finger(
+                    slots.1,
+                    PeerRef { id: members[picks.1 % n].id, node: members[picks.2 % n].node },
+                );
+                for &key in &keys {
+                    prop_assert_eq!(p.conditional_local_lookup(&st, key), reference(&p, &st, key));
+                }
+            }
+        }
     }
 }

@@ -19,6 +19,8 @@
 //! (fingers vs. prefix table + leaf set) and maintenance traffic
 //! (stabilize/fix-finger vs. leaf probing).
 
+use std::borrow::Cow;
+
 use simnet::NodeId;
 
 use crate::id::KeyScheme;
@@ -174,9 +176,11 @@ pub trait DhtSubstrate: std::fmt::Debug + Send {
         true
     }
 
-    /// Every peer this role currently knows (the D-ring piggybacks
-    /// directory summaries and replica offers on this neighbourhood).
-    fn known_peers(&self) -> Vec<PeerRef>;
+    /// Every peer this role currently knows, in ascending ring-id
+    /// order (the D-ring piggybacks directory summaries and replica
+    /// offers on this neighbourhood). Borrowed where the substrate
+    /// keeps the list as state.
+    fn known_peers(&self) -> Cow<'_, [PeerRef]>;
 
     /// The neighbours a voluntary hand-off ships to the heir, enough
     /// for [`SubstrateKind::handoff_role`] to rebuild a working
@@ -360,8 +364,8 @@ impl DhtSubstrate for ChordSubstrate {
         }
     }
 
-    fn known_peers(&self) -> Vec<PeerRef> {
-        self.st.known_peers()
+    fn known_peers(&self) -> Cow<'_, [PeerRef]> {
+        Cow::Borrowed(self.st.known_peers())
     }
 
     fn handoff_neighbors(&self) -> Vec<PeerRef> {
@@ -565,8 +569,8 @@ impl DhtSubstrate for PastrySubstrate {
         tick != MaintTick::FixFinger
     }
 
-    fn known_peers(&self) -> Vec<PeerRef> {
-        self.st.known_peers()
+    fn known_peers(&self) -> Cow<'_, [PeerRef]> {
+        Cow::Owned(self.st.known_peers())
     }
 
     fn handoff_neighbors(&self) -> Vec<PeerRef> {
