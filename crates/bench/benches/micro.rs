@@ -11,7 +11,7 @@ use chord::{stable_ring, ChordConfig, ChordId, PeerRef};
 use flower_core::id::KeyScheme;
 use flower_core::policy::DringPolicy;
 use gossip::{View, ViewEntry};
-use simnet::{EventQueueKind, NodeId, SimTime};
+use simnet::{NodeId, SimTime};
 use workload::Zipf;
 
 fn bench_bloom(c: &mut Criterion) {
@@ -247,56 +247,55 @@ fn bench_workload(c: &mut Criterion) {
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("simnet");
-    for kind in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-        // Bulk fill-then-drain.
-        g.bench_function(format!("event_queue_{kind}_push_pop_1k"), |b| {
-            b.iter(|| {
-                let mut q = simnet::event::EventQueue::with_kind(kind);
-                for i in 0..1000u64 {
-                    let key = simnet::EventKey {
-                        at: SimTime::from_ms((i * 7919) % 1000),
-                        src: i % 7,
-                        seq: i,
-                    };
-                    q.push(key, i);
-                }
-                let mut n = 0;
-                while q.pop().is_some() {
-                    n += 1;
-                }
-                n
-            })
-        });
-        // Steady-state hold pattern (the engine's actual profile): a
-        // deep standing population with pop-one/push-one cycles — the
-        // regime where the calendar's O(1) beats the heap's O(log n).
-        g.bench_function(format!("event_queue_{kind}_hold_16k"), |b| {
-            let mut q = simnet::event::EventQueue::with_kind(kind);
-            let mut seq = 0u64;
-            for _ in 0..16_384u64 {
+    // Bulk fill-then-drain.
+    g.bench_function("event_queue_calendar_push_pop_1k", |b| {
+        b.iter(|| {
+            let mut q = simnet::event::EventQueue::new();
+            for i in 0..1000u64 {
                 let key = simnet::EventKey {
-                    at: SimTime::from_ms((seq * 211) % 10_000),
+                    at: SimTime::from_ms((i * 7919) % 1000),
+                    src: i % 7,
+                    seq: i,
+                };
+                q.push(key, i);
+            }
+            let mut n = 0;
+            while q.pop().is_some() {
+                n += 1;
+            }
+            n
+        })
+    });
+    // Steady-state hold pattern (the engine's actual profile): a deep
+    // standing population with pop-one/push-one cycles — the regime
+    // where the calendar's O(1) beat the retired heap's O(log n)
+    // (66 vs 136 ns; see README).
+    g.bench_function("event_queue_calendar_hold_16k", |b| {
+        let mut q = simnet::event::EventQueue::new();
+        let mut seq = 0u64;
+        for _ in 0..16_384u64 {
+            let key = simnet::EventKey {
+                at: SimTime::from_ms((seq * 211) % 10_000),
+                src: seq % 31,
+                seq,
+            };
+            q.push(key, seq);
+            seq += 1;
+        }
+        b.iter(|| {
+            let (k, _) = q.pop().expect("standing population");
+            q.push(
+                simnet::EventKey {
+                    at: k.at + simnet::SimDuration::from_ms((seq * 97) % 500),
                     src: seq % 31,
                     seq,
-                };
-                q.push(key, seq);
-                seq += 1;
-            }
-            b.iter(|| {
-                let (k, _) = q.pop().expect("standing population");
-                q.push(
-                    simnet::EventKey {
-                        at: k.at + simnet::SimDuration::from_ms((seq * 97) % 500),
-                        src: seq % 31,
-                        seq,
-                    },
-                    seq,
-                );
-                seq += 1;
-                k
-            })
-        });
-    }
+                },
+                seq,
+            );
+            seq += 1;
+            k
+        })
+    });
     g.finish();
 }
 
@@ -368,14 +367,13 @@ fn bench_shard_exchange(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_dispatch_batched_vs_single(c: &mut Criterion) {
-    use simnet::{Ctx, DeliveryMode, Engine, Event, Node, Topology, TopologyConfig};
+fn bench_dispatch_batched(c: &mut Criterion) {
+    use simnet::{Ctx, Engine, Event, Node, Topology, TopologyConfig};
 
     // A hot-spot protocol: every peer pings node 0, node 0 answers —
     // so consecutive queue heads share a destination and the batched
-    // path can amortise the node lookup and liveness check per batch
-    // instead of per event. `Single` is the retired one-at-a-time
-    // reference the parity suite compares against.
+    // delivery path amortises the node lookup and liveness check per
+    // batch instead of per event.
     #[derive(Clone, Debug)]
     struct Ping(u8);
     impl simnet::Message for Ping {
@@ -409,7 +407,7 @@ fn bench_dispatch_batched_vs_single(c: &mut Criterion) {
             }
         }
     }
-    let build = |mode: DeliveryMode| {
+    let build = || {
         let topo = Topology::generate(
             &TopologyConfig {
                 nodes: 256,
@@ -421,7 +419,6 @@ fn bench_dispatch_batched_vs_single(c: &mut Criterion) {
         let n = topo.num_nodes();
         let nodes = (0..n).map(|_| Hot::default()).collect();
         let mut e: Engine<Ping, Hot> = Engine::new(topo, nodes, 7);
-        e.set_delivery_mode(mode);
         for i in 1..n as u32 {
             e.schedule_at(
                 SimTime::from_ms(1 + (i as u64 % 40)),
@@ -434,22 +431,17 @@ fn bench_dispatch_batched_vs_single(c: &mut Criterion) {
         }
         e
     };
-    let mut g = c.benchmark_group("dispatch_batched_vs_single");
-    for (name, mode) in [
-        ("batched", DeliveryMode::Batched),
-        ("single", DeliveryMode::Single),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter_batched(
-                || build(mode),
-                |mut e| {
-                    e.run_until(SimTime::from_secs(60));
-                    e.events_processed()
-                },
-                criterion::BatchSize::SmallInput,
-            )
-        });
-    }
+    let mut g = c.benchmark_group("dispatch");
+    g.bench_function("batched", |b| {
+        b.iter_batched(
+            build,
+            |mut e| {
+                e.run_until(SimTime::from_secs(60));
+                e.events_processed()
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
@@ -519,7 +511,7 @@ criterion_group!(
     bench_workload,
     bench_event_queue,
     bench_shard_exchange,
-    bench_dispatch_batched_vs_single,
+    bench_dispatch_batched,
     bench_stats_streaming_vs_log_replay
 );
 criterion_main!(micro);

@@ -4,8 +4,6 @@
 //! ```text
 //! flower-experiments <experiment> [--scale <f|full>] [--seed <n>]
 //!                    [--substrate <chord|pastry>] [--shards <n>]
-//!                    [--event-queue <calendar|heap|both>]
-//!                    [--lookahead <matrix|global|both>]
 //!                    [--instance-bits <b|a,b,..>] [--pin]
 //!                    [--csv-dir <dir>] [--bench-out <file>]
 //!                    [--metrics-out <file>]
@@ -15,8 +13,6 @@
 //!   fig5 | fig6 | fig7 | fig8
 //!   churn | ablation | replication | cache | substrates | chaos | all
 //!   scale [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>]
-//!   bench-check --baseline <file> --fresh <file>
-//!               [--max-drop <frac>] [--summary-out <file>] [--metrics <file>]
 //!   metrics-check --metrics <file> [--summary-out <file>]
 //! ```
 //!
@@ -29,45 +25,30 @@
 //! `--instance-bits b` enables the §5.3 PetalUp scale-up: up to `2^b`
 //! load-adaptive directory instances per (website, locality) petal
 //! (`scale` accepts a comma list and sweeps it).
-//! `--event-queue` picks the engine's event storage (results are
-//! bit-identical for both backends; `both` is only valid for `scale`,
-//! which then sweeps the two side by side).
-//! `--lookahead` picks how the sharded engine bounds its epochs: the
-//! per-shard-pair lookahead matrix (default) or the single global
-//! floor — bit-identical results, fewer barrier rounds under
-//! `matrix`; `both` (scale only) sweeps the two, naming global-floor
-//! cells `…/glf`.
-//! `scale` sweeps node counts × shard counts × queue backends and
+//! `scale` sweeps node counts × instance bits × shard counts and
 //! reports events/sec, wall time and peak queue depth; `--bench-out
-//! BENCH_engine.json` writes all engine measurements machine-readably.
+//! <file>` writes all engine measurements machine-readably (a
+//! write-only artifact — the repository's benchmark is
+//! `benchmark/run.sh`).
 //! `--pin` pins each shard worker thread to a core chosen by the
 //! engine's latency-aware placement (chattiest shard pairs on
 //! adjacent cores); wall-clock only — results are bit-identical with
 //! and without it, and it degrades gracefully where the host forbids
 //! affinity changes.
-//! `bench-check` is the CI regression gate: it compares a fresh
-//! bench document against the committed baseline, prints a markdown
-//! throughput summary, and exits non-zero if events/sec dropped more
-//! than `--max-drop` (default 0.20) at any matched point. Records
-//! only compare within one host core count; a core-count mismatch is
-//! an explicit SKIP (exit 0), not a pass. With `--metrics
-//! METRICS.json` it validates the run's registry snapshots and
-//! appends the per-subsystem attribution table to the summary.
 //! `--metrics-out METRICS.json` (for `scale`, `churn` and `chaos`)
 //! writes the registry snapshots of every cell machine-readably;
-//! `metrics-check` validates such a document standalone (the CI
-//! metrics-smoke assertions) and prints its attribution table.
+//! `metrics-check` validates such a document (the CI metrics-smoke
+//! assertions), prints its per-subsystem attribution table and, with
+//! `--summary-out`, writes the table as markdown.
 //! `chaos` runs the fault-injection plane end to end (scripted
 //! partition + heal, flash crowd, cross-locality message loss,
 //! correlated regional failure), each family across a shard sweep
 //! that must stay bit-identical, and reports the availability each
 //! fault costs (hit-ratio dip depth, time-to-recover after heal).
-//! Chaos cells are availability experiments, not throughput cells, so
-//! the committed bench baseline omits them: a bench-check whose fresh
-//! document holds only chaos cells prints an explicit per-cell SKIP
-//! and exits 0 instead of the zero-matches hard error.
 //! `--nodes` with a single value overrides the underlay node count of
 //! any experiment (e.g. `churn --nodes 50000`, `chaos --nodes 1000`).
+//! A deployment too small for its D-ring (or an unrepresentable
+//! `--instance-bits`) is refused up front with a one-line message.
 
 use std::io::Write;
 
@@ -75,36 +56,60 @@ use experiments::exps::{self, ExpOutput, ScaleParams};
 use experiments::gate;
 use experiments::report::{bench_json, metrics_json, BenchRecord, MetricsRecord};
 use experiments::runner::{RunOpts, RunScale};
-use experiments::{EventQueueKind, LookaheadKind, SubstrateKind};
+use experiments::SubstrateKind;
 use simnet::SimDuration;
+
+/// Every subcommand, in `usage()` order.
+const COMMANDS: &[&str] = &[
+    "table2a",
+    "table2b",
+    "table2c",
+    "push-threshold",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "churn",
+    "ablation",
+    "replication",
+    "cache",
+    "substrates",
+    "chaos",
+    "scale",
+    "metrics-check",
+    "all",
+];
 
 struct Args {
     cmd: String,
     opts: RunOpts,
-    /// Queue sweep of the `scale` experiment (`--event-queue both`).
-    queue_sweep: Vec<EventQueueKind>,
-    /// Lookahead sweep of the `scale` experiment (`--lookahead both`).
-    lookahead_sweep: Vec<LookaheadKind>,
     csv_dir: Option<String>,
     bench_out: Option<String>,
     /// `--metrics-out`: write the registry snapshots as METRICS.json.
     metrics_out: Option<String>,
-    /// `--metrics`: METRICS.json to validate (metrics-check) or fold
-    /// into the bench-check summary.
+    /// `--metrics`: the METRICS.json `metrics-check` validates.
     metrics_in: Option<String>,
     scale_nodes: Vec<usize>,
     scale_shards: Vec<usize>,
-    /// Append the WAN lookahead-comparison cells to the `scale` sweep.
-    scale_wan: bool,
     /// §5.3 instance-bits sweep of the `scale` experiment (single
     /// value for every other experiment).
     scale_bits: Vec<u32>,
     horizon_secs: u64,
-    // bench-check:
-    baseline: Option<String>,
-    fresh: Option<String>,
-    max_drop: f64,
+    /// `--summary-out`: where `metrics-check` writes its markdown.
     summary_out: Option<String>,
+}
+
+impl Args {
+    fn scale_params(&self) -> ScaleParams {
+        ScaleParams {
+            nodes: self.scale_nodes.clone(),
+            shards: self.scale_shards.clone(),
+            instance_bits: self.scale_bits.clone(),
+            horizon: SimDuration::from_secs(self.horizon_secs),
+            seed: self.opts.seed,
+            pin: self.opts.pin,
+        }
+    }
 }
 
 fn parse_list(s: &str) -> Result<Vec<usize>, String> {
@@ -117,26 +122,31 @@ fn parse_list(s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
+/// A shard count from `--shards` / one `--shard-sweep` entry.
+fn shard_count(flag: &str, v: &str) -> Result<usize, String> {
+    match v.trim().parse::<usize>() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad shard count {v:?}")),
+    }
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let cmd = args.next().ok_or_else(usage)?;
+    if !COMMANDS.contains(&cmd.as_str()) {
+        return Err(format!("unknown experiment {cmd:?}\n{}", usage()));
+    }
     let mut out = Args {
         cmd,
         opts: RunOpts::new(),
-        queue_sweep: vec![EventQueueKind::default()],
-        lookahead_sweep: vec![LookaheadKind::default()],
         csv_dir: None,
         bench_out: None,
         metrics_out: None,
         metrics_in: None,
         scale_nodes: vec![10_000, 50_000, 100_000],
         scale_shards: vec![1, 2, 4, 8],
-        scale_wan: false,
         scale_bits: vec![0],
         horizon_secs: 60,
-        baseline: None,
-        fresh: None,
-        max_drop: 0.20,
         summary_out: None,
     };
     while let Some(a) = args.next() {
@@ -155,34 +165,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--shards" => {
                 let v = args.next().ok_or("--shards needs a value")?;
-                out.opts.shards = v.parse().map_err(|_| format!("bad shard count {v:?}"))?;
-                if out.opts.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--event-queue" => {
-                let v = args.next().ok_or("--event-queue needs a value")?;
-                if v == "both" {
-                    if out.cmd != "scale" {
-                        return Err("--event-queue both is only valid for `scale`".into());
-                    }
-                    out.queue_sweep = vec![EventQueueKind::Calendar, EventQueueKind::Heap];
-                } else {
-                    out.opts.queue = EventQueueKind::parse(&v)?;
-                    out.queue_sweep = vec![out.opts.queue];
-                }
-            }
-            "--lookahead" => {
-                let v = args.next().ok_or("--lookahead needs a value")?;
-                if v == "both" {
-                    if out.cmd != "scale" {
-                        return Err("--lookahead both is only valid for `scale`".into());
-                    }
-                    out.lookahead_sweep = vec![LookaheadKind::Matrix, LookaheadKind::GlobalFloor];
-                } else {
-                    out.opts.lookahead = LookaheadKind::parse(&v)?;
-                    out.lookahead_sweep = vec![out.opts.lookahead];
-                }
+                out.opts.shards = shard_count("--shards", &v)?;
             }
             "--csv-dir" => {
                 out.csv_dir = Some(args.next().ok_or("--csv-dir needs a value")?);
@@ -209,7 +192,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--shard-sweep" => {
                 let v = args.next().ok_or("--shard-sweep needs a value")?;
-                out.scale_shards = parse_list(&v)?;
+                out.scale_shards = v
+                    .split(',')
+                    .map(|p| shard_count("--shard-sweep", p))
+                    .collect::<Result<_, _>>()?;
             }
             "--instance-bits" => {
                 let v = args.next().ok_or("--instance-bits needs a value")?;
@@ -223,34 +209,12 @@ fn parse_args() -> Result<Args, String> {
                 out.opts.instance_bits = bits[0];
                 out.scale_bits = bits;
             }
-            "--wan" => {
-                if out.cmd != "scale" {
-                    return Err("--wan is only valid for `scale`".into());
-                }
-                out.scale_wan = true;
-            }
             "--pin" => {
                 out.opts.pin = true;
             }
             "--horizon-secs" => {
                 let v = args.next().ok_or("--horizon-secs needs a value")?;
                 out.horizon_secs = v.parse().map_err(|_| format!("bad horizon {v:?}"))?;
-            }
-            "--baseline" => {
-                out.baseline = Some(args.next().ok_or("--baseline needs a value")?);
-            }
-            "--fresh" => {
-                out.fresh = Some(args.next().ok_or("--fresh needs a value")?);
-            }
-            "--max-drop" => {
-                let v = args.next().ok_or("--max-drop needs a value")?;
-                out.max_drop = v.parse().map_err(|_| format!("bad max drop {v:?}"))?;
-                if !(0.0..1.0).contains(&out.max_drop) {
-                    return Err(format!(
-                        "--max-drop must be in [0, 1), got {}",
-                        out.max_drop
-                    ));
-                }
             }
             "--summary-out" => {
                 out.summary_out = Some(args.next().ok_or("--summary-out needs a value")?);
@@ -262,93 +226,15 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: flower-experiments <table2a|table2b|table2c|push-threshold|fig5|fig6|fig7|fig8|churn|ablation|replication|cache|substrates|chaos|scale|bench-check|metrics-check|all> \
-     [--scale <f|full>] [--seed <n>] [--substrate <chord|pastry>] [--shards <n>] \
-     [--event-queue <calendar|heap|both>] [--lookahead <matrix|global|both>] \
-     [--instance-bits <b|a,b,..>] [--pin] \
-     [--csv-dir <dir>] [--bench-out <file>] [--metrics-out <file>] \
-     [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>] [--wan] \
-     [--baseline <file> --fresh <file> [--max-drop <frac>] [--summary-out <file>] [--metrics <file>]]"
-        .to_string()
-}
-
-/// The CI bench-regression gate (`bench-check`): compare a fresh
-/// BENCH document against the committed baseline, print the markdown
-/// summary, and exit non-zero on a regression beyond `--max-drop`.
-///
-/// Zero matched points is an *error*, not a pass: it means the CI
-/// flags and the committed baseline have drifted apart (different
-/// horizon, sweep cells or queue backends), which would otherwise
-/// turn the gate into a permanently green no-op. The one exception:
-/// when the same cells matched but the *host core count* differs
-/// (baseline recorded on a 1-core container, fresh run on an 8-core
-/// runner, or vice versa), the check prints an explicit SKIP and
-/// exits 0 — cross-core throughput deltas decide nothing, and a hard
-/// failure would block every PR touching only the runner fleet.
-fn bench_check(args: &Args) -> Result<bool, String> {
-    let baseline_path = args
-        .baseline
-        .as_deref()
-        .ok_or("bench-check needs --baseline <file>")?;
-    let fresh_path = args
-        .fresh
-        .as_deref()
-        .ok_or("bench-check needs --fresh <file>")?;
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("read {p}: {e}"));
-    let baseline =
-        gate::parse_bench(&read(baseline_path)?).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let fresh = gate::parse_bench(&read(fresh_path)?).map_err(|e| format!("{fresh_path}: {e}"))?;
-    let report = gate::compare(&baseline, &fresh, args.max_drop);
-    let mut md = report.to_markdown();
-    if let Some(path) = &args.metrics_in {
-        let doc = gate::parse_metrics(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
-        gate::validate_metrics(&doc).map_err(|e| format!("{path}: {e}"))?;
-        md.push('\n');
-        md.push_str(&gate::metrics_markdown(&doc));
-    }
-    println!("{md}");
-    if let Some(path) = &args.summary_out {
-        std::fs::write(path, &md).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if report.core_skip() {
-        eprintln!(
-            "bench-check: SKIPPED, not passed — every matching cell in the baseline was \
-             measured on a different host core count ({} fresh point(s); baseline host \
-             {:?}, fresh host {:?}). Throughput is only comparable within one core \
-             count; re-record the baseline on this runner class to re-arm the gate.",
-            report.skipped_cores.len(),
-            baseline.host,
-            fresh.host,
-        );
-        return Ok(true);
-    }
-    if report.chaos_skip() {
-        for r in &report.unmatched {
-            eprintln!(
-                "bench-check: SKIP {} ({} nodes, {} shards): chaos cell not in the \
-                 committed baseline",
-                r.experiment, r.nodes, r.shards
-            );
-        }
-        eprintln!(
-            "bench-check: SKIPPED, not passed — all {} fresh point(s) are chaos \
-             availability cells the committed baseline intentionally omits; the \
-             throughput gate decides nothing here.",
-            report.unmatched.len()
-        );
-        return Ok(true);
-    }
-    if report.rows.is_empty() {
-        return Err(
-            "bench-check: no fresh point matched the baseline — the gate would compare \
-             nothing. The smoke run's flags (experiment names, node/shard counts, queue \
-             backends, horizons) have drifted from the committed BENCH_engine.json; \
-             re-record the baseline or fix the flags."
-                .into(),
-        );
-    }
-    Ok(report.passed())
+    format!(
+        "usage: flower-experiments <{}> \
+         [--scale <f|full>] [--seed <n>] [--substrate <chord|pastry>] [--shards <n>] \
+         [--instance-bits <b|a,b,..>] [--pin] \
+         [--csv-dir <dir>] [--bench-out <file>] [--metrics-out <file>] \
+         [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>] \
+         [--metrics <file> [--summary-out <file>]]",
+        COMMANDS.join("|")
+    )
 }
 
 /// The CI metrics-smoke check (`metrics-check`): parse a METRICS.json
@@ -395,7 +281,7 @@ fn emit(name: &str, out: &ExpOutput, csv_dir: &Option<String>) {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -411,23 +297,14 @@ fn main() {
             }
         }
     }
-    if args.cmd == "bench-check" {
-        match bench_check(&args) {
-            Ok(true) => return,
-            Ok(false) => {
-                eprintln!("bench-check: throughput regression beyond the gate");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+    if let Err(e) = exps::check_deployment_size(&args.cmd, args.opts, &args.scale_params()) {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
     let opts = args.opts;
     eprintln!(
-        "# running {} at scale {:?} seed {} over {} with {} shard(s) on the {} queue",
-        args.cmd, opts.scale, opts.seed, opts.substrate, opts.shards, opts.queue
+        "# running {} at scale {:?} seed {} over {} with {} shard(s)",
+        args.cmd, opts.scale, opts.seed, opts.substrate, opts.shards
     );
     let t0 = std::time::Instant::now();
     let mut failed = false;
@@ -458,19 +335,12 @@ fn main() {
         bench.extend(out.bench.iter().cloned());
         metrics_records.extend(out.metrics.iter().cloned());
     }
-    let queues = args
-        .queue_sweep
-        .iter()
-        .map(|q| q.to_string())
-        .collect::<Vec<_>>()
-        .join("+");
     let host = format!(
-        "{} cpus, {}, queue={}",
+        "{} cpus, {}",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(0),
-        std::env::consts::ARCH,
-        queues
+        std::env::consts::ARCH
     );
     if let Some(path) = &args.bench_out {
         std::fs::write(path, bench_json(&host, &bench)).expect("write bench json");
@@ -508,20 +378,61 @@ fn run_one(name: &str, args: &Args) -> ExpOutput {
         "replication" => exps::replication(opts),
         "cache" => exps::cache_pressure(opts),
         "substrates" => exps::substrates(opts),
-        "scale" => exps::scale(&ScaleParams {
-            nodes: args.scale_nodes.clone(),
-            shards: args.scale_shards.clone(),
-            queues: args.queue_sweep.clone(),
-            lookaheads: args.lookahead_sweep.clone(),
-            instance_bits: args.scale_bits.clone(),
-            horizon: SimDuration::from_secs(args.horizon_secs),
-            seed: opts.seed,
-            wan: args.scale_wan,
-            pin: opts.pin,
-        }),
-        other => {
-            eprintln!("unknown experiment {other:?}\n{}", usage());
-            std::process::exit(2);
+        "scale" => exps::scale(&args.scale_params()),
+        other => unreachable!("parse_args admits only COMMANDS, got {other:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn shard_sweep_rejects_zero_and_empty_entries_like_shards_does() {
+        assert_eq!(
+            parse("scale --shards 0").err().unwrap(),
+            "--shards must be at least 1"
+        );
+        assert_eq!(
+            parse("scale --shard-sweep 0").err().unwrap(),
+            "--shard-sweep must be at least 1"
+        );
+        assert_eq!(
+            parse("scale --shard-sweep 1,0,4").err().unwrap(),
+            "--shard-sweep must be at least 1"
+        );
+        assert!(parse("scale --shard-sweep 1,,4").is_err(), "empty entry");
+        assert!(parse("scale --shard-sweep ,").is_err(), "empty entries");
+        let ok = parse("scale --shard-sweep 1,2,8 --shards 3").unwrap();
+        assert_eq!(ok.scale_shards, vec![1, 2, 8]);
+        assert_eq!(ok.opts.shards, 3);
+    }
+
+    /// What a retired execution switch or subcommand gets now: it is
+    /// simply unknown.
+    #[test]
+    fn unknown_flags_and_subcommands_get_the_usage_message() {
+        for line in [
+            "scale --no-such-switch heap",
+            "scale --wan",
+            "no-such-check",
+        ] {
+            let err = parse(line)
+                .err()
+                .unwrap_or_else(|| panic!("{line:?} accepted"));
+            assert!(err.contains("usage: flower-experiments"), "{line:?}: {err}");
+        }
+        assert!(parse("").err().unwrap().starts_with("usage:"));
+    }
+
+    #[test]
+    fn every_command_in_the_usage_line_parses() {
+        for cmd in COMMANDS {
+            assert_eq!(parse(cmd).unwrap().cmd, *cmd);
         }
     }
 }

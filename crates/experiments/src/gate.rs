@@ -1,95 +1,16 @@
-//! The CI bench-regression gate: parse two `BENCH_engine.json`
-//! documents (the committed baseline and a freshly measured one),
-//! match their records point by point, and fail if throughput dropped
-//! beyond a tolerance at any matched point. Also home of the
-//! `METRICS.json` side of the gate: schema-v1 parsing, the
-//! metrics-smoke validation (non-empty registry, counter
-//! cross-invariants, histogram count/sum consistency, sim-scope
-//! equality across execution variants) and the per-subsystem
-//! attribution table rendered into the CI step summary.
+//! The `METRICS.json` gate: schema-v1 parsing, the metrics-smoke
+//! validation (non-empty registry, counter cross-invariants,
+//! histogram count/sum consistency, sim-scope equality across
+//! execution variants) and the per-subsystem attribution table
+//! rendered into the CI step summary.
 //!
-//! The parser is hand-rolled for exactly the document shape
-//! [`crate::report::bench_json`] emits (the build environment has no
-//! serde): a flat object with `schema`/`host` strings and a `records`
-//! array of flat objects with string, number and `null` fields. Every
-//! schema from `v1` through the current `v6` is accepted, so the gate
-//! keeps working across schema bumps: `v1` (no `queue` field; records
-//! default to the heap backend that was the only implementation
-//! then), `v2` (no `dir_load_max_mean` column; defaults to 0), `v3`
-//! (no `epochs` barrier-round column; defaults to 0), `v4` (no
-//! `cores`/`fused_rounds`/barrier-idle columns; `cores` falls back to
-//! the count parsed from the `host` string, the rest default to 0),
-//! `v5` (no `peak_rss_mb` column; backfilled as `None`, i.e. "not
-//! measured" — memory deltas are *reported* in the summary but never
-//! gate the build).
-//!
-//! Records are matched **within one core count only**: throughput on
-//! a 1-core container says nothing about an 8-core runner, so a
-//! baseline measured on a different core count yields an explicit
-//! *skip* ([`GateReport::core_skip`]) rather than a hollow pass or a
-//! bogus fail.
+//! The parser is a hand-rolled JSON tree reader for the document shape
+//! [`crate::report::metrics_json`] emits (the build environment has no
+//! serde): objects, arrays, strings, numbers and `null`.
 
 use std::fmt::Write as _;
 
-use simnet::EventQueueKind;
-
-use crate::report::{BenchRecord, BENCH_SCHEMA};
-
-/// A parsed `BENCH_engine.json`.
-#[derive(Clone, Debug)]
-pub struct BenchDoc {
-    /// Schema tag (`flower-cdn/bench-engine/v1` through `v6`).
-    pub schema: String,
-    /// Free-form host description (core count, arch, queue backend).
-    pub host: String,
-    /// The measurements.
-    pub records: Vec<BenchRecord>,
-}
-
-/// Identity of a measured point: two records are comparable when the
-/// experiment cell, population, shard count, queue backend, simulated
-/// horizon *and host core count* all agree.
-fn match_key(r: &BenchRecord) -> (String, usize, usize, EventQueueKind, u64, usize) {
-    (
-        r.experiment.clone(),
-        r.nodes,
-        r.shards,
-        r.queue,
-        r.sim_ms,
-        r.cores,
-    )
-}
-
-/// As [`match_key`] without the core count — used to tell a *new*
-/// cell (nothing like it in the baseline) from a *skipped* one (same
-/// cell, measured on a host with a different core count).
-fn cell_key(r: &BenchRecord) -> (String, usize, usize, EventQueueKind, u64) {
-    (r.experiment.clone(), r.nodes, r.shards, r.queue, r.sim_ms)
-}
-
-/// The core count a host string like `"8 cpus, x86_64, …"` advertises
-/// (every emitter since `v1` has used that shape); `None` when the
-/// string does not lead with an integer.
-fn host_cores(host: &str) -> Option<usize> {
-    let digits: String = host.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-// ---------------------------------------------------------------- //
-// Parsing                                                          //
-// ---------------------------------------------------------------- //
-
-#[derive(Debug, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    /// JSON `null` — used by nullable columns (`peak_rss_mb`) for
-    /// "not measured".
-    Null,
-}
-
-/// A full JSON tree — the `METRICS.json` document nests objects and
-/// arrays, so the flat-scalar [`Value`] is not enough there.
+/// A JSON tree.
 #[derive(Debug, PartialEq)]
 enum Json {
     Str(String),
@@ -145,7 +66,7 @@ impl<'a> Parser<'a> {
     }
 
     fn err(&self, what: &str) -> String {
-        format!("bench json: {what} at byte {}", self.i)
+        format!("metrics json: {what} at byte {}", self.i)
     }
 
     fn ws(&mut self) {
@@ -221,24 +142,6 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| self.err("bad number"))
     }
 
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'n') => {
-                if self.s[self.i..].starts_with(b"null") {
-                    self.i += 4;
-                    Ok(Value::Null)
-                } else {
-                    Err(self.err("expected null"))
-                }
-            }
-            Some(_) => Ok(Value::Num(self.number()?)),
-            None => Err(self.err("unexpected end")),
-        }
-    }
-
-    /// A full JSON tree (used by the `METRICS.json` parser, whose
-    /// records nest arrays of objects).
     fn json(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'{') => {
@@ -271,398 +174,19 @@ impl<'a> Parser<'a> {
                     self.expect(b',')?;
                 }
             }
-            _ => Ok(match self.value()? {
-                Value::Str(s) => Json::Str(s),
-                Value::Num(n) => Json::Num(n),
-                Value::Null => Json::Null,
-            }),
-        }
-    }
-
-    /// A flat `{"key": scalar, ...}` object.
-    fn flat_object(&mut self) -> Result<Vec<(String, Value)>, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.eat(b'}') {
-            return Ok(fields);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            if self.eat(b'}') {
-                return Ok(fields);
-            }
-            self.expect(b',')?;
-        }
-    }
-}
-
-fn record_from_fields(fields: Vec<(String, Value)>, idx: usize) -> Result<BenchRecord, String> {
-    let mut r = BenchRecord {
-        experiment: String::new(),
-        nodes: 0,
-        shards: 0,
-        // v1 documents predate the calendar backend.
-        queue: EventQueueKind::Heap,
-        wall_s: 0.0,
-        events: 0,
-        events_per_sec: 0.0,
-        peak_queue_depth: 0,
-        sim_ms: 0,
-        // v1/v2 documents predate the directory-load column.
-        dir_load_max_mean: 0.0,
-        // v1–v3 documents predate the epochs column.
-        epochs: 0,
-        // v1–v4 documents predate the multi-core columns; `cores` is
-        // backfilled from the host string by [`parse_bench`].
-        cores: 0,
-        fused_rounds: 0,
-        barrier_idle_mean_s: 0.0,
-        barrier_idle_max_s: 0.0,
-        // v1–v5 documents predate the peak-RSS column; `None` means
-        // "not measured", which the memory report renders as a dash.
-        peak_rss_mb: None,
-    };
-    let mut seen_experiment = false;
-    for (key, value) in fields {
-        let bad = || format!("record {idx}: field {key:?} has the wrong type");
-        match (key.as_str(), value) {
-            ("experiment", Value::Str(s)) => {
-                r.experiment = s;
-                seen_experiment = true;
-            }
-            ("queue", Value::Str(s)) => r.queue = EventQueueKind::parse(&s)?,
-            ("nodes", Value::Num(n)) => r.nodes = n as usize,
-            ("shards", Value::Num(n)) => r.shards = n as usize,
-            ("wall_s", Value::Num(n)) => r.wall_s = n,
-            ("events", Value::Num(n)) => r.events = n as u64,
-            ("events_per_sec", Value::Num(n)) => r.events_per_sec = n,
-            ("peak_queue_depth", Value::Num(n)) => r.peak_queue_depth = n as usize,
-            ("sim_ms", Value::Num(n)) => r.sim_ms = n as u64,
-            ("dir_load_max_mean", Value::Num(n)) => r.dir_load_max_mean = n,
-            ("epochs", Value::Num(n)) => r.epochs = n as u64,
-            ("cores", Value::Num(n)) => r.cores = n as usize,
-            ("fused_rounds", Value::Num(n)) => r.fused_rounds = n as u64,
-            ("barrier_idle_mean_s", Value::Num(n)) => r.barrier_idle_mean_s = n,
-            ("barrier_idle_max_s", Value::Num(n)) => r.barrier_idle_max_s = n,
-            ("peak_rss_mb", Value::Num(n)) => r.peak_rss_mb = Some(n),
-            ("peak_rss_mb", Value::Null) => r.peak_rss_mb = None,
-            (
-                "experiment"
-                | "queue"
-                | "nodes"
-                | "shards"
-                | "wall_s"
-                | "events"
-                | "events_per_sec"
-                | "peak_queue_depth"
-                | "sim_ms"
-                | "dir_load_max_mean"
-                | "epochs"
-                | "cores"
-                | "fused_rounds"
-                | "barrier_idle_mean_s"
-                | "barrier_idle_max_s"
-                | "peak_rss_mb",
-                _,
-            ) => return Err(bad()),
-            _ => {} // unknown fields: forward compatibility
-        }
-    }
-    if !seen_experiment {
-        return Err(format!("record {idx}: missing \"experiment\""));
-    }
-    Ok(r)
-}
-
-/// Parse a `BENCH_engine.json` document.
-pub fn parse_bench(json: &str) -> Result<BenchDoc, String> {
-    let mut p = Parser::new(json);
-    let mut doc = BenchDoc {
-        schema: String::new(),
-        host: String::new(),
-        records: Vec::new(),
-    };
-    p.expect(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
-        match key.as_str() {
-            "schema" => doc.schema = p.string()?,
-            "host" => doc.host = p.string()?,
-            "records" => {
-                p.expect(b'[')?;
-                if !p.eat(b']') {
-                    loop {
-                        let fields = p.flat_object()?;
-                        doc.records
-                            .push(record_from_fields(fields, doc.records.len())?);
-                        if p.eat(b']') {
-                            break;
-                        }
-                        p.expect(b',')?;
-                    }
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'n') => {
+                if self.s[self.i..].starts_with(b"null") {
+                    self.i += 4;
+                    Ok(Json::Null)
+                } else {
+                    Err(self.err("expected null"))
                 }
             }
-            other => return Err(format!("unknown top-level key {other:?}")),
-        }
-        if p.eat(b'}') {
-            break;
-        }
-        p.expect(b',')?;
-    }
-    match doc.schema.as_str() {
-        "flower-cdn/bench-engine/v1"
-        | "flower-cdn/bench-engine/v2"
-        | "flower-cdn/bench-engine/v3"
-        | "flower-cdn/bench-engine/v4"
-        | "flower-cdn/bench-engine/v5"
-        | BENCH_SCHEMA => {
-            // Pre-v5 records carry no `cores` column; the host string
-            // has advertised the core count since v1, so backfill the
-            // gate's comparison key from it.
-            if let Some(cores) = host_cores(&doc.host) {
-                for r in &mut doc.records {
-                    if r.cores == 0 {
-                        r.cores = cores;
-                    }
-                }
-            }
-            Ok(doc)
-        }
-        other => Err(format!("unsupported schema {other:?}")),
-    }
-}
-
-// ---------------------------------------------------------------- //
-// Comparison                                                       //
-// ---------------------------------------------------------------- //
-
-/// One matched (baseline, fresh) measurement pair.
-#[derive(Clone, Debug)]
-pub struct GateRow {
-    /// The measured point (fresh side).
-    pub fresh: BenchRecord,
-    /// Baseline events/second at the same point.
-    pub base_eps: f64,
-    /// Relative change: `fresh/base − 1` (negative = regression).
-    pub delta: f64,
-    /// True if this point regressed beyond the tolerance.
-    pub failed: bool,
-    /// Baseline peak RSS at the same point (`None` when the baseline
-    /// predates the v6 column). Memory is *reported*, never gated —
-    /// see [`MEM_REPORT_GROWTH`].
-    pub base_rss_mb: Option<f64>,
-}
-
-/// Relative peak-RSS growth beyond which the markdown summary calls a
-/// matched point out as a memory regression. Informational only: RSS
-/// never contributes to [`GateReport::passed`] — the process
-/// high-water mark is monotone over a multi-cell sweep, so per-cell
-/// attribution is too soft to gate on yet.
-pub const MEM_REPORT_GROWTH: f64 = 0.10;
-
-/// Outcome of a bench-regression check.
-#[derive(Clone, Debug)]
-pub struct GateReport {
-    /// Matched points, in fresh-document order.
-    pub rows: Vec<GateRow>,
-    /// Fresh points with no baseline counterpart (reported, not
-    /// failed: new sweep cells should not need a two-step landing).
-    pub unmatched: Vec<BenchRecord>,
-    /// Fresh points whose baseline counterpart was measured on a host
-    /// with a *different core count* (same cell otherwise). These are
-    /// skipped, not compared: cross-core-count throughput deltas are
-    /// meaningless.
-    pub skipped_cores: Vec<BenchRecord>,
-    /// Host strings of (baseline, fresh) — a mismatch makes absolute
-    /// comparisons soft, which the summary calls out.
-    pub hosts: (String, String),
-    /// The tolerated relative drop (e.g. 0.20).
-    pub max_drop: f64,
-}
-
-impl GateReport {
-    /// True if no matched point regressed beyond the tolerance.
-    pub fn passed(&self) -> bool {
-        !self.rows.iter().any(|r| r.failed)
-    }
-
-    /// True when the check decided nothing at all because every cell
-    /// the baseline covers was measured on a different core count —
-    /// the caller should report a SKIP, not a pass.
-    pub fn core_skip(&self) -> bool {
-        self.rows.is_empty() && !self.skipped_cores.is_empty()
-    }
-
-    /// True when the check decided nothing because every fresh point
-    /// is a chaos cell absent from the committed baseline (the chaos
-    /// families are availability experiments, not throughput cells, so
-    /// the baseline intentionally omits them). The caller should
-    /// report an explicit SKIP naming the cells — never a hollow pass.
-    pub fn chaos_skip(&self) -> bool {
-        self.rows.is_empty()
-            && self.skipped_cores.is_empty()
-            && !self.unmatched.is_empty()
-            && self
-                .unmatched
-                .iter()
-                .all(|r| r.experiment.starts_with("chaos/"))
-    }
-
-    /// Render the per-commit throughput summary as GitHub-flavoured
-    /// markdown (for `$GITHUB_STEP_SUMMARY`).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "### Engine throughput vs committed baseline ({})\n",
-            if !self.passed() {
-                "FAIL"
-            } else if self.core_skip() {
-                "SKIP — core counts differ"
-            } else {
-                "PASS"
-            }
-        );
-        let _ = writeln!(
-            out,
-            "| experiment | nodes | shards | queue | baseline ev/s | fresh ev/s | Δ | epochs | peak RSS | gate |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|");
-        let epochs_cell = |r: &BenchRecord| {
-            if r.shards > 1 {
-                r.epochs.to_string()
-            } else {
-                "—".to_string()
-            }
-        };
-        let rss_cell = |fresh: Option<f64>, base: Option<f64>| match (fresh, base) {
-            (Some(f), Some(b)) if b > 0.0 => {
-                format!("{:.0} MB ({:+.1}%)", f, (f / b - 1.0) * 100.0)
-            }
-            (Some(f), _) => format!("{f:.0} MB"),
-            (None, _) => "—".to_string(),
-        };
-        for row in &self.rows {
-            let r = &row.fresh;
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {:.0} | {:.0} | {:+.1}% | {} | {} | {} |",
-                r.experiment,
-                r.nodes,
-                r.shards,
-                r.queue,
-                row.base_eps,
-                r.events_per_sec,
-                row.delta * 100.0,
-                epochs_cell(r),
-                rss_cell(r.peak_rss_mb, row.base_rss_mb),
-                if row.failed { "**FAIL**" } else { "ok" }
-            );
-        }
-        for r in &self.unmatched {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | — | {:.0} | — | {} | {} | new |",
-                r.experiment,
-                r.nodes,
-                r.shards,
-                r.queue,
-                r.events_per_sec,
-                epochs_cell(r),
-                rss_cell(r.peak_rss_mb, None)
-            );
-        }
-        for r in &self.skipped_cores {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | — | {:.0} | — | {} | {} | skip ({} cores ≠ baseline) |",
-                r.experiment,
-                r.nodes,
-                r.shards,
-                r.queue,
-                r.events_per_sec,
-                epochs_cell(r),
-                rss_cell(r.peak_rss_mb, None),
-                r.cores
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\nGate: fail if events/s drops more than {:.0}% at any matched point.",
-            self.max_drop * 100.0
-        );
-        let mem_regressed: Vec<String> = self
-            .rows
-            .iter()
-            .filter(|row| {
-                matches!(
-                    (row.fresh.peak_rss_mb, row.base_rss_mb),
-                    (Some(f), Some(b)) if b > 0.0 && f / b - 1.0 > MEM_REPORT_GROWTH
-                )
-            })
-            .map(|row| row.fresh.experiment.clone())
-            .collect();
-        if !mem_regressed.is_empty() {
-            let _ = writeln!(
-                out,
-                "\n> Memory report (informational, not gated): peak RSS grew more \
-                 than {:.0}% at {}.",
-                MEM_REPORT_GROWTH * 100.0,
-                mem_regressed.join(", ")
-            );
-        }
-        let (base_host, fresh_host) = &self.hosts;
-        if base_host != fresh_host {
-            let _ = writeln!(
-                out,
-                "\n> Hosts differ — baseline `{base_host}`, fresh `{fresh_host}`; \
-                 absolute numbers are not strictly comparable."
-            );
-        }
-        out
-    }
-}
-
-/// Compare `fresh` against `baseline`: every fresh point that exists
-/// in the baseline (same experiment, nodes, shards, queue, sim_ms
-/// *and cores*) must not lose more than `max_drop` of its
-/// events/second. A fresh point whose baseline twin differs only in
-/// core count lands in [`GateReport::skipped_cores`] — the caller
-/// should surface a skip, never call it a pass or a regression.
-pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc, max_drop: f64) -> GateReport {
-    let mut report = GateReport {
-        rows: Vec::new(),
-        unmatched: Vec::new(),
-        skipped_cores: Vec::new(),
-        hosts: (baseline.host.clone(), fresh.host.clone()),
-        max_drop,
-    };
-    for f in &fresh.records {
-        match baseline
-            .records
-            .iter()
-            .find(|b| match_key(b) == match_key(f))
-        {
-            Some(b) => {
-                let delta = f.events_per_sec / b.events_per_sec.max(1e-9) - 1.0;
-                report.rows.push(GateRow {
-                    fresh: f.clone(),
-                    base_eps: b.events_per_sec,
-                    delta,
-                    failed: delta < -max_drop,
-                    base_rss_mb: b.peak_rss_mb,
-                });
-            }
-            None if baseline.records.iter().any(|b| cell_key(b) == cell_key(f)) => {
-                report.skipped_cores.push(f.clone());
-            }
-            None => report.unmatched.push(f.clone()),
+            Some(_) => Ok(Json::Num(self.number()?)),
+            None => Err(self.err("unexpected end")),
         }
     }
-    report
 }
 
 // ---------------------------------------------------------------- //
@@ -791,9 +315,7 @@ fn metric_hist_point(v: &Json, what: &str) -> Result<MetricHistPoint, String> {
 /// new; accept-old-schemas leniency starts with v2).
 pub fn parse_metrics(json: &str) -> Result<MetricsDoc, String> {
     let mut p = Parser::new(json);
-    let tree = p
-        .json()
-        .map_err(|e| e.replace("bench json", "metrics json"))?;
+    let tree = p.json()?;
     let schema = tree.str_field("schema", "document")?;
     if schema != metrics::METRICS_SCHEMA_NAME {
         return Err(format!("unsupported metrics schema {schema:?}"));
@@ -844,8 +366,8 @@ pub fn parse_metrics(json: &str) -> Result<MetricsDoc, String> {
 ///    ascending, per-bucket counts summing to `count`, and `sum`
 ///    inside the value bounds the occupied buckets allow.
 /// 5. Sim-scope determinism: records sharing a `sim_key` (same
-///    simulation under different shard/queue/lookahead knobs) agree
-///    exactly on every `sim`-scope counter, gauge and histogram.
+///    simulation under different shard counts) agree exactly on every
+///    `sim`-scope counter, gauge and histogram.
 pub fn validate_metrics(doc: &MetricsDoc) -> Result<(), String> {
     if doc.records.is_empty() {
         return Err("metrics: document has no records".into());
@@ -1085,255 +607,6 @@ pub fn metrics_markdown(doc: &MetricsDoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::bench_json;
-
-    fn record(nodes: usize, shards: usize, queue: EventQueueKind, eps: f64) -> BenchRecord {
-        BenchRecord {
-            experiment: format!("scale/{nodes}n"),
-            nodes,
-            shards,
-            queue,
-            wall_s: 1.0,
-            events: (eps * 1.0) as u64,
-            events_per_sec: eps,
-            peak_queue_depth: 10,
-            sim_ms: 30_000,
-            dir_load_max_mean: 1.5,
-            epochs: if shards > 1 { 400 } else { 0 },
-            cores: 4,
-            fused_rounds: if shards > 1 { 25 } else { 0 },
-            barrier_idle_mean_s: if shards > 1 { 0.125 } else { 0.0 },
-            barrier_idle_max_s: if shards > 1 { 0.25 } else { 0.0 },
-            peak_rss_mb: Some(nodes as f64 / 100.0),
-        }
-    }
-
-    #[test]
-    fn roundtrips_through_the_emitter() {
-        // One record without an RSS measurement: `null` must survive
-        // the emit → parse cycle as `None`.
-        let mut no_rss = record(20_000, 2, EventQueueKind::Heap, 400_000.5);
-        no_rss.peak_rss_mb = None;
-        let records = vec![
-            record(20_000, 1, EventQueueKind::Calendar, 500_000.0),
-            no_rss,
-        ];
-        let doc = parse_bench(&bench_json("4 cpus, x86_64, queue=calendar", &records)).unwrap();
-        assert_eq!(doc.schema, BENCH_SCHEMA);
-        assert_eq!(doc.host, "4 cpus, x86_64, queue=calendar");
-        assert_eq!(doc.records, records);
-    }
-
-    #[test]
-    fn parses_v2_documents_without_dir_load_column() {
-        let v2 = r#"{
-  "schema": "flower-cdn/bench-engine/v2",
-  "host": "1 cpus, x86_64, queue=calendar",
-  "records": [
-    {"experiment": "scale/20000n", "nodes": 20000, "shards": 1, "queue": "calendar", "wall_s": 0.5, "events": 450935, "events_per_sec": 900000.0, "peak_queue_depth": 21206, "sim_ms": 60000}
-  ]
-}"#;
-        let doc = parse_bench(v2).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].dir_load_max_mean, 0.0, "v2 = no column");
-        assert_eq!(doc.records[0].queue, EventQueueKind::Calendar);
-    }
-
-    #[test]
-    fn parses_v3_documents_without_epochs_column() {
-        let v3 = r#"{
-  "schema": "flower-cdn/bench-engine/v3",
-  "host": "1 cpus, x86_64, queue=calendar",
-  "records": [
-    {"experiment": "scale/20000n", "nodes": 20000, "shards": 2, "queue": "calendar", "wall_s": 0.5, "events": 450935, "events_per_sec": 900000.0, "peak_queue_depth": 21206, "sim_ms": 60000, "dir_load_max_mean": 1.5}
-  ]
-}"#;
-        let doc = parse_bench(v3).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].epochs, 0, "v3 = no epochs column");
-        assert_eq!(doc.records[0].dir_load_max_mean, 1.5);
-    }
-
-    #[test]
-    fn parses_v4_documents_backfilling_cores_from_the_host() {
-        let v4 = r#"{
-  "schema": "flower-cdn/bench-engine/v4",
-  "host": "2 cpus, x86_64, queue=calendar",
-  "records": [
-    {"experiment": "scale/20000n", "nodes": 20000, "shards": 2, "queue": "calendar", "wall_s": 0.5, "events": 450935, "events_per_sec": 900000.0, "peak_queue_depth": 21206, "sim_ms": 60000, "dir_load_max_mean": 1.5, "epochs": 512}
-  ]
-}"#;
-        let doc = parse_bench(v4).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].epochs, 512);
-        assert_eq!(doc.records[0].cores, 2, "cores come from the host string");
-        assert_eq!(doc.records[0].fused_rounds, 0, "v4 = no fused column");
-        assert_eq!(doc.records[0].barrier_idle_mean_s, 0.0);
-        assert_eq!(doc.records[0].barrier_idle_max_s, 0.0);
-    }
-
-    #[test]
-    fn parses_v5_documents_backfilling_null_rss() {
-        let v5 = r#"{
-  "schema": "flower-cdn/bench-engine/v5",
-  "host": "4 cpus, x86_64, queue=calendar",
-  "records": [
-    {"experiment": "scale/20000n", "nodes": 20000, "shards": 2, "queue": "calendar", "wall_s": 0.5, "events": 450935, "events_per_sec": 900000.0, "peak_queue_depth": 21206, "sim_ms": 60000, "dir_load_max_mean": 1.5, "epochs": 512, "cores": 4, "fused_rounds": 17, "barrier_idle_mean_s": 0.125, "barrier_idle_max_s": 0.25}
-  ]
-}"#;
-        let doc = parse_bench(v5).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].fused_rounds, 17);
-        assert_eq!(doc.records[0].peak_rss_mb, None, "v5 = no RSS column");
-    }
-
-    #[test]
-    fn parses_v1_documents_without_queue_field() {
-        let v1 = r#"{
-  "schema": "flower-cdn/bench-engine/v1",
-  "host": "1 cpus, x86_64",
-  "records": [
-    {"experiment": "scale/10000n", "nodes": 10000, "shards": 1, "wall_s": 1.067, "events": 512338, "events_per_sec": 480300.0, "peak_queue_depth": 18347, "sim_ms": 90000}
-  ]
-}"#;
-        let doc = parse_bench(v1).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].queue, EventQueueKind::Heap, "v1 = heap era");
-        assert_eq!(doc.records[0].events, 512_338);
-        assert_eq!(doc.records[0].events_per_sec, 480_300.0);
-        assert_eq!(doc.records[0].cores, 1, "backfilled from the host string");
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(parse_bench("").is_err());
-        assert!(parse_bench("{}").unwrap_err().contains("expected"));
-        assert!(
-            parse_bench(r#"{"schema": "nope", "host": "h", "records": []}"#)
-                .unwrap_err()
-                .contains("unsupported schema")
-        );
-        assert!(parse_bench(
-            r#"{"schema": "flower-cdn/bench-engine/v2", "records": [{"nodes": 5}]}"#
-        )
-        .unwrap_err()
-        .contains("missing"),);
-        assert!(parse_bench(
-            r#"{"schema": "flower-cdn/bench-engine/v2", "records": [{"experiment": 7}]}"#
-        )
-        .unwrap_err()
-        .contains("wrong type"));
-        // `null` is only legal for the nullable column.
-        assert!(parse_bench(
-            r#"{"schema": "flower-cdn/bench-engine/v6", "records": [{"experiment": "x", "nodes": null}]}"#
-        )
-        .unwrap_err()
-        .contains("wrong type"));
-    }
-
-    #[test]
-    fn memory_regressions_are_reported_not_gated() {
-        let mut base = record(20_000, 1, EventQueueKind::Calendar, 1e5);
-        base.peak_rss_mb = Some(100.0);
-        let mut fresh_r = record(20_000, 1, EventQueueKind::Calendar, 1e5);
-        fresh_r.peak_rss_mb = Some(150.0);
-        let report = compare(&doc("h", vec![base]), &doc("h", vec![fresh_r]), 0.20);
-        assert!(report.passed(), "RSS growth must never fail the gate");
-        let md = report.to_markdown();
-        assert!(md.contains("150 MB (+50.0%)"), "{md}");
-        assert!(md.contains("Memory report (informational"), "{md}");
-        // No note when memory is flat.
-        let flat = compare(
-            &doc("h", vec![record(20_000, 1, EventQueueKind::Calendar, 1e5)]),
-            &doc("h", vec![record(20_000, 1, EventQueueKind::Calendar, 1e5)]),
-            0.20,
-        );
-        assert!(!flat.to_markdown().contains("Memory report"));
-    }
-
-    fn doc(host: &str, records: Vec<BenchRecord>) -> BenchDoc {
-        BenchDoc {
-            schema: BENCH_SCHEMA.into(),
-            host: host.into(),
-            records,
-        }
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance_and_fails_beyond() {
-        let baseline = doc(
-            "h",
-            vec![
-                record(20_000, 1, EventQueueKind::Calendar, 100_000.0),
-                record(20_000, 2, EventQueueKind::Calendar, 100_000.0),
-            ],
-        );
-        let fresh = doc(
-            "h",
-            vec![
-                record(20_000, 1, EventQueueKind::Calendar, 85_000.0), // −15%: ok
-                record(20_000, 2, EventQueueKind::Calendar, 75_000.0), // −25%: fail
-            ],
-        );
-        let report = compare(&baseline, &fresh, 0.20);
-        assert!(!report.passed());
-        assert!(!report.rows[0].failed);
-        assert!(report.rows[1].failed);
-        let md = report.to_markdown();
-        assert!(md.contains("FAIL"), "{md}");
-        assert!(md.contains("-25.0%"), "{md}");
-    }
-
-    #[test]
-    fn gate_treats_unmatched_points_as_new() {
-        let baseline = doc("a", vec![record(20_000, 1, EventQueueKind::Calendar, 1e5)]);
-        let fresh = doc(
-            "b",
-            vec![
-                record(20_000, 1, EventQueueKind::Calendar, 1e5),
-                // Different queue backend: no baseline counterpart.
-                record(20_000, 1, EventQueueKind::Heap, 1e3),
-            ],
-        );
-        let report = compare(&baseline, &fresh, 0.20);
-        assert!(report.passed(), "new cells must not fail the gate");
-        assert_eq!(report.unmatched.len(), 1);
-        let md = report.to_markdown();
-        assert!(md.contains("new"), "{md}");
-        assert!(md.contains("Hosts differ"), "{md}");
-    }
-
-    #[test]
-    fn improvements_never_fail() {
-        let baseline = doc("h", vec![record(10_000, 1, EventQueueKind::Heap, 1e5)]);
-        let fresh = doc("h", vec![record(10_000, 1, EventQueueKind::Heap, 9e5)]);
-        let report = compare(&baseline, &fresh, 0.20);
-        assert!(report.passed());
-        assert!(report.rows[0].delta > 7.0);
-    }
-
-    #[test]
-    fn core_count_mismatch_is_a_skip_not_a_pass_or_fail() {
-        // Baseline measured on 4 cores (the record() default); the
-        // fresh run lands on 8 — same cell otherwise, and even a huge
-        // apparent drop must not fail (or silently pass) the gate.
-        let baseline = doc(
-            "4 cpus, x86_64",
-            vec![record(20_000, 2, EventQueueKind::Calendar, 1e6)],
-        );
-        let mut slow = record(20_000, 2, EventQueueKind::Calendar, 1e4);
-        slow.cores = 8;
-        let fresh = doc("8 cpus, x86_64", vec![slow]);
-        let report = compare(&baseline, &fresh, 0.20);
-        assert!(report.rows.is_empty());
-        assert!(report.unmatched.is_empty(), "not a new cell");
-        assert_eq!(report.skipped_cores.len(), 1);
-        assert!(report.core_skip());
-        assert!(report.passed(), "no matched point can have failed");
-        let md = report.to_markdown();
-        assert!(md.contains("SKIP"), "{md}");
-        assert!(md.contains("8 cores"), "{md}");
-    }
 
     fn metrics_set(scale: u64) -> metrics::MetricSet {
         use metrics::{Counter, Gauge, Hist, MetricSet};
@@ -1533,48 +806,5 @@ mod tests {
         assert!(validate_metrics(&doc3)
             .unwrap_err()
             .contains("bounces sum to"));
-    }
-
-    #[test]
-    fn chaos_cells_absent_from_the_baseline_are_an_explicit_skip() {
-        let baseline = doc("h", vec![record(20_000, 2, EventQueueKind::Calendar, 1e6)]);
-        let mut chaos_cell = record(2_000, 1, EventQueueKind::Calendar, 5e5);
-        chaos_cell.experiment = "chaos/partition".into();
-        let fresh = doc("h", vec![chaos_cell.clone()]);
-        let report = compare(&baseline, &fresh, 0.2);
-        assert!(report.chaos_skip(), "all-unmatched chaos cells skip");
-        assert!(!report.core_skip());
-        // A fresh doc mixing chaos cells with a comparable scale cell
-        // is a real comparison, not a skip.
-        let mixed = doc(
-            "h",
-            vec![
-                chaos_cell,
-                record(20_000, 2, EventQueueKind::Calendar, 1.1e6),
-            ],
-        );
-        let report2 = compare(&baseline, &mixed, 0.2);
-        assert!(!report2.chaos_skip());
-        assert_eq!(report2.rows.len(), 1);
-    }
-
-    #[test]
-    fn mixed_core_counts_compare_the_matching_cells_only() {
-        // A baseline holding both a 4-core and an 8-core measurement
-        // of the same cell: the fresh 8-core point compares against
-        // the 8-core twin only.
-        let mut base8 = record(20_000, 2, EventQueueKind::Calendar, 2e6);
-        base8.cores = 8;
-        let baseline = doc(
-            "mixed",
-            vec![record(20_000, 2, EventQueueKind::Calendar, 1e6), base8],
-        );
-        let mut fresh8 = record(20_000, 2, EventQueueKind::Calendar, 1.9e6);
-        fresh8.cores = 8;
-        let report = compare(&baseline, &doc("8 cpus", vec![fresh8]), 0.20);
-        assert_eq!(report.rows.len(), 1);
-        assert_eq!(report.rows[0].base_eps, 2e6, "matched the 8-core twin");
-        assert!(!report.core_skip());
-        assert!(report.passed());
     }
 }

@@ -6,10 +6,10 @@
 //!   Figures 5–8), as constants for side-by-side printing;
 //! * [`runner`] — configured runs of the Flower-CDN system and the
 //!   Squirrel baseline at paper scale (optionally time-scaled down);
-//! * [`report`] — fixed-width table, CSV and `BENCH_engine.json`
-//!   rendering;
-//! * [`gate`] — the CI bench-regression gate: parse two
-//!   `BENCH_engine.json` documents and fail on a throughput drop;
+//! * [`report`] — fixed-width table, CSV, `--bench-out` and
+//!   `METRICS.json` rendering;
+//! * [`gate`] — the CI metrics gate: parse and validate a
+//!   `METRICS.json` document, render its attribution table;
 //! * [`exps`] — one function per table/figure, each returning a
 //!   printable report and checking the qualitative invariants
 //!   (who wins, by what rough factor).
@@ -25,4 +25,3 @@ pub mod runner;
 
 pub use flower_core::SubstrateKind;
 pub use runner::{RunOpts, RunScale};
-pub use simnet::{EventQueueKind, LookaheadKind};

@@ -8,15 +8,15 @@
 //! paper's exact setup and the one recorded in `EXPERIMENTS.md`.
 
 use flower_core::{FlowerConfig, FlowerSystem, SubstrateKind, SystemConfig, SystemReport};
-use simnet::{EventQueueKind, LookaheadKind, SimDuration};
+use simnet::SimDuration;
 use squirrel::{SquirrelConfig, SquirrelReport, SquirrelSystem};
 
 use crate::report::BenchRecord;
 
 /// The run parameters every experiment takes: time scale, master
-/// seed, DHT substrate, engine shard count and event-queue backend.
-/// All of them are execution/reproduction knobs orthogonal to the
-/// paper's protocol parameters.
+/// seed, DHT substrate and engine shard count. All of them are
+/// execution/reproduction knobs orthogonal to the paper's protocol
+/// parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOpts {
     /// How much of the 24-hour experiment to simulate.
@@ -28,11 +28,6 @@ pub struct RunOpts {
     /// Engine locality shards (worker threads); results are
     /// bit-identical for every value.
     pub shards: usize,
-    /// Event-queue backend; results are bit-identical for both.
-    pub queue: EventQueueKind,
-    /// Epoch-bound derivation of the sharded engine (per-pair matrix
-    /// or global floor); results are bit-identical for both.
-    pub lookahead: LookaheadKind,
     /// §5.3 PetalUp instance bits `b`: up to `2^b` directory
     /// instances per (website, locality) petal. 0 is the paper's base
     /// design.
@@ -50,16 +45,14 @@ pub struct RunOpts {
 }
 
 impl RunOpts {
-    /// Defaults: 1/10 time scale, seed 42, Chord, one shard, calendar
-    /// queue, no §5.3 instances.
+    /// Defaults: 1/10 time scale, seed 42, Chord, one shard, no §5.3
+    /// instances.
     pub fn new() -> Self {
         RunOpts {
             scale: RunScale::Scaled(0.1),
             seed: 42,
             substrate: SubstrateKind::Chord,
             shards: 1,
-            queue: EventQueueKind::default(),
-            lookahead: LookaheadKind::default(),
             instance_bits: 0,
             pin: false,
             nodes: None,
@@ -123,9 +116,8 @@ impl RunScale {
 /// The paper-scale Flower-CDN configuration under `opts`: the D-ring
 /// on `opts.substrate` (every paper experiment runs over either DHT
 /// from config alone; the paper's own evaluation simulates Chord), the
-/// engine on `opts.shards` locality shards and the `opts.queue` event
-/// storage (results are bit-identical for every shard count and both
-/// queue backends).
+/// engine on `opts.shards` locality shards (results are bit-identical
+/// for every shard count).
 ///
 /// Time-like protocol parameters (`Tgossip`, keepalive, `Tdead` ticks
 /// stay ratio-identical because the tick period scales) shrink with
@@ -142,8 +134,6 @@ pub fn flower_config(opts: RunOpts) -> SystemConfig {
     cfg.flower.instance_bits = opts.instance_bits;
     cfg.window = opts.scale.scale_duration(SimDuration::from_mins(30));
     cfg.shards = opts.shards.max(1);
-    cfg.topology.event_queue = opts.queue;
-    cfg.topology.lookahead = opts.lookahead;
     cfg.topology.pin = opts.pin;
     if let Some(n) = opts.nodes {
         cfg.topology.nodes = n;
@@ -164,7 +154,7 @@ pub fn scale_flower(base: &FlowerConfig, scale: RunScale) -> FlowerConfig {
 }
 
 /// The matching Squirrel configuration (same topology, catalog,
-/// workload, seed, shard count, queue backend).
+/// workload, seed, shard count).
 pub fn squirrel_config(opts: RunOpts) -> SquirrelConfig {
     let mut cfg = SquirrelConfig::paper();
     cfg.seed = opts.seed;
@@ -174,8 +164,6 @@ pub fn squirrel_config(opts: RunOpts) -> SquirrelConfig {
         .as_ms();
     cfg.window = opts.scale.scale_duration(SimDuration::from_mins(30));
     cfg.shards = opts.shards.max(1);
-    cfg.topology.event_queue = opts.queue;
-    cfg.topology.lookahead = opts.lookahead;
     cfg.topology.pin = opts.pin;
     cfg
 }
@@ -188,7 +176,7 @@ pub fn run_flower(cfg: &SystemConfig) -> (FlowerSystem, SystemReport) {
 
 /// As [`run_flower`], additionally measuring the engine: wall-clock of
 /// the simulation itself (build excluded), events/second and peak
-/// queue depth, packaged as a [`BenchRecord`] for `BENCH_engine.json`.
+/// queue depth, packaged as a [`BenchRecord`] for `--bench-out`.
 pub fn run_flower_timed(
     cfg: &SystemConfig,
     experiment: &str,
@@ -225,7 +213,6 @@ pub fn run_flower_timed_with(
         experiment: experiment.to_string(),
         nodes: cfg.topology.nodes,
         shards: engine.num_shards(),
-        queue: engine.queue_kind(),
         wall_s,
         events,
         events_per_sec: events as f64 / wall_s.max(1e-9),
@@ -308,24 +295,15 @@ mod tests {
     }
 
     #[test]
-    fn shards_and_queue_flow_into_the_configs() {
+    fn shards_flow_into_the_configs() {
         let f = flower_config(opts(RunScale::Scaled(0.1), SubstrateKind::Chord, 4));
         assert_eq!(f.shards, 4);
-        assert_eq!(f.topology.event_queue, EventQueueKind::Calendar);
         let s = squirrel_config(opts(RunScale::Scaled(0.1), SubstrateKind::Chord, 4));
         assert_eq!(s.shards, 4);
         // 0 is normalized to 1.
         assert_eq!(
             flower_config(opts(RunScale::Full, SubstrateKind::Chord, 0)).shards,
             1
-        );
-        // The queue backend threads through both configs.
-        let mut o = opts(RunScale::Scaled(0.1), SubstrateKind::Chord, 1);
-        o.queue = EventQueueKind::Heap;
-        assert_eq!(flower_config(o).topology.event_queue, EventQueueKind::Heap);
-        assert_eq!(
-            squirrel_config(o).topology.event_queue,
-            EventQueueKind::Heap
         );
     }
 

@@ -37,7 +37,7 @@ impl Subsystem {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scope {
     /// A fact about the simulation — bit-identical across shard
-    /// counts, queue backends and lookahead modes; parity-pinned.
+    /// counts; parity-pinned.
     Sim,
     /// A fact about the execution — legitimately varies with the
     /// shard layout (epochs, barrier idle, queue depth).
@@ -244,7 +244,7 @@ registry! {
     Gauge, GAUGE_DEFS, MetricKind::Gauge;
 
     PeakQueueDepth => "engine_peak_queue_depth", "events", Engine, Exec,
-        "High-water mark of any shard's event-queue length.";
+        "High-water mark of any shard's event queue length.";
     BarrierIdleMaxNs => "engine_barrier_idle_max_ns", "ns", Engine, Exec,
         "Barrier-wait nanoseconds of the worst-placed shard.";
 }

@@ -18,8 +18,8 @@
 //!
 //! * [`Scope::Sim`] — a fact about the *simulation* (events delivered
 //!   per traffic class, Algorithm 3 draws, gossip exchanges). The
-//!   merged value is **bit-identical for every shard count and queue
-//!   backend**, and the shard-parity suite pins that.
+//!   merged value is **bit-identical for every shard count**, and the
+//!   shard-parity suite pins that.
 //! * [`Scope::Exec`] — a fact about the *execution* (epoch rounds,
 //!   fused solo rounds, barrier idle time, peak queue depth). These
 //!   legitimately vary with the shard layout and are excluded from

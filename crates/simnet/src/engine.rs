@@ -16,12 +16,13 @@
 //! ([`Topology::shard_map`]). Each shard owns its nodes, an event
 //! queue, a clock, per-node RNG streams and a private copy of every
 //! statistics accumulator, and runs on its own thread. Shards
-//! synchronize with a *conservative epoch barrier*: the epoch length
-//! is the topology's lookahead ([`Topology::cross_locality_lookahead`]
-//! — a guaranteed lower bound on every cross-locality link latency),
-//! so a message sent during one epoch can only be due in a *later*
-//! epoch and can safely be handed to its destination shard at the
-//! barrier in between.
+//! synchronize with a *conservative epoch barrier*: every epoch bound
+//! is derived from the per-shard-pair lookahead matrix
+//! ([`Topology::shard_lookahead_ms`] — guaranteed lower bounds on the
+//! latency of any link between two shards, each at least the global
+//! floor [`Topology::cross_locality_lookahead`]), so a message sent
+//! during one epoch can only be due in a *later* epoch and can safely
+//! be handed to its destination shard at the barrier in between.
 //!
 //! Determinism does not come from the barrier alone but from the event
 //! ordering: every event carries an [`EventKey`] `(time, source
@@ -65,7 +66,7 @@ use crate::event::{EventKey, EventQueue};
 use crate::stats::{QueryStats, ShardTraffic, TimeSeries, Traffic, TrafficClass};
 use crate::sync::{MailboxGrid, SenseBarrier};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{Locality, LookaheadKind, NodeId, Topology};
+use crate::topology::{Locality, NodeId, Topology};
 
 /// A simulated wire message: every protocol message reports its size
 /// in bytes (for the paper's bandwidth metric) and its traffic class.
@@ -335,7 +336,7 @@ pub fn node_stream_seed(seed: u64, node: NodeId) -> u64 {
 /// node `n` emits on stream `n + 1`.
 const EXTERNAL_STREAM: u64 = 0;
 
-/// The matrix mode's per-round bound coefficients, from the raw
+/// The per-round epoch-bound coefficients, from the raw
 /// pair-lookahead matrix `l` (row-major `k × k`, `u64::MAX` diagonal).
 ///
 /// `reach[m][i]` lower-bounds how long after shard `m`'s earliest
@@ -358,7 +359,7 @@ fn reachability_bounds(l: &[u64], k: usize) -> Vec<u64> {
     // Progress guarantee: every off-diagonal pair lookahead is ≥ 1 ms
     // (shard pairs are cross-locality by construction, and the
     // topology's cross floor clamps to at least 1 ms), so every reach
-    // entry is ≥ 1 ms and a matrix-mode bound always lies strictly
+    // entry is ≥ 1 ms and an epoch bound always lies strictly
     // beyond the global minimum — no barrier round can spin without
     // processing anything.
     debug_assert!(
@@ -504,31 +505,6 @@ impl NodeSlab {
 /// outbox/inbox batch exchanged at the epoch barrier).
 type Staged<M> = (EventKey, Pending<M>);
 
-/// How a shard's epoch loop hands events to [`Node::on_event`].
-///
-/// Both modes process events in exactly the same [`EventKey`] order —
-/// batching only changes how much per-event engine overhead
-/// (placement resolution, liveness check, dispatch match) is paid —
-/// so results are bit-identical; `tests/batch_parity.rs` holds the
-/// engine to that.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DeliveryMode {
-    /// Deliver consecutive same-destination queue heads as one batch:
-    /// the destination's placement and liveness are resolved once and
-    /// the dispatch loop stays in the node's state until the head
-    /// changes destination. Simulation workloads are bursty per node
-    /// (a gossip round, a query fan-in), so batches are common. The
-    /// continuation check peeks at the *live* queue head each step —
-    /// an event emitted by the batch itself that sorts before the
-    /// remaining entries is picked up (or ends the batch) exactly as
-    /// the one-at-a-time loop would.
-    #[default]
-    Batched,
-    /// Pop and fully dispatch one event at a time — the reference
-    /// path, kept for A/B parity tests and the dispatch micro bench.
-    Single,
-}
-
 /// Internal queue payload.
 #[derive(Debug)]
 enum Pending<M> {
@@ -572,7 +548,10 @@ struct Shard<M: Message, N: Node<M>> {
     /// Reusable action buffer lent to [`Ctx`] for each handler call;
     /// drained (capacity kept) after every event.
     scratch: Vec<Action<M>>,
-    delivery: DeliveryMode,
+    /// Test-only switch: pop and fully dispatch one event at a time —
+    /// the reference path `batch_parity` holds batched delivery to.
+    #[cfg(test)]
+    one_at_a_time: bool,
     /// This shard's private cells of the static metric registry:
     /// engine counters (events dispatched, per-class receives,
     /// timers, bounces, epoch/fused rounds, barrier idle) plus
@@ -678,11 +657,14 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
 
     /// Process every queued event with `key.at < limit`, in key order.
     ///
-    /// In [`DeliveryMode::Batched`] the loop peels deliverable events
-    /// off into per-destination batches ([`Shard::deliver_batch`]);
-    /// everything else — churn, drops, bounces — takes the one-event
-    /// [`Shard::dispatch`] path. The pop order is identical in both
-    /// modes.
+    /// The loop peels deliverable events off into per-destination
+    /// batches ([`Shard::deliver_batch`]): consecutive same-destination
+    /// queue heads are delivered together, with the destination's
+    /// placement and liveness resolved once — simulation workloads are
+    /// bursty per node (a gossip round, a query fan-in), so batches are
+    /// common. Everything else — churn, drops, bounces — takes the
+    /// one-event [`Shard::dispatch`] path. Batching never changes the
+    /// pop order.
     fn run_epoch(
         &mut self,
         limit: SimTime,
@@ -690,40 +672,31 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         place: &Placement,
         outbox: &mut [Vec<Staged<M>>],
     ) {
-        let batched = self.delivery == DeliveryMode::Batched;
         while let Some((key, payload)) = self.queue.pop_if_before(limit) {
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
-            if batched {
-                match payload {
-                    Pending::App { dst, ev } if self.up.get(dst) => {
-                        self.deliver_batch(dst, ev, limit, topo, place, outbox);
-                        continue;
-                    }
-                    // A fault-cut message fails the guard and falls
-                    // through to `dispatch`, which counts the drop —
-                    // the only place that does, in both modes.
-                    Pending::Wire { from, to, msg }
-                        if self.up.get(to) && !self.fault_cut(self.now, from, to, topo) =>
-                    {
-                        let class = msg.class();
-                        self.traffic
-                            .record_recv(place.local(to), class, msg.wire_size());
-                        self.metrics.incr(RECV_COUNTER[class.index()]);
-                        self.deliver_batch(
-                            to,
-                            Event::Recv { from, msg },
-                            limit,
-                            topo,
-                            place,
-                            outbox,
-                        );
-                        continue;
-                    }
-                    other => self.dispatch(other, topo, place, outbox),
-                }
-            } else {
+            #[cfg(test)]
+            if self.one_at_a_time {
                 self.dispatch(payload, topo, place, outbox);
+                continue;
+            }
+            match payload {
+                Pending::App { dst, ev } if self.up.get(dst) => {
+                    self.deliver_batch(dst, ev, limit, topo, place, outbox);
+                }
+                // A fault-cut message fails the guard and falls
+                // through to `dispatch`, which counts the drop — the
+                // only place that does.
+                Pending::Wire { from, to, msg }
+                    if self.up.get(to) && !self.fault_cut(self.now, from, to, topo) =>
+                {
+                    let class = msg.class();
+                    self.traffic
+                        .record_recv(place.local(to), class, msg.wire_size());
+                    self.metrics.incr(RECV_COUNTER[class.index()]);
+                    self.deliver_batch(to, Event::Recv { from, msg }, limit, topo, place, outbox);
+                }
+                other => self.dispatch(other, topo, place, outbox),
             }
         }
     }
@@ -1003,18 +976,12 @@ pub struct Engine<M: Message, N: Node<M>> {
     shards: Vec<Shard<M, N>>,
     /// Global node id → (owning shard, local index), packed.
     place: Placement,
-    /// Epoch length for the conservative barrier (the global floor).
-    lookahead: SimDuration,
-    /// How epoch bounds are derived ([`TopologyConfig::lookahead`]).
-    ///
-    /// [`TopologyConfig::lookahead`]: crate::topology::TopologyConfig::lookahead
-    lookahead_kind: LookaheadKind,
     /// Per-shard-pair lookahead matrix (ms), row-major `K × K`: entry
     /// `[from · K + to]` lower-bounds the latency of any message from
     /// shard `from` to shard `to` ([`Topology::shard_lookahead_ms`]);
     /// `u64::MAX` on the diagonal.
     pair_lookahead_ms: Vec<u64>,
-    /// Matrix-mode bound coefficients derived from the pair
+    /// Epoch-bound coefficients derived from the pair
     /// lookaheads ([`reachability_bounds`]): `[m · K + i]` is how long
     /// after shard `m`'s earliest event anything new could become due
     /// at shard `i`, through any emission chain.
@@ -1053,10 +1020,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
 
     /// Build an engine partitioned into (up to) `shards` locality
     /// shards. Results are bit-identical for every value of `shards`;
-    /// values above the number of localities are clamped. Each shard's
-    /// event queue runs on the backend the topology selects
-    /// ([`crate::topology::TopologyConfig::event_queue`]) — also
-    /// result-neutral, see [`crate::event`].
+    /// values above the number of localities are clamped.
     pub fn with_shards(
         topo: Topology,
         nodes: Vec<N>,
@@ -1073,7 +1037,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         let n = nodes.len();
         let k = shards.min(topo.num_localities());
         let loc_shard = topo.shard_map(k);
-        let lookahead = topo.cross_locality_lookahead();
         let pair_lookahead_ms = topo.shard_lookahead_ms(&loc_shard, k);
         let reach_ms = reachability_bounds(&pair_lookahead_ms, k);
 
@@ -1103,7 +1066,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             slabs[s].push(StdRng::seed_from_u64(node_stream_seed(seed, node)));
         }
 
-        let queue_kind = topo.event_queue();
         let shards_vec = slots
             .into_iter()
             .zip(slabs)
@@ -1114,13 +1076,14 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                 nodes,
                 slab,
                 up: Liveness::all_up(n),
-                queue: EventQueue::with_kind(queue_kind),
+                queue: EventQueue::new(),
                 now: SimTime::ZERO,
                 traffic: ShardTraffic::new(members, window),
                 query_stats: QueryStats::new(window),
                 gauges: GaugeSet::new(window),
                 scratch: Vec::new(),
-                delivery: DeliveryMode::default(),
+                #[cfg(test)]
+                one_at_a_time: false,
                 metrics: MetricSet::new(),
                 fault: None,
             })
@@ -1132,12 +1095,10 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             crate::affinity::available_cores(),
         );
         Engine {
-            lookahead_kind: topo.lookahead_kind(),
             pin: topo.pin_threads(),
             topo: std::sync::Arc::new(topo),
             shards: shards_vec,
             place,
-            lookahead,
             pair_lookahead_ms,
             reach_ms,
             now: SimTime::ZERO,
@@ -1163,17 +1124,11 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         self.shards.len()
     }
 
-    /// The epoch length of the conservative barrier — the global
-    /// cross-locality floor. In [`LookaheadKind::Matrix`] mode this is
-    /// the worst-case bound; the per-pair matrix entries are at least
-    /// this large.
+    /// The global cross-locality floor: the worst-case epoch length
+    /// of the conservative barrier. The per-pair matrix entries
+    /// ([`Engine::pair_lookahead_ms`]) are at least this large.
     pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// How epoch bounds are derived (matrix or global floor).
-    pub fn lookahead_kind(&self) -> LookaheadKind {
-        self.lookahead_kind
+        self.topo.cross_locality_lookahead()
     }
 
     /// The per-shard-pair lookahead (ms) from shard `from` to shard
@@ -1248,23 +1203,12 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         self.pin = pin;
     }
 
-    /// The event-queue backend the shards run on.
-    pub fn queue_kind(&self) -> crate::event::EventQueueKind {
-        self.shards[0].queue.kind()
-    }
-
-    /// How events are handed to `Node::on_event` (default
-    /// [`DeliveryMode::Batched`]). Result-neutral by design — the
-    /// parity suite drives both modes against each other.
-    pub fn delivery_mode(&self) -> DeliveryMode {
-        self.shards[0].delivery
-    }
-
-    /// Switch the delivery mode (see [`DeliveryMode`]); takes effect
-    /// from the next `run_until`.
-    pub fn set_delivery_mode(&mut self, mode: DeliveryMode) {
+    /// Switch every shard to the one-event-at-a-time reference
+    /// dispatch (see `Shard::one_at_a_time`).
+    #[cfg(test)]
+    fn deliver_one_at_a_time(&mut self) {
         for s in &mut self.shards {
-            s.delivery = mode;
+            s.one_at_a_time = true;
         }
     }
 
@@ -1316,7 +1260,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         &self.merged().metrics
     }
 
-    /// High-water mark of any shard's event-queue length (the "peak
+    /// High-water mark of any shard's event queue length (the "peak
     /// queue depth" benchmark metric).
     pub fn peak_queue_depth(&self) -> usize {
         self.shards
@@ -1482,23 +1426,20 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// results are therefore bit-identical to that loop; only the
     /// synchronization cost halves.
     ///
-    /// Epoch bounds depend on [`LookaheadKind`]:
-    ///
-    /// * `GlobalFloor` — every shard runs the same epoch
-    ///   `[min_eff, min_eff + global lookahead)`.
-    /// * `Matrix` — shard `i` runs to
-    ///   `min over shards m of (eff[m] + reach[m][i])`, with `reach`
-    ///   the emission-chain closure of the exact pair lookaheads
-    ///   ([`reachability_bounds`]): the earliest instant anything not
-    ///   yet in `i`'s queue could become due at `i`, including replies
-    ///   that `i`'s *own* emissions may draw out of a currently idle
-    ///   peer (the `m = i` round-trip term). A fully idle peer
-    ///   constrains nobody on its own — the temporal meaning of
-    ///   "actually communicating" — and distant shard pairs
-    ///   synchronize less often. Every bound is conservative, so
-    ///   per-shard event orderings (and therefore results) are
-    ///   bit-identical to the global-floor schedule; only the
-    ///   barrier-round count shrinks.
+    /// Shard `i` runs to `min over shards m of (eff[m] + reach[m][i])`,
+    /// with `reach` the emission-chain closure of the exact pair
+    /// lookaheads ([`reachability_bounds`]): the earliest instant
+    /// anything not yet in `i`'s queue could become due at `i`,
+    /// including replies that `i`'s *own* emissions may draw out of a
+    /// currently idle peer (the `m = i` round-trip term). A fully idle
+    /// peer constrains nobody on its own — the temporal meaning of
+    /// "actually communicating" — and distant shard pairs synchronize
+    /// less often. Every bound is conservative, so per-shard event
+    /// orderings (and therefore results) are bit-identical to the
+    /// schedule that runs every shard in lock-step epochs of the
+    /// global floor — which is this same rule with every `reach` entry
+    /// flattened to the floor, and is how the tests below build that
+    /// reference; only the barrier-round count shrinks.
     ///
     /// Rounds in which exactly one shard has any event below its
     /// bound are *fused*: the lone worker runs ahead under the
@@ -1509,9 +1450,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// would otherwise spin through one lookahead window at a time.
     fn run_sharded(&mut self, deadline: SimTime, limit: SimTime) {
         let k = self.shards.len();
-        let lookahead_ms = self.lookahead.as_ms().max(1);
         let limit_ms = limit.as_ms();
-        let kind = self.lookahead_kind;
         let reach = &self.reach_ms[..];
         let barrier = SenseBarrier::new(k);
         let grid: MailboxGrid<Staged<M>> = MailboxGrid::new(k);
@@ -1606,13 +1545,10 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                         // (4) Conservative per-shard bound; identical
                         // on every thread for a given `i`.
                         let bound_of = |i: usize| -> u64 {
-                            match kind {
-                                LookaheadKind::GlobalFloor => min_eff.saturating_add(lookahead_ms),
-                                LookaheadKind::Matrix => (0..k)
-                                    .map(|m| eff[m].saturating_add(reach[m * k + i]))
-                                    .min()
-                                    .unwrap_or(u64::MAX),
-                            }
+                            (0..k)
+                                .map(|m| eff[m].saturating_add(reach[m * k + i]))
+                                .min()
+                                .unwrap_or(u64::MAX)
                         };
                         let mut working = 0usize;
                         let mut solo = 0usize;
@@ -1634,14 +1570,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                             if solo == me {
                                 let inbound = (0..k)
                                     .filter(|m| *m != me)
-                                    .map(|m| match kind {
-                                        LookaheadKind::GlobalFloor => {
-                                            eff[m].saturating_add(lookahead_ms)
-                                        }
-                                        LookaheadKind::Matrix => {
-                                            eff[m].saturating_add(reach[m * k + me])
-                                        }
-                                    })
+                                    .map(|m| eff[m].saturating_add(reach[m * k + me]))
                                     .min()
                                     .unwrap_or(u64::MAX);
                                 let end = SimTime::from_ms(inbound.min(limit_ms));
@@ -1658,6 +1587,9 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         });
     }
 }
+
+#[cfg(test)]
+mod batch_parity;
 
 #[cfg(test)]
 mod tests {
@@ -2170,27 +2102,29 @@ mod tests {
         assert!(e.lookahead() >= SimDuration::from_ms(1));
     }
 
-    fn engine_with_lookahead(
-        shards: usize,
-        kind: crate::topology::LookaheadKind,
-    ) -> Engine<PingMsg, Echo> {
-        let cfg = TopologyConfig {
-            lookahead: kind,
-            ..TopologyConfig::small_test()
-        };
-        let topo = crate::topology::Topology::generate(&cfg, 5);
-        let nodes = (0..topo.num_nodes()).map(|_| Echo::default()).collect();
-        Engine::with_shards(topo, nodes, 99, SimDuration::from_mins(30), shards)
+    /// The global-floor reference schedule, as data: with every
+    /// `reach` entry flattened to the cross-locality floor `L`, the
+    /// epoch bound `min_m(eff[m] + L)` is `min_eff + L` for every
+    /// shard (and the fused-round inbound bound likewise) — all shards
+    /// in lock-step epochs of the floor, the pre-matrix schedule.
+    fn engine_on_the_global_floor(shards: usize) -> Engine<PingMsg, Echo> {
+        let mut e = engine_sharded(shards);
+        let floor = e.lookahead().as_ms().max(1);
+        e.reach_ms.fill(floor);
+        e
     }
 
     /// The tentpole guarantee of the lookahead matrix: the adaptive
     /// schedule is an execution detail — bit-identical observable
-    /// behaviour, strictly fewer barrier rounds.
+    /// behaviour, never more barrier rounds.
     #[test]
     fn lookahead_matrix_matches_global_floor_with_fewer_epochs() {
-        use crate::topology::LookaheadKind;
-        let drive = |shards: usize, kind: LookaheadKind| {
-            let mut e = engine_with_lookahead(shards, kind);
+        let drive = |shards: usize, global_floor: bool| {
+            let mut e = if global_floor {
+                engine_on_the_global_floor(shards)
+            } else {
+                engine_sharded(shards)
+            };
             for i in 0..60u32 {
                 e.schedule_at(
                     SimTime::from_ms(i as u64 * 211),
@@ -2209,8 +2143,8 @@ mod tests {
             (fingerprint, e.epochs())
         };
         for shards in [2usize, 3] {
-            let (global_fp, global_epochs) = drive(shards, LookaheadKind::GlobalFloor);
-            let (matrix_fp, matrix_epochs) = drive(shards, LookaheadKind::Matrix);
+            let (global_fp, global_epochs) = drive(shards, true);
+            let (matrix_fp, matrix_epochs) = drive(shards, false);
             assert_eq!(matrix_fp, global_fp, "shards={shards}: results diverged");
             assert!(global_epochs > 0, "sharded runs must count epochs");
             assert!(
@@ -2220,7 +2154,7 @@ mod tests {
             );
         }
         // Single-shard runs have no barrier and count no epochs.
-        let (_, epochs) = drive(1, LookaheadKind::Matrix);
+        let (_, epochs) = drive(1, false);
         assert_eq!(epochs, 0);
     }
 
@@ -2233,9 +2167,12 @@ mod tests {
     /// reflection) enforces exactly this.
     #[test]
     fn matrix_mode_waits_for_replies_drawn_from_idle_shards() {
-        use crate::topology::LookaheadKind;
-        let drive = |kind: LookaheadKind| {
-            let mut e = engine_with_lookahead(2, kind);
+        let drive = |global_floor: bool| {
+            let mut e = if global_floor {
+                engine_on_the_global_floor(2)
+            } else {
+                engine_sharded(2)
+            };
             // A node in shard 0 and a node in shard 1.
             let shard_of = |e: &Engine<PingMsg, Echo>, s: usize| {
                 e.topology()
@@ -2261,8 +2198,8 @@ mod tests {
             e.run_until(SimTime::from_secs(60));
             (e.node(a).pongs, e.node(a).timer_fired, e.events_processed())
         };
-        let global = drive(LookaheadKind::GlobalFloor);
-        let matrix = drive(LookaheadKind::Matrix);
+        let global = drive(true);
+        let matrix = drive(false);
         assert_eq!(matrix, global, "reply chain processed out of order");
         assert_eq!(matrix.0, 1, "the pong must reach the pinger");
     }
@@ -2324,10 +2261,9 @@ mod tests {
     /// The dual pin: when *every* shard has due work each lookahead
     /// window — the shape of the dense `scale` sweep cells like
     /// 10k nodes / 8 shards — no round ever fuses and the epoch count
-    /// stays exactly at the conservative-synchronization cadence. The
-    /// committed BENCH epochs for dense cells are pinned by this
-    /// invariance; it is the barrier cost per round that the mailbox
-    /// redesign shrinks there, not the number of rounds.
+    /// stays exactly at the conservative-synchronization cadence: it
+    /// is the barrier cost per round that the mailbox redesign shrinks
+    /// there, not the number of rounds.
     #[test]
     fn dense_rounds_never_fuse_and_keep_the_epoch_cadence() {
         let drive = || {
@@ -2391,7 +2327,6 @@ mod tests {
     #[test]
     fn pair_lookahead_is_at_least_the_global_floor() {
         let e = engine_sharded(3);
-        assert_eq!(e.lookahead_kind(), crate::topology::LookaheadKind::Matrix);
         let floor = e.lookahead().as_ms();
         for i in 0..e.num_shards() {
             for j in 0..e.num_shards() {

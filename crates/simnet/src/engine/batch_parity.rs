@@ -1,18 +1,18 @@
-//! Delivery-mode parity: the batched per-(node, epoch) dispatch path
-//! (`DeliveryMode::Batched`, the default) must be bit-identical to the
-//! one-event-at-a-time reference path (`DeliveryMode::Single`) — for
-//! every shard count, under churn, and at scale. Batching is a
-//! wall-clock optimisation only; any observable divergence is a bug
-//! in the batch-break conditions (destination change, churn event,
-//! epoch bound).
+//! Delivery parity: the batched per-(node, epoch) dispatch path must
+//! be bit-identical to the one-event-at-a-time reference path (the
+//! test-only `Shard::one_at_a_time` switch) — for every shard count,
+//! under churn, and at scale. Batching is a wall-clock optimisation
+//! only; any observable divergence is a bug in the batch-break
+//! conditions (destination change, churn event, epoch bound).
 
 use proptest::prelude::*;
 use rand::Rng;
-use simnet::stats::ServedBy;
-use simnet::{
-    ChurnConfig, ChurnScript, Ctx, DeliveryMode, Engine, Event, Message, Node, NodeId, SimDuration,
-    SimTime, Topology, TopologyConfig, TrafficClass,
-};
+
+use super::{Ctx, Engine, Event, Message, Node};
+use crate::churn::{ChurnConfig, ChurnScript};
+use crate::stats::{ServedBy, TrafficClass};
+use crate::time::{SimDuration, SimTime};
+use crate::topology::{NodeId, Topology, TopologyConfig};
 
 #[derive(Clone, Debug)]
 enum Msg {
@@ -126,8 +126,24 @@ where
     )
 }
 
-/// A full run with churn at the given shard count and delivery mode.
-fn run(shards: usize, seed: u64, mode: DeliveryMode, injections: &[(u64, u32, u8)]) -> Fingerprint {
+/// How a run hands events to the nodes.
+#[derive(Clone, Copy, Debug)]
+enum Delivery {
+    Batched,
+    OneAtATime,
+}
+
+fn engine(topo: Topology, seed: u64, shards: usize, mode: Delivery) -> Engine<Msg, Chatter> {
+    let nodes = (0..topo.num_nodes()).map(|_| Chatter::default()).collect();
+    let mut e = Engine::with_shards(topo, nodes, seed, SimDuration::from_secs(10), shards);
+    if let Delivery::OneAtATime = mode {
+        e.deliver_one_at_a_time();
+    }
+    e
+}
+
+/// A full run with churn at the given shard count and delivery path.
+fn run(shards: usize, seed: u64, mode: Delivery, injections: &[(u64, u32, u8)]) -> Fingerprint {
     let topo = Topology::generate(
         &TopologyConfig {
             nodes: 120,
@@ -138,9 +154,7 @@ fn run(shards: usize, seed: u64, mode: DeliveryMode, injections: &[(u64, u32, u8
         seed,
     );
     let n = topo.num_nodes();
-    let nodes = (0..n).map(|_| Chatter::default()).collect();
-    let mut e = Engine::with_shards(topo, nodes, seed, SimDuration::from_secs(10), shards);
-    e.set_delivery_mode(mode);
+    let mut e = engine(topo, seed, shards, mode);
     for (at, origin, hops) in injections {
         e.schedule_at(
             SimTime::from_ms(*at),
@@ -180,17 +194,17 @@ proptest! {
         injections in proptest::collection::vec((0u64..30_000, any::<u32>(), any::<u8>()), 1..24),
         seed in any::<u64>(),
     ) {
-        let reference = run(1, seed, DeliveryMode::Single, &injections);
+        let reference = run(1, seed, Delivery::OneAtATime, &injections);
         for shards in [1usize, 2, 3] {
             prop_assert_eq!(
-                run(shards, seed, DeliveryMode::Batched, &injections),
+                run(shards, seed, Delivery::Batched, &injections),
                 reference.clone(),
                 "shards={} batched diverged from the single-dispatch reference",
                 shards
             );
             if shards > 1 {
                 prop_assert_eq!(
-                    run(shards, seed, DeliveryMode::Single, &injections),
+                    run(shards, seed, Delivery::OneAtATime, &injections),
                     reference.clone(),
                     "shards={} single diverged across shard counts",
                     shards
@@ -202,12 +216,11 @@ proptest! {
 
 /// Seed-42 pin at 50 000 nodes: the batched and single paths agree at
 /// scale, and the shared fingerprint matches the recorded constants —
-/// any engine change that shifts event order at scale trips this
-/// before it reaches a BENCH baseline.
+/// any engine change that shifts event order at scale trips this.
 #[test]
 #[ignore = "runs multi-thousand-node simulations; use --release -- --ignored"]
 fn seed_42_stat_pin_at_50k_nodes() {
-    let run_50k = |mode: DeliveryMode, shards: usize| -> Fingerprint {
+    let run_50k = |mode: Delivery, shards: usize| -> Fingerprint {
         let topo = Topology::generate(
             &TopologyConfig {
                 nodes: 50_000,
@@ -218,9 +231,7 @@ fn seed_42_stat_pin_at_50k_nodes() {
             42,
         );
         let n = topo.num_nodes();
-        let nodes = (0..n).map(|_| Chatter::default()).collect();
-        let mut e = Engine::with_shards(topo, nodes, 42, SimDuration::from_secs(10), shards);
-        e.set_delivery_mode(mode);
+        let mut e = engine(topo, 42, shards, mode);
         for i in 0..4000u32 {
             e.schedule_at(
                 SimTime::from_ms(i as u64 * 7),
@@ -236,11 +247,11 @@ fn seed_42_stat_pin_at_50k_nodes() {
         e.run_until(SimTime::from_secs(60));
         fingerprint(&e, |c| c.digest.wrapping_add(c.replies as u64))
     };
-    let batched = run_50k(DeliveryMode::Batched, 2);
+    let batched = run_50k(Delivery::Batched, 2);
     for (mode, shards) in [
-        (DeliveryMode::Single, 2),
-        (DeliveryMode::Batched, 1),
-        (DeliveryMode::Batched, 4),
+        (Delivery::OneAtATime, 2),
+        (Delivery::Batched, 1),
+        (Delivery::Batched, 4),
     ] {
         assert_eq!(
             run_50k(mode, shards),

@@ -12,27 +12,23 @@
 //! relies on for bit-identical parallel execution (see
 //! [`crate::engine`]).
 //!
-//! ## Storage backends
+//! ## Storage
 //!
-//! [`EventQueue`] pops strictly in key order under either of two
-//! interchangeable backends ([`EventQueueKind`]):
-//!
-//! * **`Heap`** — a `BinaryHeap` over inverted keys: `O(log n)` per
-//!   operation, the reference implementation.
-//! * **`Calendar`** (the default) — a self-resizing calendar queue
-//!   (R. Brown, "Calendar Queues: A Fast O(1) Priority Queue
-//!   Implementation for the Simulation Event Set Problem", CACM 1988).
-//!   Pending events are bucketed into *days* of a fixed millisecond
-//!   width. The day currently being drained is kept sorted by full
-//!   `EventKey` (so same-instant ties break exactly like the heap:
-//!   stream id, then per-stream sequence); future days are unsorted
-//!   append-only buckets, sorted once when the clock reaches them; and
-//!   events beyond the bucket ring's horizon wait in a small overflow
-//!   heap that is drip-fed back into the ring as days advance. At
-//!   steady state enqueue and dequeue are `O(1)` — one bucket append,
-//!   one pop off the sorted current day — instead of an `O(log n)`
-//!   sift through one large heap whose entries (full protocol
-//!   messages) are expensive to move.
+//! [`EventQueue`] is a self-resizing calendar queue (R. Brown,
+//! "Calendar Queues: A Fast O(1) Priority Queue Implementation for the
+//! Simulation Event Set Problem", CACM 1988). Pending events are
+//! bucketed into *days* of a fixed millisecond width. The day
+//! currently being drained is kept sorted by full `EventKey` (so
+//! same-instant ties break by stream id, then per-stream sequence);
+//! future days are unsorted append-only buckets, sorted once when the
+//! clock reaches them; and events beyond the bucket ring's horizon
+//! wait in a small overflow heap that is drip-fed back into the ring
+//! as days advance. At steady state enqueue and dequeue are `O(1)` —
+//! one bucket append, one pop off the sorted current day — instead of
+//! an `O(log n)` sift through one large heap whose entries (full
+//! protocol messages) are expensive to move. The plain binary heap it
+//! replaced survives as the test-only reference the proptests below
+//! compare against.
 //!
 //! ### Bucket width and resize policy
 //!
@@ -45,8 +41,8 @@
 //! thumb: a handful of events per day), clamped to at least 1 ms, and
 //! the ring size to the population rounded up to a power of two
 //! (within `[16, 65536]`). All of this is a pure function of the
-//! push/pop sequence — no wall clock, no RNG — so the backend choice
-//! can never affect simulation results, only wall-clock speed.
+//! push/pop sequence — no wall clock, no RNG — so the geometry can
+//! never affect simulation results, only wall-clock speed.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -71,40 +67,6 @@ pub struct EventKey {
     pub src: u64,
     /// Sequence number within the source stream.
     pub seq: u64,
-}
-
-/// Which storage backend an [`EventQueue`] runs on. Pop order — and
-/// therefore every simulation result — is identical for both; only
-/// the wall-clock cost profile differs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum EventQueueKind {
-    /// Self-resizing calendar queue: `O(1)` amortized hold operations
-    /// at steady state (Brown, CACM 1988). The default.
-    #[default]
-    Calendar,
-    /// Binary heap over inverted keys: `O(log n)`, the reference
-    /// implementation the calendar backend is verified against.
-    Heap,
-}
-
-impl EventQueueKind {
-    /// Parse `"calendar"` or `"heap"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "calendar" => Ok(EventQueueKind::Calendar),
-            "heap" => Ok(EventQueueKind::Heap),
-            other => Err(format!("unknown event queue {other:?} (calendar|heap)")),
-        }
-    }
-}
-
-impl std::fmt::Display for EventQueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EventQueueKind::Calendar => "calendar",
-            EventQueueKind::Heap => "heap",
-        })
-    }
 }
 
 /// Heap entry: an opaque payload `T` under an *inverted* ordering so
@@ -140,7 +102,7 @@ impl<T> Ord for Scheduled<T> {
 const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 1 << 16;
 
-/// The calendar backend. Invariant: whenever the queue is non-empty,
+/// The calendar. Invariant: whenever the queue is non-empty,
 /// `current` is non-empty and holds (sorted descending by key, so the
 /// global minimum is `current.last()`) exactly the pending events with
 /// `at < day_end`; ring bucket `i` holds the unsorted events of day
@@ -189,8 +151,8 @@ impl<T> Calendar<T> {
         if at < self.day_end {
             // Into the (sorted) current day; unique keys make the
             // binary-search position deterministic. A duplicate key
-            // (a caller contract violation the heap backend would also
-            // accept silently) slots in adjacent to its twin.
+            // (a caller contract violation) slots in adjacent to its
+            // twin.
             let pos = match self.current.binary_search_by(|(k, _)| key.cmp(k)) {
                 Ok(pos) | Err(pos) => pos,
             };
@@ -319,17 +281,11 @@ impl<T> Calendar<T> {
     }
 }
 
-#[derive(Debug)]
-enum Backend<T> {
-    Heap(BinaryHeap<Scheduled<T>>),
-    Calendar(Calendar<T>),
-}
-
 /// A deterministic future-event list (see the module docs for the
-/// ordering contract and the two storage backends).
+/// ordering contract and the calendar storage).
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    backend: Backend<T>,
+    cal: Calendar<T>,
     peak: usize,
 }
 
@@ -340,28 +296,11 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue on the default backend
-    /// ([`EventQueueKind::Calendar`]).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_kind(EventQueueKind::default())
-    }
-
-    /// An empty queue on an explicit backend.
-    pub fn with_kind(kind: EventQueueKind) -> Self {
         EventQueue {
-            backend: match kind {
-                EventQueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-                EventQueueKind::Calendar => Backend::Calendar(Calendar::new()),
-            },
+            cal: Calendar::new(),
             peak: 0,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn kind(&self) -> EventQueueKind {
-        match &self.backend {
-            Backend::Heap(_) => EventQueueKind::Heap,
-            Backend::Calendar(_) => EventQueueKind::Calendar,
         }
     }
 
@@ -369,19 +308,13 @@ impl<T> EventQueue<T> {
     /// responsible for key uniqueness (the engine derives keys from
     /// per-stream counters, which guarantees it).
     pub fn push(&mut self, key: EventKey, payload: T) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Scheduled { key, payload }),
-            Backend::Calendar(c) => c.push(key, payload),
-        }
-        self.peak = self.peak.max(self.len());
+        self.cal.push(key, payload);
+        self.peak = self.peak.max(self.cal.len);
     }
 
     /// Remove and return the event with the smallest key, if any.
     pub fn pop(&mut self) -> Option<(EventKey, T)> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|s| (s.key, s.payload)),
-            Backend::Calendar(c) => c.pop(),
-        }
+        self.cal.pop()
     }
 
     /// As [`EventQueue::pop`], but only if the earliest event is due
@@ -397,10 +330,7 @@ impl<T> EventQueue<T> {
     /// The earliest pending event: its delivery time and a view of its
     /// payload.
     pub fn peek(&self) -> Option<(SimTime, &T)> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|s| (s.key.at, &s.payload)),
-            Backend::Calendar(c) => c.peek().map(|(k, p)| (k.at, p)),
-        }
+        self.cal.peek().map(|(k, p)| (k.at, p))
     }
 
     /// The delivery time of the earliest pending event.
@@ -410,18 +340,12 @@ impl<T> EventQueue<T> {
 
     /// The full key of the earliest pending event.
     pub fn peek_key(&self) -> Option<EventKey> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|s| s.key),
-            Backend::Calendar(c) => c.peek().map(|(k, _)| *k),
-        }
+        self.cal.peek().map(|(k, _)| *k)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
+        self.cal.len
     }
 
     /// True if no events are pending.
@@ -433,6 +357,58 @@ impl<T> EventQueue<T> {
     /// (the "peak queue depth" benchmark metric).
     pub fn peak_len(&self) -> usize {
         self.peak
+    }
+}
+
+/// The binary heap the calendar replaced, kept as the oracle the
+/// proptests below compare against: `O(log n)` per operation over
+/// inverted keys, obviously correct, and never reachable from a
+/// config, a flag or the public API.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    #[derive(Debug)]
+    pub struct HeapQueue<T> {
+        heap: BinaryHeap<Scheduled<T>>,
+        peak: usize,
+    }
+
+    impl<T> HeapQueue<T> {
+        pub fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                peak: 0,
+            }
+        }
+
+        pub fn push(&mut self, key: EventKey, payload: T) {
+            self.heap.push(Scheduled { key, payload });
+            self.peak = self.peak.max(self.heap.len());
+        }
+
+        pub fn pop(&mut self) -> Option<(EventKey, T)> {
+            self.heap.pop().map(|s| (s.key, s.payload))
+        }
+
+        pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(EventKey, T)> {
+            if self.peek_key()?.at >= limit {
+                return None;
+            }
+            self.pop()
+        }
+
+        pub fn peek_key(&self) -> Option<EventKey> {
+            self.heap.peek().map(|s| s.key)
+        }
+
+        pub fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        pub fn peak_len(&self) -> usize {
+            self.peak
+        }
     }
 }
 
@@ -448,163 +424,131 @@ mod tests {
         }
     }
 
-    const BOTH: [EventQueueKind; 2] = [EventQueueKind::Calendar, EventQueueKind::Heap];
-
     #[test]
     fn pops_in_time_order() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.kind(), kind);
-            q.push(key(30, 0, 0), "c");
-            q.push(key(10, 0, 1), "a");
-            q.push(key(20, 0, 2), "b");
-            assert_eq!(q.pop().unwrap().1, "a");
-            assert_eq!(q.pop().unwrap().1, "b");
-            assert_eq!(q.pop().unwrap().1, "c");
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        q.push(key(30, 0, 0), "c");
+        q.push(key(10, 0, 1), "a");
+        q.push(key(20, 0, 2), "b");
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(q.pop().unwrap().1, "c");
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn same_instant_same_stream_is_fifo() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..100u64 {
-                q.push(key(5, 3, i), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop().unwrap().1, i);
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.push(key(5, 3, i), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop().unwrap().1, i);
         }
     }
 
     #[test]
     fn same_instant_orders_by_stream() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(key(5, 7, 0), "node6");
-            q.push(key(5, 0, 9), "external");
-            q.push(key(5, 2, 0), "node1");
-            assert_eq!(q.pop().unwrap().1, "external");
-            assert_eq!(q.pop().unwrap().1, "node1");
-            assert_eq!(q.pop().unwrap().1, "node6");
-        }
+        let mut q = EventQueue::new();
+        q.push(key(5, 7, 0), "node6");
+        q.push(key(5, 0, 9), "external");
+        q.push(key(5, 2, 0), "node1");
+        assert_eq!(q.pop().unwrap().1, "external");
+        assert_eq!(q.pop().unwrap().1, "node1");
+        assert_eq!(q.pop().unwrap().1, "node6");
     }
 
     #[test]
     fn interleaved_push_pop() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(key(10, 0, 0), 1);
-            q.push(key(5, 0, 1), 0);
-            assert_eq!(q.pop().unwrap().1, 0);
-            q.push(key(7, 0, 2), 2);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 1);
-        }
+        let mut q = EventQueue::new();
+        q.push(key(10, 0, 0), 1);
+        q.push(key(5, 0, 1), 0);
+        assert_eq!(q.pop().unwrap().1, 0);
+        q.push(key(7, 0, 2), 2);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 1);
     }
 
     #[test]
     fn peek_len_and_peak() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            assert_eq!(q.peek_key(), None);
-            assert_eq!(q.peek(), None::<(SimTime, &())>);
-            q.push(key(42, 0, 0), ());
-            q.push(key(41, 0, 1), ());
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peak_len(), 2);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ms(41)));
-            assert_eq!(q.peek(), Some((SimTime::from_ms(41), &())));
-            q.pop();
-            q.pop();
-            assert_eq!(q.peak_len(), 2, "peak survives drains");
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
+        assert_eq!(q.peek(), None::<(SimTime, &())>);
+        q.push(key(42, 0, 0), ());
+        q.push(key(41, 0, 1), ());
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peak_len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ms(41)));
+        assert_eq!(q.peek(), Some((SimTime::from_ms(41), &())));
+        q.pop();
+        q.pop();
+        assert_eq!(q.peak_len(), 2, "peak survives drains");
     }
 
     #[test]
     fn pop_if_before_respects_the_limit() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(key(10, 0, 0), "x");
-            assert!(q.pop_if_before(SimTime::from_ms(10)).is_none());
-            assert!(q.pop_if_before(SimTime::from_ms(5)).is_none());
-            assert_eq!(q.len(), 1, "a refused pop must not drop the event");
-            let (k, p) = q.pop_if_before(SimTime::from_ms(11)).unwrap();
-            assert_eq!((k.at, p), (SimTime::from_ms(10), "x"));
-            assert!(q.pop_if_before(SimTime::from_ms(u64::MAX)).is_none());
-        }
+        let mut q = EventQueue::new();
+        q.push(key(10, 0, 0), "x");
+        assert!(q.pop_if_before(SimTime::from_ms(10)).is_none());
+        assert!(q.pop_if_before(SimTime::from_ms(5)).is_none());
+        assert_eq!(q.len(), 1, "a refused pop must not drop the event");
+        let (k, p) = q.pop_if_before(SimTime::from_ms(11)).unwrap();
+        assert_eq!((k.at, p), (SimTime::from_ms(10), "x"));
+        assert!(q.pop_if_before(SimTime::from_ms(u64::MAX)).is_none());
     }
 
     #[test]
     fn zero_time_events() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(key(0, 0, 0), "x");
-            assert_eq!(q.pop().unwrap().0.at, SimTime::ZERO);
-        }
+        let mut q = EventQueue::new();
+        q.push(key(0, 0, 0), "x");
+        assert_eq!(q.pop().unwrap().0.at, SimTime::ZERO);
     }
 
     #[test]
     fn far_future_events_cross_the_ring_horizon() {
         // Events hours apart at ms resolution exercise the overflow
         // heap and the next-year rebuild.
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            let hour = 3_600_000u64;
-            q.push(key(3 * hour, 0, 0), 3u64);
-            q.push(key(1, 0, 1), 0);
-            q.push(key(hour, 0, 2), 1);
-            q.push(key(2 * hour + 5, 0, 3), 2);
-            for want in 0..4u64 {
-                assert_eq!(q.pop().unwrap().1, want, "kind={kind}");
-            }
-            assert!(q.is_empty());
+        let mut q = EventQueue::new();
+        let hour = 3_600_000u64;
+        q.push(key(3 * hour, 0, 0), 3u64);
+        q.push(key(1, 0, 1), 0);
+        q.push(key(hour, 0, 2), 1);
+        q.push(key(2 * hour + 5, 0, 3), 2);
+        for want in 0..4u64 {
+            assert_eq!(q.pop().unwrap().1, want);
         }
+        assert!(q.is_empty());
     }
 
     #[test]
     fn grows_and_shrinks_through_rebuilds() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            // Push enough to force several grow rebuilds…
-            for i in 0..10_000u64 {
-                q.push(key((i * 37) % 4096, 1, i), i);
-            }
-            assert_eq!(q.len(), 10_000);
-            // …then drain fully (shrink rebuilds), checking order.
-            let mut last = None;
-            let mut n = 0;
-            while let Some((k, _)) = q.pop() {
-                if let Some(prev) = last {
-                    assert!(k > prev);
-                }
-                last = Some(k);
-                n += 1;
-            }
-            assert_eq!(n, 10_000);
+        let mut q = EventQueue::new();
+        // Push enough to force several grow rebuilds…
+        for i in 0..10_000u64 {
+            q.push(key((i * 37) % 4096, 1, i), i);
         }
-    }
-
-    #[test]
-    fn queue_kind_parses_and_displays() {
-        assert_eq!(
-            EventQueueKind::parse("calendar").unwrap(),
-            EventQueueKind::Calendar
-        );
-        assert_eq!(EventQueueKind::parse("heap").unwrap(), EventQueueKind::Heap);
-        assert!(EventQueueKind::parse("wheel").is_err());
-        assert_eq!(EventQueueKind::Calendar.to_string(), "calendar");
-        assert_eq!(EventQueueKind::Heap.to_string(), "heap");
-        assert_eq!(EventQueueKind::default(), EventQueueKind::Calendar);
+        assert_eq!(q.len(), 10_000);
+        // …then drain fully (shrink rebuilds), checking order.
+        let mut last = None;
+        let mut n = 0;
+        while let Some((k, _)) = q.pop() {
+            if let Some(prev) = last {
+                assert!(k > prev);
+            }
+            last = Some(k);
+            n += 1;
+        }
+        assert_eq!(n, 10_000);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::reference::HeapQueue;
     use super::*;
+    use crate::time::SimDuration;
     use proptest::prelude::*;
 
     fn key(at_ms: u64, src: u64, seq: u64) -> EventKey {
@@ -621,35 +565,33 @@ mod proptests {
         /// stream the per-stream sequence numbers come out in order.
         #[test]
         fn pop_order_is_sorted_by_key(entries in proptest::collection::vec((0u64..1000, 0u64..4), 0..200)) {
-            for kind in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-                let mut q = EventQueue::with_kind(kind);
-                let mut seqs = [0u64; 4];
-                for (i, &(t, src)) in entries.iter().enumerate() {
-                    let seq = seqs[src as usize];
-                    seqs[src as usize] += 1;
-                    q.push(key(t, src, seq), i);
-                }
-                let mut last: Option<EventKey> = None;
-                let mut popped = 0usize;
-                while let Some((k, _)) = q.pop() {
-                    popped += 1;
-                    if let Some(lk) = last {
-                        prop_assert!(k > lk, "keys must strictly increase");
-                    }
-                    last = Some(k);
-                }
-                prop_assert_eq!(popped, entries.len());
+            let mut q = EventQueue::new();
+            let mut seqs = [0u64; 4];
+            for (i, &(t, src)) in entries.iter().enumerate() {
+                let seq = seqs[src as usize];
+                seqs[src as usize] += 1;
+                q.push(key(t, src, seq), i);
             }
+            let mut last: Option<EventKey> = None;
+            let mut popped = 0usize;
+            while let Some((k, _)) = q.pop() {
+                popped += 1;
+                if let Some(lk) = last {
+                    prop_assert!(k > lk, "keys must strictly increase");
+                }
+                last = Some(k);
+            }
+            prop_assert_eq!(popped, entries.len());
         }
 
-        /// Backend parity: for an arbitrary insert sequence — narrow
+        /// Reference parity: for an arbitrary insert sequence — narrow
         /// time range, so same-timestamp bursts are common — the
         /// calendar queue pops the exact payload sequence the binary
         /// heap does.
         #[test]
         fn calendar_matches_heap_pop_order(entries in proptest::collection::vec((0u64..64, 0u64..6), 0..300)) {
-            let mut cal = EventQueue::with_kind(EventQueueKind::Calendar);
-            let mut heap = EventQueue::with_kind(EventQueueKind::Heap);
+            let mut cal = EventQueue::new();
+            let mut heap = HeapQueue::new();
             let mut seqs = [0u64; 6];
             for (i, &(t, src)) in entries.iter().enumerate() {
                 let seq = seqs[src as usize];
@@ -659,39 +601,68 @@ mod proptests {
             }
             loop {
                 let (a, b) = (cal.pop(), heap.pop());
-                prop_assert_eq!(a, b, "backends diverged");
+                prop_assert_eq!(a, b, "calendar diverged from the heap");
                 if a.is_none() {
                     break;
                 }
             }
         }
 
-        /// Backend parity under interleaved pops: drain a pseudorandom
-        /// prefix between insert batches (the engine's actual usage:
-        /// epochs of pops between bursts of pushes).
+        /// Reference parity under the engine's real call mix: each
+        /// batch is a burst of pushes followed by epochs drained with
+        /// `pop_if_before(limit)` — a refused pop opens the next epoch
+        /// at the earliest pending event, as the barrier loop does —
+        /// with `peek_key`, `peek_time`, `len` and `peak_len` compared
+        /// at every step. The per-batch `stretch` scales the deltas
+        /// from ring-local (×1) to hours out (×125 000), so events
+        /// cross the ring horizon into the `far` heap and come back
+        /// through the drip-feed and the next-year rebuild; bursts of
+        /// up to 200 pushes and the full drain at the end force grow
+        /// *and* shrink rebuilds.
         #[test]
-        fn calendar_matches_heap_interleaved(batches in proptest::collection::vec((proptest::collection::vec((0u64..48, 0u64..3), 0..40), 0usize..30), 1..8)) {
-            let mut cal = EventQueue::with_kind(EventQueueKind::Calendar);
-            let mut heap = EventQueue::with_kind(EventQueueKind::Heap);
+        fn calendar_matches_heap_interleaved(batches in proptest::collection::vec((proptest::collection::vec((0u64..48, 0u64..3), 0..200), 0usize..250, 0usize..4), 1..8)) {
+            let mut cal = EventQueue::new();
+            let mut heap = HeapQueue::new();
             let mut seqs = [0u64; 3];
             let mut clock = 0u64; // keys must never be scheduled "past"
             let mut i = 0usize;
-            for (pushes, pops) in &batches {
+            for (pushes, pops, stretch) in &batches {
+                let scale = [1u64, 50, 2_500, 125_000][*stretch];
                 for &(dt, src) in pushes {
                     let seq = seqs[src as usize];
                     seqs[src as usize] += 1;
-                    cal.push(key(clock + dt, src, seq), i);
-                    heap.push(key(clock + dt, src, seq), i);
+                    cal.push(key(clock + dt * scale, src, seq), i);
+                    heap.push(key(clock + dt * scale, src, seq), i);
                     i += 1;
                 }
+                let window = 16 * scale;
+                let mut limit = SimTime::from_ms(clock + window);
                 for _ in 0..*pops {
-                    let (a, b) = (cal.pop(), heap.pop());
-                    prop_assert_eq!(&a, &b, "backends diverged mid-drain");
-                    if let Some((k, _)) = a {
-                        clock = k.at.as_ms();
+                    prop_assert_eq!(cal.peek_key(), heap.peek_key(), "heads diverged");
+                    prop_assert_eq!(cal.peek_time(), heap.peek_key().map(|k| k.at));
+                    let (mut a, mut b) = (cal.pop_if_before(limit), heap.pop_if_before(limit));
+                    prop_assert_eq!(&a, &b, "diverged mid-epoch");
+                    if a.is_none() {
+                        (a, b) = (cal.pop(), heap.pop());
+                        prop_assert_eq!(&a, &b, "diverged at the epoch boundary");
                     }
+                    prop_assert_eq!(cal.len(), heap.len());
+                    let Some((k, _)) = a else { break };
+                    if k.at >= limit {
+                        limit = k.at + SimDuration::from_ms(window);
+                    }
+                    clock = k.at.as_ms();
                 }
             }
+            loop {
+                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(&a, &b, "diverged in the final drain");
+                prop_assert_eq!(cal.len(), heap.len());
+                if a.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(cal.peak_len(), heap.peak_len());
         }
     }
 }

@@ -34,17 +34,14 @@
 //! does not depend on how the simulation is partitioned or scheduled
 //! onto threads.
 //!
-//! The *storage* behind that order is a pluggable backend
-//! ([`event::EventQueueKind`], selected via
-//! [`TopologyConfig::event_queue`]): a self-resizing **calendar
+//! The *storage* behind that order is a self-resizing **calendar
 //! queue** (Brown, CACM 1988 — `O(1)` hold operations at steady
-//! state; the default) or the reference `BinaryHeap`. Same-instant
-//! ties break by the full `EventKey` under both backends — bucket
+//! state). Same-instant ties break by the full `EventKey`, and bucket
 //! width, resize thresholds and every other calendar internal are
-//! pure functions of the push/pop sequence — so the backend can only
-//! change wall-clock speed, never results (pinned by the backend
-//! parity proptests in [`event`] and the seed-42 stat pins in
-//! `tests/shard_parity.rs`).
+//! pure functions of the push/pop sequence, so the storage can only
+//! change wall-clock speed, never results (pinned against a test-only
+//! binary-heap reference by the proptests in [`event`], and by the
+//! seed-42 stat pins in `tests/shard_parity.rs`).
 //!
 //! Randomness follows the same discipline: there is no engine-global
 //! RNG. Node `n` draws from a private `StdRng` stream seeded with
@@ -57,17 +54,19 @@
 //! into `K` shards ([`Topology::shard_map`]), each with its own event
 //! queue, clock, RNG streams and statistics, running on its own
 //! thread. Shards synchronize through a *conservative epoch barrier*:
-//! the epoch length is the topology's **lookahead**
-//! ([`Topology::cross_locality_lookahead`]), a guaranteed lower bound
-//! on every cross-locality link latency, so a cross-shard message
-//! emitted during an epoch is always due in a later epoch and can be
-//! handed over at the barrier in between. Within an epoch shards share
-//! no mutable state (liveness flags are replicated and driven by
-//! broadcast churn events), so the parallel run is equivalent to the
-//! sequential execution in global key order. Together with the
-//! layout-independent keys and per-node RNG streams this makes runs
-//! **bit-identical for every shard count, including `K = 1`** — the
-//! single-shard path simply skips threads and barriers.
+//! epoch bounds come from the topology's per-shard-pair **lookahead
+//! matrix** ([`Topology::shard_lookahead_ms`]) — guaranteed lower
+//! bounds on the latency of any link between two shards, never below
+//! the global floor [`Topology::cross_locality_lookahead`] — so a
+//! cross-shard message emitted during an epoch is always due in a
+//! later epoch and can be handed over at the barrier in between.
+//! Within an epoch shards share no mutable state (liveness flags are
+//! replicated and driven by broadcast churn events), so the parallel
+//! run is equivalent to the sequential execution in global key order.
+//! Together with the layout-independent keys and per-node RNG streams
+//! this makes runs **bit-identical for every shard count, including
+//! `K = 1`** — the single-shard path simply skips threads and
+//! barriers.
 //!
 //! Statistics are accumulated per shard and merged deterministically
 //! at read time (integer counters, plus integer-valued `f64` window
@@ -120,25 +119,22 @@ pub mod topology;
 
 pub use affinity::{available_cores, pin_current_thread, place_shards, PinError};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnKind, ChurnScript};
-pub use engine::{
-    node_stream_seed, Action, Ctx, DeliveryMode, Engine, Event, Message, Node, QuerySink,
-};
-pub use event::{EventKey, EventQueueKind};
+pub use engine::{node_stream_seed, Action, Ctx, Engine, Event, Message, Node, QuerySink};
+pub use event::EventKey;
 pub use fault::{FaultPlane, LinkLoss, Partition, RegionalFailure};
 pub use stats::{
     Histogram, QueryStats, SeriesPoint, ShardTraffic, TimeSeries, Traffic, TrafficClass,
 };
 pub use sync::{MailboxGrid, SenseBarrier, SenseWaiter};
 pub use time::{SimDuration, SimTime};
-pub use topology::{Locality, LookaheadKind, NodeId, Topology, TopologyConfig};
+pub use topology::{Locality, NodeId, Topology, TopologyConfig};
 
 /// Convenient glob-import of the types almost every consumer needs.
 pub mod prelude {
     pub use crate::churn::{ChurnConfig, ChurnScript};
     pub use crate::engine::{Ctx, Engine, Event, Message, Node};
-    pub use crate::event::EventQueueKind;
     pub use crate::fault::{FaultPlane, LinkLoss, Partition, RegionalFailure};
     pub use crate::stats::{Histogram, QueryStats, TimeSeries, Traffic, TrafficClass};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::topology::{Locality, LookaheadKind, NodeId, Topology, TopologyConfig};
+    pub use crate::topology::{Locality, NodeId, Topology, TopologyConfig};
 }

@@ -69,46 +69,6 @@ impl std::fmt::Display for Locality {
     }
 }
 
-/// How the sharded engine derives its epoch synchronization bounds
-/// from the topology. An execution knob like
-/// [`crate::event::EventQueueKind`]: results are bit-identical for
-/// both — only the number of barrier rounds (and therefore wall
-/// clock) changes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LookaheadKind {
-    /// Per-shard-pair lookaheads: each pair's bound is the exact
-    /// minimum latency between the two shards' locality point sets,
-    /// and a shard's epoch runs to the earliest instant any *other*
-    /// shard could still reach it — distant shard pairs synchronize
-    /// less often.
-    #[default]
-    Matrix,
-    /// The pre-matrix behaviour: one global epoch of
-    /// [`Topology::cross_locality_lookahead`] length for every shard
-    /// (kept for comparison runs and the parity tests).
-    GlobalFloor,
-}
-
-impl LookaheadKind {
-    /// Parse `"matrix"` or `"global"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "matrix" => Ok(LookaheadKind::Matrix),
-            "global" => Ok(LookaheadKind::GlobalFloor),
-            other => Err(format!("unknown lookahead kind {other:?} (matrix|global)")),
-        }
-    }
-}
-
-impl std::fmt::Display for LookaheadKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LookaheadKind::Matrix => "matrix",
-            LookaheadKind::GlobalFloor => "global",
-        })
-    }
-}
-
 /// A grid cell index used by the locality-distance computation.
 type Cell = (usize, usize);
 
@@ -160,21 +120,12 @@ pub struct TopologyConfig {
     /// less synchronization between shards. See
     /// [`Topology::cross_locality_lookahead`].
     pub inter_locality_floor_ms: u64,
-    /// Storage backend of the engine's per-shard event queues. An
+    /// Whether the sharded engine pins its worker threads to cores
+    /// under the latency-aware placement ([`crate::affinity`]). An
     /// execution knob, not a network-model parameter — it rides on the
     /// topology config because that is the one configuration object
-    /// every engine construction path already receives. Results are
-    /// bit-identical for both backends; see
-    /// [`crate::event::EventQueueKind`].
-    pub event_queue: crate::event::EventQueueKind,
-    /// How the sharded engine bounds its epochs: the per-shard-pair
-    /// lookahead matrix (default) or the single global floor. Another
-    /// execution knob riding here for the same reason as
-    /// `event_queue`; results are bit-identical for both.
-    pub lookahead: LookaheadKind,
-    /// Whether the sharded engine pins its worker threads to cores
-    /// under the latency-aware placement ([`crate::affinity`]). A
-    /// wall-clock knob only — placement moves threads, never events,
+    /// every engine construction path already receives. Wall-clock
+    /// only — placement moves threads, never events,
     /// so results are bit-identical with pinning on or off, and the
     /// engine degrades gracefully when the host denies affinity or
     /// has fewer cores than shards.
@@ -192,8 +143,6 @@ impl Default for TopologyConfig {
             background_fraction: 0.05,
             population_skew: 1.0,
             inter_locality_floor_ms: 0,
-            event_queue: crate::event::EventQueueKind::default(),
-            lookahead: LookaheadKind::default(),
             pin: false,
         }
     }
@@ -228,8 +177,6 @@ pub struct Topology {
     /// Scale factor mapping unit-square distance to milliseconds.
     ms_per_unit: f64,
     populations: Vec<u32>,
-    event_queue: crate::event::EventQueueKind,
-    lookahead: LookaheadKind,
     pin: bool,
     /// Exact minimum latency (ms) between the point sets of every
     /// locality pair, row-major `k × k`; `u64::MAX` on the diagonal
@@ -316,8 +263,6 @@ impl Topology {
             inter_floor_ms: cfg.inter_locality_floor_ms,
             ms_per_unit,
             populations: vec![0; k],
-            event_queue: cfg.event_queue,
-            lookahead: cfg.lookahead,
             pin: cfg.pin,
             loc_min_lat_ms: Vec::new(),
         };
@@ -438,12 +383,6 @@ impl Topology {
         self.points.len()
     }
 
-    /// The event-queue backend engines over this topology should use
-    /// (from [`TopologyConfig::event_queue`]).
-    pub fn event_queue(&self) -> crate::event::EventQueueKind {
-        self.event_queue
-    }
-
     /// Number of network localities `k`.
     pub fn num_localities(&self) -> usize {
         self.landmarks.len()
@@ -514,12 +453,6 @@ impl Topology {
     /// before they are due.
     pub fn cross_locality_lookahead(&self) -> SimDuration {
         SimDuration::from_ms(self.min_latency_ms.max(self.cross_floor_ms()))
-    }
-
-    /// The lookahead mode engines over this topology should run
-    /// (from [`TopologyConfig::lookahead`]).
-    pub fn lookahead_kind(&self) -> LookaheadKind {
-        self.lookahead
     }
 
     /// Whether engines over this topology should pin shard threads to
@@ -841,29 +774,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lookahead_kind_parses_and_rides_the_config() {
-        assert_eq!(
-            LookaheadKind::parse("matrix").unwrap(),
-            LookaheadKind::Matrix
-        );
-        assert_eq!(
-            LookaheadKind::parse("global").unwrap(),
-            LookaheadKind::GlobalFloor
-        );
-        assert!(LookaheadKind::parse("x").is_err());
-        assert_eq!(format!("{}", LookaheadKind::Matrix), "matrix");
-        assert_eq!(format!("{}", LookaheadKind::GlobalFloor), "global");
-        let t = Topology::generate(
-            &TopologyConfig {
-                lookahead: LookaheadKind::GlobalFloor,
-                ..TopologyConfig::small_test()
-            },
-            1,
-        );
-        assert_eq!(t.lookahead_kind(), LookaheadKind::GlobalFloor);
     }
 
     #[test]

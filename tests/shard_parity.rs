@@ -1,9 +1,8 @@
-//! The tentpole guarantee of the engine's execution knobs, measured
-//! on the full Flower-CDN system: the same seed produces *identical*
-//! query statistics and traffic totals whether the engine runs on one
-//! shard or several, and whether events are stored in the calendar
-//! queue or the binary heap — sharding and event storage are
-//! execution details, never modelling changes.
+//! The tentpole guarantee of the sharded engine, measured on the
+//! full Flower-CDN system: the same seed produces *identical* query
+//! statistics and traffic totals whether the engine runs on one shard
+//! or several — sharding is an execution detail, never a modelling
+//! change.
 //!
 //! Also pins the per-node RNG streams: a fixed seed must keep
 //! producing the same hit-ratio statistics from PR to PR. If a change
@@ -12,18 +11,12 @@
 //! pin exists to make such changes loud, not to forbid them.
 
 use flower_cdn::core::system::{FlowerSystem, SystemConfig, SystemReport};
-use flower_cdn::simnet::EventQueueKind;
 
-fn run_with(shards: usize, seed: u64, queue: EventQueueKind) -> (FlowerSystem, SystemReport) {
+fn run_with_shards(shards: usize, seed: u64) -> (FlowerSystem, SystemReport) {
     let mut cfg = SystemConfig::small_test();
     cfg.seed = seed;
     cfg.shards = shards;
-    cfg.topology.event_queue = queue;
     FlowerSystem::run(&cfg)
-}
-
-fn run_with_shards(shards: usize, seed: u64) -> (FlowerSystem, SystemReport) {
-    run_with(shards, seed, EventQueueKind::default())
 }
 
 /// Everything comparable about a finished run, down to exact floats
@@ -71,26 +64,6 @@ fn sharded_run_produces_identical_statistics() {
             reference,
             "shards={shards} diverged from the single-shard run"
         );
-    }
-}
-
-/// The event-queue backend is an execution detail like the shard
-/// count: the calendar queue and the binary heap must yield the same
-/// fingerprint under every shard count, for several seeds.
-#[test]
-fn queue_backend_produces_identical_statistics() {
-    for seed in [42u64, 7] {
-        for shards in [1usize, 3] {
-            let (cal_sys, cal_report) = run_with(shards, seed, EventQueueKind::Calendar);
-            let (heap_sys, heap_report) = run_with(shards, seed, EventQueueKind::Heap);
-            assert_eq!(cal_sys.engine().queue_kind(), EventQueueKind::Calendar);
-            assert_eq!(heap_sys.engine().queue_kind(), EventQueueKind::Heap);
-            assert_eq!(
-                fingerprint(&cal_sys, &cal_report),
-                fingerprint(&heap_sys, &heap_report),
-                "seed={seed} shards={shards}: queue backends diverged"
-            );
-        }
     }
 }
 
@@ -162,38 +135,26 @@ fn placement_and_pinning_never_change_results() {
 /// every sim-scoped cell (counters, gauges and histogram buckets
 /// tagged `Scope::Sim`) is a pure function of the simulated trace, so
 /// merging the per-shard cells in shard order yields the bit-identical
-/// flattened fingerprint under every shard count, queue backend and
-/// lookahead mode. Exec-scoped cells (epochs, fused rounds, barrier
-/// idle) are deliberately excluded — they measure the execution, not
-/// the simulation.
+/// flattened fingerprint under every shard count. Exec-scoped cells
+/// (epochs, fused rounds, barrier idle) are deliberately excluded —
+/// they measure the execution, not the simulation.
 #[test]
 fn metric_registry_sim_cells_are_execution_invariant() {
-    use flower_cdn::simnet::LookaheadKind;
-    let run = |shards: usize, queue: EventQueueKind, lookahead: LookaheadKind| {
-        let mut cfg = SystemConfig::small_test();
-        cfg.seed = 42;
-        cfg.shards = shards;
-        cfg.topology.event_queue = queue;
-        cfg.topology.lookahead = lookahead;
-        let (sys, _) = FlowerSystem::run(&cfg);
+    let run = |shards: usize| {
+        let (sys, _) = run_with_shards(shards, 42);
         sys.engine().metrics().sim_fingerprint()
     };
-    let reference = run(1, EventQueueKind::Calendar, LookaheadKind::GlobalFloor);
+    let reference = run(1);
     assert!(
         reference.iter().any(|&v| v > 0),
         "the single-shard run must populate sim-scoped metric cells"
     );
-    for shards in [1usize, 2, 4] {
-        for queue in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-            for lookahead in [LookaheadKind::GlobalFloor, LookaheadKind::Matrix] {
-                assert_eq!(
-                    run(shards, queue, lookahead),
-                    reference,
-                    "shards={shards} queue={queue} lookahead={lookahead:?}: \
-                     sim-scoped metric cells diverged"
-                );
-            }
-        }
+    for shards in [2usize, 4] {
+        assert_eq!(
+            run(shards),
+            reference,
+            "shards={shards}: sim-scoped metric cells diverged"
+        );
     }
 }
 
@@ -267,8 +228,7 @@ fn petalup_runs_are_shard_deterministic_and_flatten_load() {
 
 /// Regression pin for the per-node RNG streams
 /// (`StdRng::seed_from_u64(hash(seed, node_id))`): seed 42 on the
-/// small test deployment must keep yielding exactly these statistics
-/// — under *both* event-queue backends, which may never disagree.
+/// small test deployment must keep yielding exactly these statistics.
 ///
 /// Re-verified against the §5.2 summary-clear-on-push change: the
 /// pinned scenario runs without churn, so no directory is ever
@@ -277,34 +237,30 @@ fn petalup_runs_are_shard_deterministic_and_flatten_load() {
 /// cleared path).
 #[test]
 fn fixed_seed_yields_pinned_hit_ratio_stats() {
-    for queue in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-        let (_, r) = run_with(1, 42, queue);
-        assert_eq!(r.submitted, 6033, "{queue}: query trace changed");
-        assert_eq!(r.resolved, 6033, "{queue}: resolution count changed");
-        assert!(
-            (r.hit_ratio - 0.912978617603).abs() < 1e-9,
-            "{queue}: hit ratio drifted: {:.12}",
-            r.hit_ratio
-        );
-        assert!(
-            (r.mean_lookup_ms - 40.129289).abs() < 1e-3,
-            "{queue}: mean lookup drifted: {:.6}",
-            r.mean_lookup_ms
-        );
-        assert_eq!(r.participants, 122, "{queue}: participant count changed");
-        // And the pin holds under sharded execution too, by
-        // construction.
-        let (_, sharded) = run_with(3, 42, queue);
-        assert_eq!(sharded.submitted, r.submitted);
-        assert!((sharded.hit_ratio - r.hit_ratio).abs() < 1e-15);
-    }
+    let (_, r) = run_with_shards(1, 42);
+    assert_eq!(r.submitted, 6033, "query trace changed");
+    assert_eq!(r.resolved, 6033, "resolution count changed");
+    assert!(
+        (r.hit_ratio - 0.912978617603).abs() < 1e-9,
+        "hit ratio drifted: {:.12}",
+        r.hit_ratio
+    );
+    assert!(
+        (r.mean_lookup_ms - 40.129289).abs() < 1e-3,
+        "mean lookup drifted: {:.6}",
+        r.mean_lookup_ms
+    );
+    assert_eq!(r.participants, 122, "participant count changed");
+    // And the pin holds under sharded execution too, by construction.
+    let (_, sharded) = run_with_shards(3, 42);
+    assert_eq!(sharded.submitted, r.submitted);
+    assert!((sharded.hit_ratio - r.hit_ratio).abs() < 1e-15);
 }
 
 /// Property check on the fault-injection plane: *any* scripted
 /// combination of a partition (with heal), probabilistic link loss
 /// and a correlated regional failure with staggered recovery must
-/// leave the run bit-identical across shard counts 1/2/4 and both
-/// event-queue backends. Partition cuts are decided at delivery time
+/// leave the run bit-identical across shard counts 1/2/4. Partition cuts are decided at delivery time
 /// from the static script, loss draws come from the emitter's own RNG
 /// stream, and regional recovery is a pure stagger off the node index
 /// — none of it may observe the shard layout.
@@ -315,11 +271,10 @@ mod fault_plane_proptests {
     };
     use proptest::prelude::*;
 
-    fn faulted_cfg(shards: usize, queue: EventQueueKind) -> SystemConfig {
+    fn faulted_cfg(shards: usize) -> SystemConfig {
         let mut cfg = SystemConfig::small_test();
         cfg.seed = 42;
         cfg.shards = shards;
-        cfg.topology.event_queue = queue;
         // Arm the timeout path so swallowed lookups retry and degrade
         // instead of hanging — the hardening under test.
         cfg.flower.query_timeout = Some(SimDuration::from_secs(2));
@@ -329,7 +284,7 @@ mod fault_plane_proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
         #[test]
-        fn scripted_faults_stay_shard_and_queue_invariant(
+        fn scripted_faults_stay_shard_invariant(
             part_start in 60u64..240,
             part_len in 30u64..120,
             loss_pct in 5u64..45,
@@ -355,8 +310,8 @@ mod fault_plane_proptests {
                     recover_start: SimTime::from_secs(part_start + part_len + 90),
                     stagger: SimDuration::from_ms(stagger_ms),
                 });
-            let run = |shards: usize, queue: EventQueueKind| {
-                let cfg = faulted_cfg(shards, queue);
+            let run = |shards: usize| {
+                let cfg = faulted_cfg(shards);
                 let mut sys = FlowerSystem::build(&cfg);
                 sys.apply_faults(&plane);
                 let horizon = sys.drain_horizon();
@@ -364,16 +319,13 @@ mod fault_plane_proptests {
                 let report = sys.report();
                 fingerprint(&sys, &report)
             };
-            let reference = run(1, EventQueueKind::Calendar);
+            let reference = run(1);
             for shards in [2usize, 4] {
-                for queue in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-                    prop_assert!(
-                        run(shards, queue) == reference,
-                        "shards={} queue={} diverged under scripted faults",
-                        shards,
-                        queue
-                    );
-                }
+                prop_assert!(
+                    run(shards) == reference,
+                    "shards={} diverged under scripted faults",
+                    shards
+                );
             }
         }
     }
@@ -428,42 +380,4 @@ fn flash_crowd_cell_pins_dip_and_recovery() {
         fingerprint(&sys, &r),
         "2-shard flash cell diverged from the 1-shard run"
     );
-}
-
-/// The adaptive lookahead matrix is an execution detail like the
-/// shard count and the queue backend: at --shards 1/2/4 it must
-/// produce the bit-identical fingerprint of the global-floor
-/// schedule, while synchronizing no more often (barrier epochs).
-#[test]
-fn lookahead_matrix_matches_global_floor_bit_for_bit() {
-    use flower_cdn::simnet::LookaheadKind;
-    let run = |shards: usize, kind: LookaheadKind| {
-        let mut cfg = SystemConfig::small_test();
-        cfg.seed = 42;
-        cfg.shards = shards;
-        cfg.topology.lookahead = kind;
-        FlowerSystem::run(&cfg)
-    };
-    for shards in [1usize, 2, 4] {
-        let (m_sys, m_report) = run(shards, LookaheadKind::Matrix);
-        let (g_sys, g_report) = run(shards, LookaheadKind::GlobalFloor);
-        assert_eq!(m_sys.engine().lookahead_kind(), LookaheadKind::Matrix);
-        assert_eq!(g_sys.engine().lookahead_kind(), LookaheadKind::GlobalFloor);
-        assert_eq!(
-            fingerprint(&m_sys, &m_report),
-            fingerprint(&g_sys, &g_report),
-            "shards={shards}: lookahead modes diverged"
-        );
-        let (m_epochs, g_epochs) = (m_sys.engine().epochs(), g_sys.engine().epochs());
-        if shards == 1 {
-            assert_eq!((m_epochs, g_epochs), (0, 0), "no barrier on one shard");
-        } else {
-            assert!(g_epochs > 0, "sharded runs count barrier rounds");
-            assert!(
-                m_epochs < g_epochs,
-                "shards={shards}: the matrix must synchronize less often \
-                 ({m_epochs} vs {g_epochs} rounds)"
-            );
-        }
-    }
 }
