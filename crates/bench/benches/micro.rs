@@ -9,7 +9,9 @@ use rand::SeedableRng;
 use bloom::{BloomFilter, ContentSummary, MaintainedSummary, ObjectId};
 use chord::{stable_ring, ChordConfig, ChordId, PeerRef};
 use flower_core::id::KeyScheme;
+use flower_core::idmap::SmallMap;
 use flower_core::policy::DringPolicy;
+use flower_core::{FlowerSystem, Query, SystemConfig};
 use gossip::{View, ViewEntry};
 use simnet::{NodeId, SimTime};
 use workload::Zipf;
@@ -233,6 +235,51 @@ fn bench_dring(c: &mut Criterion) {
     let key = scheme.key(workload::WebsiteId(50), simnet::Locality(5));
     g.bench_function("conditional_local_lookup", |b| {
         b.iter(|| policy.conditional_local_lookup(black_box(&states[0]), black_box(key)))
+    });
+    g.finish();
+}
+
+/// Per-node protocol state (`flower_core::idmap`): the lookups every
+/// event pays before any protocol work starts.
+fn bench_core(c: &mut Criterion) {
+    let mut g = c.benchmark_group("core");
+    // A real content peer out of a one-minute miniature run: nearly
+    // every gossip, keepalive, push and query event starts with this
+    // lookup (multiply by `engine.events`).
+    let mut cfg = SystemConfig::small_test();
+    cfg.workload.duration_ms = 60_000;
+    let (sys, _) = FlowerSystem::run(&cfg);
+    let ws = workload::WebsiteId(0);
+    let peer = sys
+        .participants()
+        .into_iter()
+        .find(|n| sys.engine().node(*n).is_content_peer(ws))
+        .expect("a minute of queries admits content peers");
+    let node = sys.engine().node(peer);
+    g.bench_function("role_lookup", |b| {
+        b.iter(|| black_box(node.content_role(black_box(ws)).is_some()))
+    });
+    // One in-flight query registered at submission and retired by its
+    // `ServeObject` (multiply by resolved queries). The value has the
+    // shape of the node's private pending-query record.
+    let query = Query {
+        id: 0,
+        origin: peer,
+        origin_locality: simnet::Locality(0),
+        website: ws,
+        object: ObjectId(7),
+        submitted_at: SimTime::ZERO,
+        dir_hops: 0,
+        holder_retries: 0,
+    };
+    let mut pending: SmallMap<u64, (Vec<NodeId>, Option<Query>, u8)> = SmallMap::default();
+    let mut qid = 0u64;
+    g.bench_function("pending_insert_remove", |b| {
+        b.iter(|| {
+            qid += 1;
+            pending.insert(qid, (Vec::new(), Some(query), 0));
+            black_box(pending.remove(black_box(&qid)))
+        })
     });
     g.finish();
 }
@@ -508,6 +555,7 @@ criterion_group!(
     bench_gossip_view,
     bench_chord,
     bench_dring,
+    bench_core,
     bench_workload,
     bench_event_queue,
     bench_shard_exchange,

@@ -9,9 +9,9 @@
 //! consistent (∆list removals) and stale redirects exercise the §5.1
 //! retry machinery.
 
-use std::collections::HashMap;
-
 use bloom::ObjectId;
+
+use crate::idmap::IdMap;
 
 /// Which object to evict when a bounded cache overflows.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -30,7 +30,9 @@ pub enum CachePolicy {
 ///
 /// Tracks access order and frequency; the owning
 /// [`crate::content::ContentPeerState`] consults it on insertion to
-/// decide evictions.
+/// decide evictions. An unbounded cache never evicts, so it tracks
+/// nothing: the only reader of the per-object bookkeeping is victim
+/// selection.
 #[derive(Clone, Debug)]
 pub struct CacheManager {
     policy: CachePolicy,
@@ -38,8 +40,8 @@ pub struct CacheManager {
     capacity: usize,
     /// Logical clock advanced on every touch.
     clock: u64,
-    /// Per-object (last-touch, frequency).
-    meta: HashMap<ObjectId, (u64, u64)>,
+    /// Per-object (last-touch, frequency); empty when unbounded.
+    meta: IdMap<ObjectId, (u64, u64)>,
 }
 
 impl CacheManager {
@@ -53,7 +55,7 @@ impl CacheManager {
             policy,
             capacity,
             clock: 0,
-            meta: HashMap::new(),
+            meta: IdMap::default(),
         }
     }
 
@@ -75,6 +77,9 @@ impl CacheManager {
     /// Record an access (hit or insertion) of `o`.
     pub fn touch(&mut self, o: ObjectId) {
         self.clock += 1;
+        if self.policy == CachePolicy::Unbounded {
+            return;
+        }
         let e = self.meta.entry(o).or_insert((0, 0));
         e.0 = self.clock;
         e.1 += 1;
@@ -111,7 +116,7 @@ impl CacheManager {
         victim
     }
 
-    /// Number of tracked objects.
+    /// Number of tracked objects (always 0 when unbounded).
     pub fn tracked(&self) -> usize {
         self.meta.len()
     }
@@ -132,6 +137,7 @@ mod tests {
             m.touch(ObjectId(i));
             assert_eq!(m.evict_for_insert(i as usize), None);
         }
+        assert_eq!(m.tracked(), 0, "nothing to evict, nothing to track");
     }
 
     #[test]
@@ -204,7 +210,7 @@ mod proptests {
         #[test]
         fn lru_respects_capacity(accesses in proptest::collection::vec(0u64..30, 1..200), cap in 1usize..10) {
             let mut m = CacheManager::new(CachePolicy::Lru, cap);
-            let mut cache: std::collections::HashSet<ObjectId> = Default::default();
+            let mut cache: crate::idmap::IdSet<ObjectId> = Default::default();
             for a in accesses {
                 let o = ObjectId(a);
                 if cache.contains(&o) {

@@ -17,8 +17,6 @@
 //! use the content overlay instead of the D-ring" (§3.4): the local
 //! search order is own content → view summaries → directory peer.
 
-use std::collections::HashSet;
-
 use bloom::{ContentSummary, MaintainedSummary, ObjectId};
 use gossip::{ChangeKind, ChangeLog, PushPolicy, View, ViewEntry};
 use rand::Rng;
@@ -26,6 +24,7 @@ use simnet::{Locality, NodeId};
 use workload::WebsiteId;
 
 use crate::cache::CacheManager;
+use crate::idmap::IdSet;
 use crate::msg::{GossipEntry, GossipPayload};
 
 /// State of one content-peer role (one per website the node supports).
@@ -35,7 +34,7 @@ pub struct ContentPeerState {
     /// The overlay's locality: overlays are scoped by (website,
     /// locality), and gossip must never leak across localities.
     locality: Locality,
-    content: HashSet<ObjectId>,
+    content: IdSet<ObjectId>,
     cache: CacheManager,
     changes: ChangeLog<ObjectId>,
     view: View<NodeId, Option<ContentSummary>>,
@@ -83,7 +82,7 @@ impl ContentPeerState {
         ContentPeerState {
             website,
             locality,
-            content: HashSet::new(),
+            content: IdSet::default(),
             cache,
             changes: ChangeLog::new(),
             view: View::new(v_gossip),
@@ -326,18 +325,16 @@ impl ContentPeerState {
         }
     }
 
-    /// View contacts whose summary suggests they hold `o`, youngest
-    /// first, excluding already-tried peers.
-    pub fn summary_candidates(&self, o: ObjectId, tried: &[NodeId]) -> Vec<NodeId> {
-        let mut c: Vec<(u32, NodeId)> = self
-            .view
+    /// The view contact to probe for `o`: the youngest one (ties to
+    /// the lower node id) whose summary suggests it holds the object,
+    /// excluding already-tried peers.
+    pub fn summary_candidates(&self, o: ObjectId, tried: &[NodeId]) -> Option<NodeId> {
+        self.view
             .iter()
             .filter(|e| !tried.contains(&e.peer))
             .filter(|e| e.data.as_ref().is_some_and(|s| s.might_contain(o)))
-            .map(|e| (e.age, e.peer))
-            .collect();
-        c.sort_unstable_by_key(|(age, p)| (*age, p.0));
-        c.into_iter().map(|(_, p)| p).collect()
+            .min_by_key(|e| (e.age, e.peer.0))
+            .map(|e| e.peer)
     }
 
     /// Drop a dead or departed contact (§5.4: peers that changed
@@ -456,10 +453,10 @@ mod tests {
             },
             10,
         );
-        assert_eq!(c.summary_candidates(O1, &[]), vec![NodeId(5)]);
+        assert_eq!(c.summary_candidates(O1, &[]), Some(NodeId(5)));
         assert!(c.view().contains(NodeId(6)));
         // Tried peers are excluded.
-        assert!(c.summary_candidates(O1, &[NodeId(5)]).is_empty());
+        assert_eq!(c.summary_candidates(O1, &[NodeId(5)]), None);
     }
 
     #[test]
@@ -559,14 +556,23 @@ mod tests {
                 website: WebsiteId(1),
                 locality: Locality(0),
                 summary: ContentSummary::empty(100),
-                subset: vec![with_obj(5, 1), with_obj(1, 2), with_obj(3, 3)],
+                subset: vec![
+                    with_obj(5, 1),
+                    with_obj(1, 4),
+                    with_obj(1, 2),
+                    with_obj(3, 3),
+                ],
                 dir_hint: None,
             },
             10,
         );
-        assert_eq!(
-            c.summary_candidates(O2, &[]),
-            vec![NodeId(2), NodeId(3), NodeId(1)]
-        );
+        // Youngest first, equal ages by node id; each probe that
+        // fails joins `tried` and the next youngest takes over.
+        let mut tried = Vec::new();
+        for expect in [2, 4, 3, 1] {
+            assert_eq!(c.summary_candidates(O2, &tried), Some(NodeId(expect)));
+            tried.push(NodeId(expect));
+        }
+        assert_eq!(c.summary_candidates(O2, &tried), None);
     }
 }

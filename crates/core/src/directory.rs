@@ -34,14 +34,14 @@
 //! prolong the full-index scan. A promoted directory therefore pays
 //! the scan just until its seeded members push or age out.
 
-use std::collections::HashMap;
-
 use bloom::{ContentSummary, MaintainedSummary, ObjectId};
 use chord::ChordId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simnet::{Locality, NodeId};
 use workload::WebsiteId;
+
+use crate::idmap::{IdMap, IdSet};
 
 /// One directory-index entry (§3.3): a content peer of the overlay.
 #[derive(Clone, Debug)]
@@ -50,7 +50,7 @@ pub struct DirEntry {
     /// keepalive.
     pub age: u32,
     /// Object identifiers the peer reported holding.
-    pub objects: std::collections::HashSet<ObjectId>,
+    pub objects: IdSet<ObjectId>,
     /// Gossip-learned content summary; a freshly promoted directory
     /// peer answers from these until pushes rebuild the index (§5.2:
     /// "meanwhile, d answers first queries from its content
@@ -123,7 +123,7 @@ pub struct DirectoryState {
     /// Which §5.3 instance of the petal this is (0 in the base
     /// design; the petal primary when instances are in play).
     instance: u32,
-    index: HashMap<NodeId, DirEntry>,
+    index: IdMap<NodeId, DirEntry>,
     neighbor_summaries: Vec<NeighborSummary>,
     /// Overlay capacity `Sco`.
     capacity: usize,
@@ -135,11 +135,11 @@ pub struct DirectoryState {
     total_indexed: usize,
     /// §8 active replication: requests per object since the last
     /// replication round (decayed each round).
-    popularity: HashMap<ObjectId, u64>,
+    popularity: IdMap<ObjectId, u64>,
     /// Inverted index: object → members whose *exact* object list
     /// contains it, kept sorted by node id (the deterministic
     /// candidate order Algorithm 3 draws from).
-    holders_of: HashMap<ObjectId, Vec<NodeId>>,
+    holders_of: IdMap<ObjectId, Vec<NodeId>>,
     /// Number of entries carrying a gossip summary (§5.2 seeding);
     /// while non-zero, holder lookups must also scan those entries.
     summary_entries: usize,
@@ -183,14 +183,14 @@ impl DirectoryState {
             website,
             locality,
             instance,
-            index: HashMap::new(),
+            index: IdMap::default(),
             neighbor_summaries: Vec::new(),
             capacity,
             t_dead,
             new_since_refresh: 0,
             total_indexed: 0,
-            popularity: HashMap::new(),
-            holders_of: HashMap::new(),
+            popularity: IdMap::default(),
+            holders_of: IdMap::default(),
             summary_entries: 0,
             ticks: 0,
             recency: std::collections::BTreeSet::new(),
@@ -797,7 +797,7 @@ mod tests {
         for p in 0..5u32 {
             assert!(d.admit_or_refresh(NodeId(p), O1));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         for _ in 0..200 {
             if let DirDecision::ToHolder(h) = d.process(&mut r, O1, NodeId(99), 1, 0) {
                 seen.insert(h);

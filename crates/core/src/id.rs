@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn website_segments_collision_free_for_paper_scale() {
         let s = scheme();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::idmap::IdSet::default();
         for ws in 0..100u16 {
             assert!(
                 seen.insert(s.website_segment(WebsiteId(ws))),
@@ -283,7 +283,7 @@ mod tests {
             }
         }
         // All instances actually receive clients at live = 4.
-        let hit: std::collections::HashSet<u32> =
+        let hit: crate::idmap::IdSet<u32> =
             (0..200u32).map(|n| instance_for(NodeId(n), 4)).collect();
         assert_eq!(hit.len(), 4, "hash must spread over the live set");
     }

@@ -43,6 +43,7 @@ pub mod config;
 pub mod content;
 pub mod directory;
 pub mod id;
+pub mod idmap;
 pub mod msg;
 pub mod node;
 pub mod policy;

@@ -15,7 +15,6 @@
 //! failures, directory failures (detection, jittered replacement,
 //! conflict resolution) and locality changes.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bloom::ObjectId;
@@ -31,6 +30,7 @@ use crate::config::FlowerConfig;
 use crate::content::ContentPeerState;
 use crate::directory::{DirDecision, DirectoryState, NeighborSummary};
 use crate::id::{instance_for, KeyScheme};
+use crate::idmap::{IdMap, SmallMap};
 use crate::msg::{FlowerMsg, IndexSnapshotEntry, ProviderKind, Query};
 use crate::substrate::{
     DhtSubstrate, MaintTick, PeerRef, SubstrateEvent, SubstrateMsg, SubstrateOut,
@@ -83,7 +83,7 @@ pub struct Deployment {
     /// is the public deployment directory a real system would ship in
     /// client configuration; liveness and the *live* instance count
     /// remain protocol state.
-    pub dir_instances: HashMap<(WebsiteId, Locality), Vec<NodeId>>,
+    pub dir_instances: IdMap<(WebsiteId, Locality), Vec<NodeId>>,
 }
 
 impl Deployment {
@@ -234,15 +234,15 @@ pub struct FlowerNode {
     /// directory peer.
     pub(crate) dir_role: Option<DirRole>,
     /// Content-peer roles by website.
-    pub(crate) content: HashMap<WebsiteId, ContentPeerState>,
+    pub(crate) content: SmallMap<WebsiteId, ContentPeerState>,
     /// Which website this node is the origin server of.
     server_for: Option<WebsiteId>,
     /// Queries in flight that we originated.
-    pending: HashMap<u64, PendingQuery>,
+    pending: SmallMap<u64, PendingQuery>,
     /// Objects served before the admission decision arrived.
-    parked_objects: HashMap<WebsiteId, Vec<ObjectId>>,
+    parked_objects: SmallMap<WebsiteId, Vec<ObjectId>>,
     /// Websites for which a replacement attempt is scheduled/running.
-    replacing: std::collections::HashSet<WebsiteId>,
+    replacing: SmallMap<WebsiteId, ()>,
     /// Monotonic counters (observability / tests).
     pub stats: NodeCounters,
 }
@@ -318,11 +318,11 @@ impl FlowerNode {
             shared,
             locality_override: None,
             dir_role: None,
-            content: HashMap::new(),
+            content: SmallMap::default(),
             server_for: None,
-            pending: HashMap::new(),
-            parked_objects: HashMap::new(),
-            replacing: Default::default(),
+            pending: SmallMap::default(),
+            parked_objects: SmallMap::default(),
+            replacing: SmallMap::default(),
             stats: NodeCounters::default(),
         }
     }
@@ -417,7 +417,9 @@ impl FlowerNode {
         for ws in websites {
             if let Some(cp) = self.content.remove(&ws) {
                 let objs: Vec<ObjectId> = cp.objects().collect();
-                self.parked_objects.entry(ws).or_default().extend(objs);
+                self.parked_objects
+                    .get_or_insert_with(ws, Vec::new)
+                    .extend(objs);
             }
         }
     }
@@ -521,8 +523,7 @@ impl FlowerNode {
                     .on_resolved(now, me, 0, 0, ServedBy::OwnCache);
                 return;
             }
-            let candidates = cp.summary_candidates(object, &[]);
-            if let Some(target) = candidates.first().copied() {
+            if let Some(target) = cp.summary_candidates(object, &[]) {
                 self.pending.insert(
                     qid,
                     PendingQuery {
@@ -923,14 +924,14 @@ impl FlowerNode {
             }
             self.maybe_push(ctx, query.website);
         } else {
-            // Not (yet) a member: park until the admission decision.
-            let parked = self.parked_objects.entry(query.website).or_default();
+            // Not (yet) a member: park the object until the admission
+            // decision. The provider's `view_seed` is dropped — a new
+            // member's view starts from the seed its admission carries.
+            let parked = self
+                .parked_objects
+                .get_or_insert_with(query.website, Vec::new);
             if !parked.contains(&query.object) {
                 parked.push(query.object);
-            }
-            if !view_seed.is_empty() {
-                // Remember contacts for the moment we join.
-                // (Seeding happens in on_admission.)
             }
         }
     }
@@ -967,7 +968,7 @@ impl FlowerNode {
             self.content.remove(&ws);
         }
         let is_new = !self.content.contains_key(&ws);
-        let cp = self.content.entry(ws).or_insert_with(|| {
+        let cp = self.content.get_or_insert_with(ws, || {
             ContentPeerState::with_cache(
                 ws,
                 locality,
@@ -1377,7 +1378,7 @@ impl FlowerNode {
                 cp.set_petal_live(1);
             }
             cp.forget_peer(dead);
-            if self.replacing.insert(ws) {
+            if self.replacing.insert(ws, ()).is_none() {
                 let j = ctx.rng().gen_range(0..jitter_ms);
                 ctx.set_timer(SimDuration::from_ms(j), timers::REPLACE_DIR, ws.0 as u64);
             }
@@ -1772,16 +1773,13 @@ impl FlowerNode {
         if !p.tried.contains(&failed) {
             p.tried.push(failed);
         }
-        let tried = p.tried.clone();
         let retries = self.shared.cfg.summary_fetch_retries as usize;
         let Some(cp) = self.content.get(&query.website) else {
             return;
         };
-        if tried.len() <= retries {
-            if let Some(next) = cp.summary_candidates(query.object, &tried).first().copied() {
-                if let Some(p) = self.pending.get_mut(&query.id) {
-                    p.tried.push(next);
-                }
+        if p.tried.len() <= retries {
+            if let Some(next) = cp.summary_candidates(query.object, &p.tried) {
+                p.tried.push(next);
                 ctx.send(next, FlowerMsg::PeerFetch { query });
                 return;
             }
@@ -1994,7 +1992,7 @@ impl simnet::Node<FlowerMsg> for FlowerNode {
                     // the replacement hint spreads through gossip.
                     let cfg = &self.shared.cfg;
                     let is_new_role = !self.content.contains_key(&website);
-                    let cp = self.content.entry(website).or_insert_with(|| {
+                    let cp = self.content.get_or_insert_with(website, || {
                         ContentPeerState::with_cache(
                             website,
                             locality,
