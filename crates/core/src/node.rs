@@ -232,7 +232,7 @@ pub struct FlowerNode {
     locality_override: Option<Locality>,
     /// The directory role, if this node is (or is becoming) a
     /// directory peer.
-    pub(crate) dir_role: Option<DirRole>,
+    pub(crate) dir_role: Option<Box<DirRole>>,
     /// Content-peer roles by website.
     pub(crate) content: SmallMap<WebsiteId, ContentPeerState>,
     /// Which website this node is the origin server of.
@@ -248,7 +248,7 @@ pub struct FlowerNode {
 }
 
 /// Per-node protocol counters, exposed for tests and harnesses.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct NodeCounters {
     /// Queries this node submitted.
     pub queries_submitted: u64,
@@ -354,12 +354,12 @@ impl FlowerNode {
         );
         let petal = PetalState::new(instance, shared.scheme.instances() as u32);
         let mut n = Self::client(shared);
-        n.dir_role = Some(DirRole {
+        n.dir_role = Some(Box::new(DirRole {
             substrate,
             dir,
             joining: false,
             petal,
-        });
+        }));
         n
     }
 
@@ -370,13 +370,13 @@ impl FlowerNode {
 
     /// The directory role, if any.
     pub fn dir_role(&self) -> Option<&DirRole> {
-        self.dir_role.as_ref()
+        self.dir_role.as_deref()
     }
 
     /// Mutable directory role (harness setup, e.g. staging a §5.3
     /// petal state before driving an administrative path).
     pub fn dir_role_mut(&mut self) -> Option<&mut DirRole> {
-        self.dir_role.as_mut()
+        self.dir_role.as_deref_mut()
     }
 
     /// Is this node a content peer of `ws`?
@@ -1420,12 +1420,12 @@ impl FlowerNode {
         // A §5.2 replacement assumes the petal-primary position; any
         // sibling instances re-attach through the bounce/merge path.
         let petal = PetalState::new(0, self.shared.scheme.instances() as u32);
-        self.dir_role = Some(DirRole {
+        self.dir_role = Some(Box::new(DirRole {
             substrate,
             dir,
             joining: true,
             petal,
-        });
+        }));
         let entry = *self
             .shared
             .bootstrap_dirs
@@ -1980,12 +1980,12 @@ impl simnet::Node<FlowerMsg> for FlowerNode {
                     let mut petal = PetalState::new(0, self.shared.scheme.instances() as u32);
                     petal.live = live.clamp(1, self.shared.scheme.instances() as u32);
                     let inherited_live = petal.live;
-                    self.dir_role = Some(DirRole {
+                    self.dir_role = Some(Box::new(DirRole {
                         substrate,
                         dir,
                         joining: false,
                         petal,
-                    });
+                    }));
                     // The heir is an overlay member (it came from the
                     // directory index), but its own Admission may still
                     // be in flight: ensure the content role exists so

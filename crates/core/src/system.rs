@@ -11,11 +11,26 @@
 //!    locality;
 //! 3. bootstrap the D-ring as a converged network over the directory
 //!    peers on the configured DHT substrate (Chord or Pastry);
-//! 4. inject the query trace: each query picks a uniform random
-//!    locality and a uniform community member as originator ("a new
-//!    client or a content peer of ws is chosen from a random
-//!    locality");
+//! 4. attach the query trace as the engine's injection source: each
+//!    query picks a uniform random locality and a uniform community
+//!    member as originator ("a new client or a content peer of ws is
+//!    chosen from a random locality");
 //! 5. run and report the paper's four metrics.
+//!
+//! ## The trace is streamed, not scheduled
+//!
+//! The §6.1 experiment is 6 queries/s for 24 h — half a million
+//! queries, and a benchmark storm is 10 000 a second. None of them is
+//! put into the event queue at build time: [`submissions`] is an
+//! iterator ([`workload::QueryGen`] → originator draw → `Submit`
+//! injection) that [`Engine::attach_source`] consumes as the clock
+//! reaches each query, one resident injection per shard. The engine
+//! keys injection `i` of the stream as external event `base + i`,
+//! exactly the key `schedule_at` would have issued had the whole trace
+//! been scheduled here, so event order and every statistic are those
+//! of the eager build (which survives as this module's test-only
+//! `reference`), and churn or faults installed after `build` still sort
+//! after a query due at the same instant.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,9 +39,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use simnet::{
-    ChurnScript, Engine, Event, Locality, NodeId, SimDuration, SimTime, Topology, TopologyConfig,
+    ChurnScript, Engine, Event, Injection, Locality, NodeId, SimDuration, SimTime, Topology,
+    TopologyConfig,
 };
-use workload::{Catalog, CatalogConfig, QueryStream, WebsiteId, WorkloadConfig};
+use workload::{
+    Catalog, CatalogConfig, Communities, OriginatedTrace, QueryGen, WebsiteId, WorkloadConfig,
+};
 
 use crate::config::FlowerConfig;
 use crate::id::KeyScheme;
@@ -145,15 +163,49 @@ pub struct SystemReport {
 pub struct FlowerSystem {
     engine: Engine<FlowerMsg, FlowerNode>,
     dirs: BTreeMap<(WebsiteId, Locality), NodeId>,
-    communities: IdMap<(WebsiteId, Locality), Vec<NodeId>>,
+    communities: Arc<Communities<NodeId>>,
     servers: Vec<NodeId>,
     duration: SimTime,
-    queries_scheduled: usize,
+}
+
+/// The query trace as engine injections: every originated query
+/// becomes a `Submit` the originator receives from itself at the
+/// query's instant.
+pub fn submissions(
+    trace: OriginatedTrace<NodeId>,
+) -> impl Iterator<Item = Injection<FlowerMsg>> + Clone + Send + 'static {
+    trace.map(|q| {
+        let submit = FlowerMsg::Submit {
+            qid: q.qid,
+            website: q.website,
+            object: q.object,
+        };
+        (
+            SimTime::from_ms(q.at_ms),
+            q.origin,
+            Event::Recv {
+                from: q.origin,
+                msg: submit,
+            },
+        )
+    })
 }
 
 impl FlowerSystem {
-    /// Build the deployment and schedule the whole query trace.
+    /// Build the deployment and attach the query trace as the engine's
+    /// injection source (see the module docs).
     pub fn build(cfg: &SystemConfig) -> FlowerSystem {
+        Self::assemble(cfg, |engine, trace| {
+            engine.attach_source(submissions(trace))
+        })
+    }
+
+    /// Everything of [`FlowerSystem::build`] but the decision of how
+    /// the query trace reaches the engine, which is `inject`'s.
+    fn assemble(
+        cfg: &SystemConfig,
+        inject: impl FnOnce(&mut Engine<FlowerMsg, FlowerNode>, OriginatedTrace<NodeId>),
+    ) -> FlowerSystem {
         let topo = Topology::generate(&cfg.topology, cfg.seed);
         let catalog = Catalog::new(cfg.catalog.clone());
         // Validation precedes key-scheme construction: an invalid
@@ -225,16 +277,16 @@ impl FlowerSystem {
         // correlation between website communities" — a node can be
         // interested in several sites), but directory peers and
         // servers never query.
-        let mut communities: IdMap<(WebsiteId, Locality), Vec<NodeId>> = IdMap::default();
+        let mut communities: Communities<NodeId> = Communities::new(k);
         for ws in catalog.active_websites() {
             for (l, pool) in pools.iter().enumerate() {
-                let loc = Locality(l as u16);
                 let take = cfg.flower.max_overlay.min(pool.len());
                 let mut comm: Vec<NodeId> = pool.choose_multiple(&mut rng, take).copied().collect();
                 comm.sort_unstable_by_key(|n| n.0);
-                communities.insert((ws, loc), comm);
+                communities.insert(ws, l, comm);
             }
         }
+        let communities = Arc::new(communities);
 
         // D-ring bootstrap: a converged substrate network over all
         // directory instances (the paper's stable start), on whichever
@@ -333,36 +385,11 @@ impl FlowerSystem {
             }
         }
 
-        // Schedule the query trace (§6.1 originator selection).
-        let stream = QueryStream::generate(&cfg.workload, &catalog, cfg.seed ^ 0x0077_ACE5);
-        let mut scheduled = 0usize;
-        for (qid, ev) in stream.events().iter().enumerate() {
-            // "chosen from a random locality": uniform locality, then a
-            // uniform community member of (website, locality).
-            let mut origin = None;
-            for _attempt in 0..4 {
-                let loc = Locality(rng.gen_range(0..k) as u16);
-                let comm = &communities[&(ev.website, loc)];
-                if !comm.is_empty() {
-                    origin = Some(comm[rng.gen_range(0..comm.len())]);
-                    break;
-                }
-            }
-            let Some(origin) = origin else { continue };
-            engine.schedule_at(
-                SimTime::from_ms(ev.at_ms),
-                origin,
-                Event::Recv {
-                    from: origin,
-                    msg: FlowerMsg::Submit {
-                        qid: qid as u64,
-                        website: ev.website,
-                        object: ev.object,
-                    },
-                },
-            );
-            scheduled += 1;
-        }
+        // The query trace with the §6.1 originator selection, drawing
+        // on from where the deployment's stream stands.
+        let trace = QueryGen::new(&cfg.workload, &catalog, cfg.seed ^ 0x0077_ACE5)
+            .originated(Arc::clone(&communities), rng);
+        inject(&mut engine, trace);
 
         FlowerSystem {
             engine,
@@ -370,7 +397,6 @@ impl FlowerSystem {
             communities,
             servers,
             duration: SimTime::from_ms(cfg.workload.duration_ms),
-            queries_scheduled: scheduled,
         }
     }
 
@@ -409,9 +435,11 @@ impl FlowerSystem {
         self.duration
     }
 
-    /// Queries scheduled into the engine.
-    pub fn queries_scheduled(&self) -> usize {
-        self.queries_scheduled
+    /// Queries injected so far: those of the trace due up to the
+    /// instant the simulation has run to (0 right after `build` — the
+    /// trace is streamed, its length is not known ahead).
+    pub fn queries_injected(&self) -> u64 {
+        self.engine.source_injections()
     }
 
     /// Directory peer of `(ws, loc)` as initially deployed.
@@ -421,10 +449,7 @@ impl FlowerSystem {
 
     /// The community (potential clients) of `(ws, loc)`.
     pub fn community(&self, ws: WebsiteId, loc: Locality) -> &[NodeId] {
-        self.communities
-            .get(&(ws, loc))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.communities.get(ws, loc.idx())
     }
 
     /// Origin servers by website index.
@@ -513,9 +538,28 @@ impl FlowerSystem {
     }
 }
 
+/// The eager build the streamed one replaced, kept as the oracle the
+/// tests below hold it to: the whole trace handed to `schedule_at`
+/// before the first event runs. Never reachable from a config, a flag
+/// or the public API.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn build_eager(cfg: &SystemConfig) -> FlowerSystem {
+        FlowerSystem::assemble(cfg, |engine, trace| {
+            for (at, node, ev) in submissions(trace) {
+                engine.schedule_at(at, node, ev);
+            }
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeCounters;
+    use workload::Surge;
 
     fn run_small(seed: u64) -> (FlowerSystem, SystemReport) {
         let cfg = SystemConfig {
@@ -543,7 +587,140 @@ mod tests {
         );
         assert!(r.hit_ratio > 0.5, "hit ratio {} too low", r.hit_ratio);
         assert!(r.participants > 20, "participants {}", r.participants);
-        assert!(sys.queries_scheduled() > 0);
+        assert_eq!(sys.queries_injected(), r.submitted);
+    }
+
+    /// `small_test` for 90 s with a flash crowd and a diurnal surge on
+    /// top of the base trace.
+    fn surged(shards: usize) -> SystemConfig {
+        let mut cfg = SystemConfig::small_test();
+        cfg.workload.duration_ms = 90_000;
+        cfg.workload.surges = vec![
+            Surge::FlashCrowd {
+                start_ms: 20_000,
+                end_ms: 40_000,
+                website_rank: 1,
+                extra_rate_per_sec: 60.0,
+            },
+            Surge::Diurnal {
+                period_ms: 60_000,
+                peak_extra_rate_per_sec: 40.0,
+            },
+        ];
+        cfg.shards = shards;
+        cfg
+    }
+
+    /// Everything a run leaves behind that the protocol decided.
+    fn observed(sys: &FlowerSystem) -> (SystemReport, Vec<u64>, u64, Vec<NodeCounters>) {
+        let engine = sys.engine();
+        let counters = engine
+            .topology()
+            .node_ids()
+            .map(|n| engine.node(n).stats.clone())
+            .collect();
+        (
+            sys.report(),
+            engine.metrics().sim_fingerprint(),
+            engine.events_processed(),
+            counters,
+        )
+    }
+
+    /// The streamed trace against the eager reference: equal reports,
+    /// registry fingerprints, event counts and per-node counters, run
+    /// in legs so the source is resumed mid-trace, on one shard and on
+    /// three. (That the two forms pop the very same `EventKey`
+    /// sequence is held at the engine, where pops can be observed:
+    /// `simnet::engine::source_parity`.)
+    #[test]
+    fn streamed_trace_matches_the_eager_reference() {
+        for shards in [1usize, 3] {
+            let cfg = surged(shards);
+            let mut eager = reference::build_eager(&cfg);
+            let mut streamed = FlowerSystem::build(&cfg);
+            assert_eq!(streamed.queries_injected(), 0, "nothing injected at build");
+            assert!(
+                streamed.engine().peak_queue_depth() * 10 < eager.engine().peak_queue_depth(),
+                "the eager build queues the trace, the streamed one must not"
+            );
+            for leg in [SimTime::from_secs(25), eager.drain_horizon()] {
+                eager.run_until(leg);
+                streamed.run_until(leg);
+                let injected = streamed.queries_injected();
+                assert_eq!(injected, streamed.report().submitted, "shards={shards}");
+                assert_eq!(observed(&streamed), observed(&eager), "shards={shards}");
+            }
+            assert!(streamed.report().submitted > 3_000, "surges must add load");
+        }
+        let one = observed(&FlowerSystem::run(&surged(1)).0);
+        let three = observed(&FlowerSystem::run(&surged(3)).0);
+        assert_eq!(one, three, "shard layouts diverged");
+    }
+
+    /// Churn and faults installed after `build` are keyed after every
+    /// trace injection, as when the trace was scheduled by `build`.
+    #[test]
+    fn scripts_installed_after_build_match_the_eager_reference() {
+        let cfg = surged(1);
+        let script = |sys: &FlowerSystem| {
+            let affected: Vec<NodeId> = sys
+                .community(WebsiteId(0), Locality(0))
+                .iter()
+                .chain(sys.community(WebsiteId(1), Locality(2)))
+                .copied()
+                .collect();
+            ChurnScript::generate(
+                &simnet::ChurnConfig {
+                    start: SimTime::from_secs(5),
+                    end: SimTime::from_secs(80),
+                    mean_session: SimDuration::from_secs(20),
+                    mean_downtime: SimDuration::from_secs(5),
+                    permanent: false,
+                },
+                &affected,
+                cfg.seed,
+            )
+        };
+        let mut eager = reference::build_eager(&cfg);
+        let mut streamed = FlowerSystem::build(&cfg);
+        eager.apply_churn(&script(&eager));
+        streamed.apply_churn(&script(&streamed));
+        eager.run_until(eager.drain_horizon());
+        streamed.run_until(streamed.drain_horizon());
+        assert!(streamed.report().resolved < streamed.report().submitted);
+        assert_eq!(observed(&streamed), observed(&eager));
+    }
+
+    /// The per-node byte budget (README "Memory model"): a node that
+    /// is not a directory must not carry one.
+    #[test]
+    fn node_state_fits_its_budget() {
+        assert!(
+            std::mem::size_of::<FlowerNode>() <= 256,
+            "FlowerNode grew to {} B",
+            std::mem::size_of::<FlowerNode>()
+        );
+    }
+
+    /// Storm-shaped: many queries per second against a small
+    /// deployment with slow background periods. The queue must hold
+    /// the near future only — a fraction of the trace, not the trace.
+    #[test]
+    fn a_query_storm_never_becomes_resident() {
+        let mut cfg = SystemConfig::small_test();
+        cfg.workload.query_rate_per_sec = 300.0;
+        cfg.workload.duration_ms = 60_000;
+        cfg.flower.t_gossip = SimDuration::from_secs(60);
+        cfg.flower.keepalive_period = SimDuration::from_secs(60);
+        let (sys, r) = FlowerSystem::run(&cfg);
+        assert!(r.submitted > 15_000);
+        let depth = sys.engine().peak_queue_depth() as u64;
+        assert!(
+            depth < r.submitted / 10,
+            "peak queue depth {depth} against {} queries",
+            r.submitted
+        );
     }
 
     #[test]

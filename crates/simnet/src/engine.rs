@@ -39,6 +39,20 @@
 //! so the bounce decision for a wire message never reads another
 //! shard's state.
 //!
+//! ## Injection sources
+//!
+//! A workload is usually most of what an engine is ever told from
+//! outside — hundreds of thousands of query submissions — and nothing
+//! needs it before its instant. [`Engine::attach_source`] takes it as
+//! an iterator in time order instead of one [`Engine::schedule_at`]
+//! per item: every shard walks its own clone, keeps only the next
+//! injection addressed to one of its nodes, and moves it into its
+//! queue when nothing queued precedes it. The keys are the ones
+//! eager scheduling would have issued, so results do not change; a
+//! shard's published "earliest pending" covers its source head, so a
+//! shard with nothing but future injections is never mistaken for an
+//! idle one.
+//!
 //! ## Randomness
 //!
 //! There is no engine-global RNG: node `n` draws from its own
@@ -336,6 +350,64 @@ pub fn node_stream_seed(seed: u64, node: NodeId) -> u64 {
 /// node `n` emits on stream `n + 1`.
 const EXTERNAL_STREAM: u64 = 0;
 
+/// One external injection of an [`Engine::attach_source`] stream:
+/// deliver the event to the node at the instant.
+pub type Injection<M> = (SimTime, NodeId, Event<M>);
+
+/// Sequence numbers of the external stream set aside for an attached
+/// source: injection `i` is keyed `base + i`, and whatever is
+/// scheduled after the attachment starts above the whole block — as if
+/// the stream had been scheduled up front, without knowing its length.
+const SOURCE_BLOCK: u64 = 1 << 48;
+
+/// A shard's replica of the attached injection stream. Every replica
+/// walks the whole stream — the key of an injection is its position in
+/// it — and keeps the injections addressed to its own shard's nodes,
+/// one at a time: only `head` is resident.
+struct ShardSource<M> {
+    /// The rest of the stream; `None` when nothing is attached.
+    rest: Option<Box<dyn Iterator<Item = Injection<M>> + Send>>,
+    /// Sequence number of the next item of `rest`.
+    next_seq: u64,
+    /// This shard's earliest injection not yet in its queue.
+    head: Option<(EventKey, NodeId, Event<M>)>,
+    /// Injections this shard has moved into its queue.
+    injected: u64,
+}
+
+impl<M> ShardSource<M> {
+    fn detached() -> Self {
+        ShardSource {
+            rest: None,
+            next_seq: 0,
+            head: None,
+            injected: 0,
+        }
+    }
+
+    /// Load the next injection owned by shard `me` into `head`.
+    fn advance(&mut self, me: usize, place: &Placement) {
+        let floor = self.head.as_ref().map(|(key, ..)| key.at);
+        self.head = None;
+        let Some(rest) = &mut self.rest else { return };
+        for (at, node, ev) in rest {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            if place.shard(node) == me {
+                debug_assert!(floor <= Some(at), "injection source went back in time");
+                let key = EventKey {
+                    at,
+                    src: EXTERNAL_STREAM,
+                    seq,
+                };
+                self.head = Some((key, node, ev));
+                return;
+            }
+        }
+        self.rest = None;
+    }
+}
+
 /// The per-round epoch-bound coefficients, from the raw
 /// pair-lookahead matrix `l` (row-major `k × k`, `u64::MAX` diagonal).
 ///
@@ -539,6 +611,9 @@ struct Shard<M: Message, N: Node<M>> {
     /// kept in sync by the broadcast churn events.
     up: Liveness,
     queue: EventQueue<Pending<M>>,
+    /// The attached injection stream, merged into `queue` as the clock
+    /// reaches it ([`Shard::pull_source`]).
+    source: ShardSource<M>,
     now: SimTime,
     /// Dense per-owned-node traffic rows; folded into a global
     /// [`Traffic`] view at read time ([`Traffic::absorb_shard`]).
@@ -552,6 +627,11 @@ struct Shard<M: Message, N: Node<M>> {
     /// the reference path `batch_parity` holds batched delivery to.
     #[cfg(test)]
     one_at_a_time: bool,
+    /// Test-only: the key of every event popped, in pop order — what
+    /// `source_parity` compares between the streamed and the
+    /// pre-scheduled form of one injection stream.
+    #[cfg(test)]
+    popped: Vec<EventKey>,
     /// This shard's private cells of the static metric registry:
     /// engine counters (events dispatched, per-class receives,
     /// timers, bounces, epoch/fused rounds, barrier idle) plus
@@ -655,7 +735,35 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         }
     }
 
-    /// Process every queued event with `key.at < limit`, in key order.
+    /// Move into the queue every source injection that is due before
+    /// `limit` and precedes the queue's head, so that the queue's head
+    /// is this shard's next event. Called before every look at the
+    /// head; moves at most the injections about to be popped, so the
+    /// future of the stream never becomes resident.
+    #[inline]
+    fn pull_source(&mut self, limit: SimTime, place: &Placement) {
+        while let Some((key, ..)) = &self.source.head {
+            if key.at >= limit || self.queue.peek_key().is_some_and(|head| head < *key) {
+                return;
+            }
+            let (key, dst, ev) = self.source.head.take().expect("matched above");
+            self.queue.push(key, Pending::App { dst, ev });
+            self.source.injected += 1;
+            self.source.advance(self.id, place);
+        }
+    }
+
+    /// The earliest instant anything is pending on this shard, in the
+    /// queue or in the source — what the shard publishes at the epoch
+    /// barrier. Leaving the source head out would make a shard with
+    /// nothing but injections ahead of it look idle, and its peers
+    /// would run past the messages those injections are about to send.
+    fn next_pending(&self) -> Option<SimTime> {
+        let sourced = self.source.head.as_ref().map(|(key, ..)| key.at);
+        self.queue.peek_time().into_iter().chain(sourced).min()
+    }
+
+    /// Process every pending event with `key.at < limit`, in key order.
     ///
     /// The loop peels deliverable events off into per-destination
     /// batches ([`Shard::deliver_batch`]): consecutive same-destination
@@ -672,9 +780,15 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         place: &Placement,
         outbox: &mut [Vec<Staged<M>>],
     ) {
-        while let Some((key, payload)) = self.queue.pop_if_before(limit) {
+        loop {
+            self.pull_source(limit, place);
+            let Some((key, payload)) = self.queue.pop_if_before(limit) else {
+                break;
+            };
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
+            #[cfg(test)]
+            self.popped.push(key);
             #[cfg(test)]
             if self.one_at_a_time {
                 self.dispatch(payload, topo, place, outbox);
@@ -719,9 +833,15 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         place: &Placement,
         outbox: &mut [Vec<Staged<M>>],
     ) {
-        while let Some((key, payload)) = self.queue.pop_if_before(limit) {
+        loop {
+            self.pull_source(limit, place);
+            let Some((key, payload)) = self.queue.pop_if_before(limit) else {
+                break;
+            };
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
+            #[cfg(test)]
+            self.popped.push(key);
             self.dispatch(payload, topo, place, outbox);
             if outbox.iter().any(|b| !b.is_empty()) {
                 break;
@@ -870,6 +990,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
             // this very batch just emitted (same-instant self-sends
             // sort by seq), which is exactly what the one-at-a-time
             // loop would pop next.
+            self.pull_source(limit, place);
             match self.queue.peek() {
                 Some((at, p)) if at < limit => match p {
                     Pending::App { dst: d, .. } if *d == dst => {}
@@ -884,6 +1005,8 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
             let (key, payload) = self.queue.pop().expect("head just peeked");
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
+            #[cfg(test)]
+            self.popped.push(key);
             ev = match payload {
                 Pending::App { ev, .. } => ev,
                 Pending::Wire { from, msg, .. } => {
@@ -1077,6 +1200,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                 slab,
                 up: Liveness::all_up(n),
                 queue: EventQueue::new(),
+                source: ShardSource::detached(),
                 now: SimTime::ZERO,
                 traffic: ShardTraffic::new(members, window),
                 query_stats: QueryStats::new(window),
@@ -1084,6 +1208,8 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                 scratch: Vec::new(),
                 #[cfg(test)]
                 one_at_a_time: false,
+                #[cfg(test)]
+                popped: Vec::new(),
                 metrics: MetricSet::new(),
                 fault: None,
             })
@@ -1330,6 +1456,46 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         self.schedule_at(self.now + delay, node, ev);
     }
 
+    /// Attach a lazily generated stream of external injections — the
+    /// workload — instead of scheduling it event by event: an iterator
+    /// in non-decreasing time order, none earlier than the clock,
+    /// consumed as the simulation reaches it. Results are exactly
+    /// those of calling [`Engine::schedule_at`] on every item now, in
+    /// order (same [`EventKey`]s: the stream takes the next 2^48
+    /// sequence numbers of the external stream), but only the next
+    /// injection of each shard is ever resident. Every shard gets its
+    /// own clone of the iterator and filters it down to its nodes, so
+    /// a clone must yield the same items. One stream per engine.
+    pub fn attach_source<S>(&mut self, source: S)
+    where
+        S: Iterator<Item = Injection<M>> + Clone + Send + 'static,
+    {
+        assert!(
+            self.ext_seq < SOURCE_BLOCK,
+            "an injection source is already attached"
+        );
+        let base = self.ext_seq;
+        self.ext_seq += SOURCE_BLOCK;
+        for s in &mut self.shards {
+            s.source.rest = Some(Box::new(source.clone()));
+            s.source.next_seq = base;
+            s.source.advance(s.id, &self.place);
+            assert!(
+                s.source
+                    .head
+                    .as_ref()
+                    .is_none_or(|(key, ..)| key.at >= self.now),
+                "cannot inject in the past"
+            );
+        }
+    }
+
+    /// Injections of the attached source delivered to the queues so
+    /// far: those due up to the instant the engine has run to.
+    pub fn source_injections(&self) -> u64 {
+        self.shards.iter().map(|s| s.source.injected).sum()
+    }
+
     /// Take `node` down at time `at` (messages to it bounce, its
     /// timers are swallowed). Broadcast to every shard so all liveness
     /// maps agree.
@@ -1486,10 +1652,11 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                     loop {
                         let p = (round & 1) as usize;
                         round += 1;
-                        // (1) Publish: my earliest pending event, and
-                        // the previous epoch's staged batches with
+                        // (1) Publish: my earliest pending event
+                        // (queued or still in the source), and the
+                        // previous epoch's staged batches with
                         // their earliest arrival per receiver.
-                        let next = shard.queue.peek_time().map_or(u64::MAX, |t| t.as_ms());
+                        let next = shard.next_pending().map_or(u64::MAX, |t| t.as_ms());
                         next_times[p * k + me].store(next, Ordering::Relaxed);
                         for (j, batch) in outbox.iter().enumerate() {
                             if j != me {
@@ -1590,6 +1757,9 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
 
 #[cfg(test)]
 mod batch_parity;
+
+#[cfg(test)]
+mod source_parity;
 
 #[cfg(test)]
 mod tests {

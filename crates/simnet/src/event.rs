@@ -16,35 +16,58 @@
 //!
 //! [`EventQueue`] is a self-resizing calendar queue (R. Brown,
 //! "Calendar Queues: A Fast O(1) Priority Queue Implementation for the
-//! Simulation Event Set Problem", CACM 1988). Pending events are
-//! bucketed into *days* of a fixed millisecond width. The day
-//! currently being drained is kept sorted by full `EventKey` (so
-//! same-instant ties break by stream id, then per-stream sequence);
-//! future days are unsorted append-only buckets, sorted once when the
-//! clock reaches them; and events beyond the bucket ring's horizon
-//! wait in a small overflow heap that is drip-fed back into the ring
-//! as days advance. At steady state enqueue and dequeue are `O(1)` —
-//! one bucket append, one pop off the sorted current day — instead of
-//! an `O(log n)` sift through one large heap whose entries (full
-//! protocol messages) are expensive to move. The plain binary heap it
-//! replaced survives as the test-only reference the proptests below
-//! compare against.
+//! Simulation Event Set Problem", CACM 1988) over a payload slab.
+//!
+//! A payload is written **once**, into a slot of the slab, when the
+//! event is pushed, and read once, when it is popped; free slots are
+//! reused last-out-first-in, so the slab is as large as the deepest
+//! the queue has been and stays warm. Everything the calendar itself
+//! files, sorts, shifts and rebuilds is a 32-byte `(key, slot)`
+//! entry — a protocol message is several times that, and moving it
+//! through every sorted insert and every rebuild was most of what the
+//! queue used to cost.
+//!
+//! The entries are bucketed into *days* of a fixed millisecond width.
+//! The day currently being drained is kept sorted by full `EventKey`
+//! (so same-instant ties break by stream id, then per-stream
+//! sequence); future days are unsorted append-only buckets, sorted
+//! once when the clock reaches them; and events beyond the bucket
+//! ring's horizon wait in a small overflow heap that is drip-fed back
+//! into the ring as days advance. At steady state enqueue and dequeue
+//! are `O(1)` — one bucket append, one pop off the sorted current
+//! day. The plain binary heap this replaced survives as the test-only
+//! reference the proptests below compare against.
 //!
 //! ### Bucket width and resize policy
 //!
-//! The queue rebuilds its geometry whenever the population crosses a
-//! threshold — growing past `2 ×` the bucket count or shrinking below
-//! `1/8` of it — and whenever the ring is exhausted and only overflow
-//! events remain (the calendar's "next year"). A rebuild samples the
-//! pending events and sets the day width to roughly `3 ×` the average
-//! inter-event gap of the earlier half of the queue (Brown's rule of
-//! thumb: a handful of events per day), clamped to at least 1 ms, and
-//! the ring size to the population rounded up to a power of two
-//! (within `[16, 65536]`). All of this is a pure function of the
+//! Two rules set the day width; both are pure functions of the
 //! push/pop sequence — no wall clock, no RNG — so the geometry can
 //! never affect simulation results, only wall-clock speed.
+//!
+//! * **From the pending events**, whenever the population crosses a
+//!   threshold — growing past `2 ×` the bucket count or shrinking
+//!   below `1/8` of it — and whenever the ring is exhausted and only
+//!   overflow events remain (the calendar's "next year"): the rebuild
+//!   sets the day width to roughly `3 ×` the average gap between the
+//!   events of the earlier half of the queue (Brown's rule of thumb: a
+//!   handful of events per day), clamped to at least 1 ms, and the
+//!   ring size to the population rounded up to a power of two (within
+//!   `[16, 65536]`).
+//! * **From the observed dequeue rate**, when days run fat. What is
+//!   *pending* is a biased sample of what will be *popped*: a
+//!   simulation's backlog is mostly long timers, each waiting tens of
+//!   seconds, while most of its throughput is messages that live for
+//!   one link latency. The first rule alone can therefore settle on
+//!   days that each hold hundreds of events, every one of them a
+//!   sorted insert into the day being drained. So the queue counts
+//!   what it pops: once more than `FAT_DAY` (32) events have come out
+//!   of a single day, it compares the day width with `3 ×` the mean
+//!   gap between the events *popped* since the last such check (at
+//!   least `RATE_SAMPLE`, 256, of them) and, if that is at most half
+//!   the current width, rebuilds at it. At the 1 ms floor the rule is
+//!   off.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
@@ -69,38 +92,63 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// Heap entry: an opaque payload `T` under an *inverted* ordering so
-/// `BinaryHeap`'s max-heap pops the smallest key first. Internal —
-/// the public API deals in `(EventKey, T)` pairs only.
-#[derive(Debug)]
-struct Scheduled<T> {
+/// What the calendar files and sorts: an event's key and the slab slot
+/// holding its payload. Keys are unique, so the derived order is the
+/// key order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Entry {
     key: EventKey,
-    payload: T,
+    slot: u32,
 }
 
-impl<T> PartialEq for Scheduled<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+/// Payload storage: a slot per pending event, freed slots reused
+/// last-out-first-in.
+#[derive(Debug)]
+struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn insert(&mut self, payload: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(payload);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("under 2^32 pending events");
+                self.slots.push(Some(payload));
+                slot
+            }
+        }
     }
-}
-impl<T> Eq for Scheduled<T> {}
 
-impl<T> PartialOrd for Scheduled<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    fn take(&mut self, slot: u32) -> T {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a filed entry's slot is occupied")
     }
-}
 
-impl<T> Ord for Scheduled<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: the smallest key (earliest event) pops first.
-        other.key.cmp(&self.key)
+    fn get(&self, slot: u32) -> &T {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("a filed entry's slot is occupied")
     }
 }
 
 /// Smallest and largest ring sizes the calendar will resize to.
 const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 1 << 16;
+
+/// Events per day both width rules aim for (Brown's "a handful").
+const PER_DAY: u64 = 3;
+/// A day that yields more events than this — ten times the aim —
+/// makes the queue check its width against the dequeue rate.
+const FAT_DAY: u64 = 32;
+/// Pops a dequeue-rate estimate must rest on.
+const RATE_SAMPLE: u64 = 256;
 
 /// The calendar. Invariant: whenever the queue is non-empty,
 /// `current` is non-empty and holds (sorted descending by key, so the
@@ -112,18 +160,25 @@ const MAX_BUCKETS: usize = 1 << 16;
 struct Calendar<T> {
     /// The day being drained, sorted descending by key (pop = `pop()`
     /// off the tail).
-    current: Vec<(EventKey, T)>,
+    current: Vec<Entry>,
     /// Exclusive end of the current day, in ms.
     day_end: u64,
     /// Day width in ms (≥ 1).
     width: u64,
     /// Future days; `ring[i]` covers `[day_end + i·width, +width)`.
-    ring: VecDeque<Vec<(EventKey, T)>>,
+    ring: VecDeque<Vec<Entry>>,
     /// Events held in `ring` (so ring exhaustion is O(1) to detect).
     in_ring: usize,
     /// Overflow events at or beyond `day_end + ring.len()·width`.
-    far: BinaryHeap<Scheduled<T>>,
+    far: BinaryHeap<Reverse<Entry>>,
     len: usize,
+    payloads: Slab<T>,
+    /// Events popped out of the current day so far.
+    day_pops: u64,
+    /// Pops since `rate_since`, and the instant (ms) counting began:
+    /// the dequeue-rate sample of the fat-day rule.
+    rate_pops: u64,
+    rate_since: u64,
 }
 
 impl<T> Calendar<T> {
@@ -136,53 +191,78 @@ impl<T> Calendar<T> {
             in_ring: 0,
             far: BinaryHeap::new(),
             len: 0,
+            payloads: Slab {
+                slots: Vec::new(),
+                free: Vec::new(),
+            },
+            day_pops: 0,
+            rate_pops: 0,
+            rate_since: 0,
         }
     }
 
     fn push(&mut self, key: EventKey, payload: T) {
+        let entry = Entry {
+            key,
+            slot: self.payloads.insert(payload),
+        };
         self.len += 1;
+        let at = key.at.as_ms();
         if self.len == 1 {
-            // Queue was empty: re-anchor the current day at the event.
-            self.day_end = key.at.as_ms().saturating_add(self.width);
-            self.current.push((key, payload));
+            // Queue was empty: re-anchor the current day at the event,
+            // and the rate sample with it (an idle gap is not a rate).
+            self.day_end = at.saturating_add(self.width);
+            self.current.push(entry);
+            self.day_pops = 0;
+            self.rate_pops = 0;
+            self.rate_since = at;
             return;
         }
-        let at = key.at.as_ms();
         if at < self.day_end {
             // Into the (sorted) current day; unique keys make the
             // binary-search position deterministic. A duplicate key
             // (a caller contract violation) slots in adjacent to its
             // twin.
-            let pos = match self.current.binary_search_by(|(k, _)| key.cmp(k)) {
+            let pos = match self.current.binary_search_by(|e| key.cmp(&e.key)) {
                 Ok(pos) | Err(pos) => pos,
             };
-            self.current.insert(pos, (key, payload));
+            self.current.insert(pos, entry);
         } else {
-            let idx = ((at - self.day_end) / self.width) as usize;
-            if idx < self.ring.len() {
-                self.ring[idx].push((key, payload));
-                self.in_ring += 1;
-            } else {
-                self.far.push(Scheduled { key, payload });
-            }
+            self.file_ahead(entry);
         }
         if self.len > 2 * self.ring.len() && self.ring.len() < MAX_BUCKETS {
-            self.rebuild();
+            self.rebuild(None);
+        }
+    }
+
+    /// File an entry due at or after `day_end` into its ring bucket,
+    /// or into the overflow heap beyond the ring horizon.
+    fn file_ahead(&mut self, entry: Entry) {
+        let idx = ((entry.key.at.as_ms() - self.day_end) / self.width) as usize;
+        if idx < self.ring.len() {
+            self.ring[idx].push(entry);
+            self.in_ring += 1;
+        } else {
+            self.far.push(Reverse(entry));
         }
     }
 
     fn pop(&mut self) -> Option<(EventKey, T)> {
-        let (key, payload) = self.current.pop()?;
+        let Entry { key, slot } = self.current.pop()?;
         self.len -= 1;
+        self.day_pops += 1;
+        self.rate_pops += 1;
         if self.current.is_empty() && self.len > 0 {
             self.advance();
         } else if self.len < self.ring.len() / 8 && self.ring.len() > MIN_BUCKETS {
-            self.rebuild();
+            self.rebuild(None);
+        } else if self.day_pops > FAT_DAY && self.rate_pops >= RATE_SAMPLE && self.width > 1 {
+            self.narrow_to_dequeue_rate(key.at.as_ms());
         }
-        Some((key, payload))
+        Some((key, self.payloads.take(slot)))
     }
 
-    fn peek(&self) -> Option<&(EventKey, T)> {
+    fn peek(&self) -> Option<&Entry> {
         self.current.last()
     }
 
@@ -194,7 +274,7 @@ impl<T> Calendar<T> {
                 // Only overflow events remain: start the next "year"
                 // re-anchored at their minimum.
                 debug_assert!(!self.far.is_empty());
-                self.rebuild();
+                self.rebuild(None);
                 return;
             }
             // Advance one day: recycle the bucket, move the horizon,
@@ -202,58 +282,83 @@ impl<T> Calendar<T> {
             let bucket = self.ring.pop_front().expect("ring is never empty");
             self.day_end += self.width;
             self.ring.push_back(Vec::new());
-            while let Some(s) = self.far.peek() {
-                let idx = ((s.key.at.as_ms() - self.day_end) / self.width) as usize;
+            while let Some(Reverse(e)) = self.far.peek() {
+                let idx = ((e.key.at.as_ms() - self.day_end) / self.width) as usize;
                 if idx >= self.ring.len() {
                     break;
                 }
-                let s = self.far.pop().expect("peeked");
-                self.ring[idx].push((s.key, s.payload));
+                let Reverse(e) = self.far.pop().expect("peeked");
+                self.ring[idx].push(e);
                 self.in_ring += 1;
             }
             if !bucket.is_empty() {
                 self.in_ring -= bucket.len();
                 self.current = bucket;
+                self.day_pops = 0;
                 // Descending, so the earliest key sits at the tail.
-                self.current.sort_unstable_by(|(a, _), (b, _)| b.cmp(a));
+                self.current.sort_unstable_by(|a, b| b.cmp(a));
                 return;
             }
         }
     }
 
-    /// Collect every pending event and redistribute it under a fresh
+    /// The fat-day rule (module docs): re-derive the day width from
+    /// the events popped since the last check, up to `now`, and
+    /// rebuild if that at least halves it.
+    fn narrow_to_dequeue_rate(&mut self, now: u64) {
+        let elapsed = now.saturating_sub(self.rate_since);
+        let width = (elapsed.saturating_mul(PER_DAY) / self.rate_pops).max(1);
+        self.rate_pops = 0;
+        self.rate_since = now;
+        if width <= self.width / 2 {
+            self.rebuild(Some(width));
+        }
+    }
+
+    /// Collect every pending entry and redistribute it under a fresh
     /// geometry: ring size ≈ population (power of two in
-    /// `[MIN_BUCKETS, MAX_BUCKETS]`), day width ≈ 3× the average
-    /// inter-event gap of the earlier half of the queue, day origin at
-    /// the earliest pending event.
-    fn rebuild(&mut self) {
-        let mut all: Vec<(EventKey, T)> = Vec::with_capacity(self.len);
+    /// `[MIN_BUCKETS, MAX_BUCKETS]`), day origin at the earliest
+    /// pending event, day width as given or else ≈ 3× the average
+    /// inter-event gap of the earlier half of the queue.
+    fn rebuild(&mut self, width: Option<u64>) {
+        let mut all: Vec<Entry> = Vec::with_capacity(self.len);
         all.append(&mut self.current);
         for bucket in self.ring.iter_mut() {
             all.append(bucket);
         }
         self.in_ring = 0;
-        while let Some(s) = self.far.pop() {
-            all.push((s.key, s.payload));
-        }
+        all.extend(self.far.drain().map(|Reverse(e)| e));
         debug_assert_eq!(all.len(), self.len);
         if all.is_empty() {
             return;
         }
 
-        // Width policy on the earlier half only: far-future outliers
-        // (long-delay timers) must not stretch the day width, or the
-        // near-term bulk would all collapse into one giant day.
-        let half = (all.len() / 2).max(1).min(all.len() - 1);
-        let (lower, median, _) = all.select_nth_unstable_by(half, |(a, _), (b, _)| a.cmp(b));
-        let min_at = lower
-            .iter()
-            .map(|(k, _)| k.at.as_ms())
-            .min()
-            .unwrap_or(median.0.at.as_ms());
-        let lower_span = median.0.at.as_ms() - min_at;
-        let lower_count = half.max(1) as u64;
-        self.width = (lower_span.saturating_mul(3) / lower_count).max(1);
+        let min_at = match width {
+            Some(width) => {
+                self.width = width;
+                all.iter()
+                    .map(|e| e.key.at.as_ms())
+                    .min()
+                    .expect("non-empty")
+            }
+            None => {
+                // Width policy on the earlier half only: far-future
+                // outliers (long-delay timers) must not stretch the
+                // day width, or the near-term bulk would all collapse
+                // into one giant day.
+                let half = (all.len() / 2).max(1).min(all.len() - 1);
+                let (lower, median, _) = all.select_nth_unstable(half);
+                let median_at = median.key.at.as_ms();
+                let min_at = lower
+                    .iter()
+                    .map(|e| e.key.at.as_ms())
+                    .min()
+                    .unwrap_or(median_at);
+                let gaps = half.max(1) as u64;
+                self.width = ((median_at - min_at).saturating_mul(PER_DAY) / gaps).max(1);
+                min_at
+            }
+        };
 
         let buckets = all
             .len()
@@ -262,21 +367,15 @@ impl<T> Calendar<T> {
         self.ring = VecDeque::from_iter((0..buckets).map(|_| Vec::new()));
         self.day_end = min_at.saturating_add(self.width);
 
-        for (key, payload) in all {
-            let at = key.at.as_ms();
-            if at < self.day_end {
-                self.current.push((key, payload));
+        for entry in all {
+            if entry.key.at.as_ms() < self.day_end {
+                self.current.push(entry);
             } else {
-                let idx = ((at - self.day_end) / self.width) as usize;
-                if idx < self.ring.len() {
-                    self.ring[idx].push((key, payload));
-                    self.in_ring += 1;
-                } else {
-                    self.far.push(Scheduled { key, payload });
-                }
+                self.file_ahead(entry);
             }
         }
-        self.current.sort_unstable_by(|(a, _), (b, _)| b.cmp(a));
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
+        self.day_pops = 0;
         debug_assert!(!self.current.is_empty(), "day origin holds the minimum");
     }
 }
@@ -330,7 +429,9 @@ impl<T> EventQueue<T> {
     /// The earliest pending event: its delivery time and a view of its
     /// payload.
     pub fn peek(&self) -> Option<(SimTime, &T)> {
-        self.cal.peek().map(|(k, p)| (k.at, p))
+        self.cal
+            .peek()
+            .map(|e| (e.key.at, self.cal.payloads.get(e.slot)))
     }
 
     /// The delivery time of the earliest pending event.
@@ -340,7 +441,7 @@ impl<T> EventQueue<T> {
 
     /// The full key of the earliest pending event.
     pub fn peek_key(&self) -> Option<EventKey> {
-        self.cal.peek().map(|(k, _)| *k)
+        self.cal.peek().map(|e| e.key)
     }
 
     /// Number of pending events.
@@ -367,6 +468,34 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use std::cmp::Ordering;
+
+    /// Heap entry: a payload under an *inverted* key ordering, so
+    /// `BinaryHeap`'s max-heap pops the smallest key first.
+    #[derive(Debug)]
+    struct Scheduled<T> {
+        key: EventKey,
+        payload: T,
+    }
+
+    impl<T> PartialEq for Scheduled<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl<T> Eq for Scheduled<T> {}
+
+    impl<T> PartialOrd for Scheduled<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<T> Ord for Scheduled<T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other.key.cmp(&self.key)
+        }
+    }
 
     #[derive(Debug)]
     pub struct HeapQueue<T> {
@@ -523,6 +652,73 @@ mod tests {
     }
 
     #[test]
+    fn filed_entries_are_32_bytes() {
+        // What every sorted insert shifts and every rebuild moves —
+        // whatever the payload type.
+        assert!(std::mem::size_of::<Entry>() <= 32);
+    }
+
+    #[test]
+    fn payload_slots_are_reused() {
+        let mut q = EventQueue::new();
+        for round in 0..50u64 {
+            for i in 0..100u64 {
+                q.push(key(round * 1000 + i * 7 % 500, 1, round * 100 + i), i);
+            }
+            while q.pop().is_some() {}
+        }
+        assert_eq!(q.cal.payloads.slots.len(), 100, "slab = peak depth");
+    }
+
+    /// The fat-day rule: a backlog of sparse long timers makes the
+    /// pending-event sample pick days seconds wide; message-like
+    /// traffic at tens of events per millisecond then fills every day
+    /// with thousands of entries until the observed dequeue rate
+    /// narrows it.
+    #[test]
+    fn fat_days_narrow_the_width_to_the_dequeue_rate() {
+        let mut q = EventQueue::new();
+        let mut heap = reference::HeapQueue::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue<u64>, heap: &mut reference::HeapQueue<u64>, at, src| {
+            q.push(key(at, src, seq), seq);
+            heap.push(key(at, src, seq), seq);
+            seq += 1;
+        };
+        for i in 0..2_000u64 {
+            push(&mut q, &mut heap, i * 1_000, 1);
+        }
+        let timers_only = q.cal.width;
+        assert!(
+            timers_only >= 1_000,
+            "sampled from the backlog: {timers_only}"
+        );
+        // 600 messages in flight, each re-sent 1–40 ms after delivery.
+        for i in 0..600u64 {
+            push(&mut q, &mut heap, i % 40, 2);
+        }
+        for step in 0..40_000u64 {
+            let (k, p) = q.pop().expect("hold model keeps the queue full");
+            assert_eq!(Some((k, p)), heap.pop(), "diverged at step {step}");
+            if k.src == 2 {
+                push(&mut q, &mut heap, k.at.as_ms() + 1 + (p * 7 + step) % 40, 2);
+            }
+        }
+        assert!(
+            q.cal.width <= 2,
+            "600 events per ~20 ms must narrow the day to the floor, got {}",
+            q.cal.width
+        );
+        loop {
+            let (a, b) = (q.pop(), heap.pop());
+            assert_eq!(a, b, "diverged in the drain");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
     fn grows_and_shrinks_through_rebuilds() {
         let mut q = EventQueue::new();
         // Push enough to force several grow rebuilds…
@@ -658,6 +854,68 @@ mod proptests {
                 let (a, b) = (cal.pop(), heap.pop());
                 prop_assert_eq!(&a, &b, "diverged in the final drain");
                 prop_assert_eq!(cal.len(), heap.len());
+                if a.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(cal.peak_len(), heap.peak_len());
+        }
+
+        /// Reference parity across a rate change that forces a
+        /// re-width. A backlog of sparse timers sets a wide day from
+        /// the pending sample; then a hold model runs hot — `flight`
+        /// events, each popped and re-pushed `0..spread` ms later, so
+        /// pushes land in the day being drained (delay 0: the very
+        /// instant being popped) — until the fat-day rule rebuilds at
+        /// the observed rate, mid-stream, with the heap compared at
+        /// every pop.
+        #[test]
+        fn calendar_matches_heap_across_a_rate_change(
+            timers in proptest::collection::vec(1u64..4_000, 40..120),
+            flight in 64usize..400,
+            spread in 1u64..24,
+            delays in proptest::collection::vec(0u64..1_000, 64..128),
+        ) {
+            let mut cal = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            let mut seq = 0u64;
+            let mut at = 0u64;
+            for gap in &timers {
+                at += gap * 50;
+                cal.push(key(at, 1, seq), seq);
+                heap.push(key(at, 1, seq), seq);
+                seq += 1;
+            }
+            let wide = cal.cal.width;
+            for i in 0..flight as u64 {
+                cal.push(key(i % spread, 2, seq), seq);
+                heap.push(key(i % spread, 2, seq), seq);
+                seq += 1;
+            }
+            for step in 0..6_000usize {
+                prop_assert_eq!(cal.peek_key(), heap.peek_key(), "heads diverged");
+                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(&a, &b, "diverged at step {}", step);
+                let Some((k, _)) = a else { break };
+                if k.src == 2 {
+                    let delay = delays[step % delays.len()] % spread;
+                    cal.push(key(k.at.as_ms() + delay, 2, seq), seq);
+                    heap.push(key(k.at.as_ms() + delay, 2, seq), seq);
+                    seq += 1;
+                }
+                prop_assert_eq!(cal.len(), heap.len());
+            }
+            if wide >= 4 * spread {
+                prop_assert!(
+                    cal.cal.width <= wide / 2,
+                    "hot traffic in {}-ms days must have narrowed them (still {})",
+                    wide,
+                    cal.cal.width
+                );
+            }
+            loop {
+                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(&a, &b, "diverged in the final drain");
                 if a.is_none() {
                     break;
                 }

@@ -119,7 +119,9 @@ pub mod topology;
 
 pub use affinity::{available_cores, pin_current_thread, place_shards, PinError};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnKind, ChurnScript};
-pub use engine::{node_stream_seed, Action, Ctx, Engine, Event, Message, Node, QuerySink};
+pub use engine::{
+    node_stream_seed, Action, Ctx, Engine, Event, Injection, Message, Node, QuerySink,
+};
 pub use event::EventKey;
 pub use fault::{FaultPlane, LinkLoss, Partition, RegionalFailure};
 pub use stats::{

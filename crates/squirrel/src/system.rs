@@ -8,9 +8,11 @@ use std::sync::Arc;
 use chord::PeerRef;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use simnet::{Engine, Event, Locality, NodeId, SimDuration, SimTime, Topology, TopologyConfig};
-use workload::{Catalog, CatalogConfig, QueryStream, WorkloadConfig};
+use rand::SeedableRng;
+use simnet::{
+    Engine, Event, Injection, Locality, NodeId, SimDuration, SimTime, Topology, TopologyConfig,
+};
+use workload::{Catalog, CatalogConfig, Communities, OriginatedTrace, QueryGen, WorkloadConfig};
 
 use crate::msg::SquirrelMsg;
 use crate::node::{SquirrelDeployment, SquirrelNode, SquirrelStrategy};
@@ -122,8 +124,33 @@ pub struct SquirrelSystem {
     duration: SimTime,
 }
 
+/// The query trace as engine injections, exactly as the Flower-CDN
+/// harness turns it into its own (`flower_core::system::submissions`):
+/// the originator receives a `Submit` from itself at the query's
+/// instant.
+pub fn submissions(
+    trace: OriginatedTrace<NodeId>,
+) -> impl Iterator<Item = Injection<SquirrelMsg>> + Clone + Send + 'static {
+    trace.map(|q| {
+        let submit = SquirrelMsg::Submit {
+            qid: q.qid,
+            website: q.website,
+            object: q.object,
+        };
+        (
+            SimTime::from_ms(q.at_ms),
+            q.origin,
+            Event::Recv {
+                from: q.origin,
+                msg: submit,
+            },
+        )
+    })
+}
+
 impl SquirrelSystem {
-    /// Build the deployment and schedule the query trace.
+    /// Build the deployment and attach the query trace as the engine's
+    /// injection source.
     pub fn build(cfg: &SquirrelConfig) -> SquirrelSystem {
         let topo = Topology::generate(&cfg.topology, cfg.seed);
         let catalog = Catalog::new(cfg.catalog.clone());
@@ -158,7 +185,7 @@ impl SquirrelSystem {
 
         // Client communities: same shape as the Flower run; the union
         // of all communities forms the single Squirrel ring.
-        let mut communities: HashMap<(u16, u16), Vec<NodeId>> = HashMap::new();
+        let mut communities: Communities<NodeId> = Communities::new(k);
         let mut ring_members: Vec<NodeId> = Vec::new();
         for ws in catalog.active_websites() {
             for (l, pool) in pools.iter().enumerate() {
@@ -170,7 +197,7 @@ impl SquirrelSystem {
                         ring_members.push(*n);
                     }
                 }
-                communities.insert((ws.0, l as u16), comm);
+                communities.insert(ws, l, comm);
             }
         }
         ring_members.sort_unstable_by_key(|n| n.0);
@@ -225,33 +252,12 @@ impl SquirrelSystem {
             cfg.shards.max(1),
         );
 
-        // Schedule the trace with the same originator policy as the
-        // Flower harness: uniform locality, uniform community member.
-        let stream = QueryStream::generate(&cfg.workload, &catalog, cfg.seed ^ 0x0077_ACE5);
-        for (qid, ev) in stream.events().iter().enumerate() {
-            let mut origin = None;
-            for _ in 0..4 {
-                let loc = rng.gen_range(0..k) as u16;
-                let comm = &communities[&(ev.website.0, loc)];
-                if !comm.is_empty() {
-                    origin = Some(comm[rng.gen_range(0..comm.len())]);
-                    break;
-                }
-            }
-            let Some(origin) = origin else { continue };
-            engine.schedule_at(
-                SimTime::from_ms(ev.at_ms),
-                origin,
-                Event::Recv {
-                    from: origin,
-                    msg: SquirrelMsg::Submit {
-                        qid: qid as u64,
-                        website: ev.website,
-                        object: ev.object,
-                    },
-                },
-            );
-        }
+        // The same trace and the same originator policy as the Flower
+        // harness — one implementation, `workload::OriginatedTrace` —
+        // over this deployment's communities and draw stream.
+        let trace = QueryGen::new(&cfg.workload, &catalog, cfg.seed ^ 0x0077_ACE5)
+            .originated(Arc::new(communities), rng);
+        engine.attach_source(submissions(trace));
 
         SquirrelSystem {
             engine,

@@ -8,12 +8,19 @@
 //! 2. an object of that website by Zipf rank ("the queried object is
 //!    selected, using zipf law, among ws objects").
 //!
+//! The trace is produced on demand by [`QueryGen`], an iterator in
+//! time order: a day of paper-rate queries is half a million events,
+//! and the simulator injects them as the clock reaches them instead of
+//! holding them all. [`QueryStream`] is the same trace collected.
+//!
 //! The paper's third choice — the originator ("a new client or a
-//! content peer of ws chosen from a random locality") — depends on
-//! protocol state (who is already a content peer, which overlays are
-//! full), so it is carried out by the system harness at injection
-//! time; the stream only fixes the time, website and object of each
-//! query, which keeps Flower-CDN and Squirrel runs *trace-identical*.
+//! content peer of ws chosen from a random locality") — needs the
+//! harness's communities, so the trace itself only fixes the time,
+//! website and object of each query, which keeps Flower-CDN and
+//! Squirrel runs *trace-identical*. [`OriginatedTrace`] adds the draw
+//! over whatever communities and draw stream a harness hands it.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,7 +120,9 @@ pub struct QueryEvent {
     pub rank: u32,
 }
 
-/// A complete, precomputed query trace.
+/// A complete, precomputed query trace — [`QueryGen`] collected. The
+/// simulation harnesses stream the generator instead; this form is for
+/// analysis and tests that want random access.
 #[derive(Clone, Debug)]
 pub struct QueryStream {
     events: Vec<QueryEvent>,
@@ -122,51 +131,9 @@ pub struct QueryStream {
 impl QueryStream {
     /// Generate the trace deterministically from `seed`.
     pub fn generate(cfg: &WorkloadConfig, catalog: &Catalog, seed: u64) -> Self {
-        assert!(cfg.query_rate_per_sec > 0.0, "query rate must be positive");
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0131_D000);
-        let zipf = Zipf::new(catalog.objects_per_website(), cfg.zipf_alpha);
-        let active: Vec<WebsiteId> = catalog.active_websites().collect();
-        assert!(!active.is_empty(), "no active websites to query");
-        // Skewed website choice is opt-in: with alpha 0 the historical
-        // uniform draw runs unchanged (same RNG consumption), keeping
-        // every pinned trace valid.
-        let website_zipf =
-            (cfg.website_zipf_alpha > 0.0).then(|| Zipf::new(active.len(), cfg.website_zipf_alpha));
-
         let mean_gap_ms = 1000.0 / cfg.query_rate_per_sec;
         let mut events = Vec::with_capacity((cfg.duration_ms as f64 / mean_gap_ms * 1.1) as usize);
-        let mut t = 0.0f64;
-        loop {
-            // Exponential inter-arrival (Poisson process).
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            t += -u.ln() * mean_gap_ms;
-            let at_ms = t as u64;
-            if at_ms >= cfg.duration_ms {
-                break;
-            }
-            let website = match &website_zipf {
-                Some(z) => active[z.sample(&mut rng)],
-                None => active[rng.gen_range(0..active.len())],
-            };
-            let rank = zipf.sample(&mut rng);
-            events.push(QueryEvent {
-                at_ms,
-                website,
-                object: catalog.object_id(website, rank),
-                rank: rank as u32,
-            });
-        }
-        // Surges are generated *after* the base trace, each from its
-        // own derived RNG stream, and merged by a stable sort — so
-        // the base events (and their relative order at equal
-        // timestamps) are untouched by any surge configuration.
-        for (i, surge) in cfg.surges.iter().enumerate() {
-            let mut srng = StdRng::seed_from_u64(seed ^ 0x5a26_e000 ^ ((i as u64) << 32));
-            surge_events(surge, cfg, catalog, &zipf, &active, &mut srng, &mut events);
-        }
-        if !cfg.surges.is_empty() {
-            events.sort_by_key(|e| e.at_ms);
-        }
+        events.extend(QueryGen::new(cfg, catalog, seed));
         QueryStream { events }
     }
 
@@ -198,81 +165,305 @@ impl QueryStream {
     }
 }
 
-/// Append one surge's extra queries to `events` (unsorted; the caller
-/// merges). Object ranks follow the same Zipf law as the base trace.
-fn surge_events(
-    surge: &Surge,
-    cfg: &WorkloadConfig,
-    catalog: &Catalog,
-    zipf: &Zipf,
-    active: &[WebsiteId],
-    rng: &mut StdRng,
-    events: &mut Vec<QueryEvent>,
-) {
-    match *surge {
-        Surge::FlashCrowd {
-            start_ms,
-            end_ms,
-            website_rank,
-            extra_rate_per_sec,
-        } => {
-            assert!(start_ms < end_ms, "flash crowd window must be non-empty");
-            assert!(
-                extra_rate_per_sec > 0.0,
-                "flash crowd rate must be positive"
-            );
-            let website = active[website_rank.min(active.len() - 1)];
-            let mean_gap_ms = 1000.0 / extra_rate_per_sec;
-            let mut t = start_ms as f64;
-            loop {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                t += -u.ln() * mean_gap_ms;
-                let at_ms = t as u64;
-                if at_ms >= end_ms.min(cfg.duration_ms) {
-                    break;
+/// What every arrival process of one trace draws from.
+#[derive(Debug)]
+struct TraceShape {
+    catalog: Catalog,
+    /// Object popularity within a website.
+    zipf: Zipf,
+    /// Skewed website choice of the base process; `None` is the
+    /// paper's uniform draw (and consumes the RNG exactly like it).
+    website_zipf: Option<Zipf>,
+    active: Vec<WebsiteId>,
+}
+
+/// Which process an [`Arrivals`] stream is, with what only it needs.
+#[derive(Clone, Debug)]
+enum ArrivalKind {
+    /// The base Poisson process over all active websites.
+    Base,
+    /// [`Surge::FlashCrowd`]: every query aims at `website`.
+    Flash { website: WebsiteId },
+    /// [`Surge::Diurnal`]: candidates thinned by the day profile.
+    Diurnal { period_ms: u64 },
+}
+
+/// One Poisson arrival process with its own RNG stream. Arrival times
+/// only grow, so each process yields its queries in time order; once
+/// it has returned `None` it is not polled again.
+#[derive(Clone, Debug)]
+struct Arrivals {
+    kind: ArrivalKind,
+    rng: StdRng,
+    /// Arrival clock in (fractional) milliseconds.
+    t: f64,
+    mean_gap_ms: f64,
+    /// Exclusive end of the process.
+    end_ms: u64,
+}
+
+impl Arrivals {
+    fn next(&mut self, shape: &TraceShape) -> Option<QueryEvent> {
+        loop {
+            // Exponential inter-arrival (Poisson process).
+            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+            self.t += -u.ln() * self.mean_gap_ms;
+            let at_ms = self.t as u64;
+            if at_ms >= self.end_ms {
+                return None;
+            }
+            let active = &shape.active;
+            let website = match self.kind {
+                ArrivalKind::Base => match &shape.website_zipf {
+                    Some(z) => active[z.sample(&mut self.rng)],
+                    None => active[self.rng.gen_range(0..active.len())],
+                },
+                ArrivalKind::Flash { website } => website,
+                ArrivalKind::Diurnal { period_ms } => {
+                    // Thinned Poisson process: candidates at the peak
+                    // rate, each kept with probability
+                    // max(0, sin(2πt/period)).
+                    let phase = (self.t / period_ms as f64) * std::f64::consts::TAU;
+                    let keep: f64 = self.rng.gen_range(0.0..1.0);
+                    if keep >= phase.sin() {
+                        continue;
+                    }
+                    active[self.rng.gen_range(0..active.len())]
                 }
-                let rank = zipf.sample(rng);
-                events.push(QueryEvent {
-                    at_ms,
-                    website,
-                    object: catalog.object_id(website, rank),
-                    rank: rank as u32,
-                });
+            };
+            let rank = shape.zipf.sample(&mut self.rng);
+            return Some(QueryEvent {
+                at_ms,
+                website,
+                object: shape.catalog.object_id(website, rank),
+                rank: rank as u32,
+            });
+        }
+    }
+}
+
+/// The query trace as an on-demand generator: the base Poisson process
+/// and every surge, each on its own derived RNG stream, merged by
+/// time. Equal timestamps resolve base first, then surges in
+/// configuration order — a surge never reorders the base trace, and
+/// the base trace (with every seed pin built on it) is bit-identical
+/// whether the surge list is empty or not.
+///
+/// Cloning forks the generator: both copies yield the same remaining
+/// trace (the sharded engine hands every shard its own replica).
+#[derive(Clone, Debug)]
+pub struct QueryGen {
+    shape: Arc<TraceShape>,
+    /// Process 0 is the base trace, process `i + 1` surge `i`.
+    processes: Vec<Arrivals>,
+    /// The next query of each process, drawn ahead for the merge.
+    heads: Vec<Option<QueryEvent>>,
+}
+
+impl QueryGen {
+    /// The trace of `cfg` over `catalog`, deterministically from
+    /// `seed`.
+    pub fn new(cfg: &WorkloadConfig, catalog: &Catalog, seed: u64) -> Self {
+        assert!(cfg.query_rate_per_sec > 0.0, "query rate must be positive");
+        let active: Vec<WebsiteId> = catalog.active_websites().collect();
+        assert!(!active.is_empty(), "no active websites to query");
+        let mut processes = vec![Arrivals {
+            kind: ArrivalKind::Base,
+            rng: StdRng::seed_from_u64(seed ^ 0x0131_D000),
+            t: 0.0,
+            mean_gap_ms: 1000.0 / cfg.query_rate_per_sec,
+            end_ms: cfg.duration_ms,
+        }];
+        for (i, surge) in cfg.surges.iter().enumerate() {
+            let rng = StdRng::seed_from_u64(seed ^ 0x5a26_e000 ^ ((i as u64) << 32));
+            processes.push(match *surge {
+                Surge::FlashCrowd {
+                    start_ms,
+                    end_ms,
+                    website_rank,
+                    extra_rate_per_sec,
+                } => {
+                    assert!(start_ms < end_ms, "flash crowd window must be non-empty");
+                    assert!(
+                        extra_rate_per_sec > 0.0,
+                        "flash crowd rate must be positive"
+                    );
+                    Arrivals {
+                        kind: ArrivalKind::Flash {
+                            website: active[website_rank.min(active.len() - 1)],
+                        },
+                        rng,
+                        t: start_ms as f64,
+                        mean_gap_ms: 1000.0 / extra_rate_per_sec,
+                        end_ms: end_ms.min(cfg.duration_ms),
+                    }
+                }
+                Surge::Diurnal {
+                    period_ms,
+                    peak_extra_rate_per_sec,
+                } => {
+                    assert!(period_ms > 0, "diurnal period must be positive");
+                    assert!(
+                        peak_extra_rate_per_sec > 0.0,
+                        "diurnal peak rate must be positive"
+                    );
+                    Arrivals {
+                        kind: ArrivalKind::Diurnal { period_ms },
+                        rng,
+                        t: 0.0,
+                        mean_gap_ms: 1000.0 / peak_extra_rate_per_sec,
+                        end_ms: cfg.duration_ms,
+                    }
+                }
+            });
+        }
+        let shape = TraceShape {
+            zipf: Zipf::new(catalog.objects_per_website(), cfg.zipf_alpha),
+            // Skewed website choice is opt-in: with alpha 0 the
+            // historical uniform draw runs unchanged (same RNG
+            // consumption), keeping every pinned trace valid.
+            website_zipf: (cfg.website_zipf_alpha > 0.0)
+                .then(|| Zipf::new(active.len(), cfg.website_zipf_alpha)),
+            catalog: catalog.clone(),
+            active,
+        };
+        let heads = processes.iter_mut().map(|p| p.next(&shape)).collect();
+        QueryGen {
+            shape: Arc::new(shape),
+            processes,
+            heads,
+        }
+    }
+
+    /// Attach the §6.1 originator draw (see [`OriginatedTrace`]).
+    pub fn originated<N>(
+        self,
+        communities: Arc<Communities<N>>,
+        rng: StdRng,
+    ) -> OriginatedTrace<N> {
+        OriginatedTrace {
+            gen: self,
+            communities,
+            rng,
+            next_qid: 0,
+        }
+    }
+}
+
+impl Iterator for QueryGen {
+    type Item = QueryEvent;
+
+    fn next(&mut self) -> Option<QueryEvent> {
+        // The earliest head; the first process wins a tie, which is
+        // the order a stable sort of base-then-surges would produce.
+        let due = |head: &Option<QueryEvent>| head.map_or(u64::MAX, |e| e.at_ms);
+        let mut first = 0;
+        for i in 1..self.heads.len() {
+            if due(&self.heads[i]) < due(&self.heads[first]) {
+                first = i;
             }
         }
-        Surge::Diurnal {
-            period_ms,
-            peak_extra_rate_per_sec,
-        } => {
-            assert!(period_ms > 0, "diurnal period must be positive");
-            assert!(
-                peak_extra_rate_per_sec > 0.0,
-                "diurnal peak rate must be positive"
-            );
-            // Thinned Poisson process: candidates at the peak rate,
-            // each kept with probability max(0, sin(2πt/period)).
-            let mean_gap_ms = 1000.0 / peak_extra_rate_per_sec;
-            let mut t = 0.0f64;
-            loop {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                t += -u.ln() * mean_gap_ms;
-                let at_ms = t as u64;
-                if at_ms >= cfg.duration_ms {
-                    break;
+        let head = self.heads[first]?;
+        self.heads[first] = self.processes[first].next(&self.shape);
+        Some(head)
+    }
+}
+
+/// The potential clients of every `(website, locality)`: who may
+/// originate a query (§6.1: "a new client or a content peer of ws").
+/// Generic over the harness's node identifier.
+#[derive(Clone, Debug)]
+pub struct Communities<N> {
+    localities: usize,
+    /// Row `website · localities + locality`.
+    members: Vec<Vec<N>>,
+}
+
+impl<N> Communities<N> {
+    /// No communities yet, over `localities` localities.
+    pub fn new(localities: usize) -> Self {
+        assert!(localities > 0, "need at least one locality");
+        Communities {
+            localities,
+            members: Vec::new(),
+        }
+    }
+
+    /// Number of localities.
+    pub fn localities(&self) -> usize {
+        self.localities
+    }
+
+    /// Set the community of `(ws, locality)`.
+    pub fn insert(&mut self, ws: WebsiteId, locality: usize, members: Vec<N>) {
+        assert!(locality < self.localities, "locality out of range");
+        let row = ws.idx() * self.localities + locality;
+        if self.members.len() <= row {
+            self.members.resize_with(row + 1, Vec::new);
+        }
+        self.members[row] = members;
+    }
+
+    /// The community of `(ws, locality)`; empty if none was set.
+    pub fn get(&self, ws: WebsiteId, locality: usize) -> &[N] {
+        self.members
+            .get(ws.idx() * self.localities + locality)
+            .map_or(&[], Vec::as_slice)
+    }
+}
+
+/// One query of the trace with its originator chosen.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct OriginatedQuery<N> {
+    /// Position of the query in the trace (counting the ones no
+    /// originator could be found for).
+    pub qid: u64,
+    /// Submission time, milliseconds from simulation start.
+    pub at_ms: u64,
+    /// The targeted website.
+    pub website: WebsiteId,
+    /// The requested object.
+    pub object: ObjectId,
+    /// The node that submits the query.
+    pub origin: N,
+}
+
+/// A [`QueryGen`] with the paper's third choice made per query:
+/// "a new client or a content peer of ws is chosen from a random
+/// locality" — a uniform locality, then a uniform member of that
+/// `(website, locality)` community, retried up to four times on empty
+/// communities; a query that finds no originator is skipped (its `qid`
+/// stays unused). The one implementation both the Flower-CDN and the
+/// Squirrel harness inject from, each with its own communities and
+/// draw stream.
+#[derive(Clone, Debug)]
+pub struct OriginatedTrace<N> {
+    gen: QueryGen,
+    communities: Arc<Communities<N>>,
+    rng: StdRng,
+    next_qid: u64,
+}
+
+impl<N: Copy> Iterator for OriginatedTrace<N> {
+    type Item = OriginatedQuery<N>;
+
+    fn next(&mut self) -> Option<OriginatedQuery<N>> {
+        loop {
+            let ev = self.gen.next()?;
+            let qid = self.next_qid;
+            self.next_qid += 1;
+            for _attempt in 0..4 {
+                let locality = self.rng.gen_range(0..self.communities.localities());
+                let comm = self.communities.get(ev.website, locality);
+                if !comm.is_empty() {
+                    return Some(OriginatedQuery {
+                        qid,
+                        at_ms: ev.at_ms,
+                        website: ev.website,
+                        object: ev.object,
+                        origin: comm[self.rng.gen_range(0..comm.len())],
+                    });
                 }
-                let phase = (t / period_ms as f64) * std::f64::consts::TAU;
-                let keep: f64 = rng.gen_range(0.0..1.0);
-                if keep >= phase.sin() {
-                    continue;
-                }
-                let website = active[rng.gen_range(0..active.len())];
-                let rank = zipf.sample(rng);
-                events.push(QueryEvent {
-                    at_ms,
-                    website,
-                    object: catalog.object_id(website, rank),
-                    rank: rank as u32,
-                });
             }
         }
     }
@@ -447,6 +638,88 @@ mod tests {
             "daytime rate {day:.2} must dwarf night {night:.2}"
         );
         assert!(s.events().windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
+    }
+
+    /// The merge against what it replaced: every process generated to
+    /// completion, concatenated base-then-surges, stable-sorted by
+    /// time. Rates high enough that equal timestamps across processes
+    /// are common.
+    #[test]
+    fn merged_generator_equals_stable_sort_of_its_processes() {
+        let cfg = WorkloadConfig {
+            query_rate_per_sec: 400.0,
+            duration_ms: 30_000,
+            surges: vec![
+                Surge::FlashCrowd {
+                    start_ms: 5_000,
+                    end_ms: 40_000,
+                    website_rank: 1,
+                    extra_rate_per_sec: 900.0,
+                },
+                Surge::Diurnal {
+                    period_ms: 20_000,
+                    peak_extra_rate_per_sec: 700.0,
+                },
+            ],
+            ..Default::default()
+        };
+        let gen = QueryGen::new(&cfg, &catalog(), 17);
+        let mut sorted: Vec<QueryEvent> = Vec::new();
+        for (p, head) in gen.processes.iter().zip(&gen.heads) {
+            let mut p = p.clone();
+            sorted.extend(*head);
+            sorted.extend(std::iter::from_fn(|| p.next(&gen.shape)));
+        }
+        sorted.sort_by_key(|e| e.at_ms);
+        let ties = sorted
+            .windows(2)
+            .filter(|w| w[0].at_ms == w[1].at_ms)
+            .count();
+        assert!(ties > 1000, "only {ties} equal timestamps");
+        let merged: Vec<QueryEvent> = gen.clone().collect();
+        assert_eq!(merged, sorted);
+        assert_eq!(QueryStream::generate(&cfg, &catalog(), 17).events(), sorted);
+        // A fork taken mid-trace yields the same remainder.
+        let mut a = gen;
+        let head: Vec<QueryEvent> = a.by_ref().take(5_000).collect();
+        assert_eq!(head, sorted[..5_000]);
+        let b = a.clone();
+        assert!(a.eq(b));
+    }
+
+    #[test]
+    fn originator_draw_skips_queries_without_a_community() {
+        let cat = catalog();
+        let gen = QueryGen::new(&WorkloadConfig::short_test(), &cat, 9);
+        let trace: Vec<QueryEvent> = gen.clone().collect();
+        // Website 0 has members in one of two localities, website 1
+        // everywhere, the other four active websites nowhere.
+        let mut comms = Communities::new(2);
+        comms.insert(WebsiteId(0), 1, vec![10u32, 11]);
+        comms.insert(WebsiteId(1), 0, vec![20]);
+        comms.insert(WebsiteId(1), 1, vec![21]);
+        let out: Vec<OriginatedQuery<u32>> = gen
+            .originated(Arc::new(comms), StdRng::seed_from_u64(1))
+            .collect();
+        assert!(!out.is_empty() && out.len() < trace.len());
+        let mut last_qid = None;
+        for q in &out {
+            assert!(last_qid < Some(q.qid), "qids follow trace order");
+            last_qid = Some(q.qid);
+            let ev = trace[q.qid as usize];
+            assert_eq!(
+                (q.at_ms, q.website, q.object),
+                (ev.at_ms, ev.website, ev.object)
+            );
+            match q.website.0 {
+                0 => assert!([10, 11].contains(&q.origin)),
+                1 => assert!([20, 21].contains(&q.origin)),
+                ws => panic!("website {ws} has no community"),
+            }
+        }
+        // Website 1 never misses; website 0 misses 1 in 16.
+        let ws1 = trace.iter().filter(|e| e.website.0 == 1).count();
+        assert_eq!(out.iter().filter(|q| q.website.0 == 1).count(), ws1);
     }
 
     #[test]

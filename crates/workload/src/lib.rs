@@ -15,12 +15,17 @@
 //!   from a random locality".
 //!
 //! This crate provides the [`zipf::Zipf`] sampler, the website/object
-//! [`catalog`], and the deterministic [`generator::QueryStream`].
+//! [`catalog`], and the deterministic query trace — [`generator::QueryGen`]
+//! on demand, [`generator::QueryStream`] collected, and
+//! [`generator::OriginatedTrace`] with the §6.1 originator draw.
 
 pub mod catalog;
 pub mod generator;
 pub mod zipf;
 
 pub use catalog::{Catalog, CatalogConfig, WebsiteId};
-pub use generator::{QueryEvent, QueryStream, Surge, WorkloadConfig};
+pub use generator::{
+    Communities, OriginatedQuery, OriginatedTrace, QueryEvent, QueryGen, QueryStream, Surge,
+    WorkloadConfig,
+};
 pub use zipf::Zipf;
