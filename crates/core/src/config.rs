@@ -8,7 +8,6 @@
 use simnet::SimDuration;
 
 use crate::cache::CachePolicy;
-use crate::substrate::SubstrateKind;
 
 /// All tunables of the Flower-CDN protocol.
 #[derive(Clone, Debug)]
@@ -39,11 +38,6 @@ pub struct FlowerConfig {
     // ---- overlay capacity (§5.3, Table 1) ----
     /// Maximum content-overlay size `Sco`.
     pub max_overlay: usize,
-
-    // ---- D-ring substrate (§3.1) ----
-    /// Which structured DHT the D-ring runs on ("can be integrated
-    /// into any existing structured overlay … e.g., Chord, Pastry").
-    pub substrate: SubstrateKind,
 
     // ---- D-ring key scheme (§3.1, §5.3) ----
     /// Bits `m1` of the locality segment (2^m1 ≥ k).
@@ -133,7 +127,6 @@ impl Default for FlowerConfig {
             t_dead: 10,
             keepalive_period: SimDuration::from_mins(5),
             max_overlay: 100,
-            substrate: SubstrateKind::Chord,
             locality_bits: 8,
             instance_bits: 0,
             petal_split_threshold: 500,

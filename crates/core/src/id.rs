@@ -201,6 +201,26 @@ mod tests {
     }
 
     #[test]
+    fn an_absent_directorys_key_is_nearest_to_a_same_website_neighbour() {
+        // §3.1's portability argument is a property of this layout,
+        // not of a DHT: under a numerically-closest ownership rule the
+        // key of a missing directory falls to a directory of the same
+        // website in an adjacent locality.
+        let s = scheme();
+        let absent = s.key(WebsiteId(5), Locality(3));
+        let nearest = (0..20u16)
+            .flat_map(|ws| (0..6u16).map(move |l| (ws, l)))
+            .filter(|&d| d != (5, 3))
+            .min_by_key(|&(ws, l)| s.key(WebsiteId(ws), Locality(l)).ring_distance(absent))
+            .expect("119 directories remain");
+        assert_eq!(nearest.0, 5, "fell to another website: {nearest:?}");
+        assert!(
+            nearest.1 == 2 || nearest.1 == 4,
+            "not a neighbour: {nearest:?}"
+        );
+    }
+
+    #[test]
     fn different_websites_differ() {
         let s = scheme();
         let a = s.key(WebsiteId(1), Locality(0));

@@ -58,5 +58,5 @@ pub use id::{instance_for, KeyScheme};
 pub use msg::{FlowerMsg, GossipEntry, GossipPayload, ProviderKind, Query};
 pub use node::{Deployment, FlowerNode, NodeCounters};
 pub use policy::DringPolicy;
-pub use substrate::{ChordSubstrate, DhtSubstrate, PastrySubstrate, SubstrateKind};
+pub use substrate::ChordSubstrate;
 pub use system::{FlowerSystem, SystemConfig, SystemReport};

@@ -131,8 +131,8 @@ pub enum FlowerMsg {
         /// Requested object.
         object: ObjectId,
     },
-    /// DHT traffic of the D-ring (routing + maintenance) on the
-    /// configured substrate, carrying queries as routed payloads.
+    /// Chord traffic of the D-ring (routing + maintenance), carrying
+    /// queries as routed payloads.
     Dht(SubstrateMsg),
     /// A content peer asks its own directory peer to process a query
     /// (the post-join fast path: no D-ring routing).
@@ -242,9 +242,8 @@ pub enum FlowerMsg {
         locality: Locality,
         /// The directory index snapshot.
         index: Vec<IndexSnapshotEntry>,
-        /// Substrate neighbours the heir rebuilds its routing state
-        /// from (Chord: successors + predecessor; Pastry: leaf set +
-        /// table peers).
+        /// Ring neighbours the heir rebuilds its routing state from
+        /// (the leaving directory's successors and predecessor).
         neighbors: Vec<PeerRef>,
         /// Live §5.3 petal instance count at the moment of the
         /// hand-off. The heir continues with the running petal rather
@@ -550,24 +549,13 @@ mod tests {
 
     #[test]
     fn dht_classes_split_routing_and_maintenance() {
-        let route = SubstrateMsg::Chord(chord::ChordMsg::Route {
+        let route = SubstrateMsg::Route {
             key: chord::ChordId(0),
             hops: 0,
             payload: chord::RoutePayload::App(query()),
-        });
+        };
         assert_eq!(FlowerMsg::Dht(route).class(), TrafficClass::DhtRouting);
-        let maint = SubstrateMsg::Chord(chord::ChordMsg::NeighborsReq);
+        let maint = SubstrateMsg::NeighborsReq;
         assert_eq!(FlowerMsg::Dht(maint).class(), TrafficClass::DhtMaintenance);
-        let p_route = SubstrateMsg::Pastry(pastry::PastryMsg::Route {
-            key: chord::ChordId(0),
-            hops: 0,
-            payload: pastry::proto::RoutePayload::App(query()),
-        });
-        assert_eq!(FlowerMsg::Dht(p_route).class(), TrafficClass::DhtRouting);
-        let p_maint = SubstrateMsg::Pastry(pastry::PastryMsg::LeafResp { leaves: vec![] });
-        assert_eq!(
-            FlowerMsg::Dht(p_maint).class(),
-            TrafficClass::DhtMaintenance
-        );
     }
 }

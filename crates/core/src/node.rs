@@ -1,10 +1,9 @@
 //! The Flower-CDN protocol node: one state machine per underlay node,
 //! combining up to three roles:
 //!
-//! * **directory peer** (§3) — a D-ring member with a pluggable DHT
-//!   substrate role ([`DhtSubstrate`]: Chord or Pastry, chosen by
-//!   configuration) and a [`DirectoryState`], processing queries per
-//!   Algorithm 3;
+//! * **directory peer** (§3) — a D-ring member: a Chord position
+//!   ([`ChordSubstrate`]) and a [`DirectoryState`], processing queries
+//!   per Algorithm 3;
 //! * **content peer** (§4) — one [`ContentPeerState`] per supported
 //!   website, gossiping, pushing and answering fetches;
 //! * **origin server** — the website's web server, the fallback
@@ -33,7 +32,7 @@ use crate::id::{instance_for, KeyScheme};
 use crate::idmap::{IdMap, SmallMap};
 use crate::msg::{FlowerMsg, IndexSnapshotEntry, ProviderKind, Query};
 use crate::substrate::{
-    DhtSubstrate, MaintTick, PeerRef, SubstrateEvent, SubstrateMsg, SubstrateOut,
+    carried_query, client_entry_msg, ChordSubstrate, PeerRef, SubstrateEvent, SubstrateMsg,
 };
 
 /// Timer kinds used by [`FlowerNode`].
@@ -44,10 +43,9 @@ pub mod timers {
     pub const KEEPALIVE: u16 = 2;
     /// Directory age tick (Algorithm 6 active behaviour).
     pub const DIR_TICK: u16 = 3;
-    /// Substrate neighbour-maintenance tick (Chord: stabilize;
-    /// Pastry: leaf probing).
+    /// D-ring neighbour-maintenance tick (Chord stabilize).
     pub const STABILIZE: u16 = 4;
-    /// Substrate routing-repair tick (Chord: fix one finger).
+    /// D-ring routing-repair tick (fix one Chord finger).
     pub const FIX_FINGER: u16 = 5;
     /// Jittered directory-replacement attempt (tag = website; §5.2).
     pub const REPLACE_DIR: u16 = 6;
@@ -200,9 +198,8 @@ fn shrunk_below(live: u32, below: u32) -> u32 {
 /// The directory role of a node.
 #[derive(Debug)]
 pub struct DirRole {
-    /// D-ring position and routing state on the configured DHT
-    /// substrate (Chord or Pastry).
-    pub substrate: Box<dyn DhtSubstrate>,
+    /// D-ring position and routing state.
+    pub substrate: ChordSubstrate,
     /// The directory itself.
     pub dir: DirectoryState,
     /// True while a §5.2 replacement join is still in flight.
@@ -281,14 +278,14 @@ pub struct NodeCounters {
     pub query_origin_fallbacks: u64,
 }
 
-/// Adapter exposing the simulator context as the substrate's message
+/// Adapter exposing the simulator context as the D-ring's message
 /// sink.
 struct CtxTransport<'a, 'b> {
     ctx: &'a mut Ctx<'b, FlowerMsg>,
 }
 
-impl SubstrateOut for CtxTransport<'_, '_> {
-    fn send(&mut self, to: NodeId, msg: SubstrateMsg) {
+impl chord::Transport<Query> for CtxTransport<'_, '_> {
+    fn send_chord(&mut self, to: NodeId, msg: SubstrateMsg) {
         self.ctx.send(to, FlowerMsg::Dht(msg));
     }
 }
@@ -299,12 +296,12 @@ impl SubstrateOut for CtxTransport<'_, '_> {
 /// order.
 fn send_to_website_neighbours(
     ctx: &mut Ctx<'_, FlowerMsg>,
-    substrate: &dyn DhtSubstrate,
+    substrate: &ChordSubstrate,
     scheme: KeyScheme,
     msg: &FlowerMsg,
 ) {
     let (me, my_id) = (ctx.id(), substrate.key());
-    for p in substrate.known_peers().iter() {
+    for p in substrate.known_peers() {
         if p.node != me && scheme.same_website(p.id, my_id) {
             ctx.send(p.node, msg.clone());
         }
@@ -335,14 +332,14 @@ impl FlowerNode {
     }
 
     /// A directory-peer node for `(ws, loc)`, §5.3 instance
-    /// `instance`, with a pre-installed substrate role (the paper's
+    /// `instance`, with a pre-installed D-ring position (the paper's
     /// evaluation starts from a stable D-ring).
     pub fn directory(
         shared: Arc<Deployment>,
         ws: WebsiteId,
         loc: Locality,
         instance: u32,
-        substrate: Box<dyn DhtSubstrate>,
+        substrate: ChordSubstrate,
     ) -> Self {
         let dir = DirectoryState::new(
             ws,
@@ -661,8 +658,8 @@ impl FlowerNode {
         if self.dir_role.as_ref().is_some_and(|r| !r.joining) {
             let role = self.dir_role.as_mut().expect("checked");
             let mut t = CtxTransport { ctx };
-            let events = role.substrate.route(&mut t, key, query);
-            self.on_substrate_events(ctx, events);
+            let event = role.substrate.route(&mut t, key, query);
+            self.on_substrate_event(ctx, event);
             return;
         }
         // Otherwise enter through a random well-known directory peer.
@@ -671,10 +668,7 @@ impl FlowerNode {
             .bootstrap_dirs
             .choose(ctx.rng())
             .expect("deployment has at least one bootstrap directory");
-        ctx.send(
-            entry,
-            FlowerMsg::Dht(self.shared.cfg.substrate.client_entry_msg(key, query)),
-        );
+        ctx.send(entry, FlowerMsg::Dht(client_entry_msg(key, query)));
     }
 
     // ------------------------------------------------------------------
@@ -836,7 +830,7 @@ impl FlowerNode {
             dir_id: role.substrate.key(),
             summary,
         };
-        send_to_website_neighbours(ctx, role.substrate.as_ref(), scheme, &msg);
+        send_to_website_neighbours(ctx, &role.substrate, scheme, &msg);
     }
 
     // ------------------------------------------------------------------
@@ -1404,11 +1398,7 @@ impl FlowerNode {
         // bootstrap entry.
         let loc = self.my_locality(ctx);
         let key = self.shared.scheme.key(ws, loc);
-        let substrate = self
-            .shared
-            .cfg
-            .substrate
-            .fresh_role(self.shared.scheme, PeerRef { id: key, node: me });
+        let substrate = ChordSubstrate::fresh(self.shared.scheme, PeerRef { id: key, node: me });
         let dir = DirectoryState::new(
             ws,
             loc,
@@ -1518,21 +1508,14 @@ impl FlowerNode {
         self.schedule_dir_timers(ctx);
     }
 
-    /// Arm the periodic directory-side timers (maintenance ticks the
-    /// substrate has no use for are never armed).
+    /// Arm the periodic directory-side timers.
     pub(crate) fn schedule_dir_timers(&mut self, ctx: &mut Ctx<'_, FlowerMsg>) {
         let cfg = &self.shared.cfg;
-        let wants_fix_finger = self
-            .dir_role
-            .as_ref()
-            .is_some_and(|r| r.substrate.wants_tick(MaintTick::FixFinger));
         ctx.set_timer(cfg.keepalive_period, timers::DIR_TICK, 0);
         let s = ctx.rng().gen_range(0..cfg.stabilize_period.as_ms().max(1));
         ctx.set_timer(SimDuration::from_ms(s), timers::STABILIZE, 0);
-        if wants_fix_finger {
-            let f = ctx.rng().gen_range(0..cfg.fix_finger_period.as_ms().max(1));
-            ctx.set_timer(SimDuration::from_ms(f), timers::FIX_FINGER, 0);
-        }
+        let f = ctx.rng().gen_range(0..cfg.fix_finger_period.as_ms().max(1));
+        ctx.set_timer(SimDuration::from_ms(f), timers::FIX_FINGER, 0);
         if let Some(p) = cfg.replication_period {
             let r = ctx.rng().gen_range(0..p.as_ms().max(1));
             ctx.set_timer(SimDuration::from_ms(r), timers::REPLICATE, 0);
@@ -1560,7 +1543,7 @@ impl FlowerNode {
                 website: role.dir.website(),
                 objects: hot,
             };
-            send_to_website_neighbours(ctx, role.substrate.as_ref(), scheme, &msg);
+            send_to_website_neighbours(ctx, &role.substrate, scheme, &msg);
         }
         ctx.set_timer(period, timers::REPLICATE, 0);
     }
@@ -1588,7 +1571,7 @@ impl FlowerNode {
     }
 
     // ------------------------------------------------------------------
-    // Substrate plumbing
+    // D-ring plumbing
     // ------------------------------------------------------------------
 
     fn on_dht_msg(&mut self, ctx: &mut Ctx<'_, FlowerMsg>, from: NodeId, msg: SubstrateMsg) {
@@ -1608,7 +1591,7 @@ impl FlowerNode {
             // DHT traffic for a node that is not (or no longer) on the
             // D-ring. If it carries a query, rescue it via the origin
             // server; everything else is dropped.
-            if let Some(query) = msg.carried_query() {
+            if let Some(query) = carried_query(&msg) {
                 ctx.send(
                     self.shared.server_of(query.website),
                     FlowerMsg::ServerQuery { query },
@@ -1617,29 +1600,27 @@ impl FlowerNode {
             return;
         };
         let mut t = CtxTransport { ctx };
-        let events = role.substrate.dispatch(&mut t, from, msg);
-        self.on_substrate_events(ctx, events);
+        let event = role.substrate.dispatch(&mut t, from, msg);
+        self.on_substrate_event(ctx, event);
     }
 
-    /// Drain a substrate outcome stream.
-    fn on_substrate_events(&mut self, ctx: &mut Ctx<'_, FlowerMsg>, events: Vec<SubstrateEvent>) {
-        for ev in events {
-            match ev {
-                SubstrateEvent::Deliver { query, .. } => self.dir_process_query(ctx, query),
-                SubstrateEvent::JoinComplete => self.on_join_complete(ctx),
-                SubstrateEvent::NeedRejoin => {
-                    // Our §5.2 join lookup was lost while the ring was
-                    // healing: retry through another entry point.
-                    if self.dir_role.as_ref().is_some_and(|r| r.joining) {
-                        let entry = *self
-                            .shared
-                            .bootstrap_dirs
-                            .choose(ctx.rng())
-                            .expect("bootstrap set non-empty");
-                        let role = self.dir_role.as_mut().expect("checked");
-                        let mut t = CtxTransport { ctx };
-                        role.substrate.join(&mut t, entry);
-                    }
+    /// Act on what a ring operation surfaced, if anything.
+    fn on_substrate_event(&mut self, ctx: &mut Ctx<'_, FlowerMsg>, event: Option<SubstrateEvent>) {
+        match event {
+            None => {}
+            Some(SubstrateEvent::Deliver { query, .. }) => self.dir_process_query(ctx, query),
+            Some(SubstrateEvent::JoinComplete) => self.on_join_complete(ctx),
+            Some(SubstrateEvent::NeedRejoin) => {
+                // Our §5.2 join lookup was lost while the ring was
+                // healing: retry through another entry point.
+                if let Some(role) = self.dir_role.as_mut().filter(|r| r.joining) {
+                    let entry = *self
+                        .shared
+                        .bootstrap_dirs
+                        .choose(ctx.rng())
+                        .expect("bootstrap set non-empty");
+                    let mut t = CtxTransport { ctx };
+                    role.substrate.join(&mut t, entry);
                 }
             }
         }
@@ -1659,9 +1640,9 @@ impl FlowerNode {
                     let role = self.dir_role.as_mut().expect("checked");
                     let joining = role.joining;
                     let mut t = CtxTransport { ctx };
-                    let events = role.substrate.undeliverable(&mut t, to, sm, joining);
-                    self.on_substrate_events(ctx, events);
-                } else if let Some(query) = sm.carried_query() {
+                    let event = role.substrate.undeliverable(&mut t, to, sm, joining);
+                    self.on_substrate_event(ctx, event);
+                } else if let Some(query) = carried_query(&sm) {
                     // A client whose bootstrap died: try another entry
                     // point.
                     self.route_via_dring(ctx, query);
@@ -1950,7 +1931,7 @@ impl simnet::Node<FlowerMsg> for FlowerNode {
                     // directory's identity and state.
                     let me = ctx.id();
                     let key = self.shared.scheme.key(website, locality);
-                    let substrate = self.shared.cfg.substrate.handoff_role(
+                    let substrate = ChordSubstrate::from_handoff(
                         self.shared.scheme,
                         PeerRef { id: key, node: me },
                         &neighbors,
@@ -2019,10 +2000,10 @@ impl simnet::Node<FlowerMsg> for FlowerNode {
                         ctx.set_timer(SimDuration::from_ms(k), timers::KEEPALIVE, website.0 as u64);
                     }
                     self.schedule_dir_timers(ctx);
-                    // Tell the substrate we exist.
+                    // Tell the ring we exist.
                     let role = self.dir_role.as_mut().expect("just installed");
                     let mut t = CtxTransport { ctx };
-                    role.substrate.maintenance(&mut t, MaintTick::Stabilize);
+                    role.substrate.stabilize(&mut t);
                 }
                 FlowerMsg::Moved { website } => {
                     if let Some(cp) = self.content.get_mut(&website) {
@@ -2223,21 +2204,16 @@ impl simnet::Node<FlowerMsg> for FlowerNode {
                     let period = self.shared.cfg.stabilize_period;
                     if let Some(role) = &mut self.dir_role {
                         let mut t = CtxTransport { ctx };
-                        role.substrate.maintenance(&mut t, MaintTick::Stabilize);
+                        role.substrate.stabilize(&mut t);
                         ctx.set_timer(period, timers::STABILIZE, 0);
                     }
                 }
                 timers::FIX_FINGER => {
                     let period = self.shared.cfg.fix_finger_period;
                     if let Some(role) = &mut self.dir_role {
-                        // A substrate with no routing-repair work
-                        // (Pastry) lets the timer die instead of
-                        // rescheduling a no-op forever.
-                        if role.substrate.wants_tick(MaintTick::FixFinger) {
-                            let mut t = CtxTransport { ctx };
-                            role.substrate.maintenance(&mut t, MaintTick::FixFinger);
-                            ctx.set_timer(period, timers::FIX_FINGER, 0);
-                        }
+                        let mut t = CtxTransport { ctx };
+                        role.substrate.fix_finger(&mut t);
+                        ctx.set_timer(period, timers::FIX_FINGER, 0);
                     }
                 }
                 timers::REPLACE_DIR => self.on_replace_dir_timer(ctx, WebsiteId(tag as u16)),

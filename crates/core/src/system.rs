@@ -9,8 +9,8 @@
 //!    D-ring … with an empty directory" — and, for each *active*
 //!    website, a community of up to `Sco` potential clients per
 //!    locality;
-//! 3. bootstrap the D-ring as a converged network over the directory
-//!    peers on the configured DHT substrate (Chord or Pastry);
+//! 3. bootstrap the D-ring as a converged Chord ring over the
+//!    directory peers;
 //! 4. attach the query trace as the engine's injection source: each
 //!    query picks a uniform random locality and a uniform community
 //!    member as originator ("a new client or a content peer of ws is
@@ -51,7 +51,7 @@ use crate::id::KeyScheme;
 use crate::idmap::{IdMap, IdSet};
 use crate::msg::FlowerMsg;
 use crate::node::{timers, Deployment, FlowerNode};
-use crate::substrate::PeerRef;
+use crate::substrate::{ChordSubstrate, PeerRef};
 
 /// Everything needed to build and run one simulation.
 #[derive(Clone, Debug)]
@@ -288,9 +288,8 @@ impl FlowerSystem {
         }
         let communities = Arc::new(communities);
 
-        // D-ring bootstrap: a converged substrate network over all
-        // directory instances (the paper's stable start), on whichever
-        // DHT the configuration selects.
+        // D-ring bootstrap: a converged ring over all directory
+        // instances (the paper's stable start).
         let members: Vec<PeerRef> = all_dirs
             .iter()
             .map(|((ws, loc, inst), node)| PeerRef {
@@ -298,8 +297,8 @@ impl FlowerSystem {
                 node: *node,
             })
             .collect();
-        let states = cfg.flower.substrate.stable_network(scheme, &members);
-        let mut state_by_node: IdMap<NodeId, Box<dyn crate::substrate::DhtSubstrate>> =
+        let states = ChordSubstrate::stable_network(scheme, &members);
+        let mut state_by_node: IdMap<NodeId, ChordSubstrate> =
             members.iter().map(|m| m.node).zip(states).collect();
 
         let deployment = Arc::new(Deployment {
@@ -765,7 +764,10 @@ mod tests {
             for l in 0..3u16 {
                 let d = sys.initial_directory(WebsiteId(ws), Locality(l));
                 assert!(d.is_some(), "missing directory for ws{ws} loc{l}");
-                assert!(sys.engine().node(d.unwrap()).is_directory());
+                let node = sys.engine().node(d.unwrap());
+                assert!(node.is_directory());
+                let role = node.dir_role().expect("directory role");
+                assert!(!role.substrate.known_peers().is_empty(), "off the ring");
             }
         }
         assert_eq!(sys.servers().len(), 6);

@@ -3,33 +3,27 @@
 //!
 //! ```text
 //! flower-experiments <experiment> [--scale <f|full>] [--seed <n>]
-//!                    [--substrate <chord|pastry>] [--shards <n>]
-//!                    [--instance-bits <b|a,b,..>] [--pin]
-//!                    [--csv-dir <dir>] [--bench-out <file>]
-//!                    [--metrics-out <file>]
+//!                    [--shards <n>] [--instance-bits <b|a,b,..>] [--pin]
+//!                    [--csv-dir <dir>] [--metrics-out <file>]
 //!
 //! experiments:
 //!   table2a | table2b | table2c | push-threshold
 //!   fig5 | fig6 | fig7 | fig8
-//!   churn | ablation | replication | cache | substrates | chaos | all
+//!   churn | ablation | replication | cache | chaos | all
 //!   scale [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>]
 //!   metrics-check --metrics <file> [--summary-out <file>]
 //! ```
 //!
 //! `--scale 0.1` simulates 2.4 h instead of 24 h (protocol periods
 //! scale along); `--scale full` is the paper's exact setup.
-//! `--substrate pastry` runs the D-ring over Pastry instead of Chord
-//! (§3.1 portability; `substrates` compares the two side by side).
 //! `--shards N` runs the simulation engine on N locality shards
 //! (worker threads); results are bit-identical for every N.
 //! `--instance-bits b` enables the §5.3 PetalUp scale-up: up to `2^b`
 //! load-adaptive directory instances per (website, locality) petal
 //! (`scale` accepts a comma list and sweeps it).
 //! `scale` sweeps node counts × instance bits × shard counts and
-//! reports events/sec, wall time and peak queue depth; `--bench-out
-//! <file>` writes all engine measurements machine-readably (a
-//! write-only artifact — the repository's benchmark is
-//! `benchmark/run.sh`).
+//! reports events/sec, wall time and peak queue depth (a table for
+//! the eye — the repository's benchmark is `benchmark/run.sh`).
 //! `--pin` pins each shard worker thread to a core chosen by the
 //! engine's latency-aware placement (chattiest shard pairs on
 //! adjacent cores); wall-clock only — results are bit-identical with
@@ -54,9 +48,8 @@ use std::io::Write;
 
 use experiments::exps::{self, ExpOutput, ScaleParams};
 use experiments::gate;
-use experiments::report::{bench_json, metrics_json, BenchRecord, MetricsRecord};
+use experiments::report::{metrics_json, MetricsRecord};
 use experiments::runner::{RunOpts, RunScale};
-use experiments::SubstrateKind;
 use simnet::SimDuration;
 
 /// Every subcommand, in `usage()` order.
@@ -73,7 +66,6 @@ const COMMANDS: &[&str] = &[
     "ablation",
     "replication",
     "cache",
-    "substrates",
     "chaos",
     "scale",
     "metrics-check",
@@ -84,7 +76,6 @@ struct Args {
     cmd: String,
     opts: RunOpts,
     csv_dir: Option<String>,
-    bench_out: Option<String>,
     /// `--metrics-out`: write the registry snapshots as METRICS.json.
     metrics_out: Option<String>,
     /// `--metrics`: the METRICS.json `metrics-check` validates.
@@ -140,7 +131,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         cmd,
         opts: RunOpts::new(),
         csv_dir: None,
-        bench_out: None,
         metrics_out: None,
         metrics_in: None,
         scale_nodes: vec![10_000, 50_000, 100_000],
@@ -159,19 +149,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                 let v = args.next().ok_or("--seed needs a value")?;
                 out.opts.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
             }
-            "--substrate" => {
-                let v = args.next().ok_or("--substrate needs a value")?;
-                out.opts.substrate = SubstrateKind::parse(&v)?;
-            }
             "--shards" => {
                 let v = args.next().ok_or("--shards needs a value")?;
                 out.opts.shards = shard_count("--shards", &v)?;
             }
             "--csv-dir" => {
                 out.csv_dir = Some(args.next().ok_or("--csv-dir needs a value")?);
-            }
-            "--bench-out" => {
-                out.bench_out = Some(args.next().ok_or("--bench-out needs a value")?);
             }
             "--metrics-out" => {
                 out.metrics_out = Some(args.next().ok_or("--metrics-out needs a value")?);
@@ -228,9 +211,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
 fn usage() -> String {
     format!(
         "usage: flower-experiments <{}> \
-         [--scale <f|full>] [--seed <n>] [--substrate <chord|pastry>] [--shards <n>] \
+         [--scale <f|full>] [--seed <n>] [--shards <n>] \
          [--instance-bits <b|a,b,..>] [--pin] \
-         [--csv-dir <dir>] [--bench-out <file>] [--metrics-out <file>] \
+         [--csv-dir <dir>] [--metrics-out <file>] \
          [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>] \
          [--metrics <file> [--summary-out <file>]]",
         COMMANDS.join("|")
@@ -303,8 +286,8 @@ fn main() {
     }
     let opts = args.opts;
     eprintln!(
-        "# running {} at scale {:?} seed {} over {} with {} shard(s)",
-        args.cmd, opts.scale, opts.seed, opts.substrate, opts.shards
+        "# running {} at scale {:?} seed {} with {} shard(s)",
+        args.cmd, opts.scale, opts.seed, opts.shards
     );
     let t0 = std::time::Instant::now();
     let mut failed = false;
@@ -320,19 +303,17 @@ fn main() {
             outputs.push(("fig7".into(), exps::fig7(&fsys, &ssys)));
             outputs.push(("fig8".into(), exps::fig8(&fsys, &ssys)));
             drop((fsys, ssys));
-            for name in ["churn", "ablation", "replication", "cache", "substrates"] {
+            for name in ["churn", "ablation", "replication", "cache"] {
                 outputs.push((name.to_string(), run_one(name, &args)));
             }
         }
         name => outputs.push((name.to_string(), run_one(name, &args))),
     }
 
-    let mut bench: Vec<BenchRecord> = Vec::new();
     let mut metrics_records: Vec<MetricsRecord> = Vec::new();
     for (name, out) in &outputs {
         failed |= !out.all_passed();
         emit(name, out, &args.csv_dir);
-        bench.extend(out.bench.iter().cloned());
         metrics_records.extend(out.metrics.iter().cloned());
     }
     let host = format!(
@@ -342,10 +323,6 @@ fn main() {
             .unwrap_or(0),
         std::env::consts::ARCH
     );
-    if let Some(path) = &args.bench_out {
-        std::fs::write(path, bench_json(&host, &bench)).expect("write bench json");
-        eprintln!("wrote {path} ({} records)", bench.len());
-    }
     if let Some(path) = &args.metrics_out {
         std::fs::write(path, metrics_json(&host, &metrics_records)).expect("write metrics json");
         eprintln!("wrote {path} ({} records)", metrics_records.len());
@@ -377,7 +354,6 @@ fn run_one(name: &str, args: &Args) -> ExpOutput {
         "ablation" => exps::ablation(opts),
         "replication" => exps::replication(opts),
         "cache" => exps::cache_pressure(opts),
-        "substrates" => exps::substrates(opts),
         "scale" => exps::scale(&args.scale_params()),
         other => unreachable!("parse_args admits only COMMANDS, got {other:?}"),
     }
@@ -420,6 +396,9 @@ mod tests {
             "scale --no-such-switch heap",
             "scale --wan",
             "no-such-check",
+            "fig5 --substrate pastry",
+            "substrates",
+            "scale --bench-out x",
         ] {
             let err = parse(line)
                 .err()

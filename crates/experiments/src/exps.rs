@@ -7,7 +7,7 @@
 //! trends). Absolute constants are not asserted: the substrate is a
 //! simulator, not the authors' testbed.
 
-use flower_core::{FlowerSystem, SubstrateKind, SystemConfig, SystemReport};
+use flower_core::{FlowerSystem, SystemConfig, SystemReport};
 use metrics::Counter;
 use simnet::{
     ChurnConfig, ChurnScript, FaultPlane, LinkLoss, Locality, NodeId, Partition, RegionalFailure,
@@ -29,7 +29,7 @@ pub struct ExpOutput {
     pub csv: Vec<(String, String)>,
     /// Qualitative shape checks `(description, passed)`.
     pub checks: Vec<(String, bool)>,
-    /// Engine-performance measurements for `--bench-out`.
+    /// Engine-performance measurements, one per `scale` cell.
     pub bench: Vec<BenchRecord>,
     /// Registry snapshots for `METRICS.json` (per-subsystem hot-path
     /// attribution; written by `--metrics-out`).
@@ -319,8 +319,7 @@ fn series_table(
 pub fn fig5(opts: RunOpts) -> ExpOutput {
     let mut out = ExpOutput::default();
     let cfg = runner::flower_config(opts);
-    let (sys, report, record) = runner::run_flower_timed(&cfg, "fig5");
-    out.bench.push(record);
+    let (sys, report) = runner::run_flower(&cfg);
     let window = cfg.window;
     let win_secs = window.as_ms() as f64 / 1000.0;
     let dirs = cfg.catalog.num_websites * cfg.topology.localities;
@@ -890,75 +889,6 @@ pub fn cache_pressure(opts: RunOpts) -> ExpOutput {
     out
 }
 
-/// **Substrates** — the §3.1 portability claim as an experiment axis:
-/// the identical workload and seed over a Chord-backed and a
-/// Pastry-backed D-ring. The protocol above the substrate is
-/// unchanged, so the headline metrics must essentially coincide; what
-/// differs is the substrate's own routing/maintenance behaviour.
-pub fn substrates(opts: RunOpts) -> ExpOutput {
-    let mut out = ExpOutput::default();
-    let mut table = Table::new(
-        "Substrate comparison — same workload over Chord and Pastry (§3.1)",
-        &[
-            "substrate",
-            "hit ratio",
-            "resolved",
-            "lookup ms",
-            "transfer ms",
-            "bw bps",
-        ],
-    );
-    let mut reports = Vec::new();
-    for kind in [SubstrateKind::Chord, SubstrateKind::Pastry] {
-        let cfg = runner::flower_config(RunOpts {
-            substrate: kind,
-            ..opts
-        });
-        let (_, r) = runner::run_flower(&cfg);
-        table.row(vec![
-            kind.to_string(),
-            f3(r.hit_ratio),
-            format!("{}/{}", r.resolved, r.submitted),
-            f1(r.mean_lookup_ms),
-            f1(r.mean_transfer_ms),
-            f1(r.background_bps * opts.scale.factor()),
-        ]);
-        reports.push(r);
-    }
-    let (chord, pastry) = (&reports[0], &reports[1]);
-    out.push_check(
-        format!(
-            "both substrates resolve ≥99% (chord {}/{}, pastry {}/{})",
-            chord.resolved, chord.submitted, pastry.resolved, pastry.submitted
-        ),
-        chord.resolved as f64 >= chord.submitted as f64 * 0.99
-            && pastry.resolved as f64 >= pastry.submitted as f64 * 0.99,
-    );
-    let delta = (chord.hit_ratio - pastry.hit_ratio).abs();
-    out.push_check(
-        format!(
-            "hit ratios agree within 0.05 (chord {:.3}, pastry {:.3}, Δ {:.3})",
-            chord.hit_ratio, pastry.hit_ratio, delta
-        ),
-        delta <= 0.05,
-    );
-    // A modest absolute floor: the overlays must actually form under
-    // both substrates. (Absolute hit-ratio levels are scale-sensitive
-    // — short scaled runs spend most of their time warming up — and
-    // are asserted by the gossip-sweep experiments, not here.)
-    out.push_check(
-        format!(
-            "both hit ratios exceed 0.25 (chord {:.3}, pastry {:.3})",
-            chord.hit_ratio, pastry.hit_ratio
-        ),
-        chord.hit_ratio > 0.25 && pastry.hit_ratio > 0.25,
-    );
-    out.text = table.render();
-    out.text.push_str(&out.render_checks());
-    out.csv.push(("table".into(), table.to_csv()));
-    out
-}
-
 /// Parameters of the [`scale`] experiment sweep.
 #[derive(Clone, Debug)]
 pub struct ScaleParams {
@@ -1442,9 +1372,8 @@ pub fn availability(
 /// run must be bit-identical to the first (checked on the full
 /// windowed hit series, not just the totals), every cell records a
 /// metrics snapshot under the family's shared `sim_key` — so the
-/// metrics gate re-checks the parity from the registry side — and a
-/// bench row. Returns the first cell's system and report for series
-/// analysis.
+/// metrics gate re-checks the parity from the registry side. Returns
+/// the first cell's system and report for series analysis.
 fn run_chaos_family(
     out: &mut ExpOutput,
     family: &str,
@@ -1457,7 +1386,11 @@ fn run_chaos_family(
     for &shards in shard_sweep {
         let cfg = mk_cfg(shards);
         let name = format!("chaos/{family}");
-        let (sys, report, record) = runner::run_flower_timed_with(&cfg, &name, |s| prep(s, &cfg));
+        let mut sys = FlowerSystem::build(&cfg);
+        prep(&mut sys, &cfg);
+        let horizon = sys.drain_horizon();
+        sys.run_until(horizon);
+        let report = sys.report();
         let windows: Vec<(u64, u64)> = sys
             .engine()
             .query_stats()
@@ -1481,7 +1414,6 @@ fn run_chaos_family(
             shards: sys.engine().num_shards(),
             set: sys.engine().metrics().clone(),
         });
-        out.bench.push(record);
         match &first {
             None => first = Some((sys, report, fingerprint)),
             Some((_, _, base)) => out.push_check(

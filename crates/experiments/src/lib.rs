@@ -6,8 +6,8 @@
 //!   Figures 5–8), as constants for side-by-side printing;
 //! * [`runner`] — configured runs of the Flower-CDN system and the
 //!   Squirrel baseline at paper scale (optionally time-scaled down);
-//! * [`report`] — fixed-width table, CSV, `--bench-out` and
-//!   `METRICS.json` rendering;
+//! * [`report`] — fixed-width table, CSV and `METRICS.json`
+//!   rendering;
 //! * [`gate`] — the CI metrics gate: parse and validate a
 //!   `METRICS.json` document, render its attribution table;
 //! * [`exps`] — one function per table/figure, each returning a
@@ -23,5 +23,4 @@ pub mod paper;
 pub mod report;
 pub mod runner;
 
-pub use flower_core::SubstrateKind;
 pub use runner::{RunOpts, RunScale};

@@ -1,5 +1,5 @@
-//! Plain-text table, CSV, benchmark-JSON and metrics-JSON rendering
-//! for experiment output.
+//! Plain-text table, CSV and metrics-JSON rendering for experiment
+//! output.
 
 use std::fmt::Write as _;
 
@@ -99,9 +99,8 @@ impl Table {
     }
 }
 
-/// One engine-performance measurement, emitted by `--bench-out` as a
-/// write-only artifact (nothing in the repository parses it back; the
-/// repository's benchmark is `benchmark/`, see `BENCHMARK.json`).
+/// One engine-performance measurement: a row of the `scale` table
+/// (the repository's benchmark is `benchmark/`, see `BENCHMARK.json`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchRecord {
     /// The experiment (or sweep cell) the measurement belongs to.
@@ -119,8 +118,6 @@ pub struct BenchRecord {
     pub events_per_sec: f64,
     /// High-water mark of any shard's event queue length.
     pub peak_queue_depth: usize,
-    /// Simulated milliseconds covered by the run.
-    pub sim_ms: u64,
     /// §5.3 PetalUp: per-instance directory query load imbalance
     /// (hottest instance over mean petal load) at the end of the run;
     /// 0.0 for runs with no directory traffic.
@@ -128,79 +125,6 @@ pub struct BenchRecord {
     /// Barrier rounds the sharded engine executed (0 on single-shard
     /// runs, which have no barrier).
     pub epochs: u64,
-    /// Logical cores of the host the record was measured on.
-    /// Throughput numbers are only comparable within one core count.
-    pub cores: usize,
-    /// Of the `epochs`, how many were fused solo rounds (a lone
-    /// working shard running ahead while the rest skip the round); 0
-    /// for single-shard runs.
-    pub fused_rounds: u64,
-    /// Mean over shards of the wall-clock seconds each shard thread
-    /// spent waiting at the epoch barrier — the synchronization +
-    /// load-imbalance overhead of the parallel run (0.0 on
-    /// single-shard runs).
-    pub barrier_idle_mean_s: f64,
-    /// Maximum over shards of the barrier-wait seconds (the
-    /// worst-placed shard; 0.0 where `barrier_idle_mean_s` is 0.0).
-    pub barrier_idle_max_s: f64,
-    /// Peak resident-set size of the *process* in MB when the cell's
-    /// run finished (Linux `VmHWM`; the high-water mark is monotone
-    /// over a multi-cell process, so within one document a cell's
-    /// value reflects the largest run up to and including it — the
-    /// biggest cell's value is the one that matters). `None` on
-    /// platforms without `/proc`.
-    pub peak_rss_mb: Option<f64>,
-}
-
-/// Schema tag of the `--bench-out` document. `v7` dropped the
-/// per-record `queue` column: the calendar queue is the only event
-/// storage.
-pub const BENCH_SCHEMA: &str = "flower-cdn/bench-engine/v7";
-
-/// Render benchmark records as the `--bench-out` document
-/// (hand-rolled: the build environment has no serde).
-pub fn bench_json(host: &str, records: &[BenchRecord]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{BENCH_SCHEMA}\",");
-    let _ = writeln!(out, "  \"host\": \"{}\",", esc(host));
-    let _ = writeln!(out, "  \"records\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        let rss = match r.peak_rss_mb {
-            Some(mb) => format!("{mb:.1}"),
-            None => "null".into(),
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"experiment\": \"{}\", \"nodes\": {}, \"shards\": {}, \
-             \"wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.1}, \
-             \"peak_queue_depth\": {}, \"sim_ms\": {}, \"dir_load_max_mean\": {:.4}, \
-             \"epochs\": {}, \"cores\": {}, \"fused_rounds\": {}, \
-             \"barrier_idle_mean_s\": {:.3}, \"barrier_idle_max_s\": {:.3}, \
-             \"peak_rss_mb\": {}}}{}",
-            esc(&r.experiment),
-            r.nodes,
-            r.shards,
-            r.wall_s,
-            r.events,
-            r.events_per_sec,
-            r.peak_queue_depth,
-            r.sim_ms,
-            r.dir_load_max_mean,
-            r.epochs,
-            r.cores,
-            r.fused_rounds,
-            r.barrier_idle_mean_s,
-            r.barrier_idle_max_s,
-            rss,
-            comma
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 /// One run's registry snapshot, emitted into `METRICS.json` so the CI
@@ -220,7 +144,8 @@ pub struct MetricsRecord {
 }
 
 /// Render registry snapshots as the versioned `METRICS.json` document
-/// (schema [`METRICS_SCHEMA_NAME`]; hand-rolled like [`bench_json`]).
+/// (schema [`METRICS_SCHEMA_NAME`]; hand-rolled: the build environment
+/// has no serde).
 ///
 /// Every registered counter and gauge is emitted (zeros included, so
 /// the gate can check cross-metric invariants without guessing about
@@ -355,62 +280,6 @@ mod tests {
         assert_eq!(f3(0.8571), "0.857");
         assert_eq!(f1(74.26), "74.3");
         assert_eq!(pct(0.87), "87.0%");
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let records = vec![
-            BenchRecord {
-                experiment: "scale".into(),
-                nodes: 20_000,
-                shards: 2,
-                wall_s: 1.5,
-                events: 3_000_000,
-                events_per_sec: 2_000_000.0,
-                peak_queue_depth: 1234,
-                sim_ms: 60_000,
-                dir_load_max_mean: 1.92,
-                epochs: 512,
-                cores: 8,
-                fused_rounds: 17,
-                barrier_idle_mean_s: 0.25,
-                barrier_idle_max_s: 0.5,
-                peak_rss_mb: Some(812.3),
-            },
-            BenchRecord {
-                experiment: "fig\"5".into(),
-                nodes: 5000,
-                shards: 1,
-                wall_s: 0.25,
-                events: 100,
-                events_per_sec: 400.0,
-                peak_queue_depth: 7,
-                sim_ms: 1000,
-                dir_load_max_mean: 0.0,
-                epochs: 0,
-                cores: 1,
-                fused_rounds: 0,
-                barrier_idle_mean_s: 0.0,
-                barrier_idle_max_s: 0.0,
-                peak_rss_mb: None,
-            },
-        ];
-        let json = bench_json("test-host", &records);
-        assert!(json.contains("\"schema\": \"flower-cdn/bench-engine/v7\""));
-        assert!(json.contains("\"peak_rss_mb\": 812.3"));
-        assert!(json.contains("\"peak_rss_mb\": null"));
-        assert!(json.contains("\"epochs\": 512"));
-        assert!(json.contains("\"cores\": 8"));
-        assert!(json.contains("\"fused_rounds\": 17"));
-        assert!(json.contains("\"barrier_idle_mean_s\": 0.250"));
-        assert!(json.contains("\"barrier_idle_max_s\": 0.500"));
-        assert!(json.contains("\"dir_load_max_mean\": 1.9200"));
-        assert!(json.contains("\"nodes\": 20000"));
-        assert!(!json.contains("\"queue\""), "the queue column is gone");
-        assert!(json.contains("\"events_per_sec\": 2000000.0"));
-        assert!(json.contains("fig\\\"5"), "quotes must be escaped");
-        // Exactly one trailing comma between the two records.
-        assert_eq!(json.matches("},\n").count(), 1);
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! for iterating on event simulations. `RunScale::Full` is the
 //! paper's exact setup and the one recorded in `EXPERIMENTS.md`.
 
-use flower_core::{FlowerConfig, FlowerSystem, SubstrateKind, SystemConfig, SystemReport};
+use flower_core::{FlowerConfig, FlowerSystem, SystemConfig, SystemReport};
 use simnet::SimDuration;
 use squirrel::{SquirrelConfig, SquirrelReport, SquirrelSystem};
 
 use crate::report::BenchRecord;
 
 /// The run parameters every experiment takes: time scale, master
-/// seed, DHT substrate and engine shard count. All of them are
+/// seed and engine shard count. All of them are
 /// execution/reproduction knobs orthogonal to the paper's protocol
 /// parameters.
 #[derive(Clone, Copy, Debug)]
@@ -23,8 +23,6 @@ pub struct RunOpts {
     pub scale: RunScale,
     /// Master seed; a run is a pure function of config + seed.
     pub seed: u64,
-    /// Which DHT the D-ring runs over (§3.1 portability).
-    pub substrate: SubstrateKind,
     /// Engine locality shards (worker threads); results are
     /// bit-identical for every value.
     pub shards: usize,
@@ -45,13 +43,12 @@ pub struct RunOpts {
 }
 
 impl RunOpts {
-    /// Defaults: 1/10 time scale, seed 42, Chord, one shard, no §5.3
+    /// Defaults: 1/10 time scale, seed 42, one shard, no §5.3
     /// instances.
     pub fn new() -> Self {
         RunOpts {
             scale: RunScale::Scaled(0.1),
             seed: 42,
-            substrate: SubstrateKind::Chord,
             shards: 1,
             instance_bits: 0,
             pin: false,
@@ -113,11 +110,9 @@ impl RunScale {
     }
 }
 
-/// The paper-scale Flower-CDN configuration under `opts`: the D-ring
-/// on `opts.substrate` (every paper experiment runs over either DHT
-/// from config alone; the paper's own evaluation simulates Chord), the
-/// engine on `opts.shards` locality shards (results are bit-identical
-/// for every shard count).
+/// The paper-scale Flower-CDN configuration under `opts`, the engine
+/// on `opts.shards` locality shards (results are bit-identical for
+/// every shard count).
 ///
 /// Time-like protocol parameters (`Tgossip`, keepalive, `Tdead` ticks
 /// stay ratio-identical because the tick period scales) shrink with
@@ -130,7 +125,6 @@ pub fn flower_config(opts: RunOpts) -> SystemConfig {
         .scale_duration(SimDuration::from_hours(24))
         .as_ms();
     cfg.flower = scale_flower(&cfg.flower, opts.scale);
-    cfg.flower.substrate = opts.substrate;
     cfg.flower.instance_bits = opts.instance_bits;
     cfg.window = opts.scale.scale_duration(SimDuration::from_mins(30));
     cfg.shards = opts.shards.max(1);
@@ -176,25 +170,12 @@ pub fn run_flower(cfg: &SystemConfig) -> (FlowerSystem, SystemReport) {
 
 /// As [`run_flower`], additionally measuring the engine: wall-clock of
 /// the simulation itself (build excluded), events/second and peak
-/// queue depth, packaged as a [`BenchRecord`] for `--bench-out`.
+/// queue depth, packaged as a [`BenchRecord`] for the `scale` table.
 pub fn run_flower_timed(
     cfg: &SystemConfig,
     experiment: &str,
 ) -> (FlowerSystem, SystemReport, BenchRecord) {
-    run_flower_timed_with(cfg, experiment, |_| {})
-}
-
-/// As [`run_flower_timed`], with a hook run on the freshly built
-/// system before the clock starts — the chaos cells use it to install
-/// their `FaultPlane` and churn scripts (scripted state, not wall
-/// time, so it stays outside the measurement).
-pub fn run_flower_timed_with(
-    cfg: &SystemConfig,
-    experiment: &str,
-    prep: impl FnOnce(&mut FlowerSystem),
-) -> (FlowerSystem, SystemReport, BenchRecord) {
     let mut sys = FlowerSystem::build(cfg);
-    prep(&mut sys);
     let horizon = sys.drain_horizon();
     let t0 = std::time::Instant::now();
     sys.run_until(horizon);
@@ -202,13 +183,6 @@ pub fn run_flower_timed_with(
     let report = sys.report();
     let engine = sys.engine();
     let events = engine.events_processed();
-    let idle = engine.barrier_idle_secs();
-    let idle_mean = if idle.is_empty() {
-        0.0
-    } else {
-        idle.iter().sum::<f64>() / idle.len() as f64
-    };
-    let idle_max = idle.iter().copied().fold(0.0f64, f64::max);
     let record = BenchRecord {
         experiment: experiment.to_string(),
         nodes: cfg.topology.nodes,
@@ -217,29 +191,10 @@ pub fn run_flower_timed_with(
         events,
         events_per_sec: events as f64 / wall_s.max(1e-9),
         peak_queue_depth: engine.peak_queue_depth(),
-        sim_ms: horizon.as_ms(),
         dir_load_max_mean: report.dir_load_max_mean,
         epochs: engine.epochs(),
-        cores: simnet::available_cores(),
-        fused_rounds: engine.fused_rounds(),
-        barrier_idle_mean_s: idle_mean,
-        barrier_idle_max_s: idle_max,
-        peak_rss_mb: peak_rss_mb(),
     };
     (sys, report, record)
-}
-
-/// Peak resident-set size of this process in MB (Linux `VmHWM` from
-/// `/proc/self/status`), or `None` where the proc filesystem is
-/// unavailable. The kernel reports the high-water mark since process
-/// start, so in a multi-cell sweep the value attached to a cell is
-/// "largest footprint so far" — exact for the biggest cell, an upper
-/// bound for the rest.
-pub fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
 }
 
 /// Run Squirrel likewise.
@@ -260,33 +215,22 @@ mod tests {
         assert!(RunScale::parse("x").is_err());
     }
 
-    fn opts(scale: RunScale, substrate: SubstrateKind, shards: usize) -> RunOpts {
+    fn opts(scale: RunScale, shards: usize) -> RunOpts {
         RunOpts {
             scale,
-            substrate,
             shards,
             ..RunOpts::new().seed(1)
         }
     }
 
     #[test]
-    fn substrate_choice_is_config_only() {
-        let chord = flower_config(opts(RunScale::Scaled(0.1), SubstrateKind::Chord, 1));
-        let pastry = flower_config(opts(RunScale::Scaled(0.1), SubstrateKind::Pastry, 1));
-        assert_eq!(chord.flower.substrate, SubstrateKind::Chord);
-        assert_eq!(pastry.flower.substrate, SubstrateKind::Pastry);
-        assert_eq!(chord.workload.duration_ms, pastry.workload.duration_ms);
-        assert_eq!(chord.seed, pastry.seed);
-    }
-
-    #[test]
     fn instance_bits_flow_into_the_flower_config() {
-        let mut o = opts(RunScale::Scaled(0.1), SubstrateKind::Chord, 1);
+        let mut o = opts(RunScale::Scaled(0.1), 1);
         o.instance_bits = 2;
         let cfg = flower_config(o);
         assert_eq!(cfg.flower.instance_bits, 2);
         assert_eq!(
-            flower_config(opts(RunScale::Scaled(0.1), SubstrateKind::Chord, 1))
+            flower_config(opts(RunScale::Scaled(0.1), 1))
                 .flower
                 .instance_bits,
             0,
@@ -296,21 +240,18 @@ mod tests {
 
     #[test]
     fn shards_flow_into_the_configs() {
-        let f = flower_config(opts(RunScale::Scaled(0.1), SubstrateKind::Chord, 4));
+        let f = flower_config(opts(RunScale::Scaled(0.1), 4));
         assert_eq!(f.shards, 4);
-        let s = squirrel_config(opts(RunScale::Scaled(0.1), SubstrateKind::Chord, 4));
+        let s = squirrel_config(opts(RunScale::Scaled(0.1), 4));
         assert_eq!(s.shards, 4);
         // 0 is normalized to 1.
-        assert_eq!(
-            flower_config(opts(RunScale::Full, SubstrateKind::Chord, 0)).shards,
-            1
-        );
+        assert_eq!(flower_config(opts(RunScale::Full, 0)).shards, 1);
     }
 
     #[test]
     fn scaled_config_shrinks_time_not_space() {
-        let full = flower_config(opts(RunScale::Full, SubstrateKind::Chord, 1));
-        let tenth = flower_config(opts(RunScale::Scaled(0.1), SubstrateKind::Chord, 1));
+        let full = flower_config(opts(RunScale::Full, 1));
+        let tenth = flower_config(opts(RunScale::Scaled(0.1), 1));
         assert_eq!(tenth.topology.nodes, full.topology.nodes);
         assert_eq!(tenth.catalog.num_websites, full.catalog.num_websites);
         assert_eq!(tenth.workload.duration_ms, full.workload.duration_ms / 10);

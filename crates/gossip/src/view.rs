@@ -27,7 +27,7 @@ impl<P, S> ViewEntry<P, S> {
 }
 
 /// A bounded partial view of an overlay: at most `capacity`
-/// ([`Vgossip`] in the paper) entries, one per distinct peer.
+/// (`Vgossip` in the paper) entries, one per distinct peer.
 #[derive(Clone, Debug)]
 pub struct View<P, S> {
     entries: Vec<ViewEntry<P, S>>,

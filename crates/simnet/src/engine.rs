@@ -1292,17 +1292,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             .unwrap_or(0)
     }
 
-    /// Per-shard wall-clock seconds spent waiting at the epoch
-    /// barrier (load imbalance + synchronization overhead), indexed
-    /// by shard id. All zeros on single-shard runs and before the
-    /// first sharded run.
-    pub fn barrier_idle_secs(&self) -> Vec<f64> {
-        self.shards
-            .iter()
-            .map(|s| s.metrics.counter(Counter::EngineBarrierIdleNs) as f64 / 1e9)
-            .collect()
-    }
-
     /// Whether sharded runs pin worker threads to
     /// [`Engine::core_map`] (from
     /// [`TopologyConfig::pin`](crate::topology::TopologyConfig::pin);

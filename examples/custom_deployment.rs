@@ -1,37 +1,20 @@
 //! Driving the public API directly: custom topology, §5.3 scale-up
-//! key scheme, pluggable DHT substrate selection, and inspection of
-//! the running overlay.
+//! key scheme, and inspection of the running overlay.
 //!
 //! Shows what the `FlowerSystem` harness does under the hood, for
 //! users who want to embed the protocol in their own simulations.
-//! The D-ring runs over either of the two shipped substrates (§3.1:
-//! "any existing structured overlay based on a standard DHT, e.g.,
-//! Chord, Pastry") — pick one with the `FLOWER_SUBSTRATE` environment
-//! variable or the first command-line argument:
 //!
 //! ```sh
-//! cargo run --release --example custom_deployment            # chord
-//! cargo run --release --example custom_deployment -- pastry
-//! FLOWER_SUBSTRATE=pastry cargo run --release --example custom_deployment
+//! cargo run --release --example custom_deployment
 //! ```
 
 use flower_cdn::chord;
 use flower_cdn::core::id::KeyScheme;
-use flower_cdn::core::substrate::SubstrateKind;
 use flower_cdn::core::system::{FlowerSystem, SystemConfig};
 use flower_cdn::simnet::{Locality, Topology, TopologyConfig};
 use flower_cdn::workload::WebsiteId;
 
 fn main() {
-    // 0. Substrate selection: CLI argument, environment variable, or
-    //    the Chord default.
-    let substrate = std::env::args()
-        .nth(1)
-        .or_else(|| std::env::var("FLOWER_SUBSTRATE").ok())
-        .map(|s| SubstrateKind::parse(&s).expect("substrate must be chord or pastry"))
-        .unwrap_or_default();
-    println!("D-ring substrate: {substrate}");
-
     // 1. A custom underlay: 800 nodes, 4 localities, tighter latency
     //    range than the paper's.
     let topo_cfg = TopologyConfig {
@@ -74,8 +57,7 @@ fn main() {
     assert!(scheme.same_website(a, b));
     assert_eq!(chord::ChordId(b.0 - a.0), chord::ChordId(3));
 
-    // 3. A full system on the custom underlay, over the selected
-    //    substrate (purely a config choice).
+    // 3. A full system on the custom underlay.
     let cfg = SystemConfig {
         topology: topo_cfg,
         workload: flower_cdn::workload::WorkloadConfig {
@@ -89,16 +71,13 @@ fn main() {
             objects_per_website: 50,
             ..Default::default()
         },
-        flower: flower_cdn::core::FlowerConfig {
-            substrate,
-            ..flower_cdn::core::FlowerConfig::fast_test()
-        },
+        flower: flower_cdn::core::FlowerConfig::fast_test(),
         seed: 123,
         window: flower_cdn::simnet::SimDuration::from_secs(30),
         shards: 2,
     };
     let (sys, report) = FlowerSystem::run(&cfg);
-    println!("\ncustom deployment after 5 simulated minutes ({substrate} substrate):");
+    println!("\ncustom deployment after 5 simulated minutes:");
     println!(
         "  hit ratio {:.3}, lookup {:.0} ms, transfer {:.0} ms",
         report.hit_ratio, report.mean_lookup_ms, report.mean_transfer_ms
@@ -111,7 +90,7 @@ fn main() {
     let node = sys.engine().node(d);
     let role = node.dir_role().expect("still a directory");
     println!(
-        "  d(ws0, loc0) on node {d}: {} content peers indexed, {} substrate neighbours",
+        "  d(ws0, loc0) on node {d}: {} content peers indexed, {} ring neighbours",
         role.dir.overlay_size(),
         role.substrate.known_peers().len()
     );

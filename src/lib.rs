@@ -3,15 +3,12 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`core`] (the `flower-core` crate) — the paper's contribution:
-//!   the D-ring directory overlay over a pluggable
-//!   [`core::substrate::DhtSubstrate`] and gossip-based content
+//!   the D-ring directory overlay (on Chord:
+//!   [`core::substrate::ChordSubstrate`]) and gossip-based content
 //!   overlays;
 //! * [`squirrel`] — the Squirrel baseline the paper compares against;
 //! * [`simnet`] — the discrete-event network simulator substrate;
-//! * [`chord`] — the Chord DHT substrate;
-//! * [`pastry`] — the Pastry DHT substrate (the paper's other named
-//!   overlay; backs the §3.1 portability claim — select it with
-//!   `SystemConfig::flower.substrate`);
+//! * [`chord`] — the Chord DHT under the D-ring and the baseline;
 //! * [`gossip`] — age-based view/gossip machinery (Algorithms 4–6);
 //! * [`bloom`] — Bloom-filter content summaries;
 //! * [`workload`] — Zipf query workload generation (Table 1);
@@ -27,7 +24,6 @@ pub use chord;
 pub use experiments;
 pub use flower_core as core;
 pub use gossip;
-pub use pastry;
 pub use simnet;
 pub use squirrel;
 pub use workload;
