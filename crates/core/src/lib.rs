@@ -56,7 +56,7 @@ pub use content::ContentPeerState;
 pub use directory::{DirDecision, DirLoad, DirectoryState, NeighborSummary};
 pub use id::{instance_for, KeyScheme};
 pub use msg::{FlowerMsg, GossipEntry, GossipPayload, ProviderKind, Query};
-pub use node::{Deployment, FlowerNode, NodeCounters};
+pub use node::{Deployment, FlowerNode};
 pub use policy::DringPolicy;
 pub use substrate::ChordSubstrate;
 pub use system::{FlowerSystem, SystemConfig, SystemReport};

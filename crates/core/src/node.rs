@@ -13,6 +13,11 @@
 //! objects, joining overlays, and — per §5 — reacting to redirection
 //! failures, directory failures (detection, jittered replacement,
 //! conflict resolution) and locality changes.
+//!
+//! A node holds protocol state only. What it does is counted once,
+//! where the rest of the run is: the paper's query metrics through
+//! [`Ctx::query_stats`], every other fact as a declared registry cell
+//! through [`Ctx::metrics`].
 
 use std::sync::Arc;
 
@@ -240,42 +245,6 @@ pub struct FlowerNode {
     parked_objects: SmallMap<WebsiteId, Vec<ObjectId>>,
     /// Websites for which a replacement attempt is scheduled/running.
     replacing: SmallMap<WebsiteId, ()>,
-    /// Monotonic counters (observability / tests).
-    pub stats: NodeCounters,
-}
-
-/// Per-node protocol counters, exposed for tests and harnesses.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct NodeCounters {
-    /// Queries this node submitted.
-    pub queries_submitted: u64,
-    /// Queries answered from the node's own cache.
-    pub self_hits: u64,
-    /// Objects this node served to other peers.
-    pub serves: u64,
-    /// Queries this node served as an origin server.
-    pub server_hits: u64,
-    /// Gossip exchanges initiated.
-    pub gossips_started: u64,
-    /// Pushes sent.
-    pub pushes_sent: u64,
-    /// Directory replacements completed by this node.
-    pub replacements_won: u64,
-    /// Directory replacement attempts abandoned (someone else won).
-    pub replacements_lost: u64,
-    /// §5.3 petal splits this node decided as a petal primary.
-    pub petal_splits: u64,
-    /// §5.3 petal merges this node decided as a petal primary.
-    pub petal_merges: u64,
-    /// Queries this directory instance forwarded to another instance
-    /// of its petal (primary dispatch or dormant-sibling relay).
-    pub petal_forwards: u64,
-    /// Pending-query timeouts that fired on this node.
-    pub query_timeouts: u64,
-    /// Timed-out queries re-routed within the retry budget.
-    pub query_retries: u64,
-    /// Timed-out queries degraded to the origin server.
-    pub query_origin_fallbacks: u64,
 }
 
 /// Adapter exposing the simulator context as the D-ring's message
@@ -320,7 +289,6 @@ impl FlowerNode {
             pending: SmallMap::default(),
             parked_objects: SmallMap::default(),
             replacing: SmallMap::default(),
-            stats: NodeCounters::default(),
         }
     }
 
@@ -492,7 +460,6 @@ impl FlowerNode {
         ws: WebsiteId,
         object: ObjectId,
     ) {
-        self.stats.queries_submitted += 1;
         ctx.query_stats().on_submit();
         let me = ctx.id();
         let query = Query {
@@ -514,7 +481,6 @@ impl FlowerNode {
                     .get_mut(&ws)
                     .expect("checked")
                     .touch_object(object);
-                self.stats.self_hits += 1;
                 let now = ctx.now();
                 ctx.query_stats()
                     .on_resolved(now, me, 0, 0, ServedBy::OwnCache);
@@ -594,10 +560,8 @@ impl FlowerNode {
         };
         p.retries += 1;
         let retries = p.retries;
-        self.stats.query_timeouts += 1;
         ctx.metrics().incr(Counter::DirQueryTimeouts);
         if retries <= self.shared.cfg.query_retry_budget {
-            self.stats.query_retries += 1;
             ctx.metrics().incr(Counter::DirQueryRetries);
             self.arm_query_timeout(ctx, qid, retries);
             self.reroute_query(ctx, query, retries);
@@ -605,7 +569,6 @@ impl FlowerNode {
             // Retry budget exhausted: graceful degradation. Counted
             // as a miss by the hit-ratio series, but the user is
             // served — availability over locality.
-            self.stats.query_origin_fallbacks += 1;
             ctx.metrics().incr(Counter::DirQueryOriginFallbacks);
             self.arm_query_timeout(ctx, qid, retries);
             ctx.send(
@@ -707,7 +670,7 @@ impl FlowerNode {
                 role.dir.locality(),
                 0,
             ));
-            self.stats.petal_forwards += 1;
+            ctx.metrics().incr(Counter::DirPetalForwards);
             ctx.send(primary, FlowerMsg::ClientQuery { query });
             return;
         }
@@ -720,7 +683,7 @@ impl FlowerNode {
                 let sibling = self
                     .shared
                     .instance_node(query.website, role.dir.locality(), owner);
-                self.stats.petal_forwards += 1;
+                ctx.metrics().incr(Counter::DirPetalForwards);
                 ctx.send(sibling, FlowerMsg::ClientQuery { query });
                 return;
             }
@@ -842,24 +805,18 @@ impl FlowerNode {
     fn serve(&mut self, ctx: &mut Ctx<'_, FlowerMsg>, query: Query, provider: ProviderKind) {
         let size = self.shared.catalog.object_size(query.object);
         let view_seed = match provider {
-            ProviderKind::ContentPeer => {
-                self.stats.serves += 1;
-                self.content
-                    .get(&query.website)
-                    .map(|cp| {
-                        cp.view()
-                            .select_subset(ctx.rng(), 8)
-                            .into_iter()
-                            .map(|e| e.peer)
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            }
-            ProviderKind::OriginServer => {
-                self.stats.server_hits += 1;
-                ctx.gauge("server_load", 1.0);
-                Vec::new()
-            }
+            ProviderKind::ContentPeer => self
+                .content
+                .get(&query.website)
+                .map(|cp| {
+                    cp.view()
+                        .select_subset(ctx.rng(), 8)
+                        .into_iter()
+                        .map(|e| e.peer)
+                        .collect()
+                })
+                .unwrap_or_default(),
+            ProviderKind::OriginServer => Vec::new(),
         };
         let now = ctx.now();
         ctx.send(
@@ -987,9 +944,10 @@ impl FlowerNode {
             }
         }
         if is_new {
-            // One sample per join: integrating this gauge over time
-            // gives the participant count for Figure 5.
-            ctx.gauge("joins", 1.0);
+            // One sample per join: accumulated over time this is
+            // the participant count of Figure 5.
+            let now = ctx.now();
+            ctx.query_stats().on_join(now);
             // Stagger periodic behaviour so overlays do not beat in
             // lock-step.
             let g = ctx.rng().gen_range(0..cfg.t_gossip.as_ms().max(1));
@@ -1013,7 +971,6 @@ impl FlowerNode {
         if let Some(target) = cp.gossip_tick() {
             let cached = cp.summary_is_cached();
             let payload = cp.build_gossip(ctx.rng(), l_gossip);
-            self.stats.gossips_started += 1;
             let msg = FlowerMsg::GossipReq(payload);
             {
                 let mut m = ctx.metrics();
@@ -1209,12 +1166,15 @@ impl FlowerNode {
                 },
             );
         }
+        // Counted per doubling/halving (live counts are powers of two),
+        // so a split sized straight to 4× and the two merges that undo
+        // it balance — the gate holds merges to splits.
         if new_live > old_live {
-            self.stats.petal_splits += 1;
-            ctx.metrics().incr(Counter::DirPetalSplits);
+            let doublings = (new_live / old_live).trailing_zeros();
+            ctx.metrics().add(Counter::DirPetalSplits, doublings as u64);
         } else {
-            self.stats.petal_merges += 1;
-            ctx.metrics().incr(Counter::DirPetalMerges);
+            let halvings = (old_live / new_live).trailing_zeros();
+            ctx.metrics().add(Counter::DirPetalMerges, halvings as u64);
             for inst in new_live..old_live {
                 ctx.send(
                     shared.instance_node(ws, loc, inst),
@@ -1319,7 +1279,6 @@ impl FlowerNode {
             return;
         };
         cp.reset_dir_age();
-        self.stats.pushes_sent += 1;
         if dir == ctx.id() {
             // We are the directory ourselves (post-§5.2 takeover).
             if let Some(role) = &mut self.dir_role {
@@ -1446,7 +1405,7 @@ impl FlowerNode {
             .and_then(|cp| cp.directory())
             .filter(|d| *d != me);
         if let Some(winner) = learned_winner {
-            self.stats.replacements_lost += 1;
+            ctx.metrics().incr(Counter::DirReplacementsLost);
             self.dir_role = None;
             if let Some(cp) = self.content.get_mut(&ws) {
                 cp.set_directory(winner);
@@ -1480,7 +1439,7 @@ impl FlowerNode {
         if let Some(winner) = taken_by {
             // Position already appropriated (§5.2): adopt the winner
             // as our directory and stand down.
-            self.stats.replacements_lost += 1;
+            ctx.metrics().incr(Counter::DirReplacementsLost);
             self.dir_role = None;
             if let Some(cp) = self.content.get_mut(&ws) {
                 cp.set_directory(winner);
@@ -1488,7 +1447,7 @@ impl FlowerNode {
             return;
         }
         role.joining = false;
-        self.stats.replacements_won += 1;
+        ctx.metrics().incr(Counter::DirReplacementsWon);
         // Seed the new directory from our gossip view: members and
         // their summaries ("answers first queries from its content
         // summaries").
@@ -1551,7 +1510,8 @@ impl FlowerNode {
     /// Conflict resolution for duplicate D-ring positions (two §5.2
     /// replacements racing): the lower node id stays, the other
     /// abdicates. Returns true if we abdicated.
-    fn resolve_position_conflict(&mut self, other: PeerRef, me: NodeId) -> bool {
+    fn resolve_position_conflict(&mut self, ctx: &mut Ctx<'_, FlowerMsg>, other: PeerRef) -> bool {
+        let me = ctx.id();
         let Some(role) = &self.dir_role else {
             return false;
         };
@@ -1562,7 +1522,7 @@ impl FlowerNode {
             return false; // we win; the other side will abdicate.
         }
         let ws = role.dir.website();
-        self.stats.replacements_lost += 1;
+        ctx.metrics().incr(Counter::DirReplacementsLost);
         self.dir_role = None;
         if let Some(cp) = self.content.get_mut(&ws) {
             cp.set_directory(other.node);
@@ -1575,7 +1535,6 @@ impl FlowerNode {
     // ------------------------------------------------------------------
 
     fn on_dht_msg(&mut self, ctx: &mut Ctx<'_, FlowerMsg>, from: NodeId, msg: SubstrateMsg) {
-        let me = ctx.id();
         // Duplicate-position detection on maintenance traffic.
         let conflicts = self
             .dir_role
@@ -1583,7 +1542,7 @@ impl FlowerNode {
             .map(|r| r.substrate.conflict_peers(&msg))
             .unwrap_or_default();
         for p in conflicts {
-            if self.resolve_position_conflict(p, me) {
+            if self.resolve_position_conflict(ctx, p) {
                 return;
             }
         }

@@ -557,7 +557,6 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeCounters;
     use workload::Surge;
 
     fn run_small(seed: u64) -> (FlowerSystem, SystemReport) {
@@ -610,28 +609,41 @@ mod tests {
         cfg
     }
 
+    /// What one node holds: objects per content role (by website) and
+    /// the overlay size of its directory role.
+    type NodeState = (Vec<(WebsiteId, usize)>, Option<usize>);
+
     /// Everything a run leaves behind that the protocol decided.
-    fn observed(sys: &FlowerSystem) -> (SystemReport, Vec<u64>, u64, Vec<NodeCounters>) {
+    fn observed(sys: &FlowerSystem) -> (SystemReport, Vec<u64>, u64, Vec<NodeState>) {
         let engine = sys.engine();
-        let counters = engine
+        let states = engine
             .topology()
             .node_ids()
-            .map(|n| engine.node(n).stats.clone())
+            .map(|n| {
+                let node = engine.node(n);
+                let mut held: Vec<(WebsiteId, usize)> = node
+                    .content
+                    .keys()
+                    .filter_map(|ws| Some((*ws, node.content_role(*ws)?.content_len())))
+                    .collect();
+                held.sort_unstable();
+                (held, node.dir_role().map(|r| r.dir.overlay_size()))
+            })
             .collect();
         (
             sys.report(),
             engine.metrics().sim_fingerprint(),
             engine.events_processed(),
-            counters,
+            states,
         )
     }
 
     /// The streamed trace against the eager reference: equal reports,
-    /// registry fingerprints, event counts and per-node counters, run
-    /// in legs so the source is resumed mid-trace, on one shard and on
-    /// three. (That the two forms pop the very same `EventKey`
-    /// sequence is held at the engine, where pops can be observed:
-    /// `simnet::engine::source_parity`.)
+    /// registry fingerprints, event counts and per-node protocol
+    /// state, run in legs so the source is resumed mid-trace, on one
+    /// shard and on three. (That the two forms pop the very same
+    /// `EventKey` sequence is held at the engine, where pops can be
+    /// observed: `simnet::engine::source_parity`.)
     #[test]
     fn streamed_trace_matches_the_eager_reference() {
         for shards in [1usize, 3] {
@@ -696,7 +708,7 @@ mod tests {
     #[test]
     fn node_state_fits_its_budget() {
         assert!(
-            std::mem::size_of::<FlowerNode>() <= 256,
+            std::mem::size_of::<FlowerNode>() <= 128,
             "FlowerNode grew to {} B",
             std::mem::size_of::<FlowerNode>()
         );

@@ -4,14 +4,13 @@
 //! ```text
 //! flower-experiments <experiment> [--scale <f|full>] [--seed <n>]
 //!                    [--shards <n>] [--instance-bits <b|a,b,..>] [--pin]
-//!                    [--csv-dir <dir>] [--metrics-out <file>]
+//!                    [--csv-dir <dir>] [--metrics-out <file> [--summary-out <file>]]
 //!
 //! experiments:
 //!   table2a | table2b | table2c | push-threshold
 //!   fig5 | fig6 | fig7 | fig8
 //!   churn | ablation | replication | cache | chaos | all
 //!   scale [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>]
-//!   metrics-check --metrics <file> [--summary-out <file>]
 //! ```
 //!
 //! `--scale 0.1` simulates 2.4 h instead of 24 h (protocol periods
@@ -30,10 +29,13 @@
 //! and without it, and it degrades gracefully where the host forbids
 //! affinity changes.
 //! `--metrics-out METRICS.json` (for `scale`, `churn` and `chaos`)
-//! writes the registry snapshots of every cell machine-readably;
-//! `metrics-check` validates such a document (the CI metrics-smoke
-//! assertions), prints its per-subsystem attribution table and, with
-//! `--summary-out`, writes the table as markdown.
+//! runs the metrics gate ([`gate::validate_metrics`]) on the registry
+//! snapshots of every cell, writes them machine-readably either way,
+//! prints the per-subsystem attribution table (`--summary-out` also
+//! writes it as markdown) and exits 1 with the gate's message when an
+//! invariant fails.
+//! Output paths are opened before the first simulation starts: one
+//! that cannot be written is refused like any other bad argument.
 //! `chaos` runs the fault-injection plane end to end (scripted
 //! partition + heal, flash crowd, cross-locality message loss,
 //! correlated regional failure), each family across a shard sweep
@@ -44,6 +46,7 @@
 //! A deployment too small for its D-ring (or an unrepresentable
 //! `--instance-bits`) is refused up front with a one-line message.
 
+use std::fs::File;
 use std::io::Write;
 
 use experiments::exps::{self, ExpOutput, ScaleParams};
@@ -68,7 +71,6 @@ const COMMANDS: &[&str] = &[
     "cache",
     "chaos",
     "scale",
-    "metrics-check",
     "all",
 ];
 
@@ -76,17 +78,16 @@ struct Args {
     cmd: String,
     opts: RunOpts,
     csv_dir: Option<String>,
-    /// `--metrics-out`: write the registry snapshots as METRICS.json.
+    /// `--metrics-out`: gate the registry snapshots and write them as
+    /// METRICS.json.
     metrics_out: Option<String>,
-    /// `--metrics`: the METRICS.json `metrics-check` validates.
-    metrics_in: Option<String>,
     scale_nodes: Vec<usize>,
     scale_shards: Vec<usize>,
     /// §5.3 instance-bits sweep of the `scale` experiment (single
     /// value for every other experiment).
     scale_bits: Vec<u32>,
     horizon_secs: u64,
-    /// `--summary-out`: where `metrics-check` writes its markdown.
+    /// `--summary-out`: where the attribution table goes as markdown.
     summary_out: Option<String>,
 }
 
@@ -132,7 +133,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         opts: RunOpts::new(),
         csv_dir: None,
         metrics_out: None,
-        metrics_in: None,
         scale_nodes: vec![10_000, 50_000, 100_000],
         scale_shards: vec![1, 2, 4, 8],
         scale_bits: vec![0],
@@ -158,9 +158,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--metrics-out" => {
                 out.metrics_out = Some(args.next().ok_or("--metrics-out needs a value")?);
-            }
-            "--metrics" => {
-                out.metrics_in = Some(args.next().ok_or("--metrics needs a value")?);
             }
             "--nodes" => {
                 let v = args.next().ok_or("--nodes needs a value")?;
@@ -205,6 +202,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
     }
+    if out.summary_out.is_some() && out.metrics_out.is_none() {
+        return Err("--summary-out needs --metrics-out".into());
+    }
     Ok(out)
 }
 
@@ -213,77 +213,110 @@ fn usage() -> String {
         "usage: flower-experiments <{}> \
          [--scale <f|full>] [--seed <n>] [--shards <n>] \
          [--instance-bits <b|a,b,..>] [--pin] \
-         [--csv-dir <dir>] [--metrics-out <file>] \
-         [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>] \
-         [--metrics <file> [--summary-out <file>]]",
+         [--csv-dir <dir>] [--metrics-out <file> [--summary-out <file>]] \
+         [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>]",
         COMMANDS.join("|")
     )
 }
 
-/// The CI metrics-smoke check (`metrics-check`): parse a METRICS.json
-/// document, run the [`gate::validate_metrics`] assertions (non-empty
-/// registry, counter cross-invariants, histogram count/sum
-/// consistency, sim-scope equality across execution variants), and
-/// print the per-subsystem attribution table.
-fn metrics_check(args: &Args) -> Result<(), String> {
-    let path = args
-        .metrics_in
-        .as_deref()
-        .ok_or("metrics-check needs --metrics <file>")?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let doc = gate::parse_metrics(&json).map_err(|e| format!("{path}: {e}"))?;
-    gate::validate_metrics(&doc).map_err(|e| format!("{path}: {e}"))?;
-    let md = gate::metrics_markdown(&doc);
-    println!("{md}");
-    if let Some(out) = &args.summary_out {
-        std::fs::write(out, &md).map_err(|e| format!("write {out}: {e}"))?;
-        eprintln!("wrote {out}");
-    }
-    eprintln!(
-        "metrics-check: OK — {} record(s), schema {}",
-        doc.records.len(),
-        doc.schema
-    );
-    Ok(())
+/// An output file created (truncated) up front, with the path it was
+/// asked for under.
+struct OutFile {
+    path: String,
+    file: File,
 }
 
-fn emit(name: &str, out: &ExpOutput, csv_dir: &Option<String>) {
+impl OutFile {
+    fn create(flag: &str, path: &str) -> Result<Self, String> {
+        let path = path.to_string();
+        match File::create(&path) {
+            Ok(file) => Ok(OutFile { path, file }),
+            Err(e) => Err(format!("cannot write {flag} {path}: {e}")),
+        }
+    }
+
+    fn write(&mut self, content: &str) -> Result<(), String> {
+        self.file
+            .write_all(content.as_bytes())
+            .map_err(|e| format!("write {}: {e}", self.path))?;
+        eprintln!("wrote {}", self.path);
+        Ok(())
+    }
+}
+
+/// Make sure of everything the run will write to before it starts:
+/// the CSV directory exists, the `--metrics-out` and `--summary-out`
+/// files are created.
+fn open_outputs(args: &Args) -> Result<(Option<OutFile>, Option<OutFile>), String> {
+    if let Some(dir) = &args.csv_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create --csv-dir {dir}: {e}"))?;
+    }
+    let open = |flag, path: &Option<String>| {
+        path.as_deref()
+            .map(|p| OutFile::create(flag, p))
+            .transpose()
+    };
+    Ok((
+        open("--metrics-out", &args.metrics_out)?,
+        open("--summary-out", &args.summary_out)?,
+    ))
+}
+
+fn emit(name: &str, out: &ExpOutput, csv_dir: &Option<String>) -> Result<(), String> {
     println!("{}", out.text);
     if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
         for (stem, content) in &out.csv {
             let path = format!("{dir}/{name}_{stem}.csv");
-            let mut f = std::fs::File::create(&path).expect("create csv");
-            f.write_all(content.as_bytes()).expect("write csv");
+            std::fs::write(&path, content).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
     }
     if !out.all_passed() {
         eprintln!("WARNING: {name}: some shape checks failed");
     }
+    Ok(())
+}
+
+/// `--metrics-out`: gate the records, write the document whatever the
+/// verdict (a failed gate is when someone needs to read it), print the
+/// attribution table, then report the verdict.
+fn gate_and_write(
+    records: &[MetricsRecord],
+    mut metrics: OutFile,
+    summary: Option<OutFile>,
+) -> Result<(), String> {
+    let host = format!(
+        "{} cpus, {}",
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(0),
+        std::env::consts::ARCH
+    );
+    let verdict = gate::validate_metrics(records);
+    metrics.write(&metrics_json(&host, records))?;
+    let md = gate::metrics_markdown(&host, records);
+    println!("{md}");
+    if let Some(mut summary) = summary {
+        summary.write(&md)?;
+    }
+    verdict.map_err(|e| format!("{}: {e}", metrics.path))?;
+    eprintln!("metrics gate: OK — {} record(s)", records.len());
+    Ok(())
+}
+
+/// Print one line and exit with `code` (2: refused before running,
+/// 1: failed while running).
+fn die(code: i32, msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
 }
 
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    if args.cmd == "metrics-check" {
-        match metrics_check(&args) {
-            Ok(()) => return,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| die(2, &e));
     if let Err(e) = exps::check_deployment_size(&args.cmd, args.opts, &args.scale_params()) {
-        eprintln!("{e}");
-        std::process::exit(2);
+        die(2, &e);
     }
+    let (metrics_out, summary_out) = open_outputs(&args).unwrap_or_else(|e| die(2, &e));
     let opts = args.opts;
     eprintln!(
         "# running {} at scale {:?} seed {} with {} shard(s)",
@@ -313,19 +346,11 @@ fn main() {
     let mut metrics_records: Vec<MetricsRecord> = Vec::new();
     for (name, out) in &outputs {
         failed |= !out.all_passed();
-        emit(name, out, &args.csv_dir);
+        emit(name, out, &args.csv_dir).unwrap_or_else(|e| die(1, &e));
         metrics_records.extend(out.metrics.iter().cloned());
     }
-    let host = format!(
-        "{} cpus, {}",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(0),
-        std::env::consts::ARCH
-    );
-    if let Some(path) = &args.metrics_out {
-        std::fs::write(path, metrics_json(&host, &metrics_records)).expect("write metrics json");
-        eprintln!("wrote {path} ({} records)", metrics_records.len());
+    if let Some(metrics_out) = metrics_out {
+        gate_and_write(&metrics_records, metrics_out, summary_out).unwrap_or_else(|e| die(1, &e));
     }
     eprintln!("# done in {:.1}s", t0.elapsed().as_secs_f64());
     if failed {
@@ -399,6 +424,8 @@ mod tests {
             "fig5 --substrate pastry",
             "substrates",
             "scale --bench-out x",
+            "metrics-check",
+            "scale --metrics x",
         ] {
             let err = parse(line)
                 .err()
@@ -406,6 +433,31 @@ mod tests {
             assert!(err.contains("usage: flower-experiments"), "{line:?}: {err}");
         }
         assert!(parse("").err().unwrap().starts_with("usage:"));
+    }
+
+    /// Output paths are settled before any experiment runs: what
+    /// cannot be written is refused in one line naming it.
+    #[test]
+    fn unwritable_outputs_are_refused_up_front() {
+        // A regular file where a directory is needed.
+        let blocker = std::env::temp_dir().join(format!("flower-cli-{}", std::process::id()));
+        std::fs::write(&blocker, "").unwrap();
+        let under = |name: &str| format!("{}/{name}", blocker.display());
+        for line in [
+            format!("scale --metrics-out {}", under("M.json")),
+            format!("fig5 --csv-dir {}", under("csv")),
+        ] {
+            let err = open_outputs(&parse(&line).unwrap())
+                .err()
+                .unwrap_or_else(|| panic!("{line:?} accepted"));
+            assert!(err.contains(&under("")), "{line:?}: {err}");
+            assert!(!err.contains('\n'), "one line: {err}");
+        }
+        assert_eq!(
+            parse("scale --summary-out s.md").err().unwrap(),
+            "--summary-out needs --metrics-out"
+        );
+        std::fs::remove_file(&blocker).unwrap();
     }
 
     #[test]

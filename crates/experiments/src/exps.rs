@@ -327,12 +327,7 @@ pub fn fig5(opts: RunOpts) -> ExpOutput {
     let hit = sys.engine().query_stats().hit_series().points();
     let bg = sys.engine().traffic().background_series().points();
     // Participants over time: directories + cumulative joins.
-    let joins = sys
-        .engine()
-        .gauges()
-        .get("joins")
-        .map(|s| s.points())
-        .unwrap_or_default();
+    let joins = sys.engine().query_stats().join_series().points();
     let mut cum_joins = 0.0;
     let mut participants_at: Vec<f64> = Vec::new();
     for i in 0..hit.len().max(bg.len()) {
@@ -653,12 +648,7 @@ pub fn churn(opts: RunOpts) -> ExpOutput {
         set: sys.engine().metrics().clone(),
     });
 
-    let replacements: u64 = sys
-        .engine()
-        .topology()
-        .node_ids()
-        .map(|n| sys.engine().node(n).stats.replacements_won)
-        .sum();
+    let replacements = sys.engine().metrics().counter(Counter::DirReplacementsWon);
 
     let mut t = Table::new(
         "Churn extension — session churn + directory kills",
@@ -1059,6 +1049,9 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                     format!("scale/{nodes}n/b{bits}")
                 };
                 let (sys, report, record) = runner::run_flower_timed(&cfg, &name);
+                // What the engine ran, not what was asked for: it
+                // clamps to the number of localities.
+                let shards = sys.engine().num_shards();
                 let speedup = match &base {
                     None => format!("×1.00 (base: {shards} shard(s))"),
                     Some((base_wall, _, _)) => {
@@ -1068,7 +1061,7 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                 table.row(vec![
                     nodes.to_string(),
                     bits.to_string(),
-                    sys.engine().num_shards().to_string(),
+                    shards.to_string(),
                     format!("{:.2}", record.wall_s),
                     record.events.to_string(),
                     f1(record.events_per_sec),
@@ -1105,7 +1098,7 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                     // The shard count is an execution knob: every
                     // cell of the group simulates the same trace.
                     sim_key: name,
-                    shards: sys.engine().num_shards(),
+                    shards,
                     set: sys.engine().metrics().clone(),
                 });
                 out.bench.push(record);
@@ -1738,6 +1731,20 @@ mod tests {
         assert_eq!(out.bench[0].events, out.bench[1].events);
         assert_eq!(out.bench[0].epochs, 0, "one shard has no barrier");
         assert!(out.bench[1].epochs > 0, "sharded runs count barrier rounds");
+
+        // An over-asked base cell is labelled with the shard count the
+        // engine clamped it to (the 8 localities).
+        let out = scale(&ScaleParams {
+            nodes: vec![2000],
+            shards: vec![64, 1],
+            instance_bits: vec![0],
+            horizon: SimDuration::from_secs(5),
+            seed: 9,
+            pin: false,
+        });
+        assert!(out.all_passed(), "{}", out.render_checks());
+        assert!(out.text.contains("(base: 8 shard(s))"), "{}", out.text);
+        assert!(!out.text.contains("64 shard"), "{}", out.text);
     }
 
     #[test]

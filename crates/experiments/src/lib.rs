@@ -8,8 +8,8 @@
 //!   Squirrel baseline at paper scale (optionally time-scaled down);
 //! * [`report`] — fixed-width table, CSV and `METRICS.json`
 //!   rendering;
-//! * [`gate`] — the CI metrics gate: parse and validate a
-//!   `METRICS.json` document, render its attribution table;
+//! * [`gate`] — the metrics gate: the invariants a run's registry
+//!   snapshots must satisfy, and their attribution table;
 //! * [`exps`] — one function per table/figure, each returning a
 //!   printable report and checking the qualitative invariants
 //!   (who wins, by what rough factor).

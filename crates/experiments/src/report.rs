@@ -147,9 +147,8 @@ pub struct MetricsRecord {
 /// (schema [`METRICS_SCHEMA_NAME`]; hand-rolled: the build environment
 /// has no serde).
 ///
-/// Every registered counter and gauge is emitted (zeros included, so
-/// the gate can check cross-metric invariants without guessing about
-/// absent cells); histograms carry their exact count/sum plus the
+/// Every registered counter and gauge is emitted, zeros included;
+/// histograms carry their exact count/sum plus the
 /// non-empty `[bucket index, count]` pairs.
 pub fn metrics_json(host: &str, records: &[MetricsRecord]) -> String {
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");

@@ -6,8 +6,8 @@
 //! which keeps the whole registry visible in one file and free of
 //! build-time dependencies.
 
-/// Schema tag of the versioned `METRICS.json` export read by the CI
-/// gate. Bump the suffix when the document layout changes.
+/// Schema tag of the versioned `METRICS.json` export. Bump the suffix
+/// when the document layout changes.
 pub const METRICS_SCHEMA_NAME: &str = "flower-cdn/metrics/v1";
 
 /// The subsystem a metric attributes its cost to. The CI attribution
@@ -222,15 +222,21 @@ registry! {
     DirViewSeeds => "dir_view_seed_calls", "calls", Directory, Sim,
         "Admission view seedings served from the recency-ordered member set.";
     DirPetalSplits => "dir_petal_splits", "splits", Directory, Sim,
-        "§5.3 PetalUp petal splits (live instance count doubled).";
+        "§5.3 PetalUp petal splits, one per doubling of a petal's live instance count.";
     DirPetalMerges => "dir_petal_merges", "merges", Directory, Sim,
-        "§5.3 PetalUp petal merges (live instance count halved).";
+        "§5.3 PetalUp petal merges, one per halving of a petal's live instance count.";
     DirQueryTimeouts => "dir_query_timeouts", "queries", Directory, Sim,
         "Pending queries whose timeout fired before any response arrived.";
     DirQueryRetries => "dir_query_retries", "queries", Directory, Sim,
         "Timed-out queries re-routed within the retry budget (sibling petal or fresh bootstrap).";
     DirQueryOriginFallbacks => "dir_query_degraded_origin", "queries", Directory, Sim,
         "Queries that exhausted the retry budget and degraded straight to the origin server.";
+    DirReplacementsWon => "dir_replacements_won", "replacements", Directory, Sim,
+        "§5.2 replacement joins that took over a failed directory's D-ring position.";
+    DirReplacementsLost => "dir_replacements_lost", "replacements", Directory, Sim,
+        "§5.2 replacement attempts abandoned because another peer took the position first.";
+    DirPetalForwards => "dir_petal_forwards", "queries", Directory, Sim,
+        "Queries a directory instance handed to another instance of its petal (primary dispatch or dormant-sibling relay).";
     GossipExchanges => "gossip_exchanges", "exchanges", Gossip, Sim,
         "Periodic gossip exchanges initiated by content peers.";
     BloomCowClones => "bloom_snapshot_cow_clones", "snapshots", Gossip, Sim,

@@ -77,7 +77,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::event::{EventKey, EventQueue};
-use crate::stats::{QueryStats, ShardTraffic, TimeSeries, Traffic, TrafficClass};
+use crate::stats::{QueryStats, ShardTraffic, Traffic, TrafficClass};
 use crate::sync::{MailboxGrid, SenseBarrier};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{Locality, NodeId, Topology};
@@ -165,7 +165,6 @@ pub struct Ctx<'a, M> {
     topo: &'a Topology,
     rng: &'a mut StdRng,
     query_stats: &'a mut QueryStats,
-    gauges: &'a mut GaugeSet,
     metrics: &'a mut MetricSet,
     out: &'a mut Vec<Action<M>>,
 }
@@ -240,21 +239,6 @@ impl<'a, M> Ctx<'a, M> {
     pub fn metrics(&mut self) -> MetricSink<'_> {
         MetricSink::new(self.metrics)
     }
-
-    /// Record an application gauge sample (e.g. participant count,
-    /// server load) into a named windowed series.
-    ///
-    /// Values must be integer-valued: per-shard window sums are merged
-    /// at read time, and only exactly-representable additions keep the
-    /// merged totals bit-identical across shard layouts.
-    pub fn gauge(&mut self, name: &'static str, value: f64) {
-        debug_assert!(
-            value == value.trunc() && value.abs() <= 9_007_199_254_740_992.0,
-            "gauge values must be integer-valued (≤2^53) so per-shard window \
-             sums merge exactly across shard layouts; got {value}"
-        );
-        self.gauges.record(self.now, name, value);
-    }
 }
 
 /// Record-only facade over a shard's [`QueryStats`], handed out by
@@ -288,50 +272,10 @@ impl QuerySink<'_> {
     pub fn on_redirection_failure(&mut self) {
         self.stats.on_redirection_failure();
     }
-}
 
-/// Named application-level time series (gauges).
-#[derive(Clone, Debug, Default)]
-pub struct GaugeSet {
-    window: SimDuration,
-    series: std::collections::HashMap<&'static str, TimeSeries>,
-}
-
-impl GaugeSet {
-    fn new(window: SimDuration) -> Self {
-        GaugeSet {
-            window,
-            series: Default::default(),
-        }
-    }
-
-    fn record(&mut self, at: SimTime, name: &'static str, value: f64) {
-        let window = self.window;
-        self.series
-            .entry(name)
-            .or_insert_with(|| TimeSeries::new(window))
-            .record(at, value);
-    }
-
-    /// Fetch a gauge series by name.
-    pub fn get(&self, name: &'static str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
-    /// Fold another shard's gauges into this one (per-name series
-    /// merge; commutative, so the shard iteration order is
-    /// irrelevant).
-    pub fn merge_from(&mut self, other: &GaugeSet) {
-        for (name, series) in &other.series {
-            match self.series.entry(name) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().merge_from(series)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(series.clone());
-                }
-            }
-        }
+    /// Note that a peer joined a content overlay at `at`.
+    pub fn on_join(&mut self, at: SimTime) {
+        self.stats.on_join(at);
     }
 }
 
@@ -619,7 +563,6 @@ struct Shard<M: Message, N: Node<M>> {
     /// [`Traffic`] view at read time ([`Traffic::absorb_shard`]).
     traffic: ShardTraffic,
     query_stats: QueryStats,
-    gauges: GaugeSet,
     /// Reusable action buffer lent to [`Ctx`] for each handler call;
     /// drained (capacity kept) after every event.
     scratch: Vec<Action<M>>,
@@ -649,7 +592,7 @@ struct Shard<M: Message, N: Node<M>> {
 /// Per-traffic-class receive counters, indexed by
 /// [`TrafficClass::index`] — declaration order of both sides is
 /// pinned by a test below.
-const RECV_COUNTER: [Counter; 7] = [
+pub const RECV_COUNTER: [Counter; 7] = [
     Counter::RecvGossip,
     Counter::RecvPush,
     Counter::RecvKeepAlive,
@@ -660,7 +603,7 @@ const RECV_COUNTER: [Counter; 7] = [
 ];
 
 /// Per-traffic-class send counters, mirror of [`RECV_COUNTER`].
-const SENT_COUNTER: [Counter; 7] = [
+pub const SENT_COUNTER: [Counter; 7] = [
     Counter::SentGossip,
     Counter::SentPush,
     Counter::SentKeepAlive,
@@ -675,7 +618,7 @@ const SENT_COUNTER: [Counter; 7] = [
 /// [`BOUNCE_COUNTER`] these close the per-class message ledger the CI
 /// gate checks: `recv + bounce + drop ≤ sent` (strict equality is
 /// impossible — messages still in flight at the horizon are neither).
-const DROP_COUNTER: [Counter; 7] = [
+pub const DROP_COUNTER: [Counter; 7] = [
     Counter::DropGossip,
     Counter::DropPush,
     Counter::DropKeepAlive,
@@ -687,7 +630,7 @@ const DROP_COUNTER: [Counter; 7] = [
 
 /// Per-traffic-class bounce counters, mirror of [`RECV_COUNTER`].
 /// Sums to [`Counter::EngineBounces`] exactly.
-const BOUNCE_COUNTER: [Counter; 7] = [
+pub const BOUNCE_COUNTER: [Counter; 7] = [
     Counter::BounceGossip,
     Counter::BouncePush,
     Counter::BounceKeepAlive,
@@ -940,7 +883,6 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
             topo,
             rng: &mut self.slab.rngs[li],
             query_stats: &mut self.query_stats,
-            gauges: &mut self.gauges,
             metrics: &mut self.metrics,
             out: &mut scratch,
         };
@@ -980,7 +922,6 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
                 topo,
                 rng: &mut self.slab.rngs[li],
                 query_stats: &mut self.query_stats,
-                gauges: &mut self.gauges,
                 metrics: &mut self.metrics,
                 out: &mut scratch,
             };
@@ -1084,7 +1025,6 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
 struct Merged {
     traffic: Traffic,
     query_stats: QueryStats,
-    gauges: GaugeSet,
     metrics: MetricSet,
 }
 
@@ -1204,7 +1144,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                 now: SimTime::ZERO,
                 traffic: ShardTraffic::new(members, window),
                 query_stats: QueryStats::new(window),
-                gauges: GaugeSet::new(window),
                 scratch: Vec::new(),
                 #[cfg(test)]
                 one_at_a_time: false,
@@ -1353,11 +1292,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         &self.merged().query_stats
     }
 
-    /// Application gauges (merged across shards).
-    pub fn gauges(&self) -> &GaugeSet {
-        &self.merged().gauges
-    }
-
     /// Total events dispatched so far.
     pub fn events_processed(&self) -> u64 {
         self.shards
@@ -1391,7 +1325,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             let mut merged = Merged {
                 traffic: Traffic::new(self.topo.num_nodes(), first.traffic.window()),
                 query_stats: first.query_stats.clone(),
-                gauges: first.gauges.clone(),
                 metrics: first.metrics.clone(),
             };
             for s in &self.shards {
@@ -1399,7 +1332,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             }
             for s in &self.shards[1..] {
                 merged.query_stats.merge_from(&s.query_stats);
-                merged.gauges.merge_from(&s.gauges);
                 merged.metrics.merge_from(&s.metrics);
             }
             // Engine-level execution gauges, written at merge time:

@@ -10,7 +10,7 @@ use rand::Rng;
 
 use super::{Ctx, Engine, Event, Message, Node};
 use crate::churn::{ChurnConfig, ChurnScript};
-use crate::stats::{ServedBy, TrafficClass};
+use crate::stats::{SeriesPoint, ServedBy, TrafficClass};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology, TopologyConfig};
 
@@ -85,7 +85,8 @@ impl Node<Msg> for Chatter {
                 msg: Msg::Reply, ..
             } => {
                 self.replies += 1;
-                ctx.gauge("replies", 1.0);
+                let now = ctx.now();
+                ctx.query_stats().on_join(now);
             }
             Event::Timer { tag, .. } => self.mix(tag),
             Event::Undeliverable { to, .. } => self.mix(to.0 as u64),
@@ -95,7 +96,7 @@ impl Node<Msg> for Chatter {
 }
 
 /// Everything observable about a run, reduced to a comparable value.
-type Fingerprint = (u64, u64, Vec<u64>, u64, String);
+type Fingerprint = (u64, u64, Vec<u64>, u64, String, Vec<SeriesPoint>);
 
 fn fingerprint<F>(e: &Engine<Msg, Chatter>, digest: F) -> Fingerprint
 where
@@ -123,6 +124,7 @@ where
         digests,
         traffic,
         qfp,
+        q.join_series().points(),
     )
 }
 

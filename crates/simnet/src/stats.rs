@@ -15,7 +15,10 @@
 //! [`Traffic`] implements the first (bytes per node per class with a
 //! windowed series), [`QueryStats`] the other three (averages,
 //! fixed-width distributions as in Figures 7(b)/8(b), and windowed
-//! series as in Figures 5–8(a)).
+//! series as in Figures 5–8(a), the overlay joins behind Figure 5's
+//! per-peer normalisation among them). Message *counts* per class are
+//! not kept here: they are the `engine_sent_*` / `engine_recv_*`
+//! cells of the metric registry.
 //!
 //! ## Sharded accumulation
 //!
@@ -99,8 +102,6 @@ pub struct Traffic {
     /// Background (gossip+push) bytes, windowed over time.
     background_series: TimeSeries,
     messages: u64,
-    /// Message counts per class (system-wide).
-    msgs_by_class: [u64; N_CLASSES],
 }
 
 impl Traffic {
@@ -111,7 +112,6 @@ impl Traffic {
             recv: vec![[0; N_CLASSES]; nodes],
             background_series: TimeSeries::new(window),
             messages: 0,
-            msgs_by_class: [0; N_CLASSES],
         }
     }
 
@@ -128,7 +128,6 @@ impl Traffic {
         self.sent[from.idx()][c] += bytes as u64;
         self.recv[to.idx()][c] += bytes as u64;
         self.messages += 1;
-        self.msgs_by_class[c] += 1;
         if class.is_background() {
             // Both endpoints experience the bytes (the paper's metric
             // is "traffic experienced by a peer").
@@ -139,11 +138,6 @@ impl Traffic {
     /// Total messages recorded.
     pub fn messages(&self) -> u64 {
         self.messages
-    }
-
-    /// Messages recorded in one class (system-wide).
-    pub fn messages_in(&self, class: TrafficClass) -> u64 {
-        self.msgs_by_class[class.index()]
     }
 
     /// Bytes sent by `node` in `class`.
@@ -206,9 +200,6 @@ impl Traffic {
         }
         self.background_series.merge_from(&other.background_series);
         self.messages += other.messages;
-        for (a, b) in self.msgs_by_class.iter_mut().zip(&other.msgs_by_class) {
-            *a += *b;
-        }
     }
 
     /// Scatter a shard's dense accounting into this global view. Each
@@ -225,9 +216,6 @@ impl Traffic {
         }
         self.background_series.merge_from(&shard.background_series);
         self.messages += shard.messages;
-        for (a, b) in self.msgs_by_class.iter_mut().zip(&shard.msgs_by_class) {
-            *a += *b;
-        }
     }
 }
 
@@ -253,7 +241,6 @@ pub struct ShardTraffic {
     /// time for both endpoints, exactly like the unsharded metric.
     background_series: TimeSeries,
     messages: u64,
-    msgs_by_class: [u64; N_CLASSES],
 }
 
 impl ShardTraffic {
@@ -266,7 +253,6 @@ impl ShardTraffic {
             recv: vec![[0; N_CLASSES]; n],
             background_series: TimeSeries::new(window),
             messages: 0,
-            msgs_by_class: [0; N_CLASSES],
         }
     }
 
@@ -285,7 +271,6 @@ impl ShardTraffic {
         let c = class.index();
         self.sent[local][c] += bytes as u64;
         self.messages += 1;
-        self.msgs_by_class[c] += 1;
         if class.is_background() {
             // Both endpoints experience the bytes (the paper's metric
             // is "traffic experienced by a peer").
@@ -547,6 +532,9 @@ pub struct QueryStats {
     hit_series: TimeSeries,
     lookup_series: TimeSeries,
     transfer_series: TimeSeries,
+    /// One sample per overlay join; the running sum of the window
+    /// counts is Figure 5's participant curve.
+    join_series: TimeSeries,
     /// Width (ms) of the cumulative hit-curve buckets: a fixed
     /// subdivision of the series window, derived purely from config so
     /// every shard buckets identically and merging is an elementwise
@@ -576,6 +564,7 @@ impl QueryStats {
             hit_series: TimeSeries::new(window),
             lookup_series: TimeSeries::new(window),
             transfer_series: TimeSeries::new(window),
+            join_series: TimeSeries::new(window),
             // 30 points per window keeps the convergence curve smooth
             // at any experiment scale without logging every event.
             cum_width_ms: (window.as_ms() / 30).max(1),
@@ -643,6 +632,11 @@ impl QueryStats {
     /// Note a redirection failure (stale directory entry; Sec. 5.1).
     pub fn on_redirection_failure(&mut self) {
         self.redirection_failures += 1;
+    }
+
+    /// Note that a peer joined a content overlay at `at`.
+    pub fn on_join(&mut self, at: SimTime) {
+        self.join_series.record(at, 1.0);
     }
 
     /// Queries submitted.
@@ -726,6 +720,13 @@ impl QueryStats {
         &self.transfer_series
     }
 
+    /// Overlay joins per window; accumulated over time (plus the
+    /// deployed directories) this is the participant count Figure 5
+    /// divides the background bytes by.
+    pub fn join_series(&self) -> &TimeSeries {
+        &self.join_series
+    }
+
     /// Cumulative hit ratio over time (smooth convergence curve for
     /// Figure 6): one point per non-empty time bucket, carrying the
     /// ratio over *all* resolutions up to that bucket's end. Buckets
@@ -767,6 +768,7 @@ impl QueryStats {
         self.hit_series.merge_from(&other.hit_series);
         self.lookup_series.merge_from(&other.lookup_series);
         self.transfer_series.merge_from(&other.transfer_series);
+        self.join_series.merge_from(&other.join_series);
         assert_eq!(
             self.cum_width_ms, other.cum_width_ms,
             "bucket widths differ"
@@ -1035,6 +1037,8 @@ mod tests {
             let half = if i % 2 == 0 { &mut a } else { &mut b };
             half.on_submit();
             half.on_resolved(SimTime::from_secs(t), n, l, x, s);
+            whole.on_join(SimTime::from_secs(70 * t));
+            half.on_join(SimTime::from_secs(70 * t));
         }
         let mut merged = a.clone();
         merged.merge_from(&b);
@@ -1048,13 +1052,10 @@ mod tests {
             merged.cumulative_hit_series(),
             whole.cumulative_hit_series()
         );
-        let mp = merged.hit_series().points();
-        let wp = whole.hit_series().points();
-        assert_eq!(mp.len(), wp.len());
-        for (m, w) in mp.iter().zip(&wp) {
-            assert_eq!(m.count, w.count);
-            assert_eq!(m.sum, w.sum);
+        for series in [QueryStats::hit_series, QueryStats::join_series] {
+            assert_eq!(series(&merged).points(), series(&whole).points());
         }
+        assert_eq!(whole.join_series().points().len(), 4, "joins at 70–210 s");
 
         // Traffic merges likewise.
         let mut t_whole = Traffic::new(4, w);

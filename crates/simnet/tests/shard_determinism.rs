@@ -2,8 +2,8 @@
 //! produces bit-identical results for every shard count, including
 //! `--shards 1`. The protocol below deliberately exercises everything
 //! that could diverge under parallel execution: per-node randomness,
-//! timers, cross-locality traffic, churn bounces, query metrics and
-//! gauges.
+//! timers, cross-locality traffic, churn bounces and every query
+//! metric, the windowed join series included.
 
 use rand::Rng;
 use simnet::stats::ServedBy;
@@ -85,7 +85,8 @@ impl Node<Msg> for Chatter {
                 msg: Msg::Reply, ..
             } => {
                 self.replies += 1;
-                ctx.gauge("replies", 1.0);
+                let now = ctx.now();
+                ctx.query_stats().on_join(now);
             }
             Event::Timer { tag, .. } => self.mix(tag),
             Event::Undeliverable { to, .. } => {
@@ -157,19 +158,14 @@ fn run(shards: usize, seed: u64) -> (u64, u64, Vec<u64>, Vec<u64>, u64, String) 
         .collect();
     let q = e.query_stats();
     let qfp = format!(
-        "{}/{} hit={:.12} lookup={:.6} transfer={:.6} cum_last={:?} replies_gauge={:?}",
+        "{}/{} hit={:.12} lookup={:.6} transfer={:.6} cum_last={:?} joins={:?}",
         q.submitted(),
         q.resolved(),
         q.hit_ratio(),
         q.mean_lookup_ms(),
         q.mean_transfer_ms(),
         q.cumulative_hit_series().last().copied(),
-        e.gauges().get("replies").map(|s| {
-            s.points()
-                .iter()
-                .map(|p| (p.count, p.sum as u64))
-                .collect::<Vec<_>>()
-        }),
+        q.join_series().points(),
     );
     (
         e.events_processed(),

@@ -374,7 +374,6 @@ impl simnet::Node<SquirrelMsg> for SquirrelNode {
                 SquirrelMsg::ServerQuery { query } => {
                     debug_assert_eq!(self.server_for, Some(query.website));
                     self.stats.server_hits += 1;
-                    ctx.gauge("server_load", 1.0);
                     let size = self.shared.catalog.object_size(query.object);
                     let now = ctx.now();
                     ctx.send(

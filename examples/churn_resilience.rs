@@ -8,6 +8,7 @@
 //! ```
 
 use flower_cdn::core::system::{FlowerSystem, SystemConfig};
+use flower_cdn::metrics::Counter;
 use flower_cdn::simnet::{ChurnConfig, ChurnScript, Locality, NodeId, SimDuration, SimTime};
 use flower_cdn::workload::WebsiteId;
 
@@ -57,11 +58,9 @@ fn main() {
     sys.run_until(horizon + SimDuration::from_secs(30));
     let r = sys.report();
 
-    let (mut won, mut lost) = (0u64, 0u64);
-    for n in sys.engine().topology().node_ids() {
-        won += sys.engine().node(n).stats.replacements_won;
-        lost += sys.engine().node(n).stats.replacements_lost;
-    }
+    let registry = sys.engine().metrics();
+    let won = registry.counter(Counter::DirReplacementsWon);
+    let lost = registry.counter(Counter::DirReplacementsLost);
 
     println!("\n== churn resilience report ==");
     println!("resolved:               {}/{}", r.resolved, r.submitted);

@@ -29,22 +29,17 @@ fn main() {
     );
     let (sys, report) = FlowerSystem::run(&cfg);
 
-    // The origin server records one `server_load` gauge sample per
-    // query it served; hits never reach it.
-    let loads = sys
-        .engine()
-        .gauges()
-        .get("server_load")
-        .map(|s| s.points())
-        .unwrap_or_default();
+    // Every query the origin server had to serve is a miss of its
+    // window (the hit series holds one 0/1 sample per resolution);
+    // hits never reach it.
     let hits = sys.engine().query_stats().hit_series().points();
+    let loads: Vec<u64> = hits.iter().map(|p| p.count - p.sum as u64).collect();
 
     println!("\nwindow   queries-at-server   hit ratio");
-    for (i, h) in hits.iter().enumerate() {
+    for (h, &at_server) in hits.iter().zip(&loads) {
         if h.count == 0 {
             continue;
         }
-        let at_server = loads.get(i).map(|p| p.count).unwrap_or(0);
         let bar = "#".repeat((at_server as usize).min(60));
         println!(
             "{:>5}s   {:>6} {:<60}   {:.2}",
@@ -55,17 +50,8 @@ fn main() {
         );
     }
 
-    let first = loads
-        .iter()
-        .find(|p| p.count > 0)
-        .map(|p| p.count)
-        .unwrap_or(0);
-    let last = loads
-        .iter()
-        .rev()
-        .find(|p| p.count > 0)
-        .map(|p| p.count)
-        .unwrap_or(0);
+    let first = loads.iter().copied().find(|n| *n > 0).unwrap_or(0);
+    let last = loads.iter().rev().copied().find(|n| *n > 0).unwrap_or(0);
     println!(
         "\nserver load: {first} queries in the first window → {last} in the last ({}% relief)",
         (last * 100).checked_div(first).map_or(0, |v| 100 - v)

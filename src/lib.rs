@@ -8,6 +8,7 @@
 //!   overlays;
 //! * [`squirrel`] — the Squirrel baseline the paper compares against;
 //! * [`simnet`] — the discrete-event network simulator substrate;
+//! * [`metrics`] — the static metric registry every run records into;
 //! * [`chord`] — the Chord DHT under the D-ring and the baseline;
 //! * [`gossip`] — age-based view/gossip machinery (Algorithms 4–6);
 //! * [`bloom`] — Bloom-filter content summaries;
@@ -24,6 +25,7 @@ pub use chord;
 pub use experiments;
 pub use flower_core as core;
 pub use gossip;
+pub use metrics;
 pub use simnet;
 pub use squirrel;
 pub use workload;

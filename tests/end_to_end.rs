@@ -4,6 +4,7 @@
 
 use flower_cdn::core::system::{FlowerSystem, SystemConfig};
 use flower_cdn::core::FlowerConfig;
+use flower_cdn::metrics::Counter;
 use flower_cdn::simnet::{Locality, SimDuration, TrafficClass};
 use flower_cdn::workload::WebsiteId;
 
@@ -129,8 +130,7 @@ fn dring_first_access_then_overlay() {
     // (the bulk of DhtRouting messages are finger-maintenance
     // lookups, which scale with time, not queries).
     let (sys, r) = FlowerSystem::run(&small(6));
-    let t = sys.engine().traffic();
-    let dht_msgs = t.messages_in(TrafficClass::DhtRouting);
+    let dht_msgs = sys.engine().metrics().counter(Counter::SentDhtRouting);
     assert!(dht_msgs > 0, "new clients must route through D-ring");
     // Query routes are bounded by (first queries × hops) plus finger
     // lookups; allow both but require they stay well below several

@@ -3,6 +3,7 @@
 //! changes, exercised through full simulations.
 
 use flower_cdn::core::system::{FlowerSystem, SystemConfig};
+use flower_cdn::metrics::Counter;
 use flower_cdn::simnet::{ChurnConfig, ChurnScript, Locality, NodeId, SimDuration, SimTime};
 use flower_cdn::workload::WebsiteId;
 
@@ -52,7 +53,7 @@ fn directory_crash_is_repaired_by_a_content_peer() {
         "exactly one §5.2 winner expected, got {replacement:?}"
     );
     let winner = sys.engine().node(replacement[0]);
-    assert!(winner.stats.replacements_won >= 1);
+    assert!(sys.engine().metrics().counter(Counter::DirReplacementsWon) >= 1);
     // The new directory must have re-learnt members via pushes.
     assert!(
         winner.dir_role().unwrap().dir.overlay_size() > 0,

@@ -11,6 +11,7 @@
 //! pin exists to make such changes loud, not to forbid them.
 
 use flower_cdn::core::system::{FlowerSystem, SystemConfig, SystemReport};
+use flower_cdn::metrics::Counter;
 
 fn run_with_shards(shards: usize, seed: u64) -> (FlowerSystem, SystemReport) {
     let mut cfg = SystemConfig::small_test();
@@ -197,20 +198,12 @@ fn petalup_runs_are_shard_deterministic_and_flatten_load() {
     // The petals actually resized: hot ones split while the D-ring
     // carried the join wave, and merged back once the communities
     // saturated and directory traffic dried up.
-    let splits: u64 = ref_sys
-        .engine()
-        .topology()
-        .node_ids()
-        .map(|n| ref_sys.engine().node(n).stats.petal_splits)
-        .sum();
-    let merges: u64 = ref_sys
-        .engine()
-        .topology()
-        .node_ids()
-        .map(|n| ref_sys.engine().node(n).stats.petal_merges)
-        .sum();
+    let registry = ref_sys.engine().metrics();
+    let splits = registry.counter(Counter::DirPetalSplits);
+    let merges = registry.counter(Counter::DirPetalMerges);
     assert!(splits >= 1, "no petal ever split");
     assert!(merges >= 1, "no petal ever merged back");
+    assert!(merges <= splits, "{merges} merges undo {splits} splits");
     // And the per-instance load is flatter than the flat D-ring's on
     // the same workload.
     let (_, flat) = FlowerSystem::run(&petal_cfg(1, 0));
