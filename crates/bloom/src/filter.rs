@@ -37,11 +37,19 @@ pub(crate) fn probe_positions(m_bits: u64, k: u32, key: u64) -> impl Iterator<It
     (0..k as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m_bits) as usize)
 }
 
+/// The `m_bits` of [`rate_geometry`], for
+/// [`crate::ContentSummary::wire_size`]: sizing a message must not pay
+/// for the probe count's floating-point rounding.
+#[inline]
+pub(crate) fn rate_bits(expected_items: usize, bits_per_item: usize) -> usize {
+    expected_items.max(1) * bits_per_item.max(1)
+}
+
 /// The filter geometry [`BloomFilter::with_rate`] derives from an
 /// expected item count: `(m_bits, k)`. Shared with
 /// [`crate::MaintainedSummary`] so both size identically.
 pub(crate) fn rate_geometry(expected_items: usize, bits_per_item: usize) -> (usize, u32) {
-    let m = (expected_items.max(1)) * bits_per_item.max(1);
+    let m = rate_bits(expected_items, bits_per_item);
     let k = ((bits_per_item as f64) * std::f64::consts::LN_2)
         .round()
         .max(1.0) as u32;

@@ -7,7 +7,7 @@
 //! `8 · nb-ob` bits where `nb-ob` is the number of objects a website
 //! provides.
 
-use crate::filter::BloomFilter;
+use crate::filter::{rate_bits, BloomFilter};
 
 /// Identifier of a web object: in the paper, `hash(url)`. The
 /// identifier is global (website id is baked in by the workload
@@ -108,9 +108,16 @@ impl ContentSummary {
     }
 
     /// Wire size in bytes: what sending this summary costs, per the
-    /// paper's `8·nb-ob` bits rule.
+    /// paper's `8·nb-ob` bits rule. A function of the capacity alone —
+    /// the geometry every constructor sizes the filter by — so the
+    /// traffic accounting, which asks three times per gossip message
+    /// and once more per subset entry, never follows the `Arc` to a
+    /// filter some other node built.
+    #[inline]
     pub fn wire_size(&self) -> u32 {
-        self.filter.byte_size() as u32
+        let bytes = rate_bits(self.capacity, BITS_PER_OBJECT).div_ceil(8);
+        debug_assert_eq!(bytes, self.filter.byte_size());
+        bytes as u32
     }
 
     /// Estimated false-positive probability at current fill.
@@ -129,6 +136,22 @@ mod tests {
         let s = ContentSummary::empty(100);
         assert_eq!(s.wire_size(), 100);
         assert_eq!(s.capacity(), 100);
+    }
+
+    /// `wire_size` is computed from the capacity; whatever way a
+    /// summary was built, it must be what the filter itself measures.
+    #[test]
+    fn wire_size_is_the_filters_byte_size_for_every_capacity() {
+        let objs: Vec<ObjectId> = (0..5).map(|i| ObjectId(i * 31 + 7)).collect();
+        for c in 0..4096 {
+            for s in [
+                ContentSummary::empty(c),
+                ContentSummary::from_objects(c, &objs),
+                crate::MaintainedSummary::empty(c).snapshot(),
+            ] {
+                assert_eq!(s.wire_size() as usize, s.filter.byte_size(), "capacity {c}");
+            }
+        }
     }
 
     #[test]

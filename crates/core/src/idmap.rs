@@ -229,6 +229,14 @@ impl<K: PartialEq, V> SmallMap<K, V> {
         &mut self.entries[at].1
     }
 
+    /// Hint the cache that the entry array is about to be scanned
+    /// ([`simnet::prefetch`]): its first lines, which hold the one
+    /// entry a node nearly always has.
+    #[inline]
+    pub(crate) fn prefetch(&self) {
+        simnet::prefetch(self.entries.as_slice());
+    }
+
     /// The keys, in no protocol-meaningful order.
     pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
         self.entries.iter().map(|(k, _)| k)

@@ -1748,6 +1748,16 @@ impl FlowerNode {
 }
 
 impl simnet::Node<FlowerMsg> for FlowerNode {
+    /// What hangs off the node that nearly every handler reads first:
+    /// the content-role array and the boxed directory role.
+    #[inline]
+    fn prefetch(&self) {
+        self.content.prefetch();
+        if let Some(role) = &self.dir_role {
+            simnet::prefetch(&**role);
+        }
+    }
+
     fn on_event(&mut self, ctx: &mut Ctx<'_, FlowerMsg>, ev: Event<FlowerMsg>) {
         match ev {
             Event::Recv { from, msg } => match msg {

@@ -96,11 +96,19 @@ pub fn check_deployment_size(
 /// per website out of whatever is left anywhere; it panics when a
 /// pool runs dry. Populations are only known once the topology is
 /// generated, so this regenerates it (same config, same seed) — the
-/// total is checked first, which also keeps a zero-node topology from
-/// ever reaching the generator.
+/// total is checked first, which also keeps a zero-node topology, and
+/// one with more nodes than a `NodeId` can number, from ever reaching
+/// the generator.
 fn deployment_fits(cfg: &SystemConfig) -> Result<(), String> {
     cfg.flower.validate(cfg.topology.localities)?;
     let nodes = cfg.topology.nodes;
+    if nodes > u32::MAX as usize {
+        return Err(format!(
+            "deployment too large: {nodes} nodes, but node ids are 32 bits wide \
+             (at most {} nodes); lower --nodes",
+            u32::MAX
+        ));
+    }
     let websites = cfg.catalog.num_websites;
     let instances = 1usize << cfg.flower.instance_bits;
     let dirs_per_locality = websites.saturating_mul(instances);
@@ -1787,6 +1795,23 @@ mod tests {
         };
         let err = check_deployment_size("churn", churn_0, &ScaleParams::default()).unwrap_err();
         assert!(err.starts_with("deployment too small: 0 nodes"), "{err}");
+        // One node more than a `NodeId` can number: refused before the
+        // topology generator allocates 16 bytes for each of them.
+        let scale_2_32 = ScaleParams {
+            nodes: vec![1 << 32],
+            ..ScaleParams::default()
+        };
+        let err = check_deployment_size("scale", opts(42), &scale_2_32).unwrap_err();
+        assert!(err.starts_with("deployment too large"), "{err}");
+        assert!(!err.contains('\n'), "one line: {err}");
+        let chaos_2_32 = RunOpts {
+            nodes: Some(1 << 32),
+            ..opts(42)
+        };
+        for cmd in ["chaos", "churn"] {
+            let err = check_deployment_size(cmd, chaos_2_32, &ScaleParams::default()).unwrap_err();
+            assert!(err.starts_with("deployment too large"), "{cmd}: {err}");
+        }
         // Enough nodes in total, but the smallest locality cannot host
         // its share of the D-ring: only the generated populations tell.
         let skewed = ScaleParams {

@@ -53,6 +53,54 @@
 //! shard with nothing but future injections is never mistaken for an
 //! idle one.
 //!
+//! ## Lookahead prefetch
+//!
+//! At 100k nodes and more, what an event costs is mostly waiting for
+//! memory: its payload, its node, the node's RNG stream and traffic
+//! rows, the role state behind the node — each the *first touch* of a
+//! line that was last used tens of thousands of events ago. Every one
+//! of those addresses is knowable ahead of time, because the calendar's
+//! current day is already sorted in pop order
+//! ([`EventQueue::upcoming`]). So right after every pop — in
+//! `run_epoch`, in the continuation pop of `deliver_batch`, in
+//! `run_epoch_until_cross` — the shard loop calls `prefetch_ahead`,
+//! which walks the dependency chain *entry → payload slot → destination
+//! → node → role state*, one stage per link, each at a fixed distance
+//! behind the new head:
+//!
+//! * **8 events ahead** it reads the sorted entry (contiguous, hot)
+//!   and hints the payload's slab slot.
+//! * **5 ahead** it reads that payload's destination (`App.dst` /
+//!   `Wire.to`; churn entries are skipped) and its placement, and
+//!   hints what dispatch touches first: `nodes[li]`, `slab.rngs[li]`,
+//!   `slab.emit_seq[li]`, the node's two `ShardTraffic` rows.
+//! * **2 ahead** it calls [`Node::prefetch`], which reads the node and
+//!   hints what hangs off it — for `FlowerNode` the content-role array
+//!   and the boxed directory role.
+//!
+//! A hint is asynchronous and a read is not: a stage that *reads* must
+//! trail the stage that hinted what it reads by long enough for the
+//! line to arrive, or it turns the hidden miss back into a stall, one
+//! event early. Three events of handler work (a few hundred
+//! nanoseconds each) cover a memory access; the distances are those
+//! gaps, and lengthening them by up to half measured the same within
+//! noise, hence constants.
+//!
+//! None of this can change a result. A hint alters no architectural
+//! state — no value, no flag, no fault, whatever the address — and the
+//! pipeline only ever passes it references to live data; `upcoming`
+//! borrows the queue immutably and changes nothing about filing,
+//! sorting or pop order. What it sees is a forecast: a same-instant
+//! send files an entry into the current day in front of entries
+//! already hinted, and everything behind it moves one place back.
+//! Then a stage may run twice for one event, or hint a node whose
+//! event is dropped because the node went down — a wasted hint, never
+//! a wrong one. At the end of a day the lookahead is simply empty
+//! (`None`) until the next bucket is sorted; looking across that
+//! boundary was tried and measured no better. There is accordingly no
+//! switch: the `#[cfg(test)]` one-at-a-time reference path runs the
+//! same hints.
+//!
 //! ## Randomness
 //!
 //! There is no engine-global RNG: node `n` draws from its own
@@ -130,6 +178,20 @@ pub trait Node<M: Message>: Send {
     /// Handle one event. Use `ctx` to send messages, arm timers and
     /// record metrics.
     fn on_event(&mut self, ctx: &mut Ctx<'_, M>, ev: Event<M>);
+
+    /// Called a couple of events before this node's next
+    /// [`Node::on_event`], when the node itself is already on its way
+    /// into cache (module docs, "Lookahead prefetch"): the place to
+    /// name the heap state a handler touches first. An implementation
+    /// may read `&self` and pass references to [`crate::prefetch`],
+    /// and nothing else — no interior mutability that a handler could
+    /// observe, no allocation, no work whose result matters. The call
+    /// is a forecast: it may come more than once before an event, for
+    /// an event that ends up dropped (the node went down), or not at
+    /// all (short days, the first events of a run), so nothing may
+    /// depend on it having happened. The default does nothing.
+    #[inline]
+    fn prefetch(&self) {}
 }
 
 /// Output actions buffered during an event handler.
@@ -293,6 +355,17 @@ pub fn node_stream_seed(seed: u64, node: NodeId) -> u64 {
 /// External injections use source stream 0 of the [`EventKey`] space;
 /// node `n` emits on stream `n + 1`.
 const EXTERNAL_STREAM: u64 = 0;
+
+/// How many events behind the queue's head each stage of the
+/// lookahead pipeline works (module docs, "Lookahead prefetch"): the
+/// payload slot is hinted first, its destination's per-node rows once
+/// the payload has had time to arrive, and what hangs off the node
+/// once the node has. Constants, not options: measured insensitive
+/// (9 / 6 / 3 and 12 / 6 / 3 read the same within noise), and no value
+/// can change a result.
+const PREFETCH_SLOT_AHEAD: usize = 8;
+const PREFETCH_NODE_AHEAD: usize = 5;
+const PREFETCH_ROLE_AHEAD: usize = 2;
 
 /// One external injection of an [`Engine::attach_source`] stream:
 /// deliver the event to the node at the instant.
@@ -653,6 +726,39 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         }
     }
 
+    /// The lookahead pipeline (module docs, "Lookahead prefetch"):
+    /// called right after every pop, with the popped event still to be
+    /// dispatched, so each stage's memory latency overlaps the
+    /// handlers that run before its event comes up.
+    #[inline]
+    fn prefetch_ahead(&self, place: &Placement) {
+        self.queue.prefetch_upcoming(PREFETCH_SLOT_AHEAD);
+        if let Some(li) = self.upcoming_local(PREFETCH_NODE_AHEAD, place) {
+            crate::prefetch(&self.nodes[li]);
+            crate::prefetch(&self.slab.rngs[li]);
+            crate::prefetch(&self.slab.emit_seq[li]);
+            self.traffic.prefetch_rows(li);
+        }
+        if let Some(li) = self.upcoming_local(PREFETCH_ROLE_AHEAD, place) {
+            self.nodes[li].prefetch();
+        }
+    }
+
+    /// Local index of the node the event `ahead` places behind the
+    /// queue's head will be delivered to; `None` past the end of the
+    /// current day and for churn entries, which are broadcast and
+    /// address a node this shard may not own.
+    #[inline]
+    fn upcoming_local(&self, ahead: usize, place: &Placement) -> Option<usize> {
+        let dst = match self.queue.upcoming(ahead)? {
+            Pending::App { dst, .. } => *dst,
+            Pending::Wire { to, .. } => *to,
+            Pending::ChurnDown(_) | Pending::ChurnUp(_) => return None,
+        };
+        debug_assert_eq!(place.shard(dst), self.id, "queued for a foreign node");
+        Some(place.local(dst))
+    }
+
     /// The next key on this node's emission stream, at time `at`.
     fn emit_key(&mut self, at: SimTime, emitter: NodeId, place: &Placement) -> EventKey {
         let seq = self.slab.next_seq(place.local(emitter));
@@ -730,6 +836,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
             };
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
+            self.prefetch_ahead(place);
             #[cfg(test)]
             self.popped.push(key);
             #[cfg(test)]
@@ -783,6 +890,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
             };
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
+            self.prefetch_ahead(place);
             #[cfg(test)]
             self.popped.push(key);
             self.dispatch(payload, topo, place, outbox);
@@ -946,6 +1054,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
             let (key, payload) = self.queue.pop().expect("head just peeked");
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
+            self.prefetch_ahead(place);
             #[cfg(test)]
             self.popped.push(key);
             ev = match payload {
@@ -2385,6 +2494,113 @@ mod tests {
         assert_eq!(fused, 0, "every round has multi-shard work");
         // And the cadence is reproducible from run to run.
         assert_eq!(drive(), (events, epochs, fused));
+    }
+
+    /// Logs every event it is handed and counts the engine's
+    /// [`Node::prefetch`] calls.
+    #[derive(Default)]
+    struct Hinted {
+        seen: Vec<(u64, u64)>,
+        hints: AtomicU64,
+    }
+
+    impl Node<PingMsg> for Hinted {
+        fn prefetch(&self) {
+            self.hints.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_, PingMsg>, ev: Event<PingMsg>) {
+            let what = match ev {
+                Event::Timer { tag, .. } => {
+                    match tag % 4 {
+                        // A same-instant self-send: filed into the day
+                        // being drained, in front of entries the
+                        // pipeline has already looked at.
+                        0 => ctx.set_timer(SimDuration::ZERO, 1, tag + 1),
+                        // Ping an even node (odd ones stay silent).
+                        1 => {
+                            let to = (tag * 7 % ctx.num_nodes() as u64) as u32 & !1;
+                            ctx.send(NodeId(to), PingMsg::Ping);
+                        }
+                        _ => {}
+                    }
+                    tag
+                }
+                Event::Recv {
+                    from,
+                    msg: PingMsg::Ping,
+                } => {
+                    ctx.send(from, PingMsg::Pong);
+                    u64::MAX
+                }
+                Event::Recv { .. } => u64::MAX - 1,
+                Event::Undeliverable { .. } => u64::MAX - 2,
+                Event::NodeUp => u64::MAX - 3,
+            };
+            self.seen.push((ctx.now().as_ms(), what));
+        }
+    }
+
+    /// The lookahead pipeline reaches its last stage, only ever names
+    /// a node the event is really for, and changes nothing: hundreds
+    /// of events per millisecond keep the sorted day deep, same-instant
+    /// self-sends land in front of entries already hinted, broadcast
+    /// churn entries for nodes of *other* shards sit among them — and
+    /// the popped keys and every node's log equal the one-at-a-time
+    /// reference's.
+    #[test]
+    fn prefetch_hook_runs_for_owned_destinations_and_changes_nothing() {
+        let drive = |shards: usize, one_at_a_time: bool| {
+            let topo = crate::topology::Topology::generate(&TopologyConfig::small_test(), 5);
+            let nodes = (0..topo.num_nodes()).map(|_| Hinted::default()).collect();
+            let mut e: Engine<PingMsg, Hinted> =
+                Engine::with_shards(topo, nodes, 99, SimDuration::from_mins(30), shards);
+            if one_at_a_time {
+                e.deliver_one_at_a_time();
+            }
+            for i in 0..600u64 {
+                let node = NodeId(2 * (i % 30) as u32);
+                e.schedule_at(
+                    SimTime::from_ms(i / 100),
+                    node,
+                    Event::Timer { kind: 1, tag: i },
+                );
+            }
+            for silent in [1, 21, 41] {
+                e.schedule_down(SimTime::from_ms(2), NodeId(silent));
+                e.schedule_up(SimTime::from_ms(4), NodeId(silent));
+            }
+            e.run_until(SimTime::from_secs(5));
+            let popped: Vec<Vec<EventKey>> = e.shards.iter().map(|s| s.popped.clone()).collect();
+            let (seen, hints): (Vec<_>, Vec<_>) = e
+                .topology()
+                .node_ids()
+                .map(|n| {
+                    (
+                        e.node(n).seen.clone(),
+                        e.node(n).hints.load(Ordering::Relaxed),
+                    )
+                })
+                .unzip();
+            (popped, seen, hints)
+        };
+        for shards in [1usize, 3] {
+            let (ref_popped, ref_seen, ref_hints) = drive(shards, true);
+            let (popped, seen, hints) = drive(shards, false);
+            assert_eq!(popped, ref_popped, "shards={shards}: pop order moved");
+            assert_eq!(seen, ref_seen, "shards={shards}: a node saw something else");
+            for hints in [&hints, &ref_hints] {
+                assert!(
+                    hints.iter().sum::<u64>() > 300,
+                    "shards={shards}: the near stage went dead ({hints:?})"
+                );
+                for (n, h) in hints.iter().enumerate() {
+                    // Odd nodes are never addressed; the three that go
+                    // down and up are only named by churn entries.
+                    assert!(n % 2 == 0 || *h == 0, "shards={shards}: node {n} hinted");
+                }
+            }
+        }
     }
 
     #[test]

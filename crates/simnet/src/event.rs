@@ -38,6 +38,13 @@
 //! day. The plain binary heap this replaced survives as the test-only
 //! reference the proptests below compare against.
 //!
+//! Because the current day is sorted, the queue knows its next several
+//! pops, not just the next one: [`EventQueue::upcoming`] lends them out
+//! read-only, and the engine uses that to ask the cache for an event's
+//! working set before the event comes up (see [`crate::engine`],
+//! "Lookahead prefetch"). Filing, sorting and pop order are untouched
+//! by it.
+//!
 //! ### Bucket width and resize policy
 //!
 //! Two rules set the day width; both are pure functions of the
@@ -266,6 +273,15 @@ impl<T> Calendar<T> {
         self.current.last()
     }
 
+    /// The entry `ahead` places behind the head of the current day
+    /// (`upcoming(0)` is [`Calendar::peek`]); `None` past the day's
+    /// end, whatever the ring holds beyond it.
+    #[inline]
+    fn upcoming(&self, ahead: usize) -> Option<&Entry> {
+        let behind = self.current.len().checked_sub(ahead)?;
+        self.current[..behind].last()
+    }
+
     /// Walk forward day by day until the current day is non-empty.
     /// Called only when `current` is empty and events remain.
     fn advance(&mut self) {
@@ -432,6 +448,31 @@ impl<T> EventQueue<T> {
         self.cal
             .peek()
             .map(|e| (e.key.at, self.cal.payloads.get(e.slot)))
+    }
+
+    /// A read-only look past the head: the payload of the event
+    /// `ahead` places behind it in pop order (`upcoming(0)` is the
+    /// payload [`EventQueue::peek`] shows), or `None` once `ahead`
+    /// runs past the end of the day being drained — the sorted part of
+    /// the calendar; later days are unsorted buckets with no "next"
+    /// yet. What it returns is a forecast, exact only until the next
+    /// push: an event filed into the current day takes its sorted
+    /// place among the entries already seen and moves everything
+    /// behind it one place back. Pop order is unaffected either way.
+    #[inline]
+    pub fn upcoming(&self, ahead: usize) -> Option<&T> {
+        self.cal
+            .upcoming(ahead)
+            .map(|e| self.cal.payloads.get(e.slot))
+    }
+
+    /// Ask the cache for the payload [`EventQueue::upcoming`] would
+    /// return, without reading it ([`crate::prefetch`]).
+    #[inline]
+    pub(crate) fn prefetch_upcoming(&self, ahead: usize) {
+        if let Some(e) = self.cal.upcoming(ahead) {
+            crate::prefetch(&self.cal.payloads.slots[e.slot as usize]);
+        }
     }
 
     /// The delivery time of the earliest pending event.
@@ -815,27 +856,51 @@ mod proptests {
         /// through the drip-feed and the next-year rebuild; bursts of
         /// up to 200 pushes and the full drain at the end force grow
         /// *and* shrink rebuilds.
+        ///
+        /// The lookahead rides along as one more observation: before
+        /// every pop, `upcoming(k)` for `k < 12` must be `Some` exactly
+        /// for the entries left in the current day, and must agree with
+        /// `forecast` — the next pops as earlier looks predicted them,
+        /// each push since filed where the key order puts it (ahead of
+        /// entries already seen, when it lands among them). Every pop —
+        /// the heap's too, by the comparison above it — must then take
+        /// the forecast's front.
         #[test]
         fn calendar_matches_heap_interleaved(batches in proptest::collection::vec((proptest::collection::vec((0u64..48, 0u64..3), 0..200), 0usize..250, 0usize..4), 1..8)) {
             let mut cal = EventQueue::new();
             let mut heap = HeapQueue::new();
             let mut seqs = [0u64; 3];
             let mut clock = 0u64; // keys must never be scheduled "past"
-            let mut i = 0usize;
+            let mut keys: Vec<EventKey> = Vec::new(); // by payload
+            let mut forecast: VecDeque<usize> = VecDeque::new();
             for (pushes, pops, stretch) in &batches {
                 let scale = [1u64, 50, 2_500, 125_000][*stretch];
                 for &(dt, src) in pushes {
                     let seq = seqs[src as usize];
                     seqs[src as usize] += 1;
-                    cal.push(key(clock + dt * scale, src, seq), i);
-                    heap.push(key(clock + dt * scale, src, seq), i);
-                    i += 1;
+                    let (k, i) = (key(clock + dt * scale, src, seq), keys.len());
+                    cal.push(k, i);
+                    heap.push(k, i);
+                    keys.push(k);
+                    if let Some(at) = forecast.iter().position(|seen| k < keys[*seen]) {
+                        forecast.insert(at, i);
+                    }
                 }
                 let window = 16 * scale;
                 let mut limit = SimTime::from_ms(clock + window);
                 for _ in 0..*pops {
                     prop_assert_eq!(cal.peek_key(), heap.peek_key(), "heads diverged");
                     prop_assert_eq!(cal.peek_time(), heap.peek_key().map(|k| k.at));
+                    prop_assert_eq!(cal.upcoming(0), cal.peek().map(|(_, p)| p));
+                    for ahead in 0..12 {
+                        let seen = cal.upcoming(ahead).copied();
+                        prop_assert_eq!(seen.is_some(), ahead < cal.cal.current.len());
+                        let Some(seen) = seen else { break };
+                        match forecast.get(ahead) {
+                            Some(due) => prop_assert_eq!(seen, *due, "forecast {} ahead moved", ahead),
+                            None => forecast.push_back(seen),
+                        }
+                    }
                     let (mut a, mut b) = (cal.pop_if_before(limit), heap.pop_if_before(limit));
                     prop_assert_eq!(&a, &b, "diverged mid-epoch");
                     if a.is_none() {
@@ -843,6 +908,7 @@ mod proptests {
                         prop_assert_eq!(&a, &b, "diverged at the epoch boundary");
                     }
                     prop_assert_eq!(cal.len(), heap.len());
+                    prop_assert_eq!(a.map(|(_, p)| p), forecast.pop_front(), "not the event forecast");
                     let Some((k, _)) = a else { break };
                     if k.at >= limit {
                         limit = k.at + SimDuration::from_ms(window);

@@ -131,6 +131,48 @@ pub use sync::{MailboxGrid, SenseBarrier, SenseWaiter};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Locality, NodeId, Topology, TopologyConfig};
 
+/// Most bytes one [`prefetch`] call asks for. Five lines: the largest
+/// thing the shard loop names that a handler then reads whole is one
+/// 304-byte content-role entry; anything longer (a directory role, a
+/// many-role array) costs its first lines only.
+const PREFETCH_MAX_BYTES: usize = 320;
+
+/// Tell the cache that `r` is about to be read: a hint for each
+/// 64-byte line the value occupies, up to `PREFETCH_MAX_BYTES` (320).
+/// It changes no architectural state — no value, no flag, no fault —
+/// so a program computes exactly what it computes without the call;
+/// only how long the first real access waits can differ. The one
+/// entry point of the engine's lookahead pipeline ([`engine`],
+/// "Lookahead prefetch"); a no-op on targets other than x86-64.
+#[inline(always)]
+pub fn prefetch<T: ?Sized>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = std::ptr::from_ref(r).cast::<i8>();
+        let bytes = std::mem::size_of_val(r).min(PREFETCH_MAX_BYTES);
+        if bytes == 0 {
+            // An empty slice points nowhere worth a page walk.
+            return;
+        }
+        // From the line holding the first byte to the one holding the
+        // last: an unaligned value straddles one line more than its
+        // size suggests.
+        let lead = start.addr() % 64;
+        let mut at = 0;
+        while at < lead + bytes {
+            // SAFETY: PREFETCHT0 is a hint: it never faults and
+            // neither reads nor writes anything the program can
+            // observe, whatever address it is given. The address here
+            // lies in the lines spanned by `*r`, a live reference.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_sub(lead).wrapping_add(at)) };
+            at += 64;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
+
 /// Convenient glob-import of the types almost every consumer needs.
 pub mod prelude {
     pub use crate::churn::{ChurnConfig, ChurnScript};

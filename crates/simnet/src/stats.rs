@@ -284,6 +284,14 @@ impl ShardTraffic {
         self.recv[local][class.index()] += bytes as u64;
     }
 
+    /// Hint the cache that local node `local`'s send and receive rows
+    /// are about to be updated ([`crate::prefetch`]).
+    #[inline]
+    pub(crate) fn prefetch_rows(&self, local: usize) {
+        crate::prefetch(&self.sent[local]);
+        crate::prefetch(&self.recv[local]);
+    }
+
     /// Total messages recorded by this shard.
     pub fn messages(&self) -> u64 {
         self.messages
