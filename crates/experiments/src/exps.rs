@@ -306,17 +306,21 @@ pub fn push_threshold(opts: RunOpts) -> ExpOutput {
     out
 }
 
-/// Render a per-window series table with hours in the first column.
+/// Render a per-window series table, one row per window start, in
+/// hours. Windows starting at or after `horizon` — the trace's
+/// duration — are left out: the instant a run stops on opens one more
+/// window, and the next to nothing in it would print as a ratio.
 fn series_table(
     title: &str,
     cols: &[&str],
-    rows: impl Iterator<Item = (f64, Vec<String>)>,
+    horizon: SimTime,
+    rows: impl Iterator<Item = (SimTime, Vec<String>)>,
 ) -> Table {
     let mut headers = vec!["hour"];
     headers.extend_from_slice(cols);
     let mut t = Table::new(title, &headers);
-    for (h, cells) in rows {
-        let mut row = vec![format!("{h:.2}")];
+    for (at, cells) in rows.take_while(|(at, _)| *at < horizon) {
+        let mut row = vec![format!("{:.2}", at.as_ms() as f64 / 3_600_000.0)];
         row.extend(cells);
         t.row(row);
     }
@@ -344,16 +348,17 @@ pub fn fig5(opts: RunOpts) -> ExpOutput {
     }
 
     let rows = (0..hit.len().max(bg.len())).map(|i| {
-        let h = (i as f64 * win_secs) / 3600.0;
+        let at = SimTime::from_ms(i as u64 * window.as_ms());
         let hr = hit.get(i).map(|p| p.mean()).unwrap_or(0.0);
         let bytes = bg.get(i).map(|p| p.sum).unwrap_or(0.0);
         let parts = participants_at.get(i).copied().unwrap_or(1.0).max(1.0);
         let bps = bytes * 8.0 / win_secs / parts * opts.scale.factor();
-        (h, vec![f3(hr), f1(bps)])
+        (at, vec![f3(hr), f1(bps)])
     });
     let t = series_table(
         "Figure 5 — hit ratio and background traffic per peer vs time",
         &["hit ratio", "bg bps/peer"],
+        sys.duration(),
         rows,
     );
     out.text = t.render();
@@ -402,10 +407,10 @@ pub fn fig6(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
     let s = ssys.engine().query_stats();
     let fh = f.hit_series().points();
     let sh = s.hit_series().points();
-    let win_h = f.hit_series().window().as_ms() as f64 / 3_600_000.0;
+    let win_ms = f.hit_series().window().as_ms();
     let rows = (0..fh.len().max(sh.len())).map(|i| {
         (
-            i as f64 * win_h,
+            SimTime::from_ms(i as u64 * win_ms),
             vec![
                 fh.get(i).map(|p| f3(p.mean())).unwrap_or_default(),
                 sh.get(i).map(|p| f3(p.mean())).unwrap_or_default(),
@@ -415,6 +420,7 @@ pub fn fig6(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
     let t = series_table(
         "Figure 6 — hit ratio vs time, Flower-CDN and Squirrel",
         &["flower", "squirrel"],
+        fsys.duration(),
         rows,
     );
     out.text = t.render();
@@ -463,13 +469,11 @@ pub fn fig7(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
 
     // (a) variation with time.
     let fl = f.lookup_series().points();
-    let win_h = f.lookup_series().window().as_ms() as f64 / 3_600_000.0;
     let ta = series_table(
         "Figure 7(a) — Flower-CDN average lookup latency vs time (ms)",
         &["lookup ms"],
-        fl.iter()
-            .enumerate()
-            .map(|(i, p)| (i as f64 * win_h, vec![f1(p.mean())])),
+        fsys.duration(),
+        fl.iter().map(|p| (p.at, vec![f1(p.mean())])),
     );
 
     // (b) distribution in 150 ms buckets.
@@ -544,13 +548,11 @@ pub fn fig8(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
     let s = ssys.engine().query_stats();
 
     let ft = f.transfer_series().points();
-    let win_h = f.transfer_series().window().as_ms() as f64 / 3_600_000.0;
     let ta = series_table(
         "Figure 8(a) — Flower-CDN average transfer distance vs time (ms)",
         &["transfer ms"],
-        ft.iter()
-            .enumerate()
-            .map(|(i, p)| (i as f64 * win_h, vec![f1(p.mean())])),
+        fsys.duration(),
+        ft.iter().map(|p| (p.at, vec![f1(p.mean())])),
     );
 
     let mut tb = Table::new(
@@ -1688,6 +1690,30 @@ mod tests {
     /// `flower-experiments` binary.
     fn opts(seed: u64) -> RunOpts {
         RunOpts::new().seed(seed)
+    }
+
+    /// A run processes the events due exactly at its horizon, so a
+    /// series ends with a window that *starts* there; the figures'
+    /// tables stop before it.
+    #[test]
+    fn series_tables_stop_at_the_horizon() {
+        let horizon = SimTime::from_hours(1);
+        let mut hits = simnet::TimeSeries::new(SimDuration::from_mins(30));
+        for (mins, hit) in [(10, 0.0), (20, 1.0), (40, 1.0), (60, 0.0)] {
+            hits.record(SimTime::from_ms(mins * 60_000), hit);
+        }
+        let points = hits.points();
+        assert_eq!(points.last().map(|p| p.at), Some(horizon));
+        let table = |until: SimTime| {
+            let rows = points.iter().map(|p| (p.at, vec![f3(p.mean())]));
+            series_table("t", &["hit ratio"], until, rows).to_csv()
+        };
+        assert_eq!(table(horizon), "hour,hit ratio\n0.00,0.500\n0.50,1.000\n");
+        assert_eq!(
+            table(horizon + SimDuration::from_ms(1)),
+            "hour,hit ratio\n0.00,0.500\n0.50,1.000\n1.00,0.000\n",
+            "a window that starts inside the trace is a row"
+        );
     }
 
     #[test]

@@ -56,24 +56,23 @@
 //! ## Lookahead prefetch
 //!
 //! At 100k nodes and more, what an event costs is mostly waiting for
-//! memory: its payload, its node, the node's RNG stream and traffic
-//! rows, the role state behind the node — each the *first touch* of a
-//! line that was last used tens of thousands of events ago. Every one
-//! of those addresses is knowable ahead of time, because the calendar's
-//! current day is already sorted in pop order
-//! ([`EventQueue::upcoming`]). So right after every pop — in
-//! `run_epoch`, in the continuation pop of `deliver_batch`, in
-//! `run_epoch_until_cross` — the shard loop calls `prefetch_ahead`,
-//! which walks the dependency chain *entry → payload slot → destination
-//! → node → role state*, one stage per link, each at a fixed distance
-//! behind the new head:
+//! memory: its payload, its node, the node's RNG stream, the role
+//! state behind the node — each the *first touch* of a line that was
+//! last used tens of thousands of events ago. Every one of those
+//! addresses is knowable ahead of time, because the calendar's current
+//! day is already sorted in pop order ([`EventQueue::upcoming`]). So right after every pop the shard loop
+//! (`Shard::step`: pop, look ahead, dispatch — the one path an event
+//! takes to its node) calls `prefetch_ahead`, which walks the
+//! dependency chain *entry → payload slot → destination → node → role
+//! state*, one stage per link, each at a fixed distance behind the new
+//! head:
 //!
 //! * **8 events ahead** it reads the sorted entry (contiguous, hot)
 //!   and hints the payload's slab slot.
 //! * **5 ahead** it reads that payload's destination (`App.dst` /
 //!   `Wire.to`; churn entries are skipped) and its placement, and
 //!   hints what dispatch touches first: `nodes[li]`, `slab.rngs[li]`,
-//!   `slab.emit_seq[li]`, the node's two `ShardTraffic` rows.
+//!   `slab.emit_seq[li]`.
 //! * **2 ahead** it calls [`Node::prefetch`], which reads the node and
 //!   hints what hangs off it — for `FlowerNode` the content-role array
 //!   and the boxed directory role.
@@ -98,8 +97,7 @@
 //! a wrong one. At the end of a day the lookahead is simply empty
 //! (`None`) until the next bucket is sorted; looking across that
 //! boundary was tried and measured no better. There is accordingly no
-//! switch: the `#[cfg(test)]` one-at-a-time reference path runs the
-//! same hints.
+//! switch.
 //!
 //! ## Randomness
 //!
@@ -632,17 +630,13 @@ struct Shard<M: Message, N: Node<M>> {
     /// reaches it ([`Shard::pull_source`]).
     source: ShardSource<M>,
     now: SimTime,
-    /// Dense per-owned-node traffic rows; folded into a global
-    /// [`Traffic`] view at read time ([`Traffic::absorb_shard`]).
+    /// This shard's traffic ledger; folded into a global [`Traffic`]
+    /// view at read time ([`Traffic::absorb_shard`]).
     traffic: ShardTraffic,
     query_stats: QueryStats,
     /// Reusable action buffer lent to [`Ctx`] for each handler call;
     /// drained (capacity kept) after every event.
     scratch: Vec<Action<M>>,
-    /// Test-only switch: pop and fully dispatch one event at a time —
-    /// the reference path `batch_parity` holds batched delivery to.
-    #[cfg(test)]
-    one_at_a_time: bool,
     /// Test-only: the key of every event popped, in pop order — what
     /// `source_parity` compares between the streamed and the
     /// pre-scheduled form of one injection stream.
@@ -737,7 +731,6 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
             crate::prefetch(&self.nodes[li]);
             crate::prefetch(&self.slab.rngs[li]);
             crate::prefetch(&self.slab.emit_seq[li]);
-            self.traffic.prefetch_rows(li);
         }
         if let Some(li) = self.upcoming_local(PREFETCH_ROLE_AHEAD, place) {
             self.nodes[li].prefetch();
@@ -812,16 +805,31 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         self.queue.peek_time().into_iter().chain(sourced).min()
     }
 
+    /// Pop this shard's next event if it is due before `limit`, look
+    /// ahead, and dispatch it — the whole path of an event, and the
+    /// only one. `false` once nothing is due.
+    #[inline]
+    fn step(
+        &mut self,
+        limit: SimTime,
+        topo: &Topology,
+        place: &Placement,
+        outbox: &mut [Vec<Staged<M>>],
+    ) -> bool {
+        self.pull_source(limit, place);
+        let Some((key, payload)) = self.queue.pop_if_before(limit) else {
+            return false;
+        };
+        debug_assert!(key.at >= self.now, "time went backwards");
+        self.now = key.at;
+        self.prefetch_ahead(place);
+        #[cfg(test)]
+        self.popped.push(key);
+        self.dispatch(payload, topo, place, outbox);
+        true
+    }
+
     /// Process every pending event with `key.at < limit`, in key order.
-    ///
-    /// The loop peels deliverable events off into per-destination
-    /// batches ([`Shard::deliver_batch`]): consecutive same-destination
-    /// queue heads are delivered together, with the destination's
-    /// placement and liveness resolved once — simulation workloads are
-    /// bursty per node (a gossip round, a query fan-in), so batches are
-    /// common. Everything else — churn, drops, bounces — takes the
-    /// one-event [`Shard::dispatch`] path. Batching never changes the
-    /// pop order.
     fn run_epoch(
         &mut self,
         limit: SimTime,
@@ -829,40 +837,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         place: &Placement,
         outbox: &mut [Vec<Staged<M>>],
     ) {
-        loop {
-            self.pull_source(limit, place);
-            let Some((key, payload)) = self.queue.pop_if_before(limit) else {
-                break;
-            };
-            debug_assert!(key.at >= self.now, "time went backwards");
-            self.now = key.at;
-            self.prefetch_ahead(place);
-            #[cfg(test)]
-            self.popped.push(key);
-            #[cfg(test)]
-            if self.one_at_a_time {
-                self.dispatch(payload, topo, place, outbox);
-                continue;
-            }
-            match payload {
-                Pending::App { dst, ev } if self.up.get(dst) => {
-                    self.deliver_batch(dst, ev, limit, topo, place, outbox);
-                }
-                // A fault-cut message fails the guard and falls
-                // through to `dispatch`, which counts the drop — the
-                // only place that does.
-                Pending::Wire { from, to, msg }
-                    if self.up.get(to) && !self.fault_cut(self.now, from, to, topo) =>
-                {
-                    let class = msg.class();
-                    self.traffic
-                        .record_recv(place.local(to), class, msg.wire_size());
-                    self.metrics.incr(RECV_COUNTER[class.index()]);
-                    self.deliver_batch(to, Event::Recv { from, msg }, limit, topo, place, outbox);
-                }
-                other => self.dispatch(other, topo, place, outbox),
-            }
-        }
+        while self.step(limit, topo, place, outbox) {}
     }
 
     /// As [`Shard::run_epoch`], but stop right after the first event
@@ -883,21 +858,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         place: &Placement,
         outbox: &mut [Vec<Staged<M>>],
     ) {
-        loop {
-            self.pull_source(limit, place);
-            let Some((key, payload)) = self.queue.pop_if_before(limit) else {
-                break;
-            };
-            debug_assert!(key.at >= self.now, "time went backwards");
-            self.now = key.at;
-            self.prefetch_ahead(place);
-            #[cfg(test)]
-            self.popped.push(key);
-            self.dispatch(payload, topo, place, outbox);
-            if outbox.iter().any(|b| !b.is_empty()) {
-                break;
-            }
-        }
+        while self.step(limit, topo, place, outbox) && outbox.iter().all(Vec::is_empty) {}
     }
 
     fn dispatch(
@@ -996,78 +957,6 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         };
         self.nodes[li].on_event(&mut ctx, ev);
         self.flush_actions(dst, li, &mut scratch, topo, place, outbox);
-        self.scratch = scratch;
-    }
-
-    /// Deliver `first_ev` to `dst` (known up) and keep going while the
-    /// live queue head is another deliverable event for the same
-    /// destination within `limit`. Placement and liveness are resolved
-    /// once for the whole batch: nothing a handler can do
-    /// ([`Action::Send`]/[`Action::Timer`]) changes liveness, and the
-    /// churn events that do are broadcast through the queue, where
-    /// they end the batch like any other head for a different target.
-    fn deliver_batch(
-        &mut self,
-        dst: NodeId,
-        first_ev: Event<M>,
-        limit: SimTime,
-        topo: &Topology,
-        place: &Placement,
-        outbox: &mut [Vec<Staged<M>>],
-    ) {
-        let li = place.local(dst);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        debug_assert!(scratch.is_empty());
-        let mut ev = first_ev;
-        loop {
-            self.metrics.incr(Counter::EngineEvents);
-            if matches!(ev, Event::Timer { .. }) {
-                self.metrics.incr(Counter::EngineTimers);
-            }
-            let mut ctx = Ctx {
-                now: self.now,
-                id: dst,
-                topo,
-                rng: &mut self.slab.rngs[li],
-                query_stats: &mut self.query_stats,
-                metrics: &mut self.metrics,
-                out: &mut scratch,
-            };
-            self.nodes[li].on_event(&mut ctx, ev);
-            self.flush_actions(dst, li, &mut scratch, topo, place, outbox);
-            // Continue only on the *current* head — it may be an event
-            // this very batch just emitted (same-instant self-sends
-            // sort by seq), which is exactly what the one-at-a-time
-            // loop would pop next.
-            self.pull_source(limit, place);
-            match self.queue.peek() {
-                Some((at, p)) if at < limit => match p {
-                    Pending::App { dst: d, .. } if *d == dst => {}
-                    // A fault-cut head ends the batch so the one-event
-                    // dispatch path pops it and counts the drop.
-                    Pending::Wire { from, to, .. }
-                        if *to == dst && !self.fault_cut(at, *from, *to, topo) => {}
-                    _ => break,
-                },
-                _ => break,
-            }
-            let (key, payload) = self.queue.pop().expect("head just peeked");
-            debug_assert!(key.at >= self.now, "time went backwards");
-            self.now = key.at;
-            self.prefetch_ahead(place);
-            #[cfg(test)]
-            self.popped.push(key);
-            ev = match payload {
-                Pending::App { ev, .. } => ev,
-                Pending::Wire { from, msg, .. } => {
-                    let class = msg.class();
-                    self.traffic.record_recv(li, class, msg.wire_size());
-                    self.metrics.incr(RECV_COUNTER[class.index()]);
-                    Event::Recv { from, msg }
-                }
-                _ => unreachable!("continuation is App/Wire by the peek above"),
-            };
-        }
         self.scratch = scratch;
     }
 
@@ -1255,8 +1144,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                 query_stats: QueryStats::new(window),
                 scratch: Vec::new(),
                 #[cfg(test)]
-                one_at_a_time: false,
-                #[cfg(test)]
                 popped: Vec::new(),
                 metrics: MetricSet::new(),
                 fault: None,
@@ -1364,15 +1251,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         assert_eq!(core_map.len(), self.shards.len(), "one core per shard");
         self.core_map = core_map;
         self.pin = pin;
-    }
-
-    /// Switch every shard to the one-event-at-a-time reference
-    /// dispatch (see `Shard::one_at_a_time`).
-    #[cfg(test)]
-    fn deliver_one_at_a_time(&mut self) {
-        for s in &mut self.shards {
-            s.one_at_a_time = true;
-        }
     }
 
     /// Immutable access to a protocol node (inspection in tests and
@@ -1786,7 +1664,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
 }
 
 #[cfg(test)]
-mod batch_parity;
+mod layout_parity;
 
 #[cfg(test)]
 mod source_parity;
@@ -1797,17 +1675,29 @@ mod tests {
     use crate::topology::TopologyConfig;
 
     /// Echo protocol: replies to every Ping with a Pong; counts pongs.
+    /// A Rumor is answered with a Digest — the same exchange in the
+    /// two background classes, at sizes of their own.
     #[derive(Clone, Debug)]
     enum PingMsg {
         Ping,
         Pong,
+        Rumor,
+        Digest,
     }
     impl Message for PingMsg {
         fn wire_size(&self) -> u32 {
-            8
+            match self {
+                PingMsg::Ping | PingMsg::Pong => 8,
+                PingMsg::Rumor => 100,
+                PingMsg::Digest => 40,
+            }
         }
         fn class(&self) -> TrafficClass {
-            TrafficClass::QueryControl
+            match self {
+                PingMsg::Ping | PingMsg::Pong => TrafficClass::QueryControl,
+                PingMsg::Rumor => TrafficClass::Gossip,
+                PingMsg::Digest => TrafficClass::Push,
+            }
         }
     }
 
@@ -1828,11 +1718,21 @@ mod tests {
                 Event::Recv {
                     msg: PingMsg::Pong, ..
                 } => self.pongs += 1,
+                Event::Recv {
+                    from,
+                    msg: PingMsg::Rumor,
+                } => ctx.send(from, PingMsg::Digest),
+                Event::Recv {
+                    msg: PingMsg::Digest,
+                    ..
+                } => {}
                 Event::Undeliverable { .. } => self.undeliverable += 1,
                 // Timer kind 2 originates a Ping to node `tag` (lets
                 // tests start a cross-shard exchange from a pure-local
                 // event, leaving the target's shard queue empty).
                 Event::Timer { kind: 2, tag } => ctx.send(NodeId(tag as u32), PingMsg::Ping),
+                // Timer kind 3: likewise, a Rumor.
+                Event::Timer { kind: 3, tag } => ctx.send(NodeId(tag as u32), PingMsg::Rumor),
                 Event::Timer { .. } => self.timer_fired = true,
                 Event::NodeUp => self.revived += 1,
             }
@@ -1880,17 +1780,61 @@ mod tests {
                 msg: PingMsg::Ping,
             },
         );
+        // Node 2 sends node 3 a rumor (100 B of gossip), node 3
+        // answers with a digest (40 B of push), twice over.
+        for at in [0, 1] {
+            e.schedule_at(
+                SimTime::from_secs(at),
+                NodeId(2),
+                Event::Timer { kind: 3, tag: 3 },
+            );
+        }
         e.run_until(SimTime::from_secs(5));
-        assert_eq!(
-            e.traffic()
-                .sent_bytes(NodeId(1), TrafficClass::QueryControl),
-            8
-        );
-        assert_eq!(
-            e.traffic()
-                .recv_bytes(NodeId(0), TrafficClass::QueryControl),
-            8
-        );
+        let t = e.traffic();
+        assert_eq!(t.total_sent(TrafficClass::QueryControl), 8);
+        assert_eq!(t.total_recv(TrafficClass::QueryControl), 8);
+        assert_eq!(t.total_sent(TrafficClass::Gossip), 200);
+        assert_eq!(t.total_recv(TrafficClass::Push), 80);
+        assert_eq!(t.messages(), 5);
+        // Background bytes are what a node sent plus what it received
+        // in gossip and push; the pong's endpoints experienced none.
+        let background: Vec<u64> = (0..5).map(|n| t.background_bytes(NodeId(n))).collect();
+        assert_eq!(background, [0, 0, 280, 280, 0]);
+        assert_eq!(t.background_series().points()[0].sum, 2.0 * 280.0);
+    }
+
+    /// A message is received at most once: per class the bytes
+    /// received never exceed the bytes sent, fall short of them where
+    /// a dead destination bounced some, and meet them once a
+    /// fault-free run has drained.
+    #[test]
+    fn received_bytes_never_exceed_sent_bytes() {
+        let drive = |dead: Option<NodeId>| {
+            let mut e = engine_sharded(3);
+            if let Some(n) = dead {
+                e.schedule_down(SimTime::ZERO, n);
+            }
+            for i in 0..40u32 {
+                e.schedule_at(
+                    SimTime::from_ms(1 + i as u64 * 13),
+                    NodeId(i % 20),
+                    Event::Timer {
+                        kind: 2 + (i % 2) as u16,
+                        tag: ((i + 7) % 20) as u64,
+                    },
+                );
+            }
+            e.run_until(SimTime::from_secs(20));
+            TrafficClass::ALL.map(|c| (e.traffic().total_sent(c), e.traffic().total_recv(c)))
+        };
+        let drained = drive(None);
+        assert!(drained.iter().filter(|(sent, _)| *sent > 0).count() == 3);
+        for (sent, recv) in drained {
+            assert_eq!(recv, sent, "a drained fault-free run delivers everything");
+        }
+        let bounced = drive(Some(NodeId(7)));
+        assert!(bounced.iter().all(|(sent, recv)| recv <= sent));
+        assert!(bounced.iter().any(|(sent, recv)| recv < sent));
     }
 
     #[test]
@@ -2546,18 +2490,15 @@ mod tests {
     /// of events per millisecond keep the sorted day deep, same-instant
     /// self-sends land in front of entries already hinted, broadcast
     /// churn entries for nodes of *other* shards sit among them — and
-    /// the popped keys and every node's log equal the one-at-a-time
-    /// reference's.
+    /// every node's log is the same whichever shard layout, and so
+    /// whichever sorted days, the pipeline looked ahead in.
     #[test]
     fn prefetch_hook_runs_for_owned_destinations_and_changes_nothing() {
-        let drive = |shards: usize, one_at_a_time: bool| {
+        let drive = |shards: usize| {
             let topo = crate::topology::Topology::generate(&TopologyConfig::small_test(), 5);
             let nodes = (0..topo.num_nodes()).map(|_| Hinted::default()).collect();
             let mut e: Engine<PingMsg, Hinted> =
                 Engine::with_shards(topo, nodes, 99, SimDuration::from_mins(30), shards);
-            if one_at_a_time {
-                e.deliver_one_at_a_time();
-            }
             for i in 0..600u64 {
                 let node = NodeId(2 * (i % 30) as u32);
                 e.schedule_at(
@@ -2571,7 +2512,6 @@ mod tests {
                 e.schedule_up(SimTime::from_ms(4), NodeId(silent));
             }
             e.run_until(SimTime::from_secs(5));
-            let popped: Vec<Vec<EventKey>> = e.shards.iter().map(|s| s.popped.clone()).collect();
             let (seen, hints): (Vec<_>, Vec<_>) = e
                 .topology()
                 .node_ids()
@@ -2582,23 +2522,20 @@ mod tests {
                     )
                 })
                 .unzip();
-            (popped, seen, hints)
+            (seen, hints)
         };
-        for shards in [1usize, 3] {
-            let (ref_popped, ref_seen, ref_hints) = drive(shards, true);
-            let (popped, seen, hints) = drive(shards, false);
-            assert_eq!(popped, ref_popped, "shards={shards}: pop order moved");
-            assert_eq!(seen, ref_seen, "shards={shards}: a node saw something else");
-            for hints in [&hints, &ref_hints] {
-                assert!(
-                    hints.iter().sum::<u64>() > 300,
-                    "shards={shards}: the near stage went dead ({hints:?})"
-                );
-                for (n, h) in hints.iter().enumerate() {
-                    // Odd nodes are never addressed; the three that go
-                    // down and up are only named by churn entries.
-                    assert!(n % 2 == 0 || *h == 0, "shards={shards}: node {n} hinted");
-                }
+        let (ref_seen, ref_hints) = drive(1);
+        let (seen, hints) = drive(3);
+        assert_eq!(seen, ref_seen, "a node saw something else on 3 shards");
+        for (shards, hints) in [(1, ref_hints), (3, hints)] {
+            assert!(
+                hints.iter().sum::<u64>() > 300,
+                "shards={shards}: the near stage went dead ({hints:?})"
+            );
+            for (n, h) in hints.iter().enumerate() {
+                // Odd nodes are never addressed; the three that go
+                // down and up are only named by churn entries.
+                assert!(n % 2 == 0 || *h == 0, "shards={shards}: node {n} hinted");
             }
         }
     }

@@ -442,20 +442,12 @@ impl<T> EventQueue<T> {
         self.pop()
     }
 
-    /// The earliest pending event: its delivery time and a view of its
-    /// payload.
-    pub fn peek(&self) -> Option<(SimTime, &T)> {
-        self.cal
-            .peek()
-            .map(|e| (e.key.at, self.cal.payloads.get(e.slot)))
-    }
-
     /// A read-only look past the head: the payload of the event
     /// `ahead` places behind it in pop order (`upcoming(0)` is the
-    /// payload [`EventQueue::peek`] shows), or `None` once `ahead`
-    /// runs past the end of the day being drained — the sorted part of
-    /// the calendar; later days are unsorted buckets with no "next"
-    /// yet. What it returns is a forecast, exact only until the next
+    /// payload the next [`EventQueue::pop`] returns), or `None` once
+    /// `ahead` runs past the end of the day being drained — the sorted
+    /// part of the calendar; later days are unsorted buckets with no
+    /// "next" yet. What it returns is a forecast, exact only until the next
     /// push: an event filed into the current day takes its sorted
     /// place among the entries already seen and moves everything
     /// behind it one place back. Pop order is unaffected either way.
@@ -645,13 +637,11 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.peek_key(), None);
-        assert_eq!(q.peek(), None::<(SimTime, &())>);
         q.push(key(42, 0, 0), ());
         q.push(key(41, 0, 1), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peak_len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_ms(41)));
-        assert_eq!(q.peek(), Some((SimTime::from_ms(41), &())));
         q.pop();
         q.pop();
         assert_eq!(q.peak_len(), 2, "peak survives drains");
@@ -891,7 +881,6 @@ mod proptests {
                 for _ in 0..*pops {
                     prop_assert_eq!(cal.peek_key(), heap.peek_key(), "heads diverged");
                     prop_assert_eq!(cal.peek_time(), heap.peek_key().map(|k| k.at));
-                    prop_assert_eq!(cal.upcoming(0), cal.peek().map(|(_, p)| p));
                     for ahead in 0..12 {
                         let seen = cal.upcoming(ahead).copied();
                         prop_assert_eq!(seen.is_some(), ahead < cal.cal.current.len());

@@ -12,13 +12,13 @@
 //! * **Transfer distance** — network distance (latency) between the
 //!   querying peer and the provider.
 //!
-//! [`Traffic`] implements the first (bytes per node per class with a
-//! windowed series), [`QueryStats`] the other three (averages,
-//! fixed-width distributions as in Figures 7(b)/8(b), and windowed
-//! series as in Figures 5–8(a), the overlay joins behind Figure 5's
-//! per-peer normalisation among them). Message *counts* per class are
-//! not kept here: they are the `engine_sent_*` / `engine_recv_*`
-//! cells of the metric registry.
+//! [`Traffic`] implements the first (background bytes per node, byte
+//! totals per class, a windowed series), [`QueryStats`] the other three
+//! (averages, fixed-width distributions as in Figures 7(b)/8(b), and
+//! windowed series as in Figures 5–8(a), the overlay joins behind
+//! Figure 5's per-peer normalisation among them). Message *counts* per
+//! class are not kept here: they are the `engine_sent_*` /
+//! `engine_recv_*` cells of the metric registry.
 //!
 //! ## Sharded accumulation
 //!
@@ -26,12 +26,12 @@
 //! shard and combines them at read time. All counters are integers
 //! (or integer-valued `f64` sums, for which IEEE addition is exact),
 //! so the merged totals are bit-equal no matter how the simulation
-//! was partitioned. Per-shard traffic lives in a [`ShardTraffic`]
-//! whose rows cover only the shard's *own* nodes (dense local
-//! indices); the engine folds them into one global [`Traffic`] view
-//! on demand. The cumulative hit-ratio curve is streamed into
-//! fixed-width time buckets as resolutions happen — every accumulator
-//! is O(nodes + buckets), never O(events).
+//! was partitioned. Per-shard traffic lives in a [`ShardTraffic`] —
+//! one background-bytes word per node the shard owns (dense local
+//! indices) and two per-class total rows — which the engine folds into
+//! one global [`Traffic`] view on demand. The cumulative hit-ratio
+//! curve is streamed into fixed-width time buckets as resolutions
+//! happen — every accumulator is O(nodes + buckets), never O(events).
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
@@ -91,47 +91,32 @@ impl TrafficClass {
 
 const N_CLASSES: usize = TrafficClass::ALL.len();
 
-/// Per-node, per-class byte counters plus a windowed background-bytes
-/// series (for Figure 5).
+/// The merged read view of the traffic ledger: background bytes per
+/// node, byte totals per class and the windowed background-bytes
+/// series (for Figure 5), folded out of every shard's
+/// [`ShardTraffic`].
 #[derive(Clone, Debug)]
 pub struct Traffic {
-    /// `sent[node][class]` = bytes sent.
-    sent: Vec<[u64; N_CLASSES]>,
-    /// `recv[node][class]` = bytes received.
-    recv: Vec<[u64; N_CLASSES]>,
+    /// `background[node]` = gossip + push bytes sent and received.
+    background: Vec<u64>,
+    /// Bytes sent, per class, over all nodes.
+    sent: [u64; N_CLASSES],
+    /// Bytes received, per class, over all nodes.
+    recv: [u64; N_CLASSES],
     /// Background (gossip+push) bytes, windowed over time.
     background_series: TimeSeries,
     messages: u64,
 }
 
 impl Traffic {
-    /// Accounting for `nodes` nodes with the given series window.
+    /// An empty view over `nodes` nodes with the given series window.
     pub fn new(nodes: usize, window: SimDuration) -> Self {
         Traffic {
-            sent: vec![[0; N_CLASSES]; nodes],
-            recv: vec![[0; N_CLASSES]; nodes],
+            background: vec![0; nodes],
+            sent: [0; N_CLASSES],
+            recv: [0; N_CLASSES],
             background_series: TimeSeries::new(window),
             messages: 0,
-        }
-    }
-
-    /// Record one message of `bytes` bytes from `from` to `to`.
-    pub fn record(
-        &mut self,
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        class: TrafficClass,
-        bytes: u32,
-    ) {
-        let c = class.index();
-        self.sent[from.idx()][c] += bytes as u64;
-        self.recv[to.idx()][c] += bytes as u64;
-        self.messages += 1;
-        if class.is_background() {
-            // Both endpoints experience the bytes (the paper's metric
-            // is "traffic experienced by a peer").
-            self.background_series.record(at, 2.0 * bytes as f64);
         }
     }
 
@@ -140,30 +125,23 @@ impl Traffic {
         self.messages
     }
 
-    /// Bytes sent by `node` in `class`.
-    pub fn sent_bytes(&self, node: NodeId, class: TrafficClass) -> u64 {
-        self.sent[node.idx()][class.index()]
-    }
-
-    /// Bytes received by `node` in `class`.
-    pub fn recv_bytes(&self, node: NodeId, class: TrafficClass) -> u64 {
-        self.recv[node.idx()][class.index()]
-    }
-
     /// Background bytes (gossip + push, sent + received) experienced
     /// by `node`.
     pub fn background_bytes(&self, node: NodeId) -> u64 {
-        TrafficClass::ALL
-            .iter()
-            .filter(|c| c.is_background())
-            .map(|c| self.sent_bytes(node, *c) + self.recv_bytes(node, *c))
-            .sum()
+        self.background[node.idx()]
     }
 
-    /// Total bytes across all nodes in `class` (sent side only, to
-    /// avoid double counting when summing system-wide).
+    /// Total bytes sent across all nodes in `class` (the side to sum
+    /// system-wide: every message is sent once).
     pub fn total_sent(&self, class: TrafficClass) -> u64 {
-        self.sent.iter().map(|row| row[class.index()]).sum()
+        self.sent[class.index()]
+    }
+
+    /// Total bytes received across all nodes in `class`: at most
+    /// [`Traffic::total_sent`], short of it by what was dropped,
+    /// bounced or still in flight.
+    pub fn total_recv(&self, class: TrafficClass) -> u64 {
+        self.recv[class.index()]
     }
 
     /// The paper's background-traffic metric: average bits/second
@@ -184,61 +162,45 @@ impl Traffic {
         &self.background_series
     }
 
-    /// Fold another shard's accounting into this one. Both must cover
-    /// the same node universe and window.
-    pub fn merge_from(&mut self, other: &Traffic) {
-        assert_eq!(self.sent.len(), other.sent.len(), "node universes differ");
-        for (a, b) in self.sent.iter_mut().zip(&other.sent) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += *y;
-            }
-        }
-        for (a, b) in self.recv.iter_mut().zip(&other.recv) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += *y;
-            }
-        }
-        self.background_series.merge_from(&other.background_series);
-        self.messages += other.messages;
-    }
-
-    /// Scatter a shard's dense accounting into this global view. Each
-    /// shard row is indexed by the shard's local node index; the
-    /// shard's member table maps it back to the global id.
+    /// Fold a shard's ledger into this global view. The shard's
+    /// background column is indexed by its local node index; its
+    /// member table maps each word back to the global id, and shards
+    /// own disjoint nodes, so the fold is a scatter.
     pub fn absorb_shard(&mut self, shard: &ShardTraffic) {
-        for (li, node) in shard.members.iter().enumerate() {
-            let sent = &mut self.sent[node.idx()];
-            let recv = &mut self.recv[node.idx()];
-            for c in 0..N_CLASSES {
-                sent[c] += shard.sent[li][c];
-                recv[c] += shard.recv[li][c];
-            }
+        for (node, bytes) in shard.members.iter().zip(&shard.background) {
+            self.background[node.idx()] += bytes;
+        }
+        for c in 0..N_CLASSES {
+            self.sent[c] += shard.sent[c];
+            self.recv[c] += shard.recv[c];
         }
         self.background_series.merge_from(&shard.background_series);
         self.messages += shard.messages;
     }
 }
 
-/// One shard's traffic accounting: per-class byte rows for the
-/// shard's *own* nodes only, indexed by the dense local index the
-/// engine's placement assigns. A sharded run used to replicate the
-/// full `O(all nodes)` [`Traffic`] table per shard; at a million
-/// nodes × 8 shards those replicas alone were ~1.8 GB. Send bytes are
+/// One shard's traffic ledger — the one place a wire message's bytes
+/// are written: a background-bytes word for each of the shard's *own*
+/// nodes, indexed by the dense local index the engine's placement
+/// assigns, and the shard's byte totals per class. Send bytes are
 /// recorded where the sender executes and receive bytes where the
 /// wire message is delivered — both are, by construction, nodes of
-/// the recording shard — so rows never index foreign nodes and the
-/// fold into the global [`Traffic`] view ([`Traffic::absorb_shard`])
-/// is a disjoint scatter.
+/// the recording shard — so the column never indexes foreign nodes
+/// and the fold into the global [`Traffic`] view
+/// ([`Traffic::absorb_shard`]) is a disjoint scatter.
 #[derive(Clone, Debug)]
 pub struct ShardTraffic {
-    /// Global node id of each local row: `members[local] = node`.
+    /// Global node id of each local word: `members[local] = node`.
     members: Vec<NodeId>,
-    /// `sent[local][class]` = bytes sent by the shard's node `local`.
-    sent: Vec<[u64; N_CLASSES]>,
-    /// `recv[local][class]` = bytes received by node `local`.
-    recv: Vec<[u64; N_CLASSES]>,
+    /// `background[local]` = gossip + push bytes sent and received by
+    /// the shard's node `local` — what the paper's metric reads.
+    background: Vec<u64>,
+    /// Bytes sent by the shard's nodes, per class.
+    sent: [u64; N_CLASSES],
+    /// Bytes received by the shard's nodes, per class.
+    recv: [u64; N_CLASSES],
     /// Background (gossip+push) bytes, windowed; recorded at send
-    /// time for both endpoints, exactly like the unsharded metric.
+    /// time for both endpoints.
     background_series: TimeSeries,
     messages: u64,
 }
@@ -246,11 +208,11 @@ pub struct ShardTraffic {
 impl ShardTraffic {
     /// Accounting for a shard owning `members` (local index order).
     pub fn new(members: Vec<NodeId>, window: SimDuration) -> Self {
-        let n = members.len();
         ShardTraffic {
+            background: vec![0; members.len()],
             members,
-            sent: vec![[0; N_CLASSES]; n],
-            recv: vec![[0; N_CLASSES]; n],
+            sent: [0; N_CLASSES],
+            recv: [0; N_CLASSES],
             background_series: TimeSeries::new(window),
             messages: 0,
         }
@@ -263,15 +225,15 @@ impl ShardTraffic {
 
     /// Record one message of `bytes` bytes sent by local node `local`.
     /// Counts the message and, for background classes, both endpoints'
-    /// bytes into the windowed series (the receive *row* is updated at
-    /// delivery time on the destination's shard via
+    /// bytes into the windowed series (the receiver's own word is
+    /// updated at delivery time on the destination's shard via
     /// [`ShardTraffic::record_recv`]).
     #[inline]
     pub fn record_sent(&mut self, at: SimTime, local: usize, class: TrafficClass, bytes: u32) {
-        let c = class.index();
-        self.sent[local][c] += bytes as u64;
+        self.sent[class.index()] += bytes as u64;
         self.messages += 1;
         if class.is_background() {
+            self.background[local] += bytes as u64;
             // Both endpoints experience the bytes (the paper's metric
             // is "traffic experienced by a peer").
             self.background_series.record(at, 2.0 * bytes as f64);
@@ -281,15 +243,10 @@ impl ShardTraffic {
     /// Record the receipt of a wire message by local node `local`.
     #[inline]
     pub fn record_recv(&mut self, local: usize, class: TrafficClass, bytes: u32) {
-        self.recv[local][class.index()] += bytes as u64;
-    }
-
-    /// Hint the cache that local node `local`'s send and receive rows
-    /// are about to be updated ([`crate::prefetch`]).
-    #[inline]
-    pub(crate) fn prefetch_rows(&self, local: usize) {
-        crate::prefetch(&self.sent[local]);
-        crate::prefetch(&self.recv[local]);
+        self.recv[class.index()] += bytes as u64;
+        if class.is_background() {
+            self.background[local] += bytes as u64;
+        }
     }
 
     /// Total messages recorded by this shard.
@@ -796,50 +753,64 @@ impl QueryStats {
 mod tests {
     use super::*;
 
+    /// One shard owning nodes `0..nodes`, so local index = node id.
+    fn whole_ledger(nodes: u32, window: SimDuration) -> ShardTraffic {
+        ShardTraffic::new((0..nodes).map(NodeId).collect(), window)
+    }
+
+    /// One delivered message: the send and its receipt.
+    fn wire(
+        t: &mut ShardTraffic,
+        at: SimTime,
+        from: usize,
+        to: usize,
+        class: TrafficClass,
+        bytes: u32,
+    ) {
+        t.record_sent(at, from, class, bytes);
+        t.record_recv(to, class, bytes);
+    }
+
+    fn view(nodes: usize, shards: &[&ShardTraffic]) -> Traffic {
+        let mut t = Traffic::new(nodes, shards[0].window());
+        for s in shards {
+            t.absorb_shard(s);
+        }
+        t
+    }
+
     #[test]
     fn traffic_accounting_by_class() {
-        let mut t = Traffic::new(3, SimDuration::from_mins(30));
-        t.record(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            TrafficClass::Gossip,
-            100,
-        );
-        t.record(SimTime::ZERO, NodeId(1), NodeId(0), TrafficClass::Push, 50);
-        t.record(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(2),
-            TrafficClass::DhtRouting,
-            10,
-        );
-        assert_eq!(t.sent_bytes(NodeId(0), TrafficClass::Gossip), 100);
-        assert_eq!(t.recv_bytes(NodeId(1), TrafficClass::Gossip), 100);
+        let mut l = whole_ledger(3, SimDuration::from_mins(30));
+        wire(&mut l, SimTime::ZERO, 0, 1, TrafficClass::Gossip, 100);
+        wire(&mut l, SimTime::ZERO, 1, 0, TrafficClass::Push, 50);
+        wire(&mut l, SimTime::ZERO, 0, 2, TrafficClass::DhtRouting, 10);
+        // Sent and still in flight: counted on the send side only.
+        l.record_sent(SimTime::ZERO, 2, TrafficClass::Transfer, 900);
+        let t = view(3, &[&l]);
+        for (class, sent, recv) in [
+            (TrafficClass::Gossip, 100, 100),
+            (TrafficClass::Push, 50, 50),
+            (TrafficClass::DhtRouting, 10, 10),
+            (TrafficClass::Transfer, 900, 0),
+            (TrafficClass::KeepAlive, 0, 0),
+        ] {
+            assert_eq!(t.total_sent(class), sent, "{class:?} sent");
+            assert_eq!(t.total_recv(class), recv, "{class:?} received");
+        }
         assert_eq!(t.background_bytes(NodeId(0)), 150); // gossip sent + push recv
         assert_eq!(t.background_bytes(NodeId(1)), 150);
-        assert_eq!(t.background_bytes(NodeId(2)), 0); // routing is not background
-        assert_eq!(t.messages(), 3);
+        assert_eq!(t.background_bytes(NodeId(2)), 0); // routing, transfer: not background
+        assert_eq!(t.messages(), 4);
     }
 
     #[test]
     fn background_bps_definition() {
-        let mut t = Traffic::new(2, SimDuration::from_mins(30));
+        let mut l = whole_ledger(2, SimDuration::from_mins(30));
         // 1000 bytes of gossip each way over 10 seconds between two peers.
-        t.record(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            TrafficClass::Gossip,
-            1000,
-        );
-        t.record(
-            SimTime::ZERO,
-            NodeId(1),
-            NodeId(0),
-            TrafficClass::Gossip,
-            1000,
-        );
+        wire(&mut l, SimTime::ZERO, 0, 1, TrafficClass::Gossip, 1000);
+        wire(&mut l, SimTime::ZERO, 1, 0, TrafficClass::Gossip, 1000);
+        let t = view(2, &[&l]);
         let bps = t.background_bps(&[NodeId(0), NodeId(1)], SimDuration::from_secs(10));
         // Each peer experienced 2000 bytes = 16000 bits over 10 s = 1600 bps.
         assert!((bps - 1600.0).abs() < 1e-9, "bps = {bps}");
@@ -976,53 +947,48 @@ mod tests {
         a.record_sent(SimTime::ZERO, 0, TrafficClass::Gossip, 100);
         b.record_recv(0, TrafficClass::Gossip, 100);
         // 3 → 2: push, 40 bytes (send on B, receipt on A).
-        b.record_sent(SimTime::from_secs(1), 1, TrafficClass::Push, 40);
+        b.record_sent(SimTime::from_secs(70), 1, TrafficClass::Push, 40);
         a.record_recv(1, TrafficClass::Push, 40);
+        // 2 → 3: a transfer, 900 bytes (send on A, receipt on B).
+        a.record_sent(SimTime::from_secs(71), 1, TrafficClass::Transfer, 900);
+        b.record_recv(1, TrafficClass::Transfer, 900);
 
         // The same history recorded unsharded.
-        let mut whole = Traffic::new(4, w);
-        whole.record(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            TrafficClass::Gossip,
-            100,
-        );
-        whole.record(
-            SimTime::from_secs(1),
-            NodeId(3),
-            NodeId(2),
+        let mut whole = whole_ledger(4, w);
+        wire(&mut whole, SimTime::ZERO, 0, 1, TrafficClass::Gossip, 100);
+        wire(
+            &mut whole,
+            SimTime::from_secs(70),
+            3,
+            2,
             TrafficClass::Push,
             40,
         );
-
-        let mut folded = Traffic::new(4, w);
-        folded.absorb_shard(&a);
-        folded.absorb_shard(&b);
-        assert_eq!(folded.messages(), whole.messages());
-        for n in 0..4u32 {
-            for c in TrafficClass::ALL {
-                assert_eq!(
-                    folded.sent_bytes(NodeId(n), c),
-                    whole.sent_bytes(NodeId(n), c)
-                );
-                assert_eq!(
-                    folded.recv_bytes(NodeId(n), c),
-                    whole.recv_bytes(NodeId(n), c)
-                );
-            }
-        }
-        let fp = folded.background_series().points();
-        let wp = whole.background_series().points();
-        assert_eq!(fp.len(), wp.len());
-        for (f, w) in fp.iter().zip(&wp) {
-            assert_eq!(f.count, w.count);
-            assert_eq!(f.sum, w.sum);
-        }
-        assert_eq!(
-            folded.total_sent(TrafficClass::Gossip),
-            whole.total_sent(TrafficClass::Gossip)
+        wire(
+            &mut whole,
+            SimTime::from_secs(71),
+            2,
+            3,
+            TrafficClass::Transfer,
+            900,
         );
+
+        let folded = view(4, &[&a, &b]);
+        let whole = view(4, &[&whole]);
+        assert_eq!(folded.messages(), whole.messages());
+        let background =
+            |t: &Traffic| -> Vec<u64> { (0..4).map(|n| t.background_bytes(NodeId(n))).collect() };
+        assert_eq!(background(&folded), [100, 100, 40, 40]);
+        assert_eq!(background(&folded), background(&whole));
+        for c in TrafficClass::ALL {
+            assert_eq!(folded.total_sent(c), whole.total_sent(c), "{c:?} sent");
+            assert_eq!(folded.total_recv(c), whole.total_recv(c), "{c:?} received");
+        }
+        assert_eq!(folded.total_recv(TrafficClass::Transfer), 900);
+        let points = folded.background_series().points();
+        assert_eq!(points, whole.background_series().points());
+        assert_eq!(points.len(), 2, "one window per background message");
+        assert_eq!((points[0].sum, points[1].sum), (200.0, 80.0));
     }
 
     #[test]
@@ -1064,37 +1030,6 @@ mod tests {
             assert_eq!(series(&merged).points(), series(&whole).points());
         }
         assert_eq!(whole.join_series().points().len(), 4, "joins at 70–210 s");
-
-        // Traffic merges likewise.
-        let mut t_whole = Traffic::new(4, w);
-        let mut t_a = Traffic::new(4, w);
-        let mut t_b = Traffic::new(4, w);
-        for (i, (from, to, class, bytes)) in [
-            (NodeId(0), NodeId(1), TrafficClass::Gossip, 100u32),
-            (NodeId(1), NodeId(2), TrafficClass::Push, 60),
-            (NodeId(2), NodeId(3), TrafficClass::Transfer, 900),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            t_whole.record(SimTime::from_secs(i as u64), from, to, class, bytes);
-            let half = if i % 2 == 0 { &mut t_a } else { &mut t_b };
-            half.record(SimTime::from_secs(i as u64), from, to, class, bytes);
-        }
-        t_a.merge_from(&t_b);
-        assert_eq!(t_a.messages(), t_whole.messages());
-        for n in 0..4u32 {
-            for c in TrafficClass::ALL {
-                assert_eq!(
-                    t_a.sent_bytes(NodeId(n), c),
-                    t_whole.sent_bytes(NodeId(n), c)
-                );
-                assert_eq!(
-                    t_a.recv_bytes(NodeId(n), c),
-                    t_whole.recv_bytes(NodeId(n), c)
-                );
-            }
-        }
     }
 
     #[test]

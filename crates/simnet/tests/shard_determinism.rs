@@ -2,11 +2,13 @@
 //! produces bit-identical results for every shard count, including
 //! `--shards 1`. The protocol below deliberately exercises everything
 //! that could diverge under parallel execution: per-node randomness,
-//! timers, cross-locality traffic, churn bounces and every query
-//! metric, the windowed join series included.
+//! timers, cross-locality traffic, churn bounces, every query metric
+//! (the windowed join series included) and the whole traffic ledger:
+//! background bytes per node, byte totals per class, the windowed
+//! background series.
 
 use rand::Rng;
-use simnet::stats::ServedBy;
+use simnet::stats::{SeriesPoint, ServedBy};
 use simnet::{
     ChurnConfig, ChurnScript, Ctx, Engine, Event, Message, Node, NodeId, SimDuration, SimTime,
     Topology, TopologyConfig, TrafficClass,
@@ -27,8 +29,9 @@ impl Message for Msg {
     }
     fn class(&self) -> TrafficClass {
         match self {
+            Msg::Probe { hops } if hops % 2 == 1 => TrafficClass::Gossip,
             Msg::Probe { .. } => TrafficClass::QueryControl,
-            Msg::Reply => TrafficClass::Transfer,
+            Msg::Reply => TrafficClass::Push,
         }
     }
 }
@@ -98,9 +101,13 @@ impl Node<Msg> for Chatter {
     }
 }
 
+/// The merged traffic view, whole: `(background bytes per node, bytes
+/// (sent, received) per class, windowed background series)`.
+type Ledger = (Vec<u64>, [(u64, u64); 7], Vec<SeriesPoint>);
+
 /// A full run at the given shard count, reduced to a comparable
 /// fingerprint of everything observable.
-fn run(shards: usize, seed: u64) -> (u64, u64, Vec<u64>, Vec<u64>, u64, String) {
+fn run(shards: usize, seed: u64) -> (u64, u64, Vec<u64>, Ledger, u64, String) {
     let topo = Topology::generate(
         &TopologyConfig {
             nodes: 160,
@@ -114,10 +121,11 @@ fn run(shards: usize, seed: u64) -> (u64, u64, Vec<u64>, Vec<u64>, u64, String) 
     let nodes = (0..n).map(|_| Chatter::default()).collect();
     let mut e = Engine::with_shards(topo, nodes, seed, SimDuration::from_secs(10), shards);
 
-    // Inject probes at staggered times from many origins.
+    // Inject probes at staggered times from many origins, well into
+    // the churn below: some die on a node that went down.
     for i in 0..60u32 {
         e.schedule_at(
-            SimTime::from_ms(i as u64 * 37),
+            SimTime::from_ms(i as u64 * 370),
             NodeId(i % n as u32),
             Event::Recv {
                 from: NodeId((i * 13 + 1) % n as u32),
@@ -145,17 +153,15 @@ fn run(shards: usize, seed: u64) -> (u64, u64, Vec<u64>, Vec<u64>, u64, String) 
     e.run_until(SimTime::from_secs(60));
 
     let digests: Vec<u64> = e.topology().node_ids().map(|i| e.node(i).digest).collect();
-    let per_node_traffic: Vec<u64> = e
-        .topology()
-        .node_ids()
-        .flat_map(|i| {
-            TrafficClass::ALL
-                .iter()
-                .map(move |c| (i, *c))
-                .collect::<Vec<_>>()
-        })
-        .map(|(i, c)| e.traffic().sent_bytes(i, c) + e.traffic().recv_bytes(i, c))
-        .collect();
+    let t = e.traffic();
+    let ledger: Ledger = (
+        e.topology()
+            .node_ids()
+            .map(|i| t.background_bytes(i))
+            .collect(),
+        TrafficClass::ALL.map(|c| (t.total_sent(c), t.total_recv(c))),
+        t.background_series().points(),
+    );
     let q = e.query_stats();
     let qfp = format!(
         "{}/{} hit={:.12} lookup={:.6} transfer={:.6} cum_last={:?} joins={:?}",
@@ -171,7 +177,7 @@ fn run(shards: usize, seed: u64) -> (u64, u64, Vec<u64>, Vec<u64>, u64, String) 
         e.events_processed(),
         e.traffic().messages(),
         digests,
-        per_node_traffic,
+        ledger,
         q.resolved(),
         qfp,
     )
@@ -182,6 +188,13 @@ fn same_seed_identical_across_shard_counts() {
     let reference = run(1, 42);
     assert!(reference.0 > 500, "the workload should generate real load");
     assert!(reference.4 > 0, "some queries must resolve");
+    let (background, classes, series) = &reference.3;
+    assert!(
+        background.iter().filter(|b| **b > 0).count() > 20
+            && series.len() > 1
+            && classes.iter().any(|(sent, recv)| recv < sent),
+        "the ledger compared below must be busy, and short of some bounced bytes"
+    );
     for shards in [2, 3, 4] {
         let sharded = run(shards, 42);
         assert_eq!(

@@ -244,6 +244,13 @@ fn fixed_seed_yields_pinned_hit_ratio_stats() {
         r.mean_lookup_ms
     );
     assert_eq!(r.participants, 122, "participant count changed");
+    // Exact: an integer byte sum over the participants, scaled once.
+    assert_eq!(
+        r.background_bps.to_bits(),
+        0x4081_3d34_2f96_e8a5,
+        "background traffic drifted: {:.13} bps, pinned 551.6504813947437",
+        r.background_bps
+    );
     // And the pin holds under sharded execution too, by construction.
     let (_, sharded) = run_with_shards(3, 42);
     assert_eq!(sharded.submitted, r.submitted);
