@@ -20,6 +20,8 @@
 //!   from-scratch [`ContentSummary`] (the hot-path replacement for
 //!   rebuild-per-gossip).
 
+#![forbid(unsafe_code)]
+
 pub mod bits;
 pub mod filter;
 pub mod maintained;

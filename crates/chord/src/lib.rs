@@ -23,6 +23,8 @@
 //! message enums and call [`proto::handle`] from their event loops;
 //! the DHT never talks to the network directly.
 
+#![forbid(unsafe_code)]
+
 pub mod id;
 pub mod proto;
 pub mod state;

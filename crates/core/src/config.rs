@@ -1,9 +1,28 @@
 //! Flower-CDN protocol parameters.
 //!
-//! Defaults reproduce Table 1 of the paper plus the protocol constants
-//! the paper mentions in prose (keepalives, `Tdead`, push thresholds,
-//! summary refresh). Everything the evaluation sweeps (`Lgossip`,
-//! `Tgossip`, `Vgossip`, push threshold, `Sco`) is a field here.
+//! A value is a field of [`FlowerConfig`] because the paper names it as
+//! a parameter, or because an experiment or a benchmark workload gives
+//! it a second value; anything else is a constant next to the code
+//! that reads it.
+//!
+//! * **Table 1** (defaults reproduce it): `v_gossip`, `l_gossip`,
+//!   `t_gossip`, `push_threshold`, `max_overlay` (`Sco`) — the five the
+//!   paper's evaluation sweeps (`table2a`/`b`/`c`, `push-threshold`;
+//!   `scale` and `chaos` size `Sco` with the population) — and, from
+//!   its prose, `t_dead`, `keepalive_period` (§5.1) and
+//!   `locality_bits` (§3.1).
+//! * **Swept by an experiment:** `max_dir_hops` and
+//!   `member_dir_fallback` (`ablation`), `cache_policy` and
+//!   `cache_capacity` (`cache`), `replication_period` (`replication`),
+//!   `instance_bits`, `petal_split_threshold` and `petal_merge_floor`
+//!   (`scale`, §5.3).
+//! * **Set by the time scaling or a workload** (`experiments::runner`,
+//!   `chaos`, `benchmark/src/workloads.rs`): `stabilize_period`,
+//!   `fix_finger_period`, `dir_replacement_jitter`, `query_timeout`,
+//!   `query_retry_budget`.
+//! * **Constants**, each beside its one reader in `node.rs`:
+//!   `SUMMARY_FETCH_RETRIES` = 2, `HOLDER_RETRIES` = 3,
+//!   `SUMMARY_REFRESH_THRESHOLD` = 0.1, `REPLICATION_TOP_K` = 10.
 
 use simnet::SimDuration;
 
@@ -24,10 +43,6 @@ pub struct FlowerConfig {
     /// Fraction of changed content triggering a push to the directory
     /// (Table 1: push threshold; default 0.1).
     pub push_threshold: f64,
-    /// Fraction of new indexed objects triggering a directory-summary
-    /// refresh to neighbour directory peers (§4.2.1, "delayed
-    /// propagation").
-    pub summary_refresh_threshold: f64,
     /// Age limit `Tdead` (in directory ticks) after which a directory
     /// entry is considered dead and removed (§5.1).
     pub t_dead: u32,
@@ -65,17 +80,11 @@ pub struct FlowerConfig {
     pub fix_finger_period: SimDuration,
 
     // ---- failure handling (§5.1, §5.2) ----
-    /// Redirection retries before falling back to the server when
-    /// holders turn out dead (§5.1).
-    pub holder_retries: u8,
     /// Directory-level redirections allowed per query (Algorithm 3's
     /// directory-summary step). The paper's design gives 1: the
     /// locality's own directory plus at most one summary redirect.
     /// 0 disables directory summaries (ablation).
     pub max_dir_hops: u8,
-    /// How many summary-matched view candidates a content peer probes
-    /// before giving up on the overlay.
-    pub summary_fetch_retries: u8,
     /// Where a content peer's query goes when its own cache and its
     /// view summaries fail. The paper's design sends it to the origin
     /// server: "once a client has become a content peer, any
@@ -111,9 +120,6 @@ pub struct FlowerConfig {
     /// popular contents towards other overlays of the same website");
     /// `None` disables it (the paper's base system).
     pub replication_period: Option<SimDuration>,
-    /// How many of the most-requested objects each replication round
-    /// offers to neighbour overlays.
-    pub replication_top_k: usize,
 }
 
 impl Default for FlowerConfig {
@@ -123,7 +129,6 @@ impl Default for FlowerConfig {
             l_gossip: 10,
             t_gossip: SimDuration::from_mins(30),
             push_threshold: 0.1,
-            summary_refresh_threshold: 0.1,
             t_dead: 10,
             keepalive_period: SimDuration::from_mins(5),
             max_overlay: 100,
@@ -133,9 +138,7 @@ impl Default for FlowerConfig {
             petal_merge_floor: 100,
             stabilize_period: SimDuration::from_mins(1),
             fix_finger_period: SimDuration::from_secs(30),
-            holder_retries: 3,
             max_dir_hops: 1,
-            summary_fetch_retries: 2,
             member_dir_fallback: false,
             dir_replacement_jitter: SimDuration::from_secs(60),
             query_timeout: None,
@@ -143,7 +146,6 @@ impl Default for FlowerConfig {
             cache_policy: CachePolicy::Unbounded,
             cache_capacity: 0,
             replication_period: None,
-            replication_top_k: 5,
         }
     }
 }
@@ -241,6 +243,14 @@ mod tests {
         assert_eq!(c.max_overlay, 100);
         assert!((c.push_threshold - 0.1).abs() < 1e-12);
         c.validate(6).unwrap();
+        // The protocol constants that are not fields.
+        use crate::node::{
+            HOLDER_RETRIES, REPLICATION_TOP_K, SUMMARY_FETCH_RETRIES, SUMMARY_REFRESH_THRESHOLD,
+        };
+        assert_eq!(SUMMARY_FETCH_RETRIES, 2);
+        assert_eq!(HOLDER_RETRIES, 3);
+        assert_eq!(SUMMARY_REFRESH_THRESHOLD, 0.1);
+        assert_eq!(REPLICATION_TOP_K, 10);
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! println!("hit ratio: {:.2}", report.hit_ratio);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod content;

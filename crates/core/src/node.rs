@@ -40,6 +40,20 @@ use crate::substrate::{
     carried_query, client_entry_msg, ChordSubstrate, PeerRef, SubstrateEvent, SubstrateMsg,
 };
 
+/// How many summary-matched view candidates a content peer probes
+/// before giving up on the overlay.
+pub(crate) const SUMMARY_FETCH_RETRIES: usize = 2;
+/// Redirection retries before falling back to the server when holders
+/// turn out dead (§5.1).
+pub(crate) const HOLDER_RETRIES: u8 = 3;
+/// Fraction of new indexed objects triggering a directory-summary
+/// refresh to neighbour directory peers (§4.2.1, "delayed
+/// propagation").
+pub(crate) const SUMMARY_REFRESH_THRESHOLD: f64 = 0.1;
+/// How many of the most-requested objects each §8 replication round
+/// offers to neighbour overlays.
+pub(crate) const REPLICATION_TOP_K: usize = 10;
+
 /// Timer kinds used by [`FlowerNode`].
 pub mod timers {
     /// Gossip period elapsed for a content role (tag = website).
@@ -780,11 +794,10 @@ impl FlowerNode {
     /// through the routing table.
     fn maybe_broadcast_summary(&mut self, ctx: &mut Ctx<'_, FlowerMsg>) {
         let scheme = self.shared.scheme;
-        let threshold = self.shared.cfg.summary_refresh_threshold;
         let Some(role) = &mut self.dir_role else {
             return;
         };
-        let Some(summary) = role.dir.take_summary_refresh(threshold) else {
+        let Some(summary) = role.dir.take_summary_refresh(SUMMARY_REFRESH_THRESHOLD) else {
             return;
         };
         let msg = FlowerMsg::DirSummary {
@@ -1487,7 +1500,6 @@ impl FlowerNode {
         let Some(period) = self.shared.cfg.replication_period else {
             return;
         };
-        let top_k = self.shared.cfg.replication_top_k;
         let scheme = self.shared.scheme;
         let Some(role) = &mut self.dir_role else {
             return;
@@ -1496,7 +1508,7 @@ impl FlowerNode {
             ctx.set_timer(period, timers::REPLICATE, 0);
             return;
         }
-        let hot = role.dir.take_hot_objects(ctx.rng(), top_k);
+        let hot = role.dir.take_hot_objects(ctx.rng(), REPLICATION_TOP_K);
         if !hot.is_empty() {
             let msg = FlowerMsg::ReplicaOffer {
                 website: role.dir.website(),
@@ -1690,7 +1702,7 @@ impl FlowerNode {
     fn retry_after_holder_failure(&mut self, ctx: &mut Ctx<'_, FlowerMsg>, query: Query) {
         let mut q = query;
         q.holder_retries += 1;
-        if q.holder_retries > self.shared.cfg.holder_retries {
+        if q.holder_retries > HOLDER_RETRIES {
             ctx.send(
                 self.shared.server_of(q.website),
                 FlowerMsg::ServerQuery { query: q },
@@ -1713,11 +1725,10 @@ impl FlowerNode {
         if !p.tried.contains(&failed) {
             p.tried.push(failed);
         }
-        let retries = self.shared.cfg.summary_fetch_retries as usize;
         let Some(cp) = self.content.get(&query.website) else {
             return;
         };
-        if p.tried.len() <= retries {
+        if p.tried.len() <= SUMMARY_FETCH_RETRIES {
             if let Some(next) = cp.summary_candidates(query.object, &p.tried) {
                 p.tried.push(next);
                 ctx.send(next, FlowerMsg::PeerFetch { query });

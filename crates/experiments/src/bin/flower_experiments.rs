@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! flower-experiments <experiment> [--scale <f|full>] [--seed <n>]
-//!                    [--shards <n>] [--instance-bits <b|a,b,..>] [--pin]
+//!                    [--shards <n>] [--instance-bits <b|a,b,..>]
 //!                    [--csv-dir <dir>] [--metrics-out <file> [--summary-out <file>]]
 //!
 //! experiments:
@@ -23,11 +23,6 @@
 //! `scale` sweeps node counts × instance bits × shard counts and
 //! reports events/sec, wall time and peak queue depth (a table for
 //! the eye — the repository's benchmark is `benchmark/run.sh`).
-//! `--pin` pins each shard worker thread to a core chosen by the
-//! engine's latency-aware placement (chattiest shard pairs on
-//! adjacent cores); wall-clock only — results are bit-identical with
-//! and without it, and it degrades gracefully where the host forbids
-//! affinity changes.
 //! `--metrics-out METRICS.json` (for `scale`, `churn` and `chaos`)
 //! runs the metrics gate ([`gate::validate_metrics`]) on the registry
 //! snapshots of every cell, writes them machine-readably either way,
@@ -43,8 +38,12 @@
 //! fault costs (hit-ratio dip depth, time-to-recover after heal).
 //! `--nodes` with a single value overrides the underlay node count of
 //! any experiment (e.g. `churn --nodes 50000`, `chaos --nodes 1000`).
-//! A deployment too small for its D-ring (or an unrepresentable
-//! `--instance-bits`) is refused up front with a one-line message.
+//! A deployment too small for its D-ring, an unrepresentable
+//! `--instance-bits`, more shards than the deployment has localities
+//! or a `--scale` that would shrink a protocol period below the 1 ms
+//! clock is refused up front with a one-line message.
+
+#![forbid(unsafe_code)]
 
 use std::fs::File;
 use std::io::Write;
@@ -99,7 +98,6 @@ impl Args {
             instance_bits: self.scale_bits.clone(),
             horizon: SimDuration::from_secs(self.horizon_secs),
             seed: self.opts.seed,
-            pin: self.opts.pin,
         }
     }
 }
@@ -189,9 +187,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                 out.opts.instance_bits = bits[0];
                 out.scale_bits = bits;
             }
-            "--pin" => {
-                out.opts.pin = true;
-            }
             "--horizon-secs" => {
                 let v = args.next().ok_or("--horizon-secs needs a value")?;
                 out.horizon_secs = v.parse().map_err(|_| format!("bad horizon {v:?}"))?;
@@ -212,7 +207,7 @@ fn usage() -> String {
     format!(
         "usage: flower-experiments <{}> \
          [--scale <f|full>] [--seed <n>] [--shards <n>] \
-         [--instance-bits <b|a,b,..>] [--pin] \
+         [--instance-bits <b|a,b,..>] \
          [--csv-dir <dir>] [--metrics-out <file> [--summary-out <file>]] \
          [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>]",
         COMMANDS.join("|")
@@ -426,6 +421,7 @@ mod tests {
             "scale --bench-out x",
             "metrics-check",
             "scale --metrics x",
+            "scale --pin",
         ] {
             let err = parse(line)
                 .err()
@@ -458,6 +454,38 @@ mod tests {
             "--summary-out needs --metrics-out"
         );
         std::fs::remove_file(&blocker).unwrap();
+    }
+
+    /// Every `--flag` token of `text`.
+    fn flags_in(text: &str) -> std::collections::BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .collect()
+    }
+
+    /// The usage line, the parser and the module doc name the same
+    /// flags.
+    #[test]
+    fn usage_parser_and_module_doc_agree_on_the_flags() {
+        let source = include_str!("flower_experiments.rs");
+        // The parser's match arms: `"--flag" => {`.
+        let accepted: std::collections::BTreeSet<&str> = source
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("\"--") && l.ends_with("\" => {"))
+            .flat_map(flags_in)
+            .collect();
+        let usage = usage();
+        assert_eq!(flags_in(&usage), accepted);
+        assert_eq!(accepted.len(), 10, "{accepted:?}");
+        let doc: String = source.lines().filter(|l| l.starts_with("//!")).collect();
+        let documented = flags_in(&doc);
+        for flag in &accepted {
+            assert!(documented.contains(flag), "{flag} missing in module doc");
+            if let Err(e) = parse(&format!("scale {flag} 1")) {
+                assert!(!e.contains("unknown flag"), "{flag}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -60,13 +60,17 @@ impl ExpOutput {
     }
 }
 
-/// The deployment-size check the CLI runs before building anything:
-/// every deployment experiment `cmd` would build under `opts` — for
-/// `scale`, every nodes × instance-bits cell of `scale_params` — must
-/// carry a valid Flower-CDN configuration and be big enough for
-/// [`FlowerSystem::build`]'s placement. `Err` is a one-line message
-/// for the user; `Ok` means no size- or geometry-related panic is
-/// left on the build path.
+/// The checks the CLI runs before building anything. Every deployment
+/// experiment `cmd` would build under `opts` — for `scale`, every
+/// nodes × instance-bits cell of `scale_params` — must carry a valid
+/// Flower-CDN configuration and be big enough for
+/// [`FlowerSystem::build`]'s placement; no requested shard count may
+/// exceed the deployment's localities (the engine would clamp it, and
+/// the tables would name a layout that never ran); and `--scale` must
+/// leave every protocol period at least a millisecond
+/// ([`runner::check_scale`]). `Err` is a one-line message for the
+/// user; `Ok` means no size- or geometry-related panic is left on the
+/// build path.
 pub fn check_deployment_size(
     cmd: &str,
     opts: RunOpts,
@@ -74,21 +78,42 @@ pub fn check_deployment_size(
 ) -> Result<(), String> {
     match cmd {
         "scale" => {
+            let p = scale_params;
+            shards_fit("--shards", opts.shards, cmd, SCALE_LOCALITIES)?;
+            for &shards in &p.shards {
+                shards_fit("--shard-sweep", shards, cmd, SCALE_LOCALITIES)?;
+            }
             // The topology does not depend on the instance bits and
             // more bits only need more nodes: the widest D-ring of
             // the sweep decides for each node count.
-            let p = scale_params;
             let bits = p.instance_bits.iter().copied().max().unwrap_or(0);
             p.nodes
                 .iter()
                 .try_for_each(|&n| deployment_fits(&scale_config(n, 1, bits, p.horizon, p.seed)))
         }
         "chaos" => {
+            shards_fit("--shards", opts.shards, cmd, CHAOS_LOCALITIES)?;
             let nodes = opts.nodes.unwrap_or(CHAOS_NODES);
             deployment_fits(&chaos_config(nodes, 1, opts.seed))
         }
-        _ => deployment_fits(&runner::flower_config(opts)),
+        _ => {
+            runner::check_scale(opts.scale)?;
+            let cfg = runner::flower_config(opts);
+            shards_fit("--shards", opts.shards, cmd, cfg.topology.localities)?;
+            deployment_fits(&cfg)
+        }
     }
+}
+
+/// The engine runs at most one shard per locality.
+fn shards_fit(flag: &str, shards: usize, cmd: &str, localities: usize) -> Result<(), String> {
+    if shards > localities {
+        return Err(format!(
+            "{flag} {shards} is more than the {localities} localities of `{cmd}`'s deployment \
+             (one shard per locality at most); ask for {localities} or fewer"
+        ));
+    }
+    Ok(())
 }
 
 /// `FlowerSystem::build` draws `websites × 2^instance_bits` directory
@@ -800,7 +825,6 @@ pub fn replication(opts: RunOpts) -> ExpOutput {
         if on {
             let period = SimDuration::from_ms((cfg.flower.t_gossip.as_ms()).max(1));
             cfg.flower.replication_period = Some(period);
-            cfg.flower.replication_top_k = 10;
         }
         let (sys, r) = runner::run_flower(&cfg);
         let hit_transfer = sys.engine().query_stats().mean_transfer_hit_ms();
@@ -903,11 +927,6 @@ pub struct ScaleParams {
     pub horizon: SimDuration,
     /// Master seed.
     pub seed: u64,
-    /// Pin shard worker threads to cores under the latency-aware
-    /// placement (the `--pin` flag). A wall-clock knob: results are
-    /// bit-identical with pinning on or off, and hosts with fewer
-    /// cores than shards (or denied affinity) degrade gracefully.
-    pub pin: bool,
 }
 
 impl Default for ScaleParams {
@@ -918,7 +937,6 @@ impl Default for ScaleParams {
             instance_bits: vec![0],
             horizon: SimDuration::from_secs(60),
             seed: 42,
-            pin: false,
         }
     }
 }
@@ -960,7 +978,6 @@ fn scale_config(
             background_fraction: 0.0,
             population_skew: 0.25,
             inter_locality_floor_ms: 60,
-            pin: false,
         },
         catalog: CatalogConfig {
             num_websites: 8,
@@ -1051,8 +1068,7 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
             // Baseline = the first shard count of the group.
             let mut base: Option<(f64, usize, CellStats)> = None;
             for &shards in &params.shards {
-                let mut cfg = scale_config(nodes, shards, bits, params.horizon, params.seed);
-                cfg.topology.pin = params.pin;
+                let cfg = scale_config(nodes, shards, bits, params.horizon, params.seed);
                 let name = if bits == 0 {
                     format!("scale/{nodes}n")
                 } else {
@@ -1140,10 +1156,13 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
         }
     }
     out.text = table.render();
-    out.text.push_str(
-        "note: wall-clock speedup needs real cores; on a single-CPU host the sweep\n\
-         still verifies shard determinism while events/s stays flat.\n",
-    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if params.shards.iter().any(|&k| k > cores) {
+        out.text.push_str(
+            "note: wall-clock speedup needs real cores; on a single-CPU host the sweep\n\
+             still verifies shard determinism while events/s stays flat.\n",
+        );
+    }
     out.text.push_str(&out.render_checks());
     out.csv.push(("scale".into(), table.to_csv()));
     out
@@ -1196,7 +1215,6 @@ pub fn chaos_config(nodes: usize, shards: usize, seed: u64) -> SystemConfig {
             background_fraction: 0.0,
             population_skew: 0.25,
             inter_locality_floor_ms: 60,
-            pin: false,
         },
         catalog: CatalogConfig {
             num_websites: 8,
@@ -1752,7 +1770,6 @@ mod tests {
             instance_bits: vec![0],
             horizon: SimDuration::from_secs(20),
             seed: 9,
-            pin: false,
         });
         assert!(out.all_passed(), "{}", out.render_checks());
         assert_eq!(out.bench.len(), 3, "one cell per shard count");
@@ -1774,7 +1791,6 @@ mod tests {
             instance_bits: vec![0],
             horizon: SimDuration::from_secs(5),
             seed: 9,
-            pin: false,
         });
         assert!(out.all_passed(), "{}", out.render_checks());
         assert!(out.text.contains("(base: 8 shard(s))"), "{}", out.text);
@@ -1793,7 +1809,6 @@ mod tests {
             instance_bits: vec![0, 1, 2],
             horizon: SimDuration::from_secs(30),
             seed: 42,
-            pin: false,
         });
         assert!(out.all_passed(), "{}", out.render_checks());
         assert_eq!(out.bench.len(), 9, "3 bits × 3 shard counts");
@@ -1862,6 +1877,35 @@ mod tests {
         check_deployment_size("scale", opts(42), &scale_2000).unwrap();
         check_deployment_size("chaos", opts(42), &ScaleParams::default()).unwrap();
         check_deployment_size("churn", opts(42), &ScaleParams::default()).unwrap();
+    }
+
+    /// `scale --shard-sweep 1,8,16` printed the clamped 8-shard cell
+    /// twice and `fig5 --shards 64` announced 64 shards while 6 ran.
+    #[test]
+    fn more_shards_than_localities_are_refused_not_clamped() {
+        let sweep_16 = ScaleParams {
+            nodes: vec![2000],
+            shards: vec![1, 8, 16],
+            ..ScaleParams::default()
+        };
+        let err = check_deployment_size("scale", opts(42), &sweep_16).unwrap_err();
+        assert!(err.starts_with("--shard-sweep 16"), "{err}");
+        assert!(err.contains("8 localities"), "{err}");
+        assert!(!err.contains('\n'), "one line: {err}");
+        let shards_64 = RunOpts {
+            shards: 64,
+            ..opts(42)
+        };
+        let err = check_deployment_size("fig5", shards_64, &ScaleParams::default()).unwrap_err();
+        assert!(err.starts_with("--shards 64"), "{err}");
+        assert!(err.contains("6 localities"), "{err}");
+        assert!(check_deployment_size("chaos", shards_64, &ScaleParams::default()).is_err());
+        // One shard per locality is the most that runs, and it runs.
+        let shards_6 = RunOpts {
+            shards: 6,
+            ..opts(42)
+        };
+        check_deployment_size("fig5", shards_6, &ScaleParams::default()).unwrap();
     }
 
     #[test]

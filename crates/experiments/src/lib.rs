@@ -17,6 +17,8 @@
 //! The binary `flower-experiments` exposes each experiment as a
 //! subcommand; `EXPERIMENTS.md` records a full paper-scale run.
 
+#![forbid(unsafe_code)]
+
 pub mod exps;
 pub mod gate;
 pub mod paper;

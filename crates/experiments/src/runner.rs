@@ -30,10 +30,6 @@ pub struct RunOpts {
     /// instances per (website, locality) petal. 0 is the paper's base
     /// design.
     pub instance_bits: u32,
-    /// Pin shard worker threads to cores under the engine's
-    /// latency-aware placement (`--pin`); wall-clock only, results
-    /// are bit-identical either way.
-    pub pin: bool,
     /// Override the underlay node count (`--nodes` on non-`scale`
     /// experiments); `None` keeps the paper's population. Communities
     /// and the D-ring keep their configured sizes — a larger
@@ -51,7 +47,6 @@ impl RunOpts {
             seed: 42,
             shards: 1,
             instance_bits: 0,
-            pin: false,
             nodes: None,
         }
     }
@@ -100,13 +95,64 @@ impl RunScale {
         Ok(RunScale::Scaled(f))
     }
 
-    fn scale_duration(self, d: SimDuration) -> SimDuration {
+    /// `d` at this scale, rounded to the clock's millisecond; `None`
+    /// when that rounds it to nothing.
+    fn scaled(self, d: SimDuration) -> Option<SimDuration> {
         match self {
-            RunScale::Full => d,
+            RunScale::Full => Some(d),
             RunScale::Scaled(f) => {
-                SimDuration::from_ms(((d.as_ms() as f64 * f).round() as u64).max(1))
+                let ms = (d.as_ms() as f64 * f).round() as u64;
+                (ms > 0).then(|| SimDuration::from_ms(ms))
             }
         }
+    }
+
+    /// [`RunScale::scaled`], clamped to 1 ms. A scale that reaches the
+    /// clamp no longer keeps the periods in ratio; [`check_scale`] is
+    /// how the CLI refuses one.
+    fn scale_duration(self, d: SimDuration) -> SimDuration {
+        self.scaled(d).unwrap_or(SimDuration::from_ms(1))
+    }
+}
+
+/// The paper's metric window (Figures 5 and 6 plot 30-minute points).
+const PAPER_WINDOW: SimDuration = SimDuration::from_mins(30);
+
+/// The time-like fields of a [`FlowerConfig`]: what a [`RunScale`]
+/// shrinks.
+fn time_fields(f: &mut FlowerConfig) -> impl Iterator<Item = &mut SimDuration> {
+    [
+        &mut f.t_gossip,
+        &mut f.keepalive_period,
+        &mut f.stabilize_period,
+        &mut f.fix_finger_period,
+        &mut f.dir_replacement_jitter,
+    ]
+    .into_iter()
+    .chain(f.query_timeout.as_mut())
+}
+
+/// Refuse a scale so small that a protocol period of the paper
+/// configuration, or the metric window, would shrink below the
+/// clock's millisecond and be clamped: the periods would no longer be
+/// in the paper's ratio to each other and the run would mean nothing.
+/// `Err` is a one-line message for the user.
+pub fn check_scale(scale: RunScale) -> Result<(), String> {
+    let mut paper = FlowerConfig::paper();
+    let shortest = time_fields(&mut paper)
+        .map(|d| *d)
+        .chain([PAPER_WINDOW])
+        .min()
+        .expect("the window is always there");
+    match scale.scaled(shortest) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "--scale {} is too small: the shortest protocol period ({} s) would fall below \
+             the simulator's 1 ms clock; use at least {:.7}",
+            scale.factor(),
+            shortest.as_ms() / 1000,
+            (0.5e7 / shortest.as_ms() as f64).ceil() / 1e7
+        )),
     }
 }
 
@@ -126,9 +172,8 @@ pub fn flower_config(opts: RunOpts) -> SystemConfig {
         .as_ms();
     cfg.flower = scale_flower(&cfg.flower, opts.scale);
     cfg.flower.instance_bits = opts.instance_bits;
-    cfg.window = opts.scale.scale_duration(SimDuration::from_mins(30));
+    cfg.window = opts.scale.scale_duration(PAPER_WINDOW);
     cfg.shards = opts.shards.max(1);
-    cfg.topology.pin = opts.pin;
     if let Some(n) = opts.nodes {
         cfg.topology.nodes = n;
     }
@@ -138,12 +183,9 @@ pub fn flower_config(opts: RunOpts) -> SystemConfig {
 /// Scale the time-like fields of a [`FlowerConfig`].
 pub fn scale_flower(base: &FlowerConfig, scale: RunScale) -> FlowerConfig {
     let mut f = base.clone();
-    f.t_gossip = scale.scale_duration(f.t_gossip);
-    f.keepalive_period = scale.scale_duration(f.keepalive_period);
-    f.stabilize_period = scale.scale_duration(f.stabilize_period);
-    f.fix_finger_period = scale.scale_duration(f.fix_finger_period);
-    f.dir_replacement_jitter = scale.scale_duration(f.dir_replacement_jitter);
-    f.query_timeout = f.query_timeout.map(|t| scale.scale_duration(t));
+    for d in time_fields(&mut f) {
+        *d = scale.scale_duration(*d);
+    }
     f
 }
 
@@ -156,9 +198,8 @@ pub fn squirrel_config(opts: RunOpts) -> SquirrelConfig {
         .scale
         .scale_duration(SimDuration::from_hours(24))
         .as_ms();
-    cfg.window = opts.scale.scale_duration(SimDuration::from_mins(30));
+    cfg.window = opts.scale.scale_duration(PAPER_WINDOW);
     cfg.shards = opts.shards.max(1);
-    cfg.topology.pin = opts.pin;
     cfg
 }
 
@@ -213,6 +254,34 @@ mod tests {
         assert!(RunScale::parse("0").is_err());
         assert!(RunScale::parse("2.0").is_err());
         assert!(RunScale::parse("x").is_err());
+    }
+
+    /// The smallest default period is `fix_finger_period` = 30 s: at
+    /// 1/60 000 it scales to half a millisecond and still rounds to
+    /// one; anything below would be clamped, and is refused.
+    #[test]
+    fn a_scale_that_would_clamp_a_period_is_refused_at_the_boundary() {
+        let shortest = FlowerConfig::paper().fix_finger_period;
+        assert_eq!(shortest, SimDuration::from_secs(30));
+        let edge = RunScale::Scaled(0.5 / 30_000.0);
+        assert_eq!(edge.scaled(shortest), Some(SimDuration::from_ms(1)));
+        check_scale(edge).unwrap();
+        let below = RunScale::Scaled(0.499 / 30_000.0);
+        assert_eq!(below.scaled(shortest), None);
+        let err = check_scale(below).unwrap_err();
+        assert!(err.contains("30 s") && !err.contains('\n'), "{err}");
+        // The advice in the message is itself accepted.
+        check_scale(RunScale::Scaled(0.0000167)).unwrap();
+        assert!(err.ends_with("0.0000167"), "{err}");
+        assert!(check_scale(RunScale::Scaled(0.000_000_1)).is_err());
+        check_scale(RunScale::Scaled(0.01)).unwrap();
+        check_scale(RunScale::Full).unwrap();
+        // Above the boundary nothing is clamped: every scaled period
+        // is the rounded product.
+        let f = scale_flower(&FlowerConfig::paper(), edge);
+        assert_eq!(f.fix_finger_period.as_ms(), 1);
+        assert_eq!(f.stabilize_period.as_ms(), 1);
+        assert_eq!(f.t_gossip.as_ms(), 30);
     }
 
     fn opts(scale: RunScale, shards: usize) -> RunOpts {

@@ -23,6 +23,8 @@
 //! payload `S`, and contains no networking: protocols embed these
 //! types and drive them from timer/message events.
 
+#![forbid(unsafe_code)]
+
 pub mod push;
 pub mod view;
 

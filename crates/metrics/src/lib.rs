@@ -36,6 +36,8 @@
 //! fixed 252-slot array. Buckets are integers, so merging is a
 //! bucket-wise add and stays exact.
 
+#![forbid(unsafe_code)]
+
 pub mod defs;
 pub mod hist;
 pub mod set;

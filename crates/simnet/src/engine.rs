@@ -1050,18 +1050,6 @@ pub struct Engine<M: Message, N: Node<M>> {
     now: SimTime,
     /// Counter of the external injection stream (stream 0).
     ext_seq: u64,
-    /// Whether shard worker threads pin themselves to the cores in
-    /// `core_map` ([`TopologyConfig::pin`]); a wall-clock knob with
-    /// no effect on results.
-    ///
-    /// [`TopologyConfig::pin`]: crate::topology::TopologyConfig::pin
-    pin: bool,
-    /// Latency-aware shard → logical-core map
-    /// ([`crate::affinity::place_shards`] over the pair-lookahead
-    /// matrix): chattiest shard pairs on adjacent cores, round-robin
-    /// when the host has fewer cores than shards. Applied only when
-    /// `pin` is set.
-    core_map: Vec<usize>,
     /// Lazily merged statistics, invalidated by every run/schedule.
     merged: std::cell::OnceCell<Merged>,
 }
@@ -1150,13 +1138,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             })
             .collect();
 
-        let core_map = crate::affinity::place_shards(
-            &pair_lookahead_ms,
-            k,
-            crate::affinity::available_cores(),
-        );
         Engine {
-            pin: topo.pin_threads(),
             topo: std::sync::Arc::new(topo),
             shards: shards_vec,
             place,
@@ -1164,7 +1146,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             reach_ms,
             now: SimTime::ZERO,
             ext_seq: 0,
-            core_map,
             merged: std::cell::OnceCell::new(),
         }
     }
@@ -1225,32 +1206,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             .map(|s| s.metrics.counter(Counter::EngineFusedRounds))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Whether sharded runs pin worker threads to
-    /// [`Engine::core_map`] (from
-    /// [`TopologyConfig::pin`](crate::topology::TopologyConfig::pin);
-    /// single-shard runs never pin — they execute on the caller's
-    /// thread, whose affinity is not the engine's to change).
-    pub fn pin_threads(&self) -> bool {
-        self.pin
-    }
-
-    /// The latency-aware shard → logical-core map (chattiest pairs
-    /// adjacent, round-robin beyond the core count); applied by
-    /// sharded runs when [`Engine::pin_threads`] is set.
-    pub fn core_map(&self) -> &[usize] {
-        &self.core_map
-    }
-
-    /// Override the shard → core map (and optionally the pin flag)
-    /// before a run — placement is a wall-clock knob, so any map must
-    /// produce bit-identical results; the placement-invariance test
-    /// in `tests/shard_parity.rs` holds the engine to that.
-    pub fn set_placement(&mut self, core_map: Vec<usize>, pin: bool) {
-        assert_eq!(core_map.len(), self.shards.len(), "one core per shard");
-        self.core_map = core_map;
-        self.pin = pin;
     }
 
     /// Immutable access to a protocol node (inspection in tests and
@@ -1475,12 +1430,11 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         self.events_processed() - start
     }
 
-    /// The parallel path: one worker thread per shard (pinned to
-    /// [`Engine::core_map`] when [`Engine::pin_threads`] is set),
-    /// cross-shard messages exchanged through a lock-free
-    /// double-buffered [`MailboxGrid`] at a single sense-reversing
-    /// barrier per round. Idle stretches are skipped by starting each
-    /// epoch at the globally earliest pending event.
+    /// The parallel path: one worker thread per shard, cross-shard
+    /// messages exchanged through a lock-free double-buffered
+    /// [`MailboxGrid`] at a single sense-reversing barrier per round.
+    /// Idle stretches are skipped by starting each epoch at the
+    /// globally earliest pending event.
     ///
     /// Each round, every shard *publishes* — its earliest pending
     /// event time, plus the staged batches from the previous epoch
@@ -1537,8 +1491,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         let arrivals: Vec<AtomicU64> = (0..2 * k * k).map(|_| AtomicU64::new(u64::MAX)).collect();
         let topo = &*self.topo;
         let place = &self.place;
-        let pin = self.pin;
-        let core_map = &self.core_map[..];
         let barrier = &barrier;
         let grid = &grid;
         let next_times = &next_times[..];
@@ -1547,12 +1499,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             for shard in self.shards.iter_mut() {
                 scope.spawn(move || {
                     let me = shard.id;
-                    if pin {
-                        // Best-effort: a denied or unsupported call
-                        // leaves the thread floating, which only
-                        // costs wall clock.
-                        let _ = crate::affinity::pin_current_thread(core_map[me]);
-                    }
                     let mut waiter = barrier.waiter();
                     let mut outbox: Vec<Vec<Staged<M>>> = (0..k).map(|_| Vec::new()).collect();
                     let mut eff: Vec<u64> = vec![0; k];

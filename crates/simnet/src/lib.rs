@@ -107,7 +107,6 @@
 //! assert!(engine.now() <= SimTime::from_secs(10));
 //! ```
 
-pub mod affinity;
 pub mod churn;
 pub mod engine;
 pub mod event;
@@ -117,7 +116,6 @@ pub mod sync;
 pub mod time;
 pub mod topology;
 
-pub use affinity::{available_cores, pin_current_thread, place_shards, PinError};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnKind, ChurnScript};
 pub use engine::{
     node_stream_seed, Action, Ctx, Engine, Event, Injection, Message, Node, QuerySink,

@@ -67,15 +67,22 @@ pub struct SenseBarrier {
 }
 
 impl SenseBarrier {
-    /// A barrier for `parties` threads (must be ≥ 1).
+    /// A barrier for `parties` threads (must be ≥ 1), spinning when
+    /// the host has a core for each of them and parking otherwise.
     pub fn new(parties: usize) -> Self {
-        assert!(parties >= 1, "a barrier needs at least one party");
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        Self::with_mode(parties, cores >= parties)
+    }
+
+    /// [`SenseBarrier::new`] with the waiting mode given, so a test
+    /// reaches both whatever cores its host has.
+    fn with_mode(parties: usize, spin: bool) -> Self {
+        assert!(parties >= 1, "a barrier needs at least one party");
         SenseBarrier {
             parties,
             count: AtomicUsize::new(parties),
             sense: AtomicBool::new(false),
-            spin: cores >= parties,
+            spin,
             lock: Mutex::new(()),
             parked: Condvar::new(),
         }
@@ -252,6 +259,8 @@ impl<T> MailboxGrid<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -288,6 +297,26 @@ mod tests {
         }
     }
 
+    /// One round as the engine runs it at shard `me`: publish parity
+    /// `p`, one `wait`, drain parity `p`.
+    fn exchange<T>(
+        grid: &MailboxGrid<T>,
+        barrier: &SenseBarrier,
+        w: &mut SenseWaiter,
+        p: usize,
+        me: usize,
+        outbox: &mut [Vec<T>],
+        sink: impl FnMut(T),
+    ) {
+        // SAFETY: this thread alone acts as `me`, and publishes before
+        // the round's barrier.
+        unsafe { grid.publish(p, me, outbox) };
+        barrier.wait(w);
+        // SAFETY: this thread alone acts as `me`, and drains after the
+        // barrier of the round every sender published parity `p` in.
+        unsafe { grid.drain(p, me, sink) };
+    }
+
     #[test]
     fn grid_delivers_in_sender_then_stage_order_and_recycles() {
         let k = 3;
@@ -309,15 +338,13 @@ mod tests {
                                 batch.push((me, 2 * r + 1));
                             }
                         }
-                        // SAFETY: unique sender, pre-barrier.
-                        unsafe { grid.publish(parity, me, &mut outbox) };
+                        let mut got = Vec::new();
+                        exchange(grid, barrier, &mut w, parity, me, &mut outbox, |item| {
+                            got.push(item)
+                        });
                         for batch in &outbox {
                             assert!(batch.is_empty(), "publish must take the batch");
                         }
-                        barrier.wait(&mut w);
-                        let mut got = Vec::new();
-                        // SAFETY: unique receiver, post-barrier.
-                        unsafe { grid.drain(parity, me, |item| got.push(item)) };
                         let expect: Vec<(usize, u32)> = (0..k)
                             .filter(|s| *s != me)
                             .flat_map(|s| [(s, 2 * r), (s, 2 * r + 1)])
@@ -328,5 +355,95 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// One item of the stress exchange: (sender, round, stage).
+    type Item = (usize, u32, u32);
+
+    /// How many items `sender` stages for `receiver` in `round`: 0–3,
+    /// known to both ends without talking.
+    fn staged(sender: usize, receiver: usize, round: u32) -> u32 {
+        (sender as u32 * 7 + receiver as u32 * 3 + round) % 4
+    }
+
+    /// Give the CPU away one time in four, on the thread's own stream.
+    fn dawdle(rng: &mut StdRng) {
+        if rng.gen_bool(0.25) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// The engine's round, `rounds` times over `parties` threads:
+    /// publish parity `p`, one `wait`, drain parity `p` — so a fast
+    /// thread's next publish (parity `p ^ 1`) overlaps a slow peer's
+    /// drain. Every receiver must get exactly what every sender staged
+    /// for it that round, in (sender, stage) order. A lost wakeup
+    /// would hang the threads, so they run detached under a watchdog.
+    fn exchange_rounds(parties: usize, spin: bool, rounds: u32) {
+        use std::sync::{mpsc, Arc};
+        let shared = Arc::new((
+            SenseBarrier::with_mode(parties, spin),
+            MailboxGrid::<Item>::new(parties),
+        ));
+        let (done_tx, done_rx) = mpsc::channel();
+        let handles: Vec<_> = (0..parties)
+            .map(|me| {
+                let shared = Arc::clone(&shared);
+                let done = done_tx.clone();
+                std::thread::spawn(move || {
+                    let (barrier, grid) = &*shared;
+                    let body = std::panic::AssertUnwindSafe(|| {
+                        let mut w = barrier.waiter();
+                        let mut rng = StdRng::seed_from_u64(me as u64);
+                        let mut outbox: Vec<Vec<Item>> = vec![Vec::new(); parties];
+                        let mut got: Vec<Item> = Vec::new();
+                        for r in 0..rounds {
+                            let p = (r & 1) as usize;
+                            for (j, batch) in outbox.iter_mut().enumerate() {
+                                if j != me {
+                                    batch.extend((0..staged(me, j, r)).map(|s| (me, r, s)));
+                                }
+                            }
+                            dawdle(&mut rng);
+                            got.clear();
+                            exchange(grid, barrier, &mut w, p, me, &mut outbox, |item| {
+                                dawdle(&mut rng);
+                                got.push(item);
+                            });
+                            let expect: Vec<Item> = (0..parties)
+                                .filter(|s| *s != me)
+                                .flat_map(|s| (0..staged(s, me, r)).map(move |i| (s, r, i)))
+                                .collect();
+                            assert_eq!(got, expect, "round {r} at shard {me}");
+                        }
+                    });
+                    // A failed assertion leaves the peers at the
+                    // barrier for good; report it instead of joining.
+                    let _ = done.send(std::panic::catch_unwind(body));
+                })
+            })
+            .collect();
+        for _ in 0..parties {
+            match done_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(Ok(())) => {}
+                Ok(Err(panic)) => std::panic::resume_unwind(panic),
+                Err(_) => panic!("{parties} parties, spin={spin}: a thread never returned"),
+            }
+        }
+        for h in handles {
+            h.join().expect("reported done");
+        }
+    }
+
+    /// Both waiting modes at every party count, whatever the host: on
+    /// two cores `new` would pick spin for 2 parties and park for the
+    /// rest, and never the other way round.
+    #[test]
+    fn engine_round_shape_survives_slow_peers_in_both_modes() {
+        for parties in [2, 3, 5, 7] {
+            for spin in [true, false] {
+                exchange_rounds(parties, spin, 2000);
+            }
+        }
     }
 }

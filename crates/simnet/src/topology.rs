@@ -120,16 +120,6 @@ pub struct TopologyConfig {
     /// less synchronization between shards. See
     /// [`Topology::cross_locality_lookahead`].
     pub inter_locality_floor_ms: u64,
-    /// Whether the sharded engine pins its worker threads to cores
-    /// under the latency-aware placement ([`crate::affinity`]). An
-    /// execution knob, not a network-model parameter — it rides on the
-    /// topology config because that is the one configuration object
-    /// every engine construction path already receives. Wall-clock
-    /// only — placement moves threads, never events,
-    /// so results are bit-identical with pinning on or off, and the
-    /// engine degrades gracefully when the host denies affinity or
-    /// has fewer cores than shards.
-    pub pin: bool,
 }
 
 impl Default for TopologyConfig {
@@ -143,7 +133,6 @@ impl Default for TopologyConfig {
             background_fraction: 0.05,
             population_skew: 1.0,
             inter_locality_floor_ms: 0,
-            pin: false,
         }
     }
 }
@@ -177,7 +166,6 @@ pub struct Topology {
     /// Scale factor mapping unit-square distance to milliseconds.
     ms_per_unit: f64,
     populations: Vec<u32>,
-    pin: bool,
     /// Exact minimum latency (ms) between the point sets of every
     /// locality pair, row-major `k × k`; `u64::MAX` on the diagonal
     /// and for pairs involving an unpopulated locality (no link
@@ -263,7 +251,6 @@ impl Topology {
             inter_floor_ms: cfg.inter_locality_floor_ms,
             ms_per_unit,
             populations: vec![0; k],
-            pin: cfg.pin,
             loc_min_lat_ms: Vec::new(),
         };
 
@@ -453,12 +440,6 @@ impl Topology {
     /// before they are due.
     pub fn cross_locality_lookahead(&self) -> SimDuration {
         SimDuration::from_ms(self.min_latency_ms.max(self.cross_floor_ms()))
-    }
-
-    /// Whether engines over this topology should pin shard threads to
-    /// cores (from [`TopologyConfig::pin`]).
-    pub fn pin_threads(&self) -> bool {
-        self.pin
     }
 
     /// The exact minimum latency of any link between localities `a`

@@ -12,10 +12,12 @@
 //! locality-aware one-hop content overlays produces the paper's
 //! headline 9×/2× improvements (Figures 7–8).
 
+#![forbid(unsafe_code)]
+
 pub mod msg;
 pub mod node;
 pub mod system;
 
 pub use msg::{SQuery, SquirrelMsg};
-pub use node::{SquirrelCounters, SquirrelDeployment, SquirrelNode, SquirrelStrategy};
+pub use node::{SquirrelDeployment, SquirrelNode};
 pub use system::{SquirrelConfig, SquirrelReport, SquirrelSystem};

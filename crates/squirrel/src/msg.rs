@@ -67,15 +67,6 @@ pub enum SquirrelMsg {
         /// The query.
         query: SQuery,
     },
-    /// Home-store strategy: after a server fetch, the downloader
-    /// pushes a replica to the object's home node so subsequent
-    /// queries are served from the DHT.
-    StoreAtHome {
-        /// The object being replicated at its home.
-        object: ObjectId,
-        /// Payload size.
-        size: u32,
-    },
     /// Object delivery.
     ServeObject {
         /// The query being answered.
@@ -101,7 +92,6 @@ impl Message for SquirrelMsg {
             | SquirrelMsg::FetchMiss { query }
             | SquirrelMsg::ServerQuery { query } => 16 + query.wire_size(),
             SquirrelMsg::ServeObject { query, size, .. } => 16 + query.wire_size() + size,
-            SquirrelMsg::StoreAtHome { size, .. } => 16 + 8 + size,
         }
     }
 
@@ -119,9 +109,7 @@ impl Message for SquirrelMsg {
             | SquirrelMsg::Fetch { .. }
             | SquirrelMsg::FetchMiss { .. }
             | SquirrelMsg::ServerQuery { .. } => TrafficClass::QueryControl,
-            SquirrelMsg::ServeObject { .. } | SquirrelMsg::StoreAtHome { .. } => {
-                TrafficClass::Transfer
-            }
+            SquirrelMsg::ServeObject { .. } => TrafficClass::Transfer,
         }
     }
 }

@@ -30,16 +30,11 @@ pub mod timers {
     pub const FIX_FINGER: u16 = 2;
 }
 
-/// Which of the Squirrel paper's two strategies to run (§7 of the
-/// Flower-CDN paper describes both; its evaluation uses `Directory`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SquirrelStrategy {
-    /// The home node keeps pointers to recent downloaders.
-    #[default]
-    Directory,
-    /// The home node stores the object itself ("home-store").
-    HomeStore,
-}
+/// Max pointers a home node keeps per object ("a small directory of
+/// pointers to *recent* downloaders").
+const POINTER_CAP: usize = 4;
+/// How many stale pointers the origin tries before the server.
+const FETCH_RETRIES: usize = 3;
 
 /// Deployment-wide shared knowledge.
 #[derive(Debug)]
@@ -48,13 +43,6 @@ pub struct SquirrelDeployment {
     pub catalog: Catalog,
     /// Origin server node per website.
     pub servers: Vec<NodeId>,
-    /// Max pointers a home node keeps per object ("a small directory
-    /// of pointers to *recent* downloaders").
-    pub pointer_cap: usize,
-    /// How many stale pointers the origin tries before the server.
-    pub fetch_retries: usize,
-    /// Directory or home-store strategy.
-    pub strategy: SquirrelStrategy,
 }
 
 impl SquirrelDeployment {
@@ -70,8 +58,6 @@ struct Pending {
     query: SQuery,
     candidates: Vec<NodeId>,
     next: usize,
-    /// The home node that answered (home-store replication target).
-    home: Option<NodeId>,
 }
 
 /// Per-node Squirrel state machine.
@@ -88,23 +74,6 @@ pub struct SquirrelNode {
     pending: HashMap<u64, Pending>,
     /// Which website this node serves as origin server.
     server_for: Option<WebsiteId>,
-    /// Observability counters.
-    pub stats: SquirrelCounters,
-}
-
-/// Per-node counters.
-#[derive(Debug, Default, Clone)]
-pub struct SquirrelCounters {
-    /// Queries submitted by this node.
-    pub queries_submitted: u64,
-    /// Local-cache hits.
-    pub self_hits: u64,
-    /// Objects served to other peers.
-    pub serves: u64,
-    /// Queries answered as origin server.
-    pub server_hits: u64,
-    /// Queries handled as a home node.
-    pub home_lookups: u64,
 }
 
 struct CtxTransport<'a, 'b> {
@@ -127,7 +96,6 @@ impl SquirrelNode {
             home: HashMap::new(),
             pending: HashMap::new(),
             server_for: None,
-            stats: SquirrelCounters::default(),
         }
     }
 
@@ -167,7 +135,6 @@ impl SquirrelNode {
         ws: WebsiteId,
         object: ObjectId,
     ) {
-        self.stats.queries_submitted += 1;
         ctx.query_stats().on_submit();
         let me = ctx.id();
         let query = SQuery {
@@ -180,7 +147,6 @@ impl SquirrelNode {
         };
         // Local cache first (the Squirrel proxy model).
         if self.cache.contains(&object) {
-            self.stats.self_hits += 1;
             let now = ctx.now();
             ctx.query_stats()
                 .on_resolved(now, me, 0, 0, ServedBy::OwnCache);
@@ -192,7 +158,6 @@ impl SquirrelNode {
                 query,
                 candidates: Vec::new(),
                 next: 0,
-                home: None,
             },
         );
         // Route to the object's home node through the DHT.
@@ -212,46 +177,34 @@ impl SquirrelNode {
         }
     }
 
-    /// Home-node processing. Directory strategy: answer with the
-    /// pointer list and optimistically record the requester as a
-    /// recent downloader. Home-store strategy: serve the stored
-    /// replica, or send the requester to the server (it will push the
-    /// replica back to us).
+    /// Home-node processing: answer with the pointer list and
+    /// optimistically record the requester as a recent downloader.
     fn home_process(&mut self, ctx: &mut Ctx<'_, SquirrelMsg>, query: SQuery) {
-        self.stats.home_lookups += 1;
         let me = ctx.id();
-        // Either strategy: a home that caches the object serves it.
+        // A home that caches the object itself serves it.
         if self.cache.contains(&query.object) {
             self.serve_from_cache(ctx, query);
             return;
         }
-        let candidates = match self.shared.strategy {
-            SquirrelStrategy::HomeStore => Vec::new(),
-            SquirrelStrategy::Directory => {
-                let cap = self.shared.pointer_cap;
-                let entry = self.home.entry(query.object).or_default();
-                // Most recent downloaders first, excluding the requester.
-                let candidates: Vec<NodeId> = entry
-                    .iter()
-                    .rev()
-                    .filter(|n| **n != query.origin && **n != me)
-                    .copied()
-                    .collect();
-                // Optimistic record (the requester is about to download it).
-                entry.retain(|n| *n != query.origin);
-                entry.push(query.origin);
-                let len = entry.len();
-                if len > cap {
-                    entry.drain(0..len - cap);
-                }
-                candidates
-            }
-        };
+        let entry = self.home.entry(query.object).or_default();
+        // Most recent downloaders first, excluding the requester.
+        let candidates: Vec<NodeId> = entry
+            .iter()
+            .rev()
+            .filter(|n| **n != query.origin && **n != me)
+            .copied()
+            .collect();
+        // Optimistic record (the requester is about to download it).
+        entry.retain(|n| *n != query.origin);
+        entry.push(query.origin);
+        let len = entry.len();
+        if len > POINTER_CAP {
+            entry.drain(0..len - POINTER_CAP);
+        }
         ctx.send(query.origin, SquirrelMsg::Pointers { query, candidates });
     }
 
     fn serve_from_cache(&mut self, ctx: &mut Ctx<'_, SquirrelMsg>, query: SQuery) {
-        self.stats.serves += 1;
         let size = self.shared.catalog.object_size(query.object);
         let now = ctx.now();
         ctx.send(
@@ -271,8 +224,7 @@ impl SquirrelNode {
             return;
         };
         let query = p.query;
-        let retries = self.shared.fetch_retries;
-        if p.next < p.candidates.len() && p.next < retries {
+        if p.next < p.candidates.len() && p.next < FETCH_RETRIES {
             let target = p.candidates[p.next];
             p.next += 1;
             ctx.send(target, SquirrelMsg::Fetch { query });
@@ -292,21 +244,8 @@ impl SquirrelNode {
         resolved_at: SimTime,
         from_server: bool,
     ) {
-        let Some(pending) = self.pending.remove(&query.id) else {
+        if self.pending.remove(&query.id).is_none() {
             return;
-        };
-        // Home-store: replicate server fetches back at the home node.
-        if from_server && self.shared.strategy == SquirrelStrategy::HomeStore {
-            if let Some(home) = pending.home {
-                let size = self.shared.catalog.object_size(query.object);
-                ctx.send(
-                    home,
-                    SquirrelMsg::StoreAtHome {
-                        object: query.object,
-                        size,
-                    },
-                );
-            }
         }
         let me = ctx.id();
         let lookup_ms = resolved_at.since(query.submitted_at).as_ms();
@@ -357,7 +296,6 @@ impl simnet::Node<SquirrelMsg> for SquirrelNode {
                     if let Some(p) = self.pending.get_mut(&query.id) {
                         p.candidates = candidates;
                         p.next = 0;
-                        p.home = Some(from);
                         self.try_next_candidate(ctx, query.id);
                     }
                 }
@@ -373,7 +311,6 @@ impl simnet::Node<SquirrelMsg> for SquirrelNode {
                 }
                 SquirrelMsg::ServerQuery { query } => {
                     debug_assert_eq!(self.server_for, Some(query.website));
-                    self.stats.server_hits += 1;
                     let size = self.shared.catalog.object_size(query.object);
                     let now = ctx.now();
                     ctx.send(
@@ -385,9 +322,6 @@ impl simnet::Node<SquirrelMsg> for SquirrelNode {
                             size,
                         },
                     );
-                }
-                SquirrelMsg::StoreAtHome { object, .. } => {
-                    self.cache.insert(object);
                 }
                 SquirrelMsg::ServeObject {
                     query,

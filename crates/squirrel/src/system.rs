@@ -15,7 +15,7 @@ use simnet::{
 use workload::{Catalog, CatalogConfig, Communities, OriginatedTrace, QueryGen, WorkloadConfig};
 
 use crate::msg::SquirrelMsg;
-use crate::node::{SquirrelDeployment, SquirrelNode, SquirrelStrategy};
+use crate::node::{SquirrelDeployment, SquirrelNode};
 
 /// Configuration of a Squirrel run. Mirrors
 /// `flower_core::SystemConfig` so comparisons share topology, catalog,
@@ -31,12 +31,6 @@ pub struct SquirrelConfig {
     /// Participants per (active website, locality) — kept equal to the
     /// Flower run's `Sco` so both systems see the same client base.
     pub clients_per_locality: usize,
-    /// Home-node pointer directory size.
-    pub pointer_cap: usize,
-    /// Stale pointers tried before the server.
-    pub fetch_retries: usize,
-    /// Directory (the paper's comparator) or home-store strategy.
-    pub strategy: SquirrelStrategy,
     /// Master seed.
     pub seed: u64,
     /// Metric series window.
@@ -53,9 +47,6 @@ impl Default for SquirrelConfig {
             catalog: CatalogConfig::default(),
             workload: WorkloadConfig::default(),
             clients_per_locality: 100,
-            pointer_cap: 4,
-            fetch_retries: 3,
-            strategy: SquirrelStrategy::Directory,
             seed: 42,
             window: SimDuration::from_mins(30),
             shards: 1,
@@ -221,9 +212,6 @@ impl SquirrelSystem {
         let deployment = Arc::new(SquirrelDeployment {
             catalog: Catalog::new(cfg.catalog.clone()),
             servers: servers.clone(),
-            pointer_cap: cfg.pointer_cap,
-            fetch_retries: cfg.fetch_retries,
-            strategy: cfg.strategy,
         });
 
         let server_of_node: HashMap<NodeId, u16> = servers

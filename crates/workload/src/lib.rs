@@ -19,6 +19,8 @@
 //! on demand, [`generator::QueryStream`] collected, and
 //! [`generator::OriginatedTrace`] with the §6.1 originator draw.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod generator;
 pub mod zipf;

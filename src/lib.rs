@@ -20,6 +20,8 @@
 //! top-level `README.md` for the crate map and how to run the paper's
 //! experiments.
 
+#![forbid(unsafe_code)]
+
 pub use bloom;
 pub use chord;
 pub use experiments;

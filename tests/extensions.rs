@@ -1,11 +1,9 @@
 //! Integration tests for the implemented extensions: §8 active
-//! replication, §8 cache replacement, §5.3 scale-up keys, and the
-//! Squirrel home-store strategy.
+//! replication, §8 cache replacement and §5.3 scale-up keys.
 
 use flower_cdn::core::system::{FlowerSystem, SystemConfig};
 use flower_cdn::core::{CachePolicy, KeyScheme};
 use flower_cdn::simnet::{Locality, SimDuration};
-use flower_cdn::squirrel::{SquirrelConfig, SquirrelStrategy, SquirrelSystem};
 use flower_cdn::workload::WebsiteId;
 
 fn base(seed: u64) -> SystemConfig {
@@ -20,7 +18,6 @@ fn active_replication_spreads_hot_objects() {
     let mut off = base(51);
     let mut on = base(51);
     on.flower.replication_period = Some(SimDuration::from_secs(20));
-    on.flower.replication_top_k = 10;
     off.flower.replication_period = None;
 
     let (_, r_off) = FlowerSystem::run(&off);
@@ -83,44 +80,6 @@ fn lfu_policy_also_works_end_to_end() {
     let (_, r) = FlowerSystem::run(&cfg);
     assert!(r.hit_ratio > 0.05);
     assert!(r.resolved as f64 >= r.submitted as f64 * 0.99);
-}
-
-#[test]
-fn squirrel_home_store_strategy_serves_from_homes() {
-    let mut cfg = SquirrelConfig {
-        seed: 54,
-        ..SquirrelConfig::small_test()
-    };
-    cfg.strategy = SquirrelStrategy::HomeStore;
-    let (sys, r) = SquirrelSystem::run(&cfg);
-    assert!(r.hit_ratio > 0.5, "home-store hit ratio {}", r.hit_ratio);
-    assert!(r.resolved as f64 >= r.submitted as f64 * 0.99);
-    // Homes actually accumulated replicas: total serves by peers > 0
-    // even though no pointer directories exist.
-    let serves: u64 = sys
-        .participants()
-        .iter()
-        .map(|n| sys.engine().node(*n).stats.serves)
-        .sum();
-    assert!(serves > 0, "home nodes never served");
-}
-
-#[test]
-fn squirrel_strategies_are_both_viable() {
-    let dir_cfg = SquirrelConfig {
-        seed: 55,
-        ..SquirrelConfig::small_test()
-    };
-    let mut home_cfg = SquirrelConfig {
-        seed: 55,
-        ..SquirrelConfig::small_test()
-    };
-    home_cfg.strategy = SquirrelStrategy::HomeStore;
-    let (_, rd) = SquirrelSystem::run(&dir_cfg);
-    let (_, rh) = SquirrelSystem::run(&home_cfg);
-    assert!(rd.hit_ratio > 0.5 && rh.hit_ratio > 0.5);
-    // Same trace, comparable service.
-    assert_eq!(rd.submitted, rh.submitted);
 }
 
 #[test]

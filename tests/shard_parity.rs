@@ -95,43 +95,6 @@ fn eight_shard_run_produces_identical_statistics() {
     }
 }
 
-/// Core placement and thread pinning are wall-clock knobs only: any
-/// shard→core map, with pinning on or off, produces the bit-identical
-/// run. (On hosts with fewer cores than the map names, pinning
-/// degrades gracefully — which this test also exercises.)
-#[test]
-fn placement_and_pinning_never_change_results() {
-    fn run_placed(core_map: Option<Vec<usize>>, pin: bool) -> (FlowerSystem, SystemReport) {
-        let mut cfg = SystemConfig::small_test();
-        cfg.seed = 42;
-        cfg.shards = 3;
-        cfg.topology.pin = pin;
-        let mut sys = FlowerSystem::build(&cfg);
-        if let Some(map) = core_map {
-            sys.engine_mut().set_placement(map, pin);
-        }
-        let horizon = sys.drain_horizon();
-        sys.run_until(horizon);
-        let report = sys.report();
-        (sys, report)
-    }
-    let (ref_sys, ref_report) = run_placed(None, false);
-    let reference = fingerprint(&ref_sys, &ref_report);
-    for (map, pin) in [
-        (Some(vec![0, 0, 0]), false),
-        (Some(vec![2, 1, 0]), false),
-        (Some(vec![0, 1, 2]), true),
-        (None, true),
-    ] {
-        let (sys, report) = run_placed(map.clone(), pin);
-        assert_eq!(
-            fingerprint(&sys, &report),
-            reference,
-            "core_map={map:?} pin={pin} changed simulation results"
-        );
-    }
-}
-
 /// The metric registry obeys the same law as the statistics above:
 /// every sim-scoped cell (counters, gauges and histogram buckets
 /// tagged `Scope::Sim`) is a pure function of the simulated trace, so
