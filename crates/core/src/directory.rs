@@ -105,13 +105,6 @@ pub struct DirLoad {
     /// ([`DirectoryState::take_window_queries`]) — the split/merge
     /// policy's signal.
     pub window_queries: u64,
-    /// Content pushes applied (Algorithm 6).
-    pub pushes: u64,
-    /// Keepalives received (§5.1).
-    pub keepalives: u64,
-    /// Neighbour directory summaries received (§4.2.1 gossip between
-    /// directory peers).
-    pub summaries: u64,
 }
 
 /// The state of one directory role `d_{ws,loc}` — or, with §5.3
@@ -439,7 +432,6 @@ impl DirectoryState {
         if e.summary.take().is_some() {
             self.summary_entries -= 1;
         }
-        self.load.pushes += 1;
         let mut new_holdings = Vec::new();
         for o in added {
             if e.objects.insert(*o) {
@@ -473,7 +465,6 @@ impl DirectoryState {
     /// directory "gradually builds its directory upon receiving push
     /// messages".
     pub fn keepalive(&mut self, peer: NodeId) {
-        self.load.keepalives += 1;
         let ticks = self.ticks;
         match self.index.get_mut(&peer) {
             Some(e) => {
@@ -533,7 +524,6 @@ impl DirectoryState {
 
     /// Store/refresh a neighbour directory's summary (§3.3).
     pub fn update_neighbor_summary(&mut self, n: NeighborSummary) {
-        self.load.summaries += 1;
         if let Some(existing) = self
             .neighbor_summaries
             .iter_mut()
@@ -944,22 +934,11 @@ mod tests {
         assert_eq!(d.load(), DirLoad::default());
         d.note_query();
         d.note_query();
+        // Only queries are load: pushes and keepalives count nothing.
         d.apply_push(NodeId(1), &[O1], &[]);
         d.keepalive(NodeId(1));
-        let mut s = ContentSummary::empty(100);
-        s.insert(O2);
-        d.update_neighbor_summary(NeighborSummary {
-            dir: NodeId(50),
-            locality: Locality(1),
-            dir_id: ChordId(5),
-            summary: s,
-        });
         let l = d.load();
-        assert_eq!(
-            (l.queries, l.pushes, l.keepalives, l.summaries),
-            (2, 1, 1, 1)
-        );
-        assert_eq!(l.window_queries, 2);
+        assert_eq!((l.queries, l.window_queries), (2, 2));
         // The window drains; the lifetime counter does not.
         assert_eq!(d.take_window_queries(), 2);
         assert_eq!(d.take_window_queries(), 0);

@@ -73,11 +73,6 @@ impl KeyScheme {
         Self::try_new(locality_bits, instance_bits).expect("invalid key scheme")
     }
 
-    /// Website bits `m2 = m − m1 − b`.
-    pub fn website_bits(&self) -> u32 {
-        ChordId::BITS - self.locality_bits - self.instance_bits
-    }
-
     /// Number of representable localities.
     pub fn max_localities(&self) -> usize {
         1usize << self.locality_bits

@@ -38,6 +38,12 @@
 //! fault costs (hit-ratio dip depth, time-to-recover after heal).
 //! `--nodes` with a single value overrides the underlay node count of
 //! any experiment (e.g. `churn --nodes 50000`, `chaos --nodes 1000`).
+//! A flag is taken only by the commands that read it:
+//! `--shard-sweep` and `--horizon-secs` by `scale` alone, `--scale`
+//! and `--shards` by everything but `scale` and `chaos` (which sweep
+//! shard counts of their own over fixed horizons), `--instance-bits`
+//! by everything but `chaos`; anywhere else it is an error naming
+//! the commands that do.
 //! A deployment too small for its D-ring, an unrepresentable
 //! `--instance-bits`, more shards than the deployment has localities
 //! or a `--scale` that would shrink a protocol period below the 1 ms
@@ -72,6 +78,24 @@ const COMMANDS: &[&str] = &[
     "scale",
     "all",
 ];
+
+/// The flags `cmd` reads. A flag is accepted only where it is read:
+/// anything else would describe a run that does not happen.
+fn flags_read_by(cmd: &str) -> Vec<&'static str> {
+    let own: &[&str] = match cmd {
+        "scale" => &["--instance-bits", "--shard-sweep", "--horizon-secs"],
+        "chaos" => &[],
+        _ => &["--scale", "--shards", "--instance-bits"],
+    };
+    let every = [
+        "--seed",
+        "--nodes",
+        "--csv-dir",
+        "--metrics-out",
+        "--summary-out",
+    ];
+    every.iter().chain(own).copied().collect()
+}
 
 struct Args {
     cmd: String,
@@ -138,7 +162,20 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         summary_out: None,
     };
     while let Some(a) = args.next() {
-        match a.as_str() {
+        let a = a.as_str();
+        let readers: Vec<&str> = COMMANDS
+            .iter()
+            .copied()
+            .filter(|c| flags_read_by(c).contains(&a))
+            .collect();
+        if !readers.is_empty() && !readers.contains(&out.cmd.as_str()) {
+            return Err(format!(
+                "`{}` does not read {a}; it is read by {}",
+                out.cmd,
+                readers.join(", ")
+            ));
+        }
+        match a {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value")?;
                 out.opts.scale = RunScale::parse(&v)?;
@@ -299,6 +336,20 @@ fn gate_and_write(
     Ok(())
 }
 
+/// What is about to run, in terms of what the command reads.
+fn banner(args: &Args) -> String {
+    let reads = flags_read_by(&args.cmd);
+    let mut line = format!("# running {}", args.cmd);
+    if reads.contains(&"--scale") {
+        line += &format!(" at scale {:?}", args.opts.scale);
+    }
+    line += &format!(" seed {}", args.opts.seed);
+    if reads.contains(&"--shards") {
+        line += &format!(" with {} shard(s)", args.opts.shards);
+    }
+    line
+}
+
 /// Print one line and exit with `code` (2: refused before running,
 /// 1: failed while running).
 fn die(code: i32, msg: &str) -> ! {
@@ -313,10 +364,7 @@ fn main() {
     }
     let (metrics_out, summary_out) = open_outputs(&args).unwrap_or_else(|e| die(2, &e));
     let opts = args.opts;
-    eprintln!(
-        "# running {} at scale {:?} seed {} with {} shard(s)",
-        args.cmd, opts.scale, opts.seed, opts.shards
-    );
+    eprintln!("{}", banner(&args));
     let t0 = std::time::Instant::now();
     let mut failed = false;
 
@@ -390,7 +438,7 @@ mod tests {
     #[test]
     fn shard_sweep_rejects_zero_and_empty_entries_like_shards_does() {
         assert_eq!(
-            parse("scale --shards 0").err().unwrap(),
+            parse("fig5 --shards 0").err().unwrap(),
             "--shards must be at least 1"
         );
         assert_eq!(
@@ -403,9 +451,9 @@ mod tests {
         );
         assert!(parse("scale --shard-sweep 1,,4").is_err(), "empty entry");
         assert!(parse("scale --shard-sweep ,").is_err(), "empty entries");
-        let ok = parse("scale --shard-sweep 1,2,8 --shards 3").unwrap();
+        let ok = parse("scale --shard-sweep 1,2,8").unwrap();
         assert_eq!(ok.scale_shards, vec![1, 2, 8]);
-        assert_eq!(ok.opts.shards, 3);
+        assert_eq!(parse("fig5 --shards 3").unwrap().opts.shards, 3);
     }
 
     /// What a retired execution switch or subcommand gets now: it is
@@ -463,8 +511,9 @@ mod tests {
             .collect()
     }
 
-    /// The usage line, the parser and the module doc name the same
-    /// flags.
+    /// The usage line, the parser, the per-command lists and the
+    /// module doc name the same flags, and a command takes exactly the
+    /// flags on its list.
     #[test]
     fn usage_parser_and_module_doc_agree_on_the_flags() {
         let source = include_str!("flower_experiments.rs");
@@ -482,10 +531,71 @@ mod tests {
         let documented = flags_in(&doc);
         for flag in &accepted {
             assert!(documented.contains(flag), "{flag} missing in module doc");
-            if let Err(e) = parse(&format!("scale {flag} 1")) {
-                assert!(!e.contains("unknown flag"), "{flag}: {e}");
+        }
+        let mut listed = std::collections::BTreeSet::new();
+        for cmd in COMMANDS {
+            let reads = flags_read_by(cmd);
+            listed.extend(reads.iter().copied());
+            for flag in &accepted {
+                let err = parse(&format!("{cmd} {flag} 1")).err().unwrap_or_default();
+                assert!(!err.contains("unknown flag"), "{cmd} {flag}: {err}");
+                assert_eq!(
+                    err.starts_with(&format!("`{cmd}` does not read {flag}")),
+                    !reads.contains(flag),
+                    "{cmd} {flag}: {err:?}"
+                );
+                assert!(!err.contains('\n'), "one line: {err}");
             }
         }
+        assert_eq!(listed, accepted);
+    }
+
+    /// The six repros: each flag was accepted and ignored.
+    #[test]
+    fn a_flag_the_command_never_reads_is_an_error_naming_its_readers() {
+        assert_eq!(
+            parse("fig5 --horizon-secs 5").err().unwrap(),
+            "`fig5` does not read --horizon-secs; it is read by scale"
+        );
+        assert_eq!(
+            parse("fig5 --shard-sweep 1,2").err().unwrap(),
+            "`fig5` does not read --shard-sweep; it is read by scale"
+        );
+        for line in [
+            "scale --scale 0.5",
+            "scale --shards 4",
+            "chaos --shards 4",
+            "chaos --scale 0.5",
+        ] {
+            let err = parse(line).err().unwrap();
+            assert!(
+                err.ends_with("churn, ablation, replication, cache, all"),
+                "{err}"
+            );
+            assert!(
+                !err.contains("chaos, ") && !err.contains("scale, "),
+                "{err}"
+            );
+        }
+        let err = parse("chaos --instance-bits 2").err().unwrap();
+        assert!(err.contains("cache, scale, all"), "{err}");
+    }
+
+    /// The banner describes the run in the command's own terms.
+    #[test]
+    fn the_banner_prints_only_what_the_command_reads() {
+        assert_eq!(
+            banner(&parse("scale --nodes 3000 --shard-sweep 1,2 --horizon-secs 15").unwrap()),
+            "# running scale seed 42"
+        );
+        assert_eq!(
+            banner(&parse("chaos --seed 7").unwrap()),
+            "# running chaos seed 7"
+        );
+        assert_eq!(
+            banner(&parse("fig5 --scale 0.01 --shards 2").unwrap()),
+            "# running fig5 at scale Scaled(0.01) seed 42 with 2 shard(s)"
+        );
     }
 
     #[test]

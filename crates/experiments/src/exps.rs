@@ -64,10 +64,11 @@ impl ExpOutput {
 /// experiment `cmd` would build under `opts` — for `scale`, every
 /// nodes × instance-bits cell of `scale_params` — must carry a valid
 /// Flower-CDN configuration and be big enough for
-/// [`FlowerSystem::build`]'s placement; no requested shard count may
-/// exceed the deployment's localities (the engine would clamp it, and
-/// the tables would name a layout that never ran); and `--scale` must
-/// leave every protocol period at least a millisecond
+/// [`FlowerSystem::build`]'s placement; no shard count the command
+/// reads (`--shard-sweep` for `scale`, none for `chaos`, `--shards`
+/// elsewhere) may exceed the deployment's localities (the engine would
+/// clamp it, and the tables would name a layout that never ran); and
+/// `--scale` must leave every protocol period at least a millisecond
 /// ([`runner::check_scale`]). `Err` is a one-line message for the
 /// user; `Ok` means no size- or geometry-related panic is left on the
 /// build path.
@@ -79,7 +80,6 @@ pub fn check_deployment_size(
     match cmd {
         "scale" => {
             let p = scale_params;
-            shards_fit("--shards", opts.shards, cmd, SCALE_LOCALITIES)?;
             for &shards in &p.shards {
                 shards_fit("--shard-sweep", shards, cmd, SCALE_LOCALITIES)?;
             }
@@ -92,7 +92,6 @@ pub fn check_deployment_size(
                 .try_for_each(|&n| deployment_fits(&scale_config(n, 1, bits, p.horizon, p.seed)))
         }
         "chaos" => {
-            shards_fit("--shards", opts.shards, cmd, CHAOS_LOCALITIES)?;
             let nodes = opts.nodes.unwrap_or(CHAOS_NODES);
             deployment_fits(&chaos_config(nodes, 1, opts.seed))
         }
@@ -1025,15 +1024,37 @@ fn scale_mean_petal_window(nodes: usize) -> f64 {
         / (SCALE_LOCALITIES * SCALE_ACTIVE_WEBSITES) as f64
 }
 
-/// The headline statistics of one scale cell that must match across
-/// shard counts: submitted, resolved, hit ratio, total messages.
-type CellStats = (u64, u64, f64, u64);
+/// Everything about a finished run that must not depend on the shard
+/// layout, as one comparable string: the query totals, the message and
+/// fault-drop counts and the whole windowed hit series. `scale` and
+/// the `chaos` families hold every multi-shard cell to their first
+/// cell's.
+fn layout_fingerprint(sys: &FlowerSystem, report: &SystemReport) -> String {
+    let engine = sys.engine();
+    let windows: Vec<(u64, u64)> = engine
+        .query_stats()
+        .hit_series()
+        .points()
+        .iter()
+        .map(|p| (p.count, (p.sum * 1e6) as u64))
+        .collect();
+    format!(
+        "{}/{} hit {:.12} msgs {} fault_drops {} windows {:?}",
+        report.submitted,
+        report.resolved,
+        report.hit_ratio,
+        engine.traffic().messages(),
+        engine.metrics().counter(Counter::EngineFaultDrops),
+        windows,
+    )
+}
 
 /// **Scale** — the engine-performance experiment: sweep the node
 /// count, the §5.3 instance bits and the shard count; report
 /// events/second, wall-clock and per-instance directory load per
 /// cell; assert that within every (nodes, instance_bits) group all
-/// shard counts produce *identical* query statistics — the engine's
+/// shard counts produce *identical* query statistics, windowed hit
+/// series included (`layout_fingerprint`) — the engine's
 /// bit-determinism guarantee (the shard layout is an execution detail,
 /// and the §5.3 instance choice is a pure function of protocol
 /// state), measured end to end. When the sweep includes both the flat
@@ -1066,7 +1087,7 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
         let mut load_ratios: Vec<(u32, f64)> = Vec::new();
         for &bits in &params.instance_bits {
             // Baseline = the first shard count of the group.
-            let mut base: Option<(f64, usize, CellStats)> = None;
+            let mut base: Option<(f64, usize, String)> = None;
             for &shards in &params.shards {
                 let cfg = scale_config(nodes, shards, bits, params.horizon, params.seed);
                 let name = if bits == 0 {
@@ -1098,25 +1119,24 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                     f3(report.dir_load_max_mean),
                     report.dir_instances_live.to_string(),
                 ]);
-                let stats = (
-                    report.submitted,
-                    report.resolved,
-                    report.hit_ratio,
-                    sys.engine().traffic().messages(),
-                );
+                let fingerprint = layout_fingerprint(&sys, &report);
                 match &base {
                     None => {
                         load_ratios.push((bits, report.dir_load_max_mean));
-                        base = Some((record.wall_s, shards, stats));
+                        base = Some((record.wall_s, shards, fingerprint));
                     }
-                    Some((_, base_shards, base_stats)) => out.push_check(
+                    Some((_, base_shards, base_fingerprint)) => out.push_check(
                         format!(
                             "{nodes} nodes / b{bits} / {shards} shards: query statistics \
                              identical to the {base_shards}-shard run \
                              ({}/{} hit {:.6}, {} msgs, dir load {:.4})",
-                            stats.0, stats.1, stats.2, stats.3, report.dir_load_max_mean
+                            report.submitted,
+                            report.resolved,
+                            report.hit_ratio,
+                            sys.engine().traffic().messages(),
+                            report.dir_load_max_mean
                         ),
-                        *base_stats == stats,
+                        *base_fingerprint == fingerprint,
                     ),
                 }
                 out.metrics.push(MetricsRecord {
@@ -1390,11 +1410,11 @@ pub fn availability(
 }
 
 /// Run one chaos cell family across `shard_sweep`: every multi-shard
-/// run must be bit-identical to the first (checked on the full
-/// windowed hit series, not just the totals), every cell records a
-/// metrics snapshot under the family's shared `sim_key` — so the
-/// metrics gate re-checks the parity from the registry side. Returns
-/// the first cell's system and report for series analysis.
+/// run must be bit-identical to the first ([`layout_fingerprint`]:
+/// the full windowed hit series, not just the totals), every cell
+/// records a metrics snapshot under the family's shared `sim_key` — so
+/// the metrics gate re-checks the parity from the registry side.
+/// Returns the first cell's system and report for series analysis.
 fn run_chaos_family(
     out: &mut ExpOutput,
     family: &str,
@@ -1412,23 +1432,7 @@ fn run_chaos_family(
         let horizon = sys.drain_horizon();
         sys.run_until(horizon);
         let report = sys.report();
-        let windows: Vec<(u64, u64)> = sys
-            .engine()
-            .query_stats()
-            .hit_series()
-            .points()
-            .iter()
-            .map(|p| (p.count, (p.sum * 1e6) as u64))
-            .collect();
-        let fingerprint = format!(
-            "{}/{} hit {:.12} msgs {} fault_drops {} windows {:?}",
-            report.submitted,
-            report.resolved,
-            report.hit_ratio,
-            sys.engine().traffic().messages(),
-            sys.engine().metrics().counter(Counter::EngineFaultDrops),
-            windows,
-        );
+        let fingerprint = layout_fingerprint(&sys, &report);
         out.metrics.push(MetricsRecord {
             experiment: name.clone(),
             sim_key: format!("{name}/seed{seed}"),
@@ -1899,7 +1903,15 @@ mod tests {
         let err = check_deployment_size("fig5", shards_64, &ScaleParams::default()).unwrap_err();
         assert!(err.starts_with("--shards 64"), "{err}");
         assert!(err.contains("6 localities"), "{err}");
-        assert!(check_deployment_size("chaos", shards_64, &ScaleParams::default()).is_err());
+        // `chaos` and `scale` sweep shard counts of their own and read
+        // no `--shards` (the parser turns the flag away for them).
+        let sweep_8 = ScaleParams {
+            nodes: vec![2000],
+            ..ScaleParams::default()
+        };
+        for cmd in ["chaos", "scale"] {
+            check_deployment_size(cmd, shards_64, &sweep_8).unwrap();
+        }
         // One shard per locality is the most that runs, and it runs.
         let shards_6 = RunOpts {
             shards: 6,

@@ -207,8 +207,6 @@ registry! {
         "Transfer-class sends bounced off dead destinations.";
     EngineEpochs => "engine_epochs", "rounds", Engine, Exec,
         "Conservative-barrier epoch rounds the sharded engine ran.";
-    EngineFusedRounds => "engine_fused_rounds", "rounds", Engine, Exec,
-        "Of the epoch rounds, fused solo rounds (one working shard ran ahead).";
     EngineBarrierIdleNs => "engine_barrier_idle_ns", "ns", Engine, Exec,
         "Wall-clock nanoseconds shard threads spent waiting at the epoch barrier, summed over shards.";
     DirProcess => "dir_process_calls", "queries", Directory, Sim,

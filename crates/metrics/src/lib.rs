@@ -21,9 +21,8 @@
 //!   merged value is **bit-identical for every shard count**, and the
 //!   shard-parity suite pins that.
 //! * [`Scope::Exec`] — a fact about the *execution* (epoch rounds,
-//!   fused solo rounds, barrier idle time, peak queue depth). These
-//!   legitimately vary with the shard layout and are excluded from
-//!   parity checks.
+//!   barrier idle time, peak queue depth). These legitimately vary
+//!   with the shard layout and are excluded from parity checks.
 //!
 //! [`MetricSet::sim_fingerprint`] flattens every `Sim`-scope cell into
 //! one comparable vector for exactly that purpose.

@@ -644,11 +644,9 @@ struct Shard<M: Message, N: Node<M>> {
     popped: Vec<EventKey>,
     /// This shard's private cells of the static metric registry:
     /// engine counters (events dispatched, per-class receives,
-    /// timers, bounces, epoch/fused rounds, barrier idle) plus
-    /// whatever the protocol records through [`Ctx::metrics`]. What
-    /// used to be loose `u64` fields here (`events_processed`,
-    /// `epochs`, `fused`, `barrier_idle`) now lives in these cells;
-    /// the engine accessors read them back out of the merge.
+    /// timers, bounces, epoch rounds, barrier idle) plus whatever the
+    /// protocol records through [`Ctx::metrics`]; the engine accessors
+    /// read them back out of the merge.
     metrics: MetricSet,
     /// The installed fault script, replicated on every shard (like the
     /// liveness map) so cut/loss decisions never read another shard's
@@ -840,27 +838,6 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         while self.step(limit, topo, place, outbox) {}
     }
 
-    /// As [`Shard::run_epoch`], but stop right after the first event
-    /// that stages cross-shard mail. This is the *fused solo round*
-    /// of the sharded engine: when every other shard is idle up to
-    /// its bound, the one working shard may run far past its normal
-    /// conservative bound — all the way to the earliest instant the
-    /// *others'* queued events could reach it — because the only
-    /// remaining causality hazard is a reply drawn out by this
-    /// shard's own emissions, and stopping at the first emission
-    /// closes exactly that hole (a reply to mail emitted at `t`
-    /// arrives at `t + round-trip`, and nothing after `t` has been
-    /// processed).
-    fn run_epoch_until_cross(
-        &mut self,
-        limit: SimTime,
-        topo: &Topology,
-        place: &Placement,
-        outbox: &mut [Vec<Staged<M>>],
-    ) {
-        while self.step(limit, topo, place, outbox) && outbox.iter().all(Vec::is_empty) {}
-    }
-
     fn dispatch(
         &mut self,
         p: Pending<M>,
@@ -1037,15 +1014,12 @@ pub struct Engine<M: Message, N: Node<M>> {
     shards: Vec<Shard<M, N>>,
     /// Global node id → (owning shard, local index), packed.
     place: Placement,
-    /// Per-shard-pair lookahead matrix (ms), row-major `K × K`: entry
-    /// `[from · K + to]` lower-bounds the latency of any message from
-    /// shard `from` to shard `to` ([`Topology::shard_lookahead_ms`]);
-    /// `u64::MAX` on the diagonal.
-    pair_lookahead_ms: Vec<u64>,
-    /// Epoch-bound coefficients derived from the pair
-    /// lookaheads ([`reachability_bounds`]): `[m · K + i]` is how long
-    /// after shard `m`'s earliest event anything new could become due
-    /// at shard `i`, through any emission chain.
+    /// Epoch-bound coefficients, row-major `K × K`, derived from the
+    /// per-shard-pair lookahead matrix
+    /// ([`Topology::shard_lookahead_ms`]) by [`reachability_bounds`]:
+    /// `[m · K + i]` is how long after shard `m`'s earliest event
+    /// anything new could become due at shard `i`, through any
+    /// emission chain.
     reach_ms: Vec<u64>,
     now: SimTime,
     /// Counter of the external injection stream (stream 0).
@@ -1060,11 +1034,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// plots).
     pub fn new(topo: Topology, nodes: Vec<N>, seed: u64) -> Self {
         Self::with_shards(topo, nodes, seed, SimDuration::from_mins(30), 1)
-    }
-
-    /// As [`Engine::new`] with an explicit series window.
-    pub fn with_window(topo: Topology, nodes: Vec<N>, seed: u64, window: SimDuration) -> Self {
-        Self::with_shards(topo, nodes, seed, window, 1)
     }
 
     /// Build an engine partitioned into (up to) `shards` locality
@@ -1086,8 +1055,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         let n = nodes.len();
         let k = shards.min(topo.num_localities());
         let loc_shard = topo.shard_map(k);
-        let pair_lookahead_ms = topo.shard_lookahead_ms(&loc_shard, k);
-        let reach_ms = reachability_bounds(&pair_lookahead_ms, k);
+        let reach_ms = reachability_bounds(&topo.shard_lookahead_ms(&loc_shard, k), k);
 
         let mut place = Placement::new(n);
         let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
@@ -1142,7 +1110,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             topo: std::sync::Arc::new(topo),
             shards: shards_vec,
             place,
-            pair_lookahead_ms,
             reach_ms,
             now: SimTime::ZERO,
             ext_seq: 0,
@@ -1168,42 +1135,20 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
 
     /// The global cross-locality floor: the worst-case epoch length
     /// of the conservative barrier. The per-pair matrix entries
-    /// ([`Engine::pair_lookahead_ms`]) are at least this large.
+    /// ([`Topology::shard_lookahead_ms`]) are at least this large.
     pub fn lookahead(&self) -> SimDuration {
         self.topo.cross_locality_lookahead()
     }
 
-    /// The per-shard-pair lookahead (ms) from shard `from` to shard
-    /// `to` (`u64::MAX` when `from == to`).
-    pub fn pair_lookahead_ms(&self, from: usize, to: usize) -> u64 {
-        self.pair_lookahead_ms[from * self.shards.len() + to]
-    }
-
-    /// Barrier rounds (epochs) executed so far. 0 on single-shard
-    /// runs, which have no barrier. The adaptive lookahead matrix
-    /// exists to shrink this number — fewer, longer epochs mean less
-    /// synchronization per simulated second — and fused solo rounds
-    /// ([`Engine::fused_rounds`]) shrink it further by letting a lone
-    /// working shard cover many windows in one round.
+    /// Barrier rounds (epochs) executed so far, identical on every
+    /// shard. 0 on single-shard runs, which have no barrier. A pure
+    /// function of seed, topology and shard layout. The adaptive
+    /// lookahead matrix exists to shrink this number — fewer, longer
+    /// epochs mean less synchronization per simulated second.
     pub fn epochs(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| s.metrics.counter(Counter::EngineEpochs))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// How many of the [`Engine::epochs`] were *fused solo rounds*:
-    /// rounds in which exactly one shard had any event below its
-    /// conservative bound, so it alone ran ahead — to the earliest
-    /// instant the other shards' queued events could reach it,
-    /// stopping at its first cross-shard emission — while the rest
-    /// skipped the round entirely. Identical across shards, like the
-    /// epoch count itself.
-    pub fn fused_rounds(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.metrics.counter(Counter::EngineFusedRounds))
             .max()
             .unwrap_or(0)
     }
@@ -1467,15 +1412,12 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// schedule that runs every shard in lock-step epochs of the
     /// global floor — which is this same rule with every `reach` entry
     /// flattened to the floor, and is how the tests below build that
-    /// reference; only the barrier-round count shrinks.
-    ///
-    /// Rounds in which exactly one shard has any event below its
-    /// bound are *fused*: the lone worker runs ahead under the
-    /// extended bound of [`Shard::run_epoch_until_cross`] (no
-    /// diagonal round-trip term — the emission stop replaces it)
-    /// while everyone else skips the round, collapsing idle stretches
-    /// — warm-up, drain tails, lulls — that the fixed barrier cadence
-    /// would otherwise spin through one lookahead window at a time.
+    /// reference; only the barrier-round count shrinks. That bound is
+    /// the one rule for how far a shard may run, a shard that alone
+    /// has work included: the `m = i` term lets it run a full round
+    /// trip past its own earliest event, and the round counts that
+    /// decided against a second rule are in README, "Sharded
+    /// parallel execution".
     fn run_sharded(&mut self, deadline: SimTime, limit: SimTime) {
         let k = self.shards.len();
         let limit_ms = limit.as_ms();
@@ -1563,44 +1505,13 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                             break;
                         }
                         shard.metrics.incr(Counter::EngineEpochs);
-                        // (4) Conservative per-shard bound; identical
-                        // on every thread for a given `i`.
-                        let bound_of = |i: usize| -> u64 {
-                            (0..k)
-                                .map(|m| eff[m].saturating_add(reach[m * k + i]))
-                                .min()
-                                .unwrap_or(u64::MAX)
-                        };
-                        let mut working = 0usize;
-                        let mut solo = 0usize;
-                        for (m, e) in eff.iter().enumerate() {
-                            if *e < bound_of(m).min(limit_ms) {
-                                working += 1;
-                                solo = m;
-                            }
-                        }
-                        if working == 1 {
-                            // Fused solo round: the lone worker runs
-                            // ahead to the earliest instant the
-                            // *others'* events could reach it (no
-                            // diagonal term — the emission stop in
-                            // run_epoch_until_cross covers replies to
-                            // its own mail); everyone else skips the
-                            // round.
-                            shard.metrics.incr(Counter::EngineFusedRounds);
-                            if solo == me {
-                                let inbound = (0..k)
-                                    .filter(|m| *m != me)
-                                    .map(|m| eff[m].saturating_add(reach[m * k + me]))
-                                    .min()
-                                    .unwrap_or(u64::MAX);
-                                let end = SimTime::from_ms(inbound.min(limit_ms));
-                                shard.run_epoch_until_cross(end, topo, place, &mut outbox);
-                            }
-                            continue;
-                        }
-                        // (5) One epoch up to this shard's bound.
-                        let epoch_end = SimTime::from_ms(bound_of(me).min(limit_ms));
+                        // (4) One epoch up to this shard's
+                        // conservative bound.
+                        let bound = (0..k)
+                            .map(|m| eff[m].saturating_add(reach[m * k + me]))
+                            .min()
+                            .expect("at least one shard");
+                        let epoch_end = SimTime::from_ms(bound.min(limit_ms));
                         shard.run_epoch(epoch_end, topo, place, &mut outbox);
                     }
                 });
@@ -2195,8 +2106,8 @@ mod tests {
     /// The global-floor reference schedule, as data: with every
     /// `reach` entry flattened to the cross-locality floor `L`, the
     /// epoch bound `min_m(eff[m] + L)` is `min_eff + L` for every
-    /// shard (and the fused-round inbound bound likewise) — all shards
-    /// in lock-step epochs of the floor, the pre-matrix schedule.
+    /// shard — all shards in lock-step epochs of the floor, the
+    /// pre-matrix schedule.
     fn engine_on_the_global_floor(shards: usize) -> Engine<PingMsg, Echo> {
         let mut e = engine_sharded(shards);
         let floor = e.lookahead().as_ms().max(1);
@@ -2294,13 +2205,13 @@ mod tests {
         assert_eq!(matrix.0, 1, "the pong must reach the pinger");
     }
 
-    /// A lone working shard fuses rounds: with pending events on one
-    /// shard only, every other shard's published idleness lets the
-    /// solo shard run to the horizon in one fused round instead of
-    /// creeping forward a round-trip per barrier — with results
-    /// identical to the single-shard run.
+    /// A lone working shard: with pending events on one shard only,
+    /// the idle peers constrain nothing and the skip-to-earliest-pending
+    /// rule opens every round at the worker's next event, so each round
+    /// processes at least one — and the results are those of the
+    /// single-shard run.
     #[test]
-    fn solo_work_fuses_rounds_bit_identically() {
+    fn a_lone_working_shard_matches_the_single_shard_run() {
         // Pick a shard-0 node once, then drive the identical schedule
         // through both engines (pure-local timers: no cross mail).
         let probe = engine_sharded(3);
@@ -2319,43 +2230,27 @@ mod tests {
                 );
             }
             e.run_until(SimTime::from_secs(40));
-            (e.events_processed(), e.traffic().messages(), e.now())
+            (
+                (e.events_processed(), e.traffic().messages(), e.now()),
+                e.epochs(),
+            )
         };
-        let reference = drive(1);
-        let mut e = engine_sharded(3);
-        for i in 0..60u64 {
-            e.schedule_at(
-                SimTime::from_ms(i * 499),
-                local,
-                Event::Timer { kind: 1, tag: 0 },
-            );
-        }
-        e.run_until(SimTime::from_secs(40));
-        assert_eq!(
-            (e.events_processed(), e.traffic().messages(), e.now()),
-            reference,
-            "fused execution diverged from the single-shard run"
-        );
+        let (reference, _) = drive(1);
+        let (sharded, epochs) = drive(3);
+        assert_eq!(sharded, reference, "diverged from the single-shard run");
         assert!(
-            e.fused_rounds() >= 1,
-            "a lone working shard must fuse ({} fused)",
-            e.fused_rounds()
-        );
-        assert!(
-            e.epochs() <= 4,
-            "fusion must collapse the round count, got {}",
-            e.epochs()
+            epochs <= sharded.0 + 1,
+            "a round must open at a pending event: {epochs} rounds for {} events",
+            sharded.0
         );
     }
 
     /// The dual pin: when *every* shard has due work each lookahead
     /// window — the shape of the dense `scale` sweep cells like
-    /// 10k nodes / 8 shards — no round ever fuses and the epoch count
-    /// stays exactly at the conservative-synchronization cadence: it
-    /// is the barrier cost per round that the mailbox redesign shrinks
-    /// there, not the number of rounds.
+    /// 10k nodes / 8 shards — the epoch count stays exactly at the
+    /// conservative-synchronization cadence, run after run.
     #[test]
-    fn dense_rounds_never_fuse_and_keep_the_epoch_cadence() {
+    fn dense_rounds_keep_the_epoch_cadence() {
         let drive = || {
             let mut e = engine_sharded(3);
             let reps: Vec<NodeId> = (0..3)
@@ -2376,14 +2271,13 @@ mod tests {
                 }
             }
             e.run_until(SimTime::from_secs(30));
-            (e.events_processed(), e.epochs(), e.fused_rounds())
+            (e.events_processed(), e.epochs())
         };
-        let (events, epochs, fused) = drive();
+        let (events, epochs) = drive();
         assert_eq!(events, 3 * 1500);
         assert!(epochs > 0, "sharded runs count rounds");
-        assert_eq!(fused, 0, "every round has multi-shard work");
         // And the cadence is reproducible from run to run.
-        assert_eq!(drive(), (events, epochs, fused));
+        assert_eq!(drive(), (events, epochs));
     }
 
     /// Logs every event it is handed and counts the engine's
@@ -2518,12 +2412,16 @@ mod tests {
     fn pair_lookahead_is_at_least_the_global_floor() {
         let e = engine_sharded(3);
         let floor = e.lookahead().as_ms();
-        for i in 0..e.num_shards() {
-            for j in 0..e.num_shards() {
+        let k = e.num_shards();
+        let pair = e
+            .topology()
+            .shard_lookahead_ms(&e.topology().shard_map(k), k);
+        for i in 0..k {
+            for j in 0..k {
                 if i == j {
-                    assert_eq!(e.pair_lookahead_ms(i, j), u64::MAX);
+                    assert_eq!(pair[i * k + j], u64::MAX);
                 } else {
-                    assert!(e.pair_lookahead_ms(i, j) >= floor);
+                    assert!(pair[i * k + j] >= floor);
                 }
             }
         }

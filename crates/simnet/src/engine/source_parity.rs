@@ -174,8 +174,8 @@ fn streamed_source_pops_the_keys_of_the_prescheduled_one() {
 /// its source must not publish "idle" at the barrier. Here shard 1 has
 /// nothing queued, ever; its one injection makes `c` probe-reply to
 /// `a` on shard 0, which holds a far-future timer. Were shard 1 to
-/// look idle, shard 0 would fuse a solo round to the horizon, fire the
-/// timer first — and the injection would never run at all.
+/// look idle, the next round would open at that timer, shard 0 would
+/// fire it first — and the injection would never run at all.
 #[test]
 fn a_shard_with_only_source_injections_pending_is_not_idle() {
     let run = |shards: usize| {

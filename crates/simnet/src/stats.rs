@@ -659,11 +659,6 @@ impl QueryStats {
         &self.transfer_hist
     }
 
-    /// Transfer-distance distribution restricted to P2P hits.
-    pub fn transfer_hit_hist(&self) -> &Histogram {
-        &self.transfer_hits_hist
-    }
-
     /// Mean transfer distance of P2P hits (ms).
     pub fn mean_transfer_hit_ms(&self) -> f64 {
         self.transfer_hits_hist.mean()

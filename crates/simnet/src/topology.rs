@@ -503,16 +503,6 @@ impl Topology {
         SimDuration::from_ms(self.latency_ms(a, b))
     }
 
-    /// The configured minimum link latency (ms).
-    pub fn min_latency_ms_cfg(&self) -> u64 {
-        self.min_latency_ms
-    }
-
-    /// The configured maximum link latency (ms).
-    pub fn max_latency_ms_cfg(&self) -> u64 {
-        self.max_latency_ms
-    }
-
     /// Iterate over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.num_nodes() as u32).map(NodeId)

@@ -118,11 +118,6 @@ impl SquirrelNode {
         self.chord.is_some()
     }
 
-    /// Number of objects in the local cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Number of objects this node is home for.
     pub fn home_entries(&self) -> usize {
         self.home.len()
