@@ -34,6 +34,9 @@
 //! prolong the full-index scan. A promoted directory therefore pays
 //! the scan just until its seeded members push or age out.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use bloom::{ContentSummary, MaintainedSummary, ObjectId};
 use chord::ChordId;
 use rand::seq::SliceRandom;
@@ -66,6 +69,21 @@ impl DirEntry {
             summary: None,
         }
     }
+}
+
+/// Push `id` onto the implicit binary min-heap `heap`.
+fn heap_push(heap: &mut Vec<u32>, id: u32) {
+    let mut at = heap.len();
+    heap.push(id);
+    while at > 0 {
+        let parent = (at - 1) / 2;
+        if heap[parent] <= id {
+            break;
+        }
+        heap[at] = heap[parent];
+        at = parent;
+    }
+    heap[at] = id;
 }
 
 /// A received directory summary of a neighbouring directory peer.
@@ -136,18 +154,23 @@ pub struct DirectoryState {
     /// Number of entries carrying a gossip summary (§5.2 seeding);
     /// while non-zero, holder lookups must also scan those entries.
     summary_entries: usize,
-    /// Monotone count of [`DirectoryState::tick`] calls, backing the
-    /// `recency` stamps.
-    ticks: i64,
-    /// Members in exactly the order `view_seed` wants them — by
-    /// `(age, id)` ascending — represented as `(age − ticks, id)`:
-    /// every tick raises all ages *and* `ticks` by one, so the stored
-    /// keys never move and only refreshes/insertions/evictions pay an
-    /// `O(log Sco)` update. (The representations order identically
-    /// until an age saturates, i.e. not before 2^32 ticks.) Scanning
-    /// the whole index per admission instead was the top entry of the
-    /// million-node profile.
-    recency: std::collections::BTreeSet<(i64, u32)>,
+    /// The age-0 half of the order `view_seed` reads — members by
+    /// `(age, id)` ascending: the id of every entry whose age was set
+    /// to 0 since the last [`DirectoryState::tick`] (admission or
+    /// refresh), as an implicit binary min-heap. Ages only ever reset
+    /// to 0 or advance together at a tick, so a refresh is one push —
+    /// a random id sifts O(1) levels on average — and nothing is ever
+    /// taken out: an entry is *valid* iff the index holds the id at
+    /// age 0, and an id removed and re-admitted inside one tick is
+    /// filed twice. Keepalives outnumber `view_seed` reads 9 : 1
+    /// (`steady_100k`), so the order is worked out by the reader.
+    fresh: Vec<u32>,
+    /// The other half: `(age, id)` of every survivor of the last
+    /// tick, sorted — filled by the sweep `tick` makes anyway. An
+    /// entry is valid iff the index still holds the id at the
+    /// recorded age; every invalid one was refreshed (and is in
+    /// `fresh`) or removed since that tick.
+    aged: Vec<(u32, u32)>,
     /// The directory summary, *maintained* on every index mutation
     /// (one counted occurrence per `(member, object)` listing) instead
     /// of rebuilt by scanning the whole index per §4.2.1 refresh —
@@ -185,8 +208,8 @@ impl DirectoryState {
             popularity: IdMap::default(),
             holders_of: IdMap::default(),
             summary_entries: 0,
-            ticks: 0,
-            recency: std::collections::BTreeSet::new(),
+            fresh: Vec::new(),
+            aged: Vec::new(),
             summary: MaintainedSummary::empty(summary_capacity),
             load: DirLoad::default(),
         }
@@ -378,13 +401,11 @@ impl DirectoryState {
     /// F with its requested object, and age zero". Returns false when
     /// the peer is new and the overlay is full (admission denied).
     pub fn admit_or_refresh(&mut self, peer: NodeId, object: ObjectId) -> bool {
-        let ticks = self.ticks;
         match self.index.get_mut(&peer) {
             Some(e) => {
                 if e.age != 0 {
-                    self.recency.remove(&(e.age as i64 - ticks, peer.0));
-                    self.recency.insert((-ticks, peer.0));
                     e.age = 0;
+                    heap_push(&mut self.fresh, peer.0);
                 }
                 if e.objects.insert(object) {
                     self.new_since_refresh += 1;
@@ -401,7 +422,7 @@ impl DirectoryState {
                 let mut e = DirEntry::fresh();
                 e.objects.insert(object);
                 self.index.insert(peer, e);
-                self.recency.insert((-ticks, peer.0));
+                heap_push(&mut self.fresh, peer.0);
                 self.new_since_refresh += 1;
                 self.total_indexed += 1;
                 self.add_holder(object, peer);
@@ -419,13 +440,15 @@ impl DirectoryState {
         if !self.index.contains_key(&peer) && self.is_full() {
             return;
         }
-        let ticks = self.ticks;
-        let e = self.index.entry(peer).or_insert_with(DirEntry::fresh);
+        let fresh = &mut self.fresh;
+        let e = self.index.entry(peer).or_insert_with(|| {
+            heap_push(fresh, peer.0);
+            DirEntry::fresh()
+        });
         if e.age != 0 {
-            self.recency.remove(&(e.age as i64 - ticks, peer.0));
             e.age = 0;
+            heap_push(fresh, peer.0);
         }
-        self.recency.insert((-ticks, peer.0));
         // First push from a §5.2-seeded member: its exact ∆lists are
         // authoritative from here on — drop the gossip summary (and,
         // once no seeded entry remains, the summary-scan tax with it).
@@ -465,19 +488,17 @@ impl DirectoryState {
     /// directory "gradually builds its directory upon receiving push
     /// messages".
     pub fn keepalive(&mut self, peer: NodeId) {
-        let ticks = self.ticks;
         match self.index.get_mut(&peer) {
             Some(e) => {
                 if e.age != 0 {
-                    self.recency.remove(&(e.age as i64 - ticks, peer.0));
-                    self.recency.insert((-ticks, peer.0));
                     e.age = 0;
+                    heap_push(&mut self.fresh, peer.0);
                 }
             }
             None => {
                 if !self.is_full() {
                     self.index.insert(peer, DirEntry::fresh());
-                    self.recency.insert((-ticks, peer.0));
+                    heap_push(&mut self.fresh, peer.0);
                 }
             }
         }
@@ -485,22 +506,26 @@ impl DirectoryState {
 
     /// Directory tick (Algorithm 6 active behaviour): age all entries,
     /// evicting those that reached `Tdead`. Returns the evicted peers.
+    ///
+    /// No member is at age 0 afterwards, so `fresh` empties, and the
+    /// sweep refills `aged` with the survivors, sorted once — the
+    /// only ordering work between two ticks that is not a reader's.
     pub fn tick(&mut self) -> Vec<NodeId> {
-        // Ages and `ticks` move together, so every `recency` key
-        // (age − ticks, id) stays put: aging a million-member index
-        // costs the sweep below and no ordered-set rebalancing.
-        self.ticks += 1;
+        self.fresh.clear();
+        self.aged.clear();
         let mut dead = Vec::new();
         for (peer, e) in &mut self.index {
             e.age = e.age.saturating_add(1);
             if e.age >= self.t_dead {
                 dead.push(*peer);
+            } else {
+                self.aged.push((e.age, peer.0));
             }
         }
+        self.aged.sort_unstable();
         for peer in &dead {
             if let Some(e) = self.index.remove(peer) {
                 self.total_indexed = self.total_indexed.saturating_sub(e.objects.len());
-                self.recency.remove(&(e.age as i64 - self.ticks, peer.0));
                 self.drop_entry_holders(*peer, &e);
             }
         }
@@ -514,7 +539,6 @@ impl DirectoryState {
         match self.index.remove(&peer) {
             Some(e) => {
                 self.total_indexed = self.total_indexed.saturating_sub(e.objects.len());
-                self.recency.remove(&(e.age as i64 - self.ticks, peer.0));
                 self.drop_entry_holders(peer, &e);
                 true
             }
@@ -617,27 +641,50 @@ impl DirectoryState {
     }
 
     /// A view seed for a joining client: up to `n` members (the
-    /// youngest entries first — most likely alive).
+    /// youngest entries first — most likely alive): the first `n` by
+    /// `(age, id)` ascending, `exclude` skipped.
+    ///
+    /// Age 0 comes first, by a best-first walk of the `fresh` heap:
+    /// pop the smallest id off a frontier that starts at the root,
+    /// put its two children in. Ids come out in ascending order at
+    /// `O(log n)` each; `exclude`, an id equal to the one before it
+    /// (filed twice, see `fresh`) and invalid entries are passed
+    /// over. Then `aged`, front to back. Its invalid entries number
+    /// at most the entries of `fresh` plus the removals since the
+    /// tick, so the scan is long only after a `fresh` that was long
+    /// itself and still fell short of `n`.
     pub fn view_seed(&self, n: usize, exclude: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(n.min(self.index.len()));
         if n == 0 {
-            return Vec::new();
+            return out;
         }
-        // The `recency` set already holds the members in (age, id)
-        // ascending order — take the first n that aren't `exclude`.
-        // O(n) against the O(Sco) full-index scan this replaces,
-        // which was the top entry of the million-node profile (41% of
-        // total CPU: every admission paid a walk of the whole index).
-        debug_assert_eq!(
-            self.recency.len(),
-            self.index.len(),
-            "recency order drifted from the index"
-        );
-        self.recency
-            .iter()
-            .map(|&(_, p)| NodeId(p))
-            .filter(|p| *p != exclude)
-            .take(n)
-            .collect()
+        let age_of = |id: u32| self.index.get(&NodeId(id)).map(|e| e.age);
+        let mut frontier = BinaryHeap::with_capacity(n + 2);
+        if let Some(&root) = self.fresh.first() {
+            frontier.push(Reverse((root, 0)));
+        }
+        while let Some(Reverse((id, at))) = frontier.pop() {
+            if id != exclude.0 && out.last() != Some(&NodeId(id)) && age_of(id) == Some(0) {
+                out.push(NodeId(id));
+                if out.len() == n {
+                    return out;
+                }
+            }
+            for child in [2 * at + 1, 2 * at + 2] {
+                if let Some(&id) = self.fresh.get(child) {
+                    frontier.push(Reverse((id, child)));
+                }
+            }
+        }
+        for &(age, id) in &self.aged {
+            if id != exclude.0 && age_of(id) == Some(age) {
+                out.push(NodeId(id));
+                if out.len() == n {
+                    break;
+                }
+            }
+        }
+        out
     }
 
     /// Seed the index from a gossip view after a §5.2 takeover: the
@@ -657,7 +704,7 @@ impl DirectoryState {
                 self.summary_entries += 1;
             }
             self.index.insert(peer, e);
-            self.recency.insert((-self.ticks, peer.0));
+            heap_push(&mut self.fresh, peer.0);
         }
     }
 
@@ -671,7 +718,8 @@ impl DirectoryState {
         self.summary_entries = 0;
         self.total_indexed = 0;
         self.summary.clear();
-        self.recency.clear();
+        self.fresh.clear();
+        self.aged.clear();
         for (peer, age, objects) in entries {
             let mut e = DirEntry::fresh();
             e.age = age;
@@ -682,8 +730,13 @@ impl DirectoryState {
             }
             e.objects = objects.into_iter().collect();
             self.index.insert(peer, e);
-            self.recency.insert((age as i64 - self.ticks, peer.0));
+            if age == 0 {
+                heap_push(&mut self.fresh, peer.0);
+            } else {
+                self.aged.push((age, peer.0));
+            }
         }
+        self.aged.sort_unstable();
     }
 
     /// Export the index for a voluntary hand-off (§5.2), in
@@ -706,8 +759,10 @@ impl DirectoryState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn dir() -> DirectoryState {
         DirectoryState::new(WebsiteId(1), Locality(0), 0, 3, 5, 100)
@@ -1059,5 +1114,259 @@ mod tests {
         d.update_neighbor_summary(mk(O2));
         assert_eq!(d.neighbor_summaries().len(), 1);
         assert!(d.neighbor_summaries()[0].summary.might_contain(O2));
+    }
+
+    /// The order as it was kept before the `fresh` / `aged` split — an
+    /// ordered set of `(age − ticks, id)` stamps, re-keyed on every
+    /// write — over the ages alone: the oracle `view_seed` must equal.
+    struct OrderedSetReference {
+        ages: BTreeMap<u32, u32>,
+        capacity: usize,
+        t_dead: u32,
+        ticks: i64,
+        recency: BTreeSet<(i64, u32)>,
+    }
+
+    impl OrderedSetReference {
+        fn new(capacity: usize, t_dead: u32) -> Self {
+            OrderedSetReference {
+                ages: BTreeMap::new(),
+                capacity,
+                t_dead,
+                ticks: 0,
+                recency: BTreeSet::new(),
+            }
+        }
+
+        fn admit(&mut self, peer: u32) {
+            if !self.ages.contains_key(&peer) && self.ages.len() < self.capacity {
+                self.ages.insert(peer, 0);
+                self.recency.insert((-self.ticks, peer));
+            }
+        }
+
+        /// What `admit_or_refresh`, `apply_push` and `keepalive` do
+        /// to the order.
+        fn refresh(&mut self, peer: u32) {
+            match self.ages.get_mut(&peer) {
+                Some(age) => {
+                    self.recency.remove(&(*age as i64 - self.ticks, peer));
+                    self.recency.insert((-self.ticks, peer));
+                    *age = 0;
+                }
+                None => self.admit(peer),
+            }
+        }
+
+        fn remove(&mut self, peer: u32) {
+            if let Some(age) = self.ages.remove(&peer) {
+                self.recency.remove(&(age as i64 - self.ticks, peer));
+            }
+        }
+
+        fn tick(&mut self) {
+            self.ticks += 1;
+            for age in self.ages.values_mut() {
+                *age += 1;
+            }
+            let dead: Vec<u32> = self
+                .ages
+                .iter()
+                .filter(|(_, age)| **age >= self.t_dead)
+                .map(|(peer, _)| *peer)
+                .collect();
+            for peer in dead {
+                self.remove(peer);
+            }
+        }
+
+        fn install(&mut self, entries: &[(u32, u32)]) {
+            self.ages.clear();
+            self.recency.clear();
+            for &(peer, age) in entries {
+                self.ages.insert(peer, age);
+                self.recency.insert((age as i64 - self.ticks, peer));
+            }
+        }
+
+        fn view_seed(&self, n: usize, exclude: u32) -> Vec<NodeId> {
+            assert_eq!(self.recency.len(), self.ages.len());
+            self.recency
+                .iter()
+                .filter(|&&(_, p)| p != exclude)
+                .take(n)
+                .map(|&(_, p)| NodeId(p))
+                .collect()
+        }
+    }
+
+    const NON_MEMBER: u32 = 1_000;
+
+    /// `view_seed` equals the reference for `n` ∈ {0, 1, 8, more than
+    /// there are members}, excluding a non-member and the last member
+    /// a full answer names.
+    fn assert_seeds_like(d: &DirectoryState, r: &OrderedSetReference) {
+        assert_eq!(d.overlay_size(), r.ages.len());
+        for n in [0, 1, 8, r.capacity + 5] {
+            let full = r.view_seed(n, NON_MEMBER);
+            assert_eq!(d.view_seed(n, NodeId(NON_MEMBER)), full, "n = {n}");
+            if let Some(member) = full.last() {
+                assert_eq!(
+                    d.view_seed(n, *member),
+                    r.view_seed(n, member.0),
+                    "n = {n}, excluding {member:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn readmission_inside_one_tick_is_filed_twice_and_named_once() {
+        let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 5, 100);
+        for p in [1, 2, 3] {
+            d.admit_or_refresh(NodeId(p), O1);
+        }
+        assert!(d.remove_entry(NodeId(2)));
+        d.keepalive(NodeId(2));
+        assert_eq!(d.fresh.iter().filter(|&&p| p == 2).count(), 2);
+        assert_eq!(
+            d.view_seed(8, NodeId(99)),
+            vec![NodeId(1), NodeId(2), NodeId(3)]
+        );
+        assert_eq!(d.view_seed(2, NodeId(1)), vec![NodeId(2), NodeId(3)]);
+    }
+
+    #[test]
+    fn the_read_right_after_a_tick_comes_from_the_sorted_survivors() {
+        let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 5, 100);
+        d.admit_or_refresh(NodeId(7), O1);
+        d.tick();
+        d.apply_push(NodeId(3), &[O1], &[]);
+        d.keepalive(NodeId(9));
+        d.tick();
+        assert!(d.fresh.is_empty(), "no member is at age 0 after a tick");
+        assert_eq!(d.aged, vec![(1, 3), (1, 9), (2, 7)]);
+        assert_eq!(
+            d.view_seed(8, NodeId(99)),
+            vec![NodeId(3), NodeId(9), NodeId(7)]
+        );
+        // A refresh moves to the front and leaves its `aged` entry
+        // behind, invalid; a removal leaves one too.
+        d.keepalive(NodeId(7));
+        d.remove_entry(NodeId(3));
+        assert_eq!(d.view_seed(8, NodeId(99)), vec![NodeId(7), NodeId(9)]);
+    }
+
+    #[test]
+    fn a_full_overlay_files_nobody_new() {
+        let mut d = dir(); // Sco = 3
+        for p in [5, 6, 7] {
+            d.keepalive(NodeId(p));
+        }
+        assert!(!d.admit_or_refresh(NodeId(1), O1));
+        d.keepalive(NodeId(2));
+        d.apply_push(NodeId(3), &[O1], &[]);
+        d.seed_from_view([(NodeId(4), None)]);
+        assert_eq!(d.fresh.len(), 3);
+        assert_eq!(
+            d.view_seed(8, NodeId(99)),
+            vec![NodeId(5), NodeId(6), NodeId(7)]
+        );
+    }
+
+    #[test]
+    fn a_snapshot_mixing_fresh_and_aged_members_keeps_the_order() {
+        let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 5, 100);
+        d.admit_or_refresh(NodeId(50), O1); // replaced wholesale
+        d.install_snapshot(vec![
+            (NodeId(9), 2, vec![O1]),
+            (NodeId(4), 0, vec![]),
+            (NodeId(8), 1, vec![O2]),
+            (NodeId(2), 0, vec![O1]),
+            (NodeId(3), 2, vec![]),
+        ]);
+        let order = [2, 4, 8, 3, 9].map(NodeId);
+        assert_eq!(d.view_seed(8, NodeId(99)), order);
+        assert_eq!(d.view_seed(2, NodeId(2)), order[1..3]);
+        // The round trip through `snapshot` changes nothing.
+        let mut d2 = dir();
+        d2.install_snapshot(d.snapshot());
+        assert_eq!(d2.view_seed(8, NodeId(99)), order);
+    }
+
+    #[test]
+    fn members_evicted_at_tdead_leave_the_order() {
+        let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 2, 100);
+        d.keepalive(NodeId(1));
+        d.tick();
+        d.keepalive(NodeId(2));
+        assert_eq!(d.tick(), vec![NodeId(1)]);
+        assert_eq!(d.aged, vec![(1, 2)]);
+        assert_eq!(d.view_seed(8, NodeId(99)), vec![NodeId(2)]);
+    }
+
+    proptest! {
+        /// Any sequence of writes leaves `view_seed` equal to the
+        /// ordered-set reference after every step.
+        #[test]
+        fn view_seed_equals_the_ordered_set_reference(
+            capacity in 1usize..20,
+            t_dead in 1u32..6,
+            ops in proptest::collection::vec((0u8..10, 0u32..24), 1..200),
+        ) {
+            let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, capacity, t_dead, 100);
+            let mut r = OrderedSetReference::new(capacity, t_dead);
+            for (op, peer) in ops {
+                match op {
+                    0 => {
+                        d.admit_or_refresh(NodeId(peer), O1);
+                        r.refresh(peer);
+                    }
+                    1 => {
+                        d.apply_push(NodeId(peer), &[O2], &[O1]);
+                        r.refresh(peer);
+                    }
+                    2..=4 => {
+                        d.keepalive(NodeId(peer));
+                        r.refresh(peer);
+                    }
+                    5 => {
+                        d.remove_entry(NodeId(peer));
+                        r.remove(peer);
+                    }
+                    6 => {
+                        d.tick();
+                        r.tick();
+                        prop_assert!(d.fresh.is_empty());
+                        prop_assert_eq!(d.aged.len(), d.overlay_size());
+                    }
+                    7 => {
+                        let s = ContentSummary::empty(100);
+                        d.seed_from_view([(NodeId(peer), None), (NodeId(peer + 1), Some(&s))]);
+                        r.admit(peer);
+                        r.admit(peer + 1);
+                    }
+                    8 => {
+                        // Ages 0 ..= Tdead, the last evicted by the
+                        // next tick.
+                        let entries: Vec<(u32, u32)> = (0..capacity as u32 / 2)
+                            .map(|i| (peer + 2 * i, (peer + i) % (t_dead + 1)))
+                            .collect();
+                        d.install_snapshot(
+                            entries.iter().map(|&(p, age)| (NodeId(p), age, vec![O1])).collect(),
+                        );
+                        r.install(&entries);
+                    }
+                    _ => {
+                        let snap = d.snapshot();
+                        let entries: Vec<(u32, u32)> =
+                            snap.iter().map(|(p, age, _)| (p.0, *age)).collect();
+                        d.install_snapshot(snap);
+                        r.install(&entries);
+                    }
+                }
+                assert_seeds_like(&d, &r);
+            }
+        }
     }
 }

@@ -351,6 +351,22 @@ fn series_table(
     t
 }
 
+/// The mean of the first and of the last three non-empty windows of
+/// a series, among the windows [`series_table`] prints — those that
+/// start before `horizon`. The window opened at the horizon itself
+/// holds only the stragglers drained there and is no part of "late".
+fn early_and_late_means(points: &[SeriesPoint], horizon: SimTime) -> (f64, f64) {
+    let means: Vec<f64> = points
+        .iter()
+        .filter(|p| p.at < horizon && p.count > 0)
+        .map(|p| p.mean())
+        .collect();
+    let over = 3.0_f64.min(means.len() as f64);
+    let early = means.iter().take(3).sum::<f64>() / over;
+    let late = means.iter().rev().take(3).sum::<f64>() / over;
+    (early, late)
+}
+
 /// **Figure 5** — hit ratio and background traffic vs time.
 pub fn fig5(opts: RunOpts) -> ExpOutput {
     let mut out = ExpOutput::default();
@@ -395,13 +411,7 @@ pub fn fig5(opts: RunOpts) -> ExpOutput {
     ));
 
     // Shape: hit ratio rises; late-run traffic per peer is flat-ish.
-    let nonzero: Vec<f64> = hit
-        .iter()
-        .filter(|p| p.count > 0)
-        .map(|p| p.mean())
-        .collect();
-    let early = nonzero.iter().take(3).sum::<f64>() / 3.0_f64.min(nonzero.len() as f64);
-    let late = nonzero.iter().rev().take(3).sum::<f64>() / 3.0_f64.min(nonzero.len() as f64);
+    let (early, late) = early_and_late_means(&hit, sys.duration());
     out.push_check(
         format!("hit ratio rises over time ({early:.3} → {late:.3})"),
         late > early,
@@ -1736,6 +1746,32 @@ mod tests {
             "hour,hit ratio\n0.00,0.500\n0.50,1.000\n1.00,0.000\n",
             "a window that starts inside the trace is a row"
         );
+    }
+
+    /// Figure 5's "rises over time" check reads the windows its table
+    /// prints: four windows of a steadily rising ratio, then the
+    /// boundary window with two drained misses in it.
+    #[test]
+    fn fig5_late_mean_stops_at_the_horizon() {
+        let horizon = SimTime::from_hours(2);
+        let mut hits = simnet::TimeSeries::new(SimDuration::from_mins(30));
+        for (window, ratio) in [0.5, 0.6, 0.7, 0.8].into_iter().enumerate() {
+            for i in 0..10 {
+                let at = SimTime::from_ms((window as u64 * 30 + 1 + i) * 60_000);
+                hits.record(at, if (i as f64) < ratio * 10.0 { 1.0 } else { 0.0 });
+            }
+        }
+        let (early, late) = early_and_late_means(&hits.points(), horizon);
+        assert!((early - 0.6).abs() < 1e-9 && (late - 0.7).abs() < 1e-9);
+        hits.record(horizon, 0.0);
+        hits.record(horizon, 0.0);
+        let points = hits.points();
+        assert_eq!(points.last().map(|p| (p.at, p.count)), Some((horizon, 2)));
+        assert_eq!(early_and_late_means(&points, horizon), (early, late));
+        // Read past the horizon, "late" is (0.7 + 0.8 + 0) / 3 and
+        // the verdict flips.
+        let (_, with_boundary) = early_and_late_means(&points, horizon + SimDuration::from_ms(1));
+        assert!(with_boundary < early);
     }
 
     #[test]
