@@ -37,16 +37,6 @@ impl BitVec {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Set bit `i` to zero.
-    pub fn unset(&mut self, i: usize) {
-        assert!(
-            i < self.len_bits,
-            "bit index {i} out of range {}",
-            self.len_bits
-        );
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
     /// Read bit `i`.
     pub fn get(&self, i: usize) -> bool {
         assert!(

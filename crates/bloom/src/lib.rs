@@ -15,9 +15,10 @@
 //! * [`BloomFilter`] — insert / query / union with double hashing;
 //! * [`ContentSummary`] — the paper-facing wrapper sized per Table 1,
 //!   reporting its wire size for the bandwidth model;
-//! * [`MaintainedSummary`] — the counting-Bloom-backed *maintained*
-//!   form: O(k) insert/remove, O(words) snapshots bit-identical to a
-//!   from-scratch [`ContentSummary`] (the hot-path replacement for
+//! * [`MaintainedSummary`] — the *maintained* form: live objects
+//!   counted beside their bits, one binary search per insert/remove,
+//!   O(words) snapshots bit-identical to a from-scratch
+//!   [`ContentSummary`] (the hot-path replacement for
 //!   rebuild-per-gossip).
 
 #![forbid(unsafe_code)]

@@ -36,8 +36,8 @@ impl std::fmt::Display for ObjectId {
 /// immutable value that gets cloned into every gossip subset entry,
 /// every view slot and every directory broadcast — at 100k nodes
 /// those clones (one heap copy of the bit array each) dominated the
-/// gossip profile. Cloning is now a reference bump; the rare mutation
-/// of a shared summary copies on write.
+/// gossip profile. Cloning is now a reference-count increment; the
+/// rare mutation of a shared summary copies on write.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ContentSummary {
     filter: std::sync::Arc<BloomFilter>,

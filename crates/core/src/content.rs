@@ -47,8 +47,12 @@ pub struct ContentPeerState {
     petal_live: u32,
     /// The peer's own content summary, *maintained* on every cache
     /// admit/evict/invalidate instead of rebuilt per gossip exchange
-    /// (the PR 3 profile's `from_objects` hot path). Snapshots are
-    /// bit-identical to a from-scratch build over `content`.
+    /// (the PR 3 profile's `from_objects` hot path): it keeps its own
+    /// sorted copy of `content` beside the bits, so an admit is one
+    /// binary search and `k` bit sets, and an evict or invalidate
+    /// costs the next snapshot one re-derivation of the bits.
+    /// Snapshots are bit-identical to a from-scratch build over
+    /// `content`.
     summary: MaintainedSummary,
 }
 

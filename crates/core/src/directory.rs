@@ -174,11 +174,13 @@ pub struct DirectoryState {
     /// The directory summary, *maintained* on every index mutation
     /// (one counted occurrence per `(member, object)` listing) instead
     /// of rebuilt by scanning the whole index per §4.2.1 refresh —
-    /// the other `from_objects` hot path of the PR 3 profile.
+    /// the other `from_objects` hot path of the PR 3 profile. It
+    /// counts listings per object, mirroring `holders_of`, so removing
+    /// an object's last holder marks its bits stale and the next
+    /// refresh's snapshot re-derives them from the listed objects.
     /// §5.2-seeded gossip summaries never enter it, exactly as the old
-    /// from-scratch scan only visited exact object lists, so there is
-    /// no unknown-counter state to rebuild around: every mutation the
-    /// index can undergo is mirrored here exactly.
+    /// from-scratch scan only visited exact object lists: every
+    /// mutation the index can undergo is mirrored here exactly.
     summary: MaintainedSummary,
     /// Per-instance load counters (§5.3 PetalUp).
     load: DirLoad,

@@ -903,12 +903,24 @@ pub fn cache_pressure(opts: RunOpts) -> ExpOutput {
         hits.push(r.hit_ratio);
     }
     out.text = t.render();
+    cache_pressure_checks(&mut out, &hits);
+    out.text.push_str(&out.render_checks());
+    out.csv.push(("cache".into(), t.to_csv()));
+    out
+}
+
+/// [`cache_pressure`]'s verdicts on the hit ratios of its variants,
+/// in table order (`unbounded`, `lru-50`, `lru-10`, `lfu-10`). A scale
+/// at which no cache fills runs every variant identically, so the
+/// bounded ones must score strictly below the unbounded one for the
+/// sweep to have evicted — and measured — anything at all.
+fn cache_pressure_checks(out: &mut ExpOutput, hits: &[f64]) {
     out.push_check(
         format!(
-            "smaller caches lower the hit ratio ({:.3} vs {:.3})",
+            "bounded caches evict: lru-10 hits less than unbounded ({:.3} vs {:.3})",
             hits[2], hits[0]
         ),
-        hits[2] <= hits[0] + 0.01,
+        hits[2] < hits[0],
     );
     out.push_check(
         format!(
@@ -917,9 +929,6 @@ pub fn cache_pressure(opts: RunOpts) -> ExpOutput {
         ),
         hits[2] > 0.1,
     );
-    out.text.push_str(&out.render_checks());
-    out.csv.push(("cache".into(), t.to_csv()));
-    out
 }
 
 /// Parameters of the [`scale`] experiment sweep.
@@ -1772,6 +1781,20 @@ mod tests {
         // the verdict flips.
         let (_, with_boundary) = early_and_late_means(&points, horizon + SimDuration::from_ms(1));
         assert!(with_boundary < early);
+    }
+
+    /// The cache sweep's checks on hand-made hit ratios: the
+    /// `--scale 0.2` table, then a scale where no cache fills and
+    /// every variant reads the same.
+    #[test]
+    fn cache_pressure_fails_when_nothing_was_evicted() {
+        let verdicts = |hits: &[f64]| {
+            let mut out = ExpOutput::default();
+            cache_pressure_checks(&mut out, hits);
+            out.checks.iter().map(|c| c.1).collect::<Vec<_>>()
+        };
+        assert_eq!(verdicts(&[0.633, 0.633, 0.547, 0.545]), [true, true]);
+        assert_eq!(verdicts(&[0.417, 0.417, 0.417, 0.417]), [false, true]);
     }
 
     #[test]
