@@ -59,8 +59,9 @@
 //! memory: its payload, its node, the node's RNG stream, the role
 //! state behind the node — each the *first touch* of a line that was
 //! last used tens of thousands of events ago. Every one of those
-//! addresses is knowable ahead of time, because the calendar's current
-//! day is already sorted in pop order ([`EventQueue::upcoming`]). So right after every pop the shard loop
+//! addresses is knowable ahead of time, because the instant the queue
+//! is draining is already sorted in pop order
+//! ([`EventQueue::upcoming`]). So right after every pop the shard loop
 //! (`Shard::step`: pop, look ahead, dispatch — the one path an event
 //! takes to its node) calls `prefetch_ahead`, which walks the
 //! dependency chain *entry → payload slot → destination → node → role
@@ -90,14 +91,13 @@
 //! pipeline only ever passes it references to live data; `upcoming`
 //! borrows the queue immutably and changes nothing about filing,
 //! sorting or pop order. What it sees is a forecast: a same-instant
-//! send files an entry into the current day in front of entries
-//! already hinted, and everything behind it moves one place back.
-//! Then a stage may run twice for one event, or hint a node whose
+//! send files an entry into the instant being drained in front of
+//! entries already hinted, and everything behind it moves one place
+//! back. Then a stage may run twice for one event, or hint a node whose
 //! event is dropped because the node went down — a wasted hint, never
-//! a wrong one. At the end of a day the lookahead is simply empty
-//! (`None`) until the next bucket is sorted; looking across that
-//! boundary was tried and measured no better. There is accordingly no
-//! switch.
+//! a wrong one. At the end of an instant the lookahead is simply empty
+//! (`None`) until the next one is sorted; looking across that boundary
+//! was tried and measured no better. There is accordingly no switch.
 //!
 //! ## Randomness
 //!
@@ -737,7 +737,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
 
     /// Local index of the node the event `ahead` places behind the
     /// queue's head will be delivered to; `None` past the end of the
-    /// current day and for churn entries, which are broadcast and
+    /// instant being drained and for churn entries, which are broadcast and
     /// address a node this shard may not own.
     #[inline]
     fn upcoming_local(&self, ahead: usize, place: &Placement) -> Option<usize> {
@@ -1308,6 +1308,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// timers are swallowed). Broadcast to every shard so all liveness
     /// maps agree.
     pub fn schedule_down(&mut self, at: SimTime, node: NodeId) {
+        assert!(at >= self.now, "cannot schedule in the past");
         let key = self.ext_key(at);
         for s in &mut self.shards {
             s.queue.push(key, Pending::ChurnDown(node));
@@ -1317,6 +1318,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// Bring `node` back up at time `at`; it receives
     /// [`Event::NodeUp`].
     pub fn schedule_up(&mut self, at: SimTime, node: NodeId) {
+        assert!(at >= self.now, "cannot schedule in the past");
         let key = self.ext_key(at);
         for s in &mut self.shards {
             s.queue.push(key, Pending::ChurnUp(node));
@@ -1329,9 +1331,9 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// [`ChurnScript::install`](crate::churn::ChurnScript::install))
     /// and replicate the script onto every shard so the delivery path
     /// can consult it. Partitions and loss windows entirely in the
-    /// past are harmless; regional failures must still be ahead of
-    /// the clock (asserted by [`Engine::schedule_down`]'s key
-    /// invariant).
+    /// past are harmless; a regional failure or recovery behind the
+    /// clock panics, as [`Engine::schedule_down`] and
+    /// [`Engine::schedule_up`] do.
     pub fn set_fault_plane(&mut self, plane: crate::fault::FaultPlane) {
         for r in plane.regional_failures() {
             let nodes = self.topo.nodes_in(r.locality);
@@ -1869,6 +1871,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot schedule in the past")]
+    fn churn_script_installed_after_a_run_panics() {
+        let mut e = engine();
+        e.run_until(SimTime::from_secs(10));
+        crate::churn::ChurnScript::kill_at(&[(SimTime::from_secs(5), NodeId(0))]).install(&mut e);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule in the past")]
+    fn fault_plane_with_a_past_regional_failure_panics() {
+        use crate::fault::{FaultPlane, RegionalFailure};
+        let mut e = engine();
+        e.run_until(SimTime::from_secs(10));
+        let locality = e.topology().locality(NodeId(0));
+        e.set_fault_plane(FaultPlane::new().regional_failure(RegionalFailure {
+            at: SimTime::from_secs(5),
+            locality,
+            recover_start: SimTime::from_secs(20),
+            stagger: SimDuration::from_ms(100),
+        }));
+    }
+
+    #[test]
     fn deterministic_across_runs() {
         let run = || {
             let mut e = engine();
@@ -2326,12 +2351,12 @@ mod tests {
     }
 
     /// The lookahead pipeline reaches its last stage, only ever names
-    /// a node the event is really for, and changes nothing: hundreds
-    /// of events per millisecond keep the sorted day deep, same-instant
+    /// a node the event is really for, and changes nothing: a hundred
+    /// events per millisecond keep the sorted instant deep, same-instant
     /// self-sends land in front of entries already hinted, broadcast
     /// churn entries for nodes of *other* shards sit among them — and
     /// every node's log is the same whichever shard layout, and so
-    /// whichever sorted days, the pipeline looked ahead in.
+    /// whichever sorted instants, the pipeline looked ahead in.
     #[test]
     fn prefetch_hook_runs_for_owned_destinations_and_changes_nothing() {
         let drive = |shards: usize| {

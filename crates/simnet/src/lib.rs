@@ -34,14 +34,13 @@
 //! does not depend on how the simulation is partitioned or scheduled
 //! onto threads.
 //!
-//! The *storage* behind that order is a self-resizing **calendar
-//! queue** (Brown, CACM 1988 — `O(1)` hold operations at steady
-//! state). Same-instant ties break by the full `EventKey`, and bucket
-//! width, resize thresholds and every other calendar internal are
-//! pure functions of the push/pop sequence, so the storage can only
-//! change wall-clock speed, never results (pinned against a test-only
-//! binary-heap reference by the proptests in [`event`], and by the
-//! seed-42 stat pins in `tests/shard_parity.rs`).
+//! The *storage* behind that order is a hierarchical **timing wheel**
+//! at the clock's 1 ms resolution (Varghese & Lauck, SOSP 1987), with
+//! nothing tuned or resized. Same-instant ties break by the full
+//! `EventKey`, so the storage can only change wall-clock speed, never
+//! results (pinned against a test-only binary-heap reference by the
+//! proptests in [`event`], and by the seed-42 stat pins in
+//! `tests/shard_parity.rs`).
 //!
 //! Randomness follows the same discipline: there is no engine-global
 //! RNG. Node `n` draws from a private `StdRng` stream seeded with
