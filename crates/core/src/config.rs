@@ -11,15 +11,16 @@
 //!   `scale` and `chaos` size `Sco` with the population) — and, from
 //!   its prose, `t_dead`, `keepalive_period` (§5.1) and
 //!   `locality_bits` (§3.1).
-//! * **Swept by an experiment:** `max_dir_hops` and
-//!   `member_dir_fallback` (`ablation`), `cache_policy` and
-//!   `cache_capacity` (`cache`), `replication_period` (`replication`),
-//!   `instance_bits`, `petal_split_threshold` and `petal_merge_floor`
-//!   (`scale`, §5.3).
+//! * **Swept by an experiment:** `cache_policy` and `cache_capacity`
+//!   (`cache`), `instance_bits`, `petal_split_threshold` and
+//!   `petal_merge_floor` (`scale`, §5.3).
+//! * **Turned on by a test:** `replication_period`
+//!   (`tests/extensions.rs`).
 //! * **Set by the time scaling or a workload** (`experiments::runner`,
 //!   `chaos`, `benchmark/src/workloads.rs`): `stabilize_period`,
 //!   `fix_finger_period`, `dir_replacement_jitter`, `query_timeout`,
-//!   `query_retry_budget`.
+//!   `query_retry_budget`; `max_dir_hops` has one value in use and is
+//!   a field only because `benchmark/src/probes/directory.rs` reads it.
 //! * **Constants**, each beside its one reader in `node.rs`:
 //!   `SUMMARY_FETCH_RETRIES` = 2, `HOLDER_RETRIES` = 3,
 //!   `SUMMARY_REFRESH_THRESHOLD` = 0.1, `REPLICATION_TOP_K` = 10.
@@ -83,17 +84,8 @@ pub struct FlowerConfig {
     /// Directory-level redirections allowed per query (Algorithm 3's
     /// directory-summary step). The paper's design gives 1: the
     /// locality's own directory plus at most one summary redirect.
-    /// 0 disables directory summaries (ablation).
+    /// 0 disables directory summaries.
     pub max_dir_hops: u8,
-    /// Where a content peer's query goes when its own cache and its
-    /// view summaries fail. The paper's design sends it to the origin
-    /// server: "once a client has become a content peer, any
-    /// subsequent queries … directly use the content overlay instead
-    /// of the D-ring" (§3.4) — which is exactly why the hit ratio of
-    /// Table 2 depends on the gossip parameters. Setting this to true
-    /// escalates to the directory peer instead (a design variant the
-    /// ablation experiment measures).
-    pub member_dir_fallback: bool,
     /// Maximum jitter before a content peer attempts to replace a dead
     /// directory (reduces join collisions; §5.2).
     pub dir_replacement_jitter: SimDuration,
@@ -139,7 +131,6 @@ impl Default for FlowerConfig {
             stabilize_period: SimDuration::from_mins(1),
             fix_finger_period: SimDuration::from_secs(30),
             max_dir_hops: 1,
-            member_dir_fallback: false,
             dir_replacement_jitter: SimDuration::from_secs(60),
             query_timeout: None,
             query_retry_budget: 2,

@@ -515,15 +515,8 @@ impl FlowerNode {
             }
             // §3.4: members use the content overlay *instead of* the
             // D-ring; with no summary match the query leaves the P2P
-            // system (unless the dir-fallback variant is enabled).
-            let fallback_dir = cp
-                .directory()
-                .filter(|_| self.shared.cfg.member_dir_fallback);
+            // system.
             self.track_pending(ctx, query);
-            if let Some(dir) = fallback_dir {
-                ctx.send(dir, FlowerMsg::ClientQuery { query });
-                return;
-            }
             ctx.send(self.shared.server_of(ws), FlowerMsg::ServerQuery { query });
             return;
         }
@@ -1736,21 +1729,7 @@ impl FlowerNode {
             }
         }
         // Overlay exhausted: §3.4 sends the query to the origin
-        // server (or, in the fallback variant, the directory peer).
-        if self.shared.cfg.member_dir_fallback {
-            let dir = cp.directory();
-            match dir {
-                Some(dir) if dir == ctx.id() => {
-                    self.dir_process_query(ctx, query);
-                    return;
-                }
-                Some(dir) => {
-                    ctx.send(dir, FlowerMsg::ClientQuery { query });
-                    return;
-                }
-                None => {}
-            }
-        }
+        // server.
         ctx.send(
             self.shared.server_of(query.website),
             FlowerMsg::ServerQuery { query },

@@ -9,12 +9,14 @@
 //! experiments:
 //!   table2a | table2b | table2c | push-threshold
 //!   fig5 | fig6 | fig7 | fig8
-//!   churn | ablation | replication | cache | chaos | all
+//!   churn | cache | chaos | all
 //!   scale [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>]
 //! ```
 //!
 //! `--scale 0.1` simulates 2.4 h instead of 24 h (protocol periods
 //! scale along); `--scale full` is the paper's exact setup.
+//! The §6 commands (`table2a` to `fig8`) end with their claims table
+//! (`experiments::claims`; `<cmd>_claims.csv` under `--csv-dir`).
 //! `--shards N` runs the simulation engine on N locality shards
 //! (worker threads); results are bit-identical for every N.
 //! `--instance-bits b` enables the §5.3 PetalUp scale-up: up to `2^b`
@@ -71,8 +73,6 @@ const COMMANDS: &[&str] = &[
     "fig7",
     "fig8",
     "churn",
-    "ablation",
-    "replication",
     "cache",
     "chaos",
     "scale",
@@ -379,7 +379,7 @@ fn main() {
             outputs.push(("fig7".into(), exps::fig7(&fsys, &ssys)));
             outputs.push(("fig8".into(), exps::fig8(&fsys, &ssys)));
             drop((fsys, ssys));
-            for name in ["churn", "ablation", "replication", "cache"] {
+            for name in ["churn", "cache"] {
                 outputs.push((name.to_string(), run_one(name, &args)));
             }
         }
@@ -404,10 +404,7 @@ fn main() {
 fn run_one(name: &str, args: &Args) -> ExpOutput {
     let opts = args.opts;
     match name {
-        "table2a" => exps::table2a(opts),
-        "table2b" => exps::table2b(opts),
-        "table2c" => exps::table2c(opts),
-        "push-threshold" => exps::push_threshold(opts),
+        "table2a" | "table2b" | "table2c" | "push-threshold" => exps::sweep(name, opts),
         "fig5" => exps::fig5(opts),
         "fig6" | "fig7" | "fig8" => {
             let (fsys, ssys) = exps::comparison_pair(opts);
@@ -419,8 +416,6 @@ fn run_one(name: &str, args: &Args) -> ExpOutput {
         }
         "churn" => exps::churn(opts),
         "chaos" => exps::chaos(opts),
-        "ablation" => exps::ablation(opts),
-        "replication" => exps::replication(opts),
         "cache" => exps::cache_pressure(opts),
         "scale" => exps::scale(&args.scale_params()),
         other => unreachable!("parse_args admits only COMMANDS, got {other:?}"),
@@ -470,6 +465,8 @@ mod tests {
             "metrics-check",
             "scale --metrics x",
             "scale --pin",
+            "ablation",
+            "replication",
         ] {
             let err = parse(line)
                 .err()
@@ -568,10 +565,7 @@ mod tests {
             "chaos --scale 0.5",
         ] {
             let err = parse(line).err().unwrap();
-            assert!(
-                err.ends_with("churn, ablation, replication, cache, all"),
-                "{err}"
-            );
+            assert!(err.ends_with("churn, cache, all"), "{err}");
             assert!(
                 !err.contains("chaos, ") && !err.contains("scale, "),
                 "{err}"
@@ -602,6 +596,19 @@ mod tests {
     fn every_command_in_the_usage_line_parses() {
         for cmd in COMMANDS {
             assert_eq!(parse(cmd).unwrap().cmd, *cmd);
+        }
+    }
+
+    /// Every §6 command (the first eight) checks at least one claim
+    /// row, and every row names a command that runs it.
+    #[test]
+    fn claim_rows_and_section_6_commands_match() {
+        use experiments::claims::CLAIMS;
+        for cmd in &COMMANDS[..8] {
+            assert!(CLAIMS.iter().any(|c| c.figure == *cmd), "{cmd}");
+        }
+        for c in CLAIMS {
+            assert!(COMMANDS.contains(&c.figure), "{}", c.figure);
         }
     }
 }

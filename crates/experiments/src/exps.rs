@@ -1,24 +1,23 @@
-//! One function per table/figure of the paper's evaluation.
+//! One function per table/figure of the paper's evaluation, and per
+//! extension experiment.
 //!
 //! Every experiment returns an [`ExpOutput`]: rendered text (the
-//! table/series the paper reports, paper values side by side), CSV
-//! artefacts, and a list of qualitative checks — the *shape*
-//! assertions a reproduction must satisfy (who wins, rough factors,
-//! trends). Absolute constants are not asserted: the substrate is a
-//! simulator, not the authors' testbed.
+//! tables and series it measured), CSV artefacts, and a list of
+//! checks. The §6 commands take theirs from [`crate::claims`]: each
+//! prints its tables, then its claims against the paper's numbers.
 
 use flower_core::{FlowerSystem, SystemConfig, SystemReport};
 use metrics::Counter;
 use simnet::{
-    ChurnConfig, ChurnScript, FaultPlane, LinkLoss, Locality, NodeId, Partition, RegionalFailure,
-    SeriesPoint, SimDuration, SimTime,
+    ChurnConfig, ChurnScript, FaultPlane, Histogram, LinkLoss, Locality, NodeId, Partition,
+    QueryStats, RegionalFailure, SeriesPoint, SimDuration, SimTime, TimeSeries,
 };
 use squirrel::SquirrelSystem;
 use workload::Surge;
 
-use crate::paper;
+use crate::claims::{judge, Run, SWEEPS};
 use crate::report::{f1, f3, pct, BenchRecord, MetricsRecord, Table};
-use crate::runner::{self, RunOpts, RunScale};
+use crate::runner::{self, RunOpts};
 
 /// Rendered output of one experiment.
 #[derive(Debug, Default)]
@@ -37,7 +36,7 @@ pub struct ExpOutput {
 }
 
 impl ExpOutput {
-    fn push_check(&mut self, what: impl Into<String>, ok: bool) {
+    pub(crate) fn push_check(&mut self, what: impl Into<String>, ok: bool) {
         self.checks.push((what.into(), ok));
     }
 
@@ -163,170 +162,34 @@ fn deployment_fits(cfg: &SystemConfig) -> Result<(), String> {
     Ok(())
 }
 
-fn gossip_sweep(
-    title: &str,
-    opts: RunOpts,
-    paper_rows: &[paper::Table2Row],
-    mutate: impl Fn(&mut SystemConfig, usize),
-) -> (ExpOutput, Vec<f64>, Vec<f64>) {
+/// Run the §6.2 sweep `cmd` ([`SWEEPS`]): one Flower-CDN run per
+/// swept value, its table beside the paper's values, then its claims.
+pub fn sweep(cmd: &str, opts: RunOpts) -> ExpOutput {
+    let sweep = SWEEPS.iter().find(|s| s.cmd == cmd).expect("a sweep");
     let mut out = ExpOutput::default();
-    let mut table = Table::new(
-        title,
-        &[
-            "param",
-            "hit ratio (paper)",
-            "hit ratio (ours)",
-            "bw bps (paper)",
-            "bw bps (ours)",
-        ],
-    );
-    let mut hits = Vec::new();
-    let mut bws = Vec::new();
-    for (i, row) in paper_rows.iter().enumerate() {
+    let mut table = Table::new(sweep.title, sweep.columns);
+    let (mut horizon, mut runs) = (SimTime::ZERO, Vec::new());
+    for step in &sweep.steps {
         let mut cfg = runner::flower_config(opts);
-        mutate(&mut cfg, i);
-        let (_, r) = runner::run_flower(&cfg);
+        (step.set)(&mut cfg.flower, opts.scale);
+        let (sys, r) = FlowerSystem::run(&cfg);
         // Scaled runs compress 24 h of gossip into less simulated
         // time; multiplying by the scale factor restores paper-time
         // bps for comparison.
         let bps = r.background_bps * opts.scale.factor();
-        table.row(vec![
-            row.param.to_string(),
-            f3(row.hit_ratio),
-            f3(r.hit_ratio),
-            f1(row.background_bps),
-            f1(bps),
-        ]);
-        hits.push(r.hit_ratio);
-        bws.push(bps);
+        let run = Run::of(sys.engine().query_stats(), sys.duration(), bps);
+        let mut row = vec![step.label.to_string()];
+        match step.paper {
+            Some((hit, bps)) => row.extend([f3(hit), f3(run.hit), f1(bps), f1(run.bps)]),
+            None => row.extend([f3(run.hit), f1(run.bps)]),
+        }
+        table.row(row);
+        horizon = sys.duration();
+        runs.push(run);
     }
     out.text = table.render();
-    out.csv.push(("table".into(), table.to_csv()));
-    (out, hits, bws)
-}
-
-/// **Table 2(a)** — varying `Lgossip` ∈ {5, 10, 20}.
-pub fn table2a(opts: RunOpts) -> ExpOutput {
-    let l_values = [5usize, 10, 20];
-    let (mut out, hits, bws) = gossip_sweep(
-        "Table 2(a) — effect of gossip length Lgossip (Tgossip=30min, Vgossip=50)",
-        opts,
-        &paper::TABLE_2A,
-        |cfg, i| cfg.flower.l_gossip = l_values[i],
-    );
-    // Paper: bandwidth is linear in Lgossip (×4 from 5 to 20); hit
-    // ratio rises only mildly.
-    let ratio = bws[2] / bws[0].max(1e-9);
-    out.push_check(
-        format!("bw(L=20)/bw(L=5) ≈ 4 (got {ratio:.2})"),
-        (2.5..6.0).contains(&ratio),
-    );
-    out.push_check(
-        format!("hit ratio non-decreasing in Lgossip (got {hits:?})"),
-        hits[0] <= hits[1] + 0.02 && hits[1] <= hits[2] + 0.02,
-    );
-    out.text.push_str(&out.render_checks());
-    out
-}
-
-/// **Table 2(b)** — varying `Tgossip` ∈ {1 min, 30 min, 1 h}.
-pub fn table2b(opts: RunOpts) -> ExpOutput {
-    let periods = [
-        SimDuration::from_mins(1),
-        SimDuration::from_mins(30),
-        SimDuration::from_hours(1),
-    ];
-    let (mut out, hits, bws) = gossip_sweep(
-        "Table 2(b) — effect of gossip period Tgossip (Lgossip=10, Vgossip=50)",
-        opts,
-        &paper::TABLE_2B,
-        |cfg, i| {
-            // The sweep overrides the (already scaled) gossip period
-            // with the scaled sweep value.
-            let scaled = match opts.scale {
-                RunScale::Full => periods[i],
-                RunScale::Scaled(f) => {
-                    SimDuration::from_ms(((periods[i].as_ms() as f64 * f) as u64).max(1))
-                }
-            };
-            cfg.flower.t_gossip = scaled;
-        },
-    );
-    // Paper: bandwidth ∝ 1/Tgossip (60× from 1 h to 1 min); hit ratio
-    // degrades as gossip slows.
-    let ratio = bws[0] / bws[2].max(1e-9);
-    // The frequency ratio alone is exactly 60×; measured bytes can
-    // overshoot because faster gossip also fills views with summaries
-    // sooner (bigger messages), a second-order effect the paper's
-    // fixed-size model does not capture.
-    out.push_check(
-        format!("bw(T=1min)/bw(T=1h) ≫ 1, order of the paper's ×60 (got ×{ratio:.1})"),
-        (20.0..260.0).contains(&ratio),
-    );
-    out.push_check(
-        format!("hit ratio non-increasing in Tgossip (got {hits:?})"),
-        hits[0] + 0.02 >= hits[1] && hits[1] + 0.02 >= hits[2],
-    );
-    out.text.push_str(&out.render_checks());
-    out
-}
-
-/// **Table 2(c)** — varying `Vgossip` ∈ {20, 50, 70}.
-pub fn table2c(opts: RunOpts) -> ExpOutput {
-    let v_values = [20usize, 50, 70];
-    let (mut out, hits, bws) = gossip_sweep(
-        "Table 2(c) — effect of view size Vgossip (Lgossip=10, Tgossip=30min)",
-        opts,
-        &paper::TABLE_2C,
-        |cfg, i| cfg.flower.v_gossip = v_values[i],
-    );
-    // Paper: bandwidth flat in Vgossip; hit ratio slightly better with
-    // larger views.
-    let spread = (bws[2] - bws[0]).abs() / bws[1].max(1e-9);
-    // Nearly flat: view size does not change the *amount* of data per
-    // exchange (paper), though smaller views refresh their entries
-    // more often and thus carry slightly more summaries per message.
-    out.push_check(
-        format!("bw roughly flat across Vgossip (relative spread {spread:.2})"),
-        spread < 0.45,
-    );
-    out.push_check(
-        format!("hit ratio(V=70) ≥ hit ratio(V=20) − ε (got {hits:?})"),
-        hits[2] + 0.02 >= hits[0],
-    );
-    out.text.push_str(&out.render_checks());
-    out
-}
-
-/// **§6.2 (text)** — push threshold ∈ {0.1, 0.5, 0.7}: performance is
-/// insensitive.
-pub fn push_threshold(opts: RunOpts) -> ExpOutput {
-    let mut out = ExpOutput::default();
-    let mut table = Table::new(
-        "Push-threshold sweep (paper §6.2: all values perform alike)",
-        &["threshold", "hit ratio", "bw bps"],
-    );
-    let mut hits = Vec::new();
-    for th in paper::PUSH_THRESHOLDS {
-        let mut cfg = runner::flower_config(opts);
-        cfg.flower.push_threshold = th;
-        let (_, r) = runner::run_flower(&cfg);
-        table.row(vec![
-            format!("{th}"),
-            f3(r.hit_ratio),
-            f1(r.background_bps * opts.scale.factor()),
-        ]);
-        hits.push(r.hit_ratio);
-    }
-    let spread = hits.iter().cloned().fold(f64::MIN, f64::max)
-        - hits.iter().cloned().fold(f64::MAX, f64::min);
-    out.push_check(
-        format!("hit ratio insensitive to push threshold (spread {spread:.3})"),
-        spread < 0.05,
-    );
-    out.text = table.render();
-    out.text.push_str(&out.render_checks());
-    out.csv.push(("push_threshold".into(), table.to_csv()));
+    out.csv.push((sweep.csv.into(), table.to_csv()));
+    judge(&mut out, cmd, horizon, &runs);
     out
 }
 
@@ -355,7 +218,7 @@ fn series_table(
 /// a series, among the windows [`series_table`] prints — those that
 /// start before `horizon`. The window opened at the horizon itself
 /// holds only the stragglers drained there and is no part of "late".
-fn early_and_late_means(points: &[SeriesPoint], horizon: SimTime) -> (f64, f64) {
+pub(crate) fn early_and_late_means(points: &[SeriesPoint], horizon: SimTime) -> (f64, f64) {
     let means: Vec<f64> = points
         .iter()
         .filter(|p| p.at < horizon && p.count > 0)
@@ -371,7 +234,7 @@ fn early_and_late_means(points: &[SeriesPoint], horizon: SimTime) -> (f64, f64) 
 pub fn fig5(opts: RunOpts) -> ExpOutput {
     let mut out = ExpOutput::default();
     let cfg = runner::flower_config(opts);
-    let (sys, report) = runner::run_flower(&cfg);
+    let (sys, report) = FlowerSystem::run(&cfg);
     let window = cfg.window;
     let win_secs = window.as_ms() as f64 / 1000.0;
     let dirs = cfg.catalog.num_websites * cfg.topology.localities;
@@ -402,36 +265,27 @@ pub fn fig5(opts: RunOpts) -> ExpOutput {
         rows,
     );
     out.text = t.render();
-    let norm_bps = report.background_bps * opts.scale.factor();
-    out.text.push_str(&format!(
-        "paper: traffic stabilizes ≈{} bps; final measured: hit {:.3}, bw {:.1} bps (paper-time)\n",
-        paper::FIG5_STABLE_BPS,
-        report.hit_ratio,
-        norm_bps
-    ));
-
-    // Shape: hit ratio rises; late-run traffic per peer is flat-ish.
-    let (early, late) = early_and_late_means(&hit, sys.duration());
-    out.push_check(
-        format!("hit ratio rises over time ({early:.3} → {late:.3})"),
-        late > early,
-    );
-    out.push_check(
-        format!("background traffic positive and bounded (final {norm_bps:.1} bps paper-time)"),
-        norm_bps > 0.1 && norm_bps < 10_000.0,
-    );
-    out.text.push_str(&out.render_checks());
     out.csv.push(("fig5".into(), t.to_csv()));
+    let bps = report.background_bps * opts.scale.factor();
+    let run = Run::of(sys.engine().query_stats(), sys.duration(), bps);
+    judge(&mut out, "fig5", sys.duration(), &[run]);
     out
 }
 
 /// Run the shared Flower/Squirrel pair for Figures 6–8.
 pub fn comparison_pair(opts: RunOpts) -> (FlowerSystem, SquirrelSystem) {
-    let fcfg = runner::flower_config(opts);
-    let scfg = runner::squirrel_config(opts);
-    let (fsys, _) = runner::run_flower(&fcfg);
-    let (ssys, _) = runner::run_squirrel(&scfg);
+    let (fsys, _) = FlowerSystem::run(&runner::flower_config(opts));
+    let (ssys, _) = SquirrelSystem::run(&runner::squirrel_config(opts));
     (fsys, ssys)
+}
+
+/// Figures 6–8's runs: Flower-CDN's, then Squirrel's.
+fn pair_runs(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> [Run; 2] {
+    let run = |q| Run::of(q, fsys.duration(), 0.0);
+    [
+        run(fsys.engine().query_stats()),
+        run(ssys.engine().query_stats()),
+    ]
 }
 
 /// **Figure 6** — hit ratio over time, Flower-CDN vs Squirrel.
@@ -458,188 +312,68 @@ pub fn fig6(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
         rows,
     );
     out.text = t.render();
-    let gap = s.hit_ratio() - f.hit_ratio();
-    out.text.push_str(&format!(
-        "final hit ratio: flower {:.3}, squirrel {:.3} (gap {:.3}; paper gap ≈ {:.2})\n",
-        f.hit_ratio(),
-        s.hit_ratio(),
-        gap,
-        paper::FIG6_HIT_GAP,
-    ));
-    // Paper: Squirrel converges a bit higher/faster; both high.
-    out.push_check(
-        format!("squirrel hit ≥ flower hit − ε (gap {gap:.3})"),
-        gap > -0.03,
-    );
-    // The paper's ≈0.13 gap is a 24-hour number; short scaled runs are
-    // warm-up dominated (Flower's gossip-built overlays converge more
-    // slowly than Squirrel's directly-populated home directories), so
-    // they get a looser bound — the same duration split fig7 uses for
-    // its absolute thresholds.
-    let gap_bound = if fsys.duration() >= simnet::SimTime::from_hours(20) {
-        0.30
-    } else {
-        0.45
-    };
-    out.push_check(
-        format!("gap bounded (paper ≈ 0.13; got {gap:.3}, bound {gap_bound})"),
-        gap < gap_bound,
-    );
-    out.push_check(
-        format!("flower hit ratio high at horizon ({:.3})", f.hit_ratio()),
-        f.hit_ratio() > 0.5,
-    );
-    out.text.push_str(&out.render_checks());
     out.csv.push(("fig6".into(), t.to_csv()));
+    judge(&mut out, "fig6", fsys.duration(), &pair_runs(fsys, ssys));
     out
 }
 
 /// **Figure 7** — lookup latency: variation over time (a) and
 /// distribution (b), Flower-CDN vs Squirrel.
 pub fn fig7(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
-    let mut out = ExpOutput::default();
-    let f = fsys.engine().query_stats();
-    let s = ssys.engine().query_stats();
-
-    // (a) variation with time.
-    let fl = f.lookup_series().points();
-    let ta = series_table(
-        "Figure 7(a) — Flower-CDN average lookup latency vs time (ms)",
-        &["lookup ms"],
-        fsys.duration(),
-        fl.iter().map(|p| (p.at, vec![f1(p.mean())])),
-    );
-
-    // (b) distribution in 150 ms buckets.
-    let mut tb = Table::new(
-        "Figure 7(b) — lookup latency distribution",
-        &["bucket (ms)", "flower", "squirrel"],
-    );
-    let fd = f.lookup_hist().distribution();
-    let sd = s.lookup_hist().distribution();
-    for (i, (start, ff)) in fd.iter().enumerate() {
-        let label = if i + 1 == fd.len() {
-            format!(">{start}")
-        } else {
-            format!("{}-{}", start, start + 150)
-        };
-        tb.row(vec![label, pct(*ff), pct(sd[i].1)]);
-    }
-
-    out.text = format!("{}\n{}", ta.render(), tb.render());
-    let f_le = f.lookup_hist().fraction_le(150);
-    let s_gt = s.lookup_hist().fraction_gt(1050);
-    let speedup = s.mean_lookup_ms() / f.mean_lookup_ms().max(1e-9);
-    out.text.push_str(&format!(
-        "flower ≤150ms: {} (paper {}), squirrel >1050ms: {} (paper {}), mean speedup ×{:.1} (paper ≈×{})\n",
-        pct(f_le),
-        pct(paper::FIG7_FLOWER_LE_150MS),
-        pct(s_gt),
-        pct(paper::FIG7_SQUIRREL_GT_1050MS),
-        speedup,
-        paper::LOOKUP_SPEEDUP,
-    ));
-    // The 87%-style absolute only holds once hits dominate (the
-    // full 24 h horizon); scaled runs check the relative ordering.
-    if fsys.duration() >= simnet::SimTime::from_hours(20) {
-        out.push_check(
-            format!(
-                "majority of flower lookups ≤150ms ({}; paper 87%)",
-                pct(f_le)
-            ),
-            f_le > 0.5,
-        );
-    } else {
-        let s_le = s.lookup_hist().fraction_le(150);
-        out.push_check(
-            format!(
-                "flower resolves more ≤150ms than squirrel ({} vs {})",
-                pct(f_le),
-                pct(s_le)
-            ),
-            f_le > s_le + 0.1,
-        );
-    }
-    out.push_check(
-        format!("substantial squirrel tail >1050ms ({})", pct(s_gt)),
-        s_gt > 0.15,
-    );
-    out.push_check(
-        format!("flower beats squirrel on mean lookup by ≥3× (got ×{speedup:.1})"),
-        speedup >= 3.0,
-    );
-    out.text.push_str(&out.render_checks());
-    out.csv.push(("fig7a".into(), ta.to_csv()));
-    out.csv.push(("fig7b".into(), tb.to_csv()));
-    out
+    latency_figure(7, "lookup latency", "lookup ms", fsys, ssys, |q| {
+        (q.lookup_series(), q.lookup_hist())
+    })
 }
 
 /// **Figure 8** — transfer distance: variation over time (a) and
 /// distribution (b), Flower-CDN vs Squirrel.
 pub fn fig8(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
+    latency_figure(8, "transfer distance", "transfer ms", fsys, ssys, |q| {
+        (q.transfer_series(), q.transfer_hist())
+    })
+}
+
+/// Figure `n`'s tables: Flower-CDN's mean `what` per window (a), and
+/// the distribution of both systems' values (b); then its claims.
+fn latency_figure(
+    n: u8,
+    what: &str,
+    col: &str,
+    fsys: &FlowerSystem,
+    ssys: &SquirrelSystem,
+    pick: fn(&QueryStats) -> (&TimeSeries, &Histogram),
+) -> ExpOutput {
     let mut out = ExpOutput::default();
-    let f = fsys.engine().query_stats();
-    let s = ssys.engine().query_stats();
-
-    let ft = f.transfer_series().points();
+    let (series, f) = pick(fsys.engine().query_stats());
+    let (_, s) = pick(ssys.engine().query_stats());
     let ta = series_table(
-        "Figure 8(a) — Flower-CDN average transfer distance vs time (ms)",
-        &["transfer ms"],
+        &format!("Figure {n}(a) — Flower-CDN average {what} vs time (ms)"),
+        &[col],
         fsys.duration(),
-        ft.iter().map(|p| (p.at, vec![f1(p.mean())])),
+        series.points().iter().map(|p| (p.at, vec![f1(p.mean())])),
     );
-
     let mut tb = Table::new(
-        "Figure 8(b) — transfer distance distribution",
+        format!("Figure {n}(b) — {what} distribution"),
         &["bucket (ms)", "flower", "squirrel"],
     );
-    let fd = f.transfer_hist().distribution();
-    let sd = s.transfer_hist().distribution();
+    let (fd, sd) = (f.distribution(), s.distribution());
     for (i, (start, ff)) in fd.iter().enumerate() {
         let label = if i + 1 == fd.len() {
             format!(">{start}")
         } else {
-            format!("{}-{}", start, start + 100)
+            format!("{}-{}", start, start + f.bucket_width())
         };
         tb.row(vec![label, pct(*ff), pct(sd[i].1)]);
     }
-
     out.text = format!("{}\n{}", ta.render(), tb.render());
-    let f_le = f.transfer_hist().fraction_le(100);
-    let s_le = s.transfer_hist().fraction_le(100);
-    let factor = s.mean_transfer_ms() / f.mean_transfer_ms().max(1e-9);
-    let hit_factor = s.mean_transfer_hit_ms() / f.mean_transfer_hit_ms().max(1e-9);
-    out.text.push_str(&format!(
-        "≤100ms: flower {} (paper {}), squirrel {} (paper {}); mean distance ratio ×{:.2} all, ×{:.2} P2P hits (paper ≈×{})\n",
-        pct(f_le),
-        pct(paper::FIG8_FLOWER_LE_100MS),
-        pct(s_le),
-        pct(paper::FIG8_SQUIRREL_LE_100MS),
-        factor,
-        hit_factor,
-        paper::TRANSFER_SPEEDUP,
-    ));
-    out.push_check(
-        format!(
-            "flower serves more ≤100ms than squirrel ({} vs {})",
-            pct(f_le),
-            pct(s_le)
-        ),
-        f_le > s_le,
+    out.csv.push((format!("fig{n}a"), ta.to_csv()));
+    out.csv.push((format!("fig{n}b"), tb.to_csv()));
+    judge(
+        &mut out,
+        &format!("fig{n}"),
+        fsys.duration(),
+        &pair_runs(fsys, ssys),
     );
-    out.push_check(
-        format!("P2P-hit transfer distance reduced ≥1.5× (got ×{hit_factor:.2})"),
-        hit_factor >= 1.5,
-    );
-    // Locality: most flower hits stay in the requester's locality.
-    let local = f.local_hit_fraction();
-    out.push_check(
-        format!("most flower hits are local ({})", pct(local)),
-        local > 0.5,
-    );
-    out.text.push_str(&out.render_checks());
-    out.csv.push(("fig8a".into(), ta.to_csv()));
-    out.csv.push(("fig8b".into(), tb.to_csv()));
     out
 }
 
@@ -735,137 +469,6 @@ pub fn churn(opts: RunOpts) -> ExpOutput {
     out
 }
 
-/// **Ablation** — the design choices DESIGN.md calls out: gossip off
-/// (no epidemic summaries) and directory summaries off (no
-/// cross-locality redirect).
-pub fn ablation(opts: RunOpts) -> ExpOutput {
-    let mut out = ExpOutput::default();
-    let mut t = Table::new(
-        "Ablation — contribution of gossip and directory summaries",
-        &[
-            "variant",
-            "hit ratio",
-            "local hit frac",
-            "mean lookup ms",
-            "bw bps",
-        ],
-    );
-    let mut results = Vec::new();
-    for variant in [
-        "baseline",
-        "gossip-off",
-        "dir-summaries-off",
-        "member-dir-fallback",
-    ] {
-        let mut cfg = runner::flower_config(opts);
-        match variant {
-            "gossip-off" => {
-                // Push the first exchange far past the horizon.
-                cfg.flower.t_gossip = SimDuration::from_ms(cfg.workload.duration_ms * 100);
-            }
-            "dir-summaries-off" => cfg.flower.max_dir_hops = 0,
-            "member-dir-fallback" => cfg.flower.member_dir_fallback = true,
-            _ => {}
-        }
-        let (_, r) = runner::run_flower(&cfg);
-        t.row(vec![
-            variant.into(),
-            f3(r.hit_ratio),
-            f3(r.local_hit_fraction),
-            f1(r.mean_lookup_ms),
-            f1(r.background_bps * opts.scale.factor()),
-        ]);
-        results.push(r);
-    }
-    out.text = t.render();
-    out.push_check(
-        format!(
-            "gossip-off removes background traffic ({:.1} vs {:.1} bps)",
-            results[1].background_bps, results[0].background_bps
-        ),
-        results[1].background_bps < results[0].background_bps * 0.5,
-    );
-    out.push_check(
-        format!(
-            "dir-summaries only affect the hit ratio marginally ({:.3} vs {:.3}) — \
-             they matter for *where* first-access hits come from, not how many",
-            results[2].hit_ratio, results[0].hit_ratio
-        ),
-        (results[2].hit_ratio - results[0].hit_ratio).abs() <= 0.06,
-    );
-    out.push_check(
-        format!(
-            "gossip-off hurts the hit ratio ({:.3} vs baseline {:.3})",
-            results[1].hit_ratio, results[0].hit_ratio
-        ),
-        results[1].hit_ratio < results[0].hit_ratio,
-    );
-    out.push_check(
-        format!(
-            "member-dir-fallback lifts the hit ratio ({:.3} vs baseline {:.3})",
-            results[3].hit_ratio, results[0].hit_ratio
-        ),
-        results[3].hit_ratio >= results[0].hit_ratio - 0.01,
-    );
-    out.text.push_str(&out.render_checks());
-    out.csv.push(("ablation".into(), t.to_csv()));
-    out
-}
-
-/// **§8 extension: active replication** — pushing popular content
-/// toward other overlays of the same website. Compares the base
-/// system with replication enabled: remote queries should find
-/// replicas locally more often, shrinking the transfer distance.
-pub fn replication(opts: RunOpts) -> ExpOutput {
-    let mut out = ExpOutput::default();
-    let mut t = Table::new(
-        "Active replication (§8 future work) — off vs on",
-        &[
-            "variant",
-            "hit ratio",
-            "local hit frac",
-            "transfer ms (hits)",
-            "bw bps",
-        ],
-    );
-    let mut results = Vec::new();
-    for on in [false, true] {
-        let mut cfg = runner::flower_config(opts);
-        if on {
-            let period = SimDuration::from_ms((cfg.flower.t_gossip.as_ms()).max(1));
-            cfg.flower.replication_period = Some(period);
-        }
-        let (sys, r) = runner::run_flower(&cfg);
-        let hit_transfer = sys.engine().query_stats().mean_transfer_hit_ms();
-        t.row(vec![
-            if on { "replication-on" } else { "baseline" }.into(),
-            f3(r.hit_ratio),
-            f3(r.local_hit_fraction),
-            f1(hit_transfer),
-            f1(r.background_bps * opts.scale.factor()),
-        ]);
-        results.push((r, hit_transfer));
-    }
-    out.text = t.render();
-    out.push_check(
-        format!(
-            "replication raises the local-hit fraction ({:.3} → {:.3})",
-            results[0].0.local_hit_fraction, results[1].0.local_hit_fraction
-        ),
-        results[1].0.local_hit_fraction >= results[0].0.local_hit_fraction - 0.01,
-    );
-    out.push_check(
-        format!(
-            "replication does not hurt the hit ratio ({:.3} → {:.3})",
-            results[0].0.hit_ratio, results[1].0.hit_ratio
-        ),
-        results[1].0.hit_ratio >= results[0].0.hit_ratio - 0.02,
-    );
-    out.text.push_str(&out.render_checks());
-    out.csv.push(("replication".into(), t.to_csv()));
-    out
-}
-
 /// **§8 extension: cache replacement** — bounded per-peer caches with
 /// LRU/LFU. Smaller caches mean fewer self-hits and more stale
 /// directory entries (exercising §5.1 retries); the hit ratio must
@@ -893,7 +496,7 @@ pub fn cache_pressure(opts: RunOpts) -> ExpOutput {
         let mut cfg = runner::flower_config(opts);
         cfg.flower.cache_policy = policy;
         cfg.flower.cache_capacity = cap;
-        let (_, r) = runner::run_flower(&cfg);
+        let (_, r) = FlowerSystem::run(&cfg);
         t.row(vec![
             name.into(),
             f3(r.hit_ratio),
@@ -1723,6 +1326,7 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunScale;
 
     /// The experiments run the full 5000-node topology; in debug-mode
     /// test builds that takes minutes per run, so the heavy shape
@@ -1797,11 +1401,38 @@ mod tests {
         assert_eq!(verdicts(&[0.417, 0.417, 0.417, 0.417]), [false, true]);
     }
 
+    /// The claim rows `figure` evaluates on a run shorter than 20 h.
+    fn short_rows(figure: &str) -> usize {
+        let rows = crate::claims::CLAIMS.iter().filter(|c| c.figure == figure);
+        rows.filter(|c| c.horizon != crate::claims::Horizon::Long)
+            .count()
+    }
+
+    /// At `--scale 0.009` the 30-min step of Table 2(b) is the
+    /// operating point every other run simulates: 16 200 ms of
+    /// Tgossip, where a floored product gave 16 199.
+    #[test]
+    fn table2b_scales_tgossip_like_every_other_run() {
+        let opts = RunOpts {
+            scale: RunScale::Scaled(0.009),
+            ..opts(42)
+        };
+        let table2b = SWEEPS.iter().find(|s| s.cmd == "table2b").unwrap();
+        let mut cfg = runner::flower_config(opts);
+        (table2b.steps[1].set)(&mut cfg.flower, opts.scale);
+        assert_eq!(cfg.flower.t_gossip, SimDuration::from_ms(16_200));
+        assert_eq!(
+            format!("{cfg:?}"),
+            format!("{:?}", runner::flower_config(opts))
+        );
+    }
+
     #[test]
     #[ignore = "runs paper-scale simulations; use --release -- --ignored"]
     fn table2a_shape() {
-        let out = table2a(opts(11));
-        assert!(out.all_passed(), "{}", out.render_checks());
+        let out = sweep("table2a", opts(11));
+        assert!(out.all_passed(), "{}", out.text);
+        assert_eq!(out.checks.len(), short_rows("table2a"));
         assert!(out.text.contains("Table 2(a)"));
     }
 
@@ -1809,12 +1440,14 @@ mod tests {
     #[ignore = "runs paper-scale simulations; use --release -- --ignored"]
     fn fig6_7_8_shapes() {
         let (fsys, ssys) = comparison_pair(opts(13));
-        let o6 = fig6(&fsys, &ssys);
-        assert!(o6.all_passed(), "{}", o6.render_checks());
-        let o7 = fig7(&fsys, &ssys);
-        assert!(o7.all_passed(), "{}", o7.render_checks());
-        let o8 = fig8(&fsys, &ssys);
-        assert!(o8.all_passed(), "{}", o8.render_checks());
+        for (figure, out) in [
+            ("fig6", fig6(&fsys, &ssys)),
+            ("fig7", fig7(&fsys, &ssys)),
+            ("fig8", fig8(&fsys, &ssys)),
+        ] {
+            assert!(out.all_passed(), "{figure}:\n{}", out.text);
+            assert_eq!(out.checks.len(), short_rows(figure), "{figure}");
+        }
     }
 
     #[test]

@@ -2,26 +2,26 @@
 //!
 //! One module per concern:
 //!
-//! * [`paper`] — the numbers the paper reports (Tables 2(a–c),
-//!   Figures 5–8), as constants for side-by-side printing;
+//! * [`claims`] — the paper's §6 as data: one row per claim (the
+//!   paper's value, an accepted band, a reader over the run) and the
+//!   parameter sweeps of Table 2(a–c);
 //! * [`runner`] — configured runs of the Flower-CDN system and the
 //!   Squirrel baseline at paper scale (optionally time-scaled down);
 //! * [`report`] — fixed-width table, CSV and `METRICS.json`
 //!   rendering;
 //! * [`gate`] — the metrics gate: the invariants a run's registry
 //!   snapshots must satisfy, and their attribution table;
-//! * [`exps`] — one function per table/figure, each returning a
-//!   printable report and checking the qualitative invariants
-//!   (who wins, by what rough factor).
+//! * [`exps`] — one function per table/figure and extension
+//!   experiment, each returning a printable report and its checks.
 //!
 //! The binary `flower-experiments` exposes each experiment as a
-//! subcommand; `EXPERIMENTS.md` records a full paper-scale run.
+//! subcommand.
 
 #![forbid(unsafe_code)]
 
+pub mod claims;
 pub mod exps;
 pub mod gate;
-pub mod paper;
 pub mod report;
 pub mod runner;
 

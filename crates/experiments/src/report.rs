@@ -42,10 +42,10 @@ impl Table {
 
     /// Render as aligned text.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+                widths[i] = widths[i].max(c.chars().count());
             }
         }
         let mut out = String::new();
@@ -256,6 +256,12 @@ mod tests {
         assert!(r.contains("| xxxx | 1           |"), "got:\n{r}");
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
+        // Widths count characters, not bytes.
+        let mut t = Table::new("T", &["band", "x"]);
+        t.row(vec!["(-∞, 0.45)".into(), "1".into()]);
+        t.row(vec!["[2.5, 6)".into(), "2".into()]);
+        let r = t.render();
+        assert!(r.contains("| [2.5, 6)   | 2 |"), "got:\n{r}");
     }
 
     #[test]

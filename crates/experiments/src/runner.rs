@@ -5,11 +5,11 @@
 //! proportionally, the gossip/keepalive periods and the metric
 //! window) so the same dynamics play out faster — the standard trick
 //! for iterating on event simulations. `RunScale::Full` is the
-//! paper's exact setup and the one recorded in `EXPERIMENTS.md`.
+//! paper's exact setup.
 
 use flower_core::{FlowerConfig, FlowerSystem, SystemConfig, SystemReport};
 use simnet::SimDuration;
-use squirrel::{SquirrelConfig, SquirrelReport, SquirrelSystem};
+use squirrel::SquirrelConfig;
 
 use crate::report::BenchRecord;
 
@@ -110,7 +110,7 @@ impl RunScale {
     /// [`RunScale::scaled`], clamped to 1 ms. A scale that reaches the
     /// clamp no longer keeps the periods in ratio; [`check_scale`] is
     /// how the CLI refuses one.
-    fn scale_duration(self, d: SimDuration) -> SimDuration {
+    pub(crate) fn scale_duration(self, d: SimDuration) -> SimDuration {
         self.scaled(d).unwrap_or(SimDuration::from_ms(1))
     }
 }
@@ -203,13 +203,7 @@ pub fn squirrel_config(opts: RunOpts) -> SquirrelConfig {
     cfg
 }
 
-/// Run Flower-CDN and return the system (for series/histograms) plus
-/// its report.
-pub fn run_flower(cfg: &SystemConfig) -> (FlowerSystem, SystemReport) {
-    FlowerSystem::run(cfg)
-}
-
-/// As [`run_flower`], additionally measuring the engine: wall-clock of
+/// As [`FlowerSystem::run`], additionally measuring the engine: wall-clock of
 /// the simulation itself (build excluded), events/second and peak
 /// queue depth, packaged as a [`BenchRecord`] for the `scale` table.
 pub fn run_flower_timed(
@@ -236,11 +230,6 @@ pub fn run_flower_timed(
         epochs: engine.epochs(),
     };
     (sys, report, record)
-}
-
-/// Run Squirrel likewise.
-pub fn run_squirrel(cfg: &SquirrelConfig) -> (SquirrelSystem, SquirrelReport) {
-    SquirrelSystem::run(cfg)
 }
 
 #[cfg(test)]

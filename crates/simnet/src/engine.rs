@@ -99,6 +99,14 @@
 //! (`None`) until the next one is sorted; looking across that boundary
 //! was tried and measured no better. There is accordingly no switch.
 //!
+//! What the pipeline is worth behind the timing wheel, measured on 2
+//! vCPUs with the `prefetch_ahead` call deleted (seed 42, `flower-bench
+//! run --seconds 3 --trace 0`, ten alternating pairs, `run_ref_s`):
+//! `steady_100k` 1.368 s with it, 1.679 s without (+22.8 %, slower in
+//! 10/10); `query_storm_10k` 1.616 → 1.746 (+8.0 %, 10/10); `paper_5k`
+//! 1.047 → 1.002 (−4.3 %, faster in 8/10). The two deep-queue cells
+//! gain far more than the cache-resident one pays, so it stays.
+//!
 //! ## Randomness
 //!
 //! There is no engine-global RNG: node `n` draws from its own

@@ -51,6 +51,17 @@ const SPIN_BUDGET: u32 = 256;
 /// threads being waited on, so waiters park on a mutex + condvar
 /// instead, exactly like `std::sync::Barrier`. The mode is fixed at
 /// construction, so all parties always take the same path.
+///
+/// Park mode against spin-only, in wall seconds over 8 alternating
+/// pairs (park → spin): pinned to one CPU (`taskset -c 0`, the other
+/// CPU partly busy), `scale --nodes 100000 --horizon-secs 60` on 2
+/// shards 3.81 → 4.45 (spin slower in 7/8) and on 8 shards 5.59 →
+/// 5.22, `churn --scale 0.02 --nodes 50000 --shards 4` 6.44 → 8.39
+/// (spin slower in 7/8); on 2 vCPUs the same cells read alike (4
+/// shards 2.53 → 2.45, 8 shards 2.70 → 2.65, churn 5.08 → 5.11). Park
+/// mode stays for oversubscribed hosts, and with it the lost-wakeup
+/// class (a sense flip made outside the lock) that the round-shape
+/// stress test catches only rarely.
 pub struct SenseBarrier {
     parties: usize,
     /// Threads still missing from the current round.

@@ -4,8 +4,7 @@
 //! requestable, cacheable objects (web pages, documents): `|W| = 100`
 //! websites, `nb-ob = 500` objects per website (§6.1: "each website
 //! provides 500 objects"; Table 1's `nb-ob = 100` contradicts the
-//! text — 500 reproduces both the paper's bandwidth figures and its
-//! convergence speed, see EXPERIMENTS.md), of which 6 websites are
+//! text; 500 is what the reproduction runs), of which 6 websites are
 //! *active* (receive queries) — the other 94 exist only as D-ring
 //! entries, exactly as in the paper's setup.
 //!
