@@ -27,8 +27,8 @@ fn mix64(mut z: u64) -> u64 {
 
 /// The Kirsch–Mitzenmacher probe sequence for `key` over `m_bits`
 /// slots with `k` probes. Shared by [`BloomFilter`] and
-/// [`crate::MaintainedSummary`] so the two can never disagree on
-/// which bits a key touches — the maintained summary's snapshots are
+/// [`crate::SummaryBits`] so the two can never disagree on
+/// which bits a key touches — the maintained bits' snapshots are
 /// bit-identical to from-scratch filters *because* this function is
 /// the single probe authority.
 pub(crate) fn probe_positions(m_bits: u64, k: u32, key: u64) -> impl Iterator<Item = usize> {
@@ -47,7 +47,7 @@ pub(crate) fn rate_bits(expected_items: usize, bits_per_item: usize) -> usize {
 
 /// The filter geometry [`BloomFilter::with_rate`] derives from an
 /// expected item count: `(m_bits, k)`. Shared with
-/// [`crate::MaintainedSummary`] so both size identically.
+/// [`crate::SummaryBits`] so both size identically.
 pub(crate) fn rate_geometry(expected_items: usize, bits_per_item: usize) -> (usize, u32) {
     let m = rate_bits(expected_items, bits_per_item);
     let k = ((bits_per_item as f64) * std::f64::consts::LN_2)
@@ -79,8 +79,8 @@ impl BloomFilter {
     }
 
     /// Assemble a filter from an externally maintained bit projection
-    /// (the [`crate::MaintainedSummary`] snapshot path). `items` is
-    /// the live insert count the maintained state tracked.
+    /// (the [`crate::SummaryBits`] snapshot path). `items` is the
+    /// owner's live insert count.
     pub(crate) fn from_raw_parts(bits: BitVec, k: u32, items: usize) -> Self {
         assert!(k > 0, "need at least one hash function");
         BloomFilter { bits, k, items }

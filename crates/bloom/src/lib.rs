@@ -15,11 +15,14 @@
 //! * [`BloomFilter`] — insert / query / union with double hashing;
 //! * [`ContentSummary`] — the paper-facing wrapper sized per Table 1,
 //!   reporting its wire size for the bandwidth model;
-//! * [`MaintainedSummary`] — the *maintained* form: live objects
-//!   counted beside their bits, one binary search per insert/remove,
+//! * [`SummaryBits`] — the *maintained* form for an owner that keeps
+//!   its own object list: bits only, set on an object's first
+//!   occurrence and marked stale when its last occurrence goes, with
 //!   O(words) snapshots bit-identical to a from-scratch
 //!   [`ContentSummary`] (the hot-path replacement for
-//!   rebuild-per-gossip).
+//!   rebuild-per-gossip);
+//! * [`MaintainedSummary`] — [`SummaryBits`] over a multiset of its
+//!   own, kept for the benchmark's probe until ROADMAP item 1(a).
 
 #![forbid(unsafe_code)]
 
@@ -30,5 +33,5 @@ pub mod summary;
 
 pub use bits::BitVec;
 pub use filter::BloomFilter;
-pub use maintained::MaintainedSummary;
+pub use maintained::{MaintainedSummary, SummaryBits};
 pub use summary::{ContentSummary, ObjectId};

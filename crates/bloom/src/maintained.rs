@@ -1,98 +1,73 @@
-//! Incrementally maintained content summaries.
+//! Owner-maintained content summaries.
 //!
 //! [`ContentSummary::from_objects`] rebuilds a filter from scratch —
-//! `O(items · k)` hashing per call — which PR 3's engine profile
-//! showed on the hot path: every gossip exchange rebuilt the peer's
-//! summary and every directory-summary refresh rescanned the whole
-//! index. PlanetP (Cuenca-Acuna et al.) reached the same conclusion
-//! for its gossiped Bloom digests: maintain the summary as state,
-//! don't recompute it.
+//! `O(items · k)` hashing per call — which the engine profile showed
+//! on the hot path: every gossip exchange rebuilt the peer's summary
+//! and every directory-summary refresh rescanned the whole index.
+//! PlanetP (Cuenca-Acuna et al.) reached the same conclusion for its
+//! gossiped Bloom digests: maintain the summary as state, don't
+//! recompute it.
 //!
-//! [`MaintainedSummary`] keeps the bit projection of its live multiset
-//! beside one occurrence count per *object*. A Bloom filter cannot
-//! clear a removed key's bits without knowing whether another live key
-//! sets them too; Fan et al.'s Summary Cache answers that with a
-//! counter per filter slot (a counting Bloom filter), the device of a
-//! proxy that does not keep its object list. Both owners here keep the
-//! exact list anyway — a content peer its content set, a directory its
-//! inverted index — so the summary only has to know which objects are
-//! live and how often, in a list sorted by object id:
+//! [`SummaryBits`] is the owner-side filter of Fan et al.'s Summary
+//! Cache: an owner that keeps its own object list gives the filter
+//! only bits and re-derives them from that list when they go stale.
+//! Both owners here keep the exact list — a content peer its content
+//! set, a directory its inverted index — and report the two events
+//! they already see:
 //!
-//! * `insert` adds one to the object's count and, on its first
-//!   occurrence, files it and sets its `k` bits: one binary search per
-//!   insert, where the slot counters took `k`;
-//! * `remove` drops the count and, on the last occurrence, forgets the
-//!   object and marks the bits *stale* — some of its bits may belong
-//!   to no live object any more;
-//! * [`MaintainedSummary::snapshot`] re-derives stale bits from the
-//!   live objects first — `O(distinct objects · k)`, once per snapshot
-//!   that follows a last-occurrence removal: a bounded cache's
-//!   eviction, a directory's last holder of an object leaving — then
-//!   clones the projection in `O(words)`.
+//! * **first occurrence** ([`SummaryBits::first_occurrence`]) sets the
+//!   object's `k` bits;
+//! * **last occurrence gone** ([`SummaryBits::last_occurrence_gone`])
+//!   marks the bits *stale*: some may belong to no live object.
 //!
-//! A snapshot is **bit-identical** (including the insert count) to the
-//! filter [`ContentSummary::from_objects`] would build from the same
-//! live multiset — both draw their probes from the one shared probe
-//! function, so the seed-pinned simulations cannot tell the
-//! difference.
+//! [`SummaryBits::snapshot`] takes the owner's keys and item count,
+//! re-derives stale bits from the keys (`O(distinct objects · k)`,
+//! once per snapshot that follows a last-occurrence removal), then
+//! clones the bits in `O(words)`. Bits are OR'd, so the order the keys
+//! come in does not matter. A snapshot is **bit-identical** (including
+//! the item count) to [`ContentSummary::from_objects`] over the
+//! owner's multiset: both draw their probes from the one shared probe
+//! function, so the seed-pinned simulations cannot tell the difference.
 //!
-//! Occurrences form a multiset: inserting the same key twice requires
-//! removing it twice before it leaves. That is exactly the
-//! directory-summary discipline, where one object is listed once per
-//! holding member; content peers insert each held object once.
+//! [`MaintainedSummary`] is the same filter with an owner of its own, a
+//! multiset of keys. Only the benchmark's `bloom` probe and this
+//! module's oracle tests use it; it is deleted with ROADMAP item 1(a).
+
+use std::collections::BTreeMap;
 
 use crate::bits::BitVec;
 use crate::filter::{probe_positions, rate_geometry, BloomFilter};
 use crate::summary::{ContentSummary, ObjectId, BITS_PER_OBJECT};
 
-/// Sets the `k` bits of `o` (the one probe authority, shared with
-/// [`BloomFilter`]).
-fn set_bits(bits: &mut BitVec, k: u32, o: ObjectId) {
-    for p in probe_positions(bits.len() as u64, k, o.key()) {
-        bits.set(p);
-    }
-}
-
-/// A content summary maintained as state: the live objects with their
-/// occurrence counts plus their bit projection, supporting
-/// binary-search insert/remove and `O(words)` snapshots bit-identical
-/// to a from-scratch [`ContentSummary`].
+/// The bits of a content summary whose owner keeps the object list:
+/// no per-object storage, `O(words)` snapshots bit-identical to a
+/// from-scratch [`ContentSummary`].
 #[derive(Clone, Debug)]
-pub struct MaintainedSummary {
+pub struct SummaryBits {
     /// The design capacity (nb-ob), echoed into snapshots.
     capacity: usize,
     k: u32,
-    /// The bits of `live`'s objects — exactly, unless `stale`.
+    /// The bits of the owner's live objects — exactly, unless `stale`.
     bits: BitVec,
-    /// Live occurrences per object, sorted by object id; every count
-    /// is positive.
-    live: Vec<(ObjectId, u32)>,
-    /// An object's last occurrence left since `bits` was derived, so
-    /// `bits` may hold bits no live object sets; the next snapshot
-    /// re-derives them.
+    /// An object's last occurrence left since `bits` was derived; the
+    /// next snapshot re-derives them from the owner's keys.
     stale: bool,
-    /// Live insertions (multiset cardinality) — the `items` count a
-    /// from-scratch filter over the same multiset would report.
-    items: usize,
-    /// The last snapshot, reused until the next mutation: a summary
-    /// gossiped every `Tgossip` while the content sits still costs one
-    /// `Arc` clone per exchange instead of one bit-array copy.
+    /// The last snapshot, reused while no bit event happened and the
+    /// item count is the same: a summary gossiped every `Tgossip` while
+    /// the content sits still costs one `Arc` clone per exchange.
     cached: Option<ContentSummary>,
 }
 
-impl MaintainedSummary {
-    /// An empty maintained summary with the geometry of
-    /// [`ContentSummary::empty`]`(capacity)` (Table 1: `8·nb-ob`
-    /// bits).
+impl SummaryBits {
+    /// Empty bits with the geometry of
+    /// [`ContentSummary::empty`]`(capacity)` (Table 1: `8·nb-ob` bits).
     pub fn empty(capacity: usize) -> Self {
         let (m, k) = rate_geometry(capacity, BITS_PER_OBJECT);
-        MaintainedSummary {
+        SummaryBits {
             capacity,
             k,
             bits: BitVec::new(m),
-            live: Vec::new(),
             stale: false,
-            items: 0,
             cached: None,
         }
     }
@@ -102,86 +77,114 @@ impl MaintainedSummary {
         self.capacity
     }
 
-    /// Live insertions (multiset cardinality).
-    pub fn items(&self) -> usize {
-        self.items
-    }
-
-    /// Where `o` is, or would be filed, in `live`.
-    fn find(&self, o: ObjectId) -> Result<usize, usize> {
-        self.live.binary_search_by_key(&o, |&(id, _)| id)
-    }
-
-    /// Add one occurrence of `o` (one binary search; `O(k)` bit sets
-    /// on its first occurrence).
-    pub fn insert(&mut self, o: ObjectId) {
-        self.cached = None;
-        match self.find(o) {
-            Ok(i) => self.live[i].1 += 1,
-            Err(i) => {
-                self.live.insert(i, (o, 1));
-                set_bits(&mut self.bits, self.k, o);
-            }
+    fn set_bits(&mut self, o: ObjectId) {
+        for p in probe_positions(self.bits.len() as u64, self.k, o.key()) {
+            self.bits.set(p);
         }
-        self.items += 1;
     }
 
-    /// Remove one occurrence of `o` (one binary search); panics if `o`
-    /// has no live occurrence — callers own the exact content/index
-    /// state, so a miss is a bookkeeping bug, not a runtime condition.
-    pub fn remove(&mut self, o: ObjectId) {
-        assert!(self.items > 0, "removing from an empty summary");
+    /// The owner gained its first occurrence of `o`: set its `k` bits.
+    pub fn first_occurrence(&mut self, o: ObjectId) {
         self.cached = None;
-        let i = self
-            .find(o)
-            .expect("removing a key that was never inserted");
-        self.live[i].1 -= 1;
-        if self.live[i].1 == 0 {
-            self.live.remove(i);
-            self.stale = true;
-        }
-        self.items -= 1;
+        self.set_bits(o);
     }
 
-    /// Drop everything (§5.2 index reset / snapshot install).
+    /// The owner lost the last occurrence of some object: its bits may
+    /// now belong to nothing live.
+    pub fn last_occurrence_gone(&mut self) {
+        self.cached = None;
+        self.stale = true;
+    }
+
+    /// Drop everything (§5.2 snapshot install).
     pub fn clear(&mut self) {
         self.cached = None;
         self.bits.clear();
-        self.live.clear();
         self.stale = false;
-        self.items = 0;
     }
 
-    /// Whether the next [`MaintainedSummary::snapshot`] is a cached
-    /// `Arc` clone (no mutation since the last snapshot) rather than a
-    /// bit-projection rebuild.
+    /// Whether no bit event happened since the last snapshot, so the
+    /// next one at the same item count is a cached `Arc` clone.
     pub fn is_cached(&self) -> bool {
         self.cached.is_some()
     }
 
-    /// The wire-ready summary of the current multiset: bit-identical
-    /// (bits *and* insert count) to `ContentSummary::from_objects`
-    /// over the same live multiset. Costs an `O(words)` clone of the
-    /// bit projection after a mutation — plus re-deriving the bits
-    /// from the live objects after a last-occurrence removal — and an
-    /// `Arc` clone thereafter.
-    pub fn snapshot(&mut self) -> ContentSummary {
-        if let Some(c) = &self.cached {
+    /// The wire-ready summary of the owner's live objects `keys` (each
+    /// distinct object once), reporting `items` insertions:
+    /// bit-identical to `ContentSummary::from_objects` over the owner's
+    /// multiset of `items` occurrences.
+    pub fn snapshot<'a>(
+        &mut self,
+        keys: impl IntoIterator<Item = &'a ObjectId>,
+        items: usize,
+    ) -> ContentSummary {
+        if let Some(c) = self.cached.as_ref().filter(|c| c.items() == items) {
             return c.clone();
         }
         if self.stale {
             self.bits.clear();
-            for &(o, _) in &self.live {
-                set_bits(&mut self.bits, self.k, o);
+            for &o in keys {
+                self.set_bits(o);
             }
             self.stale = false;
         }
         let s = ContentSummary::from_parts(
-            BloomFilter::from_raw_parts(self.bits.clone(), self.k, self.items),
+            BloomFilter::from_raw_parts(self.bits.clone(), self.k, items),
             self.capacity,
         );
         self.cached = Some(s.clone());
         s
+    }
+}
+
+/// [`SummaryBits`] with an owner of its own: a multiset of keys.
+/// Kept only for the benchmark's `bloom` probe and the oracle tests
+/// below; deleted with ROADMAP item 1(a).
+#[derive(Clone, Debug)]
+pub struct MaintainedSummary {
+    live: BTreeMap<ObjectId, u32>,
+    items: usize,
+    bits: SummaryBits,
+}
+
+impl MaintainedSummary {
+    /// An empty multiset over [`SummaryBits::empty`]`(capacity)`.
+    pub fn empty(capacity: usize) -> Self {
+        MaintainedSummary {
+            live: BTreeMap::new(),
+            items: 0,
+            bits: SummaryBits::empty(capacity),
+        }
+    }
+
+    /// Add one occurrence of `o`.
+    pub fn insert(&mut self, o: ObjectId) {
+        let n = self.live.entry(o).or_insert(0);
+        *n += 1;
+        if *n == 1 {
+            self.bits.first_occurrence(o);
+        }
+        self.items += 1;
+    }
+
+    /// Remove one occurrence of `o`; panics if `o` has none.
+    pub fn remove(&mut self, o: ObjectId) {
+        assert!(self.items > 0, "removing from an empty summary");
+        let n = self
+            .live
+            .get_mut(&o)
+            .expect("removing a key that was never inserted");
+        *n -= 1;
+        if *n == 0 {
+            self.live.remove(&o);
+            self.bits.last_occurrence_gone();
+        }
+        self.items -= 1;
+    }
+
+    /// [`SummaryBits::snapshot`] over the live multiset.
+    pub fn snapshot(&mut self) -> ContentSummary {
+        self.bits.snapshot(self.live.keys(), self.items)
     }
 }
 
@@ -197,7 +200,7 @@ mod tests {
             m.insert(*o);
         }
         assert_eq!(m.snapshot(), ContentSummary::from_objects(100, &objs));
-        assert_eq!(m.items(), 40);
+        assert_eq!(m.items, 40);
     }
 
     #[test]
@@ -218,14 +221,17 @@ mod tests {
     fn multiset_semantics_need_matching_removes() {
         let mut m = MaintainedSummary::empty(20);
         m.insert(ObjectId(5));
+        let once = m.snapshot();
         m.insert(ObjectId(5));
+        assert!(m.bits.is_cached(), "a repeated occurrence touches no bit");
+        assert_ne!(m.snapshot(), once, "but the snapshot reports two items");
         m.remove(ObjectId(5));
-        assert!(!m.stale, "one live occurrence left");
-        assert!(m.snapshot().might_contain(ObjectId(5)));
+        assert!(!m.bits.stale, "one live occurrence left");
+        assert_eq!(m.snapshot(), once);
         m.remove(ObjectId(5));
-        assert!(m.stale);
+        assert!(m.bits.stale);
         assert_eq!(m.snapshot(), ContentSummary::empty(20));
-        assert_eq!(m.items(), 0);
+        assert_eq!(m.items, 0);
     }
 
     /// A last-occurrence removal leaves the bits alone; the next
@@ -237,13 +243,13 @@ mod tests {
         for o in &objs {
             m.insert(*o);
         }
-        let all_bits = m.bits.clone();
+        let all_bits = m.bits.bits.clone();
         m.remove(objs[0]);
-        assert_eq!(m.bits, all_bits, "a removal does not touch the bits");
+        assert_eq!(m.bits.bits, all_bits, "a removal does not touch the bits");
         let after = m.snapshot();
         assert_eq!(after, ContentSummary::from_objects(100, &objs[1..]));
         assert!(!after.might_contain(objs[0]), "its own bits are gone");
-        assert!(!m.stale && m.is_cached());
+        assert!(!m.bits.stale && m.bits.is_cached());
         for o in &objs[1..] {
             m.remove(*o);
         }
@@ -252,11 +258,12 @@ mod tests {
 
     #[test]
     fn clear_resets_to_empty_geometry() {
-        let mut m = MaintainedSummary::empty(10);
-        m.insert(ObjectId(1));
-        m.clear();
-        assert_eq!(m.snapshot(), ContentSummary::empty(10));
-        assert_eq!(m.capacity(), 10);
+        let mut b = SummaryBits::empty(10);
+        b.first_occurrence(ObjectId(1));
+        b.last_occurrence_gone();
+        b.clear();
+        assert_eq!(b.snapshot(&[], 0), ContentSummary::empty(10));
+        assert_eq!(b.capacity(), 10);
     }
 
     #[test]
@@ -280,7 +287,7 @@ mod proptests {
     use proptest::prelude::*;
 
     /// Runs `ops` against a model — the live multiset as a list, and
-    /// "no `insert`/`remove`/`clear` since the last snapshot" — and
+    /// "no first or last occurrence since the last snapshot" — and
     /// compares at every snapshot, taken wherever the sequence says:
     /// `is_cached()` before it equals the model's flag, the snapshot
     /// equals the from-scratch filter over the live multiset (bits and
@@ -292,25 +299,24 @@ mod proptests {
         let mut live: Vec<ObjectId> = Vec::new();
         let mut cached = false;
         let snapshot = |m: &mut MaintainedSummary, live: &mut Vec<ObjectId>, cached: bool| {
-            assert_eq!(m.is_cached(), cached);
+            assert_eq!(m.bits.is_cached(), cached);
             live.sort_unstable();
             assert_eq!(m.snapshot(), ContentSummary::from_objects(capacity, &*live));
-            assert_eq!(m.items(), live.len());
         };
         for &(op, key) in ops {
             match op % 10 {
                 0..=4 => {
                     let o = ObjectId(key.wrapping_mul(0x9E37_79B9) ^ 7);
                     if multiset || !live.contains(&o) {
+                        cached &= live.contains(&o);
                         live.push(o);
                         m.insert(o);
-                        cached = false;
                     }
                 }
                 5..=7 if !live.is_empty() => {
                     let o = live.swap_remove(key as usize % live.len());
+                    cached &= live.contains(&o);
                     m.remove(o);
-                    cached = false;
                 }
                 8 => {
                     snapshot(&mut m, &mut live, cached);
@@ -318,7 +324,9 @@ mod proptests {
                 }
                 9 if key % 4 == 0 => {
                     live.clear();
-                    m.clear();
+                    m.live.clear();
+                    m.items = 0;
+                    m.bits.clear();
                     cached = false;
                 }
                 _ => {}

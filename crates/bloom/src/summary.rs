@@ -60,12 +60,17 @@ impl ContentSummary {
     }
 
     /// Assemble a summary around an already-built filter (the
-    /// [`crate::MaintainedSummary`] snapshot path).
+    /// [`crate::SummaryBits`] snapshot path).
     pub(crate) fn from_parts(filter: BloomFilter, capacity: usize) -> Self {
         ContentSummary {
             filter: std::sync::Arc::new(filter),
             capacity,
         }
+    }
+
+    /// The insert count the filter reports.
+    pub(crate) fn items(&self) -> usize {
+        self.filter.items()
     }
 
     /// Build a summary from a set of object ids.
@@ -147,7 +152,7 @@ mod tests {
             for s in [
                 ContentSummary::empty(c),
                 ContentSummary::from_objects(c, &objs),
-                crate::MaintainedSummary::empty(c).snapshot(),
+                crate::SummaryBits::empty(c).snapshot(&[], 0),
             ] {
                 assert_eq!(s.wire_size() as usize, s.filter.byte_size(), "capacity {c}");
             }

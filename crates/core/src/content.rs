@@ -17,7 +17,7 @@
 //! use the content overlay instead of the D-ring" (§3.4): the local
 //! search order is own content → view summaries → directory peer.
 
-use bloom::{ContentSummary, MaintainedSummary, ObjectId};
+use bloom::{ContentSummary, ObjectId, SummaryBits};
 use gossip::{ChangeKind, ChangeLog, PushPolicy, View, ViewEntry};
 use rand::Rng;
 use simnet::{Locality, NodeId};
@@ -45,15 +45,12 @@ pub struct ContentPeerState {
     /// peer re-derive its hash-assigned instance and ignore gossip
     /// hints that point at a sibling instance.
     petal_live: u32,
-    /// The peer's own content summary, *maintained* on every cache
-    /// admit/evict/invalidate instead of rebuilt per gossip exchange
-    /// (the PR 3 profile's `from_objects` hot path): it keeps its own
-    /// sorted copy of `content` beside the bits, so an admit is one
-    /// binary search and `k` bit sets, and an evict or invalidate
-    /// costs the next snapshot one re-derivation of the bits.
-    /// Snapshots are bit-identical to a from-scratch build over
-    /// `content`.
-    summary: MaintainedSummary,
+    /// The bits of the peer's own content summary, maintained instead
+    /// of rebuilt per gossip exchange: an admit to `content` sets the
+    /// object's `k` bits, an evict or invalidate marks them stale and
+    /// the next snapshot re-derives them from `content`. Snapshots are
+    /// bit-identical to a from-scratch build over `content`.
+    summary: SummaryBits,
 }
 
 impl ContentPeerState {
@@ -93,7 +90,7 @@ impl ContentPeerState {
             dir: None,
             dir_age: 0,
             petal_live: 1,
-            summary: MaintainedSummary::empty(summary_capacity),
+            summary: SummaryBits::empty(summary_capacity),
         }
     }
 
@@ -127,12 +124,12 @@ impl ContentPeerState {
         }
         if let Some(victim) = self.cache.evict_for_insert(self.content.len()) {
             if self.content.remove(&victim) {
-                self.summary.remove(victim);
+                self.summary.last_occurrence_gone();
                 self.changes.record(victim, ChangeKind::Removed);
             }
         }
         self.content.insert(o);
-        self.summary.insert(o);
+        self.summary.first_occurrence(o);
         self.cache.touch(o);
         self.changes.record(o, ChangeKind::Added);
     }
@@ -146,18 +143,18 @@ impl ContentPeerState {
     /// push.
     pub fn remove_object(&mut self, o: ObjectId) {
         if self.content.remove(&o) {
-            self.summary.remove(o);
+            self.summary.last_occurrence_gone();
             self.cache.forget(o);
             self.changes.record(o, ChangeKind::Removed);
         }
     }
 
     /// The peer's *current* content summary: a snapshot of the
-    /// maintained filter (cached between content mutations),
+    /// maintained bits (cached between content mutations),
     /// bit-identical to what a from-scratch rebuild over the content
     /// set would produce.
     pub fn current_summary(&mut self) -> ContentSummary {
-        self.summary.snapshot()
+        self.summary.snapshot(&self.content, self.content.len())
     }
 
     /// Whether the next [`ContentPeerState::current_summary`] call is
@@ -359,6 +356,8 @@ impl ContentPeerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CachePolicy;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -578,5 +577,49 @@ mod tests {
             tried.push(NodeId(expect));
         }
         assert_eq!(c.summary_candidates(O2, &tried), None);
+    }
+
+    fn held(c: &ContentPeerState) -> Vec<ObjectId> {
+        let mut v: Vec<ObjectId> = c.objects().collect();
+        v.sort_unstable();
+        v
+    }
+
+    proptest! {
+        /// Random admits (evicting from a bounded cache), hits on held
+        /// objects, invalidations and snapshots: every snapshot is the
+        /// from-scratch filter over `content`, and `summary_is_cached`
+        /// (what the `BloomCowClones` / `BloomRebuilds` counters read)
+        /// holds exactly when `content` did not change since the last.
+        #[test]
+        fn every_summary_equals_a_rebuild_over_the_content(
+            lfu in any::<bool>(),
+            capacity in 1usize..6,
+            ops in proptest::collection::vec((0u8..5, 0u64..12), 0..150),
+        ) {
+            let policy = if lfu { CachePolicy::Lfu } else { CachePolicy::Lru };
+            let cache = CacheManager::new(policy, capacity);
+            let mut c = ContentPeerState::with_cache(WebsiteId(1), Locality(0), 10, 20, cache);
+            let mut cached = false;
+            for (op, key) in ops {
+                let o = ObjectId(key * 7919 + 3);
+                let before = held(&c);
+                match op {
+                    0 | 1 => c.insert_object(o),
+                    2 if c.has(o) => c.touch_object(o),
+                    2 => {}
+                    3 => c.remove_object(o),
+                    _ => {
+                        prop_assert_eq!(c.summary_is_cached(), cached);
+                        prop_assert_eq!(c.current_summary(), ContentSummary::from_objects(20, &before));
+                        cached = true;
+                    }
+                }
+                cached &= held(&c) == before;
+                prop_assert!(c.content_len() <= capacity);
+            }
+            prop_assert_eq!(c.summary_is_cached(), cached);
+            prop_assert_eq!(c.current_summary(), ContentSummary::from_objects(20, &held(&c)));
+        }
     }
 }

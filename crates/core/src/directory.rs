@@ -37,7 +37,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use bloom::{ContentSummary, MaintainedSummary, ObjectId};
+use bloom::{ContentSummary, ObjectId, SummaryBits};
 use chord::ChordId;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -142,7 +142,8 @@ pub struct DirectoryState {
     t_dead: u32,
     /// Objects newly indexed since the last summary broadcast.
     new_since_refresh: usize,
-    /// Total object listings in the index (for the refresh ratio).
+    /// Object listings in the index, one per `(member, object)`: the
+    /// refresh ratio's denominator and the summary's item count.
     total_indexed: usize,
     /// §8 active replication: requests per object since the last
     /// replication round (decayed each round).
@@ -171,17 +172,14 @@ pub struct DirectoryState {
     /// recorded age; every invalid one was refreshed (and is in
     /// `fresh`) or removed since that tick.
     aged: Vec<(u32, u32)>,
-    /// The directory summary, *maintained* on every index mutation
-    /// (one counted occurrence per `(member, object)` listing) instead
-    /// of rebuilt by scanning the whole index per §4.2.1 refresh —
-    /// the other `from_objects` hot path of the PR 3 profile. It
-    /// counts listings per object, mirroring `holders_of`, so removing
-    /// an object's last holder marks its bits stale and the next
-    /// refresh's snapshot re-derives them from the listed objects.
-    /// §5.2-seeded gossip summaries never enter it, exactly as the old
-    /// from-scratch scan only visited exact object lists: every
-    /// mutation the index can undergo is mirrored here exactly.
-    summary: MaintainedSummary,
+    /// The bits of the directory summary, maintained by `add_holder`
+    /// and `remove_holder` instead of rebuilt by scanning the whole
+    /// index per §4.2.1 refresh: a new `holders_of` key sets the
+    /// object's bits, an emptied one marks them stale and the next
+    /// refresh's snapshot re-derives them from `holders_of`'s keys.
+    /// §5.2-seeded gossip summaries never enter it, exactly as a
+    /// from-scratch scan visits only exact object lists.
+    summary: SummaryBits,
     /// Per-instance load counters (§5.3 PetalUp).
     load: DirLoad,
 }
@@ -212,26 +210,34 @@ impl DirectoryState {
             summary_entries: 0,
             fresh: Vec::new(),
             aged: Vec::new(),
-            summary: MaintainedSummary::empty(summary_capacity),
+            summary: SummaryBits::empty(summary_capacity),
             load: DirLoad::default(),
         }
     }
 
-    /// Record `peer` (a member) as holding `o` in the inverted index.
+    /// Record `peer` (a member) as holding `o` in the inverted index:
+    /// one more listing, and `o`'s first one sets its summary bits.
     fn add_holder(&mut self, o: ObjectId, peer: NodeId) {
         let hs = self.holders_of.entry(o).or_default();
         if let Err(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
             hs.insert(pos, peer);
+            self.total_indexed += 1;
+            if hs.len() == 1 {
+                self.summary.first_occurrence(o);
+            }
         }
     }
 
-    /// Remove `peer` from `o`'s holder list.
+    /// Remove `peer` from `o`'s holder list: one listing fewer, and
+    /// `o`'s last one leaves its summary bits stale.
     fn remove_holder(&mut self, o: ObjectId, peer: NodeId) {
         if let Some(hs) = self.holders_of.get_mut(&o) {
             if let Ok(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
                 hs.remove(pos);
+                self.total_indexed -= 1;
                 if hs.is_empty() {
                     self.holders_of.remove(&o);
+                    self.summary.last_occurrence_gone();
                 }
             }
         }
@@ -240,9 +246,7 @@ impl DirectoryState {
     /// Unindex every object of a removed entry.
     fn drop_entry_holders(&mut self, peer: NodeId, e: &DirEntry) {
         for o in &e.objects {
-            let o = *o;
-            self.remove_holder(o, peer);
-            self.summary.remove(o);
+            self.remove_holder(*o, peer);
         }
         if e.summary.is_some() {
             self.summary_entries -= 1;
@@ -411,9 +415,7 @@ impl DirectoryState {
                 }
                 if e.objects.insert(object) {
                     self.new_since_refresh += 1;
-                    self.total_indexed += 1;
                     self.add_holder(object, peer);
-                    self.summary.insert(object);
                 }
                 true
             }
@@ -426,9 +428,7 @@ impl DirectoryState {
                 self.index.insert(peer, e);
                 heap_push(&mut self.fresh, peer.0);
                 self.new_since_refresh += 1;
-                self.total_indexed += 1;
                 self.add_holder(object, peer);
-                self.summary.insert(object);
                 true
             }
         }
@@ -461,24 +461,20 @@ impl DirectoryState {
         for o in added {
             if e.objects.insert(*o) {
                 self.new_since_refresh += 1;
-                self.total_indexed += 1;
                 new_holdings.push(*o);
             }
         }
         let mut gone_holdings = Vec::new();
         for o in removed {
             if e.objects.remove(o) {
-                self.total_indexed = self.total_indexed.saturating_sub(1);
                 gone_holdings.push(*o);
             }
         }
         for o in new_holdings {
             self.add_holder(o, peer);
-            self.summary.insert(o);
         }
         for o in gone_holdings {
             self.remove_holder(o, peer);
-            self.summary.remove(o);
         }
     }
 
@@ -527,7 +523,6 @@ impl DirectoryState {
         self.aged.sort_unstable();
         for peer in &dead {
             if let Some(e) = self.index.remove(peer) {
-                self.total_indexed = self.total_indexed.saturating_sub(e.objects.len());
                 self.drop_entry_holders(*peer, &e);
             }
         }
@@ -540,7 +535,6 @@ impl DirectoryState {
     pub fn remove_entry(&mut self, peer: NodeId) -> bool {
         match self.index.remove(&peer) {
             Some(e) => {
-                self.total_indexed = self.total_indexed.saturating_sub(e.objects.len());
                 self.drop_entry_holders(peer, &e);
                 true
             }
@@ -629,17 +623,17 @@ impl DirectoryState {
     }
 
     /// Bloom summary over every object currently indexed: a snapshot
-    /// of the maintained filter (cached between index mutations),
-    /// bit-identical to the full-index scan this used to perform (one
-    /// counted occurrence per `(member, object)` listing, so `items`
-    /// matches the scan's insert tally too).
+    /// of the maintained bits (cached between index mutations),
+    /// bit-identical to a full-index scan (one insert per `(member,
+    /// object)` listing, so `items` matches the scan's tally too).
     pub fn build_summary(&mut self) -> ContentSummary {
         debug_assert_eq!(
-            self.summary.items(),
+            self.total_indexed,
             self.index.values().map(|e| e.objects.len()).sum::<usize>(),
-            "maintained summary drifted from the index listings"
+            "listing count drifted from the index"
         );
-        self.summary.snapshot()
+        self.summary
+            .snapshot(self.holders_of.keys(), self.total_indexed)
     }
 
     /// A view seed for a joining client: up to `n` members (the
@@ -711,9 +705,9 @@ impl DirectoryState {
     }
 
     /// Install a snapshot received in a voluntary hand-off (§5.2).
-    /// The one full summary rebuild left: the incoming index replaces
-    /// everything, so the counters restart from the snapshot's exact
-    /// listings.
+    /// The incoming index replaces everything, so the listings and the
+    /// summary bits restart from the snapshot's distinct listings (an
+    /// object listed twice for one member counts once).
     pub fn install_snapshot(&mut self, entries: Vec<(NodeId, u32, Vec<ObjectId>)>) {
         self.index.clear();
         self.holders_of.clear();
@@ -725,10 +719,8 @@ impl DirectoryState {
         for (peer, age, objects) in entries {
             let mut e = DirEntry::fresh();
             e.age = age;
-            self.total_indexed += objects.len();
             for o in &objects {
                 self.add_holder(*o, peer);
-                self.summary.insert(*o);
             }
             e.objects = objects.into_iter().collect();
             self.index.insert(peer, e);
@@ -1047,6 +1039,20 @@ mod tests {
         assert!(d.build_summary().might_contain(O1));
     }
 
+    /// A hand-off entry that lists an object twice indexes it once:
+    /// one listing, whose removal clears the object's bits.
+    #[test]
+    fn a_duplicated_hand_off_listing_counts_once() {
+        let mut d = dir();
+        d.install_snapshot(vec![(NodeId(7), 0, vec![O1, O1, O2])]);
+        assert_eq!(d.total_indexed, 2);
+        assert_eq!(d.build_summary(), scan_summary(&d));
+        d.apply_push(NodeId(7), &[], &[O1]);
+        assert_eq!(d.build_summary(), ContentSummary::from_objects(100, &[O2]));
+        d.remove_entry(NodeId(7));
+        assert_eq!(d.build_summary(), ContentSummary::empty(100));
+    }
+
     #[test]
     fn hot_objects_rank_by_popularity_with_key_tiebreak() {
         let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 5, 100);
@@ -1308,6 +1314,47 @@ mod tests {
     }
 
     proptest! {
+        /// Random index mutations, hand-offs with a duplicated listing
+        /// among them: every directory summary is the from-scratch
+        /// filter over the index's listings, one insert per `(member,
+        /// object)`.
+        #[test]
+        fn every_summary_equals_a_scan_of_the_listings(
+            ops in proptest::collection::vec((0u8..8, 0u32..10, 0u64..8), 1..150),
+        ) {
+            let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 8, 3, 30);
+            let obj = |k: u64| ObjectId(k * 31 + 5);
+            for (op, peer, k) in ops {
+                let p = NodeId(peer);
+                match op {
+                    0 => {
+                        d.admit_or_refresh(p, obj(k));
+                    }
+                    1 => d.apply_push(p, &[obj(k), obj(k + 1)], &[obj(k + 2)]),
+                    2 => d.apply_push(p, &[], &[obj(k), obj(k + 1)]),
+                    3 => {
+                        let s = ContentSummary::from_objects(30, &[obj(k)]);
+                        d.seed_from_view([(p, Some(&s)), (NodeId(peer + 1), None)]);
+                    }
+                    4 => {
+                        d.remove_entry(p);
+                    }
+                    5 => {
+                        d.tick();
+                    }
+                    6 => {
+                        let mut snap = d.snapshot();
+                        if let Some((_, _, objects)) = snap.first_mut() {
+                            objects.extend([obj(k), obj(k)]);
+                        }
+                        d.install_snapshot(snap);
+                    }
+                    _ => prop_assert_eq!(d.build_summary(), scan_summary(&d)),
+                }
+            }
+            prop_assert_eq!(d.build_summary(), scan_summary(&d));
+        }
+
         /// Any sequence of writes leaves `view_seed` equal to the
         /// ordered-set reference after every step.
         #[test]
