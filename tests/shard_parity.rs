@@ -130,24 +130,26 @@ fn sharded_runs_track_seed_changes_together() {
     assert_ne!(fingerprint(&s1, &r1), fingerprint(&s2, &r2));
 }
 
-/// §5.3 PetalUp parity: with `instance_bits = 2`, a Zipf-skewed
-/// website workload and split/merge thresholds low enough for petals
-/// to actually resize mid-run, every shard count still produces the
-/// identical fingerprint — the instance choice and the split/merge
-/// decisions are pure functions of per-node protocol state, never of
-/// the engine's shard layout.
+/// The PetalUp cell: `instance_bits` bits of §5.3 instances per petal,
+/// a Zipf-skewed website workload and split/merge thresholds low
+/// enough for petals to actually resize mid-run.
+fn petal_cfg(shards: usize, bits: u32) -> SystemConfig {
+    let mut cfg = SystemConfig::small_test();
+    cfg.seed = 42;
+    cfg.shards = shards;
+    cfg.flower.instance_bits = bits;
+    cfg.flower.petal_split_threshold = 4;
+    cfg.flower.petal_merge_floor = 2;
+    cfg.workload.website_zipf_alpha = 1.5;
+    cfg
+}
+
+/// §5.3 PetalUp parity: with `instance_bits = 2` every shard count
+/// still produces the identical fingerprint — the instance choice and
+/// the split/merge decisions are pure functions of per-node protocol
+/// state, never of the engine's shard layout.
 #[test]
 fn petalup_runs_are_shard_deterministic_and_flatten_load() {
-    fn petal_cfg(shards: usize, bits: u32) -> SystemConfig {
-        let mut cfg = SystemConfig::small_test();
-        cfg.seed = 42;
-        cfg.shards = shards;
-        cfg.flower.instance_bits = bits;
-        cfg.flower.petal_split_threshold = 4;
-        cfg.flower.petal_merge_floor = 2;
-        cfg.workload.website_zipf_alpha = 1.5;
-        cfg
-    }
     let (ref_sys, ref_report) = FlowerSystem::run(&petal_cfg(1, 2));
     let reference = fingerprint(&ref_sys, &ref_report);
     for shards in [2usize, 3] {
@@ -179,6 +181,110 @@ fn petalup_runs_are_shard_deterministic_and_flatten_load() {
         "PetalUp must flatten directory load: b2 {:.3} vs flat {:.3}",
         ref_report.dir_load_max_mean,
         flat.dir_load_max_mean
+    );
+}
+
+/// Everything a finished run reports, for the pins of the node paths
+/// no benchmark workload reaches: every `SystemReport` field (floats
+/// by their bits), an FNV-1a hash of the registry's sim-scope cells,
+/// and the §5.3 split, merge and forward counters.
+#[derive(Debug, PartialEq)]
+struct Pin {
+    report: [u64; 12],
+    registry_fnv: u64,
+    splits_merges_forwards: [u64; 3],
+}
+
+fn pin(sys: &FlowerSystem, r: &SystemReport) -> Pin {
+    let registry = sys.engine().metrics();
+    let mut registry_fnv = 0xcbf2_9ce4_8422_2325u64;
+    for word in registry.sim_fingerprint() {
+        for byte in word.to_le_bytes() {
+            registry_fnv = (registry_fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    Pin {
+        report: [
+            r.submitted,
+            r.resolved,
+            r.hit_ratio.to_bits(),
+            r.mean_lookup_ms.to_bits(),
+            r.mean_transfer_ms.to_bits(),
+            r.mean_transfer_hit_ms.to_bits(),
+            r.background_bps.to_bits(),
+            r.participants as u64,
+            r.redirection_failures,
+            r.local_hit_fraction.to_bits(),
+            r.dir_load_max_mean.to_bits(),
+            r.dir_instances_live as u64,
+        ],
+        registry_fnv,
+        splits_merges_forwards: [
+            registry.counter(Counter::DirPetalSplits),
+            registry.counter(Counter::DirPetalMerges),
+            registry.counter(Counter::DirPetalForwards),
+        ],
+    }
+}
+
+/// Regression pin for §5.3 PetalUp (split, merge, dormant relays,
+/// sibling re-partitions) at seed 42: the 1-shard `instance_bits = 2`
+/// cell of the parity test above, which only compares layouts within
+/// one build.
+#[test]
+fn petalup_cell_pins_every_report_field() {
+    let (sys, r) = FlowerSystem::run(&petal_cfg(1, 2));
+    assert_eq!(
+        pin(&sys, &r),
+        Pin {
+            report: [
+                6033,
+                6033,
+                4606409050788421878,
+                4630743129394106164,
+                4634807736925336619,
+                4631803656122757260,
+                4645980785364262255,
+                171,
+                0,
+                4607153020869539559,
+                4605592913049180762,
+                18,
+            ],
+            registry_fnv: 12620953022316535963,
+            splits_merges_forwards: [8, 8, 92],
+        }
+    );
+}
+
+/// Regression pin for §8 active replication (offers, instructions,
+/// pulls, data) at seed 42 on the small deployment.
+#[test]
+fn replication_cell_pins_every_report_field() {
+    let mut cfg = SystemConfig::small_test();
+    cfg.seed = 42;
+    cfg.flower.replication_period = Some(flower_cdn::simnet::SimDuration::from_secs(20));
+    let (sys, r) = FlowerSystem::run(&cfg);
+    assert_eq!(
+        pin(&sys, &r),
+        Pin {
+            report: [
+                6033,
+                6033,
+                4606443389522527471,
+                4630723603904672481,
+                4634688756351701185,
+                4630992356277603321,
+                4648054143675008749,
+                122,
+                0,
+                4607151516527384674,
+                4607608434980984887,
+                18,
+            ],
+            registry_fnv: 2430694212248304671,
+            splits_merges_forwards: [0, 0, 0],
+        }
     );
 }
 
