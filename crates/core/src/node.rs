@@ -460,6 +460,13 @@ impl FlowerNode {
                 live: role.petal.live,
             },
         );
+        // A leaver that is itself a member (a §5.2 winner or an
+        // earlier heir) follows the directory to its heir.
+        if let Some(cp) = self.content.get_mut(&role.dir.website()) {
+            if cp.directory() == Some(me) {
+                cp.set_directory(target);
+            }
+        }
         Some(target)
     }
 

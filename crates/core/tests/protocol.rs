@@ -4,7 +4,7 @@
 
 use flower_core::msg::FlowerMsg;
 use flower_core::system::{FlowerSystem, SystemConfig};
-use simnet::{Event, Locality, SimDuration, SimTime};
+use simnet::{Event, Locality, NodeId, SimDuration, SimTime};
 use workload::WebsiteId;
 
 fn cfg(seed: u64) -> SystemConfig {
@@ -84,6 +84,78 @@ fn admin_leave_hands_directory_to_a_member() {
         "{}/{}",
         r.resolved,
         r.submitted
+    );
+}
+
+/// The node holding the directory role of `(ws, loc)` among its
+/// community, if exactly one does.
+fn directory_of(sys: &FlowerSystem, ws: WebsiteId, loc: Locality) -> Option<NodeId> {
+    let holders: Vec<NodeId> = sys
+        .community(ws, loc)
+        .iter()
+        .copied()
+        .filter(|n| {
+            sys.engine()
+                .node(*n)
+                .dir_role()
+                .is_some_and(|r| r.dir.website() == ws && r.dir.locality() == loc)
+        })
+        .collect();
+    (holders.len() == 1).then(|| holders[0])
+}
+
+fn admin_leave_at(sys: &mut FlowerSystem, t: SimTime, node: NodeId) {
+    sys.engine_mut().schedule_at(
+        t,
+        node,
+        Event::Recv {
+            from: node,
+            msg: FlowerMsg::AdminLeave,
+        },
+    );
+}
+
+/// §5.2: a leaving directory that is itself a member of its overlay
+/// (here an earlier heir) re-points its own content role to its heir
+/// at once; naming itself, it would drop its own pushes and advertise
+/// itself as the directory until gossip corrected it.
+#[test]
+fn a_leaving_heir_names_its_own_heir_as_directory() {
+    let c = cfg(41);
+    let mut sys = FlowerSystem::build(&c);
+    let ws = WebsiteId(0);
+    let loc = Locality(0);
+    let old_dir = sys.initial_directory(ws, loc).unwrap();
+
+    sys.run_until(SimTime::from_mins(4));
+    admin_leave_at(
+        &mut sys,
+        SimTime::from_mins(4) + SimDuration::from_secs(1),
+        old_dir,
+    );
+    sys.run_until(SimTime::from_mins(5));
+    let first_heir = directory_of(&sys, ws, loc).expect("one heir after the first leave");
+    assert_eq!(
+        sys.engine()
+            .node(first_heir)
+            .content_role(ws)
+            .and_then(|cp| cp.directory()),
+        Some(first_heir),
+        "the heir is its own overlay's directory"
+    );
+
+    let t = SimTime::from_mins(5) + SimDuration::from_secs(1);
+    admin_leave_at(&mut sys, t, first_heir);
+    sys.run_until(t + SimDuration::from_secs(1));
+    let second_heir = directory_of(&sys, ws, loc).expect("one heir after the second leave");
+    assert_ne!(second_heir, first_heir);
+    assert_eq!(
+        sys.engine()
+            .node(first_heir)
+            .content_role(ws)
+            .and_then(|cp| cp.directory()),
+        Some(second_heir),
+        "the leaver must name its heir, not itself"
     );
 }
 
