@@ -15,13 +15,13 @@
 //!   (`cache`), `instance_bits`, `petal_split_threshold` and
 //!   `petal_merge_floor` (`scale`, §5.3).
 //! * **Turned on by a test:** `replication_period`
-//!   (`tests/extensions.rs`).
+//!   (`tests/extensions.rs`, `tests/shard_parity.rs`).
 //! * **Set by the time scaling or a workload** (`experiments::runner`,
 //!   `chaos`, `benchmark/src/workloads.rs`): `stabilize_period`,
 //!   `fix_finger_period`, `dir_replacement_jitter`, `query_timeout`,
 //!   `query_retry_budget`; `max_dir_hops` has one value in use and is
 //!   a field only because `benchmark/src/probes/directory.rs` reads it.
-//! * **Constants**, each beside its one reader in `node.rs`:
+//! * **Constants** of `node`, each with one reader there:
 //!   `SUMMARY_FETCH_RETRIES` = 2, `HOLDER_RETRIES` = 3,
 //!   `SUMMARY_REFRESH_THRESHOLD` = 0.1, `REPLICATION_TOP_K` = 10.
 

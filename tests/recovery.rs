@@ -79,12 +79,8 @@ fn voluntary_handoff_transfers_the_directory() {
     let loc = Locality(0);
     let old_dir = sys.initial_directory(ws, loc).unwrap();
 
-    // Run long enough for the overlay to form, then trigger the
-    // voluntary leave through a scripted control event: we emulate the
-    // leave by taking the node down *after* handing off.
+    // Run long enough for the overlay to form.
     sys.run_until(SimTime::from_mins(4));
-    // Drive the handoff directly through the engine (the operation an
-    // operator would trigger before decommissioning a node).
     let target = {
         let node = sys.engine().node(old_dir);
         let role = node.dir_role().expect("old dir still in place");
@@ -96,11 +92,11 @@ fn voluntary_handoff_transfers_the_directory() {
         // it itself inside voluntary_dir_handoff).
         role.dir.view_seed(1, old_dir)[0]
     };
-    // The handoff needs a Ctx; emulate the §5.4/voluntary-leave path
-    // by killing the old directory *after* the community formed and
-    // checking a §5.2 replacement emerges — then separately verify the
-    // DirHandoff message path via the public node API in-unit. Here we
-    // exercise the end-to-end crash variant with a known heir present.
+    // This is the crash variant with a known heir present: the old
+    // directory dies *after* the community formed, and a §5.2
+    // replacement must emerge. The hand-off itself is reached by
+    // scheduling `FlowerMsg::AdminLeave` at the directory; the tests
+    // in `crates/core/tests/protocol.rs` drive it that way.
     sys.apply_churn(&ChurnScript::kill_at(&[(
         SimTime::from_mins(4) + SimDuration::from_secs(1),
         old_dir,
