@@ -16,7 +16,7 @@ use squirrel::SquirrelSystem;
 use workload::Surge;
 
 use crate::claims::{judge, Run, SWEEPS};
-use crate::report::{f1, f3, pct, BenchRecord, MetricsRecord, Table};
+use crate::report::{f1, f3, pct, MetricsRecord, Table};
 use crate::runner::{self, RunOpts};
 
 /// Rendered output of one experiment.
@@ -28,8 +28,6 @@ pub struct ExpOutput {
     pub csv: Vec<(String, String)>,
     /// Qualitative shape checks `(description, passed)`.
     pub checks: Vec<(String, bool)>,
-    /// Engine-performance measurements, one per `scale` cell.
-    pub bench: Vec<BenchRecord>,
     /// Registry snapshots for `METRICS.json` (per-subsystem hot-path
     /// attribution; written by `--metrics-out`).
     pub metrics: Vec<MetricsRecord>,
@@ -80,7 +78,7 @@ pub fn check_deployment_size(
         "scale" => {
             let p = scale_params;
             for &shards in &p.shards {
-                shards_fit("--shard-sweep", shards, cmd, SCALE_LOCALITIES)?;
+                shards_fit("--shard-sweep", shards, cmd, WAN_LOCALITIES)?;
             }
             // The topology does not depend on the instance bits and
             // more bits only need more nodes: the widest D-ring of
@@ -397,16 +395,8 @@ pub fn churn(opts: RunOpts) -> ExpOutput {
     }
     sys.apply_churn(&ChurnScript::kill_at(&kills));
 
-    // Session churn over 30% of community members.
-    let mut affected: Vec<NodeId> = Vec::new();
-    for ws in 0..cfg.catalog.active_websites as u16 {
-        for l in 0..k as u16 {
-            let comm = sys.community(workload::WebsiteId(ws), Locality(l));
-            affected.extend(comm.iter().take(comm.len() / 3));
-        }
-    }
-    affected.sort_unstable_by_key(|n| n.0);
-    affected.dedup();
+    // Session churn over a third of community members.
+    let affected = churn_population(&sys, &cfg);
     let churn_cfg = ChurnConfig {
         start: SimTime::from_ms(horizon.as_ms() / 4),
         end: horizon,
@@ -467,6 +457,22 @@ pub fn churn(opts: RunOpts) -> ExpOutput {
     out.text.push_str(&out.render_checks());
     out.csv.push(("churn".into(), t.to_csv()));
     out
+}
+
+/// Who session churn takes down and brings back, in `churn` and in the
+/// `chaos` families: the first third of every (active website,
+/// locality) community, in node order, each node once.
+fn churn_population(sys: &FlowerSystem, cfg: &SystemConfig) -> Vec<NodeId> {
+    let mut affected: Vec<NodeId> = Vec::new();
+    for ws in 0..cfg.catalog.active_websites as u16 {
+        for l in 0..cfg.topology.localities as u16 {
+            let comm = sys.community(workload::WebsiteId(ws), Locality(l));
+            affected.extend(comm.iter().take(comm.len() / 3));
+        }
+    }
+    affected.sort_unstable_by_key(|n| n.0);
+    affected.dedup();
+    affected
 }
 
 /// **§8 extension: cache replacement** — bounded per-peer caches with
@@ -577,9 +583,7 @@ fn scale_config(
     seed: u64,
 ) -> SystemConfig {
     use flower_core::FlowerConfig;
-    use simnet::TopologyConfig;
     use workload::{CatalogConfig, WorkloadConfig};
-    let localities = SCALE_LOCALITIES;
     let active_websites = SCALE_ACTIVE_WEBSITES;
     let query_rate_per_sec = nodes as f64 * SCALE_QUERY_RATE_PER_NODE;
     let flower_base = FlowerConfig::fast_test();
@@ -590,16 +594,7 @@ fn scale_config(
     let mean_petal_window = scale_mean_petal_window(nodes);
     let petal_split_threshold = (mean_petal_window * 0.45).max(4.0) as u64;
     SystemConfig {
-        topology: TopologyConfig {
-            nodes,
-            localities,
-            min_latency_ms: 10,
-            max_latency_ms: 500,
-            cluster_spread: 0.03,
-            background_fraction: 0.0,
-            population_skew: 0.25,
-            inter_locality_floor_ms: 60,
-        },
+        topology: wan_topology(nodes),
         catalog: CatalogConfig {
             num_websites: 8,
             active_websites,
@@ -625,10 +620,27 @@ fn scale_config(
     }
 }
 
-/// The `scale` deployment's shape, shared by [`scale_config`] and
-/// [`scale_mean_petal_window`] so the split threshold and the
-/// flatten-check strictness can never drift apart.
-const SCALE_LOCALITIES: usize = 8;
+/// Localities of the WAN deployment `scale` and `chaos` simulate,
+/// shared with [`scale_mean_petal_window`] so the split threshold and
+/// the flatten-check strictness can never drift apart.
+const WAN_LOCALITIES: usize = 8;
+
+/// The underlay of the `scale` and `chaos` deployments: 8 domains of
+/// WAN latencies (10–500 ms) held apart by a 60 ms inter-domain floor,
+/// which is also the engine's epoch lookahead.
+fn wan_topology(nodes: usize) -> simnet::TopologyConfig {
+    simnet::TopologyConfig {
+        nodes,
+        localities: WAN_LOCALITIES,
+        min_latency_ms: 10,
+        max_latency_ms: 500,
+        cluster_spread: 0.03,
+        background_fraction: 0.0,
+        population_skew: 0.25,
+        inter_locality_floor_ms: 60,
+    }
+}
+
 /// Active websites of the `scale` deployment (petals = localities ×
 /// active websites).
 const SCALE_ACTIVE_WEBSITES: usize = 4;
@@ -643,7 +655,7 @@ fn scale_mean_petal_window(nodes: usize) -> f64 {
     use flower_core::FlowerConfig;
     let window_s = FlowerConfig::fast_test().keepalive_period.as_ms() as f64 / 1000.0;
     nodes as f64 * SCALE_QUERY_RATE_PER_NODE * window_s
-        / (SCALE_LOCALITIES * SCALE_ACTIVE_WEBSITES) as f64
+        / (WAN_LOCALITIES * SCALE_ACTIVE_WEBSITES) as f64
 }
 
 /// Everything about a finished run that must not depend on the shard
@@ -717,25 +729,25 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                 } else {
                     format!("scale/{nodes}n/b{bits}")
                 };
-                let (sys, report, record) = runner::run_flower_timed(&cfg, &name);
+                let (sys, report, wall_s) = runner::run_flower_timed(&cfg);
+                let engine = sys.engine();
                 // What the engine ran, not what was asked for: it
                 // clamps to the number of localities.
-                let shards = sys.engine().num_shards();
+                let shards = engine.num_shards();
+                let events = engine.events_processed();
                 let speedup = match &base {
                     None => format!("×1.00 (base: {shards} shard(s))"),
-                    Some((base_wall, _, _)) => {
-                        format!("×{:.2}", base_wall / record.wall_s.max(1e-9))
-                    }
+                    Some((base_wall, _, _)) => format!("×{:.2}", base_wall / wall_s.max(1e-9)),
                 };
                 table.row(vec![
                     nodes.to_string(),
                     bits.to_string(),
                     shards.to_string(),
-                    format!("{:.2}", record.wall_s),
-                    record.events.to_string(),
-                    f1(record.events_per_sec),
-                    record.peak_queue_depth.to_string(),
-                    record.epochs.to_string(),
+                    format!("{wall_s:.2}"),
+                    events.to_string(),
+                    f1(events as f64 / wall_s.max(1e-9)),
+                    engine.peak_queue_depth().to_string(),
+                    engine.epochs().to_string(),
                     speedup,
                     f3(report.hit_ratio),
                     f3(report.dir_load_max_mean),
@@ -745,7 +757,7 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                 match &base {
                     None => {
                         load_ratios.push((bits, report.dir_load_max_mean));
-                        base = Some((record.wall_s, shards, fingerprint));
+                        base = Some((wall_s, shards, fingerprint));
                     }
                     Some((_, base_shards, base_fingerprint)) => out.push_check(
                         format!(
@@ -755,7 +767,7 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                             report.submitted,
                             report.resolved,
                             report.hit_ratio,
-                            sys.engine().traffic().messages(),
+                            engine.traffic().messages(),
                             report.dir_load_max_mean
                         ),
                         *base_fingerprint == fingerprint,
@@ -767,9 +779,8 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                     // cell of the group simulates the same trace.
                     sim_key: name,
                     shards,
-                    set: sys.engine().metrics().clone(),
+                    set: engine.metrics().clone(),
                 });
-                out.bench.push(record);
             }
         }
         // §5.3 PetalUp shape: splits must flatten the per-instance
@@ -820,9 +831,6 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
 /// and directory petals worth disrupting.
 const CHAOS_NODES: usize = 2000;
 
-/// Localities of the chaos deployment (same shape as `scale`).
-const CHAOS_LOCALITIES: usize = 8;
-
 /// The scripted fault window shared by every chaos family: strike at
 /// 150 s, heal/end at 240 s of the 360 s horizon — a settled plateau
 /// on both sides of the disruption.
@@ -845,19 +853,9 @@ fn chaos_window() -> SimDuration {
 /// eventually degrade to the origin server.
 pub fn chaos_config(nodes: usize, shards: usize, seed: u64) -> SystemConfig {
     use flower_core::FlowerConfig;
-    use simnet::TopologyConfig;
     use workload::{CatalogConfig, WorkloadConfig};
     SystemConfig {
-        topology: TopologyConfig {
-            nodes,
-            localities: CHAOS_LOCALITIES,
-            min_latency_ms: 10,
-            max_latency_ms: 500,
-            cluster_spread: 0.03,
-            background_fraction: 0.0,
-            population_skew: 0.25,
-            inter_locality_floor_ms: 60,
-        },
+        topology: wan_topology(nodes),
         catalog: CatalogConfig {
             num_websites: 8,
             active_websites: 2,
@@ -925,25 +923,15 @@ fn chaos_partition_plane(start: SimTime, heal: SimTime) -> FaultPlane {
 /// flow of D-ring lookups — the traffic a partition actually breaks —
 /// through the whole run instead of only during the join wave.
 fn chaos_churn(sys: &FlowerSystem, cfg: &SystemConfig, seed: u64) -> ChurnScript {
-    let horizon = SimTime::from_ms(cfg.workload.duration_ms);
-    let mut affected: Vec<NodeId> = Vec::new();
-    for ws in 0..cfg.catalog.active_websites as u16 {
-        for l in 0..cfg.topology.localities as u16 {
-            let comm = sys.community(workload::WebsiteId(ws), Locality(l));
-            affected.extend(comm.iter().take(comm.len() / 3));
-        }
-    }
-    affected.sort_unstable_by_key(|n| n.0);
-    affected.dedup();
     ChurnScript::generate(
         &ChurnConfig {
             start: SimTime::from_secs(30),
-            end: horizon,
+            end: SimTime::from_ms(cfg.workload.duration_ms),
             mean_session: SimDuration::from_secs(90),
             mean_downtime: SimDuration::from_secs(15),
             permanent: false,
         },
-        &affected,
+        &churn_population(sys, cfg),
         seed,
     )
 }
@@ -1468,16 +1456,24 @@ mod tests {
             seed: 9,
         });
         assert!(out.all_passed(), "{}", out.render_checks());
-        assert_eq!(out.bench.len(), 3, "one cell per shard count");
+        assert_eq!(out.metrics.len(), 3, "one cell per shard count");
         assert_eq!(
             out.checks.len(),
             2,
             "shards 2 and 4 against the 1-shard run"
         );
-        assert!(out.bench.iter().all(|r| r.events > 0));
-        assert_eq!(out.bench[0].events, out.bench[1].events);
-        assert_eq!(out.bench[0].epochs, 0, "one shard has no barrier");
-        assert!(out.bench[1].epochs > 0, "sharded runs count barrier rounds");
+        let cells: Vec<(u64, u64)> = (out.metrics.iter())
+            .map(|r| {
+                (
+                    r.set.counter(Counter::EngineEvents),
+                    r.set.counter(Counter::EngineEpochs),
+                )
+            })
+            .collect();
+        assert!(cells.iter().all(|&(events, _)| events > 0));
+        assert_eq!(cells[0].0, cells[1].0);
+        assert_eq!(cells[0].1, 0, "one shard has no barrier");
+        assert!(cells[1].1 > 0, "sharded runs count barrier rounds");
 
         // An over-asked base cell is labelled with the shard count the
         // engine clamped it to (the 8 localities).
@@ -1507,11 +1503,11 @@ mod tests {
             seed: 42,
         });
         assert!(out.all_passed(), "{}", out.render_checks());
-        assert_eq!(out.bench.len(), 9, "3 bits × 3 shard counts");
+        assert_eq!(out.metrics.len(), 9, "3 bits × 3 shard counts");
         assert!(out
-            .bench
+            .metrics
             .iter()
-            .any(|r| r.experiment.ends_with("/b2") && r.dir_load_max_mean > 0.0));
+            .any(|r| r.experiment.ends_with("/b2") && r.set.counter(Counter::EngineEvents) > 0));
     }
 
     /// The two CLI repros: `scale --nodes 100` used to panic in

@@ -99,34 +99,6 @@ impl Table {
     }
 }
 
-/// One engine-performance measurement: a row of the `scale` table
-/// (the repository's benchmark is `benchmark/`, see `BENCHMARK.json`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchRecord {
-    /// The experiment (or sweep cell) the measurement belongs to.
-    pub experiment: String,
-    /// Underlay nodes simulated.
-    pub nodes: usize,
-    /// Engine shards (worker threads) used.
-    pub shards: usize,
-    /// Wall-clock seconds of the run (simulation only, build
-    /// excluded).
-    pub wall_s: f64,
-    /// Events the engine dispatched.
-    pub events: u64,
-    /// Events per wall-clock second.
-    pub events_per_sec: f64,
-    /// High-water mark of any shard's event queue length.
-    pub peak_queue_depth: usize,
-    /// §5.3 PetalUp: per-instance directory query load imbalance
-    /// (hottest instance over mean petal load) at the end of the run;
-    /// 0.0 for runs with no directory traffic.
-    pub dir_load_max_mean: f64,
-    /// Barrier rounds the sharded engine executed (0 on single-shard
-    /// runs, which have no barrier).
-    pub epochs: u64,
-}
-
 /// One run's registry snapshot, emitted into `METRICS.json` so the CI
 /// dashboard can attribute hot-path work per subsystem.
 #[derive(Clone, Debug)]

@@ -11,8 +11,6 @@ use flower_core::{FlowerConfig, FlowerSystem, SystemConfig, SystemReport};
 use simnet::SimDuration;
 use squirrel::SquirrelConfig;
 
-use crate::report::BenchRecord;
-
 /// The run parameters every experiment takes: time scale, master
 /// seed and engine shard count. All of them are
 /// execution/reproduction knobs orthogonal to the paper's protocol
@@ -203,33 +201,17 @@ pub fn squirrel_config(opts: RunOpts) -> SquirrelConfig {
     cfg
 }
 
-/// As [`FlowerSystem::run`], additionally measuring the engine: wall-clock of
-/// the simulation itself (build excluded), events/second and peak
-/// queue depth, packaged as a [`BenchRecord`] for the `scale` table.
-pub fn run_flower_timed(
-    cfg: &SystemConfig,
-    experiment: &str,
-) -> (FlowerSystem, SystemReport, BenchRecord) {
+/// As [`FlowerSystem::run`], additionally returning the wall-clock
+/// seconds of the simulation itself (build excluded) for the `scale`
+/// table.
+pub fn run_flower_timed(cfg: &SystemConfig) -> (FlowerSystem, SystemReport, f64) {
     let mut sys = FlowerSystem::build(cfg);
     let horizon = sys.drain_horizon();
     let t0 = std::time::Instant::now();
     sys.run_until(horizon);
     let wall_s = t0.elapsed().as_secs_f64();
     let report = sys.report();
-    let engine = sys.engine();
-    let events = engine.events_processed();
-    let record = BenchRecord {
-        experiment: experiment.to_string(),
-        nodes: cfg.topology.nodes,
-        shards: engine.num_shards(),
-        wall_s,
-        events,
-        events_per_sec: events as f64 / wall_s.max(1e-9),
-        peak_queue_depth: engine.peak_queue_depth(),
-        dir_load_max_mean: report.dir_load_max_mean,
-        epochs: engine.epochs(),
-    };
-    (sys, report, record)
+    (sys, report, wall_s)
 }
 
 #[cfg(test)]

@@ -8,7 +8,14 @@
 //! goes through [`Ctx`] — sending messages, arming timers, reading the
 //! clock/topology, drawing from the node's private RNG stream, and
 //! recording metrics — which keeps the protocol logic purely
-//! deterministic and unit-testable.
+//! deterministic and unit-testable: [`Ctx::new`] builds one around a
+//! single handler call with no engine behind it.
+//!
+//! One module per seam: `ctx` (the node-facing types), `shard` (the
+//! shard loop: step, dispatch, deliver, flush, the prefetch pipeline),
+//! `wire` (the fate of a wire message and its per-class counters),
+//! `source` (the injection source), `exchange` (the cross-shard
+//! barrier rounds) and this one, [`Engine`]'s public API.
 //!
 //! ## Sharded execution model
 //!
@@ -61,12 +68,12 @@
 //! last used tens of thousands of events ago. Every one of those
 //! addresses is knowable ahead of time, because the instant the queue
 //! is draining is already sorted in pop order
-//! ([`EventQueue::upcoming`]). So right after every pop the shard loop
-//! (`Shard::step`: pop, look ahead, dispatch — the one path an event
-//! takes to its node) calls `prefetch_ahead`, which walks the
-//! dependency chain *entry → payload slot → destination → node → role
-//! state*, one stage per link, each at a fixed distance behind the new
-//! head:
+//! ([`EventQueue::upcoming`](crate::event::EventQueue::upcoming)). So
+//! right after every pop the shard loop (`Shard::step` in `shard`:
+//! pop, look ahead, dispatch — the one path an event takes to its
+//! node) calls `prefetch_ahead`, which walks the dependency chain
+//! *entry → payload slot → destination → node → role state*, one
+//! stage per link, each at a fixed distance behind the new head:
 //!
 //! * **8 events ahead** it reads the sorted entry (contiguous, hot)
 //!   and hints the payload's slab slot.
@@ -123,885 +130,41 @@
 //! directory-failure detection (§5.2) without a global liveness
 //! oracle.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+mod ctx;
+mod exchange;
+mod shard;
+mod source;
+mod wire;
 
-use metrics::{Counter, Gauge, MetricSet, MetricSink};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::cell::OnceCell;
+use std::sync::Arc;
+
+use metrics::{Counter, Gauge, MetricSet};
+use rand::{rngs::StdRng, SeedableRng};
+
+pub use ctx::{node_stream_seed, Action, Ctx, Event, Message, Node, QuerySink};
+pub use source::Injection;
+pub use wire::{BOUNCE_COUNTER, DROP_COUNTER, RECV_COUNTER, SENT_COUNTER};
 
 use crate::event::{EventKey, EventQueue};
-use crate::stats::{QueryStats, ShardTraffic, Traffic, TrafficClass};
-use crate::sync::{MailboxGrid, SenseBarrier};
+use crate::stats::{QueryStats, ShardTraffic, Traffic};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{Locality, NodeId, Topology};
+use crate::topology::{NodeId, Topology};
+use exchange::reachability_bounds;
+use shard::{Liveness, NodeSlab, Pending, Placement, Shard, Staged};
+use source::{ShardSource, SOURCE_BLOCK};
 
-/// A simulated wire message: every protocol message reports its size
-/// in bytes (for the paper's bandwidth metric) and its traffic class.
-/// Messages cross shard threads, hence the `Send` bound.
-pub trait Message: std::fmt::Debug + Send {
-    /// Modelled serialized size in bytes.
-    fn wire_size(&self) -> u32;
-    /// Classification for traffic accounting.
-    fn class(&self) -> TrafficClass;
-}
-
-/// What a node can observe.
-#[derive(Debug)]
-pub enum Event<M> {
-    /// A message arrived from `from`.
-    Recv {
-        /// Sender of the message.
-        from: NodeId,
-        /// The message payload.
-        msg: M,
-    },
-    /// A timer armed with [`Ctx::set_timer`] fired.
-    Timer {
-        /// Application-defined timer kind.
-        kind: u16,
-        /// Application-defined payload for the timer.
-        tag: u64,
-    },
-    /// A message previously sent to `to` could not be delivered
-    /// because `to` is down. Arrives one round-trip after the send.
-    Undeliverable {
-        /// The unreachable destination.
-        to: NodeId,
-        /// The original message.
-        msg: M,
-    },
-    /// This node was revived after a churn-induced failure. State was
-    /// NOT cleared automatically; the protocol decides what survives a
-    /// restart (the paper: a revived peer rejoins as a new client).
-    NodeUp,
-}
-
-/// A protocol state machine bound to one simulated node. Nodes are
-/// owned by exactly one shard but shards run on worker threads, hence
-/// the `Send` bound.
-pub trait Node<M: Message>: Send {
-    /// Handle one event. Use `ctx` to send messages, arm timers and
-    /// record metrics.
-    fn on_event(&mut self, ctx: &mut Ctx<'_, M>, ev: Event<M>);
-
-    /// Called a couple of events before this node's next
-    /// [`Node::on_event`], when the node itself is already on its way
-    /// into cache (module docs, "Lookahead prefetch"): the place to
-    /// name the heap state a handler touches first. An implementation
-    /// may read `&self` and pass references to [`crate::prefetch`],
-    /// and nothing else — no interior mutability that a handler could
-    /// observe, no allocation, no work whose result matters. The call
-    /// is a forecast: it may come more than once before an event, for
-    /// an event that ends up dropped (the node went down), or not at
-    /// all (short days, the first events of a run), so nothing may
-    /// depend on it having happened. The default does nothing.
-    #[inline]
-    fn prefetch(&self) {}
-}
-
-/// Output actions buffered during an event handler.
-#[derive(Debug)]
-pub enum Action<M> {
-    /// Send `msg` to `to` (arrives after one link latency).
-    Send {
-        /// Destination node.
-        to: NodeId,
-        /// Message payload.
-        msg: M,
-    },
-    /// Deliver `Event::Timer { kind, tag }` to self after `delay`.
-    Timer {
-        /// Delay until the timer fires.
-        delay: SimDuration,
-        /// Application-defined timer kind.
-        kind: u16,
-        /// Application-defined payload.
-        tag: u64,
-    },
-}
-
-/// The per-event execution context handed to [`Node::on_event`].
-///
-/// The action buffer is a persistent per-shard scratch vector lent to
-/// the context for the duration of the handler — after warm-up no
-/// event allocates on the delivery path, however many actions it
-/// emits.
-pub struct Ctx<'a, M> {
-    now: SimTime,
-    id: NodeId,
-    topo: &'a Topology,
-    rng: &'a mut StdRng,
-    query_stats: &'a mut QueryStats,
-    metrics: &'a mut MetricSet,
-    out: &'a mut Vec<Action<M>>,
-}
-
-impl<'a, M> Ctx<'a, M> {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The node this event is executing on.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Number of nodes in the underlay.
-    pub fn num_nodes(&self) -> usize {
-        self.topo.num_nodes()
-    }
-
-    /// Network locality of `n` (landmark measurement; §6.1).
-    pub fn locality(&self, n: NodeId) -> Locality {
-        self.topo.locality(n)
-    }
-
-    /// Number of localities `k`.
-    pub fn num_localities(&self) -> usize {
-        self.topo.num_localities()
-    }
-
-    /// Measured one-way latency between two nodes in milliseconds.
-    /// Protocols use this for the transfer-distance metric and for
-    /// latency-aware choices, mirroring the landmark-style probing the
-    /// paper assumes peers can perform.
-    pub fn latency_ms(&self, a: NodeId, b: NodeId) -> u64 {
-        self.topo.latency_ms(a, b)
-    }
-
-    /// This node's private deterministic RNG stream, seeded from
-    /// `(seed, node_id)` — independent of every other node's draws and
-    /// of the shard layout.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    /// Send a message (delivered after one link latency).
-    pub fn send(&mut self, to: NodeId, msg: M) {
-        self.out.push(Action::Send { to, msg });
-    }
-
-    /// Arm a timer on this node.
-    pub fn set_timer(&mut self, delay: SimDuration, kind: u16, tag: u64) {
-        self.out.push(Action::Timer { delay, kind, tag });
-    }
-
-    /// The paper's query metrics sink. Record-only by construction
-    /// ([`QuerySink`]): the engine keeps one accumulator per shard and
-    /// merges them at read time, so letting a protocol read partial
-    /// metrics back would make behaviour depend on the shard layout —
-    /// the facade makes that a compile error rather than a doc rule.
-    pub fn query_stats(&mut self) -> QuerySink<'_> {
-        QuerySink {
-            stats: self.query_stats,
-        }
-    }
-
-    /// The static metric registry's recording facade. Like
-    /// [`Ctx::query_stats`], record-only by construction
-    /// ([`MetricSink`]): each shard owns private metric cells merged
-    /// at read time, so reading partial values back from a handler
-    /// would make behaviour depend on the shard layout.
-    pub fn metrics(&mut self) -> MetricSink<'_> {
-        MetricSink::new(self.metrics)
-    }
-}
-
-/// Record-only facade over a shard's [`QueryStats`], handed out by
-/// [`Ctx::query_stats`]. Exposes exactly the recording entry points —
-/// no read access, so protocol behaviour cannot depend on a shard's
-/// partial view of the merged metrics.
-pub struct QuerySink<'a> {
-    stats: &'a mut QueryStats,
-}
-
-impl QuerySink<'_> {
-    /// Note a query submission.
-    pub fn on_submit(&mut self) {
-        self.stats.on_submit();
-    }
-
-    /// Record a resolved query (see [`QueryStats::on_resolved`]).
-    pub fn on_resolved(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        lookup_ms: u64,
-        transfer_ms: u64,
-        served_by: crate::stats::ServedBy,
-    ) {
-        self.stats
-            .on_resolved(at, node, lookup_ms, transfer_ms, served_by);
-    }
-
-    /// Note a redirection failure (stale directory entry; Sec. 5.1).
-    pub fn on_redirection_failure(&mut self) {
-        self.stats.on_redirection_failure();
-    }
-
-    /// Note that a peer joined a content overlay at `at`.
-    pub fn on_join(&mut self, at: SimTime) {
-        self.stats.on_join(at);
-    }
-}
-
-/// The per-node RNG stream id: a SplitMix64-style mix of the master
-/// seed and the node id. Every node draws from an independent
-/// deterministic stream, so its randomness does not depend on the
-/// event interleaving with other nodes (or on the shard layout).
-pub fn node_stream_seed(seed: u64, node: NodeId) -> u64 {
-    let mut z = seed ^ (node.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// External injections use source stream 0 of the [`EventKey`] space;
-/// node `n` emits on stream `n + 1`.
-const EXTERNAL_STREAM: u64 = 0;
-
-/// How many events behind the queue's head each stage of the
-/// lookahead pipeline works (module docs, "Lookahead prefetch"): the
-/// payload slot is hinted first, its destination's per-node rows once
-/// the payload has had time to arrive, and what hangs off the node
-/// once the node has. Constants, not options: measured insensitive
-/// (9 / 6 / 3 and 12 / 6 / 3 read the same within noise), and no value
-/// can change a result.
-const PREFETCH_SLOT_AHEAD: usize = 8;
-const PREFETCH_NODE_AHEAD: usize = 5;
-const PREFETCH_ROLE_AHEAD: usize = 2;
-
-/// One external injection of an [`Engine::attach_source`] stream:
-/// deliver the event to the node at the instant.
-pub type Injection<M> = (SimTime, NodeId, Event<M>);
-
-/// Sequence numbers of the external stream set aside for an attached
-/// source: injection `i` is keyed `base + i`, and whatever is
-/// scheduled after the attachment starts above the whole block — as if
-/// the stream had been scheduled up front, without knowing its length.
-const SOURCE_BLOCK: u64 = 1 << 48;
-
-/// A shard's replica of the attached injection stream. Every replica
-/// walks the whole stream — the key of an injection is its position in
-/// it — and keeps the injections addressed to its own shard's nodes,
-/// one at a time: only `head` is resident.
-struct ShardSource<M> {
-    /// The rest of the stream; `None` when nothing is attached.
-    rest: Option<Box<dyn Iterator<Item = Injection<M>> + Send>>,
-    /// Sequence number of the next item of `rest`.
-    next_seq: u64,
-    /// This shard's earliest injection not yet in its queue.
-    head: Option<(EventKey, NodeId, Event<M>)>,
-    /// Injections this shard has moved into its queue.
-    injected: u64,
-}
-
-impl<M> ShardSource<M> {
-    fn detached() -> Self {
-        ShardSource {
-            rest: None,
-            next_seq: 0,
-            head: None,
-            injected: 0,
-        }
-    }
-
-    /// Load the next injection owned by shard `me` into `head`.
-    fn advance(&mut self, me: usize, place: &Placement) {
-        let floor = self.head.as_ref().map(|(key, ..)| key.at);
-        self.head = None;
-        let Some(rest) = &mut self.rest else { return };
-        for (at, node, ev) in rest {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            if place.shard(node) == me {
-                debug_assert!(floor <= Some(at), "injection source went back in time");
-                let key = EventKey {
-                    at,
-                    src: EXTERNAL_STREAM,
-                    seq,
-                };
-                self.head = Some((key, node, ev));
-                return;
-            }
-        }
-        self.rest = None;
-    }
-}
-
-/// The per-round epoch-bound coefficients, from the raw
-/// pair-lookahead matrix `l` (row-major `k × k`, `u64::MAX` diagonal).
-///
-/// `reach[m][i]` lower-bounds how long after shard `m`'s earliest
-/// pending event *anything* could become due at shard `i` that is not
-/// already in `i`'s queue: an event of `m` at time `t` can trigger an
-/// emission chain `m → … → j → i` whose hops each cost at least the
-/// pair lookahead (handlers emit at the instant of receipt, so relay
-/// delay lower-bounds at zero). Formally
-/// `reach[m][i] = min over j ≠ i of (dist(m, j) + l[j][i])` with
-/// `dist` the min-plus shortest path over `l` (`dist(m, m) = 0`).
-///
-/// The `j ≠ i` exclusion makes the diagonal the *round-trip* term
-/// `reach[i][i] = min_j (dist(i, j) + l[j][i])`: shard `i`'s own
-/// events can reflect off a peer and come back, so `i` may never
-/// outrun its own emissions by more than a round trip — the
-/// self-reflection a naive `min over peers of (next_j + l[j][i])`
-/// bound misses (an idle peer would then constrain nobody, yet a
-/// message sent to it this round can wake it and draw a reply).
-fn reachability_bounds(l: &[u64], k: usize) -> Vec<u64> {
-    // Progress guarantee: every off-diagonal pair lookahead is ≥ 1 ms
-    // (shard pairs are cross-locality by construction, and the
-    // topology's cross floor clamps to at least 1 ms), so every reach
-    // entry is ≥ 1 ms and an epoch bound always lies strictly
-    // beyond the global minimum — no barrier round can spin without
-    // processing anything.
-    debug_assert!(
-        (0..k).all(|a| (0..k).all(|b| a == b || l[a * k + b] >= 1)),
-        "pair lookaheads must be positive for the barrier to progress"
-    );
-    // Min-plus all-pairs shortest path over the pair lookaheads.
-    let mut dist = vec![u64::MAX; k * k];
-    for m in 0..k {
-        dist[m * k + m] = 0;
-        for j in 0..k {
-            if m != j {
-                dist[m * k + j] = l[m * k + j];
-            }
-        }
-    }
-    for via in 0..k {
-        for a in 0..k {
-            for b in 0..k {
-                let d = dist[a * k + via].saturating_add(dist[via * k + b]);
-                if d < dist[a * k + b] {
-                    dist[a * k + b] = d;
-                }
-            }
-        }
-    }
-    let mut reach = vec![u64::MAX; k * k];
-    for m in 0..k {
-        for i in 0..k {
-            for j in 0..k {
-                if j == i {
-                    continue;
-                }
-                let r = dist[m * k + j].saturating_add(l[j * k + i]);
-                if r < reach[m * k + i] {
-                    reach[m * k + i] = r;
-                }
-            }
-        }
-    }
-    reach
-}
-
-/// Global node id → `(owning shard, dense local index)`, packed into
-/// one `u64` per node (shard in the high half, local index in the
-/// low). The engine's hot path resolves both halves for nearly every
-/// event — `route` needs the shard, `deliver`/`emit_key` the local
-/// index — so packing them touches one cache line per node instead of
-/// two parallel tables.
-struct Placement {
-    packed: Vec<u64>,
-}
-
-impl Placement {
-    fn new(n: usize) -> Self {
-        Placement { packed: vec![0; n] }
-    }
-
-    fn set(&mut self, node: NodeId, shard: usize, local: u32) {
-        self.packed[node.idx()] = ((shard as u64) << 32) | local as u64;
-    }
-
-    #[inline]
-    fn shard(&self, node: NodeId) -> usize {
-        (self.packed[node.idx()] >> 32) as usize
-    }
-
-    #[inline]
-    fn local(&self, node: NodeId) -> usize {
-        (self.packed[node.idx()] & 0xFFFF_FFFF) as usize
-    }
-}
-
-/// Full-population liveness map, one bit per node. Replicated on every
-/// shard (kept in sync by the broadcast churn events), so at 100k+
-/// nodes the packed form keeps each replica at ~12 KB of cache
-/// footprint instead of 100 KB for a `Vec<bool>`.
-#[derive(Clone)]
-struct Liveness {
-    words: Vec<u64>,
-}
-
-impl Liveness {
-    fn all_up(n: usize) -> Self {
-        Liveness {
-            words: vec![u64::MAX; n.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn get(&self, node: NodeId) -> bool {
-        let i = node.idx();
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    fn set(&mut self, node: NodeId, up: bool) {
-        let i = node.idx();
-        if up {
-            self.words[i / 64] |= 1u64 << (i % 64);
-        } else {
-            self.words[i / 64] &= !(1u64 << (i % 64));
-        }
-    }
-}
-
-/// Struct-of-arrays slab of a shard's hot per-node state, indexed by
-/// the dense local index ([`Placement::local`]). Keeping each field in
-/// its own contiguous array means an event touches only the arrays it
-/// needs — an emission counter bump does not pull the node's RNG
-/// state into cache alongside it.
-struct NodeSlab {
-    /// Per-node deterministic RNG streams
-    /// (`StdRng::seed_from_u64(node_stream_seed(seed, node))`).
-    rngs: Vec<StdRng>,
-    /// Per-node emission counters — sequence numbers of the node's
-    /// [`EventKey`] stream.
-    emit_seq: Vec<u64>,
-}
-
-impl NodeSlab {
-    fn with_capacity(c: usize) -> Self {
-        NodeSlab {
-            rngs: Vec::with_capacity(c),
-            emit_seq: Vec::with_capacity(c),
-        }
-    }
-
-    fn push(&mut self, rng: StdRng) {
-        self.rngs.push(rng);
-        self.emit_seq.push(0);
-    }
-
-    /// The next sequence number on local node `li`'s emission stream.
-    #[inline]
-    fn next_seq(&mut self, li: usize) -> u64 {
-        let seq = self.emit_seq[li];
-        self.emit_seq[li] += 1;
-        seq
-    }
-}
-
-/// A keyed event staged for another shard (one entry of an
-/// outbox/inbox batch exchanged at the epoch barrier).
-type Staged<M> = (EventKey, Pending<M>);
-
-/// Internal queue payload.
-#[derive(Debug)]
-enum Pending<M> {
-    App {
-        dst: NodeId,
-        ev: Event<M>,
-    },
-    /// Traffic-accounted message in flight (recorded at send time;
-    /// this wrapper only exists to detect dead destinations at
-    /// delivery time).
-    Wire {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-    },
-    ChurnDown(NodeId),
-    ChurnUp(NodeId),
-}
-
-/// One locality shard: a slice of the node population with its own
-/// queue, clock, RNG streams and statistics.
-struct Shard<M: Message, N: Node<M>> {
-    /// Index of this shard.
-    id: usize,
-    /// Protocol nodes owned by this shard, densely packed; the
-    /// engine's [`Placement`] maps global node ids into this vector.
-    nodes: Vec<N>,
-    /// Hot per-node engine state (RNG streams, emission counters),
-    /// parallel to `nodes` as struct-of-arrays.
-    slab: NodeSlab,
-    /// Full-population liveness bitmap, replicated on every shard and
-    /// kept in sync by the broadcast churn events.
-    up: Liveness,
-    queue: EventQueue<Pending<M>>,
-    /// The attached injection stream, merged into `queue` as the clock
-    /// reaches it ([`Shard::pull_source`]).
-    source: ShardSource<M>,
-    now: SimTime,
-    /// This shard's traffic ledger; folded into a global [`Traffic`]
-    /// view at read time ([`Traffic::absorb_shard`]).
-    traffic: ShardTraffic,
-    query_stats: QueryStats,
-    /// Reusable action buffer lent to [`Ctx`] for each handler call;
-    /// drained (capacity kept) after every event.
-    scratch: Vec<Action<M>>,
-    /// Test-only: the key of every event popped, in pop order — what
-    /// `source_parity` compares between the streamed and the
-    /// pre-scheduled form of one injection stream.
-    #[cfg(test)]
-    popped: Vec<EventKey>,
-    /// This shard's private cells of the static metric registry:
-    /// engine counters (events dispatched, per-class receives,
-    /// timers, bounces, epoch rounds, barrier idle) plus whatever the
-    /// protocol records through [`Ctx::metrics`]; the engine accessors
-    /// read them back out of the merge.
-    metrics: MetricSet,
-    /// The installed fault script, replicated on every shard (like the
-    /// liveness map) so cut/loss decisions never read another shard's
-    /// state. `None` (the default) short-circuits every check.
-    fault: Option<std::sync::Arc<crate::fault::FaultPlane>>,
-}
-
-/// Per-traffic-class receive counters, indexed by
-/// [`TrafficClass::index`] — declaration order of both sides is
-/// pinned by a test below.
-pub const RECV_COUNTER: [Counter; 7] = [
-    Counter::RecvGossip,
-    Counter::RecvPush,
-    Counter::RecvKeepAlive,
-    Counter::RecvDhtRouting,
-    Counter::RecvDhtMaintenance,
-    Counter::RecvQueryControl,
-    Counter::RecvTransfer,
-];
-
-/// Per-traffic-class send counters, mirror of [`RECV_COUNTER`].
-pub const SENT_COUNTER: [Counter; 7] = [
-    Counter::SentGossip,
-    Counter::SentPush,
-    Counter::SentKeepAlive,
-    Counter::SentDhtRouting,
-    Counter::SentDhtMaintenance,
-    Counter::SentQueryControl,
-    Counter::SentTransfer,
-];
-
-/// Per-traffic-class undelivered-drop counters (fault cuts, link
-/// loss, dead senders), mirror of [`RECV_COUNTER`]. Together with
-/// [`BOUNCE_COUNTER`] these close the per-class message ledger the CI
-/// gate checks: `recv + bounce + drop ≤ sent` (strict equality is
-/// impossible — messages still in flight at the horizon are neither).
-pub const DROP_COUNTER: [Counter; 7] = [
-    Counter::DropGossip,
-    Counter::DropPush,
-    Counter::DropKeepAlive,
-    Counter::DropDhtRouting,
-    Counter::DropDhtMaintenance,
-    Counter::DropQueryControl,
-    Counter::DropTransfer,
-];
-
-/// Per-traffic-class bounce counters, mirror of [`RECV_COUNTER`].
-/// Sums to [`Counter::EngineBounces`] exactly.
-pub const BOUNCE_COUNTER: [Counter; 7] = [
-    Counter::BounceGossip,
-    Counter::BouncePush,
-    Counter::BounceKeepAlive,
-    Counter::BounceDhtRouting,
-    Counter::BounceDhtMaintenance,
-    Counter::BounceQueryControl,
-    Counter::BounceTransfer,
-];
-
-impl<M: Message, N: Node<M>> Shard<M, N> {
-    /// Does the installed fault plane cut a wire message from `from`
-    /// to `to` delivered at `at`? A pure function of `(at, sender
-    /// locality, destination locality, static script)` — evaluated
-    /// identically on every shard layout.
-    #[inline]
-    fn fault_cut(&self, at: SimTime, from: NodeId, to: NodeId, topo: &Topology) -> bool {
-        match &self.fault {
-            Some(f) => f.cuts(at, topo.locality(from), topo.locality(to)),
-            None => false,
-        }
-    }
-
-    /// The lookahead pipeline (module docs, "Lookahead prefetch"):
-    /// called right after every pop, with the popped event still to be
-    /// dispatched, so each stage's memory latency overlaps the
-    /// handlers that run before its event comes up.
-    #[inline]
-    fn prefetch_ahead(&self, place: &Placement) {
-        self.queue.prefetch_upcoming(PREFETCH_SLOT_AHEAD);
-        if let Some(li) = self.upcoming_local(PREFETCH_NODE_AHEAD, place) {
-            crate::prefetch(&self.nodes[li]);
-            crate::prefetch(&self.slab.rngs[li]);
-            crate::prefetch(&self.slab.emit_seq[li]);
-        }
-        if let Some(li) = self.upcoming_local(PREFETCH_ROLE_AHEAD, place) {
-            self.nodes[li].prefetch();
-        }
-    }
-
-    /// Local index of the node the event `ahead` places behind the
-    /// queue's head will be delivered to; `None` past the end of the
-    /// instant being drained and for churn entries, which are broadcast and
-    /// address a node this shard may not own.
-    #[inline]
-    fn upcoming_local(&self, ahead: usize, place: &Placement) -> Option<usize> {
-        let dst = match self.queue.upcoming(ahead)? {
-            Pending::App { dst, .. } => *dst,
-            Pending::Wire { to, .. } => *to,
-            Pending::ChurnDown(_) | Pending::ChurnUp(_) => return None,
-        };
-        debug_assert_eq!(place.shard(dst), self.id, "queued for a foreign node");
-        Some(place.local(dst))
-    }
-
-    /// The next key on this node's emission stream, at time `at`.
-    fn emit_key(&mut self, at: SimTime, emitter: NodeId, place: &Placement) -> EventKey {
-        let seq = self.slab.next_seq(place.local(emitter));
-        EventKey {
-            at,
-            src: emitter.0 as u64 + 1,
-            seq,
-        }
-    }
-
-    /// Enqueue locally or stage for the barrier exchange.
-    fn route(
-        &mut self,
-        target: usize,
-        key: EventKey,
-        p: Pending<M>,
-        outbox: &mut [Vec<Staged<M>>],
-    ) {
-        if target == self.id {
-            self.queue.push(key, p);
-        } else {
-            outbox[target].push((key, p));
-        }
-    }
-
-    /// Move into the queue every source injection that is due before
-    /// `limit` and precedes the queue's head, so that the queue's head
-    /// is this shard's next event. Called before every look at the
-    /// head; moves at most the injections about to be popped, so the
-    /// future of the stream never becomes resident.
-    #[inline]
-    fn pull_source(&mut self, limit: SimTime, place: &Placement) {
-        while let Some((key, ..)) = &self.source.head {
-            if key.at >= limit || self.queue.peek_key().is_some_and(|head| head < *key) {
-                return;
-            }
-            let (key, dst, ev) = self.source.head.take().expect("matched above");
-            self.queue.push(key, Pending::App { dst, ev });
-            self.source.injected += 1;
-            self.source.advance(self.id, place);
-        }
-    }
-
-    /// The earliest instant anything is pending on this shard, in the
-    /// queue or in the source — what the shard publishes at the epoch
-    /// barrier. Leaving the source head out would make a shard with
-    /// nothing but injections ahead of it look idle, and its peers
-    /// would run past the messages those injections are about to send.
-    fn next_pending(&self) -> Option<SimTime> {
-        let sourced = self.source.head.as_ref().map(|(key, ..)| key.at);
-        self.queue.peek_time().into_iter().chain(sourced).min()
-    }
-
-    /// Pop this shard's next event if it is due before `limit`, look
-    /// ahead, and dispatch it — the whole path of an event, and the
-    /// only one. `false` once nothing is due.
-    #[inline]
-    fn step(
-        &mut self,
-        limit: SimTime,
-        topo: &Topology,
-        place: &Placement,
-        outbox: &mut [Vec<Staged<M>>],
-    ) -> bool {
-        self.pull_source(limit, place);
-        let Some((key, payload)) = self.queue.pop_if_before(limit) else {
-            return false;
-        };
-        debug_assert!(key.at >= self.now, "time went backwards");
-        self.now = key.at;
-        self.prefetch_ahead(place);
-        #[cfg(test)]
-        self.popped.push(key);
-        self.dispatch(payload, topo, place, outbox);
-        true
-    }
-
-    /// Process every pending event with `key.at < limit`, in key order.
-    fn run_epoch(
-        &mut self,
-        limit: SimTime,
-        topo: &Topology,
-        place: &Placement,
-        outbox: &mut [Vec<Staged<M>>],
-    ) {
-        while self.step(limit, topo, place, outbox) {}
-    }
-
-    fn dispatch(
-        &mut self,
-        p: Pending<M>,
-        topo: &Topology,
-        place: &Placement,
-        outbox: &mut [Vec<Staged<M>>],
-    ) {
-        match p {
-            Pending::ChurnDown(n) => {
-                self.up.set(n, false);
-            }
-            Pending::ChurnUp(n) => {
-                self.up.set(n, true);
-                // Churn events are broadcast to keep every shard's
-                // liveness map current; only the owner delivers.
-                if place.shard(n) == self.id {
-                    self.deliver(n, Event::NodeUp, topo, place, outbox);
-                }
-            }
-            Pending::App { dst, ev } => {
-                if self.up.get(dst) {
-                    self.deliver(dst, ev, topo, place, outbox);
-                }
-                // Events to down nodes are dropped: timers die with the
-                // node; externally injected events are lost, like a user
-                // whose machine is off.
-            }
-            Pending::Wire { from, to, msg } => {
-                if self.fault_cut(self.now, from, to, topo) {
-                    // Partition cut: dropped *silently* — a severed
-                    // network gives the sender no connection-refused
-                    // signal, unlike a dead destination. This is what
-                    // forces the protocol's query timeouts.
-                    self.metrics.incr(Counter::EngineFaultDrops);
-                    self.metrics.incr(DROP_COUNTER[msg.class().index()]);
-                } else if self.up.get(to) {
-                    let class = msg.class();
-                    self.traffic
-                        .record_recv(place.local(to), class, msg.wire_size());
-                    self.metrics.incr(RECV_COUNTER[class.index()]);
-                    self.deliver(to, Event::Recv { from, msg }, topo, place, outbox);
-                } else if self.up.get(from) {
-                    // Bounce: the sender learns after one more one-way
-                    // latency (connection refused round trip). The
-                    // bounce is emitted on the dead destination's
-                    // stream — its shard processes the wire event, so
-                    // the counter stays deterministic.
-                    self.metrics.incr(Counter::EngineBounces);
-                    self.metrics.incr(BOUNCE_COUNTER[msg.class().index()]);
-                    let back = topo.latency(to, from);
-                    let key = self.emit_key(self.now + back, to, place);
-                    self.route(
-                        place.shard(from),
-                        key,
-                        Pending::App {
-                            dst: from,
-                            ev: Event::Undeliverable { to, msg },
-                        },
-                        outbox,
-                    );
-                } else {
-                    // Dead sender, dead destination: nobody to notify.
-                    self.metrics.incr(DROP_COUNTER[msg.class().index()]);
-                }
-            }
-        }
-    }
-
-    /// Deliver one event to `dst` (known up): run the handler against
-    /// the shard's scratch action buffer, then flush the actions.
-    fn deliver(
-        &mut self,
-        dst: NodeId,
-        ev: Event<M>,
-        topo: &Topology,
-        place: &Placement,
-        outbox: &mut [Vec<Staged<M>>],
-    ) {
-        self.metrics.incr(Counter::EngineEvents);
-        if matches!(ev, Event::Timer { .. }) {
-            self.metrics.incr(Counter::EngineTimers);
-        }
-        let li = place.local(dst);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        debug_assert!(scratch.is_empty());
-        let mut ctx = Ctx {
-            now: self.now,
-            id: dst,
-            topo,
-            rng: &mut self.slab.rngs[li],
-            query_stats: &mut self.query_stats,
-            metrics: &mut self.metrics,
-            out: &mut scratch,
-        };
-        self.nodes[li].on_event(&mut ctx, ev);
-        self.flush_actions(dst, li, &mut scratch, topo, place, outbox);
-        self.scratch = scratch;
-    }
-
-    /// Turn the actions a handler buffered into queued/staged events
-    /// and traffic records. `dst`/`li` identify the emitting node.
-    #[inline]
-    fn flush_actions(
-        &mut self,
-        dst: NodeId,
-        li: usize,
-        scratch: &mut Vec<Action<M>>,
-        topo: &Topology,
-        place: &Placement,
-        outbox: &mut [Vec<Staged<M>>],
-    ) {
-        for a in scratch.drain(..) {
-            match a {
-                Action::Send { to, msg } => {
-                    let class = msg.class();
-                    self.traffic
-                        .record_sent(self.now, li, class, msg.wire_size());
-                    self.metrics.incr(SENT_COUNTER[class.index()]);
-                    // Link loss: the coin is flipped at send time from
-                    // the *emitter's* RNG stream — the same stream on
-                    // every shard layout — and only when a loss window
-                    // actually applies, so an inactive plane consumes
-                    // no randomness and perturbs nothing.
-                    if let Some(f) = &self.fault {
-                        let crosses = topo.locality(dst) != topo.locality(to);
-                        if let Some(p) = f.loss_probability(self.now, crosses) {
-                            let u: f64 = self.slab.rngs[li].gen_range(0.0..1.0);
-                            if u < p {
-                                self.metrics.incr(Counter::EngineFaultDrops);
-                                self.metrics.incr(DROP_COUNTER[class.index()]);
-                                continue;
-                            }
-                        }
-                    }
-                    let lat = topo.latency(dst, to);
-                    let key = self.emit_key(self.now + lat, dst, place);
-                    self.route(
-                        place.shard(to),
-                        key,
-                        Pending::Wire { from: dst, to, msg },
-                        outbox,
-                    );
-                }
-                Action::Timer { delay, kind, tag } => {
-                    let key = self.emit_key(self.now + delay, dst, place);
-                    self.queue.push(
-                        key,
-                        Pending::App {
-                            dst,
-                            ev: Event::Timer { kind, tag },
-                        },
-                    );
-                }
-            }
-        }
-    }
+/// Issue the next [`EventKey`] on a stream whose sequence counter is
+/// `seq` — the one rule every key of the engine follows: node `n`
+/// emits on stream `n + 1` (its sends and timers, and the bounces of
+/// messages to it), and external injections, `emitter` `None`, on
+/// stream 0.
+#[inline]
+fn next_key(at: SimTime, emitter: Option<NodeId>, seq: &mut u64) -> EventKey {
+    let src = emitter.map_or(0, |n| n.0 as u64 + 1);
+    let key = EventKey { at, src, seq: *seq };
+    *seq += 1;
+    key
 }
 
 /// Statistics accumulators merged across shards, cached between runs.
@@ -1018,7 +181,7 @@ struct Merged {
 /// all statistics. See the crate docs for an end-to-end example and
 /// the module docs for the sharded execution model.
 pub struct Engine<M: Message, N: Node<M>> {
-    topo: std::sync::Arc<Topology>,
+    topo: Arc<Topology>,
     shards: Vec<Shard<M, N>>,
     /// Global node id → (owning shard, local index), packed.
     place: Placement,
@@ -1033,7 +196,7 @@ pub struct Engine<M: Message, N: Node<M>> {
     /// Counter of the external injection stream (stream 0).
     ext_seq: u64,
     /// Lazily merged statistics, invalidated by every run/schedule.
-    merged: std::cell::OnceCell<Merged>,
+    merged: OnceCell<Merged>,
 }
 
 impl<M: Message, N: Node<M>> Engine<M, N> {
@@ -1054,13 +217,9 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         window: SimDuration,
         shards: usize,
     ) -> Self {
-        assert_eq!(
-            topo.num_nodes(),
-            nodes.len(),
-            "one protocol node per underlay node"
-        );
-        assert!(shards >= 1, "need at least one shard");
         let n = nodes.len();
+        assert_eq!(topo.num_nodes(), n, "one protocol node per underlay node");
+        assert!(shards >= 1, "need at least one shard");
         let k = shards.min(topo.num_localities());
         let loc_shard = topo.shard_map(k);
         let reach_ms = reachability_bounds(&topo.shard_lookahead_ms(&loc_shard, k), k);
@@ -1072,34 +231,11 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             place.set(node, s, members[s].len() as u32);
             members[s].push(node);
         }
-        let member_count: Vec<usize> = members.iter().map(Vec::len).collect();
-
-        // Distribute node state and RNG streams, in global id order so
-        // the local indices assigned above line up.
-        let mut slots: Vec<Vec<N>> = member_count
-            .iter()
-            .map(|c| Vec::with_capacity(*c))
-            .collect();
-        let mut slabs: Vec<NodeSlab> = member_count
-            .iter()
-            .map(|c| NodeSlab::with_capacity(*c))
-            .collect();
-        for (i, state) in nodes.into_iter().enumerate() {
-            let node = NodeId(i as u32);
-            let s = place.shard(node);
-            slots[s].push(state);
-            slabs[s].push(StdRng::seed_from_u64(node_stream_seed(seed, node)));
-        }
-
-        let shards_vec = slots
-            .into_iter()
-            .zip(slabs)
-            .zip(members)
-            .enumerate()
-            .map(|(id, ((nodes, slab), members))| Shard {
+        let mut shards: Vec<Shard<M, N>> = (members.into_iter().enumerate())
+            .map(|(id, members)| Shard {
                 id,
-                nodes,
-                slab,
+                nodes: Vec::with_capacity(members.len()),
+                slab: NodeSlab::with_capacity(members.len()),
                 up: Liveness::all_up(n),
                 queue: EventQueue::new(),
                 source: ShardSource::detached(),
@@ -1113,15 +249,25 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                 fault: None,
             })
             .collect();
+        // Distribute node state and RNG streams in global id order, so
+        // the local indices assigned above line up.
+        for (i, state) in nodes.into_iter().enumerate() {
+            let node = NodeId(i as u32);
+            let shard = &mut shards[place.shard(node)];
+            shard.nodes.push(state);
+            shard
+                .slab
+                .push(StdRng::seed_from_u64(node_stream_seed(seed, node)));
+        }
 
         Engine {
-            topo: std::sync::Arc::new(topo),
-            shards: shards_vec,
+            topo: Arc::new(topo),
+            shards,
             place,
             reach_ms,
             now: SimTime::ZERO,
             ext_seq: 0,
-            merged: std::cell::OnceCell::new(),
+            merged: OnceCell::new(),
         }
     }
 
@@ -1154,11 +300,13 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// lookahead matrix exists to shrink this number — fewer, longer
     /// epochs mean less synchronization per simulated second.
     pub fn epochs(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.metrics.counter(Counter::EngineEpochs))
-            .max()
-            .unwrap_or(0)
+        self.max_over_shards(Counter::EngineEpochs)
+    }
+
+    /// The largest value counter `c` reached on any one shard.
+    fn max_over_shards(&self, c: Counter) -> u64 {
+        let per_shard = self.shards.iter().map(|s| s.metrics.counter(c));
+        per_shard.max().unwrap_or(0)
     }
 
     /// Immutable access to a protocol node (inspection in tests and
@@ -1234,37 +382,26 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             merged
                 .metrics
                 .gauge_max(Gauge::PeakQueueDepth, self.peak_queue_depth() as u64);
-            let idle_max = self
-                .shards
-                .iter()
-                .map(|s| s.metrics.counter(Counter::EngineBarrierIdleNs))
-                .max()
-                .unwrap_or(0);
+            let idle_max = self.max_over_shards(Counter::EngineBarrierIdleNs);
             merged.metrics.gauge_max(Gauge::BarrierIdleMaxNs, idle_max);
             merged
         })
     }
 
-    /// The next key on the external injection stream.
+    /// The next key on the external injection stream, for an event at
+    /// `at`: every external scheduling path comes through here, and
+    /// none may reach behind the clock.
     fn ext_key(&mut self, at: SimTime) -> EventKey {
-        let seq = self.ext_seq;
-        self.ext_seq += 1;
-        EventKey {
-            at,
-            src: EXTERNAL_STREAM,
-            seq,
-        }
+        assert!(at >= self.now, "cannot schedule in the past");
+        next_key(at, None, &mut self.ext_seq)
     }
 
     /// Schedule an event for `node` at absolute time `at` (external
     /// injection: workload queries, test fixtures).
     pub fn schedule_at(&mut self, at: SimTime, node: NodeId, ev: Event<M>) {
-        assert!(at >= self.now, "cannot schedule in the past");
         let key = self.ext_key(at);
-        let s = self.place.shard(node);
-        self.shards[s]
-            .queue
-            .push(key, Pending::App { dst: node, ev });
+        let shard = &mut self.shards[self.place.shard(node)];
+        shard.queue.push(key, Pending::App { dst: node, ev });
     }
 
     /// Schedule an event `delay` from now.
@@ -1296,11 +433,9 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             s.source.rest = Some(Box::new(source.clone()));
             s.source.next_seq = base;
             s.source.advance(s.id, &self.place);
+            let first = s.source.head.as_ref().map(|(key, ..)| key.at);
             assert!(
-                s.source
-                    .head
-                    .as_ref()
-                    .is_none_or(|(key, ..)| key.at >= self.now),
+                first.is_none_or(|at| at >= self.now),
                 "cannot inject in the past"
             );
         }
@@ -1313,23 +448,23 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     }
 
     /// Take `node` down at time `at` (messages to it bounce, its
-    /// timers are swallowed). Broadcast to every shard so all liveness
-    /// maps agree.
+    /// timers are swallowed), on every shard.
     pub fn schedule_down(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.now, "cannot schedule in the past");
-        let key = self.ext_key(at);
-        for s in &mut self.shards {
-            s.queue.push(key, Pending::ChurnDown(node));
-        }
+        self.broadcast(at, node, Pending::ChurnDown);
     }
 
     /// Bring `node` back up at time `at`; it receives
     /// [`Event::NodeUp`].
     pub fn schedule_up(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.now, "cannot schedule in the past");
+        self.broadcast(at, node, Pending::ChurnUp);
+    }
+
+    /// Queue the churn transition `churn` of `node` at `at` on every
+    /// shard, under one key, so all liveness maps agree.
+    fn broadcast(&mut self, at: SimTime, node: NodeId, churn: fn(NodeId) -> Pending<M>) {
         let key = self.ext_key(at);
         for s in &mut self.shards {
-            s.queue.push(key, Pending::ChurnUp(node));
+            s.queue.push(key, churn(node));
         }
     }
 
@@ -1351,9 +486,9 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                 self.schedule_up(back, n);
             }
         }
-        let plane = std::sync::Arc::new(plane);
+        let plane = Arc::new(plane);
         for s in &mut self.shards {
-            s.fault = Some(std::sync::Arc::clone(&plane));
+            s.fault = Some(Arc::clone(&plane));
         }
         self.merged.take();
     }
@@ -1367,166 +502,21 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         // Exclusive bound: `at <= deadline` ⇔ `at < deadline + 1 ms`.
         let limit = deadline + SimDuration::from_ms(1);
         if self.shards.len() == 1 {
-            let topo = &*self.topo;
-            let place = &self.place;
-            let shard = &mut self.shards[0];
             // Single shard: no epochs, no threads; every emission is
             // local, so the outbox stays empty.
             let mut outbox: Vec<Vec<Staged<M>>> = vec![Vec::new()];
-            shard.run_epoch(limit, topo, place, &mut outbox);
+            self.shards[0].run_epoch(limit, &self.topo, &self.place, &mut outbox);
             debug_assert!(outbox[0].is_empty());
-            shard.now = shard.now.max(deadline);
         } else {
-            self.run_sharded(deadline, limit);
+            self.run_sharded(limit);
         }
-        if self.now < deadline {
-            self.now = deadline;
+        // Every clock stands at the deadline, however early the queues
+        // ran dry.
+        self.now = self.now.max(deadline);
+        for s in &mut self.shards {
+            s.now = s.now.max(deadline);
         }
         self.events_processed() - start
-    }
-
-    /// The parallel path: one worker thread per shard, cross-shard
-    /// messages exchanged through a lock-free double-buffered
-    /// [`MailboxGrid`] at a single sense-reversing barrier per round.
-    /// Idle stretches are skipped by starting each epoch at the
-    /// globally earliest pending event.
-    ///
-    /// Each round, every shard *publishes* — its earliest pending
-    /// event time, plus the staged batches from the previous epoch
-    /// and their earliest arrival time per receiver — then crosses
-    /// the one barrier, drains its incoming mail, and derives the
-    /// *effective next* of every shard:
-    ///
-    /// ```text
-    /// eff[m] = min(published next of m,
-    ///              min over senders i of i's min arrival into m)
-    /// ```
-    ///
-    /// which is exactly shard `m`'s earliest pending event *after*
-    /// absorbing the exchange — the same quantity the classic
-    /// two-barrier loop (publish → barrier → run → exchange → barrier
-    /// → absorb) reads at its first barrier. Bounds, epoch counts and
-    /// results are therefore bit-identical to that loop; only the
-    /// synchronization cost halves.
-    ///
-    /// Shard `i` runs to `min over shards m of (eff[m] + reach[m][i])`,
-    /// with `reach` the emission-chain closure of the exact pair
-    /// lookaheads ([`reachability_bounds`]): the earliest instant
-    /// anything not yet in `i`'s queue could become due at `i`,
-    /// including replies that `i`'s *own* emissions may draw out of a
-    /// currently idle peer (the `m = i` round-trip term). A fully idle
-    /// peer constrains nobody on its own — the temporal meaning of
-    /// "actually communicating" — and distant shard pairs synchronize
-    /// less often. Every bound is conservative, so per-shard event
-    /// orderings (and therefore results) are bit-identical to the
-    /// schedule that runs every shard in lock-step epochs of the
-    /// global floor — which is this same rule with every `reach` entry
-    /// flattened to the floor, and is how the tests below build that
-    /// reference; only the barrier-round count shrinks. That bound is
-    /// the one rule for how far a shard may run, a shard that alone
-    /// has work included: the `m = i` term lets it run a full round
-    /// trip past its own earliest event, and the round counts that
-    /// decided against a second rule are in README, "Sharded
-    /// parallel execution".
-    fn run_sharded(&mut self, deadline: SimTime, limit: SimTime) {
-        let k = self.shards.len();
-        let limit_ms = limit.as_ms();
-        let reach = &self.reach_ms[..];
-        let barrier = SenseBarrier::new(k);
-        let grid: MailboxGrid<Staged<M>> = MailboxGrid::new(k);
-        // Published state, double-buffered by round parity like the
-        // mailbox slots (entry `p·k + m` / `p·k² + i·k + m`): with a
-        // single barrier per round, the writes for round `r + 1`
-        // overlap the reads for round `r`, and the parity split keeps
-        // same-cell conflicts two barriers apart.
-        let next_times: Vec<AtomicU64> = (0..2 * k).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let arrivals: Vec<AtomicU64> = (0..2 * k * k).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let topo = &*self.topo;
-        let place = &self.place;
-        let barrier = &barrier;
-        let grid = &grid;
-        let next_times = &next_times[..];
-        let arrivals = &arrivals[..];
-        std::thread::scope(|scope| {
-            for shard in self.shards.iter_mut() {
-                scope.spawn(move || {
-                    let me = shard.id;
-                    let mut waiter = barrier.waiter();
-                    let mut outbox: Vec<Vec<Staged<M>>> = (0..k).map(|_| Vec::new()).collect();
-                    let mut eff: Vec<u64> = vec![0; k];
-                    let mut round: u64 = 0;
-                    loop {
-                        let p = (round & 1) as usize;
-                        round += 1;
-                        // (1) Publish: my earliest pending event
-                        // (queued or still in the source), and the
-                        // previous epoch's staged batches with
-                        // their earliest arrival per receiver.
-                        let next = shard.next_pending().map_or(u64::MAX, |t| t.as_ms());
-                        next_times[p * k + me].store(next, Ordering::Relaxed);
-                        for (j, batch) in outbox.iter().enumerate() {
-                            if j != me {
-                                let min_at = batch
-                                    .iter()
-                                    .map(|(key, _)| key.at.as_ms())
-                                    .min()
-                                    .unwrap_or(u64::MAX);
-                                arrivals[p * k * k + me * k + j].store(min_at, Ordering::Relaxed);
-                            }
-                        }
-                        // SAFETY: this thread is the unique sender
-                        // `me`, publishing before this round's
-                        // barrier; receivers drain after it with the
-                        // same parity.
-                        unsafe { grid.publish(p, me, &mut outbox) };
-                        let at_barrier = Instant::now();
-                        barrier.wait(&mut waiter);
-                        shard.metrics.add(
-                            Counter::EngineBarrierIdleNs,
-                            at_barrier.elapsed().as_nanos() as u64,
-                        );
-                        // (2) Absorb this round's incoming mail; the
-                        // queue re-establishes key order. Relaxed
-                        // loads below are sound for the same reason
-                        // the grid is: the barrier orders and
-                        // publishes every pre-barrier store.
-                        // SAFETY: unique receiver `me`, after the
-                        // barrier the senders published before.
-                        unsafe {
-                            grid.drain(p, me, |(key, pend)| shard.queue.push(key, pend));
-                        }
-                        // (3) Everyone's effective next = earliest
-                        // pending event after the exchange.
-                        for (m, e) in eff.iter_mut().enumerate() {
-                            let mut v = next_times[p * k + m].load(Ordering::Relaxed);
-                            for i in 0..k {
-                                if i != m {
-                                    let a = arrivals[p * k * k + i * k + m].load(Ordering::Relaxed);
-                                    v = v.min(a);
-                                }
-                            }
-                            *e = v;
-                        }
-                        let min_eff = *eff.iter().min().expect("at least one shard");
-                        if min_eff >= limit_ms {
-                            // Every thread computes the same minimum,
-                            // so all exit on the same round.
-                            shard.now = shard.now.max(deadline);
-                            break;
-                        }
-                        shard.metrics.incr(Counter::EngineEpochs);
-                        // (4) One epoch up to this shard's
-                        // conservative bound.
-                        let bound = (0..k)
-                            .map(|m| eff[m].saturating_add(reach[m * k + me]))
-                            .min()
-                            .expect("at least one shard");
-                        let epoch_end = SimTime::from_ms(bound.min(limit_ms));
-                        shard.run_epoch(epoch_end, topo, place, &mut outbox);
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -1538,7 +528,10 @@ mod source_parity;
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
+    use crate::stats::TrafficClass;
     use crate::topology::TopologyConfig;
 
     /// Echo protocol: replies to every Ping with a Pong; counts pongs.
@@ -1899,6 +892,15 @@ mod tests {
             recover_start: SimTime::from_secs(20),
             stagger: SimDuration::from_ms(100),
         }));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot inject in the past")]
+    fn attaching_a_source_that_starts_in_the_past_panics() {
+        let mut e = engine();
+        e.run_until(SimTime::from_secs(10));
+        let late = [5, 20].map(SimTime::from_secs);
+        e.attach_source(late.into_iter().map(|at| (at, NodeId(0), Event::NodeUp)));
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! epoch loop: a sense-reversing barrier tuned for short rounds and a
 //! double-buffered mailbox grid for the staged cross-shard exchange.
 //!
-//! Both exist because the barrier round of
-//! [`Engine::run_sharded`](crate::engine::Engine) is *short* — at a
-//! 60 ms lookahead a saturated run crosses the barrier thousands of
+//! Both exist because the barrier round of the cross-shard exchange
+//! (`engine/exchange.rs`: what
+//! [`Engine::run_until`](crate::engine::Engine::run_until) runs on
+//! more than one shard) is *short* — at a 60 ms lookahead a saturated
+//! run crosses the barrier thousands of
 //! times per simulated minute, so a `std::sync::Barrier` (mutex +
 //! condvar, two kernel round trips per wait under contention) and
 //! `Mutex<Vec>` inbox appends dominate the wall clock once the
