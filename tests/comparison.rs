@@ -85,6 +85,118 @@ fn both_systems_resolve_their_traces() {
     );
 }
 
+/// Everything a finished Squirrel run reports: every `SquirrelReport`
+/// field (floats by their bits), the events processed, an FNV-1a hash
+/// of the registry's sim-scope cells, and the hit, lookup and transfer
+/// series as `(window start ms, sum bits, count)` points.
+#[derive(Debug, PartialEq)]
+struct SquirrelPin {
+    report: [u64; 7],
+    events: u64,
+    registry_fnv: u64,
+    series: [Vec<(u64, u64, u64)>; 3],
+}
+
+fn squirrel_pin(sys: &SquirrelSystem, r: &flower_cdn::squirrel::SquirrelReport) -> SquirrelPin {
+    let engine = sys.engine();
+    let mut registry_fnv = 0xcbf2_9ce4_8422_2325u64;
+    for word in engine.metrics().sim_fingerprint() {
+        for byte in word.to_le_bytes() {
+            registry_fnv = (registry_fnv ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let q = engine.query_stats();
+    let points = |s: &flower_cdn::simnet::TimeSeries| {
+        s.points()
+            .iter()
+            .map(|p| (p.at.as_ms(), p.sum.to_bits(), p.count))
+            .collect()
+    };
+    SquirrelPin {
+        report: [
+            r.submitted,
+            r.resolved,
+            r.hit_ratio.to_bits(),
+            r.mean_lookup_ms.to_bits(),
+            r.mean_transfer_ms.to_bits(),
+            r.mean_transfer_hit_ms.to_bits(),
+            r.participants as u64,
+        ],
+        events: engine.events_processed(),
+        registry_fnv,
+        series: [
+            points(q.hit_series()),
+            points(q.lookup_series()),
+            points(q.transfer_series()),
+        ],
+    }
+}
+
+/// Regression pin for the Squirrel baseline at seed 42 on the small
+/// deployment: the comparator's numbers move only on purpose.
+#[test]
+fn squirrel_cell_pins_every_report_field() {
+    let cfg = SquirrelConfig::small_test();
+    let (sys, r) = SquirrelSystem::run(&cfg);
+    assert_eq!(
+        squirrel_pin(&sys, &r),
+        SquirrelPin {
+            report: [
+                6033,
+                6033,
+                4607089853516776244,
+                4645008263601204214,
+                4640458336571541428,
+                4640457850925406106,
+                102,
+            ],
+            events: 21068,
+            registry_fnv: 4855943536664123939,
+            series: [
+                vec![
+                    (0, 4648057863074217984, 613),
+                    (60000, 4648708773957861376, 625),
+                    (120000, 4648620813027639296, 615),
+                    (180000, 4648603220841594880, 613),
+                    (240000, 4648242581027684352, 572),
+                    (300000, 4648453687260217344, 596),
+                    (360000, 4648612016934617088, 614),
+                    (420000, 4648541648190439424, 606),
+                    (480000, 4648339338050928640, 583),
+                    (540000, 4648444891167195136, 595),
+                    (600000, 4607182418800017408, 1),
+                ],
+                vec![
+                    (0, 4692439340691750912, 613),
+                    (60000, 4690219272096448512, 625),
+                    (120000, 4688455397747458048, 615),
+                    (180000, 4687021668944576512, 613),
+                    (240000, 4685357180138815488, 572),
+                    (300000, 4684318966284288000, 596),
+                    (360000, 4683498077774938112, 614),
+                    (420000, 4683663622994395136, 606),
+                    (480000, 4681748411177762816, 583),
+                    (540000, 4680978203282505728, 595),
+                    (600000, 4649957819167014912, 1),
+                ],
+                vec![
+                    (0, 4681283455198167040, 528),
+                    (60000, 4679845431427989504, 404),
+                    (120000, 4677695199000920064, 306),
+                    (180000, 4676878399300435968, 264),
+                    (240000, 4675166047379128320, 209),
+                    (300000, 4674418379472240640, 185),
+                    (360000, 4672864219786379264, 160),
+                    (420000, 4673050312129380352, 156),
+                    (480000, 4671747390850465792, 124),
+                    (540000, 4671550303391186944, 114),
+                    (600000, 4643070478330626048, 1),
+                ],
+            ],
+        }
+    );
+}
+
 /// "Trace-identical" by construction: both harnesses inject from the
 /// one `workload::OriginatedTrace`, so over the same communities and
 /// draw stream they see the same `(qid, at, website, object, origin)`
