@@ -17,6 +17,17 @@
 //!    chosen from a random locality");
 //! 5. run and report the paper's four metrics.
 //!
+//! ## One deployment for both compared systems
+//!
+//! §6.1 runs Flower-CDN and its comparator Squirrel on the same
+//! topology, catalog and query trace. `squirrel::SquirrelSystem` builds
+//! from the same [`SystemConfig`] and takes the steps both builds share
+//! through this module's free functions: [`locality_pools`],
+//! [`place_servers`], [`draw_communities`], [`originated_trace`],
+//! [`submissions`] and [`drain_horizon`]. Each draws on its caller's
+//! RNG, so each system keeps its own stream; Flower-CDN pops its
+//! directory peers out of the pools before the servers are placed.
+//!
 //! ## The trace is streamed, not scheduled
 //!
 //! The §6.1 experiment is 6 queries/s for 24 h — half a million
@@ -35,6 +46,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use bloom::ObjectId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -53,7 +65,8 @@ use crate::msg::FlowerMsg;
 use crate::node::{timers, Deployment, FlowerNode};
 use crate::substrate::{ChordSubstrate, PeerRef};
 
-/// Everything needed to build and run one simulation.
+/// Everything needed to build and run one simulation, of Flower-CDN or
+/// of its comparator Squirrel (see the module docs).
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Underlay shape.
@@ -62,7 +75,8 @@ pub struct SystemConfig {
     pub catalog: CatalogConfig,
     /// Query trace shape.
     pub workload: WorkloadConfig,
-    /// Protocol parameters.
+    /// Protocol parameters. Squirrel reads `max_overlay` alone, as the
+    /// `Sco` both systems draw their communities with.
     pub flower: FlowerConfig,
     /// Master seed; every run is a pure function of the config.
     pub seed: u64,
@@ -168,27 +182,103 @@ pub struct FlowerSystem {
     duration: SimTime,
 }
 
+/// Shuffled per-locality node pools: the population every role of a
+/// deployment is drawn from.
+pub fn locality_pools(topo: &Topology, rng: &mut StdRng) -> Vec<Vec<NodeId>> {
+    (0..topo.num_localities())
+        .map(|l| {
+            let mut pool = topo.nodes_in(Locality(l as u16));
+            pool.shuffle(rng);
+            pool
+        })
+        .collect()
+}
+
+/// One origin server per website out of what `pools` has left,
+/// round-robin across localities for geographic spread.
+pub fn place_servers(catalog: &Catalog, pools: &mut [Vec<NodeId>]) -> Vec<NodeId> {
+    let k = pools.len();
+    let mut l = 0;
+    catalog
+        .websites()
+        .map(|_| {
+            (0..k)
+                .find_map(|_| {
+                    l = (l + 1) % k;
+                    pools[l].pop()
+                })
+                .expect("topology too small for origin servers")
+        })
+        .collect()
+}
+
+/// The communities: for each active website and locality, up to `sco`
+/// potential clients out of the locality's pool. Websites may share
+/// nodes ("no correlation between website communities" — a node can be
+/// interested in several sites).
+pub fn draw_communities(
+    catalog: &Catalog,
+    pools: &[Vec<NodeId>],
+    sco: usize,
+    rng: &mut StdRng,
+) -> Communities<NodeId> {
+    let mut communities = Communities::new(pools.len());
+    for ws in catalog.active_websites() {
+        for (l, pool) in pools.iter().enumerate() {
+            let mut comm: Vec<NodeId> = pool
+                .choose_multiple(rng, sco.min(pool.len()))
+                .copied()
+                .collect();
+            comm.sort_unstable_by_key(|n| n.0);
+            communities.insert(ws, l, comm);
+        }
+    }
+    communities
+}
+
+/// The §6.1 query trace over `communities`, its originators drawn on
+/// from where `rng` stands.
+pub fn originated_trace(
+    cfg: &SystemConfig,
+    catalog: &Catalog,
+    communities: Arc<Communities<NodeId>>,
+    rng: StdRng,
+) -> OriginatedTrace<NodeId> {
+    QueryGen::new(&cfg.workload, catalog, cfg.seed ^ 0x0077_ACE5).originated(communities, rng)
+}
+
 /// The query trace as engine injections: every originated query
-/// becomes a `Submit` the originator receives from itself at the
-/// query's instant.
-pub fn submissions(
+/// becomes the message `submit` makes of it, which the originator
+/// receives from itself at the query's instant.
+pub fn submissions<M: 'static>(
     trace: OriginatedTrace<NodeId>,
-) -> impl Iterator<Item = Injection<FlowerMsg>> + Clone + Send + 'static {
-    trace.map(|q| {
-        let submit = FlowerMsg::Submit {
-            qid: q.qid,
-            website: q.website,
-            object: q.object,
-        };
+    submit: fn(u64, WebsiteId, ObjectId) -> M,
+) -> impl Iterator<Item = Injection<M>> + Clone + Send + 'static {
+    trace.map(move |q| {
         (
             SimTime::from_ms(q.at_ms),
             q.origin,
             Event::Recv {
                 from: q.origin,
-                msg: submit,
+                msg: submit(q.qid, q.website, q.object),
             },
         )
     })
+}
+
+/// The standard run horizon: the workload `duration` plus a drain
+/// margin so in-flight queries resolve.
+pub fn drain_horizon(duration: SimTime) -> SimTime {
+    duration + SimDuration::from_secs(30)
+}
+
+/// Flower-CDN's `Submit`, for [`submissions`].
+fn flower_submit(qid: u64, website: WebsiteId, object: ObjectId) -> FlowerMsg {
+    FlowerMsg::Submit {
+        qid,
+        website,
+        object,
+    }
 }
 
 impl FlowerSystem {
@@ -196,7 +286,7 @@ impl FlowerSystem {
     /// injection source (see the module docs).
     pub fn build(cfg: &SystemConfig) -> FlowerSystem {
         Self::assemble(cfg, |engine, trace| {
-            engine.attach_source(submissions(trace))
+            engine.attach_source(submissions(trace, flower_submit))
         })
     }
 
@@ -216,17 +306,7 @@ impl FlowerSystem {
             .expect("invalid Flower-CDN configuration");
         let scheme = KeyScheme::new(cfg.flower.locality_bits, cfg.flower.instance_bits);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5E7_u64);
-
-        let k = topo.num_localities();
-        // Shuffled per-locality node pools.
-        let mut pools: Vec<Vec<NodeId>> = (0..k)
-            .map(|l| {
-                let mut v = topo.nodes_in(Locality(l as u16));
-                v.shuffle(&mut rng);
-                v
-            })
-            .collect();
-        debug_assert_eq!(pools.len(), k);
+        let mut pools = locality_pools(&topo, &mut rng);
 
         // Directory peers: `2^b` instances per (website, locality)
         // petal (1 in the base design), drawn from the locality's
@@ -254,39 +334,15 @@ impl FlowerSystem {
             }
         }
 
-        // Origin servers: anywhere, not already directory peers.
-        let mut servers = Vec::with_capacity(catalog.websites().count());
-        {
-            let mut l = 0usize;
-            for _ws in catalog.websites() {
-                // Round-robin across localities for geographic spread.
-                let mut placed = None;
-                for _ in 0..k {
-                    l = (l + 1) % k;
-                    if let Some(n) = pools[l].pop() {
-                        placed = Some(n);
-                        break;
-                    }
-                }
-                servers.push(placed.expect("topology too small for origin servers"));
-            }
-        }
-
-        // Communities: for each active website and locality, up to
-        // `Sco` potential clients. Websites may share nodes ("no
-        // correlation between website communities" — a node can be
-        // interested in several sites), but directory peers and
-        // servers never query.
-        let mut communities: Communities<NodeId> = Communities::new(k);
-        for ws in catalog.active_websites() {
-            for (l, pool) in pools.iter().enumerate() {
-                let take = cfg.flower.max_overlay.min(pool.len());
-                let mut comm: Vec<NodeId> = pool.choose_multiple(&mut rng, take).copied().collect();
-                comm.sort_unstable_by_key(|n| n.0);
-                communities.insert(ws, l, comm);
-            }
-        }
-        let communities = Arc::new(communities);
+        // Origin servers and communities out of what is left: directory
+        // peers and servers never query.
+        let servers = place_servers(&catalog, &mut pools);
+        let communities = Arc::new(draw_communities(
+            &catalog,
+            &pools,
+            cfg.flower.max_overlay,
+            &mut rng,
+        ));
 
         // D-ring bootstrap: a converged ring over all directory
         // instances (the paper's stable start).
@@ -386,9 +442,10 @@ impl FlowerSystem {
 
         // The query trace with the §6.1 originator selection, drawing
         // on from where the deployment's stream stands.
-        let trace = QueryGen::new(&cfg.workload, &catalog, cfg.seed ^ 0x0077_ACE5)
-            .originated(Arc::clone(&communities), rng);
-        inject(&mut engine, trace);
+        inject(
+            &mut engine,
+            originated_trace(cfg, &catalog, Arc::clone(&communities), rng),
+        );
 
         FlowerSystem {
             engine,
@@ -407,11 +464,11 @@ impl FlowerSystem {
         (sys, report)
     }
 
-    /// The standard run horizon: the workload duration plus a drain
-    /// margin so in-flight queries resolve. [`FlowerSystem::run`] and
-    /// the experiment harnesses all run to this instant.
+    /// The standard run horizon ([`drain_horizon`] of the workload
+    /// duration). [`FlowerSystem::run`] and the experiment harnesses
+    /// all run to this instant.
     pub fn drain_horizon(&self) -> SimTime {
-        self.duration + SimDuration::from_secs(30)
+        drain_horizon(self.duration)
     }
 
     /// Advance the simulation to `t`.
@@ -547,7 +604,7 @@ mod reference {
 
     pub fn build_eager(cfg: &SystemConfig) -> FlowerSystem {
         FlowerSystem::assemble(cfg, |engine, trace| {
-            for (at, node, ev) in submissions(trace) {
+            for (at, node, ev) in submissions(trace, flower_submit) {
                 engine.schedule_at(at, node, ev);
             }
         })

@@ -430,6 +430,18 @@ mod tests {
         parse_args(line.split_whitespace().map(String::from))
     }
 
+    /// `--nodes` reaches both compared systems: Figures 6–8 build
+    /// Flower-CDN and Squirrel from one config, to one horizon.
+    #[test]
+    fn nodes_reach_both_compared_systems() {
+        let cfg = experiments::runner::flower_config(parse("fig6 --nodes 6000").unwrap().opts);
+        let fsys = flower_core::FlowerSystem::build(&cfg);
+        let ssys = squirrel::SquirrelSystem::build(&cfg);
+        assert_eq!(fsys.engine().topology().num_nodes(), 6000);
+        assert_eq!(ssys.engine().topology().num_nodes(), 6000);
+        assert_eq!(ssys.drain_horizon(), fsys.drain_horizon());
+    }
+
     #[test]
     fn shard_sweep_rejects_zero_and_empty_entries_like_shards_does() {
         assert_eq!(

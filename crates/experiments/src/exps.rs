@@ -270,11 +270,11 @@ pub fn fig5(opts: RunOpts) -> ExpOutput {
     out
 }
 
-/// Run the shared Flower/Squirrel pair for Figures 6–8.
+/// Run the shared Flower/Squirrel pair for Figures 6–8, both from one
+/// config.
 pub fn comparison_pair(opts: RunOpts) -> (FlowerSystem, SquirrelSystem) {
-    let (fsys, _) = FlowerSystem::run(&runner::flower_config(opts));
-    let (ssys, _) = SquirrelSystem::run(&runner::squirrel_config(opts));
-    (fsys, ssys)
+    let cfg = runner::flower_config(opts);
+    (FlowerSystem::run(&cfg).0, SquirrelSystem::run(&cfg).0)
 }
 
 /// Figures 6–8's runs: Flower-CDN's, then Squirrel's.

@@ -9,7 +9,6 @@
 
 use flower_core::{FlowerConfig, FlowerSystem, SystemConfig, SystemReport};
 use simnet::SimDuration;
-use squirrel::SquirrelConfig;
 
 /// The run parameters every experiment takes: time scale, master
 /// seed and engine shard count. All of them are
@@ -154,9 +153,10 @@ pub fn check_scale(scale: RunScale) -> Result<(), String> {
     }
 }
 
-/// The paper-scale Flower-CDN configuration under `opts`, the engine
-/// on `opts.shards` locality shards (results are bit-identical for
-/// every shard count).
+/// The paper-scale configuration under `opts`, the engine on
+/// `opts.shards` locality shards (results are bit-identical for every
+/// shard count). Squirrel builds from the same config, so every
+/// option, `--nodes` included, reaches both compared systems.
 ///
 /// Time-like protocol parameters (`Tgossip`, keepalive, `Tdead` ticks
 /// stay ratio-identical because the tick period scales) shrink with
@@ -185,20 +185,6 @@ pub fn scale_flower(base: &FlowerConfig, scale: RunScale) -> FlowerConfig {
         *d = scale.scale_duration(*d);
     }
     f
-}
-
-/// The matching Squirrel configuration (same topology, catalog,
-/// workload, seed, shard count).
-pub fn squirrel_config(opts: RunOpts) -> SquirrelConfig {
-    let mut cfg = SquirrelConfig::paper();
-    cfg.seed = opts.seed;
-    cfg.workload.duration_ms = opts
-        .scale
-        .scale_duration(SimDuration::from_hours(24))
-        .as_ms();
-    cfg.window = opts.scale.scale_duration(PAPER_WINDOW);
-    cfg.shards = opts.shards.max(1);
-    cfg
 }
 
 /// As [`FlowerSystem::run`], additionally returning the wall-clock
@@ -282,8 +268,6 @@ mod tests {
     fn shards_flow_into_the_configs() {
         let f = flower_config(opts(RunScale::Scaled(0.1), 4));
         assert_eq!(f.shards, 4);
-        let s = squirrel_config(opts(RunScale::Scaled(0.1), 4));
-        assert_eq!(s.shards, 4);
         // 0 is normalized to 1.
         assert_eq!(flower_config(opts(RunScale::Full, 0)).shards, 1);
     }

@@ -11,6 +11,10 @@
 //! planet it happens to be. The contrast with Flower-CDN's
 //! locality-aware one-hop content overlays produces the paper's
 //! headline 9×/2× improvements (Figures 7–8).
+//!
+//! [`SquirrelSystem`] builds from the Flower-CDN run's own
+//! [`flower_core::SystemConfig`], so the two compared systems cannot
+//! drift apart in topology, catalog, workload or seed.
 
 #![forbid(unsafe_code)]
 
@@ -20,4 +24,4 @@ pub mod system;
 
 pub use msg::{SQuery, SquirrelMsg};
 pub use node::{SquirrelDeployment, SquirrelNode};
-pub use system::{SquirrelConfig, SquirrelReport, SquirrelSystem};
+pub use system::{SquirrelReport, SquirrelSystem};

@@ -22,14 +22,6 @@ use workload::{Catalog, WebsiteId};
 
 use crate::msg::{SQuery, SquirrelMsg};
 
-/// Timer kinds for Squirrel nodes.
-pub mod timers {
-    /// Chord stabilization tick.
-    pub const STABILIZE: u16 = 1;
-    /// Chord finger repair tick.
-    pub const FIX_FINGER: u16 = 2;
-}
-
 /// Max pointers a home node keeps per object ("a small directory of
 /// pointers to *recent* downloaders").
 const POINTER_CAP: usize = 4;
@@ -325,21 +317,6 @@ impl simnet::Node<SquirrelMsg> for SquirrelNode {
                     ..
                 } => self.on_resolved(ctx, from, query, resolved_at, from_server),
             },
-            Event::Timer { kind, tag: _ } => match kind {
-                timers::STABILIZE => {
-                    if let Some(chord_st) = &mut self.chord {
-                        let mut t = CtxTransport { ctx };
-                        chord::start_stabilize(chord_st, &mut t);
-                    }
-                }
-                timers::FIX_FINGER => {
-                    if let Some(chord_st) = &mut self.chord {
-                        let mut t = CtxTransport { ctx };
-                        chord::start_fix_finger(chord_st, &mut t, &StandardPolicy);
-                    }
-                }
-                _ => {}
-            },
             Event::Undeliverable { to, msg } => match msg {
                 SquirrelMsg::Chord(cm) => {
                     let Some(chord_st) = &mut self.chord else {
@@ -385,6 +362,8 @@ impl simnet::Node<SquirrelMsg> for SquirrelNode {
                 self.home.clear();
                 self.pending.clear();
             }
+            // No Squirrel timer is ever armed: the ring starts stable.
+            _ => {}
         }
     }
 }

@@ -1,92 +1,24 @@
 //! Harness building the Squirrel comparison runs (§6.1): the same
-//! topology, catalog and query trace as the Flower-CDN system, but
-//! with every participant in a single locality-blind DHT.
+//! topology, catalog and query trace as the Flower-CDN system — built
+//! from the same [`SystemConfig`] by the same deployment steps of
+//! [`flower_core::system`] — but with every participant in a single
+//! locality-blind DHT.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use chord::PeerRef;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use simnet::{
-    Engine, Event, Injection, Locality, NodeId, SimDuration, SimTime, Topology, TopologyConfig,
+use flower_core::system::{
+    drain_horizon, draw_communities, locality_pools, originated_trace, place_servers, submissions,
+    SystemConfig,
 };
-use workload::{Catalog, CatalogConfig, Communities, OriginatedTrace, QueryGen, WorkloadConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use simnet::{Engine, NodeId, SimTime, Topology};
+use workload::Catalog;
 
 use crate::msg::SquirrelMsg;
 use crate::node::{SquirrelDeployment, SquirrelNode};
-
-/// Configuration of a Squirrel run. Mirrors
-/// `flower_core::SystemConfig` so comparisons share topology, catalog,
-/// workload and seed.
-#[derive(Clone, Debug)]
-pub struct SquirrelConfig {
-    /// Underlay shape.
-    pub topology: TopologyConfig,
-    /// Website/object universe.
-    pub catalog: CatalogConfig,
-    /// Query trace shape.
-    pub workload: WorkloadConfig,
-    /// Participants per (active website, locality) — kept equal to the
-    /// Flower run's `Sco` so both systems see the same client base.
-    pub clients_per_locality: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Metric series window.
-    pub window: SimDuration,
-    /// Locality shards the engine runs on (worker threads); results
-    /// are bit-identical for every value.
-    pub shards: usize,
-}
-
-impl Default for SquirrelConfig {
-    fn default() -> Self {
-        SquirrelConfig {
-            topology: TopologyConfig::default(),
-            catalog: CatalogConfig::default(),
-            workload: WorkloadConfig::default(),
-            clients_per_locality: 100,
-            seed: 42,
-            window: SimDuration::from_mins(30),
-            shards: 1,
-        }
-    }
-}
-
-impl SquirrelConfig {
-    /// The paper's Table 1 setup.
-    pub fn paper() -> Self {
-        SquirrelConfig::default()
-    }
-
-    /// Small fast-test deployment (mirrors
-    /// `flower_core::SystemConfig::small_test`).
-    pub fn small_test() -> Self {
-        SquirrelConfig {
-            topology: TopologyConfig {
-                nodes: 300,
-                localities: 3,
-                ..Default::default()
-            },
-            catalog: CatalogConfig {
-                num_websites: 6,
-                active_websites: 2,
-                objects_per_website: 30,
-                ..Default::default()
-            },
-            workload: WorkloadConfig {
-                query_rate_per_sec: 10.0,
-                duration_ms: 10 * 60 * 1000,
-                ..Default::default()
-            },
-            clients_per_locality: 20,
-            seed: 42,
-            window: SimDuration::from_mins(1),
-            ..Default::default()
-        }
-    }
-}
 
 /// End-of-run summary (same fields as the Flower report for easy
 /// side-by-side printing).
@@ -112,86 +44,36 @@ pub struct SquirrelReport {
 pub struct SquirrelSystem {
     engine: Engine<SquirrelMsg, SquirrelNode>,
     participants: Vec<NodeId>,
-    duration: SimTime,
-}
-
-/// The query trace as engine injections, exactly as the Flower-CDN
-/// harness turns it into its own (`flower_core::system::submissions`):
-/// the originator receives a `Submit` from itself at the query's
-/// instant.
-pub fn submissions(
-    trace: OriginatedTrace<NodeId>,
-) -> impl Iterator<Item = Injection<SquirrelMsg>> + Clone + Send + 'static {
-    trace.map(|q| {
-        let submit = SquirrelMsg::Submit {
-            qid: q.qid,
-            website: q.website,
-            object: q.object,
-        };
-        (
-            SimTime::from_ms(q.at_ms),
-            q.origin,
-            Event::Recv {
-                from: q.origin,
-                msg: submit,
-            },
-        )
-    })
+    horizon: SimTime,
 }
 
 impl SquirrelSystem {
-    /// Build the deployment and attach the query trace as the engine's
-    /// injection source.
-    pub fn build(cfg: &SquirrelConfig) -> SquirrelSystem {
+    /// Build the deployment `cfg` describes and attach the query trace
+    /// as the engine's injection source. Reads the topology, catalog,
+    /// workload, seed, window and shard count, and `flower.max_overlay`
+    /// as the `Sco` both systems draw communities with.
+    pub fn build(cfg: &SystemConfig) -> SquirrelSystem {
         let topo = Topology::generate(&cfg.topology, cfg.seed);
         let catalog = Catalog::new(cfg.catalog.clone());
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5_901_u64);
-        let k = topo.num_localities();
-
-        let mut pools: Vec<Vec<NodeId>> = (0..k)
-            .map(|l| {
-                let mut v = topo.nodes_in(Locality(l as u16));
-                v.shuffle(&mut rng);
-                v
-            })
-            .collect();
-        debug_assert_eq!(pools.len(), k);
-
+        let mut pools = locality_pools(&topo, &mut rng);
         // Origin servers (outside the DHT, as in the Flower runs).
-        let mut servers = Vec::new();
-        {
-            let mut l = 0usize;
-            for _ws in catalog.websites() {
-                let mut placed = None;
-                for _ in 0..k {
-                    l = (l + 1) % k;
-                    if let Some(n) = pools[l].pop() {
-                        placed = Some(n);
-                        break;
-                    }
-                }
-                servers.push(placed.expect("topology too small for servers"));
-            }
-        }
+        let servers = place_servers(&catalog, &mut pools);
+        let communities = draw_communities(&catalog, &pools, cfg.flower.max_overlay, &mut rng);
 
-        // Client communities: same shape as the Flower run; the union
-        // of all communities forms the single Squirrel ring.
-        let mut communities: Communities<NodeId> = Communities::new(k);
+        // The union of all communities forms the single Squirrel ring.
         let mut ring_members: Vec<NodeId> = Vec::new();
         for ws in catalog.active_websites() {
-            for (l, pool) in pools.iter().enumerate() {
-                let take = cfg.clients_per_locality.min(pool.len());
-                let mut comm: Vec<NodeId> = pool.choose_multiple(&mut rng, take).copied().collect();
-                comm.sort_unstable_by_key(|n| n.0);
-                for n in &comm {
-                    if !ring_members.contains(n) {
-                        ring_members.push(*n);
-                    }
-                }
-                communities.insert(ws, l, comm);
+            for l in 0..pools.len() {
+                ring_members.extend_from_slice(communities.get(ws, l));
             }
         }
         ring_members.sort_unstable_by_key(|n| n.0);
+        ring_members.dedup();
+
+        // The same trace and originator policy as the Flower harness,
+        // over this deployment's communities and draw stream.
+        let trace = originated_trace(cfg, &catalog, Arc::new(communities), rng);
 
         // One stable Chord ring over all participants, ids uniformly
         // hashed (locality-blind).
@@ -203,27 +85,23 @@ impl SquirrelSystem {
             })
             .collect();
         let states = chord::stable_ring(&members, &chord::ChordConfig::default());
-        let state_by_node: HashMap<NodeId, chord::ChordState> = members
+        let mut state_by_node: HashMap<NodeId, chord::ChordState> = members
             .iter()
             .zip(states)
             .map(|(m, s)| (m.node, s))
             .collect();
-
-        let deployment = Arc::new(SquirrelDeployment {
-            catalog: Catalog::new(cfg.catalog.clone()),
-            servers: servers.clone(),
-        });
 
         let server_of_node: HashMap<NodeId, u16> = servers
             .iter()
             .enumerate()
             .map(|(i, n)| (*n, i as u16))
             .collect();
+        let deployment = Arc::new(SquirrelDeployment { catalog, servers });
         let nodes: Vec<SquirrelNode> = topo
             .node_ids()
             .map(|n| {
-                if let Some(st) = state_by_node.get(&n) {
-                    SquirrelNode::participant(Arc::clone(&deployment), st.clone())
+                if let Some(st) = state_by_node.remove(&n) {
+                    SquirrelNode::participant(Arc::clone(&deployment), st)
                 } else if let Some(ws) = server_of_node.get(&n) {
                     SquirrelNode::server(Arc::clone(&deployment), workload::WebsiteId(*ws))
                 } else {
@@ -239,28 +117,33 @@ impl SquirrelSystem {
             cfg.window,
             cfg.shards.max(1),
         );
-
-        // The same trace and the same originator policy as the Flower
-        // harness — one implementation, `workload::OriginatedTrace` —
-        // over this deployment's communities and draw stream.
-        let trace = QueryGen::new(&cfg.workload, &catalog, cfg.seed ^ 0x0077_ACE5)
-            .originated(Arc::new(communities), rng);
-        engine.attach_source(submissions(trace));
+        engine.attach_source(submissions(trace, |qid, website, object| {
+            SquirrelMsg::Submit {
+                qid,
+                website,
+                object,
+            }
+        }));
 
         SquirrelSystem {
             engine,
             participants: ring_members,
-            duration: SimTime::from_ms(cfg.workload.duration_ms),
+            horizon: drain_horizon(SimTime::from_ms(cfg.workload.duration_ms)),
         }
     }
 
-    /// Build and run to the horizon (plus drain margin).
-    pub fn run(cfg: &SquirrelConfig) -> (SquirrelSystem, SquirrelReport) {
+    /// Build and run to [`SquirrelSystem::drain_horizon`].
+    pub fn run(cfg: &SystemConfig) -> (SquirrelSystem, SquirrelReport) {
         let mut sys = SquirrelSystem::build(cfg);
-        let horizon = sys.duration + SimDuration::from_secs(30);
-        sys.engine.run_until(horizon);
+        sys.engine.run_until(sys.horizon);
         let report = sys.report();
         (sys, report)
+    }
+
+    /// The standard run horizon, the same instant as Flower-CDN's
+    /// (`flower_core::system::drain_horizon`).
+    pub fn drain_horizon(&self) -> SimTime {
+        self.horizon
     }
 
     /// The engine (metric access).
@@ -293,9 +176,9 @@ mod tests {
     use super::*;
 
     fn run_small(seed: u64) -> (SquirrelSystem, SquirrelReport) {
-        let cfg = SquirrelConfig {
+        let cfg = SystemConfig {
             seed,
-            ..SquirrelConfig::small_test()
+            ..SystemConfig::small_test()
         };
         SquirrelSystem::run(&cfg)
     }

@@ -1,26 +1,24 @@
 //! Flower-CDN vs Squirrel on the same trace: the paper's headline
 //! comparison (Figures 6–8) at example scale.
 //!
-//! Both systems see the same topology, catalog, query trace and seed;
-//! only the overlay differs — locality-aware D-ring + content
-//! overlays vs one locality-blind DHT.
+//! Both systems build from one `SystemConfig`: the same topology,
+//! catalog, query trace and seed; only the overlay differs —
+//! locality-aware D-ring + content overlays vs one locality-blind DHT.
 //!
 //! ```sh
 //! cargo run --release --example locality_comparison
 //! ```
 
 use flower_cdn::core::system::{FlowerSystem, SystemConfig};
-use flower_cdn::squirrel::{SquirrelConfig, SquirrelSystem};
+use flower_cdn::squirrel::SquirrelSystem;
 
 fn main() {
-    let fcfg = SystemConfig::small_test();
-    let mut scfg = SquirrelConfig::small_test();
-    scfg.seed = fcfg.seed;
+    let cfg = SystemConfig::small_test();
 
     println!("running Flower-CDN…");
-    let (fsys, f) = FlowerSystem::run(&fcfg);
+    let (fsys, f) = FlowerSystem::run(&cfg);
     println!("running Squirrel on the same trace…");
-    let (ssys, s) = SquirrelSystem::run(&scfg);
+    let (ssys, s) = SquirrelSystem::run(&cfg);
 
     println!("\n== side by side ==");
     println!("{:<28} {:>12} {:>12}", "metric", "flower-cdn", "squirrel");

@@ -3,10 +3,10 @@
 
 use std::sync::Arc;
 
-use flower_cdn::core::system::{FlowerSystem, SystemConfig};
+use flower_cdn::core::system::{submissions, FlowerSystem, SystemConfig};
 use flower_cdn::core::FlowerMsg;
 use flower_cdn::simnet::{Event, NodeId};
-use flower_cdn::squirrel::{SquirrelConfig, SquirrelMsg, SquirrelSystem};
+use flower_cdn::squirrel::{SquirrelMsg, SquirrelSystem};
 use flower_cdn::workload::{Catalog, CatalogConfig, Communities, QueryGen, Surge, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,17 +17,11 @@ fn pair(
     flower_cdn::core::SystemReport,
     flower_cdn::squirrel::SquirrelReport,
 ) {
-    let fcfg = SystemConfig {
+    let cfg = SystemConfig {
         seed,
         ..SystemConfig::small_test()
     };
-    let scfg = SquirrelConfig {
-        seed,
-        ..SquirrelConfig::small_test()
-    };
-    let (_, f) = FlowerSystem::run(&fcfg);
-    let (_, s) = SquirrelSystem::run(&scfg);
-    (f, s)
+    (FlowerSystem::run(&cfg).1, SquirrelSystem::run(&cfg).1)
 }
 
 /// §6.4 / Figure 7: locality-aware lookup beats DHT-per-query lookup.
@@ -136,7 +130,7 @@ fn squirrel_pin(sys: &SquirrelSystem, r: &flower_cdn::squirrel::SquirrelReport) 
 /// deployment: the comparator's numbers move only on purpose.
 #[test]
 fn squirrel_cell_pins_every_report_field() {
-    let cfg = SquirrelConfig::small_test();
+    let cfg = SystemConfig::small_test();
     let (sys, r) = SquirrelSystem::run(&cfg);
     assert_eq!(
         squirrel_pin(&sys, &r),
@@ -239,34 +233,42 @@ fn both_harnesses_inject_the_same_originated_trace() {
     let trace = QueryGen::new(&workload, &catalog, 77)
         .originated(Arc::new(communities), StdRng::seed_from_u64(5));
 
-    let flower: Vec<_> = flower_cdn::core::system::submissions(trace.clone())
-        .map(|(at, node, ev)| match ev {
-            Event::Recv {
-                from,
-                msg:
-                    FlowerMsg::Submit {
-                        qid,
-                        website,
-                        object,
-                    },
-            } if from == node => (qid, at, website, object, node),
-            other => panic!("not a self-addressed Submit: {other:?}"),
-        })
-        .collect();
-    let squirrel: Vec<_> = flower_cdn::squirrel::system::submissions(trace.clone())
-        .map(|(at, node, ev)| match ev {
-            Event::Recv {
-                from,
-                msg:
-                    SquirrelMsg::Submit {
-                        qid,
-                        website,
-                        object,
-                    },
-            } if from == node => (qid, at, website, object, node),
-            other => panic!("not a self-addressed Submit: {other:?}"),
-        })
-        .collect();
+    let flower: Vec<_> = submissions(trace.clone(), |qid, website, object| FlowerMsg::Submit {
+        qid,
+        website,
+        object,
+    })
+    .map(|(at, node, ev)| match ev {
+        Event::Recv {
+            from,
+            msg:
+                FlowerMsg::Submit {
+                    qid,
+                    website,
+                    object,
+                },
+        } if from == node => (qid, at, website, object, node),
+        other => panic!("not a self-addressed Submit: {other:?}"),
+    })
+    .collect();
+    let squirrel: Vec<_> = submissions(trace, |qid, website, object| SquirrelMsg::Submit {
+        qid,
+        website,
+        object,
+    })
+    .map(|(at, node, ev)| match ev {
+        Event::Recv {
+            from,
+            msg:
+                SquirrelMsg::Submit {
+                    qid,
+                    website,
+                    object,
+                },
+        } if from == node => (qid, at, website, object, node),
+        other => panic!("not a self-addressed Submit: {other:?}"),
+    })
+    .collect();
     assert_eq!(flower, squirrel);
     assert!(flower.len() > 4_000, "only {} queries", flower.len());
     let skipped = flower.last().expect("non-empty").0 + 1 - flower.len() as u64;
