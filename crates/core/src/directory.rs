@@ -20,11 +20,25 @@
 //! ## Holder lookup cost
 //!
 //! The per-peer index is mirrored by an *inverted* index `object →
-//! sorted holder list`, maintained on every object insert/remove, so
+//! holder list`, maintained on every object insert/remove, so
 //! Algorithm 3's step 1 reads exactly the holders of the requested
 //! object instead of scanning the whole overlay (`Sco` grows with the
 //! deployment — at 100k nodes a scan per query dominated the engine
-//! profile). The only lookups the inverted index cannot answer are
+//! profile).
+//!
+//! A list is put into node-id order when it is read, not when it is
+//! written: a new holder is appended, and the two readers that need
+//! the order — [`DirectoryState::process`] and the removal of a
+//! holder — first sort the appended tail and merge it into the sorted
+//! prefix. Algorithm 5's ∆list pushes outnumber Algorithm 3's holder
+//! draws 8.5 : 1 on `query_storm_10k`, so a sorted insert per push
+//! paid for an order that was mostly never looked at. The set of
+//! holders is exact after every write, so a list going from 0 to 1
+//! holder and back — what the directory summary's bits follow — and
+//! the listing count are unchanged, and a reader sees the same sorted
+//! list, so Algorithm 3 draws the same holder.
+//!
+//! The only lookups the inverted index cannot answer are
 //! the gossip-summary entries of a freshly promoted §5.2 directory
 //! (exact object lists unknown until pushes rebuild them); those are
 //! counted, and the summary scan runs only while such entries exist.
@@ -84,6 +98,17 @@ fn heap_push(heap: &mut Vec<u32>, id: u32) {
         at = parent;
     }
     heap[at] = id;
+}
+
+/// Put a holder list into node-id order. [`DirectoryState::add_holder`]
+/// appends, so a list is a sorted prefix followed by the holders
+/// listed since it was last read; the stable sort takes the prefix as
+/// one run, sorts the short tail and merges it in. A list no one
+/// appended to since is only scanned.
+fn sort_holders(hs: &mut [NodeId]) {
+    if !hs.is_sorted() {
+        hs.sort();
+    }
 }
 
 /// A received directory summary of a neighbouring directory peer.
@@ -149,8 +174,11 @@ pub struct DirectoryState {
     /// replication round (decayed each round).
     popularity: IdMap<ObjectId, u64>,
     /// Inverted index: object → members whose *exact* object list
-    /// contains it, kept sorted by node id (the deterministic
-    /// candidate order Algorithm 3 draws from).
+    /// contains it. A new holder is appended; the readers that need
+    /// node-id order — Algorithm 3's deterministic candidate order,
+    /// and the binary search of a removal — sort a list when they
+    /// read it (module docs, "Holder lookup cost"). No list is kept
+    /// empty.
     holders_of: IdMap<ObjectId, Vec<NodeId>>,
     /// Number of entries carrying a gossip summary (§5.2 seeding);
     /// while non-zero, holder lookups must also scan those entries.
@@ -215,16 +243,16 @@ impl DirectoryState {
         }
     }
 
-    /// Record `peer` (a member) as holding `o` in the inverted index:
-    /// one more listing, and `o`'s first one sets its summary bits.
+    /// Record `peer` (a member whose entry just gained `o`, so not yet
+    /// listed) as holding `o` in the inverted index: appended, in no
+    /// order until a reader sorts it ([`sort_holders`]); one more
+    /// listing, and `o`'s first one sets its summary bits.
     fn add_holder(&mut self, o: ObjectId, peer: NodeId) {
         let hs = self.holders_of.entry(o).or_default();
-        if let Err(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
-            hs.insert(pos, peer);
-            self.total_indexed += 1;
-            if hs.len() == 1 {
-                self.summary.first_occurrence(o);
-            }
+        hs.push(peer);
+        self.total_indexed += 1;
+        if hs.len() == 1 {
+            self.summary.first_occurrence(o);
         }
     }
 
@@ -232,6 +260,7 @@ impl DirectoryState {
     /// `o`'s last one leaves its summary bits stale.
     fn remove_holder(&mut self, o: ObjectId, peer: NodeId) {
         if let Some(hs) = self.holders_of.get_mut(&o) {
+            sort_holders(hs);
             if let Ok(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
                 hs.remove(pos);
                 self.total_indexed -= 1;
@@ -314,8 +343,12 @@ impl DirectoryState {
     /// live holders one is drawn uniformly, which spreads the load
     /// "rather evenly across the set of content peers holding copies"
     /// (§4.1).
+    ///
+    /// Takes `&mut self` because it sorts the holder list it reads
+    /// (module docs, "Holder lookup cost"): the list's order changes,
+    /// never its contents.
     pub fn process<R: Rng>(
-        &self,
+        &mut self,
         rng: &mut R,
         object: ObjectId,
         exclude: NodeId,
@@ -323,8 +356,9 @@ impl DirectoryState {
         dir_hops: u8,
     ) -> DirDecision {
         // 1. directory-index lookup, answered from the inverted index
-        // (already in node-id order, so the random draw is a pure
-        // function of the RNG, not of hash-map iteration order).
+        // (sorted into node-id order first, so the random draw is a
+        // pure function of the RNG, not of hash-map iteration or
+        // listing order).
         if self.summary_entries == 0 {
             // Steady-state path. Outside `tick()` every indexed entry
             // has `age < t_dead` (tick evicts at the threshold within
@@ -338,7 +372,8 @@ impl DirectoryState {
             // straight into the sorted holder list. The per-query
             // collect this replaces grew with `Sco` and dominated the
             // million-node profile.
-            if let Some(hs) = self.holders_of.get(&object) {
+            if let Some(hs) = self.holders_of.get_mut(&object) {
+                sort_holders(hs);
                 let excluded = hs.binary_search_by_key(&exclude.0, |n| n.0).ok();
                 let count = hs.len() - usize::from(excluded.is_some());
                 if count > 0 {
@@ -706,8 +741,10 @@ impl DirectoryState {
 
     /// Install a snapshot received in a voluntary hand-off (§5.2).
     /// The incoming index replaces everything, so the listings and the
-    /// summary bits restart from the snapshot's distinct listings (an
-    /// object listed twice for one member counts once).
+    /// summary bits restart from the snapshot's distinct listings: an
+    /// object listed twice for one member counts once, because only
+    /// its first insert into the entry's object set reaches the
+    /// holder list, which appends without looking.
     pub fn install_snapshot(&mut self, entries: Vec<(NodeId, u32, Vec<ObjectId>)>) {
         self.index.clear();
         self.holders_of.clear();
@@ -719,10 +756,12 @@ impl DirectoryState {
         for (peer, age, objects) in entries {
             let mut e = DirEntry::fresh();
             e.age = age;
-            for o in &objects {
-                self.add_holder(*o, peer);
+            e.objects.reserve(objects.len());
+            for o in objects {
+                if e.objects.insert(o) {
+                    self.add_holder(o, peer);
+                }
             }
-            e.objects = objects.into_iter().collect();
             self.index.insert(peer, e);
             if age == 0 {
                 heap_push(&mut self.fresh, peer.0);
@@ -1313,7 +1352,351 @@ mod tests {
         assert_eq!(d.view_seed(8, NodeId(99)), vec![NodeId(2)]);
     }
 
+    /// One member of [`SortedInsertReference`].
+    struct ReferenceMember {
+        age: u32,
+        objects: BTreeSet<ObjectId>,
+        summary: Option<ContentSummary>,
+    }
+
+    /// The directory index as it was before holder lists were sorted
+    /// on read — every listing a sorted insert that skips a holder
+    /// already listed, every removal a binary search — over ordered
+    /// std collections: the oracle `process`, `build_summary` and the
+    /// listing count must agree with after any sequence of writes.
+    struct SortedInsertReference {
+        capacity: usize,
+        t_dead: u32,
+        members: BTreeMap<u32, ReferenceMember>,
+        holders_of: BTreeMap<ObjectId, Vec<NodeId>>,
+        listings: usize,
+        neighbours: Vec<(NodeId, ContentSummary)>,
+    }
+
+    impl SortedInsertReference {
+        fn new(capacity: usize, t_dead: u32) -> Self {
+            SortedInsertReference {
+                capacity,
+                t_dead,
+                members: BTreeMap::new(),
+                holders_of: BTreeMap::new(),
+                listings: 0,
+                neighbours: Vec::new(),
+            }
+        }
+
+        fn add_holder(&mut self, o: ObjectId, peer: NodeId) {
+            let hs = self.holders_of.entry(o).or_default();
+            if let Err(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
+                hs.insert(pos, peer);
+                self.listings += 1;
+            }
+        }
+
+        fn remove_holder(&mut self, o: ObjectId, peer: NodeId) {
+            if let Some(hs) = self.holders_of.get_mut(&o) {
+                if let Ok(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
+                    hs.remove(pos);
+                    self.listings -= 1;
+                    if hs.is_empty() {
+                        self.holders_of.remove(&o);
+                    }
+                }
+            }
+        }
+
+        fn is_full(&self) -> bool {
+            self.members.len() >= self.capacity
+        }
+
+        /// The member `peer`, admitted with nothing if there is room.
+        fn member(&mut self, peer: NodeId) -> Option<&mut ReferenceMember> {
+            if !self.members.contains_key(&peer.0) && self.is_full() {
+                return None;
+            }
+            let m = self.members.entry(peer.0).or_insert(ReferenceMember {
+                age: 0,
+                objects: BTreeSet::new(),
+                summary: None,
+            });
+            m.age = 0;
+            Some(m)
+        }
+
+        fn admit_or_refresh(&mut self, peer: NodeId, o: ObjectId) -> bool {
+            let Some(m) = self.member(peer) else {
+                return false;
+            };
+            if m.objects.insert(o) {
+                self.add_holder(o, peer);
+            }
+            true
+        }
+
+        fn apply_push(&mut self, peer: NodeId, added: &[ObjectId], removed: &[ObjectId]) {
+            let Some(m) = self.member(peer) else { return };
+            m.summary = None;
+            let new: Vec<ObjectId> = added
+                .iter()
+                .filter(|o| m.objects.insert(**o))
+                .copied()
+                .collect();
+            let gone: Vec<ObjectId> = removed
+                .iter()
+                .filter(|o| m.objects.remove(*o))
+                .copied()
+                .collect();
+            for o in new {
+                self.add_holder(o, peer);
+            }
+            for o in gone {
+                self.remove_holder(o, peer);
+            }
+        }
+
+        fn keepalive(&mut self, peer: NodeId) {
+            self.member(peer);
+        }
+
+        fn remove_entry(&mut self, peer: NodeId) -> bool {
+            let Some(m) = self.members.remove(&peer.0) else {
+                return false;
+            };
+            for o in m.objects {
+                self.remove_holder(o, peer);
+            }
+            true
+        }
+
+        fn tick(&mut self) -> Vec<NodeId> {
+            for m in self.members.values_mut() {
+                m.age = m.age.saturating_add(1);
+            }
+            let dead: Vec<NodeId> = self
+                .members
+                .iter()
+                .filter(|(_, m)| m.age >= self.t_dead)
+                .map(|(p, _)| NodeId(*p))
+                .collect();
+            for p in &dead {
+                self.remove_entry(*p);
+            }
+            dead
+        }
+
+        fn seed_from_view(&mut self, entries: &[(NodeId, Option<ContentSummary>)]) {
+            for (peer, summary) in entries {
+                if !self.is_full() && !self.members.contains_key(&peer.0) {
+                    let m = self.member(*peer).expect("room checked");
+                    m.summary = summary.clone();
+                }
+            }
+        }
+
+        fn install_snapshot(&mut self, entries: &[(NodeId, u32, Vec<ObjectId>)]) {
+            self.members.clear();
+            self.holders_of.clear();
+            self.listings = 0;
+            for (peer, age, objects) in entries {
+                for o in objects {
+                    self.add_holder(*o, *peer);
+                }
+                let m = ReferenceMember {
+                    age: *age,
+                    objects: objects.iter().copied().collect(),
+                    summary: None,
+                };
+                self.members.insert(peer.0, m);
+            }
+        }
+
+        /// Algorithm 3 as `process` made it before lists were sorted
+        /// on read.
+        fn process(
+            &self,
+            rng: &mut StdRng,
+            object: ObjectId,
+            exclude: NodeId,
+            max_dir_hops: u8,
+            dir_hops: u8,
+        ) -> DirDecision {
+            if self.members.values().all(|m| m.summary.is_none()) {
+                if let Some(hs) = self.holders_of.get(&object) {
+                    let excluded = hs.binary_search_by_key(&exclude.0, |n| n.0).ok();
+                    let count = hs.len() - usize::from(excluded.is_some());
+                    if count > 0 {
+                        let i = rng.gen_range(0..count);
+                        let at = match excluded {
+                            Some(ep) if i >= ep => i + 1,
+                            _ => i,
+                        };
+                        return DirDecision::ToHolder(hs[at]);
+                    }
+                }
+            } else {
+                let live = |p: &NodeId| {
+                    *p != exclude && self.members.get(&p.0).is_some_and(|m| m.age < self.t_dead)
+                };
+                let mut holders: Vec<NodeId> = self
+                    .holders_of
+                    .get(&object)
+                    .into_iter()
+                    .flatten()
+                    .copied()
+                    .filter(live)
+                    .collect();
+                for (peer, m) in &self.members {
+                    if live(&NodeId(*peer))
+                        && !m.objects.contains(&object)
+                        && m.summary.as_ref().is_some_and(|s| s.might_contain(object))
+                    {
+                        holders.push(NodeId(*peer));
+                    }
+                }
+                holders.sort_unstable_by_key(|n| n.0);
+                if let Some(h) = holders.choose(rng) {
+                    return DirDecision::ToHolder(*h);
+                }
+            }
+            if dir_hops < max_dir_hops {
+                let candidates: Vec<NodeId> = self
+                    .neighbours
+                    .iter()
+                    .filter(|(_, s)| s.might_contain(object))
+                    .map(|(d, _)| *d)
+                    .collect();
+                if let Some(d) = candidates.choose(rng) {
+                    return DirDecision::ToDirectory(*d);
+                }
+            }
+            DirDecision::ToServer
+        }
+
+        /// The summary a from-scratch scan of the listings builds.
+        fn scan_summary(&self, capacity: usize) -> ContentSummary {
+            let mut s = ContentSummary::empty(capacity);
+            for m in self.members.values() {
+                for o in &m.objects {
+                    s.insert(*o);
+                }
+            }
+            s
+        }
+    }
+
+    /// The inverted index lists exactly the index's object sets — `o
+    /// ∈ index[p].objects` iff `p ∈ holders_of[o]`, each listing once
+    /// — and keeps no empty list.
+    fn assert_inverted_index_exact(d: &DirectoryState) {
+        for (p, e) in &d.index {
+            for o in &e.objects {
+                assert!(
+                    d.holders_of.get(o).is_some_and(|hs| hs.contains(p)),
+                    "{p:?} holds {o:?} but is not listed"
+                );
+            }
+        }
+        for (o, hs) in &d.holders_of {
+            assert!(!hs.is_empty(), "empty holder list kept for {o:?}");
+            for p in hs {
+                assert!(
+                    d.index.get(p).is_some_and(|e| e.objects.contains(o)),
+                    "{p:?} listed under {o:?} without holding it"
+                );
+            }
+        }
+        let listed: usize = d.holders_of.values().map(Vec::len).sum();
+        let held: usize = d.index.values().map(|e| e.objects.len()).sum();
+        assert_eq!(listed, held, "a holder is listed twice");
+        assert_eq!(d.total_indexed, listed);
+    }
+
     proptest! {
+        /// Any sequence of index writes — admissions, pushes that add
+        /// and remove, keepalives, ticks that evict, removals, §5.2
+        /// seeding, hand-offs with an object listed twice — leaves
+        /// the appended, sorted-on-read holder lists deciding exactly
+        /// like the sorted-insert reference: after every step, the
+        /// same Algorithm 3 decision from the same RNG state (and the
+        /// same RNG state after it) for several objects and excludes,
+        /// the same summary and listing count, and an exact inverted
+        /// index.
+        #[test]
+        fn holder_lists_decide_like_the_sorted_insert_reference(
+            ops in proptest::collection::vec((0u8..9, 0u32..10, 0u64..8), 1..120),
+        ) {
+            let (capacity, t_dead, bits) = (8, 3, 30);
+            let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, capacity, t_dead, bits);
+            let mut r = SortedInsertReference::new(capacity, t_dead);
+            let obj = |k: u64| ObjectId(k * 31 + 5);
+            let neighbour = ContentSummary::from_objects(bits, &[obj(1), obj(6)]);
+            d.update_neighbor_summary(NeighborSummary {
+                dir: NodeId(50),
+                locality: Locality(1),
+                dir_id: ChordId(5),
+                summary: neighbour.clone(),
+            });
+            r.neighbours.push((NodeId(50), neighbour));
+            for (step, (op, peer, k)) in ops.into_iter().enumerate() {
+                let p = NodeId(peer);
+                match op {
+                    0 => prop_assert_eq!(d.admit_or_refresh(p, obj(k)), r.admit_or_refresh(p, obj(k))),
+                    1 => {
+                        let (added, removed) = ([obj(k), obj(k + 1)], [obj(k + 2)]);
+                        d.apply_push(p, &added, &removed);
+                        r.apply_push(p, &added, &removed);
+                    }
+                    2 => {
+                        let (added, removed) = ([obj(k)], [obj(k), obj(k + 1)]);
+                        d.apply_push(p, &added, &removed);
+                        r.apply_push(p, &added, &removed);
+                    }
+                    3 => {
+                        d.keepalive(p);
+                        r.keepalive(p);
+                    }
+                    4 => prop_assert_eq!(d.tick(), r.tick()),
+                    5 => prop_assert_eq!(d.remove_entry(p), r.remove_entry(p)),
+                    6 => {
+                        let s = ContentSummary::from_objects(bits, &[obj(k)]);
+                        let entries = [(p, Some(s)), (NodeId(peer + 1), None)];
+                        d.seed_from_view(entries.iter().map(|(p, s)| (*p, s.as_ref())));
+                        r.seed_from_view(&entries);
+                    }
+                    7 => {
+                        let mut snap = d.snapshot();
+                        if let Some((_, _, objects)) = snap.first_mut() {
+                            objects.extend([obj(k), obj(k)]);
+                        }
+                        r.install_snapshot(&snap);
+                        d.install_snapshot(snap);
+                    }
+                    _ => {
+                        // Members listed out of node-id order.
+                        for q in [peer + 3, peer, peer + 1].map(NodeId) {
+                            d.apply_push(q, &[obj(k)], &[]);
+                            r.apply_push(q, &[obj(k)], &[]);
+                        }
+                    }
+                }
+                assert_inverted_index_exact(&d);
+                prop_assert_eq!(d.total_indexed, r.listings);
+                prop_assert_eq!(d.build_summary(), r.scan_summary(bits));
+                for k in 0..9 {
+                    for exclude in [NodeId(NON_MEMBER), NodeId(peer), NodeId(2)] {
+                        let mut rd = StdRng::seed_from_u64(step as u64 * 16 + k);
+                        let mut rr = rd.clone();
+                        prop_assert_eq!(
+                            d.process(&mut rd, obj(k), exclude, 1, 0),
+                            r.process(&mut rr, obj(k), exclude, 1, 0),
+                            "step {}, object {}, excluding {:?}", step, k, exclude
+                        );
+                        prop_assert_eq!(rd.gen::<u64>(), rr.gen::<u64>());
+                    }
+                }
+            }
+        }
+
         /// Random index mutations, hand-offs with a duplicated listing
         /// among them: every directory summary is the from-scratch
         /// filter over the index's listings, one insert per `(member,

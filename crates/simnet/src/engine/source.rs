@@ -1,8 +1,9 @@
 //! The injection source a shard walks ([`Engine::attach_source`]
 //! attaches it; module docs of [`engine`](super), "Injection
-//! sources"): a shard's replica of the stream, how it moves the next
-//! due injection into the queue, and the earliest instant the shard
-//! publishes at the barrier, source head included.
+//! sources"): a shard's replica of the stream, how it moves the
+//! injections of the instant being drained into the queue, and the
+//! earliest instant the shard publishes at the barrier, source head
+//! included.
 //!
 //! [`Engine::attach_source`]: super::Engine::attach_source
 
@@ -68,14 +69,17 @@ impl<M> ShardSource<M> {
 
 impl<M: Message, N: Node<M>> Shard<M, N> {
     /// Move into the queue every source injection that is due before
-    /// `limit` and precedes the queue's head, so that the queue's head
-    /// is this shard's next event. Called before every look at the
-    /// head; moves at most the injections about to be popped, so the
-    /// future of the stream never becomes resident.
+    /// `limit` and no later than the queue head's instant, so that the
+    /// queue's head is this shard's next event and the instant being
+    /// drained holds all of its injections — where the lookahead
+    /// prefetch sees them like any other queued event. Called before
+    /// every look at the head; moves at most one instant's injections
+    /// beyond the head, so the future of the stream never becomes
+    /// resident. The keys are the stream's, so the pop order is too.
     #[inline]
     pub(super) fn pull_source(&mut self, limit: SimTime, place: &Placement) {
         while let Some((key, ..)) = &self.source.head {
-            if key.at >= limit || self.queue.peek_key().is_some_and(|head| head < *key) {
+            if key.at >= limit || self.queue.peek_time().is_some_and(|head| head < key.at) {
                 return;
             }
             let (key, dst, ev) = self.source.head.take().expect("matched above");

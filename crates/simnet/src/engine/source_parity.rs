@@ -170,6 +170,48 @@ fn streamed_source_pops_the_keys_of_the_prescheduled_one() {
     }
 }
 
+/// At a burst instant the source releases that whole instant into the
+/// queue — every injection due at the head's instant, none due later —
+/// so the lookahead sees a shard's submissions coming like any queued
+/// event.
+#[test]
+fn the_source_releases_every_injection_of_the_head_instant_and_none_later() {
+    for shards in [1usize, 2, 3] {
+        let mut e = engine(shards);
+        e.attach_source(stream());
+        // Everything up to the burst's millisecond 7 010 (eight
+        // injections) has run; nothing at 7 010 is queued yet.
+        e.run_until(SimTime::from_ms(7_009));
+        let mut released = 0;
+        for s in &mut e.shards {
+            s.pull_source(SimTime::from_ms(60_000), &e.place);
+            let head = s.queue.peek_time().expect("the stream is not over");
+            let due: Vec<u64> = stream()
+                .enumerate()
+                .filter(|(_, (at, node, _))| *at == head && e.place.shard(*node) == s.id)
+                .map(|(i, _)| i as u64)
+                .collect();
+            // Nothing but the stream is keyed on stream 0 here, and
+            // injection `i` carries sequence number `i`.
+            let mut queued = Vec::new();
+            while let Some((key, _)) = s.queue.pop() {
+                if key.src == 0 {
+                    assert_eq!(
+                        key.at, head,
+                        "shards={shards}: a later injection is resident"
+                    );
+                    queued.push(key.seq);
+                }
+            }
+            assert_eq!(queued, due, "shards={shards}, shard {}", s.id);
+            if head == SimTime::from_ms(7_010) {
+                released += queued.len();
+            }
+        }
+        assert_eq!(released, 8, "shards={shards}: the burst instant in all");
+    }
+}
+
 /// The idle-shard hazard: a shard whose only pending work is still in
 /// its source must not publish "idle" at the barrier. Here shard 1 has
 /// nothing queued, ever; its one injection makes `c` probe-reply to
