@@ -26,28 +26,29 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 /// The Kirsch–Mitzenmacher probe sequence for `key` over `m_bits`
-/// slots with `k` probes. Shared by [`BloomFilter`] and
-/// [`crate::SummaryBits`] so the two can never disagree on
-/// which bits a key touches — the maintained bits' snapshots are
-/// bit-identical to from-scratch filters *because* this function is
-/// the single probe authority.
+/// slots with `k` probes. Shared by [`BloomFilter`],
+/// [`crate::SummaryBits`] and the one-object [`crate::ContentSummary`]
+/// so they can never disagree on which bits a key touches — the
+/// maintained bits' snapshots and a one-object summary's answers equal
+/// from-scratch filters' *because* this function is the single probe
+/// authority.
 pub(crate) fn probe_positions(m_bits: u64, k: u32, key: u64) -> impl Iterator<Item = usize> {
     let h1 = mix64(key);
     let h2 = mix64(key ^ 0xDEAD_BEEF_CAFE_F00D) | 1; // odd stride
     (0..k as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m_bits) as usize)
 }
 
-/// The `m_bits` of [`rate_geometry`], for
-/// [`crate::ContentSummary::wire_size`]: sizing a message must not pay
-/// for the probe count's floating-point rounding.
+/// The `m_bits` of [`rate_geometry`], for [`crate::ContentSummary`]:
+/// sizing a message or probing a one-object summary must not pay for
+/// the probe count's floating-point rounding.
 #[inline]
 pub(crate) fn rate_bits(expected_items: usize, bits_per_item: usize) -> usize {
     expected_items.max(1) * bits_per_item.max(1)
 }
 
 /// The filter geometry [`BloomFilter::with_rate`] derives from an
-/// expected item count: `(m_bits, k)`. Shared with
-/// [`crate::SummaryBits`] so both size identically.
+/// expected item count: `(m_bits, k)`. The summaries use [`rate_bits`]
+/// and their probe constant, which a test ties to this `k`.
 pub(crate) fn rate_geometry(expected_items: usize, bits_per_item: usize) -> (usize, u32) {
     let m = rate_bits(expected_items, bits_per_item);
     let k = ((bits_per_item as f64) * std::f64::consts::LN_2)
@@ -115,14 +116,6 @@ impl BloomFilter {
     /// on distinct items).
     pub fn items(&self) -> usize {
         self.items
-    }
-
-    /// Merge another filter of identical geometry into this one; the
-    /// result answers `contains` positively for the union of keys.
-    pub fn union_with(&mut self, other: &BloomFilter) {
-        assert_eq!(self.k, other.k, "probe-count mismatch in union");
-        self.bits.union_with(&other.bits);
-        self.items += other.items;
     }
 
     /// Estimated false-positive probability at the current fill level:
@@ -199,16 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn union_covers_both() {
-        let mut a = BloomFilter::new(800, 5);
-        let mut b = BloomFilter::new(800, 5);
-        a.insert(1);
-        b.insert(2);
-        a.union_with(&b);
-        assert!(a.contains(1) && a.contains(2));
-    }
-
-    #[test]
     fn geometry_accessors() {
         let f = BloomFilter::with_rate(100, 8);
         assert_eq!(f.num_bits(), 800);
@@ -241,19 +224,6 @@ mod proptests {
             }
             for &k in &keys {
                 prop_assert!(f.contains(k));
-            }
-        }
-
-        /// Union preserves membership of both operands.
-        #[test]
-        fn union_superset(xs in proptest::collection::vec(any::<u64>(), 0..50), ys in proptest::collection::vec(any::<u64>(), 0..50)) {
-            let mut a = BloomFilter::new(1024, 5);
-            let mut b = BloomFilter::new(1024, 5);
-            for &k in &xs { a.insert(k); }
-            for &k in &ys { b.insert(k); }
-            a.union_with(&b);
-            for &k in xs.iter().chain(&ys) {
-                prop_assert!(a.contains(k));
             }
         }
     }

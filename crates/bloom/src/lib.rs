@@ -12,13 +12,15 @@
 //!
 //! The crate provides:
 //! * [`BitVec`] — a compact bit vector;
-//! * [`BloomFilter`] — insert / query / union with double hashing;
-//! * [`ContentSummary`] — the paper-facing wrapper sized per Table 1,
-//!   reporting its wire size for the bandwidth model;
+//! * [`BloomFilter`] — insert / query with double hashing;
+//! * [`ContentSummary`] — the paper-facing summary sized per Table 1,
+//!   reporting its wire size for the bandwidth model: below two
+//!   inserts it is its object id (no filter, nothing shared), from two
+//!   a shared filter; every answer is the filter's;
 //! * [`SummaryBits`] — the *maintained* form for an owner that keeps
-//!   its own object list: bits only, set on an object's first
-//!   occurrence and marked stale when its last occurrence goes, with
-//!   O(words) snapshots bit-identical to a from-scratch
+//!   its own object list: no bits below two objects, from there bits
+//!   set on an object's first occurrence and marked stale when its
+//!   last occurrence goes, with snapshots identical to a from-scratch
 //!   [`ContentSummary`] (the hot-path replacement for
 //!   rebuild-per-gossip);
 //! * [`MaintainedSummary`] — [`SummaryBits`] over a multiset of its

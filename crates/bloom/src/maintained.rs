@@ -20,14 +20,19 @@
 //! * **last occurrence gone** ([`SummaryBits::last_occurrence_gone`])
 //!   marks the bits *stale*: some may belong to no live object.
 //!
-//! [`SummaryBits::snapshot`] takes the owner's keys and item count,
-//! re-derives stale bits from the keys (`O(distinct objects · k)`,
-//! once per snapshot that follows a last-occurrence removal), then
-//! clones the bits in `O(words)`. Bits are OR'd, so the order the keys
-//! come in does not matter. A snapshot is **bit-identical** (including
-//! the item count) to [`ContentSummary::from_objects`] over the
-//! owner's multiset: both draw their probes from the one shared probe
-//! function, so the seed-pinned simulations cannot tell the difference.
+//! [`SummaryBits::snapshot`] takes the owner's keys and item count.
+//! Below two items the summary is its object id (or nothing), read
+//! straight from the keys, and the owner keeps no bits at all: the bit
+//! array is derived from the keys at the first snapshot of two or more
+//! items and only then follows first occurrences. From there a
+//! snapshot re-derives stale bits from the keys (`O(distinct objects ·
+//! k)`, once per snapshot that follows a last-occurrence removal), then
+//! copies the bits into a shared filter in `O(words)`. Bits are OR'd,
+//! so the order the keys come in does not matter. A snapshot is
+//! **identical** (form, answers and item count) to
+//! [`ContentSummary::from_objects`] over the owner's multiset: both
+//! draw their probes from the one shared probe function, so the
+//! seed-pinned simulations cannot tell the difference.
 //!
 //! [`MaintainedSummary`] is the same filter with an owner of its own, a
 //! multiset of keys. Only the benchmark's `bloom` probe and this
@@ -36,37 +41,45 @@
 use std::collections::BTreeMap;
 
 use crate::bits::BitVec;
-use crate::filter::{probe_positions, rate_geometry, BloomFilter};
-use crate::summary::{ContentSummary, ObjectId, BITS_PER_OBJECT};
+use crate::filter::{probe_positions, rate_bits, BloomFilter};
+use crate::summary::{ContentSummary, ObjectId, BITS_PER_OBJECT, PROBES};
 
 /// The bits of a content summary whose owner keeps the object list:
-/// no per-object storage, `O(words)` snapshots bit-identical to a
-/// from-scratch [`ContentSummary`].
+/// no per-object storage, snapshots identical to a from-scratch
+/// [`ContentSummary`].
 #[derive(Clone, Debug)]
 pub struct SummaryBits {
     /// The design capacity (nb-ob), echoed into snapshots.
     capacity: usize,
-    k: u32,
     /// The bits of the owner's live objects — exactly, unless `stale`.
-    bits: BitVec,
+    /// `None` until the first snapshot of two or more items: a summary
+    /// of fewer is its object id and needs no bits.
+    bits: Option<BitVec>,
     /// An object's last occurrence left since `bits` was derived; the
-    /// next snapshot re-derives them from the owner's keys.
+    /// next snapshot of two or more items re-derives them from the
+    /// owner's keys.
     stale: bool,
     /// The last snapshot, reused while no bit event happened and the
     /// item count is the same: a summary gossiped every `Tgossip` while
-    /// the content sits still costs one `Arc` clone per exchange.
+    /// the content sits still costs one clone per exchange — a 16-byte
+    /// copy below two objects, an `Arc` clone from there.
     cached: Option<ContentSummary>,
+}
+
+/// Set `o`'s probe bits in `bits`.
+fn set_bits(bits: &mut BitVec, o: ObjectId) {
+    for p in probe_positions(bits.len() as u64, PROBES, o.key()) {
+        bits.set(p);
+    }
 }
 
 impl SummaryBits {
     /// Empty bits with the geometry of
     /// [`ContentSummary::empty`]`(capacity)` (Table 1: `8·nb-ob` bits).
     pub fn empty(capacity: usize) -> Self {
-        let (m, k) = rate_geometry(capacity, BITS_PER_OBJECT);
         SummaryBits {
             capacity,
-            k,
-            bits: BitVec::new(m),
+            bits: None,
             stale: false,
             cached: None,
         }
@@ -77,16 +90,13 @@ impl SummaryBits {
         self.capacity
     }
 
-    fn set_bits(&mut self, o: ObjectId) {
-        for p in probe_positions(self.bits.len() as u64, self.k, o.key()) {
-            self.bits.set(p);
-        }
-    }
-
-    /// The owner gained its first occurrence of `o`: set its `k` bits.
+    /// The owner gained its first occurrence of `o`: set its `k` bits,
+    /// if the owner keeps bits yet.
     pub fn first_occurrence(&mut self, o: ObjectId) {
         self.cached = None;
-        self.set_bits(o);
+        if let Some(bits) = &mut self.bits {
+            set_bits(bits, o);
+        }
     }
 
     /// The owner lost the last occurrence of some object: its bits may
@@ -99,20 +109,20 @@ impl SummaryBits {
     /// Drop everything (§5.2 snapshot install).
     pub fn clear(&mut self) {
         self.cached = None;
-        self.bits.clear();
+        self.bits = None;
         self.stale = false;
     }
 
     /// Whether no bit event happened since the last snapshot, so the
-    /// next one at the same item count is a cached `Arc` clone.
+    /// next one at the same item count is a clone of the cached one.
     pub fn is_cached(&self) -> bool {
         self.cached.is_some()
     }
 
     /// The wire-ready summary of the owner's live objects `keys` (each
-    /// distinct object once), reporting `items` insertions:
-    /// bit-identical to `ContentSummary::from_objects` over the owner's
-    /// multiset of `items` occurrences.
+    /// distinct object once), reporting `items` insertions: identical
+    /// to `ContentSummary::from_objects` over the owner's multiset of
+    /// `items` occurrences.
     pub fn snapshot<'a>(
         &mut self,
         keys: impl IntoIterator<Item = &'a ObjectId>,
@@ -121,17 +131,27 @@ impl SummaryBits {
         if let Some(c) = self.cached.as_ref().filter(|c| c.items() == items) {
             return c.clone();
         }
-        if self.stale {
-            self.bits.clear();
-            for &o in keys {
-                self.set_bits(o);
+        let s = if items <= 1 {
+            // At most one live key, and it is the whole summary.
+            ContentSummary::from_objects(self.capacity, keys)
+        } else {
+            let derive = self.stale || self.bits.is_none();
+            let bits = self
+                .bits
+                .get_or_insert_with(|| BitVec::new(rate_bits(self.capacity, BITS_PER_OBJECT)));
+            if derive {
+                bits.clear();
+                for &o in keys {
+                    set_bits(bits, o);
+                }
+                self.stale = false;
             }
-            self.stale = false;
-        }
-        let s = ContentSummary::from_parts(
-            BloomFilter::from_raw_parts(self.bits.clone(), self.k, items),
-            self.capacity,
-        );
+            ContentSummary::from_filter(
+                BloomFilter::from_raw_parts(bits.clone(), PROBES, items),
+                self.capacity,
+            )
+        };
+        debug_assert_eq!(s.items(), items, "the keys disagree with the item count");
         self.cached = Some(s.clone());
         s
     }
@@ -243,7 +263,9 @@ mod tests {
         for o in &objs {
             m.insert(*o);
         }
+        m.snapshot();
         let all_bits = m.bits.bits.clone();
+        assert!(all_bits.is_some(), "ten objects keep bits");
         m.remove(objs[0]);
         assert_eq!(m.bits.bits, all_bits, "a removal does not touch the bits");
         let after = m.snapshot();
@@ -254,6 +276,40 @@ mod tests {
             m.remove(*o);
         }
         assert_eq!(m.snapshot(), ContentSummary::empty(100));
+    }
+
+    /// A content peer across the forms: 0 → 1 → 2 → 1 → 2 objects,
+    /// the drop to one an eviction, and then an eviction and an admit
+    /// between two snapshots. The bits appear at the first snapshot of
+    /// two objects; every snapshot is the from-scratch summary (32
+    /// bits, so the evicted object's stale bits would show).
+    #[test]
+    fn an_owner_crossing_two_objects_snapshots_exactly() {
+        fn check(bits: &mut SummaryBits, live: &[ObjectId]) {
+            let s = bits.snapshot(live, live.len());
+            assert_eq!(s, ContentSummary::from_objects(4, live), "live {live:?}");
+        }
+        let (a, b, c, d) = (ObjectId(11), ObjectId(22), ObjectId(33), ObjectId(44));
+        let mut bits = SummaryBits::empty(4);
+        let mut live = vec![];
+        check(&mut bits, &live);
+        for o in [a, b] {
+            live.push(o);
+            bits.first_occurrence(o);
+            check(&mut bits, &live);
+            assert_eq!(bits.bits.is_some(), o == b, "bits only from two objects");
+        }
+        live.retain(|&o| o != a);
+        bits.last_occurrence_gone();
+        check(&mut bits, &live);
+        live.push(c);
+        bits.first_occurrence(c);
+        check(&mut bits, &live);
+        live.retain(|&o| o != b);
+        bits.last_occurrence_gone();
+        live.push(d);
+        bits.first_occurrence(d);
+        check(&mut bits, &live);
     }
 
     #[test]

@@ -47,9 +47,10 @@ pub struct ContentPeerState {
     petal_live: u32,
     /// The bits of the peer's own content summary, maintained instead
     /// of rebuilt per gossip exchange: an admit to `content` sets the
-    /// object's `k` bits, an evict or invalidate marks them stale and
-    /// the next snapshot re-derives them from `content`. Snapshots are
-    /// bit-identical to a from-scratch build over `content`.
+    /// object's `k` bits (once there are bits: below two objects the
+    /// summary is its object id), an evict or invalidate marks them
+    /// stale and the next snapshot re-derives them from `content`.
+    /// Snapshots are identical to a from-scratch build over `content`.
     summary: SummaryBits,
 }
 
@@ -158,8 +159,7 @@ impl ContentPeerState {
     }
 
     /// Whether the next [`ContentPeerState::current_summary`] call is
-    /// served from the maintained filter's cache (cheap copy-on-write
-    /// clone) instead of rebuilding the bit projection.
+    /// a clone of the last snapshot instead of a new one.
     pub fn summary_is_cached(&self) -> bool {
         self.summary.is_cached()
     }
@@ -273,7 +273,7 @@ impl ContentPeerState {
             .map(|e| GossipEntry {
                 peer: e.peer,
                 age: e.age,
-                summary: e.data,
+                summary: e.data.clone(),
             })
             .collect();
         GossipPayload {
@@ -577,6 +577,16 @@ mod tests {
             tried.push(NodeId(expect));
         }
         assert_eq!(c.summary_candidates(O2, &tried), None);
+    }
+
+    /// A summary is one word of form and capacity plus one of object
+    /// id or filter pointer, so a view slot with one stays 24 B.
+    #[test]
+    fn summaries_and_view_entries_keep_their_layout() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<ContentSummary>(), 16);
+        assert_eq!(size_of::<Option<ContentSummary>>(), 16);
+        assert_eq!(size_of::<ViewEntry<NodeId, Option<ContentSummary>>>(), 24);
     }
 
     fn held(c: &ContentPeerState) -> Vec<ObjectId> {

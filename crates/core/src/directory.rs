@@ -203,8 +203,10 @@ pub struct DirectoryState {
     /// The bits of the directory summary, maintained by `add_holder`
     /// and `remove_holder` instead of rebuilt by scanning the whole
     /// index per §4.2.1 refresh: a new `holders_of` key sets the
-    /// object's bits, an emptied one marks them stale and the next
-    /// refresh's snapshot re-derives them from `holders_of`'s keys.
+    /// object's bits (once there are bits: below two listings the
+    /// summary is its object id), an emptied one marks them stale and
+    /// the next refresh's snapshot re-derives them from `holders_of`'s
+    /// keys.
     /// §5.2-seeded gossip summaries never enter it, exactly as a
     /// from-scratch scan visits only exact object lists.
     summary: SummaryBits,

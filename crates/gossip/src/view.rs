@@ -89,12 +89,13 @@ impl<P: Copy + Eq, S: Clone> View<P, S> {
     }
 
     /// `select_subset()` of Algorithm 4: a uniform random subset of up
-    /// to `l` (`Lgossip`) entries, cloned for sending.
-    pub fn select_subset<R: Rng>(&self, rng: &mut R, l: usize) -> Vec<ViewEntry<P, S>> {
+    /// to `l` (`Lgossip`) entries, by reference — the caller clones
+    /// what it sends.
+    pub fn select_subset<R: Rng>(&self, rng: &mut R, l: usize) -> Vec<&ViewEntry<P, S>> {
         let mut idx: Vec<usize> = (0..self.entries.len()).collect();
         idx.shuffle(rng);
         idx.truncate(l);
-        idx.into_iter().map(|i| self.entries[i].clone()).collect()
+        idx.into_iter().map(|i| &self.entries[i]).collect()
     }
 
     /// Insert `peer` fresh (age 0) or refresh its entry with new data.

@@ -10,6 +10,11 @@ use rand::SeedableRng;
 
 type Peer = u32;
 
+/// A selected subset as sent: the receiver merges its own copies.
+fn cloned(subset: Vec<&ViewEntry<Peer, ()>>) -> Vec<ViewEntry<Peer, ()>> {
+    subset.into_iter().cloned().collect()
+}
+
 struct Sim {
     views: Vec<View<Peer, ()>>,
     rng: StdRng,
@@ -41,8 +46,8 @@ impl Sim {
                 continue;
             };
             let p = partner as usize;
-            let my_subset = self.views[i].select_subset(&mut self.rng, l);
-            let their_subset = self.views[p].select_subset(&mut self.rng, l);
+            let my_subset = cloned(self.views[i].select_subset(&mut self.rng, l));
+            let their_subset = cloned(self.views[p].select_subset(&mut self.rng, l));
             self.views[p].merge(partner, ViewEntry::fresh(i as Peer, ()), my_subset);
             self.views[i].merge(i as Peer, ViewEntry::fresh(partner, ()), their_subset);
         }
@@ -140,8 +145,8 @@ fn dead_peers_age_out_everywhere() {
                     continue;
                 }
                 let p = partner as usize;
-                let my_subset = sim.views[i].select_subset(&mut sim.rng, 4);
-                let their_subset = sim.views[p].select_subset(&mut sim.rng, 4);
+                let my_subset = cloned(sim.views[i].select_subset(&mut sim.rng, 4));
+                let their_subset = cloned(sim.views[p].select_subset(&mut sim.rng, 4));
                 sim.views[p].merge(partner, ViewEntry::fresh(i as Peer, ()), my_subset);
                 sim.views[i].merge(i as Peer, ViewEntry::fresh(partner, ()), their_subset);
             }
