@@ -614,6 +614,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::{QueryStats, Traffic};
     use workload::Surge;
 
     fn run_small(seed: u64) -> (FlowerSystem, SystemReport) {
@@ -670,8 +671,11 @@ mod tests {
     /// the overlay size of its directory role.
     type NodeState = (Vec<(WebsiteId, usize)>, Option<usize>);
 
+    /// The engine's [`Engine::sim_state`].
+    type SimState = (u64, QueryStats, Traffic, Vec<u64>);
+
     /// Everything a run leaves behind that the protocol decided.
-    fn observed(sys: &FlowerSystem) -> (SystemReport, Vec<u64>, u64, Vec<NodeState>) {
+    fn observed(sys: &FlowerSystem) -> (SystemReport, SimState, Vec<NodeState>) {
         let engine = sys.engine();
         let states = engine
             .topology()
@@ -687,16 +691,11 @@ mod tests {
                 (held, node.dir_role().map(|r| r.dir.overlay_size()))
             })
             .collect();
-        (
-            sys.report(),
-            engine.metrics().sim_fingerprint(),
-            engine.events_processed(),
-            states,
-        )
+        (sys.report(), engine.sim_state(), states)
     }
 
     /// The streamed trace against the eager reference: equal reports,
-    /// registry fingerprints, event counts and per-node protocol
+    /// engine states ([`Engine::sim_state`]) and per-node protocol
     /// state, run in legs so the source is resumed mid-trace, on one
     /// shard and on three. (That the two forms pop the very same
     /// `EventKey` sequence is held at the engine, where pops can be

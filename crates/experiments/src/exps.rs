@@ -658,37 +658,12 @@ fn scale_mean_petal_window(nodes: usize) -> f64 {
         / (WAN_LOCALITIES * SCALE_ACTIVE_WEBSITES) as f64
 }
 
-/// Everything about a finished run that must not depend on the shard
-/// layout, as one comparable string: the query totals, the message and
-/// fault-drop counts and the whole windowed hit series. `scale` and
-/// the `chaos` families hold every multi-shard cell to their first
-/// cell's.
-fn layout_fingerprint(sys: &FlowerSystem, report: &SystemReport) -> String {
-    let engine = sys.engine();
-    let windows: Vec<(u64, u64)> = engine
-        .query_stats()
-        .hit_series()
-        .points()
-        .iter()
-        .map(|p| (p.count, (p.sum * 1e6) as u64))
-        .collect();
-    format!(
-        "{}/{} hit {:.12} msgs {} fault_drops {} windows {:?}",
-        report.submitted,
-        report.resolved,
-        report.hit_ratio,
-        engine.traffic().messages(),
-        engine.metrics().counter(Counter::EngineFaultDrops),
-        windows,
-    )
-}
-
 /// **Scale** — the engine-performance experiment: sweep the node
 /// count, the §5.3 instance bits and the shard count; report
 /// events/second, wall-clock and per-instance directory load per
 /// cell; assert that within every (nodes, instance_bits) group all
-/// shard counts produce *identical* query statistics, windowed hit
-/// series included (`layout_fingerprint`) — the engine's
+/// shard counts produce the *same run* ([`simnet::Engine::sim_state`]:
+/// the merged query statistics and traffic whole) — the engine's
 /// bit-determinism guarantee (the shard layout is an execution detail,
 /// and the §5.3 instance choice is a pure function of protocol
 /// state), measured end to end. When the sweep includes both the flat
@@ -720,8 +695,9 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
         // value represents it).
         let mut load_ratios: Vec<(u32, f64)> = Vec::new();
         for &bits in &params.instance_bits {
-            // Baseline = the first shard count of the group.
-            let mut base: Option<(f64, usize, String)> = None;
+            // Baseline = the first shard count of the group; its state
+            // is kept only when a later cell compares against it.
+            let mut base: Option<(f64, usize, Option<_>)> = None;
             for &shards in &params.shards {
                 let cfg = scale_config(nodes, shards, bits, params.horizon, params.seed);
                 let name = if bits == 0 {
@@ -753,13 +729,13 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                     f3(report.dir_load_max_mean),
                     report.dir_instances_live.to_string(),
                 ]);
-                let fingerprint = layout_fingerprint(&sys, &report);
                 match &base {
                     None => {
                         load_ratios.push((bits, report.dir_load_max_mean));
-                        base = Some((wall_s, shards, fingerprint));
+                        let state = (params.shards.len() > 1).then(|| engine.sim_state());
+                        base = Some((wall_s, shards, state));
                     }
-                    Some((_, base_shards, base_fingerprint)) => out.push_check(
+                    Some((_, base_shards, base_state)) => out.push_check(
                         format!(
                             "{nodes} nodes / b{bits} / {shards} shards: query statistics \
                              identical to the {base_shards}-shard run \
@@ -770,7 +746,7 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                             engine.traffic().messages(),
                             report.dir_load_max_mean
                         ),
-                        *base_fingerprint == fingerprint,
+                        base_state.as_ref() == Some(&engine.sim_state()),
                     ),
                 }
                 out.metrics.push(MetricsRecord {
@@ -844,39 +820,19 @@ fn chaos_window() -> SimDuration {
     SimDuration::from_secs(15)
 }
 
-/// The chaos deployment: `scale`-shaped topology (8 localities, WAN
-/// latencies) but only 2 active websites, so the origin servers live
-/// in exactly localities 1 and 2 (round-robin placement starts at
-/// locality 1) and the partition script can keep them reachable from
-/// everywhere. Query timeouts are armed (2 s initial, retry budget 2):
-/// lookups swallowed by a fault retry against a sibling instance and
-/// eventually degrade to the origin server.
+/// The chaos deployment: the flat-D-ring `scale` deployment over a
+/// 360 s horizon, but with only 2 active websites, so the origin
+/// servers live in exactly localities 1 and 2 (round-robin placement
+/// starts at locality 1) and the partition script can keep them
+/// reachable from everywhere. Query timeouts are armed (2 s initial,
+/// retry budget 2): lookups swallowed by a fault retry against a
+/// sibling instance and eventually degrade to the origin server.
 pub fn chaos_config(nodes: usize, shards: usize, seed: u64) -> SystemConfig {
-    use flower_core::FlowerConfig;
-    use workload::{CatalogConfig, WorkloadConfig};
-    SystemConfig {
-        topology: wan_topology(nodes),
-        catalog: CatalogConfig {
-            num_websites: 8,
-            active_websites: 2,
-            objects_per_website: 200,
-            ..Default::default()
-        },
-        workload: WorkloadConfig {
-            query_rate_per_sec: nodes as f64 * SCALE_QUERY_RATE_PER_NODE,
-            duration_ms: SimDuration::from_secs(360).as_ms(),
-            website_zipf_alpha: 1.2,
-            ..Default::default()
-        },
-        flower: FlowerConfig {
-            max_overlay: (nodes / 16).max(50),
-            query_timeout: Some(SimDuration::from_secs(2)),
-            ..FlowerConfig::fast_test()
-        },
-        seed,
-        window: chaos_window(),
-        shards,
-    }
+    let mut cfg = scale_config(nodes, shards, 0, SimDuration::from_secs(360), seed);
+    cfg.catalog.active_websites = 2;
+    cfg.flower.query_timeout = Some(SimDuration::from_secs(2));
+    cfg.window = chaos_window();
+    cfg
 }
 
 /// The flash-crowd variant of [`chaos_config`]: no network fault —
@@ -1020,8 +976,8 @@ pub fn availability(
 }
 
 /// Run one chaos cell family across `shard_sweep`: every multi-shard
-/// run must be bit-identical to the first ([`layout_fingerprint`]:
-/// the full windowed hit series, not just the totals), every cell
+/// run must be bit-identical to the first ([`simnet::Engine::sim_state`]:
+/// the merged statistics whole, not just the totals), every cell
 /// records a metrics snapshot under the family's shared `sim_key` — so
 /// the metrics gate re-checks the parity from the registry side.
 /// Returns the first cell's system and report for series analysis.
@@ -1033,7 +989,7 @@ fn run_chaos_family(
     mk_cfg: &dyn Fn(usize) -> SystemConfig,
     prep: &dyn Fn(&mut FlowerSystem, &SystemConfig),
 ) -> (FlowerSystem, SystemReport) {
-    let mut first: Option<(FlowerSystem, SystemReport, String)> = None;
+    let mut first: Option<(FlowerSystem, SystemReport, Option<_>)> = None;
     for &shards in shard_sweep {
         let cfg = mk_cfg(shards);
         let name = format!("chaos/{family}");
@@ -1042,7 +998,6 @@ fn run_chaos_family(
         let horizon = sys.drain_horizon();
         sys.run_until(horizon);
         let report = sys.report();
-        let fingerprint = layout_fingerprint(&sys, &report);
         out.metrics.push(MetricsRecord {
             experiment: name.clone(),
             sim_key: format!("{name}/seed{seed}"),
@@ -1050,14 +1005,17 @@ fn run_chaos_family(
             set: sys.engine().metrics().clone(),
         });
         match &first {
-            None => first = Some((sys, report, fingerprint)),
+            None => {
+                let state = (shard_sweep.len() > 1).then(|| sys.engine().sim_state());
+                first = Some((sys, report, state));
+            }
             Some((_, _, base)) => out.push_check(
                 format!(
                     "chaos/{family}: {shards}-shard run bit-identical to \
                      the {}-shard run",
                     shard_sweep[0]
                 ),
-                fingerprint == *base,
+                base.as_ref() == Some(&sys.engine().sim_state()),
             ),
         }
     }

@@ -1,15 +1,21 @@
 //! Shard-layout parity of the shard loop: a run is bit-identical for
-//! every shard count — on generated injection schedules under churn,
-//! and at scale, where the seed-42 statistics are also pinned as
-//! constants, so a change that moves the event order at 50k nodes
-//! trips a test whatever the layouts agree on among themselves.
+//! every shard count, `--shards 1` included — on a fixed schedule and
+//! on generated ones under churn, and at scale, where the seed-42
+//! statistics are also pinned as constants, so a change that moves
+//! the event order at 50k nodes trips a test whatever the layouts
+//! agree on among themselves. "Bit-identical" is
+//! [`Engine::sim_state`] — events, the merged query statistics and
+//! traffic ledger whole, the registry's sim cells — beside a digest of
+//! every node's protocol state. The protocol below exercises what could
+//! diverge under parallel execution: per-node randomness, timers,
+//! cross-locality traffic and churn bounces.
 
 use proptest::prelude::*;
 use rand::Rng;
 
 use super::{Ctx, Engine, Event, Message, Node};
 use crate::churn::{ChurnConfig, ChurnScript};
-use crate::stats::{SeriesPoint, ServedBy, TrafficClass};
+use crate::stats::{QueryStats, ServedBy, Traffic, TrafficClass};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology, TopologyConfig};
 
@@ -37,11 +43,12 @@ impl Message for Msg {
 
 /// Relays probes to random peers, answers with replies, records query
 /// metrics and a state digest — everything a shard layout could
-/// plausibly reorder or drop.
+/// plausibly reorder or drop — and counts the bounces it receives.
 #[derive(Default)]
 struct Chatter {
     digest: u64,
     replies: u32,
+    bounces: u32,
 }
 
 impl Chatter {
@@ -89,42 +96,23 @@ impl Node<Msg> for Chatter {
                 ctx.query_stats().on_join(now);
             }
             Event::Timer { tag, .. } => self.mix(tag),
-            Event::Undeliverable { to, .. } => self.mix(to.0 as u64),
+            Event::Undeliverable { to, .. } => {
+                self.bounces += 1;
+                self.mix(to.0 as u64);
+            }
             Event::NodeUp => self.mix(0xDEAD),
         }
     }
 }
 
-/// Everything observable about a run, reduced to a comparable value.
-type Fingerprint = (u64, u64, Vec<u64>, u64, String, Vec<SeriesPoint>);
+/// Everything observable about a run: [`Engine::sim_state`] and each
+/// node's digest (its replies folded in).
+type Fingerprint = ((u64, QueryStats, Traffic, Vec<u64>), Vec<u64>);
 
-fn fingerprint<F>(e: &Engine<Msg, Chatter>, digest: F) -> Fingerprint
-where
-    F: Fn(&Chatter) -> u64,
-{
-    let digests: Vec<u64> = e.topology().node_ids().map(|i| digest(e.node(i))).collect();
-    let t = e.traffic();
-    let traffic: u64 = (e.topology().node_ids().map(|i| t.background_bytes(i)))
-        .chain(TrafficClass::ALL.map(|c| t.total_sent(c)))
-        .chain(TrafficClass::ALL.map(|c| t.total_recv(c)))
-        .fold(0u64, |a, b| a.wrapping_mul(1099511628211).wrapping_add(b));
-    let q = e.query_stats();
-    let qfp = format!(
-        "{}/{} hit={:.12} lookup={:.6} cum={:?}",
-        q.submitted(),
-        q.resolved(),
-        q.hit_ratio(),
-        q.mean_lookup_ms(),
-        q.cumulative_hit_series().last().copied(),
-    );
-    (
-        e.events_processed(),
-        e.traffic().messages(),
-        digests,
-        traffic,
-        qfp,
-        q.join_series().points(),
-    )
+fn fingerprint(e: &Engine<Msg, Chatter>) -> Fingerprint {
+    let digests = e.topology().node_ids().map(|i| e.node(i));
+    let digests = digests.map(|c| c.digest.wrapping_add(c.replies as u64));
+    (e.sim_state(), digests.collect())
 }
 
 fn engine(topo: Topology, seed: u64, shards: usize) -> Engine<Msg, Chatter> {
@@ -171,7 +159,93 @@ fn run(shards: usize, seed: u64, injections: &[(u64, u32, u8)]) -> Fingerprint {
     );
     script.install(&mut e);
     e.run_until(SimTime::from_secs(45));
-    fingerprint(&e, |c| c.digest.wrapping_add(c.replies as u64))
+    fingerprint(&e)
+}
+
+/// A fixed schedule: 80 probes from many origins, staggered well into
+/// the churn, so that some die on a node that went down.
+fn staggered() -> Vec<(u64, u32, u8)> {
+    (0..80u32)
+        .map(|i| (i as u64 * 370, i, (i % 6) as u8))
+        .collect()
+}
+
+#[test]
+fn same_seed_identical_across_shard_counts() {
+    let reference = run(1, 42, &staggered());
+    let ((events, q, t, _), _) = &reference;
+    assert!(
+        *events > 500,
+        "the workload should generate real load: {events}"
+    );
+    assert!(q.resolved() > 0, "some queries must resolve");
+    let busy = (0..120).filter(|&n| t.background_bytes(NodeId(n)) > 0);
+    assert!(
+        busy.count() > 20
+            && t.background_series().points().len() > 1
+            && TrafficClass::ALL
+                .iter()
+                .any(|&c| t.total_recv(c) < t.total_sent(c)),
+        "the ledger compared below must be busy, and short of some bounced bytes"
+    );
+    for shards in [2, 3, 4] {
+        assert_eq!(
+            run(shards, 42, &staggered()),
+            reference,
+            "shards={shards} diverged from the single-shard run"
+        );
+    }
+}
+
+#[test]
+fn different_seeds_still_differ() {
+    // Guard against the fingerprint being insensitive.
+    assert_ne!(
+        run(2, 1, &staggered()).1,
+        run(2, 2, &staggered()).1,
+        "seed must matter"
+    );
+}
+
+#[test]
+fn churn_bounces_are_shard_independent() {
+    let bounces = |shards: usize| {
+        let topo = Topology::generate(
+            &TopologyConfig {
+                nodes: 80,
+                localities: 4,
+                inter_locality_floor_ms: 40,
+                ..Default::default()
+            },
+            7,
+        );
+        let n = topo.num_nodes() as u32;
+        let mut e = engine(topo, 7, shards);
+        // Take down half the nodes, then probe into the rubble.
+        for i in 0..n / 2 {
+            e.schedule_down(SimTime::ZERO, NodeId(i * 2));
+        }
+        for i in 0..40u32 {
+            e.schedule_at(
+                SimTime::from_ms(5 + i as u64 * 11),
+                NodeId(i % n),
+                Event::Recv {
+                    from: NodeId((i + 3) % n),
+                    msg: Msg::Probe { hops: 3 },
+                },
+            );
+        }
+        e.run_until(SimTime::from_secs(30));
+        let per_node: Vec<u32> = e.topology().node_ids().map(|i| e.node(i).bounces).collect();
+        (e.sim_state(), per_node)
+    };
+    let reference = bounces(1);
+    assert!(
+        reference.1.iter().sum::<u32>() > 0,
+        "the scenario should produce bounces"
+    );
+    assert_eq!(bounces(2), reference);
+    assert_eq!(bounces(4), reference);
 }
 
 proptest! {
@@ -227,7 +301,7 @@ fn seed_42_stat_pin_at_50k_nodes() {
             );
         }
         e.run_until(SimTime::from_secs(60));
-        fingerprint(&e, |c| c.digest.wrapping_add(c.replies as u64))
+        fingerprint(&e)
     };
     let two = run_50k(2);
     for shards in [1, 4] {
@@ -237,14 +311,29 @@ fn seed_42_stat_pin_at_50k_nodes() {
             "{shards} shards diverged at 50k nodes"
         );
     }
-    // The pinned seed-42 statistics. If an intentional engine change
+    // The pinned seed-42 statistics, the last non-empty hit window
+    // as (start ms, resolutions). If an intentional engine change
     // moves these, re-pin and say so in the commit message.
+    let ((events, q, t, _), _) = &two;
+    let last = q.hit_series().points().into_iter().rfind(|p| p.count > 0);
     assert_eq!(
-        (two.0, two.1, two.4.as_str()),
+        (
+            *events,
+            t.messages(),
+            format!(
+                "{}/{} hit={:.12} lookup={:.6}",
+                q.submitted(),
+                q.resolved(),
+                q.hit_ratio(),
+                q.mean_lookup_ms()
+            ),
+            last.map(|p| (p.at.as_ms(), p.count)),
+        ),
         (
             31988,
             15994,
-            "15994/4000 hit=1.000000000000 lookup=169.922500 cum=Some((t+29304ms, 1.0))"
+            "15994/4000 hit=1.000000000000 lookup=169.922500".to_string(),
+            Some((20_000, 1220)),
         ),
         "pinned seed-42 stats moved"
     );

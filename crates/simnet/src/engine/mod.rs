@@ -358,6 +358,22 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         &self.merged().metrics
     }
 
+    /// The run as one comparable value — the single definition of
+    /// "the same run": events dispatched, the merged query statistics
+    /// and traffic ledger (cloned whole: every counter, histogram
+    /// bucket and windowed series the figures print) and the
+    /// registry's [`MetricSet::sim_fingerprint`]. Equal for every
+    /// shard layout of one seed and schedule.
+    pub fn sim_state(&self) -> (u64, QueryStats, Traffic, Vec<u64>) {
+        let merged = self.merged();
+        (
+            self.events_processed(),
+            merged.query_stats.clone(),
+            merged.traffic.clone(),
+            merged.metrics.sim_fingerprint(),
+        )
+    }
+
     /// High-water mark of any shard's event queue length (the "peak
     /// queue depth" benchmark metric).
     pub fn peak_queue_depth(&self) -> usize {
@@ -924,7 +940,7 @@ mod tests {
                 );
             }
             e.run_until(SimTime::from_secs(20));
-            (e.events_processed(), e.traffic().messages())
+            e.sim_state()
         };
         assert_eq!(run(), run());
     }
@@ -947,14 +963,11 @@ mod tests {
             e.schedule_up(SimTime::from_secs(2), NodeId(2));
             e.run_until(SimTime::from_secs(20));
             let pongs: Vec<u32> = e.topology().node_ids().map(|n| e.node(n).pongs).collect();
-            (
-                e.events_processed(),
-                e.traffic().messages(),
-                e.traffic().total_sent(TrafficClass::QueryControl),
-                pongs,
-            )
+            (e.sim_state(), pongs)
         };
         let reference = drive(1);
+        let ((_, _, _, registry), _) = &reference;
+        assert!(registry.iter().any(|&v| v > 0), "the registry is populated");
         for shards in [2, 3] {
             assert_eq!(drive(shards), reference, "shards={shards} diverged");
         }
@@ -1005,14 +1018,8 @@ mod tests {
             }
             e.run_until(SimTime::from_secs(20));
             let pongs: Vec<u32> = e.topology().node_ids().map(|n| e.node(n).pongs).collect();
-            (
-                e.events_processed(),
-                e.traffic().messages(),
-                e.metrics().counter(metrics::Counter::EngineFaultDrops),
-                e.metrics().counter(metrics::Counter::DropQueryControl),
-                e.metrics().counter(metrics::Counter::EngineBounces),
-                pongs,
-            )
+            let drops = e.metrics().counter(metrics::Counter::EngineFaultDrops);
+            (e.sim_state(), pongs, drops)
         };
         let reference = drive(1);
         assert!(reference.2 > 0, "the plane must actually drop something");
@@ -1112,32 +1119,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_sim_cells_are_shard_invariant() {
-        let drive = |shards: usize| {
-            let mut e = engine_sharded(shards);
-            for i in 0..40u32 {
-                e.schedule_at(
-                    SimTime::from_ms(i as u64 * 13),
-                    NodeId(i % 20),
-                    Event::Recv {
-                        from: NodeId((i + 7) % 20),
-                        msg: PingMsg::Ping,
-                    },
-                );
-            }
-            e.schedule_down(SimTime::from_ms(50), NodeId(2));
-            e.schedule_up(SimTime::from_secs(2), NodeId(2));
-            e.run_until(SimTime::from_secs(20));
-            e.metrics().sim_fingerprint()
-        };
-        let reference = drive(1);
-        assert!(!reference.iter().all(|&v| v == 0));
-        for shards in [2, 3] {
-            assert_eq!(drive(shards), reference, "shards={shards} diverged");
-        }
-    }
-
-    #[test]
     fn shard_count_is_clamped_to_localities() {
         let e = engine_sharded(64);
         assert_eq!(e.num_shards(), 3, "small_test has 3 localities");
@@ -1181,8 +1162,7 @@ mod tests {
             e.schedule_up(SimTime::from_secs(2), NodeId(2));
             e.run_until(SimTime::from_secs(30));
             let pongs: Vec<u32> = e.topology().node_ids().map(|n| e.node(n).pongs).collect();
-            let fingerprint = (e.events_processed(), e.traffic().messages(), pongs);
-            (fingerprint, e.epochs())
+            ((e.sim_state(), pongs), e.epochs())
         };
         for shards in [2usize, 3] {
             let (global_fp, global_epochs) = drive(shards, true);
@@ -1271,18 +1251,15 @@ mod tests {
                 );
             }
             e.run_until(SimTime::from_secs(40));
-            (
-                (e.events_processed(), e.traffic().messages(), e.now()),
-                e.epochs(),
-            )
+            ((e.sim_state(), e.now()), e.epochs())
         };
         let (reference, _) = drive(1);
         let (sharded, epochs) = drive(3);
         assert_eq!(sharded, reference, "diverged from the single-shard run");
+        let ((events, ..), _) = sharded;
         assert!(
-            epochs <= sharded.0 + 1,
-            "a round must open at a pending event: {epochs} rounds for {} events",
-            sharded.0
+            epochs <= events + 1,
+            "a round must open at a pending event: {epochs} rounds for {events} events"
         );
     }
 

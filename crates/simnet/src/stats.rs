@@ -26,12 +26,12 @@
 //! shard and combines them at read time. All counters are integers
 //! (or integer-valued `f64` sums, for which IEEE addition is exact),
 //! so the merged totals are bit-equal no matter how the simulation
-//! was partitioned. Per-shard traffic lives in a [`ShardTraffic`] —
-//! one background-bytes word per node the shard owns (dense local
-//! indices) and two per-class total rows — which the engine folds into
-//! one global [`Traffic`] view on demand. The cumulative hit-ratio
-//! curve is streamed into fixed-width time buckets as resolutions
-//! happen — every accumulator is O(nodes + buckets), never O(events).
+//! was partitioned — the merged [`QueryStats`] and [`Traffic`] compare
+//! whole (`==`), and a shard layout must not change either. Per-shard
+//! traffic lives in a [`ShardTraffic`] — one background-bytes word per
+//! node the shard owns (dense local indices) and two per-class total
+//! rows — which the engine folds into one global [`Traffic`] view on
+//! demand. Every accumulator is O(nodes + windows), never O(events).
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
@@ -95,7 +95,7 @@ const N_CLASSES: usize = TrafficClass::ALL.len();
 /// node, byte totals per class and the windowed background-bytes
 /// series (for Figure 5), folded out of every shard's
 /// [`ShardTraffic`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Traffic {
     /// `background[node]` = gossip + push bytes sent and received.
     background: Vec<u64>,
@@ -258,13 +258,12 @@ impl ShardTraffic {
 /// A fixed-width-bucket histogram over `u64` values (milliseconds in
 /// practice). The last bucket is an unbounded overflow bucket, which
 /// directly expresses the paper's ">1050 ms" tail of Figure 7(b).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     bucket_width: u64,
     counts: Vec<u64>,
     total: u64,
     sum: u128,
-    max: u64,
 }
 
 impl Histogram {
@@ -277,7 +276,6 @@ impl Histogram {
             counts: vec![0; buckets + 1],
             total: 0,
             sum: 0,
-            max: 0,
         }
     }
 
@@ -287,12 +285,6 @@ impl Histogram {
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += value as u128;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
     }
 
     /// Mean of all observations (0 if empty).
@@ -302,11 +294,6 @@ impl Histogram {
         } else {
             self.sum as f64 / self.total as f64
         }
-    }
-
-    /// Largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// Fraction of observations `<= threshold`. `threshold` should be
@@ -358,7 +345,6 @@ impl Histogram {
         }
         self.total += other.total;
         self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -387,7 +373,7 @@ impl SeriesPoint {
 /// A windowed accumulator: values recorded at simulated times are
 /// bucketed into fixed windows. Reproduces the paper's
 /// "metric variation with time" plots (Figures 5, 7(a), 8(a)).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimeSeries {
     window: SimDuration,
     buckets: Vec<(f64, u64)>,
@@ -444,19 +430,6 @@ impl TimeSeries {
             a.1 += b.1;
         }
     }
-
-    /// Mean value over all records in all windows.
-    pub fn overall_mean(&self) -> f64 {
-        let (s, c) = self
-            .buckets
-            .iter()
-            .fold((0.0, 0u64), |(s, c), (bs, bc)| (s + bs, c + bc));
-        if c == 0 {
-            0.0
-        } else {
-            s / c as f64
-        }
-    }
 }
 
 /// Who ultimately served a query.
@@ -482,13 +455,12 @@ pub enum ServedBy {
 /// query resolution time by the querying peer. Distributions use
 /// 150 ms buckets for lookup latency and 100 ms buckets for transfer
 /// distance, mirroring Figures 7(b) and 8(b).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QueryStats {
     submitted: u64,
     hits: u64,
     misses: u64,
     local_hits: u64,
-    remote_hits: u64,
     lookup_hist: Histogram,
     transfer_hist: Histogram,
     /// Transfer distances of P2P hits only (the paper: "used with
@@ -500,14 +472,6 @@ pub struct QueryStats {
     /// One sample per overlay join; the running sum of the window
     /// counts is Figure 5's participant curve.
     join_series: TimeSeries,
-    /// Width (ms) of the cumulative hit-curve buckets: a fixed
-    /// subdivision of the series window, derived purely from config so
-    /// every shard buckets identically and merging is an elementwise
-    /// add. Replaces the old one-entry-per-resolution log, which grew
-    /// O(events).
-    cum_width_ms: u64,
-    /// `(hits, resolved)` per `cum_width_ms`-wide bucket since t = 0.
-    cum_buckets: Vec<(u64, u64)>,
     redirection_failures: u64,
 }
 
@@ -520,7 +484,6 @@ impl QueryStats {
             hits: 0,
             misses: 0,
             local_hits: 0,
-            remote_hits: 0,
             // 150 ms buckets up to 1050 ms + overflow (Fig. 7(b)).
             lookup_hist: Histogram::new(150, 7),
             // 100 ms buckets up to 500 ms + overflow (Fig. 8(b)).
@@ -530,10 +493,6 @@ impl QueryStats {
             lookup_series: TimeSeries::new(window),
             transfer_series: TimeSeries::new(window),
             join_series: TimeSeries::new(window),
-            // 30 points per window keeps the convergence curve smooth
-            // at any experiment scale without logging every event.
-            cum_width_ms: (window.as_ms() / 30).max(1),
-            cum_buckets: Vec::new(),
             redirection_failures: 0,
         }
     }
@@ -564,10 +523,8 @@ impl QueryStats {
         let hit = served_by != ServedBy::OriginServer;
         if hit {
             self.hits += 1;
-            match served_by {
-                ServedBy::OwnCache | ServedBy::LocalOverlay => self.local_hits += 1,
-                ServedBy::RemoteOverlay => self.remote_hits += 1,
-                ServedBy::OriginServer => unreachable!(),
+            if served_by != ServedBy::RemoteOverlay {
+                self.local_hits += 1;
             }
         } else {
             self.misses += 1;
@@ -585,13 +542,6 @@ impl QueryStats {
                 self.transfer_hits_hist.record(transfer_ms);
             }
         }
-        let bucket = (at.as_ms() / self.cum_width_ms) as usize;
-        if bucket >= self.cum_buckets.len() {
-            self.cum_buckets.resize(bucket + 1, (0, 0));
-        }
-        let slot = &mut self.cum_buckets[bucket];
-        slot.0 += u64::from(hit);
-        slot.1 += 1;
     }
 
     /// Note a redirection failure (stale directory entry; Sec. 5.1).
@@ -632,11 +582,6 @@ impl QueryStats {
         } else {
             self.local_hits as f64 / self.hits as f64
         }
-    }
-
-    /// Hits served by another locality's overlay.
-    pub fn remote_hits(&self) -> u64 {
-        self.remote_hits
     }
 
     /// Mean lookup latency (ms).
@@ -687,28 +632,6 @@ impl QueryStats {
         &self.join_series
     }
 
-    /// Cumulative hit ratio over time (smooth convergence curve for
-    /// Figure 6): one point per non-empty time bucket, carrying the
-    /// ratio over *all* resolutions up to that bucket's end. Buckets
-    /// are fixed-width and config-derived, so the curve is identical
-    /// for any shard layout; the final point equals
-    /// [`QueryStats::hit_ratio`].
-    pub fn cumulative_hit_series(&self) -> Vec<(SimTime, f64)> {
-        let mut out = Vec::new();
-        let mut hits = 0u64;
-        let mut resolved = 0u64;
-        for (b, &(h, r)) in self.cum_buckets.iter().enumerate() {
-            if r == 0 {
-                continue;
-            }
-            hits += h;
-            resolved += r;
-            let end = SimTime::from_ms((b as u64 + 1) * self.cum_width_ms);
-            out.push((end, hits as f64 / resolved as f64));
-        }
-        out
-    }
-
     /// Redirection failures observed (Sec. 5.1).
     pub fn redirection_failures(&self) -> u64 {
         self.redirection_failures
@@ -720,7 +643,6 @@ impl QueryStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.local_hits += other.local_hits;
-        self.remote_hits += other.remote_hits;
         self.lookup_hist.merge_from(&other.lookup_hist);
         self.transfer_hist.merge_from(&other.transfer_hist);
         self.transfer_hits_hist
@@ -729,17 +651,6 @@ impl QueryStats {
         self.lookup_series.merge_from(&other.lookup_series);
         self.transfer_series.merge_from(&other.transfer_series);
         self.join_series.merge_from(&other.join_series);
-        assert_eq!(
-            self.cum_width_ms, other.cum_width_ms,
-            "bucket widths differ"
-        );
-        if other.cum_buckets.len() > self.cum_buckets.len() {
-            self.cum_buckets.resize(other.cum_buckets.len(), (0, 0));
-        }
-        for (a, b) in self.cum_buckets.iter_mut().zip(&other.cum_buckets) {
-            a.0 += b.0;
-            a.1 += b.1;
-        }
         self.redirection_failures += other.redirection_failures;
     }
 }
@@ -824,11 +735,9 @@ mod tests {
         for v in [10, 140, 149, 150, 600, 2000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 6);
         // <=150 counts only bucket [0,150): 3 observations.
         assert!((h.fraction_le(150) - 0.5).abs() < 1e-9);
         assert!((h.fraction_gt(1050) - (1.0 / 6.0)).abs() < 1e-9);
-        assert_eq!(h.max(), 2000);
         let mean = (10 + 140 + 149 + 150 + 600 + 2000) as f64 / 6.0;
         assert!((h.mean() - mean).abs() < 1e-9);
     }
@@ -846,7 +755,6 @@ mod tests {
     #[test]
     fn empty_histogram_is_sane() {
         let h = Histogram::new(10, 3);
-        assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.fraction_le(10), 0.0);
     }
@@ -862,7 +770,6 @@ mod tests {
         assert_eq!(pts[0].count, 2);
         assert!((pts[0].mean() - 2.0).abs() < 1e-9);
         assert!((pts[1].mean() - 10.0).abs() < 1e-9);
-        assert!((s.overall_mean() - 14.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -896,40 +803,35 @@ mod tests {
         assert_eq!(q.resolved(), 3);
         assert!((q.hit_ratio() - 2.0 / 3.0).abs() < 1e-9);
         assert!((q.local_hit_fraction() - 0.5).abs() < 1e-9);
-        assert_eq!(q.remote_hits(), 1);
         assert!((q.mean_lookup_ms() - (120.0 + 900.0 + 200.0) / 3.0).abs() < 1e-9);
-        // 30-minute window ⇒ 60 s cumulative buckets; all three
-        // resolutions land in bucket 0.
-        let cum = q.cumulative_hit_series();
-        assert_eq!(cum.len(), 1);
-        assert!((cum[0].1 - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
-    fn cumulative_series_is_insertion_order_independent() {
-        // 30 s window ⇒ 1 s buckets. Recording order must not matter:
-        // the curve is rebuilt from fixed time buckets, not a log.
+    fn query_stats_are_insertion_order_independent() {
+        // Recording order must not matter: every statistic is a sum
+        // over fixed windows and buckets, not a log.
         let obs = [
-            (2u64, NodeId(9), ServedBy::OriginServer),
-            (1, NodeId(5), ServedBy::LocalOverlay),
-            (2, NodeId(3), ServedBy::LocalOverlay),
+            (2u64, NodeId(9), 300u64, ServedBy::OriginServer),
+            (1, NodeId(5), 40, ServedBy::LocalOverlay),
+            (2, NodeId(3), 0, ServedBy::OwnCache),
+            (31, NodeId(1), 120, ServedBy::RemoteOverlay),
         ];
         let mut fwd = QueryStats::new(SimDuration::from_secs(30));
         let mut rev = QueryStats::new(SimDuration::from_secs(30));
-        for (t, n, s) in obs {
-            fwd.on_resolved(SimTime::from_secs(t), n, 10, 10, s);
+        for (t, n, x, s) in obs {
+            fwd.on_resolved(SimTime::from_secs(t), n, 10 * t, x, s);
         }
-        for (t, n, s) in obs.into_iter().rev() {
-            rev.on_resolved(SimTime::from_secs(t), n, 10, 10, s);
+        for (t, n, x, s) in obs.into_iter().rev() {
+            rev.on_resolved(SimTime::from_secs(t), n, 10 * t, x, s);
         }
-        let cum = fwd.cumulative_hit_series();
-        assert_eq!(cum, rev.cumulative_hit_series());
-        // Bucket [1 s, 2 s): one hit; bucket [2 s, 3 s): 2/3 overall.
-        assert_eq!(cum.len(), 2);
-        assert_eq!(cum[0].0, SimTime::from_secs(2));
-        assert!((cum[0].1 - 1.0).abs() < 1e-12);
-        assert_eq!(cum[1].0, SimTime::from_secs(3));
-        assert!((cum[1].1 - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(fwd, rev);
+        let windows: Vec<(u64, f64)> = fwd
+            .hit_series()
+            .points()
+            .iter()
+            .map(|p| (p.count, p.sum))
+            .collect();
+        assert_eq!(windows, [(3, 2.0), (1, 1.0)]);
     }
 
     #[test]
@@ -969,19 +871,11 @@ mod tests {
         );
 
         let folded = view(4, &[&a, &b]);
-        let whole = view(4, &[&whole]);
-        assert_eq!(folded.messages(), whole.messages());
-        let background =
-            |t: &Traffic| -> Vec<u64> { (0..4).map(|n| t.background_bytes(NodeId(n))).collect() };
-        assert_eq!(background(&folded), [100, 100, 40, 40]);
-        assert_eq!(background(&folded), background(&whole));
-        for c in TrafficClass::ALL {
-            assert_eq!(folded.total_sent(c), whole.total_sent(c), "{c:?} sent");
-            assert_eq!(folded.total_recv(c), whole.total_recv(c), "{c:?} received");
-        }
+        assert_eq!(folded, view(4, &[&whole]));
+        let background: Vec<u64> = (0..4).map(|n| folded.background_bytes(NodeId(n))).collect();
+        assert_eq!(background, [100, 100, 40, 40]);
         assert_eq!(folded.total_recv(TrafficClass::Transfer), 900);
         let points = folded.background_series().points();
-        assert_eq!(points, whole.background_series().points());
         assert_eq!(points.len(), 2, "one window per background message");
         assert_eq!((points[0].sum, points[1].sum), (200.0, 80.0));
     }
@@ -1011,19 +905,7 @@ mod tests {
         }
         let mut merged = a.clone();
         merged.merge_from(&b);
-        assert_eq!(merged.submitted(), whole.submitted());
-        assert_eq!(merged.resolved(), whole.resolved());
-        assert_eq!(merged.hit_ratio(), whole.hit_ratio());
-        assert_eq!(merged.mean_lookup_ms(), whole.mean_lookup_ms());
-        assert_eq!(merged.mean_transfer_ms(), whole.mean_transfer_ms());
-        assert_eq!(merged.remote_hits(), whole.remote_hits());
-        assert_eq!(
-            merged.cumulative_hit_series(),
-            whole.cumulative_hit_series()
-        );
-        for series in [QueryStats::hit_series, QueryStats::join_series] {
-            assert_eq!(series(&merged).points(), series(&whole).points());
-        }
+        assert_eq!(merged, whole);
         assert_eq!(whole.join_series().points().len(), 4, "joins at 70–210 s");
     }
 

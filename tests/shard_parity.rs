@@ -20,42 +20,33 @@ fn run_with_shards(shards: usize, seed: u64) -> (FlowerSystem, SystemReport) {
     FlowerSystem::run(&cfg)
 }
 
-/// Everything comparable about a finished run, down to exact floats
-/// (all derived from integer counters, so bit-equality is fair).
-fn fingerprint(sys: &FlowerSystem, r: &SystemReport) -> (u64, u64, String, u64, u64, String) {
-    let engine = sys.engine();
-    let q = engine.query_stats();
-    let per_window: Vec<(u64, u64)> = q
-        .hit_series()
-        .points()
-        .iter()
-        .map(|p| (p.count, p.sum as u64))
-        .collect();
-    (
-        r.submitted,
-        r.resolved,
-        format!(
-            "{:.12}/{:.9}/{:.9}/{:.9}",
-            r.hit_ratio, r.mean_lookup_ms, r.mean_transfer_ms, r.background_bps
-        ),
-        engine.events_processed(),
-        engine.traffic().messages(),
-        format!(
-            "{per_window:?} cum_last={:?} local={:.12} dirload={:.9}/{}",
-            q.cumulative_hit_series().last().copied(),
-            r.local_hit_fraction,
-            r.dir_load_max_mean,
-            r.dir_instances_live,
-        ),
-    )
+/// Everything comparable about a finished run: the engine's
+/// [`Engine::sim_state`](flower_cdn::simnet::Engine::sim_state) and the
+/// whole report, down to exact floats (all derived from integer
+/// counters, so bit-equality is fair).
+fn fingerprint(sys: &FlowerSystem, r: &SystemReport) -> impl PartialEq + std::fmt::Debug {
+    (sys.engine().sim_state(), r.clone())
 }
 
+/// The fingerprint holds the registry's sim-scoped cells (counters,
+/// gauges and histogram buckets tagged `Scope::Sim`), so they obey the
+/// same law; exec-scoped cells (epochs, barrier idle) measure the
+/// execution and are left out.
 #[test]
 fn sharded_run_produces_identical_statistics() {
     // small_test has 3 localities, so 3 is the maximum effective shard
     // count; 4 exercises the clamp.
     let (ref_sys, ref_report) = run_with_shards(1, 42);
     assert_eq!(ref_sys.engine().num_shards(), 1);
+    assert!(
+        ref_sys
+            .engine()
+            .metrics()
+            .sim_fingerprint()
+            .iter()
+            .any(|&v| v > 0),
+        "the single-shard run must populate sim-scoped metric cells"
+    );
     let reference = fingerprint(&ref_sys, &ref_report);
     for shards in [2usize, 3, 4] {
         let (sys, report) = run_with_shards(shards, 42);
@@ -91,33 +82,6 @@ fn eight_shard_run_produces_identical_statistics() {
             fingerprint(&sys, &report),
             reference,
             "shards={shards} diverged from the single-shard run at 8 localities"
-        );
-    }
-}
-
-/// The metric registry obeys the same law as the statistics above:
-/// every sim-scoped cell (counters, gauges and histogram buckets
-/// tagged `Scope::Sim`) is a pure function of the simulated trace, so
-/// merging the per-shard cells in shard order yields the bit-identical
-/// flattened fingerprint under every shard count. Exec-scoped cells
-/// (epochs, barrier idle) are deliberately excluded —
-/// they measure the execution, not the simulation.
-#[test]
-fn metric_registry_sim_cells_are_execution_invariant() {
-    let run = |shards: usize| {
-        let (sys, _) = run_with_shards(shards, 42);
-        sys.engine().metrics().sim_fingerprint()
-    };
-    let reference = run(1);
-    assert!(
-        reference.iter().any(|&v| v > 0),
-        "the single-shard run must populate sim-scoped metric cells"
-    );
-    for shards in [2usize, 4] {
-        assert_eq!(
-            run(shards),
-            reference,
-            "shards={shards}: sim-scoped metric cells diverged"
         );
     }
 }
