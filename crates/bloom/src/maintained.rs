@@ -20,7 +20,9 @@
 //! * **last occurrence gone** ([`SummaryBits::last_occurrence_gone`])
 //!   marks the bits *stale*: some may belong to no live object.
 //!
-//! [`SummaryBits::snapshot`] takes the owner's keys and item count.
+//! [`SummaryBits::snapshot`] takes the owner's keys, by value (an
+//! owner may store an object as a rank and hand out its id), and item
+//! count.
 //! Below two items the summary is its object id (or nothing), read
 //! straight from the keys, and the owner keeps no bits at all: the bit
 //! array is derived from the keys at the first snapshot of two or more
@@ -123,9 +125,9 @@ impl SummaryBits {
     /// distinct object once), reporting `items` insertions: identical
     /// to `ContentSummary::from_objects` over the owner's multiset of
     /// `items` occurrences.
-    pub fn snapshot<'a>(
+    pub fn snapshot(
         &mut self,
-        keys: impl IntoIterator<Item = &'a ObjectId>,
+        keys: impl IntoIterator<Item = ObjectId>,
         items: usize,
     ) -> ContentSummary {
         if let Some(c) = self.cached.as_ref().filter(|c| c.items() == items) {
@@ -133,7 +135,7 @@ impl SummaryBits {
         }
         let s = if items <= 1 {
             // At most one live key, and it is the whole summary.
-            ContentSummary::from_objects(self.capacity, keys)
+            ContentSummary::from_objects(self.capacity, &keys.into_iter().next())
         } else {
             let derive = self.stale || self.bits.is_none();
             let bits = self
@@ -141,7 +143,7 @@ impl SummaryBits {
                 .get_or_insert_with(|| BitVec::new(rate_bits(self.capacity, BITS_PER_OBJECT)));
             if derive {
                 bits.clear();
-                for &o in keys {
+                for o in keys {
                     set_bits(bits, o);
                 }
                 self.stale = false;
@@ -204,7 +206,7 @@ impl MaintainedSummary {
 
     /// [`SummaryBits::snapshot`] over the live multiset.
     pub fn snapshot(&mut self) -> ContentSummary {
-        self.bits.snapshot(self.live.keys(), self.items)
+        self.bits.snapshot(self.live.keys().copied(), self.items)
     }
 }
 
@@ -286,7 +288,7 @@ mod tests {
     #[test]
     fn an_owner_crossing_two_objects_snapshots_exactly() {
         fn check(bits: &mut SummaryBits, live: &[ObjectId]) {
-            let s = bits.snapshot(live, live.len());
+            let s = bits.snapshot(live.iter().copied(), live.len());
             assert_eq!(s, ContentSummary::from_objects(4, live), "live {live:?}");
         }
         let (a, b, c, d) = (ObjectId(11), ObjectId(22), ObjectId(33), ObjectId(44));
@@ -318,7 +320,7 @@ mod tests {
         b.first_occurrence(ObjectId(1));
         b.last_occurrence_gone();
         b.clear();
-        assert_eq!(b.snapshot(&[], 0), ContentSummary::empty(10));
+        assert_eq!(b.snapshot([], 0), ContentSummary::empty(10));
         assert_eq!(b.capacity(), 10);
     }
 

@@ -207,7 +207,7 @@ mod tests {
                 let objs: Vec<ObjectId> = (0..n).map(|i| ObjectId(i * 31 + 7)).collect();
                 for s in [
                     ContentSummary::from_objects(c, &objs),
-                    crate::SummaryBits::empty(c).snapshot(&objs, objs.len()),
+                    crate::SummaryBits::empty(c).snapshot(objs.iter().copied(), objs.len()),
                 ] {
                     assert_eq!(s.wire_size() as usize, bytes, "capacity {c}, {n} objects");
                 }

@@ -24,7 +24,7 @@ use simnet::{Locality, NodeId};
 use workload::WebsiteId;
 
 use crate::cache::CacheManager;
-use crate::idmap::IdSet;
+use crate::idmap::RankSet;
 use crate::msg::{GossipEntry, GossipPayload};
 
 /// State of one content-peer role (one per website the node supports).
@@ -34,7 +34,9 @@ pub struct ContentPeerState {
     /// The overlay's locality: overlays are scoped by (website,
     /// locality), and gossip must never leak across localities.
     locality: Locality,
-    content: IdSet<ObjectId>,
+    /// The objects held (the content-list): a bit per catalog rank of
+    /// `website`, so `has`, an admit and an evict test one word.
+    content: RankSet,
     cache: CacheManager,
     changes: ChangeLog<ObjectId>,
     view: View<NodeId, Option<ContentSummary>>,
@@ -84,7 +86,7 @@ impl ContentPeerState {
         ContentPeerState {
             website,
             locality,
-            content: IdSet::default(),
+            content: RankSet::new(website),
             cache,
             changes: ChangeLog::new(),
             view: View::new(v_gossip),
@@ -107,7 +109,7 @@ impl ContentPeerState {
 
     /// Does this peer hold `o`?
     pub fn has(&self, o: ObjectId) -> bool {
-        self.content.contains(&o)
+        self.content.contains(o)
     }
 
     /// Number of objects held.
@@ -119,17 +121,19 @@ impl ContentPeerState {
     /// push. A bounded cache may evict a victim first (also logged, so
     /// the directory learns via the next ∆list).
     pub fn insert_object(&mut self, o: ObjectId) {
-        if self.content.contains(&o) {
+        if !self.content.insert(o) {
             self.cache.touch(o);
             return;
         }
-        if let Some(victim) = self.cache.evict_for_insert(self.content.len()) {
-            if self.content.remove(&victim) {
+        // The cache tracks held objects only, and `o` was not one: the
+        // victim is never `o`.
+        if let Some(victim) = self.cache.evict_for_insert(self.content.len() - 1) {
+            debug_assert_ne!(victim, o, "the cache tracked an object not held");
+            if self.content.remove(victim) {
                 self.summary.last_occurrence_gone();
                 self.changes.record(victim, ChangeKind::Removed);
             }
         }
-        self.content.insert(o);
         self.summary.first_occurrence(o);
         self.cache.touch(o);
         self.changes.record(o, ChangeKind::Added);
@@ -143,7 +147,7 @@ impl ContentPeerState {
     /// Drop an object (external invalidation); logged for the next
     /// push.
     pub fn remove_object(&mut self, o: ObjectId) {
-        if self.content.remove(&o) {
+        if self.content.remove(o) {
             self.summary.last_occurrence_gone();
             self.cache.forget(o);
             self.changes.record(o, ChangeKind::Removed);
@@ -155,7 +159,8 @@ impl ContentPeerState {
     /// bit-identical to what a from-scratch rebuild over the content
     /// set would produce.
     pub fn current_summary(&mut self) -> ContentSummary {
-        self.summary.snapshot(&self.content, self.content.len())
+        self.summary
+            .snapshot(self.content.iter(), self.content.len())
     }
 
     /// Whether the next [`ContentPeerState::current_summary`] call is
@@ -226,9 +231,9 @@ impl ContentPeerState {
     /// the same "gradually builds its directory upon receiving push
     /// messages" mechanism §5.2 replacements rely on, just not gradual.
     pub fn mark_all_dirty(&mut self) {
-        let mut held: Vec<ObjectId> = self.content.iter().copied().collect();
-        // Deterministic ∆list order (the content set iterates in hash
-        // order, which is not a protocol-visible order).
+        let mut held: Vec<ObjectId> = self.content.iter().collect();
+        // ∆lists follow `ObjectId` order (the content set iterates in
+        // rank order, which is not a protocol-visible order).
         held.sort_unstable();
         for o in held {
             self.changes.record(o, ChangeKind::Added);
@@ -347,9 +352,10 @@ impl ContentPeerState {
         }
     }
 
-    /// All objects held (for directory hand-off seeding and tests).
+    /// All objects held (for directory hand-off seeding and tests),
+    /// in rank order: sort before anything order-sensitive.
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.content.iter().copied()
+        self.content.iter()
     }
 }
 
@@ -360,10 +366,16 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use workload::catalog_id;
 
     const ME: NodeId = NodeId(0);
-    const O1: ObjectId = ObjectId(101);
-    const O2: ObjectId = ObjectId(202);
+    const O1: ObjectId = catalog_id(WebsiteId(1), 101);
+    const O2: ObjectId = catalog_id(WebsiteId(1), 202);
+
+    /// The object of rank `rank` of website 1, every test peer's.
+    fn obj(rank: usize) -> ObjectId {
+        catalog_id(WebsiteId(1), rank)
+    }
 
     fn peer() -> ContentPeerState {
         ContentPeerState::new(WebsiteId(1), Locality(0), 10, 100)
@@ -389,15 +401,15 @@ mod tests {
     fn push_respects_threshold() {
         let mut c = peer();
         // 10 objects held, 1 change → 10% with threshold 0.5: no push.
-        for i in 0..10u64 {
-            c.insert_object(ObjectId(i));
+        for i in 0..10 {
+            c.insert_object(obj(i));
         }
         let _ = c.take_push(PushPolicy::new(0.0001)); // drain initial adds
-        c.insert_object(ObjectId(100));
+        c.insert_object(obj(100));
         assert!(c.take_push(PushPolicy::new(0.5)).is_none());
         // threshold 0.05 → push fires with the single pending change.
         let (added, removed) = c.take_push(PushPolicy::new(0.05)).expect("push due");
-        assert_eq!(added, vec![ObjectId(100)]);
+        assert_eq!(added, vec![obj(100)]);
         assert!(removed.is_empty());
         assert_eq!(c.pending_changes(), 0);
     }
@@ -580,13 +592,52 @@ mod tests {
     }
 
     /// A summary is one word of form and capacity plus one of object
-    /// id or filter pointer, so a view slot with one stays 24 B.
+    /// id or filter pointer, so a view slot with one stays 24 B. An
+    /// object set is a `Vec` and one word of count, bit-word count and
+    /// website, so a content role and a directory entry are no bigger
+    /// than over a hash set.
     #[test]
     fn summaries_and_view_entries_keep_their_layout() {
         use std::mem::size_of;
         assert_eq!(size_of::<ContentSummary>(), 16);
         assert_eq!(size_of::<Option<ContentSummary>>(), 16);
         assert_eq!(size_of::<ViewEntry<NodeId, Option<ContentSummary>>>(), 24);
+        assert!(size_of::<RankSet>() <= 32);
+        assert!(size_of::<ContentPeerState>() <= 256);
+        assert!(size_of::<crate::directory::DirEntry>() <= 56);
+    }
+
+    /// Ids that are no rank of the peer's website — another website's,
+    /// made-up keys — take the set's spill list, and are held, found,
+    /// evicted and summarised exactly like the peer's own.
+    #[test]
+    fn foreign_and_made_up_ids_are_held_exactly() {
+        let cache = CacheManager::new(CachePolicy::Lru, 3);
+        let mut c = ContentPeerState::with_cache(WebsiteId(1), Locality(0), 10, 20, cache);
+        let foreign = catalog_id(WebsiteId(2), 101);
+        let made_up = [ObjectId(7919 * 5 + 3), ObjectId(u64::MAX / 5)];
+        for o in [O1, foreign, made_up[0]] {
+            c.insert_object(o);
+        }
+        assert!(c.has(O1) && c.has(foreign) && c.has(made_up[0]));
+        assert!(!c.has(catalog_id(WebsiteId(2), 202)) && !c.has(made_up[1]));
+        c.insert_object(made_up[1]); // evicts O1, the least recent
+        assert!(!c.has(O1) && c.has(made_up[1]));
+        assert_eq!(held(&c), {
+            let mut v = vec![foreign, made_up[0], made_up[1]];
+            v.sort_unstable();
+            v
+        });
+        assert_eq!(
+            c.current_summary(),
+            ContentSummary::from_objects(20, &held(&c))
+        );
+        c.remove_object(made_up[0]);
+        assert_eq!(c.content_len(), 2);
+        assert_eq!(
+            c.current_summary(),
+            ContentSummary::from_objects(20, &held(&c))
+        );
     }
 
     fn held(c: &ContentPeerState) -> Vec<ObjectId> {
@@ -612,7 +663,7 @@ mod tests {
             let mut c = ContentPeerState::with_cache(WebsiteId(1), Locality(0), 10, 20, cache);
             let mut cached = false;
             for (op, key) in ops {
-                let o = ObjectId(key * 7919 + 3);
+                let o = obj(key as usize * 61);
                 let before = held(&c);
                 match op {
                     0 | 1 => c.insert_object(o),

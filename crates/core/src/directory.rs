@@ -49,6 +49,7 @@
 //! the scan just until its seeded members push or age out.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
 use bloom::{ContentSummary, ObjectId, SummaryBits};
@@ -58,7 +59,7 @@ use rand::Rng;
 use simnet::{Locality, NodeId};
 use workload::WebsiteId;
 
-use crate::idmap::{IdMap, IdSet};
+use crate::idmap::{IdMap, RankSet};
 
 /// One directory-index entry (§3.3): a content peer of the overlay.
 #[derive(Clone, Debug)]
@@ -66,8 +67,10 @@ pub struct DirEntry {
     /// Age, in directory ticks, since the peer last pushed or sent a
     /// keepalive.
     pub age: u32,
-    /// Object identifiers the peer reported holding.
-    pub objects: IdSet<ObjectId>,
+    /// Object identifiers the peer reported holding: a bit per catalog
+    /// rank of the directory's website, so an admission and each ∆list
+    /// item test one word.
+    pub objects: RankSet,
     /// Gossip-learned content summary; a freshly promoted directory
     /// peer answers from these until pushes rebuild the index (§5.2:
     /// "meanwhile, d answers first queries from its content
@@ -76,10 +79,10 @@ pub struct DirEntry {
 }
 
 impl DirEntry {
-    fn fresh() -> Self {
+    fn fresh(website: WebsiteId) -> Self {
         DirEntry {
             age: 0,
-            objects: Default::default(),
+            objects: RankSet::new(website),
             summary: None,
         }
     }
@@ -108,6 +111,49 @@ fn heap_push(heap: &mut Vec<u32>, id: u32) {
 fn sort_holders(hs: &mut [NodeId]) {
     if !hs.is_sorted() {
         hs.sort();
+    }
+}
+
+/// Record `peer` (a member whose entry just gained `o`, so not yet
+/// listed) as holding `o` in the inverted index `holders_of`: appended,
+/// in no order until a reader sorts it ([`sort_holders`]); one more of
+/// the `listings`, and `o`'s first one sets its `summary` bits. A free
+/// function over the fields it writes, so a caller can hold a borrow
+/// of the member's entry meanwhile.
+fn add_holder(
+    holders_of: &mut IdMap<ObjectId, Vec<NodeId>>,
+    listings: &mut usize,
+    summary: &mut SummaryBits,
+    o: ObjectId,
+    peer: NodeId,
+) {
+    let hs = holders_of.entry(o).or_default();
+    hs.push(peer);
+    *listings += 1;
+    if hs.len() == 1 {
+        summary.first_occurrence(o);
+    }
+}
+
+/// Remove `peer` from `o`'s holder list: one listing fewer, and `o`'s
+/// last one leaves its summary bits stale.
+fn remove_holder(
+    holders_of: &mut IdMap<ObjectId, Vec<NodeId>>,
+    listings: &mut usize,
+    summary: &mut SummaryBits,
+    o: ObjectId,
+    peer: NodeId,
+) {
+    if let Some(hs) = holders_of.get_mut(&o) {
+        sort_holders(hs);
+        if let Ok(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
+            hs.remove(pos);
+            *listings -= 1;
+            if hs.is_empty() {
+                holders_of.remove(&o);
+                summary.last_occurrence_gone();
+            }
+        }
     }
 }
 
@@ -245,39 +291,16 @@ impl DirectoryState {
         }
     }
 
-    /// Record `peer` (a member whose entry just gained `o`, so not yet
-    /// listed) as holding `o` in the inverted index: appended, in no
-    /// order until a reader sorts it ([`sort_holders`]); one more
-    /// listing, and `o`'s first one sets its summary bits.
-    fn add_holder(&mut self, o: ObjectId, peer: NodeId) {
-        let hs = self.holders_of.entry(o).or_default();
-        hs.push(peer);
-        self.total_indexed += 1;
-        if hs.len() == 1 {
-            self.summary.first_occurrence(o);
-        }
-    }
-
-    /// Remove `peer` from `o`'s holder list: one listing fewer, and
-    /// `o`'s last one leaves its summary bits stale.
-    fn remove_holder(&mut self, o: ObjectId, peer: NodeId) {
-        if let Some(hs) = self.holders_of.get_mut(&o) {
-            sort_holders(hs);
-            if let Ok(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
-                hs.remove(pos);
-                self.total_indexed -= 1;
-                if hs.is_empty() {
-                    self.holders_of.remove(&o);
-                    self.summary.last_occurrence_gone();
-                }
-            }
-        }
-    }
-
     /// Unindex every object of a removed entry.
     fn drop_entry_holders(&mut self, peer: NodeId, e: &DirEntry) {
-        for o in &e.objects {
-            self.remove_holder(*o, peer);
+        for o in e.objects.iter() {
+            remove_holder(
+                &mut self.holders_of,
+                &mut self.total_indexed,
+                &mut self.summary,
+                o,
+                peer,
+            );
         }
         if e.summary.is_some() {
             self.summary_entries -= 1;
@@ -412,7 +435,7 @@ impl DirectoryState {
             for (peer, e) in &self.index {
                 if *peer != exclude
                     && e.age < self.t_dead
-                    && !e.objects.contains(&object)
+                    && !e.objects.contains(object)
                     && e.summary.as_ref().is_some_and(|s| s.might_contain(object))
                 {
                     holders.push(*peer);
@@ -444,74 +467,87 @@ impl DirectoryState {
     /// F with its requested object, and age zero". Returns false when
     /// the peer is new and the overlay is full (admission denied).
     pub fn admit_or_refresh(&mut self, peer: NodeId, object: ObjectId) -> bool {
-        match self.index.get_mut(&peer) {
-            Some(e) => {
+        let full = self.is_full();
+        let e = match self.index.entry(peer) {
+            Entry::Occupied(e) => {
+                let e = e.into_mut();
                 if e.age != 0 {
                     e.age = 0;
                     heap_push(&mut self.fresh, peer.0);
                 }
-                if e.objects.insert(object) {
-                    self.new_since_refresh += 1;
-                    self.add_holder(object, peer);
-                }
-                true
+                e
             }
-            None => {
-                if self.is_full() {
-                    return false;
-                }
-                let mut e = DirEntry::fresh();
-                e.objects.insert(object);
-                self.index.insert(peer, e);
+            Entry::Vacant(_) if full => return false,
+            Entry::Vacant(e) => {
                 heap_push(&mut self.fresh, peer.0);
-                self.new_since_refresh += 1;
-                self.add_holder(object, peer);
-                true
+                e.insert(DirEntry::fresh(self.website))
             }
+        };
+        if e.objects.insert(object) {
+            self.new_since_refresh += 1;
+            add_holder(
+                &mut self.holders_of,
+                &mut self.total_indexed,
+                &mut self.summary,
+                object,
+                peer,
+            );
         }
+        true
     }
 
     /// Apply a push `∆list` (Algorithm 6): update the pushing peer's
     /// entry and reset its age. Unknown pushers are admitted if
     /// capacity allows (they may have joined under a previous
     /// directory incarnation; §5.2).
+    ///
+    /// One index lookup per push: the holder lists are updated while
+    /// the ∆list is walked, additions first.
     pub fn apply_push(&mut self, peer: NodeId, added: &[ObjectId], removed: &[ObjectId]) {
-        if !self.index.contains_key(&peer) && self.is_full() {
-            return;
-        }
-        let fresh = &mut self.fresh;
-        let e = self.index.entry(peer).or_insert_with(|| {
-            heap_push(fresh, peer.0);
-            DirEntry::fresh()
-        });
-        if e.age != 0 {
-            e.age = 0;
-            heap_push(fresh, peer.0);
-        }
+        let full = self.is_full();
+        let e = match self.index.entry(peer) {
+            Entry::Occupied(e) => {
+                let e = e.into_mut();
+                if e.age != 0 {
+                    e.age = 0;
+                    heap_push(&mut self.fresh, peer.0);
+                }
+                e
+            }
+            Entry::Vacant(_) if full => return,
+            Entry::Vacant(e) => {
+                heap_push(&mut self.fresh, peer.0);
+                e.insert(DirEntry::fresh(self.website))
+            }
+        };
         // First push from a §5.2-seeded member: its exact ∆lists are
         // authoritative from here on — drop the gossip summary (and,
         // once no seeded entry remains, the summary-scan tax with it).
         if e.summary.take().is_some() {
             self.summary_entries -= 1;
         }
-        let mut new_holdings = Vec::new();
-        for o in added {
-            if e.objects.insert(*o) {
+        for &o in added {
+            if e.objects.insert(o) {
                 self.new_since_refresh += 1;
-                new_holdings.push(*o);
+                add_holder(
+                    &mut self.holders_of,
+                    &mut self.total_indexed,
+                    &mut self.summary,
+                    o,
+                    peer,
+                );
             }
         }
-        let mut gone_holdings = Vec::new();
-        for o in removed {
+        for &o in removed {
             if e.objects.remove(o) {
-                gone_holdings.push(*o);
+                remove_holder(
+                    &mut self.holders_of,
+                    &mut self.total_indexed,
+                    &mut self.summary,
+                    o,
+                    peer,
+                );
             }
-        }
-        for o in new_holdings {
-            self.add_holder(o, peer);
-        }
-        for o in gone_holdings {
-            self.remove_holder(o, peer);
         }
     }
 
@@ -532,7 +568,7 @@ impl DirectoryState {
             }
             None => {
                 if !self.is_full() {
-                    self.index.insert(peer, DirEntry::fresh());
+                    self.index.insert(peer, DirEntry::fresh(self.website));
                     heap_push(&mut self.fresh, peer.0);
                 }
             }
@@ -670,7 +706,7 @@ impl DirectoryState {
             "listing count drifted from the index"
         );
         self.summary
-            .snapshot(self.holders_of.keys(), self.total_indexed)
+            .snapshot(self.holders_of.keys().copied(), self.total_indexed)
     }
 
     /// A view seed for a joining client: up to `n` members (the
@@ -731,7 +767,7 @@ impl DirectoryState {
             if self.is_full() || self.index.contains_key(&peer) {
                 continue;
             }
-            let mut e = DirEntry::fresh();
+            let mut e = DirEntry::fresh(self.website);
             e.summary = summary.cloned();
             if e.summary.is_some() {
                 self.summary_entries += 1;
@@ -756,12 +792,17 @@ impl DirectoryState {
         self.fresh.clear();
         self.aged.clear();
         for (peer, age, objects) in entries {
-            let mut e = DirEntry::fresh();
+            let mut e = DirEntry::fresh(self.website);
             e.age = age;
-            e.objects.reserve(objects.len());
             for o in objects {
                 if e.objects.insert(o) {
-                    self.add_holder(o, peer);
+                    add_holder(
+                        &mut self.holders_of,
+                        &mut self.total_indexed,
+                        &mut self.summary,
+                        o,
+                        peer,
+                    );
                 }
             }
             self.index.insert(peer, e);
@@ -781,7 +822,7 @@ impl DirectoryState {
             .index
             .iter()
             .map(|(p, e)| {
-                let mut objs: Vec<ObjectId> = e.objects.iter().copied().collect();
+                let mut objs: Vec<ObjectId> = e.objects.iter().collect();
                 objs.sort_unstable();
                 (*p, e.age, objs)
             })
@@ -798,6 +839,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::{BTreeMap, BTreeSet};
+    use workload::catalog_id;
 
     fn dir() -> DirectoryState {
         DirectoryState::new(WebsiteId(1), Locality(0), 0, 3, 5, 100)
@@ -807,8 +849,13 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
-    const O1: ObjectId = ObjectId(11);
-    const O2: ObjectId = ObjectId(22);
+    /// The object of rank `rank` of website 1, every test directory's.
+    fn obj(rank: usize) -> ObjectId {
+        catalog_id(WebsiteId(1), rank)
+    }
+
+    const O1: ObjectId = catalog_id(WebsiteId(1), 11);
+    const O2: ObjectId = catalog_id(WebsiteId(1), 22);
 
     #[test]
     fn algorithm3_prefers_index_then_summaries_then_server() {
@@ -877,7 +924,7 @@ mod tests {
         for p in 0..5u32 {
             assert!(d.admit_or_refresh(NodeId(p), O1));
         }
-        let mut seen = IdSet::default();
+        let mut seen = BTreeSet::new();
         for _ in 0..200 {
             if let DirDecision::ToHolder(h) = d.process(&mut r, O1, NodeId(99), 1, 0) {
                 seen.insert(h);
@@ -952,14 +999,14 @@ mod tests {
     fn summary_refresh_threshold() {
         let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 100, 5, 100);
         for p in 0..10u32 {
-            d.admit_or_refresh(NodeId(p), ObjectId(p as u64));
+            d.admit_or_refresh(NodeId(p), obj(p as usize));
         }
         // 10 new / 10 total = 1.0 ≥ 0.5 → refresh.
         let s = d.take_summary_refresh(0.5).expect("refresh due");
-        assert!(s.might_contain(ObjectId(3)));
+        assert!(s.might_contain(obj(3)));
         // Counter reset: no refresh until enough new changes.
         assert!(d.take_summary_refresh(0.5).is_none());
-        d.admit_or_refresh(NodeId(0), ObjectId(100));
+        d.admit_or_refresh(NodeId(0), obj(100));
         // 1 new / 11 total < 0.5.
         assert!(d.take_summary_refresh(0.5).is_none());
         assert!(d.take_summary_refresh(0.05).is_some());
@@ -1040,8 +1087,8 @@ mod tests {
     fn scan_summary(d: &DirectoryState) -> ContentSummary {
         let mut s = ContentSummary::empty(d.summary.capacity());
         for e in d.index.values() {
-            for o in &e.objects {
-                s.insert(*o);
+            for o in e.objects.iter() {
+                s.insert(o);
             }
         }
         s
@@ -1059,10 +1106,10 @@ mod tests {
         // Pushes with adds and removes, including a §5.2-seeded entry
         // (whose gossip summary must never enter the filter).
         let mut s = ContentSummary::empty(100);
-        s.insert(ObjectId(77));
+        s.insert(obj(77));
         d.seed_from_view([(NodeId(3), Some(&s))]);
         assert_eq!(d.build_summary(), scan_summary(&d));
-        d.apply_push(NodeId(3), &[ObjectId(40), ObjectId(41)], &[]);
+        d.apply_push(NodeId(3), &[obj(40), obj(41)], &[]);
         d.apply_push(NodeId(1), &[], &[O2]);
         assert_eq!(d.build_summary(), scan_summary(&d));
         // Redirection-failure removal and Tdead eviction.
@@ -1098,22 +1145,22 @@ mod tests {
     fn hot_objects_rank_by_popularity_with_key_tiebreak() {
         let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 5, 100);
         let mut r = rng();
-        for (o, holder) in [(ObjectId(1), 1u32), (ObjectId(2), 2), (ObjectId(3), 3)] {
-            d.admit_or_refresh(NodeId(holder), o);
+        for holder in 1..=3u32 {
+            d.admit_or_refresh(NodeId(holder), obj(holder as usize));
         }
         for _ in 0..3 {
-            d.note_request(ObjectId(2));
+            d.note_request(obj(2));
         }
-        d.note_request(ObjectId(1));
-        d.note_request(ObjectId(3)); // tied with ObjectId(1) → key order
+        d.note_request(obj(1));
+        d.note_request(obj(3)); // tied with obj(1) → key order
         let hot = d.take_hot_objects(&mut r, 2);
         assert_eq!(hot.len(), 2);
-        assert_eq!(hot[0].0, ObjectId(2), "hottest first");
-        assert_eq!(hot[1].0, ObjectId(1), "tie broken by object key");
+        assert_eq!(hot[0].0, obj(2), "hottest first");
+        assert_eq!(hot[1].0, obj(1).min(obj(3)), "tie broken by object key");
         // Counters decayed (3/2=1, 1/2=0, 1/2=0): only obj 2 remains.
         let again = d.take_hot_objects(&mut r, 5);
         assert_eq!(again.len(), 1);
-        assert_eq!(again[0].0, ObjectId(2));
+        assert_eq!(again[0].0, obj(2));
         // k = 0 offers nothing but still decays (obj 2's count 1 → 0),
         // so the following round sees an empty popularity map.
         assert!(d.take_hot_objects(&mut r, 0).is_empty());
@@ -1591,9 +1638,9 @@ mod tests {
     /// — and keeps no empty list.
     fn assert_inverted_index_exact(d: &DirectoryState) {
         for (p, e) in &d.index {
-            for o in &e.objects {
+            for o in e.objects.iter() {
                 assert!(
-                    d.holders_of.get(o).is_some_and(|hs| hs.contains(p)),
+                    d.holders_of.get(&o).is_some_and(|hs| hs.contains(p)),
                     "{p:?} holds {o:?} but is not listed"
                 );
             }
@@ -1602,7 +1649,7 @@ mod tests {
             assert!(!hs.is_empty(), "empty holder list kept for {o:?}");
             for p in hs {
                 assert!(
-                    d.index.get(p).is_some_and(|e| e.objects.contains(o)),
+                    d.index.get(p).is_some_and(|e| e.objects.contains(*o)),
                     "{p:?} listed under {o:?} without holding it"
                 );
             }
@@ -1630,7 +1677,7 @@ mod tests {
             let (capacity, t_dead, bits) = (8, 3, 30);
             let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, capacity, t_dead, bits);
             let mut r = SortedInsertReference::new(capacity, t_dead);
-            let obj = |k: u64| ObjectId(k * 31 + 5);
+            let obj = |k: u64| obj(k as usize * 31 + 5);
             let neighbour = ContentSummary::from_objects(bits, &[obj(1), obj(6)]);
             d.update_neighbor_summary(NeighborSummary {
                 dir: NodeId(50),
@@ -1708,7 +1755,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..8, 0u32..10, 0u64..8), 1..150),
         ) {
             let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 8, 3, 30);
-            let obj = |k: u64| ObjectId(k * 31 + 5);
+            let obj = |k: u64| obj(k as usize * 31 + 5);
             for (op, peer, k) in ops {
                 let p = NodeId(peer);
                 match op {

@@ -12,10 +12,18 @@
 //!   so table layout is the same in every process;
 //! * [`IdMap`] / [`IdSet`] — the std tables over that hasher, for the
 //!   collections that grow with the overlay (directory index, holder
-//!   lists, content sets);
+//!   lists);
 //! * [`SmallMap`] — a linear-scan map for the collections that hold a
 //!   handful of entries per node (a node's content roles, its in-flight
-//!   queries), where any table is overhead.
+//!   queries), where any table is overhead;
+//! * [`RankSet`] — no table at all, for a set of one website's objects
+//!   (a content peer's content, a directory entry's object list): an
+//!   object id is a bijection of `(website, rank)`
+//!   ([`workload::catalog_rank`]), so the set is one bit per rank of
+//!   the owner's website, and a lookup is a word test where a table
+//!   probe was a cold miss. Use [`IdSet`] for a set that mixes
+//!   websites or keys objects by anything else; a `RankSet` stays
+//!   exact for such ids, but keeps them in a sorted list.
 //!
 //! Hash iteration order was never protocol-visible under the random
 //! SipHash key (it differed per process while results did not), and
@@ -24,6 +32,9 @@
 //! below exists so a test can keep proving it.
 
 use std::hash::{BuildHasherDefault, Hasher};
+
+use bloom::ObjectId;
+use workload::{catalog_id, catalog_rank, WebsiteId};
 
 /// `2^64 / φ`, odd: consecutive integers land maximally far apart in
 /// the high bits of the product (Fibonacci hashing).
@@ -248,13 +259,158 @@ impl<K: PartialEq, V> SmallMap<K, V> {
     }
 }
 
+/// Ranks from `RANK_WORDS_MAX · 64` on are spilled, so no id grows a
+/// [`RankSet`]'s bits past 8 KiB (the paper's `nb-ob` of 500 needs 8
+/// words).
+const RANK_WORDS_MAX: usize = 1 << 10;
+
+/// An exact set of objects of one website, 32 bytes inline: a bit per
+/// catalog rank of the owner's website, grown to the highest rank
+/// inserted. Any other id — another website's, a rank past
+/// `RANK_WORDS_MAX · 64`, a key that is no catalog id — is kept in a
+/// sorted *spill* list after the bit words, in the same allocation.
+///
+/// Iteration yields the owner's objects in rank order, then the
+/// spilled ids in key order; like hash order, neither is a
+/// protocol-visible order.
+#[derive(Clone, Debug)]
+pub struct RankSet {
+    /// `bit_words` words of rank bits, then the spilled keys, sorted.
+    words: Vec<u64>,
+    /// Members, bits and spill together.
+    len: u32,
+    /// How many leading `words` are rank bits.
+    bit_words: u16,
+    /// The owner's website: the one whose ranks have bits.
+    website: WebsiteId,
+}
+
+impl RankSet {
+    /// An empty set of `website`'s objects (allocates nothing).
+    pub fn new(website: WebsiteId) -> Self {
+        RankSet {
+            words: Vec::new(),
+            len: 0,
+            bit_words: 0,
+            website,
+        }
+    }
+
+    /// `o`'s bit: its rank, if `o` is an object of the owner's website
+    /// whose rank the bits cover.
+    #[inline]
+    fn rank(&self, o: ObjectId) -> Option<usize> {
+        match catalog_rank(o) {
+            Some((ws, rank)) if ws == self.website && rank < RANK_WORDS_MAX * 64 => Some(rank),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn split(&self) -> (&[u64], &[u64]) {
+        self.words.split_at(self.bit_words as usize)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True when the set holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Is `o` a member?
+    #[inline]
+    pub fn contains(&self, o: ObjectId) -> bool {
+        let (bits, spill) = self.split();
+        match self.rank(o) {
+            Some(r) => bits.get(r / 64).is_some_and(|w| w & (1 << (r % 64)) != 0),
+            None => spill.binary_search(&o.0).is_ok(),
+        }
+    }
+
+    /// Add `o`; true when it was not a member.
+    #[inline]
+    pub fn insert(&mut self, o: ObjectId) -> bool {
+        let n = self.bit_words as usize;
+        let added = match self.rank(o) {
+            Some(r) => {
+                let at = r / 64;
+                if at >= n {
+                    let grow = at + 1 - n;
+                    self.words.reserve_exact(grow);
+                    self.words.splice(n..n, std::iter::repeat_n(0, grow));
+                    self.bit_words = (at + 1) as u16;
+                }
+                let (w, bit) = (&mut self.words[at], 1 << (r % 64));
+                let added = *w & bit == 0;
+                *w |= bit;
+                added
+            }
+            None => match self.words[n..].binary_search(&o.0) {
+                Ok(_) => false,
+                Err(i) => {
+                    self.words.insert(n + i, o.0);
+                    true
+                }
+            },
+        };
+        self.len += u32::from(added);
+        added
+    }
+
+    /// Drop `o`; true when it was a member. The bit words are kept.
+    #[inline]
+    pub fn remove(&mut self, o: ObjectId) -> bool {
+        let n = self.bit_words as usize;
+        let removed = match self.rank(o) {
+            Some(r) => match self.words[..n].get_mut(r / 64) {
+                Some(w) if *w & (1 << (r % 64)) != 0 => {
+                    *w &= !(1 << (r % 64));
+                    true
+                }
+                _ => false,
+            },
+            None => match self.words[n..].binary_search(&o.0) {
+                Ok(i) => {
+                    self.words.remove(n + i);
+                    true
+                }
+                Err(_) => false,
+            },
+        };
+        self.len -= u32::from(removed);
+        removed
+    }
+
+    /// The members: the owner's objects by rank, then the spill by key.
+    pub fn iter(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        let (bits, spill) = self.split();
+        let ws = self.website;
+        bits.iter()
+            .enumerate()
+            .flat_map(move |(i, &word)| {
+                let mut w = word;
+                std::iter::from_fn(move || {
+                    (w != 0).then(|| {
+                        let bit = w.trailing_zeros() as usize;
+                        w &= w - 1;
+                        catalog_id(ws, i * 64 + bit)
+                    })
+                })
+            })
+            .chain(spill.iter().map(|&k| ObjectId(k)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bloom::ObjectId;
     use simnet::{Locality, NodeId};
     use std::hash::{BuildHasher, Hash};
-    use workload::{Catalog, CatalogConfig, WebsiteId};
+    use workload::{Catalog, CatalogConfig};
 
     fn hash_of<K: Hash>(key: &K) -> u64 {
         BuildHasherDefault::<IdHasher>::default().hash_one(key)
@@ -347,8 +503,61 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// What the oracle below draws from: ids of the owner's website 3
+    /// and of website 4 at ranks either side of a word boundary, at the
+    /// paper's last rank (`nb-ob` − 1) and either side of the spill
+    /// rank, and keys that are no catalog id.
+    fn rank_set_pool() -> Vec<ObjectId> {
+        let ranks = [
+            0,
+            1,
+            63,
+            64,
+            499,
+            RANK_WORDS_MAX * 64 - 1,
+            RANK_WORDS_MAX * 64,
+        ];
+        let made_up = [3, 7919 * 5 + 3, u64::MAX / 5, u64::MAX].map(ObjectId);
+        [3, 4]
+            .into_iter()
+            .flat_map(|ws| ranks.map(|r| catalog_id(WebsiteId(ws), r)))
+            .chain(made_up)
+            .collect()
+    }
 
     proptest! {
+        /// `RankSet` against `BTreeSet<ObjectId>` as the model: the
+        /// same `insert`/`remove` answers, and after every step the
+        /// same `contains` for the whole pool, the same `len`, and the
+        /// model's members iterated once each — bits by rank, then the
+        /// spill by key.
+        #[test]
+        fn rank_set_matches_the_btree_model(
+            ops in proptest::collection::vec((0u8..3, 0usize..18), 1..150)
+        ) {
+            let pool = rank_set_pool();
+            let mut set = RankSet::new(WebsiteId(3));
+            let mut model: BTreeSet<ObjectId> = BTreeSet::new();
+            for (op, i) in ops {
+                let o = pool[i];
+                match op {
+                    0 => prop_assert_eq!(set.insert(o), model.insert(o)),
+                    1 => prop_assert_eq!(set.remove(o), model.remove(&o)),
+                    _ => prop_assert_eq!(set.contains(o), model.contains(&o)),
+                }
+                for o in &pool {
+                    prop_assert_eq!(set.contains(*o), model.contains(o));
+                }
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(set.is_empty(), model.is_empty());
+                let mut expect: Vec<ObjectId> = model.iter().copied().collect();
+                expect.sort_by_key(|o| (set.rank(*o).is_none(), set.rank(*o), o.key()));
+                prop_assert_eq!(set.iter().collect::<Vec<_>>(), expect);
+            }
+        }
+
         /// `SmallMap` against `std::collections::HashMap` as the
         /// model, compared in full after every step.
         #[test]

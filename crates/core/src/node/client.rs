@@ -27,9 +27,13 @@ impl FlowerNode {
         websites.sort_unstable();
         for ws in websites {
             if let Some(cp) = self.content.remove(&ws) {
-                self.parked_objects
-                    .get_or_insert_with(ws, Vec::new)
-                    .extend(cp.objects());
+                let parked = self.parked_objects.get_or_insert_with(ws, Vec::new);
+                parked.extend(cp.objects());
+                // The rejoin re-inserts them in this order, which a
+                // bounded cache's clock and the next ∆list record:
+                // `ObjectId` order, as `mark_all_dirty` uses, not the
+                // content set's.
+                parked.sort_unstable();
             }
         }
     }

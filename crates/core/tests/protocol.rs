@@ -2,10 +2,21 @@
 //! voluntary directory hand-off and locality migration, driven through
 //! the engine as an operator would.
 
-use flower_core::msg::FlowerMsg;
+use std::sync::Arc;
+
+use bloom::ObjectId;
+use flower_core::idmap::IdMap;
+use flower_core::msg::{FlowerMsg, ProviderKind};
 use flower_core::system::{FlowerSystem, SystemConfig};
-use simnet::{Event, Locality, NodeId, SimDuration, SimTime};
-use workload::WebsiteId;
+use flower_core::{CachePolicy, Deployment, FlowerConfig, FlowerNode, KeyScheme};
+use metrics::MetricSet;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use simnet::{
+    node_stream_seed, Action, Ctx, Event, Locality, Node, NodeId, QueryStats, SimDuration, SimTime,
+    Topology, TopologyConfig,
+};
+use workload::{Catalog, CatalogConfig, WebsiteId};
 
 fn cfg(seed: u64) -> SystemConfig {
     SystemConfig {
@@ -333,5 +344,170 @@ fn old_overlay_forgets_moved_peers() {
     assert!(
         still_known * 2 <= members,
         "{still_known}/{members} members still list the moved peer"
+    );
+}
+
+/// One node driven with no engine behind it (as in
+/// `ctx_without_engine.rs`): each call runs one event at a fixed time
+/// and returns the messages the node sent.
+struct Bench {
+    topo: Topology,
+    rng: StdRng,
+    query_stats: QueryStats,
+    metrics: MetricSet,
+    node: FlowerNode,
+    id: NodeId,
+}
+
+impl Bench {
+    fn recv(&mut self, from: NodeId, msg: FlowerMsg) -> Vec<(NodeId, FlowerMsg)> {
+        let mut out = Vec::new();
+        let mut ctx = Ctx::new(
+            SimTime::from_secs(1),
+            self.id,
+            &self.topo,
+            &mut self.rng,
+            &mut self.query_stats,
+            &mut self.metrics,
+            &mut out,
+        );
+        self.node.on_event(&mut ctx, Event::Recv { from, msg });
+        out.into_iter()
+            .filter_map(|a| match a {
+                Action::Send { to, msg } => Some((to, msg)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Join `ws`'s overlay at `locality` under directory `dir`; the
+    /// pushes the admission triggers.
+    fn admit(
+        &mut self,
+        ws: WebsiteId,
+        locality: Locality,
+        dir: NodeId,
+    ) -> Vec<(NodeId, FlowerMsg)> {
+        let admission = FlowerMsg::Admission {
+            website: ws,
+            locality,
+            admitted: true,
+            dir,
+            petal_live: 1,
+            view_seed: Vec::new(),
+        };
+        self.recv(dir, admission)
+    }
+
+    /// Query `object` (no view contact to ask, so the query goes to
+    /// the origin `server`) and get it served; the push that follows.
+    fn fetch(&mut self, qid: u64, ws: WebsiteId, object: ObjectId, server: NodeId) -> FlowerMsg {
+        let me = self.id;
+        let sent = self.recv(
+            me,
+            FlowerMsg::Submit {
+                qid,
+                website: ws,
+                object,
+            },
+        );
+        let query = sent
+            .into_iter()
+            .find_map(|(to, msg)| match msg {
+                FlowerMsg::ServerQuery { query } if to == server => Some(query),
+                _ => None,
+            })
+            .expect("a member with an empty view asks the origin");
+        let serve = FlowerMsg::ServeObject {
+            query,
+            resolved_at: SimTime::from_secs(1),
+            provider: ProviderKind::OriginServer,
+            size: 1,
+            view_seed: Vec::new(),
+        };
+        let mut pushes = self.recv(server, serve);
+        assert_eq!(pushes.len(), 1, "one push per admitted object");
+        pushes.pop().expect("checked").1
+    }
+}
+
+fn push_lists(msg: &FlowerMsg) -> (Vec<ObjectId>, Vec<ObjectId>) {
+    match msg {
+        FlowerMsg::Push { added, removed, .. } => (added.clone(), removed.clone()),
+        other => panic!("expected a push, got {other:?}"),
+    }
+}
+
+/// §5.4 with a bounded LRU cache: the objects a moving peer parks come
+/// back at the rejoin in `ObjectId` order — the order of its first
+/// ∆list to the new directory and of its cache's clock, so the first
+/// eviction takes the smallest id. Neither the order the objects were
+/// fetched in nor the content set's order may show.
+#[test]
+fn a_moved_lru_peer_rejoins_and_evicts_in_object_id_order() {
+    let topo = Topology::generate(&TopologyConfig::small_test(), 5);
+    let (me, server, old_dir, new_dir) = (NodeId(3), NodeId(7), NodeId(11), NodeId(12));
+    let old_loc = topo.locality(me);
+    let new_loc = Locality((old_loc.0 + 1) % topo.num_localities() as u16);
+    let catalog = Catalog::new(CatalogConfig::small_test());
+    let ws = WebsiteId(0);
+    // Fetched from the highest rank down: neither fetch order nor rank
+    // order is `ObjectId` order.
+    let fetched: Vec<ObjectId> = [9, 5, 2, 0].map(|r| catalog.object_id(ws, r)).to_vec();
+    let mut by_id = fetched.clone();
+    by_id.sort_unstable();
+    let mut by_rank = fetched.clone();
+    by_rank.reverse();
+    assert!(
+        by_id != fetched && by_id != by_rank,
+        "the ranks must tell the orders apart"
+    );
+    let later = catalog.object_id(ws, 13);
+    let deployment = Arc::new(Deployment {
+        cfg: FlowerConfig {
+            cache_policy: CachePolicy::Lru,
+            cache_capacity: fetched.len(),
+            ..FlowerConfig::fast_test()
+        },
+        catalog,
+        scheme: KeyScheme::new(8, 0),
+        servers: vec![server, server],
+        bootstrap_dirs: vec![old_dir],
+        dir_instances: IdMap::default(),
+    });
+    let mut b = Bench {
+        rng: StdRng::seed_from_u64(node_stream_seed(42, me)),
+        topo,
+        query_stats: QueryStats::new(SimDuration::from_secs(30)),
+        metrics: MetricSet::new(),
+        node: FlowerNode::client(deployment),
+        id: me,
+    };
+
+    assert!(b.admit(ws, old_loc, old_dir).is_empty(), "nothing held yet");
+    for (qid, o) in fetched.iter().enumerate() {
+        assert_eq!(
+            push_lists(&b.fetch(qid as u64, ws, *o, server)),
+            (vec![*o], vec![])
+        );
+    }
+    let sent = b.recv(me, FlowerMsg::AdminChangeLocality { to: new_loc });
+    assert!(sent.is_empty() && !b.node.is_content_peer(ws));
+
+    let pushes = b.admit(ws, new_loc, new_dir);
+    let [(to, push)] = &pushes[..] else {
+        panic!("expected one push to the new directory, got {pushes:?}");
+    };
+    assert_eq!(*to, new_dir);
+    assert_eq!(
+        push_lists(push),
+        (by_id.clone(), vec![]),
+        "∆list in ObjectId order"
+    );
+    let evicting = b.fetch(99, ws, later, server);
+    assert_eq!(
+        push_lists(&evicting),
+        (vec![later], vec![by_id[0]]),
+        "the least recently used is the smallest id"
     );
 }

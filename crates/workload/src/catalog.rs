@@ -79,13 +79,75 @@ pub struct Catalog {
     cfg: CatalogConfig,
 }
 
+const MIX_ADD: u64 = 0x9E37_79B9_7F4A_7C15;
+const MIX_MUL1: u64 = 0xBF58_476D_1CE4_E5B9;
+const MIX_MUL2: u64 = 0x94D0_49BB_1331_11EB;
+
 /// SplitMix64 finalizer (local copy to keep this crate dependency-free
-/// beyond `bloom`).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+/// beyond `bloom`). A bijection: [`unmix64`] undoes it.
+const fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(MIX_ADD);
+    z = (z ^ (z >> 30)).wrapping_mul(MIX_MUL1);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX_MUL2);
     z ^ (z >> 31)
+}
+
+/// The inverse of an odd `m` modulo 2^64 (Newton's iteration: each
+/// step doubles the correct low bits, from the 3 of `m·m ≡ 1 mod 8`).
+const fn mul_inverse(m: u64) -> u64 {
+    let mut x = m;
+    let mut i = 0;
+    while i < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x)));
+        i += 1;
+    }
+    x
+}
+
+/// `x` from `y = x ^ (x >> s)`, for `s ≥ 16`: the first step leaves
+/// `x ^ (x >> 2s)`, the second `x ^ (x >> 4s)`, which is `x`.
+const fn unshift(y: u64, s: u32) -> u64 {
+    let x = y ^ (y >> s);
+    x ^ (x >> (2 * s))
+}
+
+const MIX_MUL1_INV: u64 = mul_inverse(MIX_MUL1);
+const MIX_MUL2_INV: u64 = mul_inverse(MIX_MUL2);
+
+/// The inverse of [`mix64`].
+const fn unmix64(mut z: u64) -> u64 {
+    z = unshift(z, 31).wrapping_mul(MIX_MUL2_INV);
+    z = unshift(z, 27).wrapping_mul(MIX_MUL1_INV);
+    unshift(z, 30).wrapping_sub(MIX_ADD)
+}
+
+/// The constant bits of an object id's pre-image: the website sits in
+/// bits 32..48, the rank below. Its `0xC7` byte overlaps the website's
+/// high byte, so `ws` and `ws | 0xC700` share their ids — distinct
+/// only for catalogs of up to 256 websites.
+const ID_MAGIC: u64 = 0x0B1E_C700_0000_0000;
+
+/// The id of the object of popularity rank `rank` of `ws` (the
+/// paper's `hash(url)`), for a catalog of any shape:
+/// [`Catalog::object_id`] without the rank bound. [`catalog_rank`]
+/// inverts it.
+pub const fn catalog_id(ws: WebsiteId, rank: usize) -> ObjectId {
+    ObjectId(mix64(((ws.0 as u64) << 32) | rank as u64 | ID_MAGIC))
+}
+
+/// The inverse of [`catalog_id`]: the website and rank whose id `o`
+/// is, or `None` when `o` is no catalog id (a made-up key). Ranks come
+/// back below 2^32; of two websites that share ids (see `ID_MAGIC`) the
+/// smaller is named. Catalog bounds are not checked:
+/// `catalog_id(ws, rank) == o` whenever this returns `Some((ws, rank))`.
+#[inline]
+pub const fn catalog_rank(o: ObjectId) -> Option<(WebsiteId, usize)> {
+    let pre = unmix64(o.0);
+    if (pre >> 48) != ID_MAGIC >> 48 || (pre >> 40) & 0xC7 != 0xC7 {
+        return None;
+    }
+    let ws = ((pre >> 32) & !(ID_MAGIC >> 32)) as u16;
+    Some((WebsiteId(ws), pre as u32 as usize))
 }
 
 impl Catalog {
@@ -137,9 +199,7 @@ impl Catalog {
             rank < self.cfg.objects_per_website,
             "object rank out of range"
         );
-        ObjectId(mix64(
-            ((ws.0 as u64) << 32) | rank as u64 | 0x0B1E_C700_0000_0000,
-        ))
+        catalog_id(ws, rank)
     }
 
     /// All object ids of a website, in popularity-rank order.
@@ -232,5 +292,45 @@ mod tests {
             active_websites: 4,
             ..Default::default()
         });
+    }
+
+    #[test]
+    fn the_paper_catalog_inverts_and_made_up_keys_do_not() {
+        let c = Catalog::new(CatalogConfig::default());
+        for ws in c.websites() {
+            for rank in [0, 1, 63, 64, 499] {
+                assert_eq!(catalog_rank(c.object_id(ws, rank)), Some((ws, rank)));
+            }
+        }
+        for key in [0, 3, 7919 * 5 + 3, u64::MAX / 5, u64::MAX] {
+            assert_eq!(catalog_rank(ObjectId(key)), None, "key {key}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `catalog_rank` inverts `catalog_id` for every website a
+        /// catalog of up to 256 names and every rank below 2^32.
+        #[test]
+        fn catalog_rank_inverts_catalog_id(ws in 0u16..256, rank in 0usize..1 << 32) {
+            prop_assert_eq!(catalog_rank(catalog_id(WebsiteId(ws), rank)), Some((WebsiteId(ws), rank)));
+        }
+
+        /// Whatever key it names a pre-image for, that pre-image maps
+        /// back to the key — websites that share ids included.
+        #[test]
+        fn every_named_pre_image_is_exact(ws in any::<u16>(), rank in 0usize..1 << 32, key in any::<u64>()) {
+            for o in [catalog_id(WebsiteId(ws), rank), ObjectId(key)] {
+                if let Some((w, r)) = catalog_rank(o) {
+                    prop_assert_eq!(catalog_id(w, r), o);
+                }
+            }
+            prop_assert!(catalog_rank(catalog_id(WebsiteId(ws), rank)).is_some());
+        }
     }
 }

@@ -25,7 +25,7 @@ pub mod catalog;
 pub mod generator;
 pub mod zipf;
 
-pub use catalog::{Catalog, CatalogConfig, WebsiteId};
+pub use catalog::{catalog_id, catalog_rank, Catalog, CatalogConfig, WebsiteId};
 pub use generator::{
     Communities, OriginatedQuery, OriginatedTrace, QueryEvent, QueryGen, QueryStream, Surge,
     WorkloadConfig,
