@@ -31,8 +31,8 @@ pub mod state;
 
 pub use id::{hash64, hash_bytes, ChordId};
 pub use proto::{
-    handle, on_undeliverable, start_fix_finger, start_join, start_route, start_stabilize, ChordMsg,
-    ChordOutcome, DeliveryReason, LookupToken, RoutePayload, RoutePolicy, StandardPolicy,
-    Transport, Wire,
+    conflict_peers, handle, on_undeliverable, start_fix_finger, start_join, start_route,
+    start_stabilize, ChordMsg, ChordOutcome, LookupToken, RoutePayload, RoutePolicy,
+    StandardPolicy, Transport, Wire,
 };
 pub use state::{stable_ring, ChordConfig, ChordState, PeerRef};

@@ -30,34 +30,25 @@ pub trait Wire {
     fn wire_size(&self) -> u32;
 }
 
-/// Why a routed message was handed to the application.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DeliveryReason {
-    /// This node is the owner of the key (normal case).
-    Responsible,
-    /// The hop limit was exceeded; the application decides how to
-    /// recover (Flower-CDN falls back to the origin server).
-    HopLimit,
-}
-
 /// Outcome of handling a Chord message, surfaced to the embedding
 /// protocol.
 #[derive(Debug)]
 pub enum ChordOutcome<A> {
-    /// A routed application payload terminated here.
+    /// A routed application payload terminated here: this node owns
+    /// the key, or the hop limit forced local delivery.
     Deliver {
-        /// The routed key.
-        key: ChordId,
         /// The application payload.
         payload: A,
         /// Hops taken from the first routing step.
         hops: u8,
-        /// Why it was delivered here.
-        reason: DeliveryReason,
     },
     /// This node's join lookup completed; the state has adopted the
     /// returned successor.
     JoinComplete,
+    /// This node's join lookup bounced off a dead hop while joining
+    /// (see [`on_undeliverable`]); the node should retry through
+    /// another entry point.
+    JoinLost,
 }
 
 /// Messages exchanged by Chord peers. `A` is the application payload
@@ -144,6 +135,21 @@ impl<A: Wire> ChordMsg<A> {
             self,
             ChordMsg::Route { .. } | ChordMsg::FoundSuccessor { .. }
         )
+    }
+}
+
+impl<A> ChordMsg<A> {
+    /// The application payload this message routes, if any: what a
+    /// node off the ring can still rescue from a bounced or stray
+    /// message.
+    pub fn app_payload(&self) -> Option<&A> {
+        match self {
+            ChordMsg::Route {
+                payload: RoutePayload::App(a),
+                ..
+            } => Some(a),
+            _ => None,
+        }
     }
 }
 
@@ -247,21 +253,15 @@ fn step_route<A: Wire, T: Transport<A>>(
 ) -> Option<ChordOutcome<A>> {
     let candidate = st.local_lookup(key);
     let me = st.me();
-    let (deliver, reason) = if candidate.node == me.node {
-        (true, DeliveryReason::Responsible)
-    } else if hops >= st.config().max_hops {
-        (true, DeliveryReason::HopLimit)
-    } else {
-        (false, DeliveryReason::Responsible)
-    };
-
-    if deliver {
-        return terminate(st, t, key, hops, payload, reason);
+    // The owner, or the hop limit: the application decides how to
+    // recover from the latter (Flower-CDN falls back to the origin
+    // server).
+    if candidate.node == me.node || hops >= st.config().max_hops {
+        return terminate(st, t, hops, payload);
     }
-
     let next = policy.adjust_next_hop(st, key, candidate);
     if next.node == me.node {
-        return terminate(st, t, key, hops, payload, DeliveryReason::Responsible);
+        return terminate(st, t, hops, payload);
     }
     t.send_chord(
         next.node,
@@ -277,18 +277,11 @@ fn step_route<A: Wire, T: Transport<A>>(
 fn terminate<A: Wire, T: Transport<A>>(
     st: &mut ChordState,
     t: &mut T,
-    key: ChordId,
     hops: u8,
     payload: RoutePayload<A>,
-    reason: DeliveryReason,
 ) -> Option<ChordOutcome<A>> {
     match payload {
-        RoutePayload::App(payload) => Some(ChordOutcome::Deliver {
-            key,
-            payload,
-            hops,
-            reason,
-        }),
+        RoutePayload::App(payload) => Some(ChordOutcome::Deliver { payload, hops }),
         RoutePayload::FindSuccessor { requester, token } => {
             t.send_chord(
                 requester.node,
@@ -341,11 +334,54 @@ pub fn start_join<A: Wire, T: Transport<A>>(st: &mut ChordState, t: &mut T, boot
     t.send_chord(bootstrap, msg);
 }
 
-/// A previously sent message bounced (destination down): purge the
-/// dead peer from the routing state. Returns true if the state
-/// referenced it.
-pub fn on_undeliverable<A>(st: &mut ChordState, dead: NodeId, _msg: &ChordMsg<A>) -> bool {
-    st.on_peer_dead(dead)
+/// A message this node sent to `dead` bounced (the destination is
+/// down): purge the dead peer, then take the routing step again around
+/// it, so that neither an application payload nor another node's
+/// lookup is lost (§5.2 joins depend on the latter while the ring
+/// heals). Our own lookups are not re-sent: a lost finger fix waits
+/// for the next period, and a lost join lookup comes back as
+/// [`ChordOutcome::JoinLost`] while `joining`. A joining node has no
+/// usable routing state, so it drops another node's lookup.
+pub fn on_undeliverable<A: Wire, T: Transport<A>>(
+    st: &mut ChordState,
+    t: &mut T,
+    dead: NodeId,
+    msg: ChordMsg<A>,
+    joining: bool,
+    policy: &impl RoutePolicy,
+) -> Option<ChordOutcome<A>> {
+    st.on_peer_dead(dead);
+    let ChordMsg::Route { key, hops, payload } = msg else {
+        return None;
+    };
+    if let RoutePayload::FindSuccessor { requester, token } = payload {
+        if requester.node == st.me().node {
+            return (joining && token == LookupToken::Join).then_some(ChordOutcome::JoinLost);
+        }
+        if joining {
+            return None;
+        }
+    }
+    step_route(st, t, key, hops, payload, policy)
+}
+
+/// Peers `msg` mentions that claim this node's exact ring id from a
+/// different underlay node: duplicate positions, as two racing §5.2
+/// replacements create. Resolving the conflict is the embedding
+/// protocol's business.
+pub fn conflict_peers<A>(st: &ChordState, msg: &ChordMsg<A>) -> Vec<PeerRef> {
+    let me = st.me();
+    let claims_my_id = |p: &PeerRef| p.id == me.id && p.node != me.node;
+    match msg {
+        ChordMsg::Notify { peer } if claims_my_id(peer) => vec![*peer],
+        ChordMsg::NeighborsResp { pred, succs } => pred
+            .iter()
+            .chain(succs)
+            .filter(|p| claims_my_id(p))
+            .copied()
+            .collect(),
+        _ => Vec::new(),
+    }
 }
 
 #[cfg(test)]
@@ -572,8 +608,217 @@ mod tests {
         let mut states = ring(&ids);
         let dead = states[0].successor().unwrap().node;
         let bounced: ChordMsg<Payload> = ChordMsg::NeighborsReq;
-        assert!(on_undeliverable(&mut states[0], dead, &bounced));
+        let mut t = VecTransport::default();
+        let out = on_undeliverable(
+            &mut states[0],
+            &mut t,
+            dead,
+            bounced,
+            false,
+            &StandardPolicy,
+        );
+        assert!(out.is_none());
         assert_ne!(states[0].successor().map(|p| p.node), Some(dead));
+        assert!(t.out.is_empty(), "maintenance is not re-sent");
+    }
+
+    /// A key half the ring away from `st`: never its own.
+    fn far_key(st: &ChordState) -> ChordId {
+        ChordId(st.id().0.wrapping_add(1 << 63))
+    }
+
+    #[test]
+    fn a_payload_whose_next_hop_died_is_rerouted_or_delivered_never_lost() {
+        // On a ring: the bounced payload goes to a different live peer.
+        let ids: Vec<u64> = (0..32).map(crate::id::hash64).collect();
+        let mut states = ring(&ids);
+        let key = far_key(&states[0]);
+        let mut t = VecTransport::default();
+        assert!(start_route(&mut states[0], &mut t, key, Payload(6), &StandardPolicy).is_none());
+        let (dead, bounced) = t.out.pop().expect("forwarded to a next hop");
+        assert!(states[0].known_peers().iter().any(|p| p.node == dead));
+        let out = on_undeliverable(
+            &mut states[0],
+            &mut t,
+            dead,
+            bounced,
+            false,
+            &StandardPolicy,
+        );
+        assert!(out.is_none(), "other members remain: forward, not deliver");
+        assert!(states[0].known_peers().iter().all(|p| p.node != dead));
+        let [(to, msg)] = &t.out[..] else {
+            panic!("exactly one re-sent message, got {:?}", t.out)
+        };
+        assert_ne!(*to, dead);
+        assert!(to.idx() < ids.len());
+        assert_eq!(msg.app_payload(), Some(&Payload(6)));
+
+        // With the only other member dead: delivered locally.
+        let mut pair = ring(&[100, 200]);
+        let mut t = VecTransport::default();
+        assert!(start_route(
+            &mut pair[0],
+            &mut t,
+            ChordId(200),
+            Payload(0),
+            &StandardPolicy
+        )
+        .is_none());
+        let (dead, bounced) = t.out.pop().expect("forwarded to the owner");
+        assert_eq!(dead, pair[1].me().node);
+        let out = on_undeliverable(&mut pair[0], &mut t, dead, bounced, false, &StandardPolicy);
+        assert!(
+            matches!(
+                out,
+                Some(ChordOutcome::Deliver {
+                    payload: Payload(0),
+                    ..
+                })
+            ),
+            "last member standing must take the payload, got {out:?}"
+        );
+        assert!(t.out.is_empty());
+    }
+
+    #[test]
+    fn own_bounced_join_lookup_is_lost_only_while_joining() {
+        let me = PeerRef {
+            id: ChordId(150),
+            node: NodeId(50),
+        };
+        let mut st = ChordState::new(me, ChordConfig::default());
+        let mut t = VecTransport::default();
+        start_join(&mut st, &mut t, NodeId(3));
+        let (entry, lookup) = t.out.pop().expect("join sends one lookup");
+        assert_eq!(entry, NodeId(3));
+
+        let out = on_undeliverable(
+            &mut st,
+            &mut t,
+            entry,
+            lookup.clone(),
+            true,
+            &StandardPolicy,
+        );
+        assert!(matches!(out, Some(ChordOutcome::JoinLost)), "got {out:?}");
+        // A bounce arriving after a successful retry is stale.
+        assert!(on_undeliverable(&mut st, &mut t, entry, lookup, false, &StandardPolicy).is_none());
+        // A lost finger fix waits for the next period.
+        let finger_fix: ChordMsg<Payload> = ChordMsg::Route {
+            key: me.id,
+            hops: 0,
+            payload: RoutePayload::FindSuccessor {
+                requester: me,
+                token: LookupToken::Finger(3),
+            },
+        };
+        for joining in [true, false] {
+            let bounced = finger_fix.clone();
+            assert!(
+                on_undeliverable(&mut st, &mut t, entry, bounced, joining, &StandardPolicy)
+                    .is_none()
+            );
+        }
+        assert!(t.out.is_empty(), "own lookups are never re-sent");
+    }
+
+    #[test]
+    fn a_forwarded_lookup_is_rerouted_unless_joining() {
+        let ids: Vec<u64> = (0..32).map(crate::id::hash64).collect();
+        let mut states = ring(&ids);
+        // A newcomer (node 99) joining half the ring away from member
+        // 0, entering the ring there.
+        let requester = PeerRef {
+            id: far_key(&states[0]),
+            node: NodeId(99),
+        };
+        let mut newcomer = ChordState::new(requester, ChordConfig::default());
+        let mut t = VecTransport::default();
+        start_join(&mut newcomer, &mut t, states[0].me().node);
+        let (_, lookup) = t.out.pop().expect("join sends one lookup");
+        assert!(handle(
+            &mut states[0],
+            &mut t,
+            requester.node,
+            lookup,
+            &StandardPolicy
+        )
+        .is_none());
+        let (dead, bounced) = t.out.pop().expect("forwarded to a next hop");
+
+        // Mid-join we have no usable routing state: drop it.
+        let b = bounced.clone();
+        assert!(on_undeliverable(&mut states[0], &mut t, dead, b, true, &StandardPolicy).is_none());
+        assert!(t.out.is_empty());
+
+        assert!(on_undeliverable(
+            &mut states[0],
+            &mut t,
+            dead,
+            bounced,
+            false,
+            &StandardPolicy
+        )
+        .is_none());
+        let [(to, msg)] = &t.out[..] else {
+            panic!("exactly one re-sent message, got {:?}", t.out)
+        };
+        assert_ne!(*to, dead);
+        assert!(matches!(
+            msg,
+            ChordMsg::Route {
+                payload: RoutePayload::FindSuccessor { requester: r, token: LookupToken::Join },
+                ..
+            } if *r == requester
+        ));
+    }
+
+    #[test]
+    fn conflict_detection_sees_duplicate_positions() {
+        let states = ring(&[100, 200, 300, 400]);
+        let me = states[0].me();
+        let usurper = PeerRef {
+            id: me.id,
+            node: NodeId(77),
+        };
+        let notify = |peer| ChordMsg::<Payload>::Notify { peer };
+        let conflicts = conflict_peers(&states[0], &notify(usurper));
+        assert_eq!(conflicts, vec![usurper], "duplicate position not flagged");
+        // Our own announcements are not conflicts.
+        assert!(conflict_peers(&states[0], &notify(me)).is_empty());
+        // Nor is anything in a message that names no peers.
+        assert!(conflict_peers(&states[0], &ChordMsg::<Payload>::NeighborsReq).is_empty());
+        let resp = ChordMsg::<Payload>::NeighborsResp {
+            pred: Some(me),
+            succs: vec![states[1].me(), usurper],
+        };
+        assert_eq!(conflict_peers(&states[0], &resp), vec![usurper]);
+    }
+
+    #[test]
+    fn app_payload_is_recoverable_from_the_wire_format() {
+        let msg: ChordMsg<Payload> = ChordMsg::Route {
+            key: ChordId(2),
+            hops: 0,
+            payload: RoutePayload::App(Payload(1)),
+        };
+        assert_eq!(msg.app_payload(), Some(&Payload(1)));
+        assert!(msg.is_routing());
+        assert!(msg.wire_size() > 0);
+        assert!(ChordMsg::<Payload>::NeighborsReq.app_payload().is_none());
+        let lookup: ChordMsg<Payload> = ChordMsg::Route {
+            key: ChordId(2),
+            hops: 0,
+            payload: RoutePayload::FindSuccessor {
+                requester: PeerRef {
+                    id: ChordId(2),
+                    node: NodeId(0),
+                },
+                token: LookupToken::Join,
+            },
+        };
+        assert!(lookup.app_payload().is_none());
     }
 
     #[test]

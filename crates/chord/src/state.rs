@@ -80,6 +80,49 @@ impl ChordState {
         }
     }
 
+    /// A joined state at `me` rebuilt from the neighbour list of a
+    /// departing peer at the same id ([`Self::handoff_neighbors`]): the
+    /// heir of a voluntary hand-off (§5.2) assumes the position.
+    pub fn from_handoff(me: PeerRef, neighbors: &[PeerRef], cfg: ChordConfig) -> Self {
+        let mut others: Vec<PeerRef> = neighbors
+            .iter()
+            .filter(|p| p.node != me.node)
+            .copied()
+            .collect();
+        // Ring order around our id: clockwise distance sorts the old
+        // successor list back into place; the closest
+        // counter-clockwise neighbour is the predecessor.
+        let pred = others
+            .iter()
+            .copied()
+            .min_by_key(|p| p.id.clockwise_distance(me.id));
+        others.sort_by_key(|p| me.id.clockwise_distance(p.id));
+        let mut st = ChordState::new(me, cfg);
+        st.install(pred, others, vec![None; ChordId::BITS as usize]);
+        st
+    }
+
+    /// The neighbours a voluntary hand-off ships to the heir: the
+    /// successor list and the predecessor, enough for
+    /// [`Self::from_handoff`] to rebuild a working state at this id.
+    pub fn handoff_neighbors(&self) -> Vec<PeerRef> {
+        let mut out = self.successors.clone();
+        if let Some(p) = self.predecessor {
+            if out.iter().all(|q| q.node != p.node) {
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// After a join: the underlay node that already holds this exact
+    /// id, if the position turned out to be taken.
+    pub fn position_taken_by(&self) -> Option<NodeId> {
+        self.successor()
+            .filter(|s| s.id == self.me.id && s.node != self.me.node)
+            .map(|s| s.node)
+    }
+
     /// This peer's reference.
     pub fn me(&self) -> PeerRef {
         self.me
@@ -673,6 +716,36 @@ mod tests {
         assert!(st.on_peer_dead(dead.node));
         assert_eq!(st.known_peers(), reference::known_peers(&st));
         assert!(st.known_peers().iter().all(|p| p.node != dead.node));
+    }
+
+    #[test]
+    fn handoff_rebuilds_a_routable_position() {
+        let ids: Vec<u64> = (0..18).map(crate::id::hash64).collect();
+        let sts = ring(&ids);
+        // Node 4 hands off to a fresh node 100 at the same id.
+        let neighbors = sts[4].handoff_neighbors();
+        assert!(!neighbors.is_empty(), "handoff must ship neighbours");
+        let heir = peer(ids[4], 100);
+        let st = ChordState::from_handoff(heir, &neighbors, ChordConfig::default());
+        assert_eq!(st.id(), sts[4].id());
+        assert!(
+            !st.known_peers().is_empty(),
+            "heir must know its neighbourhood"
+        );
+        assert_eq!(st.successors(), sts[4].successors());
+        assert_eq!(st.predecessor(), sts[4].predecessor());
+        assert_eq!(st.known_peers(), reference::known_peers(&st));
+    }
+
+    #[test]
+    fn a_taken_position_names_its_holder() {
+        let sts = ring(&[10, 20, 30]);
+        assert_eq!(sts[0].position_taken_by(), None);
+        // A join at id 20 whose lookup found the node already there.
+        let mut joiner = ChordState::new(peer(20, 9), ChordConfig::default());
+        assert_eq!(joiner.position_taken_by(), None);
+        joiner.adopt_successor(sts[1].me());
+        assert_eq!(joiner.position_taken_by(), Some(NodeId(1)));
     }
 
     #[test]

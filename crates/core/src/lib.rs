@@ -49,7 +49,6 @@ pub mod idmap;
 pub mod msg;
 pub mod node;
 pub mod policy;
-pub mod substrate;
 pub mod system;
 
 pub use cache::{CacheManager, CachePolicy};
@@ -60,5 +59,4 @@ pub use id::{instance_for, KeyScheme};
 pub use msg::{FlowerMsg, GossipEntry, GossipPayload, ProviderKind, Query};
 pub use node::{Deployment, FlowerNode};
 pub use policy::DringPolicy;
-pub use substrate::ChordSubstrate;
 pub use system::{FlowerSystem, SystemConfig, SystemReport};

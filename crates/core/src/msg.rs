@@ -7,11 +7,9 @@
 //! message; the constants below pin the primitive sizes.
 
 use bloom::{ContentSummary, ObjectId};
-use chord::Wire;
+use chord::{ChordId, ChordMsg, PeerRef, Wire};
 use simnet::{Locality, Message, NodeId, SimTime, TrafficClass};
 use workload::WebsiteId;
-
-use crate::substrate::{DhtKey, PeerRef, SubstrateMsg};
 
 /// Modelled bytes of a peer address (IPv4 + port).
 pub const ADDR_BYTES: u32 = 6;
@@ -133,7 +131,7 @@ pub enum FlowerMsg {
     },
     /// Chord traffic of the D-ring (routing + maintenance), carrying
     /// queries as routed payloads.
-    Dht(SubstrateMsg),
+    Dht(ChordMsg<Query>),
     /// A content peer asks its own directory peer to process a query
     /// (the post-join fast path: no D-ring routing).
     ClientQuery {
@@ -227,13 +225,13 @@ pub enum FlowerMsg {
         website: WebsiteId,
         /// Locality of the sending directory peer.
         locality: Locality,
-        /// Substrate id of the sending directory peer.
-        dir_id: DhtKey,
+        /// D-ring id of the sending directory peer.
+        dir_id: ChordId,
         /// Bloom summary of its directory index.
         summary: ContentSummary,
     },
     /// Voluntary directory hand-off (§5.2): the leaving directory
-    /// transfers its directory index and substrate neighbourhood to a
+    /// transfers its directory index and ring neighbourhood to a
     /// chosen content peer.
     DirHandoff {
         /// Website served.
@@ -549,13 +547,13 @@ mod tests {
 
     #[test]
     fn dht_classes_split_routing_and_maintenance() {
-        let route = SubstrateMsg::Route {
+        let route = ChordMsg::Route {
             key: chord::ChordId(0),
             hops: 0,
             payload: chord::RoutePayload::App(query()),
         };
         assert_eq!(FlowerMsg::Dht(route).class(), TrafficClass::DhtRouting);
-        let maint = SubstrateMsg::NeighborsReq;
+        let maint = ChordMsg::NeighborsReq;
         assert_eq!(FlowerMsg::Dht(maint).class(), TrafficClass::DhtMaintenance);
     }
 }

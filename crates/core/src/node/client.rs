@@ -3,6 +3,7 @@
 //! peer's local search, and the §5.4 locality change.
 
 use bloom::ObjectId;
+use chord::{ChordMsg, RoutePayload};
 use metrics::Counter;
 use simnet::stats::ServedBy;
 use simnet::{Locality, NodeId, SimDuration, SimTime};
@@ -11,7 +12,6 @@ use workload::WebsiteId;
 use super::{timers, Ctx, FlowerNode, PendingQuery, SUMMARY_FETCH_RETRIES};
 use crate::id::instance_for;
 use crate::msg::{FlowerMsg, ProviderKind, Query};
-use crate::substrate::client_entry_msg;
 
 impl FlowerNode {
     /// §5.4: the peer detects it moved to another locality. All
@@ -182,12 +182,17 @@ impl FlowerNode {
         // If we are ourselves on the D-ring (and fully joined), route
         // from here; a node mid-join has no usable routing state yet.
         if self.is_directory() {
-            let event = self.ring(ctx, |r, t| r.route(t, key, query));
-            self.on_substrate_event(ctx, event.flatten());
+            let outcome = self.ring(ctx, |st, t, p| chord::start_route(st, t, key, query, p));
+            self.on_chord_outcome(ctx, outcome.flatten());
         } else {
             // Otherwise enter through a random well-known directory peer.
             let entry = self.bootstrap_entry(ctx);
-            ctx.send(entry, FlowerMsg::Dht(client_entry_msg(key, query)));
+            let route = ChordMsg::Route {
+                key,
+                hops: 0,
+                payload: RoutePayload::App(query),
+            };
+            ctx.send(entry, FlowerMsg::Dht(route));
         }
     }
 

@@ -3,6 +3,7 @@
 //! holder retries, and the §8 replication offers.
 
 use bloom::ObjectId;
+use chord::ChordState;
 use metrics::{Counter, Hist};
 use simnet::NodeId;
 use workload::WebsiteId;
@@ -14,7 +15,6 @@ use super::{
 use crate::directory::{DirDecision, DirectoryState, NeighborSummary};
 use crate::id::{instance_for, KeyScheme};
 use crate::msg::{FlowerMsg, Query};
-use crate::substrate::ChordSubstrate;
 
 /// Up to `n` members of `dir` other than `exclude` (a view seed), with
 /// the call and its length counted.
@@ -37,12 +37,12 @@ pub(super) fn counted_view_seed(
 /// order.
 fn send_to_website_neighbours(
     ctx: &mut Ctx<'_>,
-    substrate: &ChordSubstrate,
+    ring: &ChordState,
     scheme: KeyScheme,
     msg: &FlowerMsg,
 ) {
-    let (me, my_id) = (ctx.id(), substrate.key());
-    for p in substrate.known_peers() {
+    let (me, my_id) = (ctx.id(), ring.id());
+    for p in ring.known_peers() {
         if p.node != me && scheme.same_website(p.id, my_id) {
             ctx.send(p.node, msg.clone());
         }
@@ -183,10 +183,10 @@ impl FlowerNode {
         let msg = FlowerMsg::DirSummary {
             website: role.dir.website(),
             locality: role.dir.locality(),
-            dir_id: role.substrate.key(),
+            dir_id: role.ring.id(),
             summary,
         };
-        send_to_website_neighbours(ctx, &role.substrate, scheme, &msg);
+        send_to_website_neighbours(ctx, &role.ring, scheme, &msg);
     }
 
     /// A member's push (Algorithm 5). A node that is no longer its
@@ -250,7 +250,7 @@ impl FlowerNode {
                     website: role.dir.website(),
                     objects: hot,
                 };
-                send_to_website_neighbours(ctx, &role.substrate, scheme, &msg);
+                send_to_website_neighbours(ctx, &role.ring, scheme, &msg);
             }
         }
         ctx.set_timer(period, timers::REPLICATE, 0);

@@ -2,8 +2,9 @@
 //! combining up to three roles:
 //!
 //! * **directory peer** (§3, module `dir_role`) — a D-ring member: a
-//!   Chord position ([`ChordSubstrate`]) and a [`DirectoryState`],
-//!   processing queries per Algorithm 3;
+//!   Chord position ([`ChordState`], routed with the Algorithm 2
+//!   [`DringPolicy`]) and a [`DirectoryState`], processing queries per
+//!   Algorithm 3;
 //! * **content peer** (§4, `member`) — one [`ContentPeerState`] per
 //!   supported website, gossiping, pushing and answering fetches;
 //! * **origin server** — the website's web server, the fallback
@@ -32,6 +33,7 @@ mod replace;
 use std::sync::Arc;
 
 use bloom::ObjectId;
+use chord::{ChordMsg, ChordState};
 use rand::seq::SliceRandom;
 use simnet::{Event, Locality, NodeId};
 use workload::{Catalog, WebsiteId};
@@ -42,7 +44,7 @@ use crate::directory::{DirectoryState, NeighborSummary};
 use crate::id::KeyScheme;
 use crate::idmap::{IdMap, SmallMap};
 use crate::msg::{FlowerMsg, ProviderKind, Query};
-use crate::substrate::{carried_query, ChordSubstrate, SubstrateMsg};
+use crate::policy::DringPolicy;
 
 pub use petal::PetalState;
 
@@ -126,7 +128,7 @@ impl Deployment {
 #[derive(Debug)]
 pub struct DirRole {
     /// D-ring position and routing state.
-    pub substrate: ChordSubstrate,
+    pub ring: ChordState,
     /// The directory itself.
     pub dir: DirectoryState,
     /// True while a §5.2 replacement join is still in flight.
@@ -179,7 +181,7 @@ struct CtxTransport<'a, 'b> {
 }
 
 impl chord::Transport<Query> for CtxTransport<'_, '_> {
-    fn send_chord(&mut self, to: NodeId, msg: SubstrateMsg) {
+    fn send_chord(&mut self, to: NodeId, msg: ChordMsg<Query>) {
         self.ctx.send(to, FlowerMsg::Dht(msg));
     }
 }
@@ -214,10 +216,10 @@ impl FlowerNode {
         ws: WebsiteId,
         loc: Locality,
         instance: u32,
-        substrate: ChordSubstrate,
+        ring: ChordState,
     ) -> Self {
         let mut n = Self::client(shared);
-        n.install_dir_role(ws, loc, instance, substrate, false);
+        n.install_dir_role(ws, loc, instance, ring, false);
         n
     }
 
@@ -260,20 +262,20 @@ impl FlowerNode {
     }
 
     /// Take the directory role of petal `(ws, loc)` instance
-    /// `instance` at ring position `substrate`, with an empty index.
+    /// `instance` at ring position `ring`, with an empty index.
     fn install_dir_role(
         &mut self,
         ws: WebsiteId,
         loc: Locality,
         instance: u32,
-        substrate: ChordSubstrate,
+        ring: ChordState,
         joining: bool,
     ) -> &mut DirRole {
         let (cfg, objects) = (&self.shared.cfg, self.shared.catalog.objects_per_website());
         let dir = DirectoryState::new(ws, loc, instance, cfg.max_overlay, cfg.t_dead, objects);
         let petal = PetalState::new(instance, self.shared.scheme.instances() as u32);
         self.dir_role.insert(Box::new(DirRole {
-            substrate,
+            ring,
             dir,
             joining,
             petal,
@@ -288,14 +290,16 @@ impl FlowerNode {
     }
 
     /// Run `op` on this node's D-ring position, with the context as its
-    /// message transport; `None` when the node has no position.
+    /// message transport and the Algorithm 2 routing policy; `None`
+    /// when the node has no position.
     fn ring<R>(
         &mut self,
         ctx: &mut Ctx<'_>,
-        op: impl FnOnce(&mut ChordSubstrate, &mut CtxTransport<'_, '_>) -> R,
+        op: impl FnOnce(&mut ChordState, &mut CtxTransport<'_, '_>, &DringPolicy) -> R,
     ) -> Option<R> {
         let role = self.dir_role.as_mut()?;
-        Some(op(&mut role.substrate, &mut CtxTransport { ctx }))
+        let policy = DringPolicy::new(self.shared.scheme);
+        Some(op(&mut role.ring, &mut CtxTransport { ctx }, &policy))
     }
 
     /// A random well-known directory peer: the D-ring entry of a
@@ -436,15 +440,17 @@ impl FlowerNode {
 
     fn on_undeliverable(&mut self, ctx: &mut Ctx<'_>, to: NodeId, msg: FlowerMsg) {
         match msg {
-            FlowerMsg::Dht(sm) => {
+            FlowerMsg::Dht(cm) => {
                 if let Some(role) = &self.dir_role {
-                    // The substrate purges the dead peer, re-routes
-                    // payloads and lookups around it, and flags a lost
-                    // join lookup for retry.
+                    // Chord purges the dead peer, re-routes payloads and
+                    // lookups around it, and reports a lost join lookup
+                    // for retry.
                     let joining = role.joining;
-                    let event = self.ring(ctx, |r, t| r.undeliverable(t, to, sm, joining));
-                    self.on_substrate_event(ctx, event.flatten());
-                } else if let Some(query) = carried_query(&sm) {
+                    let outcome = self.ring(ctx, |st, t, p| {
+                        chord::on_undeliverable(st, t, to, cm, joining, p)
+                    });
+                    self.on_chord_outcome(ctx, outcome.flatten());
+                } else if let Some(&query) = cm.app_payload() {
                     // A client whose bootstrap died: try another entry
                     // point.
                     self.route_via_dring(ctx, query);

@@ -3,6 +3,7 @@
 //! watchdog, position conflicts, and the D-ring plumbing every
 //! directory role runs on.
 
+use chord::{ChordConfig, ChordMsg, ChordOutcome, ChordState, PeerRef};
 use metrics::Counter;
 use rand::Rng;
 use simnet::{Locality, NodeId, SimDuration};
@@ -11,8 +12,8 @@ use workload::WebsiteId;
 use super::dir_role::counted_view_seed;
 use super::petal::petal_primary;
 use super::{timers, Ctx, CtxTransport, FlowerNode};
-use crate::msg::{FlowerMsg, IndexSnapshotEntry};
-use crate::substrate::{carried_query, ChordSubstrate, PeerRef, SubstrateEvent, SubstrateMsg};
+use crate::msg::{FlowerMsg, IndexSnapshotEntry, Query};
+use crate::policy::DringPolicy;
 
 impl FlowerNode {
     /// §5.2 voluntary leave: pick the youngest (most recently alive)
@@ -55,7 +56,7 @@ impl FlowerNode {
                 website: role.dir.website(),
                 locality: role.dir.locality(),
                 index,
-                neighbors: role.substrate.handoff_neighbors(),
+                neighbors: role.ring.handoff_neighbors(),
                 live: role.petal.live,
             },
         );
@@ -83,10 +84,10 @@ impl FlowerNode {
         let me = ctx.id();
         let scheme = self.shared.scheme;
         let key = scheme.key(website, locality);
-        let substrate =
-            ChordSubstrate::from_handoff(scheme, PeerRef { id: key, node: me }, neighbors);
+        let me_ref = PeerRef { id: key, node: me };
+        let ring = ChordState::from_handoff(me_ref, neighbors, ChordConfig::default());
         let members: Vec<NodeId> = index.iter().map(|e| e.peer).filter(|p| *p != me).collect();
-        let role = self.install_dir_role(website, locality, 0, substrate, false);
+        let role = self.install_dir_role(website, locality, 0, ring, false);
         role.dir.install_snapshot(
             index
                 .into_iter()
@@ -114,7 +115,7 @@ impl FlowerNode {
         cp.seed_view(&members, me);
         self.schedule_dir_timers(ctx);
         // Tell the ring we exist.
-        self.ring(ctx, |r, t| r.stabilize(t));
+        self.ring(ctx, |st, t, _| chord::start_stabilize(st, t));
     }
 
     /// A message to our directory bounced: forget it and schedule a
@@ -156,10 +157,10 @@ impl FlowerNode {
         // bootstrap entry.
         let loc = self.my_locality(ctx);
         let key = self.shared.scheme.key(ws, loc);
-        let substrate = ChordSubstrate::fresh(self.shared.scheme, PeerRef { id: key, node: me });
+        let ring = ChordState::new(PeerRef { id: key, node: me }, ChordConfig::default());
         // A §5.2 replacement assumes the petal-primary position; any
         // sibling instances re-attach through the bounce/merge path.
-        self.install_dir_role(ws, loc, 0, substrate, true);
+        self.install_dir_role(ws, loc, 0, ring, true);
         // The first attempt is the watchdog's: no winner is known yet
         // (our content role names no directory).
         self.on_join_retry_timer(ctx, ws);
@@ -193,7 +194,7 @@ impl FlowerNode {
     /// Join the D-ring through a random bootstrap entry.
     fn join_dring(&mut self, ctx: &mut Ctx<'_>) {
         let entry = self.bootstrap_entry(ctx);
-        self.ring(ctx, |r, t| r.join(t, entry));
+        self.ring(ctx, |st, t, _| chord::start_join(st, t, entry));
     }
 
     /// §5.2: another node holds our D-ring position. Give up the
@@ -217,7 +218,7 @@ impl FlowerNode {
             return;
         }
         let ws = role.dir.website();
-        if let Some(winner) = role.substrate.position_taken_by() {
+        if let Some(winner) = role.ring.position_taken_by() {
             // Position already appropriated (§5.2): adopt the winner
             // as our directory and stand down.
             self.stand_down(ctx, ws, winner);
@@ -260,10 +261,14 @@ impl FlowerNode {
         let cfg = &self.shared.cfg;
         let (period, op): (
             SimDuration,
-            fn(&mut ChordSubstrate, &mut CtxTransport<'_, '_>),
+            fn(&mut ChordState, &mut CtxTransport<'_, '_>, &DringPolicy),
         ) = match kind {
-            timers::STABILIZE => (cfg.stabilize_period, |r, t| r.stabilize(t)),
-            _ => (cfg.fix_finger_period, |r, t| r.fix_finger(t)),
+            timers::STABILIZE => (cfg.stabilize_period, |st, t, _| {
+                chord::start_stabilize(st, t)
+            }),
+            _ => (cfg.fix_finger_period, |st, t, p| {
+                chord::start_fix_finger(st, t, p)
+            }),
         };
         if self.ring(ctx, op).is_some() {
             ctx.set_timer(period, kind, 0);
@@ -278,7 +283,7 @@ impl FlowerNode {
         let Some(role) = &self.dir_role else {
             return false;
         };
-        if other.id != role.substrate.key() || other.node == me {
+        if other.id != role.ring.id() || other.node == me {
             return false;
         }
         if me.0 < other.node.0 {
@@ -289,12 +294,12 @@ impl FlowerNode {
         true
     }
 
-    pub(super) fn on_dht_msg(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: SubstrateMsg) {
+    pub(super) fn on_dht_msg(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: ChordMsg<Query>) {
         // Duplicate-position detection on maintenance traffic.
         let conflicts = self
             .dir_role
             .as_ref()
-            .map(|r| r.substrate.conflict_peers(&msg))
+            .map(|r| chord::conflict_peers(&r.ring, &msg))
             .unwrap_or_default();
         for p in conflicts {
             if self.resolve_position_conflict(ctx, p) {
@@ -305,25 +310,28 @@ impl FlowerNode {
             // DHT traffic for a node that is not (or no longer) on the
             // D-ring. If it carries a query, rescue it via the origin
             // server; everything else is dropped.
-            if let Some(query) = carried_query(&msg) {
+            if let Some(&query) = msg.app_payload() {
                 self.to_origin(ctx, query);
             }
             return;
         }
-        let event = self.ring(ctx, |r, t| r.dispatch(t, from, msg));
-        self.on_substrate_event(ctx, event.flatten());
+        let outcome = self.ring(ctx, |st, t, p| chord::handle(st, t, from, msg, p));
+        self.on_chord_outcome(ctx, outcome.flatten());
     }
 
     /// Act on what a ring operation surfaced, if anything.
-    pub(super) fn on_substrate_event(&mut self, ctx: &mut Ctx<'_>, event: Option<SubstrateEvent>) {
-        let joining = self.dir_role.as_ref().is_some_and(|r| r.joining);
-        match event {
-            Some(SubstrateEvent::Deliver { query, .. }) => self.dir_process_query(ctx, query),
-            Some(SubstrateEvent::JoinComplete) => self.on_join_complete(ctx),
+    pub(super) fn on_chord_outcome(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        outcome: Option<ChordOutcome<Query>>,
+    ) {
+        match outcome {
+            Some(ChordOutcome::Deliver { payload, .. }) => self.dir_process_query(ctx, payload),
+            Some(ChordOutcome::JoinComplete) => self.on_join_complete(ctx),
             // Our §5.2 join lookup was lost while the ring was healing:
             // retry through another entry point.
-            Some(SubstrateEvent::NeedRejoin) if joining => self.join_dring(ctx),
-            Some(SubstrateEvent::NeedRejoin) | None => {}
+            Some(ChordOutcome::JoinLost) => self.join_dring(ctx),
+            None => {}
         }
     }
 }

@@ -63,7 +63,7 @@ impl RoutePolicy for DringPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chord::{stable_ring, ChordConfig};
+    use chord::{stable_ring, ChordConfig, ChordMsg, ChordOutcome};
     use simnet::{Locality, NodeId};
     use workload::WebsiteId;
 
@@ -154,6 +154,90 @@ mod tests {
         assert_eq!(p.conditional_local_lookup(&st, key), Some(members[1]));
         st.on_peer_dead(members[1].node);
         assert_eq!(p.conditional_local_lookup(&st, key), Some(rival));
+    }
+
+    /// Every locality of every website: a full D-ring's pairs.
+    fn full(websites: u16, localities: u16) -> Vec<(u16, u16)> {
+        (0..websites)
+            .flat_map(|ws| (0..localities).map(move |l| (ws, l)))
+            .collect()
+    }
+
+    /// A routed payload of no interest beyond its arrival.
+    #[derive(Debug)]
+    struct Probe;
+
+    impl chord::Wire for Probe {
+        fn wire_size(&self) -> u32 {
+            0
+        }
+    }
+
+    /// Collects sends for synchronous replay.
+    #[derive(Default)]
+    struct Collect {
+        sent: Vec<(NodeId, ChordMsg<Probe>)>,
+    }
+
+    impl chord::Transport<Probe> for Collect {
+        fn send_chord(&mut self, to: NodeId, msg: ChordMsg<Probe>) {
+            self.sent.push((to, msg));
+        }
+    }
+
+    /// Route toward `key` from `states[start]` under Algorithm 2,
+    /// pumping messages until a delivery. Returns the delivering
+    /// member's index (nodes are member indices); panics if the
+    /// payload is lost or routing does not terminate.
+    fn route_to_delivery(states: &mut [ChordState], start: usize, key: ChordId) -> usize {
+        let p = DringPolicy::new(scheme());
+        let mut out = Collect::default();
+        let mut pending = chord::start_route(&mut states[start], &mut out, key, Probe, &p);
+        let mut at = start;
+        let mut guard = 0;
+        loop {
+            if let Some(ChordOutcome::Deliver { .. }) = pending {
+                return at;
+            }
+            let Some((to, msg)) = out.sent.pop() else {
+                panic!("payload lost before delivery")
+            };
+            guard += 1;
+            assert!(guard < 10_000, "routing storm");
+            at = to.idx();
+            pending = chord::handle(&mut states[at], &mut out, NodeId(u32::MAX), msg, &p);
+        }
+    }
+
+    #[test]
+    fn dring_keys_are_delivered_to_their_owners() {
+        let (mut states, members) = dring(&full(8, 4));
+        for ws in 0..8u16 {
+            for l in 0..4u16 {
+                let key = scheme().key(WebsiteId(ws), Locality(l));
+                let expect = members
+                    .iter()
+                    .position(|m| m.id == key)
+                    .expect("directory exists");
+                let start = ((ws as usize) * 7 + l as usize) % members.len();
+                let got = route_to_delivery(&mut states, start, key);
+                assert_eq!(got, expect, "key for ws{ws}/loc{l} missed its owner");
+            }
+        }
+    }
+
+    #[test]
+    fn absent_keys_land_on_same_website_directories() {
+        let s = scheme();
+        // Website 3 has localities 0..4; route a key for locality 5.
+        let (mut states, members) = dring(&full(8, 4));
+        let key = s.key(WebsiteId(3), Locality(5));
+        let got = route_to_delivery(&mut states, 0, key);
+        assert!(
+            s.same_website(members[got].id, key),
+            "absent key landed on the wrong website ({:?})",
+            members[got].id
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bloom::ObjectId;
+use chord::{ChordConfig, ChordState, PeerRef};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -63,7 +64,6 @@ use crate::id::KeyScheme;
 use crate::idmap::{IdMap, IdSet};
 use crate::msg::FlowerMsg;
 use crate::node::{timers, Deployment, FlowerNode};
-use crate::substrate::{ChordSubstrate, PeerRef};
 
 /// Everything needed to build and run one simulation, of Flower-CDN or
 /// of its comparator Squirrel (see the module docs).
@@ -353,8 +353,8 @@ impl FlowerSystem {
                 node: *node,
             })
             .collect();
-        let states = ChordSubstrate::stable_network(scheme, &members);
-        let mut state_by_node: IdMap<NodeId, ChordSubstrate> =
+        let states = chord::stable_ring(&members, &ChordConfig::default());
+        let mut state_by_node: IdMap<NodeId, ChordState> =
             members.iter().map(|m| m.node).zip(states).collect();
 
         let deployment = Arc::new(Deployment {
@@ -378,7 +378,7 @@ impl FlowerSystem {
             .node_ids()
             .map(|n| {
                 if let Some((ws, loc, inst)) = dir_of_node.get(&n) {
-                    let st = state_by_node.remove(&n).expect("dir has substrate state");
+                    let st = state_by_node.remove(&n).expect("dir has a ring state");
                     FlowerNode::directory(Arc::clone(&deployment), *ws, *loc, *inst, st)
                 } else if let Some(ws) = server_of_node.get(&n) {
                     FlowerNode::server(Arc::clone(&deployment), *ws)
@@ -835,7 +835,7 @@ mod tests {
                 let node = sys.engine().node(d.unwrap());
                 assert!(node.is_directory());
                 let role = node.dir_role().expect("directory role");
-                assert!(!role.substrate.known_peers().is_empty(), "off the ring");
+                assert!(!role.ring.known_peers().is_empty(), "off the ring");
             }
         }
         assert_eq!(sys.servers().len(), 6);

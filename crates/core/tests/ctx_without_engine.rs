@@ -10,7 +10,6 @@ use std::sync::Arc;
 use flower_core::idmap::IdMap;
 use flower_core::msg::{FlowerMsg, Query};
 use flower_core::node::timers;
-use flower_core::substrate::carried_query;
 use flower_core::{Deployment, FlowerConfig, FlowerNode, KeyScheme};
 use metrics::{Counter, MetricSet};
 use rand::rngs::StdRng;
@@ -108,7 +107,7 @@ fn a_client_submits_times_out_and_degrades_to_the_origin() {
     let FlowerMsg::Dht(entry) = msg else {
         panic!("a new client enters through the D-ring, got {msg:?}");
     };
-    let query: Query = carried_query(entry).expect("the route carries the query");
+    let query: Query = *entry.app_payload().expect("the route carries the query");
     assert_eq!(
         (query.id, query.origin, query.object),
         (qid, client, object)

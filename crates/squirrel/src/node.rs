@@ -15,7 +15,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bloom::ObjectId;
-use chord::{ChordMsg, ChordOutcome, ChordState, RoutePayload, StandardPolicy, Transport};
+use chord::{ChordMsg, ChordOutcome, ChordState, StandardPolicy, Transport};
 use simnet::stats::ServedBy;
 use simnet::{Ctx, Event, NodeId, SimTime};
 use workload::{Catalog, WebsiteId};
@@ -255,7 +255,7 @@ impl SquirrelNode {
     fn on_chord_outcome(&mut self, ctx: &mut Ctx<'_, SquirrelMsg>, outcome: ChordOutcome<SQuery>) {
         match outcome {
             ChordOutcome::Deliver { payload, .. } => self.home_process(ctx, payload),
-            ChordOutcome::JoinComplete => {}
+            ChordOutcome::JoinComplete | ChordOutcome::JoinLost => {}
         }
     }
 }
@@ -322,30 +322,13 @@ impl simnet::Node<SquirrelMsg> for SquirrelNode {
                     let Some(chord_st) = &mut self.chord else {
                         return;
                     };
-                    chord::on_undeliverable(chord_st, to, &cm);
-                    if let ChordMsg::Route {
-                        key,
-                        hops,
-                        payload: RoutePayload::App(q),
-                    } = cm
-                    {
-                        // Re-route around the dead hop.
-                        let me = ctx.id();
-                        let mut t = CtxTransport { ctx };
-                        let oc = chord::handle(
-                            chord_st,
-                            &mut t,
-                            me,
-                            ChordMsg::Route {
-                                key,
-                                hops,
-                                payload: RoutePayload::App(q),
-                            },
-                            &StandardPolicy,
-                        );
-                        if let Some(oc) = oc {
-                            self.on_chord_outcome(ctx, oc);
-                        }
+                    // Purge the dead hop and re-route around it; the
+                    // ring starts stable, so no node is ever joining.
+                    let mut t = CtxTransport { ctx };
+                    let outcome =
+                        chord::on_undeliverable(chord_st, &mut t, to, cm, false, &StandardPolicy);
+                    if let Some(outcome) = outcome {
+                        self.on_chord_outcome(ctx, outcome);
                     }
                 }
                 SquirrelMsg::Fetch { query } => self.try_next_candidate(ctx, query.id),

@@ -92,7 +92,7 @@ fn main() {
     println!(
         "  d(ws0, loc0) on node {d}: {} content peers indexed, {} ring neighbours",
         role.dir.overlay_size(),
-        role.substrate.known_peers().len()
+        role.ring.known_peers().len()
     );
     assert!(report.resolved > 0);
     println!("ok");

@@ -3,9 +3,9 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`core`] (the `flower-core` crate) — the paper's contribution:
-//!   the D-ring directory overlay (on Chord:
-//!   [`core::substrate::ChordSubstrate`]) and gossip-based content
-//!   overlays;
+//!   the D-ring directory overlay (a [`chord::ChordState`] per
+//!   directory peer, routed with [`core::DringPolicy`]) and
+//!   gossip-based content overlays;
 //! * [`squirrel`] — the Squirrel baseline the paper compares against;
 //! * [`simnet`] — the discrete-event network simulator substrate;
 //! * [`metrics`] — the static metric registry every run records into;
