@@ -23,7 +23,7 @@ use rand::Rng;
 use simnet::{Locality, NodeId};
 use workload::WebsiteId;
 
-use crate::cache::CacheManager;
+use crate::cache::{CacheManager, CachePolicy};
 use crate::idmap::RankSet;
 use crate::msg::{GossipEntry, GossipPayload};
 
@@ -37,7 +37,10 @@ pub struct ContentPeerState {
     /// The objects held (the content-list): a bit per catalog rank of
     /// `website`, so `has`, an admit and an evict test one word.
     content: RankSet,
-    cache: CacheManager,
+    /// Replacement bookkeeping of a bounded cache; `None` under
+    /// [`CachePolicy::Unbounded`], which never evicts and so keeps
+    /// none.
+    cache: Option<Box<CacheManager>>,
     changes: ChangeLog<ObjectId>,
     view: View<NodeId, Option<ContentSummary>>,
     dir: Option<NodeId>,
@@ -87,7 +90,7 @@ impl ContentPeerState {
             website,
             locality,
             content: RankSet::new(website),
-            cache,
+            cache: (cache.policy() != CachePolicy::Unbounded).then(|| Box::new(cache)),
             changes: ChangeLog::new(),
             view: View::new(v_gossip),
             dir: None,
@@ -122,12 +125,13 @@ impl ContentPeerState {
     /// the directory learns via the next ∆list).
     pub fn insert_object(&mut self, o: ObjectId) {
         if !self.content.insert(o) {
-            self.cache.touch(o);
+            self.touch_object(o);
             return;
         }
         // The cache tracks held objects only, and `o` was not one: the
         // victim is never `o`.
-        if let Some(victim) = self.cache.evict_for_insert(self.content.len() - 1) {
+        let len = self.content.len() - 1;
+        if let Some(victim) = self.cache.as_mut().and_then(|c| c.evict_for_insert(len)) {
             debug_assert_ne!(victim, o, "the cache tracked an object not held");
             if self.content.remove(victim) {
                 self.summary.last_occurrence_gone();
@@ -135,13 +139,15 @@ impl ContentPeerState {
             }
         }
         self.summary.first_occurrence(o);
-        self.cache.touch(o);
+        self.touch_object(o);
         self.changes.record(o, ChangeKind::Added);
     }
 
     /// Record a cache hit (replacement bookkeeping).
     pub fn touch_object(&mut self, o: ObjectId) {
-        self.cache.touch(o);
+        if let Some(cache) = &mut self.cache {
+            cache.touch(o);
+        }
     }
 
     /// Drop an object (external invalidation); logged for the next
@@ -149,7 +155,9 @@ impl ContentPeerState {
     pub fn remove_object(&mut self, o: ObjectId) {
         if self.content.remove(o) {
             self.summary.last_occurrence_gone();
-            self.cache.forget(o);
+            if let Some(cache) = &mut self.cache {
+                cache.forget(o);
+            }
             self.changes.record(o, ChangeKind::Removed);
         }
     }
@@ -362,7 +370,6 @@ impl ContentPeerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CachePolicy;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -595,7 +602,8 @@ mod tests {
     /// id or filter pointer, so a view slot with one stays 24 B. An
     /// object set is a `Vec` and one word of count, bit-word count and
     /// website, so a content role and a directory entry are no bigger
-    /// than over a hash set.
+    /// than over a hash set; and a content role keeps replacement
+    /// bookkeeping behind one pointer, absent when unbounded.
     #[test]
     fn summaries_and_view_entries_keep_their_layout() {
         use std::mem::size_of;
@@ -603,7 +611,7 @@ mod tests {
         assert_eq!(size_of::<Option<ContentSummary>>(), 16);
         assert_eq!(size_of::<ViewEntry<NodeId, Option<ContentSummary>>>(), 24);
         assert!(size_of::<RankSet>() <= 32);
-        assert!(size_of::<ContentPeerState>() <= 256);
+        assert!(size_of::<ContentPeerState>() <= 208);
         assert!(size_of::<crate::directory::DirEntry>() <= 56);
     }
 

@@ -15,7 +15,7 @@
 //!   lists);
 //! * [`SmallMap`] — a linear-scan map for the collections that hold a
 //!   handful of entries per node (a node's content roles, its in-flight
-//!   queries), where any table is overhead;
+//!   queries), where any table is overhead, grown one entry at a time;
 //! * [`RankSet`] — no table at all, for a set of one website's objects
 //!   (a content peer's content, a directory entry's object list): an
 //!   object id is a bijection of `(website, rank)`
@@ -148,9 +148,11 @@ pub(crate) mod test_salt {
 }
 
 /// A map for a handful of entries: one contiguous `(key, value)`
-/// array scanned linearly. No hashing and no table — the first entry
-/// allocates room for exactly one, because one is what a node nearly
-/// always holds (one content role, one query in flight).
+/// array scanned linearly. No hashing and no table, and no slack: the
+/// array grows by exactly one entry when a new key finds it full, so
+/// it holds as many slots as the map ever held keys at once — one,
+/// nearly always (one content role, one query in flight). `remove`
+/// and `clear` keep the slots.
 ///
 /// Iteration order is insertion order perturbed by removals; like hash
 /// order, it must not become protocol-visible.
@@ -174,9 +176,7 @@ impl<K: PartialEq, V> SmallMap<K, V> {
     }
 
     fn push(&mut self, key: K, value: V) {
-        if self.entries.capacity() == 0 {
-            self.entries.reserve_exact(1);
-        }
+        self.entries.reserve_exact(1);
         self.entries.push((key, value));
     }
 
@@ -496,6 +496,29 @@ mod tests {
         assert_eq!(m.entries.capacity(), 0);
         m.insert(3, [0; 32]);
         assert_eq!(m.entries.capacity(), 1);
+    }
+
+    #[test]
+    fn small_map_grows_by_exactly_one_entry() {
+        let mut m: SmallMap<u16, [u64; 32]> = SmallMap::default();
+        assert_eq!(m.entries.capacity(), 0);
+        for k in 1..=6 {
+            m.insert(k, [0; 32]);
+            assert_eq!(m.entries.capacity(), usize::from(k), "after {k} inserts");
+        }
+        m.insert(3, [1; 32]);
+        assert_eq!(m.entries.capacity(), 6, "a present key takes no slot");
+        m.remove(&2);
+        m.remove(&5);
+        assert_eq!(
+            (m.len(), m.entries.capacity()),
+            (4, 6),
+            "remove keeps the slots"
+        );
+        m.insert(7, [0; 32]);
+        assert_eq!(m.entries.capacity(), 6, "a freed slot is reused");
+        m.clear();
+        assert_eq!(m.entries.capacity(), 6);
     }
 }
 

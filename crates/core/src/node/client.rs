@@ -27,7 +27,10 @@ impl FlowerNode {
         websites.sort_unstable();
         for ws in websites {
             if let Some(cp) = self.content.remove(&ws) {
-                let parked = self.parked_objects.get_or_insert_with(ws, Vec::new);
+                let parked = self
+                    .interim()
+                    .parked_objects
+                    .get_or_insert_with(ws, Vec::new);
                 parked.extend(cp.objects());
                 // The rejoin re-inserts them in this order, which a
                 // bounded cache's clock and the next ∆list record:
@@ -244,6 +247,7 @@ impl FlowerNode {
             // decision. The provider's `view_seed` is dropped — a new
             // member's view starts from the seed its admission carries.
             let parked = self
+                .interim()
                 .parked_objects
                 .get_or_insert_with(query.website, Vec::new);
             if !parked.contains(&query.object) {
@@ -264,7 +268,7 @@ impl FlowerNode {
         view_seed: Vec<NodeId>,
     ) {
         if !admitted {
-            self.parked_objects.remove(&ws);
+            self.take_interim(|i| i.parked_objects.remove(&ws));
             return;
         }
         let me = ctx.id();
@@ -288,7 +292,7 @@ impl FlowerNode {
             let now = ctx.now();
             ctx.query_stats().on_join(now);
         }
-        let parked = self.parked_objects.remove(&ws);
+        let parked = self.take_interim(|i| i.parked_objects.remove(&ws));
         let cp = self.content_role_or_new(ctx, ws, locality);
         let prev_dir = cp.directory();
         cp.set_directory(dir);

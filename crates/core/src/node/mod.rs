@@ -165,9 +165,19 @@ pub struct FlowerNode {
     server_for: Option<WebsiteId>,
     /// Queries in flight that we originated.
     pending: SmallMap<u64, PendingQuery>,
+    /// Parked objects and scheduled replacements; `None` whenever the
+    /// node has neither.
+    interim: Option<Box<Interim>>,
+}
+
+/// Node state that exists only while a join or a §5.2 directory
+/// replacement is under way, kept out of line so the other nodes pay
+/// one word for it.
+#[derive(Debug, Default)]
+struct Interim {
     /// Objects served before the admission decision arrived.
     parked_objects: SmallMap<WebsiteId, Vec<ObjectId>>,
-    /// Websites for which a replacement attempt is scheduled/running.
+    /// Websites for which a replacement attempt is scheduled.
     replacing: SmallMap<WebsiteId, ()>,
 }
 
@@ -196,8 +206,7 @@ impl FlowerNode {
             content: SmallMap::default(),
             server_for: None,
             pending: SmallMap::default(),
-            parked_objects: SmallMap::default(),
-            replacing: SmallMap::default(),
+            interim: None,
         }
     }
 
@@ -237,6 +246,28 @@ impl FlowerNode {
     /// petal state before driving an administrative path).
     pub fn dir_role_mut(&mut self) -> Option<&mut DirRole> {
         self.dir_role.as_deref_mut()
+    }
+
+    /// Does the node hold any join or replacement state — objects
+    /// parked for an admission, or a scheduled directory replacement?
+    pub fn has_interim_state(&self) -> bool {
+        self.interim.is_some()
+    }
+
+    /// The join and replacement state, created empty if absent.
+    fn interim(&mut self) -> &mut Interim {
+        self.interim.get_or_insert_with(Box::default)
+    }
+
+    /// Take something out of the join and replacement state with
+    /// `take`, and drop that state once it holds nothing.
+    fn take_interim<R>(&mut self, take: impl FnOnce(&mut Interim) -> Option<R>) -> Option<R> {
+        let interim = self.interim.as_deref_mut()?;
+        let taken = take(interim);
+        if interim.parked_objects.is_empty() && interim.replacing.is_empty() {
+            self.interim = None;
+        }
+        taken
     }
 
     /// Is this node a content peer of `ws`?
@@ -532,8 +563,7 @@ impl simnet::Node<FlowerMsg> for FlowerNode {
                 self.dir_role = None;
                 self.content.clear();
                 self.pending.clear();
-                self.parked_objects.clear();
-                self.replacing.clear();
+                self.interim = None;
             }
         }
     }

@@ -131,7 +131,7 @@ impl FlowerNode {
                 cp.set_petal_live(1);
             }
             cp.forget_peer(dead);
-            if self.replacing.insert(ws, ()).is_none() {
+            if self.interim().replacing.insert(ws, ()).is_none() {
                 let j = ctx.rng().gen_range(0..jitter_ms);
                 ctx.set_timer(SimDuration::from_ms(j), timers::REPLACE_DIR, ws.0 as u64);
             }
@@ -139,7 +139,7 @@ impl FlowerNode {
     }
 
     pub(super) fn on_replace_dir_timer(&mut self, ctx: &mut Ctx<'_>, ws: WebsiteId) {
-        self.replacing.remove(&ws);
+        self.take_interim(|i| i.replacing.remove(&ws));
         let me = ctx.id();
         let Some(cp) = self.content.get(&ws) else {
             return;

@@ -760,11 +760,12 @@ mod tests {
     }
 
     /// The per-node byte budget (README "Memory model"): a node that
-    /// is not a directory must not carry one.
+    /// is not a directory must not carry one, nor one that is not
+    /// joining or replacing its directory that state.
     #[test]
     fn node_state_fits_its_budget() {
         assert!(
-            std::mem::size_of::<FlowerNode>() <= 128,
+            std::mem::size_of::<FlowerNode>() <= 80,
             "FlowerNode grew to {} B",
             std::mem::size_of::<FlowerNode>()
         );

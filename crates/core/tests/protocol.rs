@@ -7,6 +7,7 @@ use std::sync::Arc;
 use bloom::ObjectId;
 use flower_core::idmap::IdMap;
 use flower_core::msg::{FlowerMsg, ProviderKind};
+use flower_core::node::timers;
 use flower_core::system::{FlowerSystem, SystemConfig};
 use flower_core::{CachePolicy, Deployment, FlowerConfig, FlowerNode, KeyScheme};
 use metrics::MetricSet;
@@ -360,7 +361,8 @@ struct Bench {
 }
 
 impl Bench {
-    fn recv(&mut self, from: NodeId, msg: FlowerMsg) -> Vec<(NodeId, FlowerMsg)> {
+    /// Run `ev` on the node; every action it buffered.
+    fn step(&mut self, ev: Event<FlowerMsg>) -> Vec<Action<FlowerMsg>> {
         let mut out = Vec::new();
         let mut ctx = Ctx::new(
             SimTime::from_secs(1),
@@ -371,8 +373,13 @@ impl Bench {
             &mut self.metrics,
             &mut out,
         );
-        self.node.on_event(&mut ctx, Event::Recv { from, msg });
-        out.into_iter()
+        self.node.on_event(&mut ctx, ev);
+        out
+    }
+
+    fn recv(&mut self, from: NodeId, msg: FlowerMsg) -> Vec<(NodeId, FlowerMsg)> {
+        self.step(Event::Recv { from, msg })
+            .into_iter()
             .filter_map(|a| match a {
                 Action::Send { to, msg } => Some((to, msg)),
                 _ => None,
@@ -510,4 +517,103 @@ fn a_moved_lru_peer_rejoins_and_evicts_in_object_id_order() {
         (vec![later], vec![by_id[0]]),
         "the least recently used is the smallest id"
     );
+}
+
+/// How many `REPLACE_DIR` timers `actions` arm.
+fn replace_timers(actions: &[Action<FlowerMsg>]) -> usize {
+    actions
+        .iter()
+        .filter(|a| matches!(a, Action::Timer { kind, .. } if *kind == timers::REPLACE_DIR))
+        .count()
+}
+
+/// The two pieces of node state kept out of line, one event at a
+/// time. An object served before the admission is parked, then
+/// reported in the admission's ∆list. Two bounced keepalives to the
+/// same dead directory arm one §5.2 `REPLACE_DIR` timer (the
+/// `replacing` guard), and a bounce after that timer fired arms
+/// another. Afterwards the node holds neither.
+#[test]
+fn parked_objects_and_the_replacement_guard_leave_no_interim_state() {
+    let topo = Topology::generate(&TopologyConfig::small_test(), 5);
+    let (me, server, dir) = (NodeId(3), NodeId(7), NodeId(11));
+    let loc = topo.locality(me);
+    let catalog = Catalog::new(CatalogConfig::small_test());
+    let ws = WebsiteId(0);
+    let object = catalog.object_id(ws, 4);
+    let deployment = Arc::new(Deployment {
+        cfg: FlowerConfig::fast_test(),
+        catalog,
+        scheme: KeyScheme::new(8, 0),
+        servers: vec![server, server],
+        bootstrap_dirs: vec![dir],
+        dir_instances: IdMap::default(),
+    });
+    let mut b = Bench {
+        rng: StdRng::seed_from_u64(node_stream_seed(42, me)),
+        topo,
+        query_stats: QueryStats::new(SimDuration::from_secs(30)),
+        metrics: MetricSet::new(),
+        node: FlowerNode::client(deployment),
+        id: me,
+    };
+    assert!(!b.node.has_interim_state());
+
+    // A new client's query enters the D-ring; the object comes back
+    // before the admission does.
+    let submit = FlowerMsg::Submit {
+        qid: 1,
+        website: ws,
+        object,
+    };
+    let query = b
+        .recv(me, submit)
+        .into_iter()
+        .find_map(|(_, msg)| match msg {
+            FlowerMsg::Dht(route) => route.app_payload().copied(),
+            _ => None,
+        })
+        .expect("a new client routes through the D-ring");
+    let serve = FlowerMsg::ServeObject {
+        query,
+        resolved_at: SimTime::from_secs(1),
+        provider: ProviderKind::OriginServer,
+        size: 1,
+        view_seed: Vec::new(),
+    };
+    assert!(b.recv(server, serve).is_empty());
+    assert!(!b.node.is_content_peer(ws) && b.node.has_interim_state());
+    let pushes = b.admit(ws, loc, dir);
+    let [(to, push)] = &pushes[..] else {
+        panic!("expected one push to the directory, got {pushes:?}");
+    };
+    assert_eq!((*to, push_lists(push)), (dir, (vec![object], vec![])));
+    assert!(
+        !b.node.has_interim_state(),
+        "the parked object was unparked"
+    );
+
+    let bounce = || Event::Undeliverable {
+        to: dir,
+        msg: FlowerMsg::KeepAlive { website: ws },
+    };
+    let fire = || Event::Timer {
+        kind: timers::REPLACE_DIR,
+        tag: ws.0 as u64,
+    };
+    let armed = replace_timers(&b.step(bounce())) + replace_timers(&b.step(bounce()));
+    assert_eq!(armed, 1, "one replacement per outage");
+    assert!(b.node.has_interim_state());
+    // The attempt starts a §5.2 join and clears the guard.
+    assert_eq!(replace_timers(&b.step(fire())), 0);
+    assert!(b.node.dir_role().is_some_and(|r| r.joining));
+    assert!(!b.node.has_interim_state());
+    assert_eq!(
+        replace_timers(&b.step(bounce())),
+        1,
+        "the guard was cleared"
+    );
+    // Mid-join, the second attempt stands aside.
+    assert_eq!(replace_timers(&b.step(fire())), 0);
+    assert!(!b.node.has_interim_state());
 }

@@ -1,4 +1,14 @@
 //! Bounded, age-tracked partial views (paper §4.2, Algorithm 4).
+//!
+//! A [`View`] holds exactly what Algorithm 4 bounds it to: its buffer
+//! is allocated for `Vgossip` entries on the first insert and never
+//! grows past them. `merge` and `insert_fresh` decide every incoming
+//! entry on `(peer, age)` before moving it, and place a newcomer into
+//! a full view where a stable sort by age would put it, so the result
+//! is the same as appending everything, sorting and truncating to the
+//! `Vgossip` most recent — which is what the `#[cfg(test)]`
+//! `reference` below does, and what the oracle proptest compares
+//! against.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -27,7 +37,8 @@ impl<P, S> ViewEntry<P, S> {
 }
 
 /// A bounded partial view of an overlay: at most `capacity`
-/// (`Vgossip` in the paper) entries, one per distinct peer.
+/// (`Vgossip` in the paper) entries, one per distinct peer, in a
+/// buffer of exactly `capacity` slots once anything was inserted.
 #[derive(Clone, Debug)]
 pub struct View<P, S> {
     entries: Vec<ViewEntry<P, S>>,
@@ -104,8 +115,7 @@ impl<P: Copy + Eq, S: Clone> View<P, S> {
             e.age = 0;
             e.data = data;
         } else {
-            self.entries.push(ViewEntry::fresh(peer, data));
-            self.truncate_to_recent();
+            self.admit(std::iter::once(ViewEntry::fresh(peer, data)));
         }
     }
 
@@ -122,21 +132,69 @@ impl<P: Copy + Eq, S: Clone> View<P, S> {
     /// Duplicates keep the instance with the smallest age; entries
     /// describing `myself` are discarded; finally the `Vgossip` most
     /// recent entries are kept.
-    pub fn merge(&mut self, myself: P, partner: ViewEntry<P, S>, subset: Vec<ViewEntry<P, S>>) {
-        for incoming in subset.into_iter().chain(std::iter::once(partner)) {
-            if incoming.peer == myself {
+    ///
+    /// Every incoming entry is decided on `(peer, age)` first: a known
+    /// peer's entry is replaced in place by a strictly younger one, and
+    /// the newcomers — each peer's first youngest instance, in arrival
+    /// order — are compacted to the front of `subset`'s own buffer.
+    /// Only then are they admitted.
+    pub fn merge(
+        &mut self,
+        myself: P,
+        mut partner: ViewEntry<P, S>,
+        mut subset: Vec<ViewEntry<P, S>>,
+    ) {
+        let mut fresh = 0;
+        for i in 0..subset.len() {
+            let (newcomers, rest) = subset.split_at_mut(i);
+            let incoming = &mut rest[0];
+            if incoming.peer == myself
+                || refresh(&mut self.entries, incoming)
+                || refresh(&mut newcomers[..fresh], incoming)
+            {
                 continue;
             }
-            match self.entries.iter_mut().find(|e| e.peer == incoming.peer) {
-                Some(existing) => {
-                    if incoming.age < existing.age {
-                        *existing = incoming;
-                    }
-                }
-                None => self.entries.push(incoming),
+            subset.swap(fresh, i);
+            fresh += 1;
+        }
+        let partner_is_new = partner.peer != myself
+            && !refresh(&mut self.entries, &mut partner)
+            && !refresh(&mut subset[..fresh], &mut partner);
+        subset.truncate(fresh);
+        self.admit(subset.into_iter().chain(partner_is_new.then_some(partner)));
+    }
+
+    /// Add `newcomers` (peers not in the view), in order, as appending
+    /// them all, stable-sorting by age and truncating to `capacity`
+    /// would: appended while there is room; once the view is full, it
+    /// is sorted by age and each remaining newcomer goes after the
+    /// last entry of its age or younger, pushing the last entry out
+    /// (or falling out itself if it would land past the end).
+    fn admit(&mut self, newcomers: impl IntoIterator<Item = ViewEntry<P, S>>) {
+        let mut newcomers = newcomers.into_iter().peekable();
+        while self.entries.len() < self.capacity {
+            let Some(e) = newcomers.next() else {
+                return;
+            };
+            if self.entries.len() == self.entries.capacity() {
+                // The first insert — or one into a clone, which holds
+                // only its length — takes the whole bound at once.
+                self.entries
+                    .reserve_exact(self.capacity - self.entries.len());
+            }
+            self.entries.push(e);
+        }
+        if newcomers.peek().is_none() {
+            return;
+        }
+        self.entries.sort_by_key(|e| e.age);
+        for e in newcomers {
+            let at = self.entries.partition_point(|x| x.age <= e.age);
+            if at < self.capacity {
+                self.entries.pop();
+                self.entries.insert(at, e);
             }
         }
-        self.truncate_to_recent();
     }
 
     /// Remove every entry whose age is `>= t_dead`, returning the
@@ -154,18 +212,72 @@ impl<P: Copy + Eq, S: Clone> View<P, S> {
         dead
     }
 
-    /// Keep only the `capacity` most recent (lowest-age) entries.
-    /// Stable: among equal ages, earlier entries win.
-    fn truncate_to_recent(&mut self) {
-        if self.entries.len() > self.capacity {
-            self.entries.sort_by_key(|e| e.age);
-            self.entries.truncate(self.capacity);
-        }
-    }
-
     /// All contacts currently in the view.
     pub fn peers(&self) -> Vec<P> {
         self.entries.iter().map(|e| e.peer).collect()
+    }
+}
+
+/// If `known` holds `incoming`'s peer, keep the younger of the two
+/// there — a strictly younger `incoming` swaps in, so what is left in
+/// `incoming` is the loser either way — and return true.
+fn refresh<P: Eq, S>(known: &mut [ViewEntry<P, S>], incoming: &mut ViewEntry<P, S>) -> bool {
+    match known.iter_mut().find(|e| e.peer == incoming.peer) {
+        Some(e) => {
+            if incoming.age < e.age {
+                std::mem::swap(e, incoming);
+            }
+            true
+        }
+        None => false,
+    }
+}
+
+/// The view's mutations as they were first written, kept as the oracle
+/// of the in-place ones: push every newcomer, then stable-sort by age
+/// and truncate to the bound. The buffer grows past `capacity` on the
+/// way.
+#[cfg(test)]
+mod reference {
+    use super::{View, ViewEntry};
+
+    fn truncate_to_recent<P, S>(v: &mut View<P, S>) {
+        if v.entries.len() > v.capacity {
+            v.entries.sort_by_key(|e| e.age);
+            v.entries.truncate(v.capacity);
+        }
+    }
+
+    pub(super) fn insert_fresh<P: Copy + Eq, S>(v: &mut View<P, S>, peer: P, data: S) {
+        if let Some(e) = v.entries.iter_mut().find(|e| e.peer == peer) {
+            e.age = 0;
+            e.data = data;
+        } else {
+            v.entries.push(ViewEntry::fresh(peer, data));
+            truncate_to_recent(v);
+        }
+    }
+
+    pub(super) fn merge<P: Copy + Eq, S>(
+        v: &mut View<P, S>,
+        myself: P,
+        partner: ViewEntry<P, S>,
+        subset: Vec<ViewEntry<P, S>>,
+    ) {
+        for incoming in subset.into_iter().chain(std::iter::once(partner)) {
+            if incoming.peer == myself {
+                continue;
+            }
+            match v.entries.iter_mut().find(|e| e.peer == incoming.peer) {
+                Some(existing) => {
+                    if incoming.age < existing.age {
+                        *existing = incoming;
+                    }
+                }
+                None => v.entries.push(incoming),
+            }
+        }
+        truncate_to_recent(v);
     }
 }
 
@@ -297,6 +409,28 @@ mod tests {
         assert_eq!(v.get(1).unwrap().age, u32::MAX);
     }
 
+    /// The buffer is the bound from the first insert on: filling the
+    /// view, overflowing it from either entry point, and refilling a
+    /// clone never reallocate past `capacity` slots.
+    #[test]
+    fn the_buffer_holds_exactly_capacity_slots() {
+        let mut v = View::<u32, ()>::new(10);
+        assert_eq!(v.entries.capacity(), 0);
+        v.insert_fresh(1, ());
+        assert_eq!(v.entries.capacity(), 10);
+        let subset = (2..20).map(|p| ViewEntry::fresh(p, ())).collect();
+        v.merge(0, ViewEntry::fresh(20, ()), subset);
+        for p in 21..30 {
+            v.insert_fresh(p, ());
+        }
+        assert_eq!((v.len(), v.entries.capacity()), (10, 10));
+        v.remove(1);
+        let mut c = v.clone();
+        c.insert_fresh(31, ());
+        c.merge(0, ViewEntry::fresh(32, ()), vec![]);
+        assert_eq!((c.len(), c.entries.capacity()), (10, 10));
+    }
+
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
@@ -320,6 +454,96 @@ mod proptests {
             }),
             0..60,
         )
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        InsertFresh(u8, u8),
+        Merge {
+            myself: u8,
+            partner: ViewEntry<u8, u8>,
+            subset: Vec<ViewEntry<u8, u8>>,
+        },
+        IncrementAges,
+        Remove(u8),
+        EvictOlderThan(u32),
+        SelectSubset(usize, u64),
+    }
+
+    /// An entry of a 16-peer pool with one of six ages.
+    fn arb_entry() -> impl Strategy<Value = ViewEntry<u8, u8>> {
+        (0u8..16, 0u32..6, any::<u8>()).prop_map(|(peer, age, data)| ViewEntry { peer, age, data })
+    }
+
+    /// One operation; the weights favour merges and ageing, so views
+    /// fill, overflow and tie.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let parts = (
+            0u8..13,
+            arb_entry(),
+            arb_entry(),
+            proptest::collection::vec(arb_entry(), 0..10),
+            any::<u64>(),
+        );
+        parts.prop_map(|(kind, e, partner, subset, seed)| match kind {
+            0..=2 => Op::InsertFresh(e.peer, e.data),
+            3..=6 => Op::Merge {
+                myself: e.peer,
+                partner,
+                subset,
+            },
+            7..=9 => Op::IncrementAges,
+            10 => Op::Remove(e.peer),
+            11 => Op::EvictOlderThan(2 + e.age),
+            _ => Op::SelectSubset(e.data as usize % 8, seed),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The in-place `insert_fresh` and `merge` against the
+        /// push-sort-truncate `reference`, over random operation
+        /// sequences on a small peer pool (so merges meet self entries,
+        /// duplicates inside one subset, partners already in the view,
+        /// and subsets that overflow the view and ones that fit) with
+        /// few distinct ages (so ties decide placement): after every
+        /// step both views hold the same entries in the same order, and
+        /// the in-place buffer never holds more than `capacity` slots.
+        #[test]
+        fn in_place_mutations_match_the_reference(
+            cap in 1usize..12,
+            ops in proptest::collection::vec(arb_op(), 1..80),
+        ) {
+            let mut v: View<u8, u8> = View::new(cap);
+            let mut model: View<u8, u8> = View::new(cap);
+            for op in ops {
+                match op {
+                    Op::InsertFresh(peer, data) => {
+                        v.insert_fresh(peer, data);
+                        reference::insert_fresh(&mut model, peer, data);
+                    }
+                    Op::Merge { myself, partner, subset } => {
+                        v.merge(myself, partner.clone(), subset.clone());
+                        reference::merge(&mut model, myself, partner, subset);
+                    }
+                    Op::IncrementAges => {
+                        v.increment_ages();
+                        model.increment_ages();
+                    }
+                    Op::Remove(peer) => prop_assert_eq!(v.remove(peer), model.remove(peer)),
+                    Op::EvictOlderThan(t) => {
+                        prop_assert_eq!(v.evict_older_than(t), model.evict_older_than(t))
+                    }
+                    Op::SelectSubset(l, seed) => {
+                        let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                        prop_assert_eq!(v.select_subset(&mut a, l), model.select_subset(&mut b, l));
+                    }
+                }
+                prop_assert_eq!(&v.entries, &model.entries);
+                prop_assert!(v.entries.capacity() <= cap, "buffer of {} slots", v.entries.capacity());
+            }
+        }
     }
 
     proptest! {

@@ -130,8 +130,10 @@ pub use topology::{Locality, NodeId, Topology, TopologyConfig};
 
 /// Most bytes one [`prefetch`] call asks for. Five lines: the largest
 /// thing the shard loop names that a handler then reads whole is one
-/// 304-byte content-role entry; anything longer (a directory role, a
-/// many-role array) costs its first lines only.
+/// 216-byte content-role entry (a website id and its
+/// `ContentPeerState`), which an unaligned start spreads over up to
+/// five lines; anything longer (a directory role, a many-role array)
+/// costs its first lines only.
 const PREFETCH_MAX_BYTES: usize = 320;
 
 /// Tell the cache that `r` is about to be read: a hint for each
