@@ -82,9 +82,10 @@
 //! head:
 //!
 //! * **8 events ahead** it reads the sorted entry (contiguous, hot)
-//!   and hints the payload's slab slot.
+//!   and hints a message's slab slot; a timer's entry is all of it.
 //! * **5 ahead** it reads that payload's destination (`App.dst` /
-//!   `Wire.to`; churn entries are skipped) and its placement, and
+//!   `Wire.to`; a timer's is its emitter, named by the entry's stream;
+//!   churn entries are skipped) and its placement, and
 //!   hints what dispatch touches first: `nodes[li]`, `slab.rngs[li]`,
 //!   `slab.emit_seq[li]`.
 //! * **2 ahead** it calls [`Node::prefetch`], which reads the node and
@@ -171,6 +172,14 @@ fn next_key(at: SimTime, emitter: Option<NodeId>, seq: &mut u64) -> EventKey {
     let key = EventKey { at, src, seq: *seq };
     *seq += 1;
     key
+}
+
+/// The node whose emission stream a node-emitted `key` is on: the
+/// inverse of [`next_key`].
+#[inline]
+fn emitter(key: EventKey) -> NodeId {
+    debug_assert!(key.src > 0, "an injection has no emitter");
+    NodeId(u32::try_from(key.src - 1).expect("a node's stream is its id + 1"))
 }
 
 /// Statistics accumulators merged across shards, cached between runs.
@@ -588,7 +597,9 @@ mod tests {
         pongs: u32,
         undeliverable: u32,
         revived: u32,
-        timer_fired: bool,
+        /// Every timer of a kind without a handler below, as
+        /// `(fired at ms, kind, tag)`.
+        fired: Vec<(u64, u16, u64)>,
     }
     impl Node<PingMsg> for Echo {
         fn on_event(&mut self, ctx: &mut Ctx<'_, PingMsg>, ev: Event<PingMsg>) {
@@ -615,7 +626,12 @@ mod tests {
                 Event::Timer { kind: 2, tag } => ctx.send(NodeId(tag as u32), PingMsg::Ping),
                 // Timer kind 3: likewise, a Rumor.
                 Event::Timer { kind: 3, tag } => ctx.send(NodeId(tag as u32), PingMsg::Rumor),
-                Event::Timer { .. } => self.timer_fired = true,
+                // Timer kind 4 arms a timer of its own, `tag` ms out,
+                // at the extremes of kind and with the tag inverted.
+                Event::Timer { kind: 4, tag } => {
+                    ctx.set_timer(SimDuration::from_ms(tag), u16::MAX, !tag)
+                }
+                Event::Timer { kind, tag } => self.fired.push((ctx.now().as_ms(), kind, tag)),
                 Event::NodeUp => self.revived += 1,
             }
         }
@@ -858,7 +874,7 @@ mod tests {
         let mut e = engine();
         e.schedule_at(SimTime::ZERO, NodeId(0), Event::Timer { kind: 1, tag: 0 });
         e.run_until(SimTime::from_secs(1));
-        assert!(e.node(NodeId(0)).timer_fired);
+        assert!(!e.node(NodeId(0)).fired.is_empty());
     }
 
     #[test]
@@ -872,9 +888,60 @@ mod tests {
         );
         e.run_until(SimTime::from_secs(1));
         assert!(
-            !e.node(NodeId(0)).timer_fired,
+            e.node(NodeId(0)).fired.is_empty(),
             "timer on a down node must be swallowed"
         );
+    }
+
+    /// A timer a handler arms fires on its node with the kind and tag
+    /// it was armed with, and is counted as a timer event.
+    #[test]
+    fn node_armed_timers_fire_with_their_kind_and_tag() {
+        for shards in [1, 2] {
+            let mut e = engine_sharded(shards);
+            e.schedule_at(
+                SimTime::from_ms(3),
+                NodeId(5),
+                Event::Timer { kind: 4, tag: 250 },
+            );
+            e.schedule_at(SimTime::ZERO, NodeId(6), Event::Timer { kind: 4, tag: 0 });
+            e.run_until(SimTime::from_secs(1));
+            assert_eq!(e.node(NodeId(5)).fired, [(253, u16::MAX, !250)]);
+            assert_eq!(e.node(NodeId(6)).fired, [(0, u16::MAX, u64::MAX)]);
+            assert_eq!(e.metrics().counter(metrics::Counter::EngineTimers), 4);
+            assert_eq!(e.events_processed(), 4, "shards={shards}");
+        }
+    }
+
+    /// A timer a handler armed, falling due while its node is down, is
+    /// swallowed: not delivered, not counted.
+    #[test]
+    fn node_armed_timers_die_with_their_node() {
+        let mut e = engine();
+        e.schedule_at(SimTime::ZERO, NodeId(0), Event::Timer { kind: 4, tag: 500 });
+        e.schedule_down(SimTime::from_ms(100), NodeId(0));
+        e.run_until(SimTime::from_secs(1));
+        assert!(
+            e.node(NodeId(0)).fired.is_empty(),
+            "delivered to a down node"
+        );
+        assert_eq!(e.metrics().counter(metrics::Counter::EngineTimers), 1);
+        assert_eq!(e.events_processed(), 1);
+    }
+
+    /// A timer armed before a down/up cycle and due after `NodeUp` is
+    /// delivered: the restart does not clear it.
+    #[test]
+    fn node_armed_timers_survive_a_down_up_cycle() {
+        let mut e = engine();
+        e.schedule_at(SimTime::ZERO, NodeId(0), Event::Timer { kind: 4, tag: 500 });
+        e.schedule_down(SimTime::from_ms(100), NodeId(0));
+        e.schedule_up(SimTime::from_ms(200), NodeId(0));
+        e.run_until(SimTime::from_secs(1));
+        assert_eq!(e.node(NodeId(0)).revived, 1);
+        assert_eq!(e.node(NodeId(0)).fired, [(500, u16::MAX, !500)]);
+        assert_eq!(e.metrics().counter(metrics::Counter::EngineTimers), 2);
+        assert_eq!(e.events_processed(), 3, "timer, NodeUp, timer");
     }
 
     #[test]
@@ -1218,7 +1285,11 @@ mod tests {
             );
             e.schedule_at(SimTime::from_secs(50), a, Event::Timer { kind: 1, tag: 0 });
             e.run_until(SimTime::from_secs(60));
-            (e.node(a).pongs, e.node(a).timer_fired, e.events_processed())
+            (
+                e.node(a).pongs,
+                !e.node(a).fired.is_empty(),
+                e.events_processed(),
+            )
         };
         let global = drive(true);
         let matrix = drive(false);
@@ -1313,6 +1384,11 @@ mod tests {
 
         fn on_event(&mut self, ctx: &mut Ctx<'_, PingMsg>, ev: Event<PingMsg>) {
             let what = match ev {
+                // Timer kind 2 is periodic: it re-arms itself 10 ms out.
+                Event::Timer { kind: 2, tag } => {
+                    ctx.set_timer(SimDuration::from_ms(10), 2, tag);
+                    tag
+                }
                 Event::Timer { tag, .. } => {
                     match tag % 4 {
                         // A same-instant self-send: filed into the day
@@ -1396,6 +1472,31 @@ mod tests {
                 assert!(n % 2 == 0 || *h == 0, "shards={shards}: node {n} hinted");
             }
         }
+    }
+
+    /// The lookahead finds a node-armed timer's node in its key: fifty
+    /// nodes on one 10-ms period keep every instant fifty timers deep,
+    /// all but the first instant's armed by the nodes themselves, and
+    /// the near stage hints all but the first few of each instant.
+    #[test]
+    fn node_armed_timers_are_looked_ahead_to() {
+        let topo = crate::topology::Topology::generate(&TopologyConfig::small_test(), 5);
+        let nodes = (0..topo.num_nodes()).map(|_| Hinted::default()).collect();
+        let mut e: Engine<PingMsg, Hinted> = Engine::new(topo, nodes, 99);
+        for n in 0..50 {
+            e.schedule_at(SimTime::ZERO, NodeId(n), Event::Timer { kind: 2, tag: 0 });
+        }
+        e.run_until(SimTime::from_ms(999));
+        assert_eq!(
+            e.metrics().counter(metrics::Counter::EngineTimers),
+            100 * 50
+        );
+        let hints: u64 = e
+            .topology()
+            .node_ids()
+            .map(|n| e.node(n).hints.load(Ordering::Relaxed))
+            .sum();
+        assert!(hints >= 100 * 45, "{hints} hints for 100 instants of 50");
     }
 
     #[test]

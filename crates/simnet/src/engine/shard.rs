@@ -18,8 +18,8 @@ use metrics::{Counter, MetricSet};
 use rand::rngs::StdRng;
 
 use super::source::ShardSource;
-use super::{next_key, Action, Ctx, Event, Message, Node};
-use crate::event::{EventKey, EventQueue};
+use super::{emitter, next_key, Action, Ctx, Event, Message, Node};
+use crate::event::{EventKey, EventQueue, Item};
 use crate::fault::FaultPlane;
 use crate::stats::{QueryStats, ShardTraffic};
 use crate::time::SimTime;
@@ -27,7 +27,7 @@ use crate::topology::{NodeId, Topology};
 
 /// How many events behind the queue's head each stage of the
 /// lookahead pipeline works (module docs of [`engine`](super),
-/// "Lookahead prefetch"): the payload slot is hinted first, its
+/// "Lookahead prefetch"): a message's slab slot is hinted first, its
 /// destination's per-node rows once the payload has had time to
 /// arrive, and what hangs off the node once the node has. Constants,
 /// not options: measured insensitive (9 / 6 / 3 and 12 / 6 / 3 read
@@ -129,7 +129,8 @@ impl NodeSlab {
 /// outbox/inbox batch exchanged at the epoch barrier).
 pub(super) type Staged<M> = (EventKey, Pending<M>);
 
-/// Internal queue payload.
+/// Internal queue payload. A timer a node arms is not one: it is
+/// queued as an [`Item::Timer`], addressed by its key's stream.
 pub(super) enum Pending<M> {
     App {
         dst: NodeId,
@@ -212,13 +213,15 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
     /// Local index of the node the event `ahead` places behind the
     /// queue's head will be delivered to; `None` past the end of the
     /// instant being drained and for churn entries, which are broadcast and
-    /// address a node this shard may not own.
+    /// address a node this shard may not own. A timer's node is its
+    /// emitter, named by its key: no payload is read for it.
     #[inline]
     fn upcoming_local(&self, ahead: usize, place: &Placement) -> Option<usize> {
         let dst = match self.queue.upcoming(ahead)? {
-            Pending::App { dst, .. } => *dst,
-            Pending::Wire { to, .. } => *to,
-            Pending::ChurnDown(_) | Pending::ChurnUp(_) => return None,
+            (key, Item::Timer { .. }) => emitter(key),
+            (_, Item::Payload(Pending::App { dst, .. })) => *dst,
+            (_, Item::Payload(Pending::Wire { to, .. })) => *to,
+            (_, Item::Payload(Pending::ChurnDown(_) | Pending::ChurnUp(_))) => return None,
         };
         debug_assert_eq!(place.shard(dst), self.id, "queued for a foreign node");
         Some(place.local(dst))
@@ -257,7 +260,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         outbox: &mut [Vec<Staged<M>>],
     ) -> bool {
         self.pull_source(limit, place);
-        let Some((key, payload)) = self.queue.pop_if_before(limit) else {
+        let Some((key, item)) = self.queue.pop_if_before(limit) else {
             return false;
         };
         debug_assert!(key.at >= self.now, "time went backwards");
@@ -265,7 +268,16 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         self.prefetch_ahead(place);
         #[cfg(test)]
         self.popped.push(key);
-        self.dispatch(payload, topo, place, outbox);
+        match item {
+            Item::Payload(p) => self.dispatch(p, topo, place, outbox),
+            Item::Timer { kind, tag } => {
+                let dst = emitter(key);
+                // A timer dies with its node, as an `App` event does.
+                if self.up.get(dst) {
+                    self.deliver(dst, Event::Timer { kind, tag }, topo, place, outbox);
+                }
+            }
+        }
         true
     }
 
@@ -364,8 +376,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
                 }
                 Action::Timer { delay, kind, tag } => {
                     let key = self.emit_key(self.now + delay, dst, place);
-                    let ev = Event::Timer { kind, tag };
-                    self.queue.push(key, Pending::App { dst, ev });
+                    self.queue.push(key, Item::Timer { kind, tag });
                 }
             }
         }

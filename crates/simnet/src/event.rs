@@ -16,13 +16,18 @@
 //!
 //! [`EventQueue`] is a hierarchical timing wheel (G. Varghese and
 //! T. Lauck, "Hashed and Hierarchical Timing Wheels", SOSP 1987) at
-//! the 1 ms resolution of [`SimTime`], over a payload slab.
+//! the 1 ms resolution of [`SimTime`], over a message slab.
 //!
-//! A payload is written **once**, into a slot of the slab, when the
-//! event is pushed, and read once, when it is popped; free slots are
-//! reused last-out-first-in, so the slab is as large as the deepest
-//! the queue has been and stays warm. What the wheel files, moves and
-//! sorts is a 32-byte `(key, slot)` entry.
+//! What the wheel files, moves and sorts is a 32-byte entry: the key,
+//! and either a slab slot or a timer. A message ([`Item::Payload`]) is
+//! written **once**, into a slot of the slab, when it is pushed, and
+//! read once, when it is popped; free slots are reused
+//! last-out-first-in, so the slab is as large as the most messages the
+//! queue has held and stays warm. A timer ([`Item::Timer`]) is its
+//! entry: kind and tag ride in the entry's spare words and it takes no
+//! slot. Most pending events of a Flower-CDN run are its periodic
+//! gossip and keepalive timers (99 % at `steady_100k`'s peak), so the
+//! slab is sized by the messages in flight alone.
 //!
 //! The wheel has eleven levels of 64 unsorted slots, each level
 //! resolving 6 bits of the millisecond instant relative to an origin,
@@ -81,22 +86,93 @@ pub struct EventKey {
     /// Delivery instant.
     pub at: SimTime,
     /// Source stream: 0 for external injections, `node_id + 1` for
-    /// node-emitted events.
+    /// node-emitted events. A queue holds streams below 2^32.
     pub src: u64,
     /// Sequence number within the source stream.
     pub seq: u64,
 }
 
-/// What the wheel files and sorts: an event's key and the slab slot
-/// holding its payload. Keys are unique, so the derived order is the
-/// key order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct Entry {
-    key: EventKey,
-    slot: u32,
+/// What one pending event is: a payload, or a timer, which is nothing
+/// but the kind and tag it was armed with — whose timer it is, the
+/// key's stream says. A `T` converts into `Payload`, so a queue that
+/// holds no timers is pushed its payloads as they are.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Item<T> {
+    /// An event carrying a payload, held in the queue's slab.
+    Payload(T),
+    /// A timer, held in its wheel entry alone.
+    Timer {
+        /// Application-defined timer kind.
+        kind: u16,
+        /// Application-defined payload for the timer.
+        tag: u64,
+    },
 }
 
-/// Payload storage: a slot per pending event, freed slots reused
+impl<T> From<T> for Item<T> {
+    fn from(payload: T) -> Self {
+        Item::Payload(payload)
+    }
+}
+
+/// The `word` bit that marks a timer entry; its low 16 bits are then
+/// the timer's kind. A payload entry's word is its slab slot, below
+/// this bit.
+const TIMER: u32 = 1 << 31;
+
+/// What the wheel files and sorts, 32 bytes: an event's key, with the
+/// stream narrowed to `u32`, and a `word` — the slab slot of a
+/// payload, or [`TIMER`] with a timer's kind — beside the timer's
+/// `tag`. Keys are unique, so the derived order, `(at, src, seq)`
+/// first, is the key order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Entry {
+    at: u64,
+    src: u32,
+    seq: u64,
+    word: u32,
+    tag: u64,
+}
+
+impl Entry {
+    fn new(key: EventKey, word: u32, tag: u64) -> Self {
+        Entry {
+            at: key.at.as_ms(),
+            src: u32::try_from(key.src).expect("an event's source stream is below 2^32"),
+            seq: key.seq,
+            word,
+            tag,
+        }
+    }
+
+    fn key(&self) -> EventKey {
+        EventKey {
+            at: SimTime::from_ms(self.at),
+            src: u64::from(self.src),
+            seq: self.seq,
+        }
+    }
+
+    /// The slab slot of a payload entry; `None` for a timer.
+    #[inline]
+    fn slot(&self) -> Option<u32> {
+        (self.word & TIMER == 0).then_some(self.word)
+    }
+
+    /// A timer entry's item, or a payload entry's from the slab.
+    #[inline]
+    fn item<P>(&self, payload: impl FnOnce(u32) -> P) -> Item<P> {
+        match self.slot() {
+            Some(slot) => Item::Payload(payload(slot)),
+            None => Item::Timer {
+                kind: self.word as u16,
+                tag: self.tag,
+            },
+        }
+    }
+}
+
+/// Payload storage: a slot per pending payload, freed slots reused
 /// last-out-first-in.
 #[derive(Debug)]
 struct Slab<T> {
@@ -112,7 +188,10 @@ impl<T> Slab<T> {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("under 2^32 pending events");
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|slot| slot & TIMER == 0)
+                    .expect("under 2^31 pending payloads");
                 self.slots.push(Some(payload));
                 slot
             }
@@ -187,33 +266,33 @@ impl<T> Wheel<T> {
         }
     }
 
-    fn push(&mut self, key: EventKey, payload: T) {
-        let entry = Entry {
-            key,
-            slot: self.payloads.insert(payload),
+    fn push(&mut self, key: EventKey, item: Item<T>) {
+        let entry = match item {
+            Item::Payload(payload) => Entry::new(key, self.payloads.insert(payload), 0),
+            Item::Timer { kind, tag } => Entry::new(key, TIMER | u32::from(kind), tag),
         };
         self.len += 1;
         match self.current.last() {
-            Some(head) if key.at == head.key.at => {
+            Some(head) if entry.at == head.at => {
                 // Into the instant being drained; unique keys make the
                 // binary-search position deterministic. A duplicate
                 // key (a caller contract violation) slots in adjacent
                 // to its twin.
-                let pos = match self.current.binary_search_by(|e| key.cmp(&e.key)) {
+                let pos = match self.current.binary_search_by(|e| entry.cmp(e)) {
                     Ok(pos) | Err(pos) => pos,
                 };
                 self.current.insert(pos, entry);
             }
-            Some(head) if key.at > head.key.at => self.file(entry),
+            Some(head) if entry.at > head.at => self.file(entry),
             _ => {
                 // Earlier than the instant being drained, or into an
                 // empty queue: the one place a push can be behind the
                 // clock, and so behind the wheel's origin.
                 assert!(
-                    key.at.as_ms() >= self.clock,
+                    entry.at >= self.clock,
                     "cannot push behind the last popped instant"
                 );
-                if let Some(at) = self.current.last().map(|e| e.key.at.as_ms()) {
+                if let Some(at) = self.current.last().map(|e| e.at) {
                     let i = self.slot_for(at);
                     self.slots[i].append(&mut self.current);
                     #[cfg(test)]
@@ -227,7 +306,7 @@ impl<T> Wheel<T> {
     }
 
     fn file(&mut self, entry: Entry) {
-        let i = self.slot_for(entry.key.at.as_ms());
+        let i = self.slot_for(entry.at);
         self.slots[i].push(entry);
     }
 
@@ -241,14 +320,14 @@ impl<T> Wheel<T> {
         level * SLOTS + digit
     }
 
-    fn pop(&mut self) -> Option<(EventKey, T)> {
-        let Entry { key, slot } = self.current.pop()?;
+    fn pop(&mut self) -> Option<(EventKey, Item<T>)> {
+        let entry = self.current.pop()?;
         self.len -= 1;
-        self.clock = key.at.as_ms();
+        self.clock = entry.at;
         if self.current.is_empty() && self.len > 0 {
             self.refill();
         }
-        Some((key, self.payloads.take(slot)))
+        Some((entry.key(), entry.item(|slot| self.payloads.take(slot))))
     }
 
     fn peek(&self) -> Option<&Entry> {
@@ -286,10 +365,10 @@ impl<T> Wheel<T> {
             if self.clock < start {
                 // Not reached: take out only the earliest instant.
                 let slot = &mut self.slots[i];
-                let at = slot.iter().map(|e| e.key.at).min().expect("occupied");
+                let at = slot.iter().map(|e| e.at).min().expect("occupied");
                 let current = &mut self.current;
                 slot.retain(|e| {
-                    let later = e.key.at != at;
+                    let later = e.at != at;
                     if !later {
                         current.push(*e);
                     }
@@ -345,34 +424,35 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Schedule `payload` for delivery under `key`. The caller is
-    /// responsible for key uniqueness (the engine derives keys from
-    /// per-stream counters, which guarantees it). A key earlier than
-    /// the last popped instant is refused with a panic: nothing can be
-    /// scheduled in the queue's past.
-    pub fn push(&mut self, key: EventKey, payload: T) {
-        self.wheel.push(key, payload);
+    /// Schedule `item` — a payload (a `T` converts) or a timer — for
+    /// delivery under `key`. The caller is responsible for key
+    /// uniqueness (the engine derives keys from per-stream counters,
+    /// which guarantees it). A key earlier than the last popped instant
+    /// is refused with a panic: nothing can be scheduled in the queue's
+    /// past. So is a source stream of 2^32 or more.
+    pub fn push(&mut self, key: EventKey, item: impl Into<Item<T>>) {
+        self.wheel.push(key, item.into());
         self.peak = self.peak.max(self.wheel.len);
     }
 
     /// Remove and return the event with the smallest key, if any.
-    pub fn pop(&mut self) -> Option<(EventKey, T)> {
+    pub fn pop(&mut self) -> Option<(EventKey, Item<T>)> {
         self.wheel.pop()
     }
 
     /// As [`EventQueue::pop`], but only if the earliest event is due
     /// strictly before `limit` — the engine's epoch inner loop, as one
     /// queue operation instead of a peek-then-pop pair.
-    pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(EventKey, T)> {
+    pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(EventKey, Item<T>)> {
         if self.peek_time()? >= limit {
             return None;
         }
         self.pop()
     }
 
-    /// A read-only look past the head: the payload of the event
-    /// `ahead` places behind it in pop order (`upcoming(0)` is the
-    /// payload the next [`EventQueue::pop`] returns), or `None` once
+    /// A read-only look past the head: the key and item of the event
+    /// `ahead` places behind it in pop order (`upcoming(0)` is what the
+    /// next [`EventQueue::pop`] returns, its payload lent), or `None` once
     /// `ahead` runs past the end of the instant being drained — the
     /// sorted part of the queue; later instants are unsorted slots
     /// with no "next" yet. What it returns is a forecast, exact only
@@ -380,29 +460,29 @@ impl<T> EventQueue<T> {
     /// among the entries already seen and moves everything behind it
     /// one place back. Pop order is unaffected either way.
     #[inline]
-    pub fn upcoming(&self, ahead: usize) -> Option<&T> {
-        self.wheel
-            .upcoming(ahead)
-            .map(|e| self.wheel.payloads.get(e.slot))
+    pub fn upcoming(&self, ahead: usize) -> Option<(EventKey, Item<&T>)> {
+        let e = self.wheel.upcoming(ahead)?;
+        Some((e.key(), e.item(|slot| self.wheel.payloads.get(slot))))
     }
 
     /// Ask the cache for the payload [`EventQueue::upcoming`] would
-    /// return, without reading it ([`crate::prefetch`]).
+    /// lend, without reading it ([`crate::prefetch`]); a timer has
+    /// none.
     #[inline]
     pub(crate) fn prefetch_upcoming(&self, ahead: usize) {
-        if let Some(e) = self.wheel.upcoming(ahead) {
-            crate::prefetch(&self.wheel.payloads.slots[e.slot as usize]);
+        if let Some(slot) = self.wheel.upcoming(ahead).and_then(Entry::slot) {
+            crate::prefetch(&self.wheel.payloads.slots[slot as usize]);
         }
     }
 
     /// The delivery time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|k| k.at)
+        self.wheel.peek().map(|e| SimTime::from_ms(e.at))
     }
 
     /// The full key of the earliest pending event.
     pub fn peek_key(&self) -> Option<EventKey> {
-        self.wheel.peek().map(|e| e.key)
+        self.wheel.peek().map(Entry::key)
     }
 
     /// Number of pending events.
@@ -432,12 +512,12 @@ mod reference {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
-    /// Heap entry: a payload under an *inverted* key ordering, so
+    /// Heap entry: an item under an *inverted* key ordering, so
     /// `BinaryHeap`'s max-heap pops the smallest key first.
     #[derive(Debug)]
     struct Scheduled<T> {
         key: EventKey,
-        payload: T,
+        item: Item<T>,
     }
 
     impl<T> PartialEq for Scheduled<T> {
@@ -473,16 +553,17 @@ mod reference {
             }
         }
 
-        pub fn push(&mut self, key: EventKey, payload: T) {
-            self.heap.push(Scheduled { key, payload });
+        pub fn push(&mut self, key: EventKey, item: impl Into<Item<T>>) {
+            let item = item.into();
+            self.heap.push(Scheduled { key, item });
             self.peak = self.peak.max(self.heap.len());
         }
 
-        pub fn pop(&mut self) -> Option<(EventKey, T)> {
-            self.heap.pop().map(|s| (s.key, s.payload))
+        pub fn pop(&mut self) -> Option<(EventKey, Item<T>)> {
+            self.heap.pop().map(|s| (s.key, s.item))
         }
 
-        pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(EventKey, T)> {
+        pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(EventKey, Item<T>)> {
             if self.peek_key()?.at >= limit {
                 return None;
             }
@@ -527,15 +608,23 @@ mod tests {
         }
     }
 
+    /// The payload of a popped event; panics on a timer or an empty pop.
+    fn payload<T>(popped: Option<(EventKey, Item<T>)>) -> T {
+        match popped {
+            Some((_, Item::Payload(p))) => p,
+            _ => panic!("expected a payload"),
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(key(30, 0, 0), "c");
         q.push(key(10, 0, 1), "a");
         q.push(key(20, 0, 2), "b");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
+        assert_eq!(payload(q.pop()), "a");
+        assert_eq!(payload(q.pop()), "b");
+        assert_eq!(payload(q.pop()), "c");
         assert!(q.pop().is_none());
     }
 
@@ -546,7 +635,7 @@ mod tests {
             q.push(key(5, 3, i), i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
+            assert_eq!(payload(q.pop()), i);
         }
     }
 
@@ -556,9 +645,9 @@ mod tests {
         q.push(key(5, 7, 0), "node6");
         q.push(key(5, 0, 9), "external");
         q.push(key(5, 2, 0), "node1");
-        assert_eq!(q.pop().unwrap().1, "external");
-        assert_eq!(q.pop().unwrap().1, "node1");
-        assert_eq!(q.pop().unwrap().1, "node6");
+        assert_eq!(payload(q.pop()), "external");
+        assert_eq!(payload(q.pop()), "node1");
+        assert_eq!(payload(q.pop()), "node6");
     }
 
     #[test]
@@ -566,10 +655,10 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(key(10, 0, 0), 1);
         q.push(key(5, 0, 1), 0);
-        assert_eq!(q.pop().unwrap().1, 0);
+        assert_eq!(payload(q.pop()), 0);
         q.push(key(7, 0, 2), 2);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(payload(q.pop()), 2);
+        assert_eq!(payload(q.pop()), 1);
     }
 
     #[test]
@@ -579,9 +668,9 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.peek_key(), None);
         q.push(key(42, 0, 0), ());
-        q.push(key(41, 0, 1), ());
+        q.push(key(41, 1, 0), Item::Timer { kind: 0, tag: 0 });
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peak_len(), 2);
+        assert_eq!(q.peak_len(), 2, "a timer counts like a payload");
         assert_eq!(q.peek_time(), Some(SimTime::from_ms(41)));
         q.pop();
         q.pop();
@@ -596,7 +685,7 @@ mod tests {
         assert!(q.pop_if_before(SimTime::from_ms(5)).is_none());
         assert_eq!(q.len(), 1, "a refused pop must not drop the event");
         let (k, p) = q.pop_if_before(SimTime::from_ms(11)).unwrap();
-        assert_eq!((k.at, p), (SimTime::from_ms(10), "x"));
+        assert_eq!((k.at, p), (SimTime::from_ms(10), Item::Payload("x")));
         assert!(q.pop_if_before(SimTime::from_ms(u64::MAX)).is_none());
     }
 
@@ -620,7 +709,7 @@ mod tests {
         q.push(key(2 * hour + 5, 0, 3), 2);
         q.push(key(u64::MAX, 0, 4), 4);
         for want in 0..5u64 {
-            assert_eq!(q.pop().unwrap().1, want);
+            assert_eq!(payload(q.pop()), want);
         }
         assert!(q.is_empty());
     }
@@ -638,7 +727,7 @@ mod tests {
     #[test]
     fn filed_entries_are_32_bytes() {
         // What every slot push, cascade and sort moves — whatever the
-        // payload type.
+        // payload type, and all a timer is.
         assert!(std::mem::size_of::<Entry>() <= 32);
     }
 
@@ -654,32 +743,125 @@ mod tests {
         assert_eq!(q.wheel.payloads.slots.len(), 100, "slab = peak depth");
     }
 
+    /// A timer is its entry: it takes no slab slot, and its kind and
+    /// tag come back whole, at every extreme.
+    #[test]
+    fn timers_take_no_payload_slot() {
+        let mut q = EventQueue::new();
+        let kinds = [0, 1, u16::MAX];
+        let tags = [0, 1 << 40, u64::MAX];
+        for i in 0..300u64 {
+            let (kind, tag) = (kinds[i as usize % 3], tags[i as usize / 3 % 3] ^ i);
+            q.push(key(i % 7, 1 + i % 5, i), Item::Timer { kind, tag });
+            if i % 30 == 0 {
+                q.push(key(i % 7, 9, i), i);
+            }
+        }
+        assert_eq!(q.wheel.payloads.slots.len(), 10, "only payloads have slots");
+        let mut popped = Vec::new();
+        while let Some((k, item)) = q.pop() {
+            popped.push((k.seq, k.src == 9, item));
+        }
+        popped.sort_by_key(|&(seq, payload, _)| (seq, payload));
+        let mut timers = 0;
+        for (seq, payload, item) in popped {
+            let i = seq as usize;
+            let want = if payload {
+                Item::Payload(seq)
+            } else {
+                timers += 1;
+                Item::Timer {
+                    kind: kinds[i % 3],
+                    tag: tags[i / 3 % 3] ^ seq,
+                }
+            };
+            assert_eq!(item, want, "event {seq}");
+        }
+        assert_eq!(timers, 300);
+    }
+
+    /// The stream id is narrowed to 32 bits by a checked conversion:
+    /// the largest that fits comes back as it went in, for a payload
+    /// and for a timer.
+    #[test]
+    fn the_largest_32_bit_stream_round_trips() {
+        let mut q = EventQueue::new();
+        let top = u64::from(u32::MAX);
+        q.push(key(3, top, u64::MAX), "last");
+        q.push(key(3, top - 1, 0), Item::Timer { kind: 7, tag: 8 });
+        assert_eq!(q.peek_key(), Some(key(3, top - 1, 0)));
+        assert_eq!(
+            q.pop(),
+            Some((key(3, top - 1, 0), Item::Timer { kind: 7, tag: 8 }))
+        );
+        assert_eq!(
+            q.upcoming(0),
+            Some((key(3, top, u64::MAX), Item::Payload(&"last")))
+        );
+        assert_eq!(
+            q.pop(),
+            Some((key(3, top, u64::MAX), Item::Payload("last")))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "an event's source stream is below 2^32")]
+    fn a_stream_past_32_bits_panics() {
+        let mut q = EventQueue::<()>::new();
+        q.push(
+            key(3, u64::from(u32::MAX) + 1, 0),
+            Item::Timer { kind: 0, tag: 0 },
+        );
+    }
+
     /// A hold model over a backlog of sparse long timers, against the
     /// heap at every pop: 600 messages in flight, each re-sent 0–39 ms
     /// after delivery, so pushes land in the instant being popped, in
     /// the slots ahead of it and, where the next instant is more than
-    /// a millisecond off, before it.
+    /// a millisecond off, before it. Every fifth re-send is a timer
+    /// instead, which arms the next message in turn.
     #[test]
     fn hold_model_over_a_timer_backlog_matches_heap() {
         let mut q = EventQueue::new();
         let mut heap = reference::HeapQueue::new();
         let mut seq = 0u64;
-        let mut push = |q: &mut EventQueue<u64>, heap: &mut reference::HeapQueue<u64>, at, src| {
-            q.push(key(at, src, seq), seq);
-            heap.push(key(at, src, seq), seq);
+        let mut push = |q: &mut EventQueue<u64>,
+                        heap: &mut reference::HeapQueue<u64>,
+                        at,
+                        src,
+                        timer: bool| {
+            let item = if timer {
+                Item::Timer {
+                    kind: (seq % 3) as u16,
+                    tag: seq,
+                }
+            } else {
+                Item::Payload(seq)
+            };
+            q.push(key(at, src, seq), item);
+            heap.push(key(at, src, seq), item);
             seq += 1;
         };
         for i in 0..2_000u64 {
-            push(&mut q, &mut heap, i * 1_000, 1);
+            push(&mut q, &mut heap, i * 1_000, 1, true);
         }
         for i in 0..600u64 {
-            push(&mut q, &mut heap, i % 40, 2);
+            push(&mut q, &mut heap, i % 40, 2, false);
         }
+        let mut timers = 0;
         for step in 0..40_000u64 {
-            let (k, p) = q.pop().expect("hold model keeps the queue full");
-            assert_eq!(Some((k, p)), heap.pop(), "diverged at step {step}");
+            let (k, item) = q.pop().expect("hold model keeps the queue full");
+            assert_eq!(Some((k, item)), heap.pop(), "diverged at step {step}");
             if k.src == 2 {
-                push(&mut q, &mut heap, k.at.as_ms() + (p * 7 + step) % 40, 2);
+                let p = match item {
+                    Item::Payload(p) => p,
+                    Item::Timer { tag, .. } => {
+                        timers += 1;
+                        tag
+                    }
+                };
+                let at = k.at.as_ms() + (p * 7 + step) % 40;
+                push(&mut q, &mut heap, at, 2, step % 5 == 0);
             }
         }
         loop {
@@ -689,6 +871,7 @@ mod tests {
                 break;
             }
         }
+        assert!(timers > 1_000, "{timers} in-flight timers");
         let paths = &q.wheel.paths;
         assert!(paths.cascades[2..].iter().sum::<u64>() > 0, "{paths:?}");
         assert!(paths.scans > 0, "{paths:?}");
@@ -731,18 +914,57 @@ mod proptests {
         }
     }
 
+    /// Event `id` on stream `src` as the engine queues it: a timer when
+    /// `timer` is drawn and the stream is a node's (stream 0 injects
+    /// only payloads), else a message carrying `(id, destination)`.
+    fn item(id: usize, src: u64, timer: bool) -> Item<(usize, u64)> {
+        if timer && src > 0 {
+            Item::Timer {
+                kind: (id % 5) as u16,
+                tag: id as u64,
+            }
+        } else {
+            Item::Payload((id, id as u64 * 7 % 11))
+        }
+    }
+
+    /// `item` with its payload lent, as [`EventQueue::upcoming`] lends it.
+    fn lent<T>(item: &Item<T>) -> Item<&T> {
+        match item {
+            Item::Payload(payload) => Item::Payload(payload),
+            &Item::Timer { kind, tag } => Item::Timer { kind, tag },
+        }
+    }
+
+    /// The id [`item`] gave an event, read back.
+    fn id_of(item: Item<&(usize, u64)>) -> usize {
+        match item {
+            Item::Payload(&(id, _)) => id,
+            Item::Timer { tag, .. } => tag as usize,
+        }
+    }
+
+    /// The node an event is for, as the shard loop reads it: a
+    /// message names it, a timer's is its emitter (stream − 1).
+    fn destination(key: EventKey, item: Item<&(usize, u64)>) -> u64 {
+        match item {
+            Item::Payload(&(_, dst)) => dst,
+            Item::Timer { .. } => key.src - 1,
+        }
+    }
+
     proptest! {
         /// The queue is a stable priority queue over full keys:
         /// popping yields non-decreasing keys, and within one source
         /// stream the per-stream sequence numbers come out in order.
         #[test]
-        fn pop_order_is_sorted_by_key(entries in proptest::collection::vec((0u64..1000, 0u64..4), 0..200)) {
-            let mut q = EventQueue::new();
+        fn pop_order_is_sorted_by_key(entries in proptest::collection::vec((0u64..1000, 0u64..4, any::<bool>()), 0..200)) {
+            let mut q = EventQueue::<(usize, u64)>::new();
             let mut seqs = [0u64; 4];
-            for (i, &(t, src)) in entries.iter().enumerate() {
+            for (i, &(t, src, timer)) in entries.iter().enumerate() {
                 let seq = seqs[src as usize];
                 seqs[src as usize] += 1;
-                q.push(key(t, src, seq), i);
+                q.push(key(t, src, seq), item(i, src, timer));
             }
             let mut last: Option<EventKey> = None;
             let mut popped = 0usize;
@@ -756,19 +978,20 @@ mod proptests {
             prop_assert_eq!(popped, entries.len());
         }
 
-        /// Reference parity: for an arbitrary insert sequence — narrow
-        /// time range, so same-timestamp bursts are common — the
-        /// queue pops the exact payload sequence the binary heap does.
+        /// Reference parity: for an arbitrary insert sequence of
+        /// messages and timers — narrow time range, so same-timestamp
+        /// bursts across streams are common — the queue pops the exact
+        /// `(key, item)` sequence the binary heap does.
         #[test]
-        fn calendar_matches_heap_pop_order(entries in proptest::collection::vec((0u64..64, 0u64..6), 0..300)) {
-            let mut q = EventQueue::new();
+        fn calendar_matches_heap_pop_order(entries in proptest::collection::vec((0u64..64, 0u64..6, any::<bool>()), 0..300)) {
+            let mut q = EventQueue::<(usize, u64)>::new();
             let mut heap = HeapQueue::new();
             let mut seqs = [0u64; 6];
-            for (i, &(t, src)) in entries.iter().enumerate() {
+            for (i, &(t, src, timer)) in entries.iter().enumerate() {
                 let seq = seqs[src as usize];
                 seqs[src as usize] += 1;
-                q.push(key(t, src, seq), i);
-                heap.push(key(t, src, seq), i);
+                q.push(key(t, src, seq), item(i, src, timer));
+                heap.push(key(t, src, seq), item(i, src, timer));
             }
             loop {
                 let (a, b) = (q.pop(), heap.pop());
@@ -780,44 +1003,51 @@ mod proptests {
         }
 
         /// Reference parity under the engine's real call mix: each
-        /// batch is a burst of pushes followed by epochs drained with
-        /// `pop_if_before(limit)` — a refused pop opens the next epoch
-        /// at the earliest pending event, as the barrier loop does —
-        /// with `peek_key`, `peek_time`, `len` and `peak_len` compared
-        /// at every step. The per-batch `stretch` scales the deltas
-        /// from one level-0 ring (×1) to hours out (×125 000), so
-        /// events file into every level up to the fifth and come back
-        /// down through scans and cascades. Pushes are relative to the
-        /// last pop, so those between it and the head instant — the
-        /// spills — are common; every one must take the spill path.
+        /// batch is a burst of message and timer pushes followed by
+        /// epochs drained with `pop_if_before(limit)` — a refused pop
+        /// opens the next epoch at the earliest pending event, as the
+        /// barrier loop does — with `peek_key`, `peek_time`, `len` and
+        /// `peak_len` compared at every step. The per-batch `stretch`
+        /// scales the deltas from one level-0 ring (×1) to hours out
+        /// (×125 000), so events file into every level up to the fifth
+        /// and come back down through scans and cascades. Pushes are
+        /// relative to the last pop, so those into the instant being
+        /// drained and those between it and the head instant — the
+        /// spills — are common; every one of the latter must take the
+        /// spill path.
         ///
         /// The lookahead rides along as one more observation: before
         /// every pop, `upcoming(k)` for `k < 12` must be `Some` exactly
-        /// for the entries left in the current instant, and must agree
-        /// with `forecast` — the next pops as earlier looks predicted
-        /// them, each push since filed where the key order puts it
-        /// (ahead of entries already seen, when it lands among them).
-        /// Every pop — the heap's too, by the comparison above it —
-        /// must then take the forecast's front.
+        /// for the entries left in the current instant, must carry the
+        /// key its event was pushed under, must name the destination
+        /// that event was pushed for, and must agree with `forecast` —
+        /// the next pops as earlier looks predicted them, each push
+        /// since filed where the key order puts it (ahead of entries
+        /// already seen, when it lands among them). Every pop — the
+        /// heap's too, by the comparison above it — must then take the
+        /// forecast's front.
         #[test]
-        fn calendar_matches_heap_interleaved(batches in proptest::collection::vec((proptest::collection::vec((0u64..48, 0u64..3), 0..200), 0usize..250, 0usize..4), 1..8)) {
-            let mut q = EventQueue::new();
+        fn calendar_matches_heap_interleaved(batches in proptest::collection::vec((proptest::collection::vec((0u64..48, 0u64..3, any::<bool>()), 0..200), 0usize..250, 0usize..4), 1..8)) {
+            let mut q = EventQueue::<(usize, u64)>::new();
             let mut heap = HeapQueue::new();
             let mut seqs = [0u64; 3];
             let mut clock = 0u64; // keys must never be scheduled "past"
             let mut spills = 0u64;
-            let mut keys: Vec<EventKey> = Vec::new(); // by payload
+            let mut keys: Vec<EventKey> = Vec::new(); // by id
+            let mut dsts: Vec<u64> = Vec::new(); // by id
             let mut forecast: VecDeque<usize> = VecDeque::new();
             for (pushes, pops, stretch) in &batches {
                 let scale = [1u64, 50, 2_500, 125_000][*stretch];
-                for &(dt, src) in pushes {
+                for &(dt, src, timer) in pushes {
                     let seq = seqs[src as usize];
                     seqs[src as usize] += 1;
                     let (k, i) = (key(clock + dt * scale, src, seq), keys.len());
                     spills += u64::from(q.peek_time().is_some_and(|head| k.at < head));
-                    q.push(k, i);
-                    heap.push(k, i);
+                    let it = item(i, src, timer);
+                    q.push(k, it);
+                    heap.push(k, it);
                     keys.push(k);
+                    dsts.push(destination(k, lent(&it)));
                     if let Some(at) = forecast.iter().position(|seen| k < keys[*seen]) {
                         forecast.insert(at, i);
                     }
@@ -828,12 +1058,15 @@ mod proptests {
                     prop_assert_eq!(q.peek_key(), heap.peek_key(), "heads diverged");
                     prop_assert_eq!(q.peek_time(), heap.peek_key().map(|k| k.at));
                     for ahead in 0..12 {
-                        let seen = q.upcoming(ahead).copied();
+                        let seen = q.upcoming(ahead);
                         prop_assert_eq!(seen.is_some(), ahead < q.wheel.current.len());
-                        let Some(seen) = seen else { break };
+                        let Some((k, it)) = seen else { break };
+                        let id = id_of(it);
+                        prop_assert_eq!(k, keys[id], "upcoming {} ahead: wrong key", ahead);
+                        prop_assert_eq!(destination(k, it), dsts[id], "upcoming {} ahead: wrong node", ahead);
                         match forecast.get(ahead) {
-                            Some(due) => prop_assert_eq!(seen, *due, "forecast {} ahead moved", ahead),
-                            None => forecast.push_back(seen),
+                            Some(due) => prop_assert_eq!(id, *due, "forecast {} ahead moved", ahead),
+                            None => forecast.push_back(id),
                         }
                     }
                     let (mut a, mut b) = (q.pop_if_before(limit), heap.pop_if_before(limit));
@@ -843,7 +1076,7 @@ mod proptests {
                         prop_assert_eq!(&a, &b, "diverged at the epoch boundary");
                     }
                     prop_assert_eq!(q.len(), heap.len());
-                    prop_assert_eq!(a.map(|(_, p)| p), forecast.pop_front(), "not the event forecast");
+                    prop_assert_eq!(a.as_ref().map(|(_, it)| id_of(lent(it))), forecast.pop_front(), "not the event forecast");
                     let Some((k, _)) = a else { break };
                     if k.at >= limit {
                         limit = k.at + SimDuration::from_ms(window);
@@ -864,7 +1097,7 @@ mod proptests {
         }
 
         /// Reference parity for a hold model running hot over a
-        /// backlog of sparse timers: `flight` events, each popped and
+        /// backlog of sparse timers: `flight` messages, each popped and
         /// re-pushed `0..spread` ms later — delay 0 lands in the very
         /// instant being popped — with the heap compared at every pop.
         #[test]
@@ -880,8 +1113,9 @@ mod proptests {
             let mut at = 0u64;
             for gap in &timers {
                 at += gap * 50;
-                q.push(key(at, 1, seq), seq);
-                heap.push(key(at, 1, seq), seq);
+                let timer = Item::Timer { kind: 1, tag: seq };
+                q.push(key(at, 1, seq), timer);
+                heap.push(key(at, 1, seq), timer);
                 seq += 1;
             }
             for i in 0..flight as u64 {
