@@ -17,14 +17,28 @@
 //! pushes and keepalives; entries whose age reaches `Tdead` are
 //! evicted (§5.1).
 //!
+//! ## Two owners
+//!
+//! [`DirectoryState`] composes two private structures; each is the
+//! only writer of its fields and keeps one invariant:
+//!
+//! * the **member order** holds the index entries, their ages, `Sco`
+//!   and `Tdead`, and the recency order
+//!   [`DirectoryState::view_seed`] reads: a `fresh` heap of the ids
+//!   set to age 0 since the last tick and an `aged` list of the
+//!   survivors of that tick. Every member is valid in exactly one of
+//!   the two.
+//! * the **holder index** holds the inverted index `object → holder
+//!   list`, the listing count, the directory summary's bits and the
+//!   count of §5.2-seeded members. It lists exactly the members'
+//!   object sets — only indexed members, each listing once — and
+//!   counts exactly the members that carry a gossip summary.
+//!
 //! ## Holder lookup cost
 //!
-//! The per-peer index is mirrored by an *inverted* index `object →
-//! holder list`, maintained on every object insert/remove, so
 //! Algorithm 3's step 1 reads exactly the holders of the requested
-//! object instead of scanning the whole overlay (`Sco` grows with the
-//! deployment — at 100k nodes a scan per query dominated the engine
-//! profile).
+//! object from the holder index instead of scanning the whole overlay
+//! (at 100k nodes a scan per query dominated the engine profile).
 //!
 //! A list is put into node-id order when it is read, not when it is
 //! written: a new holder is appended, and the two readers that need
@@ -33,20 +47,16 @@
 //! prefix. Algorithm 5's ∆list pushes outnumber Algorithm 3's holder
 //! draws 8.5 : 1 on `query_storm_10k`, so a sorted insert per push
 //! paid for an order that was mostly never looked at. The set of
-//! holders is exact after every write, so a list going from 0 to 1
-//! holder and back — what the directory summary's bits follow — and
-//! the listing count are unchanged, and a reader sees the same sorted
-//! list, so Algorithm 3 draws the same holder.
+//! holders is exact after every write, so a reader sees the same
+//! sorted list and Algorithm 3 draws the same holder.
 //!
-//! The only lookups the inverted index cannot answer are
-//! the gossip-summary entries of a freshly promoted §5.2 directory
-//! (exact object lists unknown until pushes rebuild them); those are
-//! counted, and the summary scan runs only while such entries exist.
-//! A seeded entry sheds its summary on the *first push* from that
-//! peer: from then on the peer's exact ∆lists are authoritative, so
-//! keeping the (stale, bloom-false-positive-prone) summary would only
-//! prolong the full-index scan. A promoted directory therefore pays
-//! the scan just until its seeded members push or age out.
+//! The only lookups the holder index cannot answer are the
+//! gossip-summary entries of a freshly promoted §5.2 directory (exact
+//! object lists unknown until pushes rebuild them); the summary scan
+//! runs only while such entries exist. A seeded entry sheds its
+//! summary on the *first push* from that peer, whose exact ∆lists are
+//! authoritative from then on, so a promoted directory pays the scan
+//! just until its seeded members push or age out.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -54,6 +64,7 @@ use std::collections::BinaryHeap;
 
 use bloom::{ContentSummary, ObjectId, SummaryBits};
 use chord::ChordId;
+use gossip::PushPolicy;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simnet::{Locality, NodeId};
@@ -103,7 +114,150 @@ fn heap_push(heap: &mut Vec<u32>, id: u32) {
     heap[at] = id;
 }
 
-/// Put a holder list into node-id order. [`DirectoryState::add_holder`]
+/// The index entries in the order [`DirectoryState::view_seed`]
+/// reads them, `(age, id)` ascending, in two halves. Ages only reset
+/// to 0 or advance together at a tick, so:
+///
+/// * `fresh` holds the id of every entry set to age 0 since the last
+///   tick, as an implicit binary min-heap. A refresh is one push (a
+///   random id sifts O(1) levels on average) and nothing is taken
+///   out: an id is *valid* there iff its entry is at age 0, and one
+///   removed and re-admitted inside a tick is filed twice. Keepalives
+///   outnumber `view_seed` reads 9 : 1 (`steady_100k`), so the reader
+///   works the order out.
+/// * `aged` holds `(age, id)` of every survivor of the last tick,
+///   sorted by the sweep the tick makes anyway. A record is valid iff
+///   the entry is still at that age.
+///
+/// Every member is valid in exactly one of the two.
+#[derive(Clone, Debug, Default)]
+struct MemberOrder {
+    entries: IdMap<NodeId, DirEntry>,
+    fresh: Vec<u32>,
+    aged: Vec<(u32, u32)>,
+    /// Overlay capacity `Sco`.
+    capacity: usize,
+    /// Age at which an entry is evicted.
+    t_dead: u32,
+}
+
+impl MemberOrder {
+    fn is_full(&self) -> bool {
+        self.entries.len() >= self.capacity
+    }
+
+    /// Is `peer` a member younger than `Tdead`?
+    fn is_live(&self, peer: NodeId) -> bool {
+        self.entries.get(&peer).is_some_and(|e| e.age < self.t_dead)
+    }
+
+    /// `peer`'s entry, reset to age 0 and filed in `fresh` if it was
+    /// older; a new empty one if `peer` is not a member and the
+    /// overlay has room; `None` if it has none.
+    fn refresh(&mut self, peer: NodeId, website: WebsiteId) -> Option<&mut DirEntry> {
+        let full = self.is_full();
+        match self.entries.entry(peer) {
+            Entry::Occupied(e) => {
+                let e = e.into_mut();
+                if e.age != 0 {
+                    e.age = 0;
+                    heap_push(&mut self.fresh, peer.0);
+                }
+                Some(e)
+            }
+            Entry::Vacant(_) if full => None,
+            Entry::Vacant(e) => {
+                heap_push(&mut self.fresh, peer.0);
+                Some(e.insert(DirEntry::fresh(website)))
+            }
+        }
+    }
+
+    /// Add `peer`, not a member yet, at its entry's age. An aged entry
+    /// is appended to `aged` unsorted: [`MemberOrder::install`] sorts.
+    fn insert(&mut self, peer: NodeId, e: DirEntry) {
+        if e.age == 0 {
+            heap_push(&mut self.fresh, peer.0);
+        } else {
+            self.aged.push((e.age, peer.0));
+        }
+        self.entries.insert(peer, e);
+    }
+
+    /// Replace every entry with `members`.
+    fn install(&mut self, members: impl IntoIterator<Item = (NodeId, DirEntry)>) {
+        self.entries.clear();
+        self.fresh.clear();
+        self.aged.clear();
+        for (peer, e) in members {
+            self.insert(peer, e);
+        }
+        self.aged.sort_unstable();
+    }
+
+    fn remove(&mut self, peer: NodeId) -> Option<DirEntry> {
+        self.entries.remove(&peer)
+    }
+
+    /// Age every entry and evict those that reach `Tdead`, returning
+    /// them. No member is at age 0 afterwards, so `fresh` empties, and
+    /// the sweep refills `aged` with the survivors, sorted once — the
+    /// only ordering work between two ticks that is not a reader's.
+    fn tick(&mut self) -> Vec<(NodeId, DirEntry)> {
+        self.fresh.clear();
+        self.aged.clear();
+        let mut dead = Vec::new();
+        for (peer, e) in &mut self.entries {
+            e.age = e.age.saturating_add(1);
+            if e.age >= self.t_dead {
+                dead.push(*peer);
+            } else {
+                self.aged.push((e.age, peer.0));
+            }
+        }
+        self.aged.sort_unstable();
+        dead.into_iter()
+            .filter_map(|peer| Some((peer, self.entries.remove(&peer)?)))
+            .collect()
+    }
+
+    /// See [`DirectoryState::view_seed`].
+    fn view_seed(&self, n: usize, exclude: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(n.min(self.entries.len()));
+        if n == 0 {
+            return out;
+        }
+        let age_of = |id: u32| self.entries.get(&NodeId(id)).map(|e| e.age);
+        let mut frontier = BinaryHeap::with_capacity(n + 2);
+        if let Some(&root) = self.fresh.first() {
+            frontier.push(Reverse((root, 0)));
+        }
+        while let Some(Reverse((id, at))) = frontier.pop() {
+            if id != exclude.0 && out.last() != Some(&NodeId(id)) && age_of(id) == Some(0) {
+                out.push(NodeId(id));
+                if out.len() == n {
+                    return out;
+                }
+            }
+            for child in [2 * at + 1, 2 * at + 2] {
+                if let Some(&id) = self.fresh.get(child) {
+                    frontier.push(Reverse((id, child)));
+                }
+            }
+        }
+        for &(age, id) in &self.aged {
+            if id != exclude.0 && age_of(id) == Some(age) {
+                out.push(NodeId(id));
+                if out.len() == n {
+                    break;
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Put a holder list into node-id order. [`HolderIndex::add`]
 /// appends, so a list is a sorted prefix followed by the holders
 /// listed since it was last read; the stable sort takes the prefix as
 /// one run, sorts the short tail and merges it in. A list no one
@@ -114,46 +268,104 @@ fn sort_holders(hs: &mut [NodeId]) {
     }
 }
 
-/// Record `peer` (a member whose entry just gained `o`, so not yet
-/// listed) as holding `o` in the inverted index `holders_of`: appended,
-/// in no order until a reader sorts it ([`sort_holders`]); one more of
-/// the `listings`, and `o`'s first one sets its `summary` bits. A free
-/// function over the fields it writes, so a caller can hold a borrow
-/// of the member's entry meanwhile.
-fn add_holder(
-    holders_of: &mut IdMap<ObjectId, Vec<NodeId>>,
-    listings: &mut usize,
-    summary: &mut SummaryBits,
-    o: ObjectId,
-    peer: NodeId,
-) {
-    let hs = holders_of.entry(o).or_default();
-    hs.push(peer);
-    *listings += 1;
-    if hs.len() == 1 {
-        summary.first_occurrence(o);
-    }
+/// The inverted index `object → members whose exact object list
+/// contains it`, and what follows it: the listing count, the bits of
+/// the directory summary, and the members whose §5.2 gossip summary
+/// answers for an object list not known yet.
+#[derive(Clone, Debug)]
+struct HolderIndex {
+    /// A new holder is appended; the readers that need node-id order
+    /// — Algorithm 3's deterministic candidate order, and the binary
+    /// search of a removal — sort a list when they read it (module
+    /// docs, "Holder lookup cost"). No list is kept empty.
+    holders_of: IdMap<ObjectId, Vec<NodeId>>,
+    /// Listings, one per `(member, object)`: the refresh ratio's
+    /// denominator and the summary's item count.
+    listings: usize,
+    /// The directory summary's bits, maintained instead of rebuilt by
+    /// a scan per §4.2.1 refresh: a new `holders_of` key sets its
+    /// object's bits, an emptied one marks them stale for the next
+    /// snapshot to re-derive from the keys. Gossip summaries never
+    /// enter them, as a scan visits only exact object lists.
+    summary: SummaryBits,
+    /// Members carrying a gossip summary (§5.2 seeding); while
+    /// non-zero, holder lookups must also scan those entries.
+    seeded: usize,
 }
 
-/// Remove `peer` from `o`'s holder list: one listing fewer, and `o`'s
-/// last one leaves its summary bits stale.
-fn remove_holder(
-    holders_of: &mut IdMap<ObjectId, Vec<NodeId>>,
-    listings: &mut usize,
-    summary: &mut SummaryBits,
-    o: ObjectId,
-    peer: NodeId,
-) {
-    if let Some(hs) = holders_of.get_mut(&o) {
-        sort_holders(hs);
-        if let Ok(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
-            hs.remove(pos);
-            *listings -= 1;
-            if hs.is_empty() {
-                holders_of.remove(&o);
-                summary.last_occurrence_gone();
+impl HolderIndex {
+    /// List `peer` (a member whose entry just gained `o`, so not yet
+    /// listed) as holding `o`: appended, in no order until a reader
+    /// sorts it. `o`'s first listing sets its summary bits.
+    fn add(&mut self, o: ObjectId, peer: NodeId) {
+        let hs = self.holders_of.entry(o).or_default();
+        hs.push(peer);
+        self.listings += 1;
+        if hs.len() == 1 {
+            self.summary.first_occurrence(o);
+        }
+    }
+
+    /// Unlist `peer` as holding `o`; `o`'s last listing leaves its
+    /// summary bits stale.
+    fn remove(&mut self, o: ObjectId, peer: NodeId) {
+        if let Some(hs) = self.holders_of.get_mut(&o) {
+            sort_holders(hs);
+            if let Ok(pos) = hs.binary_search_by_key(&peer.0, |n| n.0) {
+                hs.remove(pos);
+                self.listings -= 1;
+                if hs.is_empty() {
+                    self.holders_of.remove(&o);
+                    self.summary.last_occurrence_gone();
+                }
             }
         }
+    }
+
+    /// Unlist everything of `peer`'s removed entry `e`.
+    fn drop_member(&mut self, peer: NodeId, e: &DirEntry) {
+        for o in e.objects.iter() {
+            self.remove(o, peer);
+        }
+        if e.summary.is_some() {
+            self.seeded -= 1;
+        }
+    }
+
+    /// The holders of `o`, in node-id order.
+    fn sorted(&mut self, o: ObjectId) -> &[NodeId] {
+        let hs = self
+            .holders_of
+            .get_mut(&o)
+            .map_or(&mut [][..], |hs| &mut hs[..]);
+        sort_holders(hs);
+        hs
+    }
+
+    /// Give the new member entry `e` its gossip summary, if any.
+    fn seed(&mut self, e: &mut DirEntry, summary: Option<ContentSummary>) {
+        self.seeded += usize::from(summary.is_some());
+        e.summary = summary;
+    }
+
+    /// Drop `e`'s gossip summary: its member pushed its exact list.
+    fn unseed(&mut self, e: &mut DirEntry) {
+        if e.summary.take().is_some() {
+            self.seeded -= 1;
+        }
+    }
+
+    /// The directory summary: a snapshot of the maintained bits.
+    fn snapshot(&mut self) -> ContentSummary {
+        self.summary
+            .snapshot(self.holders_of.keys().copied(), self.listings)
+    }
+
+    fn clear(&mut self) {
+        self.holders_of.clear();
+        self.listings = 0;
+        self.summary.clear();
+        self.seeded = 0;
     }
 }
 
@@ -205,57 +417,15 @@ pub struct DirectoryState {
     /// Which §5.3 instance of the petal this is (0 in the base
     /// design; the petal primary when instances are in play).
     instance: u32,
-    index: IdMap<NodeId, DirEntry>,
+    members: MemberOrder,
+    holders: HolderIndex,
     neighbor_summaries: Vec<NeighborSummary>,
-    /// Overlay capacity `Sco`.
-    capacity: usize,
-    /// Age limit for index entries.
-    t_dead: u32,
     /// Objects newly indexed since the last summary broadcast.
     new_since_refresh: usize,
-    /// Object listings in the index, one per `(member, object)`: the
-    /// refresh ratio's denominator and the summary's item count.
-    total_indexed: usize,
     /// §8 active replication: requests per object since the last
-    /// replication round (decayed each round).
+    /// replication round (decayed each round). Filled only when
+    /// replication runs.
     popularity: IdMap<ObjectId, u64>,
-    /// Inverted index: object → members whose *exact* object list
-    /// contains it. A new holder is appended; the readers that need
-    /// node-id order — Algorithm 3's deterministic candidate order,
-    /// and the binary search of a removal — sort a list when they
-    /// read it (module docs, "Holder lookup cost"). No list is kept
-    /// empty.
-    holders_of: IdMap<ObjectId, Vec<NodeId>>,
-    /// Number of entries carrying a gossip summary (§5.2 seeding);
-    /// while non-zero, holder lookups must also scan those entries.
-    summary_entries: usize,
-    /// The age-0 half of the order `view_seed` reads — members by
-    /// `(age, id)` ascending: the id of every entry whose age was set
-    /// to 0 since the last [`DirectoryState::tick`] (admission or
-    /// refresh), as an implicit binary min-heap. Ages only ever reset
-    /// to 0 or advance together at a tick, so a refresh is one push —
-    /// a random id sifts O(1) levels on average — and nothing is ever
-    /// taken out: an entry is *valid* iff the index holds the id at
-    /// age 0, and an id removed and re-admitted inside one tick is
-    /// filed twice. Keepalives outnumber `view_seed` reads 9 : 1
-    /// (`steady_100k`), so the order is worked out by the reader.
-    fresh: Vec<u32>,
-    /// The other half: `(age, id)` of every survivor of the last
-    /// tick, sorted — filled by the sweep `tick` makes anyway. An
-    /// entry is valid iff the index still holds the id at the
-    /// recorded age; every invalid one was refreshed (and is in
-    /// `fresh`) or removed since that tick.
-    aged: Vec<(u32, u32)>,
-    /// The bits of the directory summary, maintained by `add_holder`
-    /// and `remove_holder` instead of rebuilt by scanning the whole
-    /// index per §4.2.1 refresh: a new `holders_of` key sets the
-    /// object's bits (once there are bits: below two listings the
-    /// summary is its object id), an emptied one marks them stale and
-    /// the next refresh's snapshot re-derives them from `holders_of`'s
-    /// keys.
-    /// §5.2-seeded gossip summaries never enter it, exactly as a
-    /// from-scratch scan visits only exact object lists.
-    summary: SummaryBits,
     /// Per-instance load counters (§5.3 PetalUp).
     load: DirLoad,
 }
@@ -275,35 +445,21 @@ impl DirectoryState {
             website,
             locality,
             instance,
-            index: IdMap::default(),
+            members: MemberOrder {
+                capacity,
+                t_dead,
+                ..MemberOrder::default()
+            },
+            holders: HolderIndex {
+                holders_of: IdMap::default(),
+                listings: 0,
+                summary: SummaryBits::empty(summary_capacity),
+                seeded: 0,
+            },
             neighbor_summaries: Vec::new(),
-            capacity,
-            t_dead,
             new_since_refresh: 0,
-            total_indexed: 0,
             popularity: IdMap::default(),
-            holders_of: IdMap::default(),
-            summary_entries: 0,
-            fresh: Vec::new(),
-            aged: Vec::new(),
-            summary: SummaryBits::empty(summary_capacity),
             load: DirLoad::default(),
-        }
-    }
-
-    /// Unindex every object of a removed entry.
-    fn drop_entry_holders(&mut self, peer: NodeId, e: &DirEntry) {
-        for o in e.objects.iter() {
-            remove_holder(
-                &mut self.holders_of,
-                &mut self.total_indexed,
-                &mut self.summary,
-                o,
-                peer,
-            );
-        }
-        if e.summary.is_some() {
-            self.summary_entries -= 1;
         }
     }
 
@@ -342,22 +498,22 @@ impl DirectoryState {
 
     /// Number of content peers currently indexed.
     pub fn overlay_size(&self) -> usize {
-        self.index.len()
+        self.members.entries.len()
     }
 
     /// True when the overlay reached `Sco` (§5.3: no more joins).
     pub fn is_full(&self) -> bool {
-        self.index.len() >= self.capacity
+        self.members.is_full()
     }
 
     /// Is `peer` a member of this overlay?
     pub fn contains(&self, peer: NodeId) -> bool {
-        self.index.contains_key(&peer)
+        self.members.entries.contains_key(&peer)
     }
 
     /// Iterate over the indexed members.
     pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.index.keys().copied()
+        self.members.entries.keys().copied()
     }
 
     /// **Algorithm 3**: decide where to send `query(o)`.
@@ -380,61 +536,41 @@ impl DirectoryState {
         max_dir_hops: u8,
         dir_hops: u8,
     ) -> DirDecision {
-        // 1. directory-index lookup, answered from the inverted index
-        // (sorted into node-id order first, so the random draw is a
-        // pure function of the RNG, not of hash-map iteration or
-        // listing order).
-        if self.summary_entries == 0 {
-            // Steady-state path. Outside `tick()` every indexed entry
-            // has `age < t_dead` (tick evicts at the threshold within
-            // the same call, and validated configs forbid `Tdead` 0),
-            // and `holders_of` only lists indexed members — so every
-            // listed holder is live, and the only candidate the old
-            // per-holder scan ever rejected is `exclude` itself. That
-            // makes step 1 O(log H): locate `exclude` by binary
-            // search, make the same `gen_range(0..count)` draw
-            // `choose` made on the collected slice, and index
-            // straight into the sorted holder list. The per-query
-            // collect this replaces grew with `Sco` and dominated the
-            // million-node profile.
-            if let Some(hs) = self.holders_of.get_mut(&object) {
-                sort_holders(hs);
-                let excluded = hs.binary_search_by_key(&exclude.0, |n| n.0).ok();
-                let count = hs.len() - usize::from(excluded.is_some());
-                if count > 0 {
-                    let i = rng.gen_range(0..count);
-                    let at = match excluded {
-                        Some(ep) if i >= ep => i + 1,
-                        _ => i,
-                    };
-                    let h = hs[at];
-                    debug_assert!(
-                        h != exclude && self.index.get(&h).is_some_and(|e| e.age < self.t_dead),
-                        "holder list out of sync with the index"
-                    );
-                    return DirDecision::ToHolder(h);
-                }
+        // 1. directory-index lookup, from the holder list in node-id
+        // order: the draw is a pure function of the RNG.
+        let (members, seeded) = (&self.members, self.holders.seeded);
+        let hs = self.holders.sorted(object);
+        if seeded == 0 {
+            // Steady-state path. Outside `tick()` every member is
+            // younger than `Tdead` and only members are listed, so the
+            // only holder to pass over is `exclude`: locate it by
+            // binary search and make the `gen_range(0..count)` draw
+            // `choose` would make on the list without it — O(log H)
+            // instead of a collect per query.
+            let excluded = hs.binary_search_by_key(&exclude.0, |n| n.0).ok();
+            let count = hs.len() - usize::from(excluded.is_some());
+            if count > 0 {
+                let i = rng.gen_range(0..count);
+                let at = match excluded {
+                    Some(ep) if i >= ep => i + 1,
+                    _ => i,
+                };
+                let h = hs[at];
+                debug_assert!(
+                    h != exclude && members.is_live(h),
+                    "holder list out of sync with the index"
+                );
+                return DirDecision::ToHolder(h);
             }
         } else {
             // §5.2 fresh-takeover path: members known only through
             // gossip summaries; their exact lists are disjoint from
-            // the inverted hits (`objects` does not contain the
+            // the listed holders (`objects` does not contain the
             // object), so the merge needs a sort but no dedup.
-            let mut holders: Vec<NodeId> = self
-                .holders_of
-                .get(&object)
-                .map(|hs| {
-                    hs.iter()
-                        .copied()
-                        .filter(|p| {
-                            *p != exclude && self.index.get(p).is_some_and(|e| e.age < self.t_dead)
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            for (peer, e) in &self.index {
-                if *peer != exclude
-                    && e.age < self.t_dead
+            let live = |p: NodeId| p != exclude && members.is_live(p);
+            let mut holders: Vec<NodeId> = hs.iter().copied().filter(|p| live(*p)).collect();
+            for (peer, e) in &members.entries {
+                if live(*peer)
                     && !e.objects.contains(object)
                     && e.summary.as_ref().is_some_and(|s| s.might_contain(object))
                 {
@@ -467,31 +603,12 @@ impl DirectoryState {
     /// F with its requested object, and age zero". Returns false when
     /// the peer is new and the overlay is full (admission denied).
     pub fn admit_or_refresh(&mut self, peer: NodeId, object: ObjectId) -> bool {
-        let full = self.is_full();
-        let e = match self.index.entry(peer) {
-            Entry::Occupied(e) => {
-                let e = e.into_mut();
-                if e.age != 0 {
-                    e.age = 0;
-                    heap_push(&mut self.fresh, peer.0);
-                }
-                e
-            }
-            Entry::Vacant(_) if full => return false,
-            Entry::Vacant(e) => {
-                heap_push(&mut self.fresh, peer.0);
-                e.insert(DirEntry::fresh(self.website))
-            }
+        let Some(e) = self.members.refresh(peer, self.website) else {
+            return false;
         };
         if e.objects.insert(object) {
             self.new_since_refresh += 1;
-            add_holder(
-                &mut self.holders_of,
-                &mut self.total_indexed,
-                &mut self.summary,
-                object,
-                peer,
-            );
+            self.holders.add(object, peer);
         }
         true
     }
@@ -504,49 +621,22 @@ impl DirectoryState {
     /// One index lookup per push: the holder lists are updated while
     /// the ∆list is walked, additions first.
     pub fn apply_push(&mut self, peer: NodeId, added: &[ObjectId], removed: &[ObjectId]) {
-        let full = self.is_full();
-        let e = match self.index.entry(peer) {
-            Entry::Occupied(e) => {
-                let e = e.into_mut();
-                if e.age != 0 {
-                    e.age = 0;
-                    heap_push(&mut self.fresh, peer.0);
-                }
-                e
-            }
-            Entry::Vacant(_) if full => return,
-            Entry::Vacant(e) => {
-                heap_push(&mut self.fresh, peer.0);
-                e.insert(DirEntry::fresh(self.website))
-            }
+        let Some(e) = self.members.refresh(peer, self.website) else {
+            return;
         };
         // First push from a §5.2-seeded member: its exact ∆lists are
         // authoritative from here on — drop the gossip summary (and,
         // once no seeded entry remains, the summary-scan tax with it).
-        if e.summary.take().is_some() {
-            self.summary_entries -= 1;
-        }
+        self.holders.unseed(e);
         for &o in added {
             if e.objects.insert(o) {
                 self.new_since_refresh += 1;
-                add_holder(
-                    &mut self.holders_of,
-                    &mut self.total_indexed,
-                    &mut self.summary,
-                    o,
-                    peer,
-                );
+                self.holders.add(o, peer);
             }
         }
         for &o in removed {
             if e.objects.remove(o) {
-                remove_holder(
-                    &mut self.holders_of,
-                    &mut self.total_indexed,
-                    &mut self.summary,
-                    o,
-                    peer,
-                );
+                self.holders.remove(o, peer);
             }
         }
     }
@@ -559,45 +649,16 @@ impl DirectoryState {
     /// directory "gradually builds its directory upon receiving push
     /// messages".
     pub fn keepalive(&mut self, peer: NodeId) {
-        match self.index.get_mut(&peer) {
-            Some(e) => {
-                if e.age != 0 {
-                    e.age = 0;
-                    heap_push(&mut self.fresh, peer.0);
-                }
-            }
-            None => {
-                if !self.is_full() {
-                    self.index.insert(peer, DirEntry::fresh(self.website));
-                    heap_push(&mut self.fresh, peer.0);
-                }
-            }
-        }
+        self.members.refresh(peer, self.website);
     }
 
     /// Directory tick (Algorithm 6 active behaviour): age all entries,
     /// evicting those that reached `Tdead`. Returns the evicted peers.
-    ///
-    /// No member is at age 0 afterwards, so `fresh` empties, and the
-    /// sweep refills `aged` with the survivors, sorted once — the
-    /// only ordering work between two ticks that is not a reader's.
     pub fn tick(&mut self) -> Vec<NodeId> {
-        self.fresh.clear();
-        self.aged.clear();
         let mut dead = Vec::new();
-        for (peer, e) in &mut self.index {
-            e.age = e.age.saturating_add(1);
-            if e.age >= self.t_dead {
-                dead.push(*peer);
-            } else {
-                self.aged.push((e.age, peer.0));
-            }
-        }
-        self.aged.sort_unstable();
-        for peer in &dead {
-            if let Some(e) = self.index.remove(peer) {
-                self.drop_entry_holders(*peer, &e);
-            }
+        for (peer, e) in self.members.tick() {
+            self.holders.drop_member(peer, &e);
+            dead.push(peer);
         }
         dead.sort_unstable_by_key(|n| n.0);
         dead
@@ -606,13 +667,11 @@ impl DirectoryState {
     /// Remove an entry after a redirection failure (§5.1: "the
     /// directory peer removes the invalid directory entry").
     pub fn remove_entry(&mut self, peer: NodeId) -> bool {
-        match self.index.remove(&peer) {
-            Some(e) => {
-                self.drop_entry_holders(peer, &e);
-                true
-            }
-            None => false,
-        }
+        let Some(e) = self.members.remove(peer) else {
+            return false;
+        };
+        self.holders.drop_member(peer, &e);
+        true
     }
 
     /// Store/refresh a neighbour directory's summary (§3.3).
@@ -640,13 +699,11 @@ impl DirectoryState {
 
     /// Should a refreshed directory summary be broadcast? (§4.2.1:
     /// "only when the percentage of new object identifiers reaches a
-    /// threshold".) Resets the change counter when answering yes.
-    pub fn take_summary_refresh(&mut self, threshold: f64) -> Option<ContentSummary> {
-        if self.new_since_refresh == 0 {
-            return None;
-        }
-        let ratio = self.new_since_refresh as f64 / self.total_indexed.max(1) as f64;
-        if ratio < threshold {
+    /// threshold" — `policy`, the rule a content peer's push follows,
+    /// over the objects newly indexed and the listings.) Resets the
+    /// change counter when answering yes.
+    pub fn take_summary_refresh(&mut self, policy: PushPolicy) -> Option<ContentSummary> {
+        if !policy.should_push(self.new_since_refresh, self.holders.listings) {
             return None;
         }
         self.new_since_refresh = 0;
@@ -664,13 +721,9 @@ impl DirectoryState {
     pub fn take_hot_objects<R: Rng>(&mut self, rng: &mut R, k: usize) -> Vec<(ObjectId, NodeId)> {
         let mut ranked: Vec<(ObjectId, u64)> =
             self.popularity.iter().map(|(o, c)| (*o, *c)).collect();
-        // Select the top `k` (highest count, ties broken by object
-        // key) instead of sorting the whole popularity map each round
-        // — the same select-then-sort move as `view_seed`, and exact
-        // for the same reason: the (count, key) ranking is total. The
-        // only divergence from the full sort is deliberate: a top-k
-        // object with no live holder no longer pulls the (k+1)-th in
-        // as a substitute, it just yields a shorter offer.
+        // Select the top `k` by (count, key), a total ranking, then
+        // sort only those. A top-k object with no live holder yields
+        // a shorter offer, not the (k+1)-th as a substitute.
         let rank_key = |(o, c): &(ObjectId, u64)| (std::cmp::Reverse(*c), o.key());
         if k == 0 {
             // No offer this round, but the decay below still runs —
@@ -700,13 +753,9 @@ impl DirectoryState {
     /// bit-identical to a full-index scan (one insert per `(member,
     /// object)` listing, so `items` matches the scan's tally too).
     pub fn build_summary(&mut self) -> ContentSummary {
-        debug_assert_eq!(
-            self.total_indexed,
-            self.index.values().map(|e| e.objects.len()).sum::<usize>(),
-            "listing count drifted from the index"
-        );
-        self.summary
-            .snapshot(self.holders_of.keys().copied(), self.total_indexed)
+        let held = self.members.entries.values().map(|e| e.objects.len());
+        debug_assert_eq!(self.holders.listings, held.sum(), "listings drifted");
+        self.holders.snapshot()
     }
 
     /// A view seed for a joining client: up to `n` members (the
@@ -714,46 +763,13 @@ impl DirectoryState {
     /// `(age, id)` ascending, `exclude` skipped.
     ///
     /// Age 0 comes first, by a best-first walk of the `fresh` heap:
-    /// pop the smallest id off a frontier that starts at the root,
-    /// put its two children in. Ids come out in ascending order at
-    /// `O(log n)` each; `exclude`, an id equal to the one before it
-    /// (filed twice, see `fresh`) and invalid entries are passed
-    /// over. Then `aged`, front to back. Its invalid entries number
-    /// at most the entries of `fresh` plus the removals since the
-    /// tick, so the scan is long only after a `fresh` that was long
-    /// itself and still fell short of `n`.
+    /// pop the smallest id off a frontier that starts at the root, put
+    /// its two children in. Ids come out ascending at `O(log n)` each,
+    /// and `exclude`, an id filed twice and invalid entries are passed
+    /// over. Then `aged`, front to back: its invalid entries are at
+    /// most those of `fresh` plus the removals since the tick.
     pub fn view_seed(&self, n: usize, exclude: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(n.min(self.index.len()));
-        if n == 0 {
-            return out;
-        }
-        let age_of = |id: u32| self.index.get(&NodeId(id)).map(|e| e.age);
-        let mut frontier = BinaryHeap::with_capacity(n + 2);
-        if let Some(&root) = self.fresh.first() {
-            frontier.push(Reverse((root, 0)));
-        }
-        while let Some(Reverse((id, at))) = frontier.pop() {
-            if id != exclude.0 && out.last() != Some(&NodeId(id)) && age_of(id) == Some(0) {
-                out.push(NodeId(id));
-                if out.len() == n {
-                    return out;
-                }
-            }
-            for child in [2 * at + 1, 2 * at + 2] {
-                if let Some(&id) = self.fresh.get(child) {
-                    frontier.push(Reverse((id, child)));
-                }
-            }
-        }
-        for &(age, id) in &self.aged {
-            if id != exclude.0 && age_of(id) == Some(age) {
-                out.push(NodeId(id));
-                if out.len() == n {
-                    break;
-                }
-            }
-        }
-        out
+        self.members.view_seed(n, exclude)
     }
 
     /// Seed the index from a gossip view after a §5.2 takeover: the
@@ -764,62 +780,40 @@ impl DirectoryState {
         entries: impl IntoIterator<Item = (NodeId, Option<&'a ContentSummary>)>,
     ) {
         for (peer, summary) in entries {
-            if self.is_full() || self.index.contains_key(&peer) {
+            if self.is_full() || self.contains(peer) {
                 continue;
             }
             let mut e = DirEntry::fresh(self.website);
-            e.summary = summary.cloned();
-            if e.summary.is_some() {
-                self.summary_entries += 1;
-            }
-            self.index.insert(peer, e);
-            heap_push(&mut self.fresh, peer.0);
+            self.holders.seed(&mut e, summary.cloned());
+            self.members.insert(peer, e);
         }
     }
 
-    /// Install a snapshot received in a voluntary hand-off (§5.2).
-    /// The incoming index replaces everything, so the listings and the
-    /// summary bits restart from the snapshot's distinct listings: an
-    /// object listed twice for one member counts once, because only
-    /// its first insert into the entry's object set reaches the
-    /// holder list, which appends without looking.
+    /// Install a snapshot received in a voluntary hand-off (§5.2),
+    /// replacing everything: the listings and the summary bits restart
+    /// from the snapshot's distinct listings, so an object listed
+    /// twice for one member counts once.
     pub fn install_snapshot(&mut self, entries: Vec<(NodeId, u32, Vec<ObjectId>)>) {
-        self.index.clear();
-        self.holders_of.clear();
-        self.summary_entries = 0;
-        self.total_indexed = 0;
-        self.summary.clear();
-        self.fresh.clear();
-        self.aged.clear();
-        for (peer, age, objects) in entries {
+        self.holders.clear();
+        let members = entries.into_iter().map(|(peer, age, objects)| {
             let mut e = DirEntry::fresh(self.website);
             e.age = age;
             for o in objects {
                 if e.objects.insert(o) {
-                    add_holder(
-                        &mut self.holders_of,
-                        &mut self.total_indexed,
-                        &mut self.summary,
-                        o,
-                        peer,
-                    );
+                    self.holders.add(o, peer);
                 }
             }
-            self.index.insert(peer, e);
-            if age == 0 {
-                heap_push(&mut self.fresh, peer.0);
-            } else {
-                self.aged.push((age, peer.0));
-            }
-        }
-        self.aged.sort_unstable();
+            (peer, e)
+        });
+        self.members.install(members);
     }
 
     /// Export the index for a voluntary hand-off (§5.2), in
     /// deterministic (node-id) order.
     pub fn snapshot(&self) -> Vec<(NodeId, u32, Vec<ObjectId>)> {
         let mut snap: Vec<(NodeId, u32, Vec<ObjectId>)> = self
-            .index
+            .members
+            .entries
             .iter()
             .map(|(p, e)| {
                 let mut objs: Vec<ObjectId> = e.objects.iter().collect();
@@ -1002,14 +996,66 @@ mod tests {
             d.admit_or_refresh(NodeId(p), obj(p as usize));
         }
         // 10 new / 10 total = 1.0 ≥ 0.5 → refresh.
-        let s = d.take_summary_refresh(0.5).expect("refresh due");
+        let s = d
+            .take_summary_refresh(PushPolicy::new(0.5))
+            .expect("refresh due");
         assert!(s.might_contain(obj(3)));
         // Counter reset: no refresh until enough new changes.
-        assert!(d.take_summary_refresh(0.5).is_none());
+        assert!(d.take_summary_refresh(PushPolicy::new(0.5)).is_none());
         d.admit_or_refresh(NodeId(0), obj(100));
         // 1 new / 11 total < 0.5.
-        assert!(d.take_summary_refresh(0.5).is_none());
-        assert!(d.take_summary_refresh(0.05).is_some());
+        assert!(d.take_summary_refresh(PushPolicy::new(0.5)).is_none());
+        assert!(d.take_summary_refresh(PushPolicy::new(0.05)).is_some());
+    }
+
+    /// The §4.2.1 refresh decides by the push rule exactly as the
+    /// ratio it used to work out itself — `new / max(listings, 1) ≥
+    /// threshold` — at the protocol's threshold, over pairs of (newly
+    /// indexed, listings), zero listings with new ones among them.
+    #[test]
+    fn summary_refresh_decides_like_the_ratio_rule() {
+        let threshold = crate::node::SUMMARY_REFRESH_THRESHOLD;
+        let ratio_rule = |new: usize, listings: usize| {
+            new != 0 && new as f64 / listings.max(1) as f64 >= threshold
+        };
+        for new in 0..6 {
+            for listings in 0..40 {
+                let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 5, 100);
+                let old: Vec<ObjectId> = (0..listings).map(obj).collect();
+                d.apply_push(NodeId(1), &old, &[]);
+                d.take_summary_refresh(PushPolicy::new(f64::MIN_POSITIVE));
+                // `new` objects indexed, then `new` listings gone.
+                let added: Vec<ObjectId> = (listings..listings + new).map(obj).collect();
+                let removed: Vec<ObjectId> = (0..new).map(obj).collect();
+                d.apply_push(NodeId(1), &added, &removed);
+                assert_eq!((d.new_since_refresh, d.holders.listings), (new, listings));
+                assert_eq!(
+                    d.take_summary_refresh(PushPolicy::new(threshold)).is_some(),
+                    ratio_rule(new, listings),
+                    "{new} new of {listings} listings"
+                );
+            }
+        }
+    }
+
+    /// Only §8 replication reads request counts, so a run without it
+    /// records none.
+    #[test]
+    fn popularity_stays_empty_without_replication() {
+        let cfg = crate::system::SystemConfig::small_test();
+        assert!(cfg.flower.replication_period.is_none());
+        let (sys, _) = crate::system::FlowerSystem::run(&cfg);
+        let engine = sys.engine();
+        let dirs: Vec<&DirectoryState> = engine
+            .topology()
+            .node_ids()
+            .filter_map(|n| Some(&engine.node(n).dir_role()?.dir))
+            .collect();
+        assert!(
+            dirs.iter().any(|d| d.load().queries > 0),
+            "no query processed"
+        );
+        assert!(dirs.iter().all(|d| d.popularity.is_empty()));
     }
 
     #[test]
@@ -1085,8 +1131,8 @@ mod tests {
     /// What `build_summary` used to compute: a from-scratch scan over
     /// every `(member, object)` listing.
     fn scan_summary(d: &DirectoryState) -> ContentSummary {
-        let mut s = ContentSummary::empty(d.summary.capacity());
-        for e in d.index.values() {
+        let mut s = ContentSummary::empty(d.holders.summary.capacity());
+        for e in d.members.entries.values() {
             for o in e.objects.iter() {
                 s.insert(o);
             }
@@ -1133,7 +1179,7 @@ mod tests {
     fn a_duplicated_hand_off_listing_counts_once() {
         let mut d = dir();
         d.install_snapshot(vec![(NodeId(7), 0, vec![O1, O1, O2])]);
-        assert_eq!(d.total_indexed, 2);
+        assert_eq!(d.holders.listings, 2);
         assert_eq!(d.build_summary(), scan_summary(&d));
         d.apply_push(NodeId(7), &[], &[O1]);
         assert_eq!(d.build_summary(), ContentSummary::from_objects(100, &[O2]));
@@ -1324,7 +1370,7 @@ mod tests {
         }
         assert!(d.remove_entry(NodeId(2)));
         d.keepalive(NodeId(2));
-        assert_eq!(d.fresh.iter().filter(|&&p| p == 2).count(), 2);
+        assert_eq!(d.members.fresh.iter().filter(|&&p| p == 2).count(), 2);
         assert_eq!(
             d.view_seed(8, NodeId(99)),
             vec![NodeId(1), NodeId(2), NodeId(3)]
@@ -1340,8 +1386,11 @@ mod tests {
         d.apply_push(NodeId(3), &[O1], &[]);
         d.keepalive(NodeId(9));
         d.tick();
-        assert!(d.fresh.is_empty(), "no member is at age 0 after a tick");
-        assert_eq!(d.aged, vec![(1, 3), (1, 9), (2, 7)]);
+        assert!(
+            d.members.fresh.is_empty(),
+            "no member is at age 0 after a tick"
+        );
+        assert_eq!(d.members.aged, vec![(1, 3), (1, 9), (2, 7)]);
         assert_eq!(
             d.view_seed(8, NodeId(99)),
             vec![NodeId(3), NodeId(9), NodeId(7)]
@@ -1363,7 +1412,7 @@ mod tests {
         d.keepalive(NodeId(2));
         d.apply_push(NodeId(3), &[O1], &[]);
         d.seed_from_view([(NodeId(4), None)]);
-        assert_eq!(d.fresh.len(), 3);
+        assert_eq!(d.members.fresh.len(), 3);
         assert_eq!(
             d.view_seed(8, NodeId(99)),
             vec![NodeId(5), NodeId(6), NodeId(7)]
@@ -1397,7 +1446,7 @@ mod tests {
         d.tick();
         d.keepalive(NodeId(2));
         assert_eq!(d.tick(), vec![NodeId(1)]);
-        assert_eq!(d.aged, vec![(1, 2)]);
+        assert_eq!(d.members.aged, vec![(1, 2)]);
         assert_eq!(d.view_seed(8, NodeId(99)), vec![NodeId(2)]);
     }
 
@@ -1633,31 +1682,66 @@ mod tests {
         }
     }
 
-    /// The inverted index lists exactly the index's object sets — `o
-    /// ∈ index[p].objects` iff `p ∈ holders_of[o]`, each listing once
-    /// — and keeps no empty list.
+    /// The member order's invariant: every member is valid in exactly
+    /// one of `fresh` (filed there, at age 0) and `aged` (recorded
+    /// once, at its age); `fresh` is a min-heap and `aged` sorted.
+    fn assert_member_order_exact(d: &DirectoryState) {
+        let m = &d.members;
+        let heap = (1..m.fresh.len()).all(|i| m.fresh[(i - 1) / 2] <= m.fresh[i]);
+        assert!(heap, "fresh is not a min-heap: {:?}", m.fresh);
+        assert!(m.aged.is_sorted(), "aged is not sorted: {:?}", m.aged);
+        for (p, e) in &m.entries {
+            let in_fresh = e.age == 0 && m.fresh.contains(&p.0);
+            let in_aged = m.aged.iter().filter(|&&r| r == (e.age, p.0)).count();
+            assert!(
+                usize::from(in_fresh) + in_aged == 1,
+                "{p:?} at age {} is valid {} times",
+                e.age,
+                usize::from(in_fresh) + in_aged
+            );
+        }
+    }
+
+    /// The holder index's invariant: it lists exactly the index's
+    /// object sets — `o ∈ index[p].objects` iff `p ∈ holders_of[o]`,
+    /// each listing once — keeps no empty list, and counts as seeded
+    /// exactly the entries that carry a gossip summary.
     fn assert_inverted_index_exact(d: &DirectoryState) {
-        for (p, e) in &d.index {
+        for (p, e) in &d.members.entries {
             for o in e.objects.iter() {
                 assert!(
-                    d.holders_of.get(&o).is_some_and(|hs| hs.contains(p)),
+                    d.holders
+                        .holders_of
+                        .get(&o)
+                        .is_some_and(|hs| hs.contains(p)),
                     "{p:?} holds {o:?} but is not listed"
                 );
             }
         }
-        for (o, hs) in &d.holders_of {
+        for (o, hs) in &d.holders.holders_of {
             assert!(!hs.is_empty(), "empty holder list kept for {o:?}");
             for p in hs {
                 assert!(
-                    d.index.get(p).is_some_and(|e| e.objects.contains(*o)),
+                    d.members
+                        .entries
+                        .get(p)
+                        .is_some_and(|e| e.objects.contains(*o)),
                     "{p:?} listed under {o:?} without holding it"
                 );
             }
         }
-        let listed: usize = d.holders_of.values().map(Vec::len).sum();
-        let held: usize = d.index.values().map(|e| e.objects.len()).sum();
+        let listed: usize = d.holders.holders_of.values().map(Vec::len).sum();
+        let held: usize = d.members.entries.values().map(|e| e.objects.len()).sum();
         assert_eq!(listed, held, "a holder is listed twice");
-        assert_eq!(d.total_indexed, listed);
+        assert_eq!(d.holders.listings, listed);
+        let seeded = d.members.entries.values().filter(|e| e.summary.is_some());
+        assert_eq!(d.holders.seeded, seeded.count(), "seeded count drifted");
+    }
+
+    /// Both owners' invariants.
+    fn assert_owners_exact(d: &DirectoryState) {
+        assert_member_order_exact(d);
+        assert_inverted_index_exact(d);
     }
 
     proptest! {
@@ -1728,8 +1812,8 @@ mod tests {
                         }
                     }
                 }
-                assert_inverted_index_exact(&d);
-                prop_assert_eq!(d.total_indexed, r.listings);
+                assert_owners_exact(&d);
+                prop_assert_eq!(d.holders.listings, r.listings);
                 prop_assert_eq!(d.build_summary(), r.scan_summary(bits));
                 for k in 0..9 {
                     for exclude in [NodeId(NON_MEMBER), NodeId(peer), NodeId(2)] {
@@ -1783,6 +1867,7 @@ mod tests {
                     }
                     _ => prop_assert_eq!(d.build_summary(), scan_summary(&d)),
                 }
+                assert_owners_exact(&d);
             }
             prop_assert_eq!(d.build_summary(), scan_summary(&d));
         }
@@ -1818,8 +1903,8 @@ mod tests {
                     6 => {
                         d.tick();
                         r.tick();
-                        prop_assert!(d.fresh.is_empty());
-                        prop_assert_eq!(d.aged.len(), d.overlay_size());
+                        prop_assert!(d.members.fresh.is_empty());
+                        prop_assert_eq!(d.members.aged.len(), d.overlay_size());
                     }
                     7 => {
                         let s = ContentSummary::empty(100);
@@ -1847,6 +1932,7 @@ mod tests {
                     }
                 }
                 assert_seeds_like(&d, &r);
+                assert_owners_exact(&d);
             }
         }
     }

@@ -216,16 +216,8 @@ impl FlowerNode {
         let me = ctx.id();
         let lookup_ms = resolved_at.since(query.submitted_at).as_ms();
         let transfer_ms = ctx.latency_ms(me, from);
-        let served_by = match provider {
-            ProviderKind::OriginServer => ServedBy::OriginServer,
-            ProviderKind::ContentPeer => {
-                if ctx.locality(from) == self.my_locality(ctx) {
-                    ServedBy::LocalOverlay
-                } else {
-                    ServedBy::RemoteOverlay
-                }
-            }
-        };
+        let from_origin = provider == ProviderKind::OriginServer;
+        let served_by = ServedBy::of(from_origin, ctx.locality(from), self.my_locality(ctx));
         let now = ctx.now();
         ctx.query_stats()
             .on_resolved(now, me, lookup_ms, transfer_ms, served_by);

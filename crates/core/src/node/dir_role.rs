@@ -4,6 +4,7 @@
 
 use bloom::ObjectId;
 use chord::ChordState;
+use gossip::PushPolicy;
 use metrics::{Counter, Hist};
 use simnet::NodeId;
 use workload::WebsiteId;
@@ -93,7 +94,10 @@ impl FlowerNode {
         // locality directory only.
         let admits_here = local && !role.dir.contains(query.origin);
         role.dir.note_query();
-        role.dir.note_request(query.object);
+        // §8 popularity, read only by the replication timer.
+        if self.shared.cfg.replication_period.is_some() {
+            role.dir.note_request(query.object);
+        }
         let max_hops = self.shared.cfg.max_dir_hops;
         let decision = role.dir.process(
             ctx.rng(),
@@ -177,7 +181,10 @@ impl FlowerNode {
         let Some(role) = &mut self.dir_role else {
             return;
         };
-        let Some(summary) = role.dir.take_summary_refresh(SUMMARY_REFRESH_THRESHOLD) else {
+        let Some(summary) = role
+            .dir
+            .take_summary_refresh(PushPolicy::new(SUMMARY_REFRESH_THRESHOLD))
+        else {
             return;
         };
         let msg = FlowerMsg::DirSummary {

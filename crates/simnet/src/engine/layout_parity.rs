@@ -73,11 +73,7 @@ impl Node<Msg> for Chatter {
                     let me = ctx.id();
                     let now = ctx.now();
                     let lat = ctx.latency_ms(me, from);
-                    let served = if ctx.locality(me) == ctx.locality(from) {
-                        ServedBy::LocalOverlay
-                    } else {
-                        ServedBy::RemoteOverlay
-                    };
+                    let served = ServedBy::of(false, ctx.locality(from), ctx.locality(me));
                     ctx.query_stats().on_resolved(now, me, lat, lat, served);
                     ctx.send(from, Msg::Reply);
                     return;

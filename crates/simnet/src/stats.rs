@@ -34,7 +34,7 @@
 //! demand. Every accumulator is O(nodes + windows), never O(events).
 
 use crate::time::{SimDuration, SimTime};
-use crate::topology::NodeId;
+use crate::topology::{Locality, NodeId};
 
 /// Classification of simulated messages, used to separate the paper's
 /// "background traffic" (gossip + push) from query processing and DHT
@@ -449,6 +449,23 @@ pub enum ServedBy {
     OriginServer,
 }
 
+impl ServedBy {
+    /// Who served a query a provider answered — the one rule both
+    /// compared systems sort their answers by for Figures 6–8: the
+    /// origin server (`from_origin`), or a content peer of locality
+    /// `provider`, which is in the requester's own overlay when that
+    /// is the `requester` locality and in a remote one otherwise.
+    pub fn of(from_origin: bool, provider: Locality, requester: Locality) -> ServedBy {
+        if from_origin {
+            ServedBy::OriginServer
+        } else if provider == requester {
+            ServedBy::LocalOverlay
+        } else {
+            ServedBy::RemoteOverlay
+        }
+    }
+}
+
 /// The paper's per-query metrics, aggregated.
 ///
 /// Hit ratio, lookup latency and transfer distance are recorded at
@@ -658,6 +675,15 @@ impl QueryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_answer_is_sorted_by_the_provider_and_both_localities() {
+        let (here, there) = (Locality(0), Locality(1));
+        assert_eq!(ServedBy::of(true, here, here), ServedBy::OriginServer);
+        assert_eq!(ServedBy::of(true, there, here), ServedBy::OriginServer);
+        assert_eq!(ServedBy::of(false, here, here), ServedBy::LocalOverlay);
+        assert_eq!(ServedBy::of(false, there, here), ServedBy::RemoteOverlay);
+    }
 
     /// One shard owning nodes `0..nodes`, so local index = node id.
     fn whole_ledger(nodes: u32, window: SimDuration) -> ShardTraffic {

@@ -237,15 +237,9 @@ impl SquirrelNode {
         let me = ctx.id();
         let lookup_ms = resolved_at.since(query.submitted_at).as_ms();
         let transfer_ms = ctx.latency_ms(me, from);
-        let served_by = if from_server {
-            ServedBy::OriginServer
-        } else if ctx.locality(from) == ctx.locality(me) {
-            // Same locality by chance — Squirrel does not aim for it,
-            // but the metric records it for the Figure 8 comparison.
-            ServedBy::LocalOverlay
-        } else {
-            ServedBy::RemoteOverlay
-        };
+        // A peer of the same locality is one by chance — Squirrel does
+        // not aim for it, but the metric records it for Figure 8.
+        let served_by = ServedBy::of(from_server, ctx.locality(from), ctx.locality(me));
         let now = ctx.now();
         ctx.query_stats()
             .on_resolved(now, me, lookup_ms, transfer_ms, served_by);
