@@ -79,12 +79,16 @@ impl BloomFilter {
         BloomFilter::new(m, k)
     }
 
-    /// Assemble a filter from an externally maintained bit projection
-    /// (the [`crate::SummaryBits`] snapshot path). `items` is the
-    /// owner's live insert count.
-    pub(crate) fn from_raw_parts(bits: BitVec, k: u32, items: usize) -> Self {
-        assert!(k > 0, "need at least one hash function");
-        BloomFilter { bits, k, items }
+    /// The bits, for an owner that maintains them (the
+    /// [`crate::SummaryBits`] snapshot path).
+    pub(crate) fn bits_mut(&mut self) -> &mut BitVec {
+        &mut self.bits
+    }
+
+    /// Report `items` live inserts (the [`crate::SummaryBits`]
+    /// snapshot path: the owner counts them).
+    pub(crate) fn set_items(&mut self, items: usize) {
+        self.items = items;
     }
 
     fn probes(&self, key: u64) -> impl Iterator<Item = usize> + '_ {

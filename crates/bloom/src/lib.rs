@@ -20,11 +20,11 @@
 //! * [`SummaryBits`] — the *maintained* form for an owner that keeps
 //!   its own object list: no bits below two objects, from there bits
 //!   set on an object's first occurrence and marked stale when its
-//!   last occurrence goes, with snapshots identical to a from-scratch
-//!   [`ContentSummary`] (the hot-path replacement for
-//!   rebuild-per-gossip);
+//!   last occurrence goes, held in the filter its snapshots share,
+//!   with snapshots identical to a from-scratch [`ContentSummary`]
+//!   (the hot-path replacement for rebuild-per-gossip);
 //! * [`MaintainedSummary`] — [`SummaryBits`] over a multiset of its
-//!   own, kept for the benchmark's probe until ROADMAP item 1(a).
+//!   own, kept for the benchmark's probe until ROADMAP item 7.
 
 #![forbid(unsafe_code)]
 

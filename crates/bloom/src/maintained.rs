@@ -24,23 +24,28 @@
 //! owner may store an object as a rank and hand out its id), and item
 //! count.
 //! Below two items the summary is its object id (or nothing), read
-//! straight from the keys, and the owner keeps no bits at all: the bit
-//! array is derived from the keys at the first snapshot of two or more
-//! items and only then follows first occurrences. From there a
-//! snapshot re-derives stale bits from the keys (`O(distinct objects ·
-//! k)`, once per snapshot that follows a last-occurrence removal), then
-//! copies the bits into a shared filter in `O(words)`. Bits are OR'd,
-//! so the order the keys come in does not matter. A snapshot is
-//! **identical** (form, answers and item count) to
+//! from the keys and kept until the next bit event, and the owner
+//! keeps no bits at all: the bit array is derived from the keys at the
+//! first snapshot of two or more items and only then follows first
+//! occurrences. The bits live in the
+//! filter that snapshot shares, and every later snapshot clones that
+//! `Arc`; a first occurrence or a stale re-derivation (`O(distinct
+//! objects · k)`, once per snapshot that follows a last-occurrence
+//! removal) writes through [`Arc::make_mut`], so the bits exist twice
+//! only while a view or a message still holds an older snapshot. Bits
+//! are OR'd, so the order the keys come in does not matter. A
+//! snapshot is **identical** (form, answers and item count) to
 //! [`ContentSummary::from_objects`] over the owner's multiset: both
 //! draw their probes from the one shared probe function, so the
 //! seed-pinned simulations cannot tell the difference.
 //!
 //! [`MaintainedSummary`] is the same filter with an owner of its own, a
 //! multiset of keys. Only the benchmark's `bloom` probe and this
-//! module's oracle tests use it; it is deleted with ROADMAP item 1(a).
+//! module's oracle tests use it; it goes when ROADMAP item 7 retires
+//! that probe.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::bits::BitVec;
 use crate::filter::{probe_positions, rate_bits, BloomFilter};
@@ -52,20 +57,35 @@ use crate::summary::{ContentSummary, ObjectId, BITS_PER_OBJECT, PROBES};
 #[derive(Clone, Debug)]
 pub struct SummaryBits {
     /// The design capacity (nb-ob), echoed into snapshots.
-    capacity: usize,
-    /// The bits of the owner's live objects — exactly, unless `stale`.
-    /// `None` until the first snapshot of two or more items: a summary
-    /// of fewer is its object id and needs no bits.
-    bits: Option<BitVec>,
-    /// An object's last occurrence left since `bits` was derived; the
-    /// next snapshot of two or more items re-derives them from the
+    capacity: u32,
+    /// An object's last occurrence left since the bits were derived;
+    /// the next snapshot of two or more items re-derives them from the
     /// owner's keys.
     stale: bool,
-    /// The last snapshot, reused while no bit event happened and the
-    /// item count is the same: a summary gossiped every `Tgossip` while
-    /// the content sits still costs one clone per exchange — a 16-byte
-    /// copy below two objects, an `Arc` clone from there.
-    cached: Option<ContentSummary>,
+    /// The form of the last snapshot while no bit event has happened
+    /// since, so that the next one at the same item count is that
+    /// snapshot again — rebuilt from `one` below two objects, a clone
+    /// of `filter` from there — and a summary gossiped every `Tgossip`
+    /// while the content sits still reads no key and copies no bit.
+    last: Last,
+    /// The object of the last one-object snapshot.
+    one: ObjectId,
+    /// The bits of the owner's live objects — exactly, unless `stale`
+    /// — in the filter the latest snapshot of two or more items
+    /// shares, with that snapshot's item count. `None` until the first
+    /// such snapshot: a summary of fewer is its object id and needs no
+    /// bits.
+    filter: Option<Arc<BloomFilter>>,
+}
+
+/// The form of an owner's last snapshot, if no bit event happened
+/// since it was taken.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Last {
+    Dirty,
+    Empty,
+    One,
+    Filter,
 }
 
 /// Set `o`'s probe bits in `bits`.
@@ -80,45 +100,47 @@ impl SummaryBits {
     /// [`ContentSummary::empty`]`(capacity)` (Table 1: `8·nb-ob` bits).
     pub fn empty(capacity: usize) -> Self {
         SummaryBits {
-            capacity,
-            bits: None,
+            capacity: u32::try_from(capacity).expect("summary capacity fits in u32"),
             stale: false,
-            cached: None,
+            last: Last::Dirty,
+            one: ObjectId(0),
+            filter: None,
         }
     }
 
     /// The design capacity (nb-ob).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity as usize
     }
 
     /// The owner gained its first occurrence of `o`: set its `k` bits,
-    /// if the owner keeps bits yet.
+    /// if the owner keeps bits yet and the next snapshot will not
+    /// re-derive them anyway.
     pub fn first_occurrence(&mut self, o: ObjectId) {
-        self.cached = None;
-        if let Some(bits) = &mut self.bits {
-            set_bits(bits, o);
+        self.last = Last::Dirty;
+        if let Some(filter) = self.filter.as_mut().filter(|_| !self.stale) {
+            set_bits(Arc::make_mut(filter).bits_mut(), o);
         }
     }
 
     /// The owner lost the last occurrence of some object: its bits may
     /// now belong to nothing live.
     pub fn last_occurrence_gone(&mut self) {
-        self.cached = None;
+        self.last = Last::Dirty;
         self.stale = true;
     }
 
     /// Drop everything (§5.2 snapshot install).
     pub fn clear(&mut self) {
-        self.cached = None;
-        self.bits = None;
+        self.last = Last::Dirty;
+        self.filter = None;
         self.stale = false;
     }
 
     /// Whether no bit event happened since the last snapshot, so the
     /// next one at the same item count is a clone of the cached one.
     pub fn is_cached(&self) -> bool {
-        self.cached.is_some()
+        self.last != Last::Dirty
     }
 
     /// The wire-ready summary of the owner's live objects `keys` (each
@@ -130,38 +152,52 @@ impl SummaryBits {
         keys: impl IntoIterator<Item = ObjectId>,
         items: usize,
     ) -> ContentSummary {
-        if let Some(c) = self.cached.as_ref().filter(|c| c.items() == items) {
-            return c.clone();
-        }
-        let s = if items <= 1 {
-            // At most one live key, and it is the whole summary.
-            ContentSummary::from_objects(self.capacity, &keys.into_iter().next())
-        } else {
-            let derive = self.stale || self.bits.is_none();
-            let bits = self
-                .bits
-                .get_or_insert_with(|| BitVec::new(rate_bits(self.capacity, BITS_PER_OBJECT)));
-            if derive {
-                bits.clear();
-                for o in keys {
-                    set_bits(bits, o);
-                }
-                self.stale = false;
+        let capacity = self.capacity();
+        let s = match (self.last, items) {
+            // No bit event: the one live object is still `one`.
+            (Last::One, 1) => ContentSummary::from_objects(capacity, &[self.one]),
+            (_, 0) => {
+                self.last = Last::Empty;
+                ContentSummary::empty(capacity)
             }
-            ContentSummary::from_filter(
-                BloomFilter::from_raw_parts(bits.clone(), PROBES, items),
-                self.capacity,
-            )
+            (_, 1) => {
+                self.last = Last::One;
+                self.one = keys.into_iter().next().expect("one live key");
+                ContentSummary::from_objects(capacity, &[self.one])
+            }
+            _ => {
+                self.last = Last::Filter;
+                let derive = self.stale || self.filter.is_none();
+                let filter = self.filter.get_or_insert_with(|| {
+                    Arc::new(BloomFilter::new(
+                        rate_bits(capacity, BITS_PER_OBJECT),
+                        PROBES,
+                    ))
+                });
+                if derive || filter.items() != items {
+                    // Copies the bits only if an older snapshot holds them.
+                    let f = Arc::make_mut(filter);
+                    if derive {
+                        let bits = f.bits_mut();
+                        bits.clear();
+                        for o in keys {
+                            set_bits(bits, o);
+                        }
+                        self.stale = false;
+                    }
+                    f.set_items(items);
+                }
+                ContentSummary::from_filter(Arc::clone(filter), capacity)
+            }
         };
         debug_assert_eq!(s.items(), items, "the keys disagree with the item count");
-        self.cached = Some(s.clone());
         s
     }
 }
 
 /// [`SummaryBits`] with an owner of its own: a multiset of keys.
 /// Kept only for the benchmark's `bloom` probe and the oracle tests
-/// below; deleted with ROADMAP item 1(a).
+/// below; deleted when ROADMAP item 7 retires that probe.
 #[derive(Clone, Debug)]
 pub struct MaintainedSummary {
     live: BTreeMap<ObjectId, u32>,
@@ -265,12 +301,19 @@ mod tests {
         for o in &objs {
             m.insert(*o);
         }
-        m.snapshot();
-        let all_bits = m.bits.bits.clone();
-        assert!(all_bits.is_some(), "ten objects keep bits");
+        let before = m.snapshot();
+        let shared = before.shared_filter().expect("ten objects keep bits");
         m.remove(objs[0]);
-        assert_eq!(m.bits.bits, all_bits, "a removal does not touch the bits");
+        assert!(
+            Arc::ptr_eq(m.bits.filter.as_ref().unwrap(), shared),
+            "a removal touches no bit: the owner's bits are the snapshot's"
+        );
         let after = m.snapshot();
+        assert_eq!(
+            before,
+            ContentSummary::from_objects(100, &objs),
+            "the re-derivation wrote into a copy, not into the held snapshot"
+        );
         assert_eq!(after, ContentSummary::from_objects(100, &objs[1..]));
         assert!(!after.might_contain(objs[0]), "its own bits are gone");
         assert!(!m.bits.stale && m.bits.is_cached());
@@ -299,7 +342,7 @@ mod tests {
             live.push(o);
             bits.first_occurrence(o);
             check(&mut bits, &live);
-            assert_eq!(bits.bits.is_some(), o == b, "bits only from two objects");
+            assert_eq!(bits.filter.is_some(), o == b, "bits only from two objects");
         }
         live.retain(|&o| o != a);
         bits.last_occurrence_gone();
@@ -404,6 +447,71 @@ mod proptests {
             capacity in 1usize..40,
         ) {
             check_against_model(&ops, capacity, false);
+        }
+
+        /// Copy on write, on a multiset of a few objects over filters of
+        /// 8–32 bits (so a stale bit shows): random first and last
+        /// occurrences and snapshots, every snapshot kept. After each
+        /// step each kept snapshot still equals the from-scratch
+        /// summary of the multiset it was taken of — a write into a
+        /// filter that a snapshot shares would change it — and a
+        /// snapshot with no bit event and the same item count since the
+        /// one before shares that one's filter. Ops: 0 add one
+        /// occurrence of `key`, 1 remove one, 2 snapshot.
+        #[test]
+        fn held_snapshots_never_change(
+            ops in proptest::collection::vec((0u32..3, 0u64..5), 0..120),
+            capacity in 1usize..5,
+        ) {
+            let mut bits = SummaryBits::empty(capacity);
+            let mut live: BTreeMap<ObjectId, u32> = BTreeMap::new();
+            let mut taken: Vec<(ContentSummary, ContentSummary)> = Vec::new();
+            let mut bit_event = true;
+            for (op, key) in ops {
+                let o = ObjectId(key.wrapping_mul(0x9E37_79B9) ^ 7);
+                let items: usize = live.values().map(|&n| n as usize).sum();
+                match op {
+                    0 => {
+                        let n = live.entry(o).or_insert(0);
+                        *n += 1;
+                        if *n == 1 {
+                            bits.first_occurrence(o);
+                            bit_event = true;
+                        }
+                    }
+                    1 => {
+                        if let Some(n) = live.get_mut(&o) {
+                            *n -= 1;
+                            if *n == 0 {
+                                live.remove(&o);
+                                bits.last_occurrence_gone();
+                                bit_event = true;
+                            }
+                        }
+                    }
+                    _ => {
+                        let s = bits.snapshot(live.keys().copied(), items);
+                        let objs: Vec<ObjectId> = live
+                            .iter()
+                            .flat_map(|(&o, &n)| std::iter::repeat_n(o, n as usize))
+                            .collect();
+                        if let (false, Some((last, _))) = (bit_event, taken.last()) {
+                            if let (Some(a), Some(b)) = (last.shared_filter(), s.shared_filter()) {
+                                prop_assert_eq!(
+                                    Arc::ptr_eq(a, b),
+                                    last.items() == items,
+                                    "no bit event: one filter exactly when the item count held"
+                                );
+                            }
+                        }
+                        taken.push((s, ContentSummary::from_objects(capacity, &objs)));
+                        bit_event = false;
+                    }
+                }
+                for (i, (s, expect)) in taken.iter().enumerate() {
+                    prop_assert_eq!(s, expect, "snapshot {} changed", i);
+                }
+            }
         }
 
         /// Multiset discipline (the directory: one listing per holding

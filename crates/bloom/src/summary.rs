@@ -84,17 +84,24 @@ impl ContentSummary {
     }
 
     /// Assemble a summary of two or more inserts around an
-    /// already-built filter (the [`crate::SummaryBits`] snapshot path).
-    pub(crate) fn from_filter(filter: BloomFilter, capacity: usize) -> Self {
+    /// already-built filter, which a [`crate::SummaryBits`] owner keeps
+    /// sharing.
+    pub(crate) fn from_filter(filter: Arc<BloomFilter>, capacity: usize) -> Self {
         debug_assert!(
             filter.items() >= 2,
             "fewer than two inserts have a form of their own"
         );
         let capacity = u32::try_from(capacity).expect("summary capacity fits in u32");
-        ContentSummary(Repr::Filter {
-            capacity,
-            filter: Arc::new(filter),
-        })
+        ContentSummary(Repr::Filter { capacity, filter })
+    }
+
+    /// The shared filter of a summary of two or more inserts.
+    #[cfg(test)]
+    pub(crate) fn shared_filter(&self) -> Option<&Arc<BloomFilter>> {
+        match &self.0 {
+            Repr::Filter { filter, .. } => Some(filter),
+            _ => None,
+        }
     }
 
     /// The insert count the summary reports.
@@ -131,7 +138,7 @@ impl ContentSummary {
                 let mut filter = BloomFilter::with_rate(capacity as usize, BITS_PER_OBJECT);
                 filter.insert(object.key());
                 filter.insert(o.key());
-                *self = ContentSummary::from_filter(filter, capacity as usize);
+                *self = ContentSummary::from_filter(Arc::new(filter), capacity as usize);
             }
             Repr::Filter { ref mut filter, .. } => Arc::make_mut(filter).insert(o.key()),
         }

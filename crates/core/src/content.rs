@@ -55,7 +55,8 @@ pub struct ContentPeerState {
     /// object's `k` bits (once there are bits: below two objects the
     /// summary is its object id), an evict or invalidate marks them
     /// stale and the next snapshot re-derives them from `content`.
-    /// Snapshots are identical to a from-scratch build over `content`.
+    /// Snapshots are identical to a from-scratch build over `content`
+    /// and share the bits, so a role holds them once.
     summary: SummaryBits,
 }
 
@@ -602,8 +603,9 @@ mod tests {
     /// id or filter pointer, so a view slot with one stays 24 B. An
     /// object set is a `Vec` and one word of count, bit-word count and
     /// website, so a content role and a directory entry are no bigger
-    /// than over a hash set; and a content role keeps replacement
-    /// bookkeeping behind one pointer, absent when unbounded.
+    /// than over a hash set; a content role keeps replacement
+    /// bookkeeping behind one pointer, absent when unbounded, and its
+    /// summary bits behind one more, the filter its snapshots share.
     #[test]
     fn summaries_and_view_entries_keep_their_layout() {
         use std::mem::size_of;
@@ -611,7 +613,7 @@ mod tests {
         assert_eq!(size_of::<Option<ContentSummary>>(), 16);
         assert_eq!(size_of::<ViewEntry<NodeId, Option<ContentSummary>>>(), 24);
         assert!(size_of::<RankSet>() <= 32);
-        assert!(size_of::<ContentPeerState>() <= 208);
+        assert!(size_of::<ContentPeerState>() <= 168);
         assert!(size_of::<crate::directory::DirEntry>() <= 56);
     }
 

@@ -150,9 +150,11 @@ pub(crate) mod test_salt {
 /// A map for a handful of entries: one contiguous `(key, value)`
 /// array scanned linearly. No hashing and no table, and no slack: the
 /// array grows by exactly one entry when a new key finds it full, so
-/// it holds as many slots as the map ever held keys at once — one,
-/// nearly always (one content role, one query in flight). `remove`
-/// and `clear` keep the slots.
+/// it holds as many slots as the map held keys at once since it was
+/// last empty — one, nearly always (one content role, one query in
+/// flight). A `remove` that leaves entries keeps the slots; one that
+/// empties the map, and `clear`, free the array, so a node with no
+/// query in flight holds no query buffer.
 ///
 /// Iteration order is insertion order perturbed by removals; like hash
 /// order, it must not become protocol-visible.
@@ -225,7 +227,11 @@ impl<K: PartialEq, V> SmallMap<K, V> {
     /// Remove and return the value stored under `key`.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let at = self.position(key)?;
-        Some(self.entries.swap_remove(at).1)
+        let (_, value) = self.entries.swap_remove(at);
+        if self.entries.is_empty() {
+            self.entries = Vec::new();
+        }
+        Some(value)
     }
 
     /// The value under `key`, first storing `make()` there if absent.
@@ -248,14 +254,20 @@ impl<K: PartialEq, V> SmallMap<K, V> {
         simnet::prefetch(self.entries.as_slice());
     }
 
+    /// The entries the array has room for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// The keys, in no protocol-meaningful order.
     pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
         self.entries.iter().map(|(k, _)| k)
     }
 
-    /// Drop every entry (the allocation is kept).
+    /// Drop every entry and the array.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.entries = Vec::new();
     }
 }
 
@@ -493,32 +505,48 @@ mod tests {
     #[test]
     fn small_map_first_entry_allocates_room_for_one() {
         let mut m: SmallMap<u16, [u64; 32]> = SmallMap::default();
-        assert_eq!(m.entries.capacity(), 0);
+        assert_eq!(m.capacity(), 0);
         m.insert(3, [0; 32]);
-        assert_eq!(m.entries.capacity(), 1);
+        assert_eq!(m.capacity(), 1);
     }
 
     #[test]
     fn small_map_grows_by_exactly_one_entry() {
         let mut m: SmallMap<u16, [u64; 32]> = SmallMap::default();
-        assert_eq!(m.entries.capacity(), 0);
+        assert_eq!(m.capacity(), 0);
         for k in 1..=6 {
             m.insert(k, [0; 32]);
-            assert_eq!(m.entries.capacity(), usize::from(k), "after {k} inserts");
+            assert_eq!(m.capacity(), usize::from(k), "after {k} inserts");
         }
         m.insert(3, [1; 32]);
-        assert_eq!(m.entries.capacity(), 6, "a present key takes no slot");
+        assert_eq!(m.capacity(), 6, "a present key takes no slot");
         m.remove(&2);
         m.remove(&5);
-        assert_eq!(
-            (m.len(), m.entries.capacity()),
-            (4, 6),
-            "remove keeps the slots"
-        );
+        assert_eq!((m.len(), m.capacity()), (4, 6), "remove keeps the slots");
         m.insert(7, [0; 32]);
-        assert_eq!(m.entries.capacity(), 6, "a freed slot is reused");
+        assert_eq!(m.capacity(), 6, "a freed slot is reused");
+    }
+
+    /// An idle node holds no buffer: emptied by `remove` or by
+    /// `clear`, a map holds no allocation, and its next entry
+    /// allocates room for one again.
+    #[test]
+    fn an_emptied_small_map_holds_no_allocation() {
+        let mut m: SmallMap<u16, [u64; 32]> = SmallMap::default();
+        for k in 1..=3 {
+            m.insert(k, [0; 32]);
+        }
+        m.remove(&1);
+        m.remove(&3);
+        assert_eq!(m.capacity(), 3, "a map left with an entry keeps its slots");
+        m.remove(&2);
+        assert_eq!(m.capacity(), 0, "emptied by remove");
+        m.insert(4, [0; 32]);
+        assert_eq!(m.capacity(), 1);
+        m.insert(5, [0; 32]);
         m.clear();
-        assert_eq!(m.entries.capacity(), 6);
+        assert_eq!((m.len(), m.capacity()), (0, 0), "emptied by clear");
+        assert_eq!(m.remove(&4), None);
     }
 }
 
@@ -618,6 +646,9 @@ mod proptests {
                 }
                 prop_assert_eq!(map.len(), model.len());
                 prop_assert_eq!(map.is_empty(), model.is_empty());
+                if map.is_empty() {
+                    prop_assert_eq!(map.capacity(), 0, "an empty map holds no array");
+                }
                 let mut keys: Vec<u16> = map.keys().copied().collect();
                 keys.sort_unstable();
                 let mut model_keys: Vec<u16> = model.keys().copied().collect();

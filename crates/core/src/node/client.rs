@@ -72,35 +72,37 @@ impl FlowerNode {
                 return;
             }
             if let Some(target) = cp.summary_candidates(object, &[]) {
-                self.track_pending(ctx, query, vec![target]);
+                self.track_pending(ctx, query, Some(target));
                 ctx.send(target, FlowerMsg::PeerFetch { query });
                 return;
             }
             // §3.4: members use the content overlay *instead of* the
             // D-ring; with no summary match the query leaves the P2P
             // system.
-            self.track_pending(ctx, query, Vec::new());
+            self.track_pending(ctx, query, None);
             self.to_origin(ctx, query);
             return;
         }
 
         // New-client path: route through the D-ring (§3.4).
-        self.track_pending(ctx, query, Vec::new());
+        self.track_pending(ctx, query, None);
         self.route_via_dring(ctx, query);
     }
 
     /// Register `query` in the pending map, with the summary
-    /// candidates `tried` so far, and arm its timeout (when
+    /// candidate `probed` first, if any, and arm its timeout (when
     /// configured).
-    fn track_pending(&mut self, ctx: &mut Ctx<'_>, query: Query, tried: Vec<NodeId>) {
-        self.pending.insert(
-            query.id,
-            PendingQuery {
-                tried,
-                query: self.shared.cfg.query_timeout.map(|_| query),
-                retries: 0,
-            },
-        );
+    fn track_pending(&mut self, ctx: &mut Ctx<'_>, query: Query, probed: Option<NodeId>) {
+        let mut p = PendingQuery {
+            tried: [NodeId(0); SUMMARY_FETCH_RETRIES + 1],
+            tried_len: 0,
+            retries: 0,
+            query: self.shared.cfg.query_timeout.map(|_| Box::new(query)),
+        };
+        if let Some(peer) = probed {
+            p.add_tried(peer);
+        }
+        self.pending.insert(query.id, p);
         self.arm_query_timeout(ctx, query.id, 0);
     }
 
@@ -126,7 +128,7 @@ impl FlowerNode {
             // Resolved in the meantime: the timer outlived the query.
             return;
         };
-        let Some(query) = p.query else {
+        let Some(query) = p.query.as_deref().copied() else {
             return;
         };
         p.retries += 1;
@@ -312,15 +314,15 @@ impl FlowerNode {
         let Some(p) = self.pending.get_mut(&query.id) else {
             return;
         };
-        if !p.tried.contains(&failed) {
-            p.tried.push(failed);
+        if !p.tried().contains(&failed) {
+            p.add_tried(failed);
         }
         let Some(cp) = self.content.get(&query.website) else {
             return;
         };
-        if p.tried.len() <= SUMMARY_FETCH_RETRIES {
-            if let Some(next) = cp.summary_candidates(query.object, &p.tried) {
-                p.tried.push(next);
+        if p.tried().len() <= SUMMARY_FETCH_RETRIES {
+            if let Some(next) = cp.summary_candidates(query.object, p.tried()) {
+                p.add_tried(next);
                 ctx.send(next, FlowerMsg::PeerFetch { query });
                 return;
             }

@@ -137,16 +137,37 @@ pub struct DirRole {
     pub petal: PetalState,
 }
 
-/// A query this node originated and is still waiting on.
-#[derive(Debug, Clone, Default)]
+/// A query this node originated and is still waiting on: 24 bytes
+/// inline, and nothing on the heap unless a timeout is configured.
+#[derive(Debug)]
 struct PendingQuery {
-    /// Summary candidates already probed (includes bounced peers).
-    tried: Vec<NodeId>,
-    /// The query itself, kept for timeout-driven re-routing (only
-    /// populated when `query_timeout` is configured).
-    query: Option<Query>,
+    /// Summary candidates already probed (includes bounced peers): the
+    /// first `tried_len`.
+    tried: [NodeId; SUMMARY_FETCH_RETRIES + 1],
+    tried_len: u8,
     /// Timeout-driven re-route attempts made so far.
     retries: u8,
+    /// The query itself, kept for timeout-driven re-routing (only
+    /// populated when `query_timeout` is configured).
+    query: Option<Box<Query>>,
+}
+
+impl PendingQuery {
+    /// The summary candidates probed so far.
+    fn tried(&self) -> &[NodeId] {
+        &self.tried[..usize::from(self.tried_len)]
+    }
+
+    /// Record a probed candidate; a full list drops it. The local
+    /// search reads the list only while it holds at most
+    /// `SUMMARY_FETCH_RETRIES` peers, and once full it stays full, so
+    /// what a longer list would add is never read.
+    fn add_tried(&mut self, peer: NodeId) {
+        if let Some(slot) = self.tried.get_mut(usize::from(self.tried_len)) {
+            *slot = peer;
+            self.tried_len += 1;
+        }
+    }
 }
 
 /// The per-node protocol state machine. Implements
@@ -572,6 +593,184 @@ impl simnet::Node<FlowerMsg> for FlowerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{GossipEntry, GossipPayload};
+    use crate::FlowerConfig;
+    use bloom::ContentSummary;
+    use metrics::MetricSet;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use simnet::{Action, Node, QueryStats, SimDuration, SimTime, Topology, TopologyConfig};
+    use workload::CatalogConfig;
+
+    /// A pending query is one 32-byte entry of the node's query map.
+    #[test]
+    fn a_pending_query_entry_fits_half_a_line() {
+        assert!(std::mem::size_of::<(u64, PendingQuery)>() <= 32);
+    }
+
+    /// One node driven through `Ctx::new`, with no engine behind it.
+    struct Driven {
+        node: FlowerNode,
+        me: NodeId,
+        topo: Topology,
+        rng: StdRng,
+        query_stats: QueryStats,
+        metrics: MetricSet,
+        out: Vec<Action<FlowerMsg>>,
+        now: SimTime,
+    }
+
+    impl Driven {
+        /// A client at node 3 of a small topology, origin server 7.
+        fn client() -> Self {
+            let deployment = Arc::new(Deployment {
+                cfg: FlowerConfig::fast_test(),
+                catalog: Catalog::new(CatalogConfig::small_test()),
+                scheme: KeyScheme::new(8, 0),
+                servers: vec![NodeId(7), NodeId(7)],
+                bootstrap_dirs: vec![NodeId(11)],
+                dir_instances: IdMap::default(),
+            });
+            Driven {
+                node: FlowerNode::client(deployment),
+                me: NodeId(3),
+                topo: Topology::generate(&TopologyConfig::small_test(), 5),
+                rng: StdRng::seed_from_u64(42),
+                query_stats: QueryStats::new(SimDuration::from_secs(30)),
+                metrics: MetricSet::new(),
+                out: Vec::new(),
+                now: SimTime::from_secs(1),
+            }
+        }
+
+        /// Deliver `msg` from `from`, and hand back what the node sent.
+        fn recv(&mut self, from: NodeId, msg: FlowerMsg) -> Vec<(NodeId, FlowerMsg)> {
+            self.now += SimDuration::from_ms(10);
+            let mut ctx = Ctx::new(
+                self.now,
+                self.me,
+                &self.topo,
+                &mut self.rng,
+                &mut self.query_stats,
+                &mut self.metrics,
+                &mut self.out,
+            );
+            self.node.on_event(&mut ctx, Event::Recv { from, msg });
+            self.out
+                .drain(..)
+                .filter_map(|a| match a {
+                    Action::Send { to, msg } => Some((to, msg)),
+                    Action::Timer { .. } => None,
+                })
+                .collect()
+        }
+    }
+
+    /// The queries a batch of sends probes a view contact with.
+    fn fetches(sent: &[(NodeId, FlowerMsg)]) -> Vec<NodeId> {
+        sent.iter()
+            .filter(|(_, m)| matches!(m, FlowerMsg::PeerFetch { .. }))
+            .map(|&(to, _)| to)
+            .collect()
+    }
+
+    /// The queries a batch of sends hands to an origin server.
+    fn to_origin(sent: &[(NodeId, FlowerMsg)]) -> Vec<Query> {
+        sent.iter()
+            .filter_map(|(_, m)| match m {
+                FlowerMsg::ServerQuery { query } => Some(*query),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A member whose view has five contacts that all seem to hold the
+    /// object probes exactly `SUMMARY_FETCH_RETRIES + 1` of them, the
+    /// youngest first, then goes to the origin. A late miss from a
+    /// contact it never probed sends the query to the origin again,
+    /// and probes nobody. Once served, the node holds no query buffer.
+    #[test]
+    fn a_member_probes_its_retry_budget_then_the_origin_and_keeps_no_buffer() {
+        let mut d = Driven::client();
+        let (ws, dir, server) = (WebsiteId(0), NodeId(9), NodeId(7));
+        let loc = d.topo.locality(d.me);
+        let object = d.node.shared.catalog.object_id(ws, 0);
+        d.recv(
+            dir,
+            FlowerMsg::Admission {
+                website: ws,
+                locality: loc,
+                admitted: true,
+                dir,
+                petal_live: 1,
+                view_seed: vec![],
+            },
+        );
+        let contacts: Vec<NodeId> = (20..25).map(NodeId).collect();
+        let holds = |peer: NodeId| GossipEntry {
+            peer,
+            age: peer.0,
+            summary: Some(ContentSummary::from_objects(8, &[object])),
+        };
+        d.recv(
+            NodeId(30),
+            FlowerMsg::GossipResp(GossipPayload {
+                website: ws,
+                locality: loc,
+                summary: ContentSummary::empty(8),
+                subset: contacts.iter().map(|&p| holds(p)).collect(),
+                dir_hint: None,
+            }),
+        );
+        assert_eq!(d.node.pending.capacity(), 0, "no query yet");
+
+        let sent = d.recv(
+            d.me,
+            FlowerMsg::Submit {
+                qid: 1,
+                website: ws,
+                object,
+            },
+        );
+        let mut probed = fetches(&sent);
+        assert_eq!(probed, [contacts[0]]);
+        let FlowerMsg::PeerFetch { query } = sent[0].1 else {
+            unreachable!()
+        };
+        let mut origin = vec![];
+        // Each miss answers the last probe; a search that never ends
+        // stops here after one miss per contact.
+        for _ in &contacts {
+            if !origin.is_empty() {
+                break;
+            }
+            let missed = *probed.last().unwrap();
+            let sent = d.recv(missed, FlowerMsg::FetchMiss { query });
+            probed.extend(fetches(&sent));
+            origin = to_origin(&sent);
+        }
+        assert_eq!(probed, contacts[..SUMMARY_FETCH_RETRIES + 1]);
+        assert_eq!(origin, [query]);
+
+        let late = d.recv(contacts[4], FlowerMsg::FetchMiss { query });
+        assert_eq!(fetches(&late), [], "an exhausted search probes nobody");
+        assert_eq!(to_origin(&late), [query], "a late miss goes to the origin");
+        assert_eq!(d.node.pending.len(), 1);
+
+        d.recv(
+            server,
+            FlowerMsg::ServeObject {
+                query,
+                resolved_at: d.now,
+                provider: ProviderKind::OriginServer,
+                size: 1,
+                view_seed: vec![],
+            },
+        );
+        assert!(d.node.pending.is_empty());
+        assert_eq!(d.node.pending.capacity(), 0, "an idle node holds no buffer");
+        assert_eq!(d.query_stats.resolved(), 1);
+    }
 
     #[test]
     fn petal_primary_hint_overrides_the_deployed_node() {

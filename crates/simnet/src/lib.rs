@@ -128,12 +128,12 @@ pub use sync::{MailboxGrid, SenseBarrier, SenseWaiter};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Locality, NodeId, Topology, TopologyConfig};
 
-/// Most bytes one [`prefetch`] call asks for. Five lines: the largest
+/// Most bytes one [`prefetch`] call asks for: five lines. The largest
 /// thing the shard loop names that a handler then reads whole is one
-/// 216-byte content-role entry (a website id and its
+/// 176-byte content-role entry (a website id and its
 /// `ContentPeerState`), which an unaligned start spreads over up to
-/// five lines; anything longer (a directory role, a many-role array)
-/// costs its first lines only.
+/// four lines; a bound of four has not been measured. Anything longer
+/// (a directory role, a many-role array) costs its first lines only.
 const PREFETCH_MAX_BYTES: usize = 320;
 
 /// Tell the cache that `r` is about to be read: a hint for each

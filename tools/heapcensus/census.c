@@ -7,20 +7,34 @@
  * how many blocks of that size are live and how many bytes they hold.
  * Whenever the live total passes the last snapshot by `STEP` bytes,
  * the table is copied; so the snapshot at exit was taken within
- * `STEP` of the run's high-water mark. At exit the process writes
- * `$HEAPCENSUS_OUT.<pid>`:
+ * `STEP` of the run's high-water mark.
+ *
+ * Where the blocks come from: about one allocation in `SAMPLE_ONE_IN`
+ * of every size (a per-thread random draw, so sites that alternate
+ * cannot hide behind a stride), and every one of `SAMPLE_ALL_FROM`
+ * bytes or more (few, and often one of a size), records its
+ * `backtrace()`. Equal
+ * stacks of one size share a *site*, which counts its sampled blocks
+ * that are live, and the snapshot copies those counts too. At exit
+ * the process writes `$HEAPCENSUS_OUT.<pid>`:
  *
  *   line 1      <peak live bytes> <live bytes at the snapshot> <path of the executable>
- *   line 2 …    <size> <live blocks> at the snapshot, one size a line
+ *   then        <size> <live blocks> at the snapshot, one size a line
+ *   then        @ <size> <live sampled blocks> <frame> <frame> … at the
+ *               snapshot, one site a line, innermost frame first, each
+ *               a return address minus one as a hex offset into the
+ *               executable (its PIE load base subtracted), `0` for a
+ *               frame in another object (this shim, libc)
  *
- * `census.sh` sorts and prints it. The shim wraps glibc's
+ * `census.sh` sorts, symbolises and prints it. The shim wraps glibc's
  * `__libc_malloc` family: every block carries a 16-byte header (its
- * requested size, and its offset from the block glibc returned), so
- * the process's own resident size under the census is not the one it
- * has without it.
+ * requested size; its offset from the block glibc returned, and its
+ * site, if sampled), so the process's own resident size under the
+ * census is not the one it has without it.
  */
 #define _GNU_SOURCE
 #include <errno.h>
+#include <execinfo.h>
 #include <limits.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -37,6 +51,11 @@ extern void __libc_free(void *);
 #define HEADER 16
 #define SLOTS (1 << 16) /* distinct sizes */
 #define STEP (256 << 10)
+#define SAMPLE_ONE_IN 64
+#define SAMPLE_ALL_FROM (64 << 10)
+#define SITES (1 << 14) /* distinct (size, stack) pairs */
+#define DEPTH 32
+#define OFFSET_MASK 0xffffffffull /* header[1]: offset low, site + 1 high */
 
 struct slot {
     size_t size;
@@ -44,10 +63,25 @@ struct slot {
     char taken;
 };
 
+struct site {
+    size_t size;
+    uint64_t hash;
+    long live, snapshot_live;
+    int depth;
+    void *frames[DEPTH];
+};
+
 static struct slot table[SLOTS], snapshot[SLOTS];
 static int used[SLOTS], nused;
+static struct site sites[SITES];
+static int site_at[SITES], nsites; /* hash index: site + 1, 0 empty */
 static size_t live_bytes, peak_bytes, snapshot_bytes;
 static char lock, reporting;
+
+/* Per thread: inside `backtrace()` (which may allocate), and the
+ * sampling draw's state. */
+static __thread __attribute__((tls_model("initial-exec"))) char tracing;
+static __thread __attribute__((tls_model("initial-exec"))) uint64_t draw;
 
 static void acquire(void) {
     while (__atomic_test_and_set(&lock, __ATOMIC_ACQUIRE)) {
@@ -74,36 +108,102 @@ static struct slot *slot_of(size_t size) {
     return NULL;
 }
 
-static void count(size_t size, long blocks) {
+/* Does an allocation of `size` record its stack? One in
+ * `SAMPLE_ONE_IN`, by a per-thread xorshift draw, or every one from
+ * `SAMPLE_ALL_FROM`; never from inside `backtrace()`. */
+static int sampled(size_t size) {
+    if (tracing)
+        return 0;
+    if (size >= SAMPLE_ALL_FROM)
+        return 1;
+    if (!draw)
+        draw = (uintptr_t)&draw | 1;
+    draw ^= draw << 13;
+    draw ^= draw >> 7;
+    draw ^= draw << 17;
+    return draw % SAMPLE_ONE_IN == 0;
+}
+
+/* The site of `size` allocated from `frames` (lock held), or -1 once
+ * every site is taken. */
+static int site_of(size_t size, void **frames, int depth) {
+    uint64_t h = 0xcbf29ce484222325ull ^ size;
+    for (int i = 0; i < depth; i++)
+        h = (h ^ (uintptr_t)frames[i]) * 0x100000001b3ull;
+    for (size_t probe = 0, at = h & (SITES - 1); probe < SITES; probe++, at = (at + 1) & (SITES - 1)) {
+        int s = site_at[at] - 1;
+        if (s < 0) {
+            if (nsites == SITES)
+                return -1;
+            s = nsites++;
+            sites[s].size = size;
+            sites[s].hash = h;
+            sites[s].depth = depth;
+            memcpy(sites[s].frames, frames, depth * sizeof *frames);
+            site_at[at] = s + 1;
+            return s;
+        }
+        if (sites[s].hash == h && sites[s].size == size && sites[s].depth == depth &&
+            !memcmp(sites[s].frames, frames, depth * sizeof *frames))
+            return s;
+    }
+    return -1;
+}
+
+/* Count `blocks` (±1) of `size` against the totals and against `site`
+ * (-1: none), and snapshot the tables if the live total rose `STEP`
+ * past the last snapshot. `frames` (`depth` > 0) names a new block's
+ * site instead; the site is returned. */
+static int count(size_t size, long blocks, int site, void **frames, int depth) {
     if (__atomic_load_n(&reporting, __ATOMIC_RELAXED))
-        return;
+        return -1;
     acquire();
     struct slot *slot = slot_of(size);
     if (slot)
         slot->live += blocks;
+    if (depth > 0)
+        site = site_of(size, frames, depth);
+    if (site >= 0)
+        sites[site].live += blocks;
     live_bytes += blocks * size;
     if (live_bytes > peak_bytes)
         peak_bytes = live_bytes;
     if (live_bytes >= snapshot_bytes + STEP) {
         for (int i = 0; i < nused; i++)
             snapshot[used[i]] = table[used[i]];
+        for (int i = 0; i < nsites; i++)
+            sites[i].snapshot_live = sites[i].live;
         snapshot_bytes = live_bytes;
     }
     release();
+    return site;
 }
 
-/* Write the header in front of the user block and count it. */
+/* Write the header in front of the user block and count it, with its
+ * stack if it is sampled. */
 static void *stamp(char *block, size_t offset, size_t size) {
     if (!block)
         return NULL;
+    void *frames[DEPTH];
+    int depth = 0;
+    if (sampled(size)) {
+        tracing = 1;
+        depth = backtrace(frames, DEPTH);
+        tracing = 0;
+    }
+    int site = count(size, 1, -1, frames, depth);
     size_t *header = (size_t *)(block + offset - HEADER);
     header[0] = size;
-    header[1] = offset;
-    count(size, 1);
+    header[1] = offset | (size_t)(site + 1) << 32;
     return block + offset;
 }
 
 static size_t *header_of(void *p) { return (size_t *)((char *)p - HEADER); }
+
+static size_t offset_of(size_t *header) { return header[1] & OFFSET_MASK; }
+
+/* Uncount a block about to be freed or moved. */
+static void uncount(size_t *header) { count(header[0], -1, (int)(header[1] >> 32) - 1, NULL, 0); }
 
 void *malloc(size_t size) {
     if (size > SIZE_MAX - HEADER)
@@ -121,8 +221,8 @@ void free(void *p) {
     if (!p)
         return;
     size_t *header = header_of(p);
-    count(header[0], -1);
-    __libc_free((char *)p - header[1]);
+    uncount(header);
+    __libc_free((char *)p - offset_of(header));
 }
 
 void *memalign(size_t align, size_t size) {
@@ -142,10 +242,10 @@ void *realloc(void *p, size_t size) {
     }
     size_t *header = header_of(p);
     size_t old = header[0];
-    if (header[1] != HEADER) {
+    if (offset_of(header) != HEADER) {
         /* An over-aligned block: move it by hand, keeping the alignment
          * its offset records. */
-        void *q = memalign(header[1], size);
+        void *q = memalign(offset_of(header), size);
         if (q) {
             memcpy(q, p, old < size ? old : size);
             free(p);
@@ -154,10 +254,11 @@ void *realloc(void *p, size_t size) {
     }
     if (size > SIZE_MAX - HEADER)
         return NULL;
+    size_t was = header[1];
     char *block = __libc_realloc((char *)p - HEADER, size + HEADER);
     if (!block)
         return NULL;
-    count(old, -1);
+    count(old, -1, (int)(was >> 32) - 1, NULL, 0);
     return stamp(block, HEADER, size);
 }
 
@@ -175,6 +276,28 @@ void *valloc(size_t size) { return memalign((size_t)sysconf(_SC_PAGESIZE), size)
 
 size_t malloc_usable_size(void *p) { return p ? header_of(p)[0] : 0; }
 
+/* The executable's mappings: [lo, hi), lo being the PIE load base. */
+static void executable_range(const char *exe, uintptr_t *lo, uintptr_t *hi) {
+    *lo = *hi = 0;
+    FILE *maps = fopen("/proc/self/maps", "r");
+    if (!maps)
+        return;
+    char line[PATH_MAX + 128];
+    while (fgets(line, sizeof line, maps)) {
+        unsigned long start, end;
+        char *path = strchr(line, '/');
+        if (!path || sscanf(line, "%lx-%lx", &start, &end) != 2)
+            continue;
+        path[strcspn(path, "\n")] = 0;
+        if (strcmp(path, exe) != 0)
+            continue;
+        if (!*lo)
+            *lo = start;
+        *hi = end;
+    }
+    fclose(maps);
+}
+
 /* At exit: stop counting (other threads may still allocate, and the
  * report's own stdio allocates), then write the snapshot. */
 __attribute__((destructor)) static void report(void) {
@@ -188,6 +311,8 @@ __attribute__((destructor)) static void report(void) {
     snprintf(path, sizeof path, "%s.%d", base, (int)getpid());
     ssize_t n = readlink("/proc/self/exe", exe, sizeof exe - 1);
     exe[n > 0 ? n : 0] = '\0';
+    uintptr_t lo, hi;
+    executable_range(exe, &lo, &hi);
     FILE *out = fopen(path, "w");
     if (!out)
         return;
@@ -195,5 +320,24 @@ __attribute__((destructor)) static void report(void) {
     for (int i = 0; i < nused; i++)
         if (snapshot[used[i]].live > 0)
             fprintf(out, "%zu %ld\n", snapshot[used[i]].size, snapshot[used[i]].live);
+    for (int i = 0; i < nsites; i++) {
+        if (sites[i].snapshot_live <= 0)
+            continue;
+        fprintf(out, "@ %zu %ld", sites[i].size, sites[i].snapshot_live);
+        for (int d = 0; d < sites[i].depth; d++) {
+            uintptr_t pc = (uintptr_t)sites[i].frames[d] - 1;
+            fprintf(out, " %lx", (unsigned long)(pc >= lo && pc < hi ? pc - lo : 0));
+        }
+        fputc('\n', out);
+    }
     fclose(out);
+}
+
+/* The first `backtrace()` loads the unwinder (libgcc_s) and
+ * allocates: make it here, before the command runs. */
+__attribute__((constructor)) static void warm(void) {
+    void *frames[4];
+    tracing = 1;
+    backtrace(frames, 4);
+    tracing = 0;
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Count a command's live heap by allocation size, at its high-water
-# mark, with the LD_PRELOAD shim next to this script.
+# mark, and name where the blocks come from, with the LD_PRELOAD shim
+# next to this script.
 #
 #   tools/heapcensus/census.sh [-n TOP] <command…>
 #
@@ -10,12 +11,18 @@
 #
 #   <executable>: peak live heap P MB, census at S MB
 #   the TOP (default 15) allocation sizes by live bytes at the census:
-#   size in bytes, live blocks, MB, share of the census total
+#   size in bytes, live blocks, MB, share of the census total; and
+#   under each, its most frequent call chain: the first four frames
+#   outside `alloc`, `core` and `std`, innermost first, symbolised with
+#   `addr2line -f -C -i` (so inlined callees are named), and the share
+#   of the size's sampled live blocks allocated there
 #
 # The census is the last copy of the size table the shim took, within
 # 256 KiB of the peak. Sizes are what the program asked for; the
-# shim's 16-byte header per block is in none of them. To see where one
-# benchmark workload's memory sits, census the child directly:
+# shim's 16-byte header per block is in none of them. About one
+# allocation in 64, and every one of 64 KiB or more, records its stack,
+# which slows an allocation-heavy command by a few times. To see where one benchmark
+# workload's memory sits, census the child directly:
 #
 #   cargo build --release --offline --manifest-path benchmark/Cargo.toml
 #   tools/heapcensus/census.sh benchmark/target/release/flower-bench cell --workload steady_100k --seed 42
@@ -42,6 +49,63 @@ for f in "$work"/census.*; do
         printf "%s: peak live heap %.1f MB, census at %.1f MB\n", exe, peak / 1e6, at / 1e6
         printf "%12s %10s %9s %7s\n", "size B", "blocks", "MB", "share"
     }'
-    tail -n +2 "$f" | awk '{ print $1 * $2, $1, $2 }' | sort -k1,1nr -k2,2n | head -n "$top" |
-        awk -v at="$at" '{ printf "%12d %10d %9.2f %6.1f %%\n", $2, $3, $1 / 1e6, 100 * $1 / at }'
+    tail -n +2 "$f" | grep -v '^@' | awk '{ print $1 * $2, $1, $2 }' |
+        sort -k1,1nr -k2,2n | head -n "$top" >"$work/top"
+
+    # The sampled sites of the top sizes, their frames symbolised: one
+    # line per frame offset, its functions tab-separated, inlined
+    # callees first.
+    awk 'NR == FNR { top[$2]; next } $1 == "@" && ($2 in top)' "$work/top" "$f" >"$work/sites"
+    cut -d' ' -f4- "$work/sites" | tr ' ' '\n' | sort -u | grep -vx 0 >"$work/addrs" || true
+    : >"$work/names"
+    if [ -s "$work/addrs" ]; then
+        addr2line -a -f -C -i -e "$exe" $(sed 's/^/0x/' "$work/addrs") |
+            awk '
+                /^0x[0-9a-f]+$/ { sub(/^0x0*/, ""); at = $0; odd = 1; next }
+                odd { sub(/::h[0-9a-f]{16}$/, ""); names[at] = names[at] ? names[at] "\t" $0 : $0 }
+                { odd = !odd }
+                END { for (at in names) print at "\t" names[at] }
+            ' >"$work/names"
+    fi
+
+    # Per size: the chain with the most sampled live blocks.
+    awk -F'\t' '
+        BEGIN {
+            # The allocator and the standard library: `alloc`, `core`,
+            # `std` (and its `hashbrown`), their impls for a generic
+            # `T`, the global allocator shims, unresolved frames.
+            skip = "^(<?(alloc|core|std|hashbrown)::|<[A-Z][A-Za-z0-9_]* as (alloc|core|std)::|__rust|__rdl|__rg_|_?_?rustc::|\\?\\?)"
+        }
+        NR == FNR { at = $1; sub(/^[^\t]*\t/, ""); names[at] = $0; next }
+        {
+            n = split($0, f, " "); chain = ""; kept = 0
+            for (i = 4; i <= n && kept < 4; i++) {
+                if (!(f[i] in names)) continue
+                m = split(names[f[i]], fn, "\t")
+                for (j = 1; j <= m && kept < 4; j++) {
+                    if (fn[j] ~ skip) continue
+                    chain = chain ? chain " < " fn[j] : fn[j]; kept++
+                }
+            }
+            if (chain == "") chain = "(no frame of the executable)"
+            live[f[2] SUBSEP chain] += f[3]; total[f[2]] += f[3]
+        }
+        END {
+            for (k in live) {
+                split(k, sc, SUBSEP)
+                if (live[k] > best[sc[1]]) { best[sc[1]] = live[k]; top_chain[sc[1]] = sc[2] }
+            }
+            for (s in best) printf "%s\t%.0f\t%d\t%s\n", s, 100 * best[s] / total[s], total[s], top_chain[s]
+        }
+    ' "$work/names" "$work/sites" >"$work/chains"
+
+    awk -F'\t' -v at="$at" '
+        NR == FNR { share[$1] = $2; sampled[$1] = $3; chain[$1] = $4; next }
+        {
+            split($0, r, " ")
+            printf "%12d %10d %9.2f %6.1f %%\n", r[2], r[3], r[1] / 1e6, 100 * r[1] / at
+            if (r[2] in chain)
+                printf "%12s %3d %% of %d sampled: %s\n", "", share[r[2]], sampled[r[2]], chain[r[2]]
+        }
+    ' "$work/chains" "$work/top"
 done
