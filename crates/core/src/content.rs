@@ -41,7 +41,9 @@ pub struct ContentPeerState {
     /// [`CachePolicy::Unbounded`], which never evicts and so keeps
     /// none.
     cache: Option<Box<CacheManager>>,
-    changes: ChangeLog<ObjectId>,
+    /// The changes not pushed yet (Algorithm 5's ∆list); `None` while
+    /// there is none, so a role with nothing to report holds no log.
+    changes: Option<Box<ChangeLog<ObjectId>>>,
     view: View<NodeId, Option<ContentSummary>>,
     dir: Option<NodeId>,
     dir_age: u32,
@@ -92,7 +94,7 @@ impl ContentPeerState {
             locality,
             content: RankSet::new(website),
             cache: (cache.policy() != CachePolicy::Unbounded).then(|| Box::new(cache)),
-            changes: ChangeLog::new(),
+            changes: None,
             view: View::new(v_gossip),
             dir: None,
             dir_age: 0,
@@ -136,12 +138,22 @@ impl ContentPeerState {
             debug_assert_ne!(victim, o, "the cache tracked an object not held");
             if self.content.remove(victim) {
                 self.summary.last_occurrence_gone();
-                self.changes.record(victim, ChangeKind::Removed);
+                self.record(victim, ChangeKind::Removed);
             }
         }
         self.summary.first_occurrence(o);
         self.touch_object(o);
-        self.changes.record(o, ChangeKind::Added);
+        self.record(o, ChangeKind::Added);
+    }
+
+    /// Log one change for the next push; a change that cancels the log
+    /// to empty frees it.
+    fn record(&mut self, o: ObjectId, kind: ChangeKind) {
+        let log = self.changes.get_or_insert_default();
+        log.record(o, kind);
+        if log.is_empty() {
+            self.changes = None;
+        }
     }
 
     /// Record a cache hit (replacement bookkeeping).
@@ -159,7 +171,7 @@ impl ContentPeerState {
             if let Some(cache) = &mut self.cache {
                 cache.forget(o);
             }
-            self.changes.record(o, ChangeKind::Removed);
+            self.record(o, ChangeKind::Removed);
         }
     }
 
@@ -180,7 +192,7 @@ impl ContentPeerState {
 
     /// Pending unreported changes.
     pub fn pending_changes(&self) -> usize {
-        self.changes.count()
+        self.changes.as_ref().map_or(0, |log| log.count())
     }
 
     /// Algorithm 5's gate: extract the ∆list if the push threshold is
@@ -188,10 +200,10 @@ impl ContentPeerState {
     /// resets to 0 its age field of d"), performed by the caller via
     /// [`ContentPeerState::reset_dir_age`] after actually sending.
     pub fn take_push(&mut self, policy: PushPolicy) -> Option<(Vec<ObjectId>, Vec<ObjectId>)> {
-        if !policy.should_push(self.changes.count(), self.content.len()) {
+        if !policy.should_push(self.pending_changes(), self.content.len()) {
             return None;
         }
-        let delta = self.changes.extract();
+        let delta = *self.changes.take()?;
         Some((delta.added, delta.removed))
     }
 
@@ -245,7 +257,7 @@ impl ContentPeerState {
         // rank order, which is not a protocol-visible order).
         held.sort_unstable();
         for o in held {
-            self.changes.record(o, ChangeKind::Added);
+            self.record(o, ChangeKind::Added);
         }
     }
 
@@ -601,20 +613,44 @@ mod tests {
 
     /// A summary is one word of form and capacity plus one of object
     /// id or filter pointer, so a view slot with one stays 24 B. An
-    /// object set is a `Vec` and one word of count, bit-word count and
-    /// website, so a content role and a directory entry are no bigger
-    /// than over a hash set; a content role keeps replacement
-    /// bookkeeping behind one pointer, absent when unbounded, and its
-    /// summary bits behind one more, the filter its snapshots share.
+    /// object set is two inline bit words or a `Vec` in the space of
+    /// one `Vec`, and one word of count, bit-word count and website,
+    /// so a directory entry is that and an age; a content role keeps
+    /// replacement bookkeeping behind one pointer, absent when
+    /// unbounded, its change log behind one more, absent while empty,
+    /// and its summary bits behind a third, the filter its snapshots
+    /// share.
     #[test]
     fn summaries_and_view_entries_keep_their_layout() {
         use std::mem::size_of;
         assert_eq!(size_of::<ContentSummary>(), 16);
         assert_eq!(size_of::<Option<ContentSummary>>(), 16);
         assert_eq!(size_of::<ViewEntry<NodeId, Option<ContentSummary>>>(), 24);
-        assert!(size_of::<RankSet>() <= 32);
-        assert!(size_of::<ContentPeerState>() <= 168);
-        assert!(size_of::<crate::directory::DirEntry>() <= 56);
+        assert_eq!(size_of::<RankSet>(), 32);
+        assert!(size_of::<ContentPeerState>() <= 128);
+        assert!(size_of::<crate::directory::DirEntry>() <= 40);
+    }
+
+    /// A role with nothing to push holds no change-log box: not when
+    /// new, not after an add and a remove of the same object cancel
+    /// out, not after a push takes the ∆list.
+    #[test]
+    fn a_role_with_no_pending_change_holds_no_change_log() {
+        let mut c = peer();
+        assert!(c.changes.is_none());
+        c.insert_object(O1);
+        assert!(c.changes.is_some());
+        c.remove_object(O1);
+        assert!(c.changes.is_none(), "add then remove");
+        c.insert_object(O1);
+        c.insert_object(O2);
+        let (added, removed) = c.take_push(PushPolicy::new(0.0001)).expect("push due");
+        assert_eq!((added.len(), removed.len()), (2, 0));
+        assert!(c.changes.is_none(), "pushed");
+        c.remove_object(O2);
+        c.insert_object(O2);
+        assert!(c.changes.is_none(), "remove then add");
+        assert!(c.take_push(PushPolicy::new(0.0001)).is_none());
     }
 
     /// Ids that are no rank of the peer's website — another website's,

@@ -30,9 +30,9 @@
 //!   the two.
 //! * the **holder index** holds the inverted index `object → holder
 //!   list`, the listing count, the directory summary's bits and the
-//!   count of §5.2-seeded members. It lists exactly the members'
-//!   object sets — only indexed members, each listing once — and
-//!   counts exactly the members that carry a gossip summary.
+//!   gossip summaries of §5.2-seeded members. It lists exactly the
+//!   members' object sets — only indexed members, each listing once —
+//!   and keeps a gossip summary only for a member.
 //!
 //! ## Holder lookup cost
 //!
@@ -53,10 +53,11 @@
 //! The only lookups the holder index cannot answer are the
 //! gossip-summary entries of a freshly promoted §5.2 directory (exact
 //! object lists unknown until pushes rebuild them); the summary scan
-//! runs only while such entries exist. A seeded entry sheds its
-//! summary on the *first push* from that peer, whose exact ∆lists are
-//! authoritative from then on, so a promoted directory pays the scan
-//! just until its seeded members push or age out.
+//! runs only while such entries exist, and visits only them. A seeded
+//! member sheds its summary on the *first push* from that peer, whose
+//! exact ∆lists are authoritative from then on, so a promoted
+//! directory pays the scan just until its seeded members push or age
+//! out.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -82,11 +83,6 @@ pub struct DirEntry {
     /// rank of the directory's website, so an admission and each ∆list
     /// item test one word.
     pub objects: RankSet,
-    /// Gossip-learned content summary; a freshly promoted directory
-    /// peer answers from these until pushes rebuild the index (§5.2:
-    /// "meanwhile, d answers first queries from its content
-    /// summaries").
-    pub summary: Option<ContentSummary>,
 }
 
 impl DirEntry {
@@ -94,7 +90,6 @@ impl DirEntry {
         DirEntry {
             age: 0,
             objects: RankSet::new(website),
-            summary: None,
         }
     }
 }
@@ -288,9 +283,12 @@ struct HolderIndex {
     /// snapshot to re-derive from the keys. Gossip summaries never
     /// enter them, as a scan visits only exact object lists.
     summary: SummaryBits,
-    /// Members carrying a gossip summary (§5.2 seeding); while
-    /// non-zero, holder lookups must also scan those entries.
-    seeded: usize,
+    /// Gossip-learned content summaries of members (§5.2 seeding): a
+    /// freshly promoted directory peer answers from these until pushes
+    /// rebuild the index ("meanwhile, d answers first queries from its
+    /// content summaries"). While non-empty, holder lookups must also
+    /// scan them.
+    seeds: IdMap<NodeId, ContentSummary>,
 }
 
 impl HolderIndex {
@@ -327,31 +325,30 @@ impl HolderIndex {
         for o in e.objects.iter() {
             self.remove(o, peer);
         }
-        if e.summary.is_some() {
-            self.seeded -= 1;
-        }
+        self.unseed(peer);
     }
 
-    /// The holders of `o`, in node-id order.
-    fn sorted(&mut self, o: ObjectId) -> &[NodeId] {
+    /// The holders of `o`, in node-id order, and the §5.2 gossip
+    /// summaries that may answer for it besides.
+    fn lookup(&mut self, o: ObjectId) -> (&[NodeId], &IdMap<NodeId, ContentSummary>) {
         let hs = self
             .holders_of
             .get_mut(&o)
             .map_or(&mut [][..], |hs| &mut hs[..]);
         sort_holders(hs);
-        hs
+        (hs, &self.seeds)
     }
 
-    /// Give the new member entry `e` its gossip summary, if any.
-    fn seed(&mut self, e: &mut DirEntry, summary: Option<ContentSummary>) {
-        self.seeded += usize::from(summary.is_some());
-        e.summary = summary;
+    /// Give the new member `peer` its gossip summary.
+    fn seed(&mut self, peer: NodeId, summary: ContentSummary) {
+        self.seeds.insert(peer, summary);
     }
 
-    /// Drop `e`'s gossip summary: its member pushed its exact list.
-    fn unseed(&mut self, e: &mut DirEntry) {
-        if e.summary.take().is_some() {
-            self.seeded -= 1;
+    /// Drop `peer`'s gossip summary, if any: it pushed its exact
+    /// list, or left.
+    fn unseed(&mut self, peer: NodeId) {
+        if !self.seeds.is_empty() {
+            self.seeds.remove(&peer);
         }
     }
 
@@ -365,7 +362,7 @@ impl HolderIndex {
         self.holders_of.clear();
         self.listings = 0;
         self.summary.clear();
-        self.seeded = 0;
+        self.seeds.clear();
     }
 }
 
@@ -454,7 +451,7 @@ impl DirectoryState {
                 holders_of: IdMap::default(),
                 listings: 0,
                 summary: SummaryBits::empty(summary_capacity),
-                seeded: 0,
+                seeds: IdMap::default(),
             },
             neighbor_summaries: Vec::new(),
             new_since_refresh: 0,
@@ -538,9 +535,9 @@ impl DirectoryState {
     ) -> DirDecision {
         // 1. directory-index lookup, from the holder list in node-id
         // order: the draw is a pure function of the RNG.
-        let (members, seeded) = (&self.members, self.holders.seeded);
-        let hs = self.holders.sorted(object);
-        if seeded == 0 {
+        let members = &self.members;
+        let (hs, seeds) = self.holders.lookup(object);
+        if seeds.is_empty() {
             // Steady-state path. Outside `tick()` every member is
             // younger than `Tdead` and only members are listed, so the
             // only holder to pass over is `exclude`: locate it by
@@ -569,10 +566,10 @@ impl DirectoryState {
             // object), so the merge needs a sort but no dedup.
             let live = |p: NodeId| p != exclude && members.is_live(p);
             let mut holders: Vec<NodeId> = hs.iter().copied().filter(|p| live(*p)).collect();
-            for (peer, e) in &members.entries {
+            for (peer, s) in seeds {
                 if live(*peer)
-                    && !e.objects.contains(object)
-                    && e.summary.as_ref().is_some_and(|s| s.might_contain(object))
+                    && s.might_contain(object)
+                    && !members.entries[peer].objects.contains(object)
                 {
                     holders.push(*peer);
                 }
@@ -627,7 +624,7 @@ impl DirectoryState {
         // First push from a §5.2-seeded member: its exact ∆lists are
         // authoritative from here on — drop the gossip summary (and,
         // once no seeded entry remains, the summary-scan tax with it).
-        self.holders.unseed(e);
+        self.holders.unseed(peer);
         for &o in added {
             if e.objects.insert(o) {
                 self.new_since_refresh += 1;
@@ -783,9 +780,10 @@ impl DirectoryState {
             if self.is_full() || self.contains(peer) {
                 continue;
             }
-            let mut e = DirEntry::fresh(self.website);
-            self.holders.seed(&mut e, summary.cloned());
-            self.members.insert(peer, e);
+            if let Some(s) = summary {
+                self.holders.seed(peer, s.clone());
+            }
+            self.members.insert(peer, DirEntry::fresh(self.website));
         }
     }
 
@@ -1099,6 +1097,7 @@ mod tests {
         );
         // The peer's first push is authoritative: it holds O2, not O1.
         d.apply_push(NodeId(7), &[O2], &[]);
+        assert!(d.holders.seeds.is_empty(), "the push drops the seed");
         assert_eq!(
             d.process(&mut r, O1, NodeId(99), 1, 0),
             DirDecision::ToServer,
@@ -1108,6 +1107,37 @@ mod tests {
             d.process(&mut r, O2, NodeId(99), 1, 0),
             DirDecision::ToHolder(NodeId(7))
         );
+    }
+
+    /// Evicting or removing the last seeded member empties `seeds`,
+    /// and `process` is back on the steady-state path: it draws a
+    /// holder exactly as a directory that was never seeded does.
+    #[test]
+    fn losing_the_last_seeded_member_empties_the_seeds() {
+        let mut s = ContentSummary::empty(100);
+        s.insert(O1);
+        let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 2, 100);
+        d.apply_push(NodeId(1), &[O1], &[]);
+        d.seed_from_view([(NodeId(7), Some(&s)), (NodeId(8), Some(&s))]);
+        assert_eq!(d.holders.seeds.len(), 2);
+        assert!(d.remove_entry(NodeId(7)));
+        assert_eq!(d.holders.seeds.len(), 1);
+        // Ticks evict 8, never heard from; 1 stays by its keepalives.
+        for _ in 0..2 {
+            d.keepalive(NodeId(1));
+            d.tick();
+        }
+        assert!(!d.contains(NodeId(8)) && d.contains(NodeId(1)));
+        assert!(d.holders.seeds.is_empty());
+
+        let mut plain = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 2, 100);
+        plain.apply_push(NodeId(1), &[O1], &[]);
+        let (mut r1, mut r2) = (rng(), rng());
+        assert_eq!(
+            d.process(&mut r1, O1, NodeId(99), 1, 0),
+            plain.process(&mut r2, O1, NodeId(99), 1, 0),
+        );
+        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "same draws");
     }
 
     #[test]
@@ -1704,8 +1734,8 @@ mod tests {
 
     /// The holder index's invariant: it lists exactly the index's
     /// object sets — `o ∈ index[p].objects` iff `p ∈ holders_of[o]`,
-    /// each listing once — keeps no empty list, and counts as seeded
-    /// exactly the entries that carry a gossip summary.
+    /// each listing once — keeps no empty list, and keeps gossip
+    /// summaries only for members.
     fn assert_inverted_index_exact(d: &DirectoryState) {
         for (p, e) in &d.members.entries {
             for o in e.objects.iter() {
@@ -1734,8 +1764,19 @@ mod tests {
         let held: usize = d.members.entries.values().map(|e| e.objects.len()).sum();
         assert_eq!(listed, held, "a holder is listed twice");
         assert_eq!(d.holders.listings, listed);
-        let seeded = d.members.entries.values().filter(|e| e.summary.is_some());
-        assert_eq!(d.holders.seeded, seeded.count(), "seeded count drifted");
+        for p in d.holders.seeds.keys() {
+            assert!(d.contains(*p), "{p:?} seeded without being a member");
+        }
+    }
+
+    /// The members whose gossip summary `d` scans: exactly those the
+    /// reference has a summary for, so no entry outside `seeds` is
+    /// treated as seeded.
+    fn assert_seeded_like(d: &DirectoryState, r: &SortedInsertReference) {
+        let mut seeded: Vec<u32> = d.holders.seeds.keys().map(|p| p.0).collect();
+        seeded.sort_unstable();
+        let expect = r.members.iter().filter(|(_, m)| m.summary.is_some());
+        assert_eq!(seeded, expect.map(|(p, _)| *p).collect::<Vec<_>>());
     }
 
     /// Both owners' invariants.
@@ -1813,6 +1854,7 @@ mod tests {
                     }
                 }
                 assert_owners_exact(&d);
+                assert_seeded_like(&d, &r);
                 prop_assert_eq!(d.holders.listings, r.listings);
                 prop_assert_eq!(d.build_summary(), r.scan_summary(bits));
                 for k in 0..9 {

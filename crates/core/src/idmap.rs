@@ -20,10 +20,11 @@
 //!   (a content peer's content, a directory entry's object list): an
 //!   object id is a bijection of `(website, rank)`
 //!   ([`workload::catalog_rank`]), so the set is one bit per rank of
-//!   the owner's website, and a lookup is a word test where a table
-//!   probe was a cold miss. Use [`IdSet`] for a set that mixes
-//!   websites or keys objects by anything else; a `RankSet` stays
-//!   exact for such ids, but keeps them in a sorted list.
+//!   the owner's website, held inline up to rank 127, and a lookup
+//!   is a word test where a table probe was a cold miss. Use
+//!   [`IdSet`] for a set that mixes websites or keys objects by
+//!   anything else; a `RankSet` stays exact for such ids, but keeps
+//!   them in a sorted list.
 //!
 //! Hash iteration order was never protocol-visible under the random
 //! SipHash key (it differed per process while results did not), and
@@ -276,22 +277,40 @@ impl<K: PartialEq, V> SmallMap<K, V> {
 /// words).
 const RANK_WORDS_MAX: usize = 1 << 10;
 
+/// Bit words a [`RankSet`] holds without a heap block: ranks below 128.
+const INLINE_WORDS: usize = 2;
+
+/// A [`RankSet`]'s bit words and spill list. `Vec`'s capacity niche
+/// tags the variant, so this is no bigger than the `Vec`.
+#[derive(Clone, Debug)]
+enum Words {
+    /// Up to `INLINE_WORDS` bit words and no spill; the words past
+    /// `bit_words` are zero.
+    Inline([u64; INLINE_WORDS]),
+    /// `bit_words` words of rank bits, then the spilled keys, sorted.
+    Heap(Vec<u64>),
+}
+
 /// An exact set of objects of one website, 32 bytes inline: a bit per
 /// catalog rank of the owner's website, grown to the highest rank
 /// inserted. Any other id — another website's, a rank past
 /// `RANK_WORDS_MAX · 64`, a key that is no catalog id — is kept in a
 /// sorted *spill* list after the bit words, in the same allocation.
 ///
+/// Ranks below `INLINE_WORDS · 64` need no allocation: their words
+/// live in the set itself. The set moves to one heap block the first
+/// time it needs a third bit word or a spilled id, and never moves
+/// back.
+///
 /// Iteration yields the owner's objects in rank order, then the
 /// spilled ids in key order; like hash order, neither is a
 /// protocol-visible order.
 #[derive(Clone, Debug)]
 pub struct RankSet {
-    /// `bit_words` words of rank bits, then the spilled keys, sorted.
-    words: Vec<u64>,
+    words: Words,
     /// Members, bits and spill together.
     len: u32,
-    /// How many leading `words` are rank bits.
+    /// How many leading words are rank bits.
     bit_words: u16,
     /// The owner's website: the one whose ranks have bits.
     website: WebsiteId,
@@ -301,7 +320,7 @@ impl RankSet {
     /// An empty set of `website`'s objects (allocates nothing).
     pub fn new(website: WebsiteId) -> Self {
         RankSet {
-            words: Vec::new(),
+            words: Words::Inline([0; INLINE_WORDS]),
             len: 0,
             bit_words: 0,
             website,
@@ -318,9 +337,29 @@ impl RankSet {
         }
     }
 
+    /// The bit words, then the spill.
     #[inline]
     fn split(&self) -> (&[u64], &[u64]) {
-        self.words.split_at(self.bit_words as usize)
+        let n = self.bit_words as usize;
+        match &self.words {
+            Words::Inline(w) => (&w[..n], &[]),
+            Words::Heap(v) => v.split_at(n),
+        }
+    }
+
+    /// The words as one heap block with room for `extra` more, moved
+    /// out of the set on first use.
+    fn heap(&mut self, extra: usize) -> &mut Vec<u64> {
+        if let Words::Inline(w) = &self.words {
+            let n = self.bit_words as usize;
+            let mut v = Vec::with_capacity(n + extra);
+            v.extend_from_slice(&w[..n]);
+            self.words = Words::Heap(v);
+        }
+        match &mut self.words {
+            Words::Heap(v) => v,
+            Words::Inline(_) => unreachable!("moved to the heap above"),
+        }
     }
 
     /// Number of members.
@@ -351,23 +390,34 @@ impl RankSet {
             Some(r) => {
                 let at = r / 64;
                 if at >= n {
-                    let grow = at + 1 - n;
-                    self.words.reserve_exact(grow);
-                    self.words.splice(n..n, std::iter::repeat_n(0, grow));
+                    // An inline word past `bit_words` is zero already.
+                    if at >= INLINE_WORDS || matches!(self.words, Words::Heap(_)) {
+                        let grow = at + 1 - n;
+                        let v = self.heap(grow);
+                        v.reserve_exact(grow);
+                        v.splice(n..n, std::iter::repeat_n(0, grow));
+                    }
                     self.bit_words = (at + 1) as u16;
                 }
-                let (w, bit) = (&mut self.words[at], 1 << (r % 64));
+                let w = match &mut self.words {
+                    Words::Inline(w) => &mut w[at],
+                    Words::Heap(v) => &mut v[at],
+                };
+                let bit = 1 << (r % 64);
                 let added = *w & bit == 0;
                 *w |= bit;
                 added
             }
-            None => match self.words[n..].binary_search(&o.0) {
-                Ok(_) => false,
-                Err(i) => {
-                    self.words.insert(n + i, o.0);
-                    true
+            None => {
+                let v = self.heap(1);
+                match v[n..].binary_search(&o.0) {
+                    Ok(_) => false,
+                    Err(i) => {
+                        v.insert(n + i, o.0);
+                        true
+                    }
                 }
-            },
+            }
         };
         self.len += u32::from(added);
         added
@@ -377,17 +427,13 @@ impl RankSet {
     #[inline]
     pub fn remove(&mut self, o: ObjectId) -> bool {
         let n = self.bit_words as usize;
-        let removed = match self.rank(o) {
-            Some(r) => match self.words[..n].get_mut(r / 64) {
-                Some(w) if *w & (1 << (r % 64)) != 0 => {
-                    *w &= !(1 << (r % 64));
-                    true
-                }
-                _ => false,
-            },
-            None => match self.words[n..].binary_search(&o.0) {
+        let removed = match (self.rank(o), &mut self.words) {
+            (Some(r), Words::Inline(w)) => clear_bit(&mut w[..n], r),
+            (Some(r), Words::Heap(v)) => clear_bit(&mut v[..n], r),
+            (None, Words::Inline(_)) => false,
+            (None, Words::Heap(v)) => match v[n..].binary_search(&o.0) {
                 Ok(i) => {
-                    self.words.remove(n + i);
+                    v.remove(n + i);
                     true
                 }
                 Err(_) => false,
@@ -414,6 +460,24 @@ impl RankSet {
                 })
             })
             .chain(spill.iter().map(|&k| ObjectId(k)))
+    }
+
+    /// True while the set holds no heap block.
+    #[cfg(test)]
+    pub(crate) fn is_inline(&self) -> bool {
+        matches!(self.words, Words::Inline(_))
+    }
+}
+
+/// Clear rank `r`'s bit in `bits`; true when it was set.
+#[inline]
+fn clear_bit(bits: &mut [u64], r: usize) -> bool {
+    match bits.get_mut(r / 64) {
+        Some(w) if *w & (1 << (r % 64)) != 0 => {
+            *w &= !(1 << (r % 64));
+            true
+        }
+        _ => false,
     }
 }
 
@@ -527,6 +591,36 @@ mod tests {
         assert_eq!(m.capacity(), 6, "a freed slot is reused");
     }
 
+    /// A set of ranks below `INLINE_WORDS · 64` holds no heap block,
+    /// however often its members come and go; one rank past that, or
+    /// one spilled id, moves it to the heap for good.
+    #[test]
+    fn a_rank_set_below_the_inline_limit_holds_no_heap_block() {
+        let ws = WebsiteId(3);
+        let mut set = RankSet::new(ws);
+        for r in (0..INLINE_WORDS * 64).rev() {
+            assert!(set.insert(catalog_id(ws, r)));
+        }
+        for r in (0..INLINE_WORDS * 64).step_by(3) {
+            assert!(set.remove(catalog_id(ws, r)));
+        }
+        assert!(!set.remove(catalog_id(WebsiteId(4), 5)));
+        assert!(!set.contains(ObjectId(7)));
+        assert!(set.is_inline() && set.clone().is_inline());
+        assert_eq!(
+            set.len(),
+            INLINE_WORDS * 64 - (INLINE_WORDS * 64).div_ceil(3)
+        );
+
+        let mut spilled = set.clone();
+        spilled.insert(ObjectId(7));
+        spilled.remove(ObjectId(7));
+        set.insert(catalog_id(ws, INLINE_WORDS * 64));
+        set.remove(catalog_id(ws, INLINE_WORDS * 64));
+        assert!(!set.is_inline() && !spilled.is_inline(), "never moves back");
+        assert!(set.iter().eq(spilled.iter()));
+    }
+
     /// An idle node holds no buffer: emptied by `remove` or by
     /// `clear`, a map holds no allocation, and its next entry
     /// allocates room for one again.
@@ -557,15 +651,17 @@ mod proptests {
     use std::collections::BTreeSet;
 
     /// What the oracle below draws from: ids of the owner's website 3
-    /// and of website 4 at ranks either side of a word boundary, at the
-    /// paper's last rank (`nb-ob` − 1) and either side of the spill
-    /// rank, and keys that are no catalog id.
+    /// and of website 4 at ranks either side of a word boundary and of
+    /// the inline limit, at the paper's last rank (`nb-ob` − 1) and
+    /// either side of the spill rank, and keys that are no catalog id.
     fn rank_set_pool() -> Vec<ObjectId> {
         let ranks = [
             0,
             1,
             63,
             64,
+            INLINE_WORDS * 64 - 1,
+            INLINE_WORDS * 64,
             499,
             RANK_WORDS_MAX * 64 - 1,
             RANK_WORDS_MAX * 64,
@@ -583,21 +679,27 @@ mod proptests {
         /// same `insert`/`remove` answers, and after every step the
         /// same `contains` for the whole pool, the same `len`, and the
         /// model's members iterated once each — bits by rank, then the
-        /// spill by key.
+        /// spill by key. The set is inline exactly while it has never
+        /// held a rank from `INLINE_WORDS · 64` on or a spilled id.
         #[test]
         fn rank_set_matches_the_btree_model(
-            ops in proptest::collection::vec((0u8..3, 0usize..18), 1..150)
+            ops in proptest::collection::vec((0u8..3, 0usize..22), 1..150)
         ) {
             let pool = rank_set_pool();
             let mut set = RankSet::new(WebsiteId(3));
             let mut model: BTreeSet<ObjectId> = BTreeSet::new();
+            let mut ever_past_inline = false;
             for (op, i) in ops {
                 let o = pool[i];
                 match op {
-                    0 => prop_assert_eq!(set.insert(o), model.insert(o)),
+                    0 => {
+                        ever_past_inline |= set.rank(o).is_none_or(|r| r >= INLINE_WORDS * 64);
+                        prop_assert_eq!(set.insert(o), model.insert(o));
+                    }
                     1 => prop_assert_eq!(set.remove(o), model.remove(&o)),
                     _ => prop_assert_eq!(set.contains(o), model.contains(&o)),
                 }
+                prop_assert_eq!(set.is_inline(), !ever_past_inline);
                 for o in &pool {
                     prop_assert_eq!(set.contains(*o), model.contains(o));
                 }

@@ -9,9 +9,10 @@
 # (`LD_PRELOAD`; the command's own output goes to standard error) and
 # prints, for every process of the command,
 #
-#   <executable>: peak live heap P MB, census at S MB
-#   the TOP (default 15) allocation sizes by live bytes at the census:
-#   size in bytes, live blocks, MB, share of the census total; and
+#   <executable>: peak live heap P MB, census at S MB (A MB allocated)
+#   the TOP (default 15) allocation sizes by allocated bytes at the
+#   census: size in bytes, live blocks, MB asked for, MB allocated,
+#   share of the census's allocated total; and
 #   under each, its most frequent call chain: the first four frames
 #   outside `alloc`, `core` and `std`, innermost first, symbolised with
 #   `addr2line -f -C -i` (so inlined callees are named), and the share
@@ -19,7 +20,12 @@
 #
 # The census is the last copy of the size table the shim took, within
 # 256 KiB of the peak. Sizes are what the program asked for; the
-# shim's 16-byte header per block is in none of them. About one
+# shim's 16-byte header per block is in none of them. "Allocated" is
+# what glibc's malloc spends on a block of that size without the shim:
+# the size plus its 8-byte chunk header, rounded up to 16, at least 32
+# (blocks past the mmap threshold cost more, in whole pages). A small
+# block costs several times what it asks for — a live 8-byte block
+# takes 32 — which is why sizes are ranked by this figure. About one
 # allocation in 64, and every one of 64 KiB or more, records its stack,
 # which slows an allocation-heavy command by a few times. To see where one benchmark
 # workload's memory sits, census the child directly:
@@ -45,12 +51,18 @@ HEAPCENSUS_OUT="$work/census" LD_PRELOAD="$work/shim.so" "$@" >&2
 for f in "$work"/census.*; do
     [ -e "$f" ] || { echo "no process wrote a census" >&2; exit 1; }
     read -r peak at exe <"$f"
-    awk -v exe="$exe" -v peak="$peak" -v at="$at" 'BEGIN {
-        printf "%s: peak live heap %.1f MB, census at %.1f MB\n", exe, peak / 1e6, at / 1e6
-        printf "%12s %10s %9s %7s\n", "size B", "blocks", "MB", "share"
+    # Per size: allocated bytes, size, blocks, requested bytes.
+    tail -n +2 "$f" | grep -v '^@' | awk '{
+        chunk = int(($1 + 8 + 15) / 16) * 16
+        if (chunk < 32) chunk = 32
+        print chunk * $2, $1, $2, $1 * $2
+    }' | sort -k1,1nr -k2,2n >"$work/sizes"
+    alloc="$(awk '{ t += $1 } END { printf "%.0f", t }' "$work/sizes")"
+    head -n "$top" "$work/sizes" >"$work/top"
+    awk -v exe="$exe" -v peak="$peak" -v at="$at" -v alloc="$alloc" 'BEGIN {
+        printf "%s: peak live heap %.1f MB, census at %.1f MB (%.1f MB allocated)\n", exe, peak / 1e6, at / 1e6, alloc / 1e6
+        printf "%12s %10s %9s %9s %7s\n", "size B", "blocks", "MB", "alloc MB", "share"
     }'
-    tail -n +2 "$f" | grep -v '^@' | awk '{ print $1 * $2, $1, $2 }' |
-        sort -k1,1nr -k2,2n | head -n "$top" >"$work/top"
 
     # The sampled sites of the top sizes, their frames symbolised: one
     # line per frame offset, its functions tab-separated, inlined
@@ -99,11 +111,11 @@ for f in "$work"/census.*; do
         }
     ' "$work/names" "$work/sites" >"$work/chains"
 
-    awk -F'\t' -v at="$at" '
+    awk -F'\t' -v alloc="$alloc" '
         NR == FNR { share[$1] = $2; sampled[$1] = $3; chain[$1] = $4; next }
         {
             split($0, r, " ")
-            printf "%12d %10d %9.2f %6.1f %%\n", r[2], r[3], r[1] / 1e6, 100 * r[1] / at
+            printf "%12d %10d %9.2f %9.2f %6.1f %%\n", r[2], r[3], r[4] / 1e6, r[1] / 1e6, 100 * r[1] / alloc
             if (r[2] in chain)
                 printf "%12s %3d %% of %d sampled: %s\n", "", share[r[2]], sampled[r[2]], chain[r[2]]
         }
