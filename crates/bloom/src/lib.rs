@@ -11,7 +11,8 @@
 //! number of hash functions gives a false-positive rate around 2 %.
 //!
 //! The crate provides:
-//! * [`BitVec`] — a compact bit vector;
+//! * [`BitVec`] — a fixed-size bit vector that lists few set bits as
+//!   their positions;
 //! * [`BloomFilter`] — insert / query with double hashing;
 //! * [`ContentSummary`] — the paper-facing summary sized per Table 1,
 //!   reporting its wire size for the bandwidth model: below two

@@ -34,6 +34,9 @@
 //! removal) writes through [`Arc::make_mut`], so the bits exist twice
 //! only while a view or a message still holds an older snapshot. Bits
 //! are OR'd, so the order the keys come in does not matter. A
+//! re-derivation sets them in dense words and lists them only then,
+//! if few ([`BitVec`]'s positions form), so a filter of many objects
+//! never walks a list. A
 //! snapshot is **identical** (form, answers and item count) to
 //! [`ContentSummary::from_objects`] over the owner's multiset: both
 //! draw their probes from the one shared probe function, so the
@@ -178,11 +181,12 @@ impl SummaryBits {
                     // Copies the bits only if an older snapshot holds them.
                     let f = Arc::make_mut(filter);
                     if derive {
-                        let bits = f.bits_mut();
-                        bits.clear();
-                        for o in keys {
-                            set_bits(bits, o);
-                        }
+                        let m = f.num_bits() as u64;
+                        f.bits_mut().refill(|bits| {
+                            for o in keys {
+                                probe_positions(m, PROBES, o.key()).for_each(|p| bits.set(p));
+                            }
+                        });
                         self.stale = false;
                     }
                     f.set_items(items);

@@ -50,8 +50,14 @@ pub struct ChordState {
     /// Immediate successor first; deduplicated; length bounded by
     /// `cfg.successor_list_len`.
     successors: Vec<PeerRef>,
-    /// `fingers[i]` ≈ successor(me.id + 2^i).
-    fingers: Vec<Option<PeerRef>>,
+    /// The finger table, slot `i` ≈ successor(me.id + 2^i), as its
+    /// maximal runs of equal consecutive slots: `(first slot, value)`,
+    /// ascending, the first at slot 0, no two neighbours equal — one
+    /// form per table. A converged ring of `n` peers fills the low
+    /// slots with the immediate successor and the rest with
+    /// ≈ log2(n) distinct fingers, so the table is a dozen runs rather
+    /// than 64 slots.
+    fingers: Box<[(u8, Option<PeerRef>)]>,
     next_finger: u32,
     /// The routing view [`Self::known_peers`] hands out: a function of
     /// `predecessor`, `successors` and `fingers` only, kept at its
@@ -74,7 +80,7 @@ impl ChordState {
             me,
             predecessor: None,
             successors: Vec::new(),
-            fingers: vec![None; ChordId::BITS as usize],
+            fingers: runs(&[None; SLOTS]),
             next_finger: 0,
             view: Box::default(),
         }
@@ -98,7 +104,7 @@ impl ChordState {
             .min_by_key(|p| p.id.clockwise_distance(me.id));
         others.sort_by_key(|p| me.id.clockwise_distance(p.id));
         let mut st = ChordState::new(me, cfg);
-        st.install(pred, others, vec![None; ChordId::BITS as usize]);
+        st.install(pred, others, vec![None; SLOTS]);
         st
     }
 
@@ -153,9 +159,20 @@ impl ChordState {
         &self.successors
     }
 
-    /// The finger table (sparse).
+    /// The finger table (sparse): each filled slot's peer, in slot
+    /// order, a peer repeated once per slot it fills.
     pub fn fingers(&self) -> impl Iterator<Item = PeerRef> + '_ {
-        self.fingers.iter().flatten().copied()
+        self.finger_slots().into_iter().flatten()
+    }
+
+    /// The 64 finger slots, expanded from their runs (each run fills
+    /// the rest of the table, up to where the next one starts).
+    fn finger_slots(&self) -> [Option<PeerRef>; SLOTS] {
+        let mut slots = [None; SLOTS];
+        for &(first, f) in &self.fingers {
+            slots[first as usize..].fill(f);
+        }
+        slots
     }
 
     /// Is this node responsible for `key`? True when `key ∈
@@ -195,22 +212,16 @@ impl ChordState {
         &self.view
     }
 
-    /// The view from scratch. Consecutive equal finger slots are
-    /// collected once: nothing is listed between them, so the stable
-    /// sort would leave them adjacent and the dedup drop the repeat
-    /// anyway — and on a converged ring that is 50-odd of the 64
-    /// slots, which keeps the sort on its short-slice path.
+    /// The view from scratch. A run of equal finger slots is listed
+    /// once: nothing is listed between its slots, so the stable sort
+    /// would leave them adjacent and the dedup drop the repeats anyway
+    /// — and on a converged ring that is 50-odd of the 64 slots, which
+    /// keeps the sort on its short-slice path.
     fn build_view(&self) -> Box<[PeerRef]> {
-        // Room for the ≈ log2(n) distinct fingers of a converged ring.
-        let mut out: Vec<PeerRef> = Vec::with_capacity(self.successors.len() + 16);
+        let mut out: Vec<PeerRef> =
+            Vec::with_capacity(self.successors.len() + self.fingers.len() + 1);
         out.extend_from_slice(&self.successors);
-        let mut last = None;
-        for f in &self.fingers {
-            if *f != last {
-                out.extend(*f);
-                last = *f;
-            }
-        }
+        out.extend(self.fingers.iter().filter_map(|&(_, f)| f));
         out.extend(self.predecessor);
         out.sort_by_key(|p| p.id.0);
         out.dedup_by_key(|p| p.node);
@@ -260,9 +271,18 @@ impl ChordState {
     pub fn set_finger(&mut self, index: u32, peer: PeerRef) {
         let slot = (peer.node != self.me.node).then_some(peer);
         // A converged ring's finger fixes rewrite the value already
-        // there: only a real change pays for a new view.
-        if self.fingers[index as usize] != slot {
-            self.fingers[index as usize] = slot;
+        // there: only a real change pays for new runs and a new view.
+        // The run is found by a scan from slot 0, not a binary search:
+        // the first run spans most of the table (every target short of
+        // the immediate successor), so the scan mostly stops at once.
+        let run = self.fingers[1..]
+            .iter()
+            .take_while(|&&(first, _)| u32::from(first) <= index)
+            .count();
+        if self.fingers[run].1 != slot {
+            let mut slots = self.finger_slots();
+            slots[index as usize] = slot;
+            self.fingers = runs(&slots);
             self.rebuild_view();
         }
     }
@@ -355,11 +375,17 @@ impl ChordState {
         let before = self.successors.len();
         self.successors.retain(|p| p.node != node);
         touched |= self.successors.len() != before;
-        for f in &mut self.fingers {
-            if f.map(|p| p.node) == Some(node) {
+        let mut cleared = false;
+        for (_, f) in self.fingers.iter_mut() {
+            if f.is_some_and(|p| p.node == node) {
                 *f = None;
-                touched = true;
+                cleared = true;
             }
+        }
+        if cleared {
+            // A cleared run may now equal a neighbour.
+            self.fingers = runs(&self.finger_slots());
+            touched = true;
         }
         if touched {
             self.rebuild_view();
@@ -375,18 +401,30 @@ impl ChordState {
         successors: Vec<PeerRef>,
         fingers: Vec<Option<PeerRef>>,
     ) {
-        assert_eq!(
-            fingers.len(),
-            ChordId::BITS as usize,
-            "finger table must have {} slots",
-            ChordId::BITS
-        );
+        let fingers: &[Option<PeerRef>; SLOTS] = fingers
+            .as_slice()
+            .try_into()
+            .unwrap_or_else(|_| panic!("finger table must have {SLOTS} slots"));
         self.predecessor = predecessor;
         self.successors = successors;
         self.successors.truncate(self.cfg.successor_list_len);
-        self.fingers = fingers;
+        self.fingers = runs(fingers);
         self.rebuild_view();
     }
+}
+
+/// Finger slots per table: one per bit of a [`ChordId`].
+const SLOTS: usize = ChordId::BITS as usize;
+
+/// The maximal runs of equal consecutive `slots`.
+fn runs(slots: &[Option<PeerRef>; SLOTS]) -> Box<[(u8, Option<PeerRef>)]> {
+    let mut out: Vec<(u8, Option<PeerRef>)> = Vec::new();
+    for (i, &f) in slots.iter().enumerate() {
+        if out.last().is_none_or(|&(_, last)| last != f) {
+            out.push((i as u8, f));
+        }
+    }
+    out.into_boxed_slice()
 }
 
 /// Compute exact, globally consistent Chord states for a set of
@@ -462,7 +500,7 @@ mod reference {
 
     pub fn known_peers(st: &ChordState) -> Vec<PeerRef> {
         let mut out: Vec<PeerRef> = st.successors.clone();
-        out.extend(st.fingers.iter().flatten().copied());
+        out.extend(st.fingers());
         out.extend(st.predecessor);
         out.sort_by_key(|p| p.id.0);
         out.dedup_by_key(|p| p.node);
@@ -688,10 +726,14 @@ mod tests {
         let (succ, list) = (sts[1].me(), sts[1].successors().to_vec());
         st.refresh_successor_list(succ, &list);
         st.adopt_successor(succ);
-        let slot = st.fingers.iter().position(|f| f.is_some()).unwrap();
-        st.set_finger(slot as u32, st.fingers[slot].unwrap());
+        let slots = st.finger_slots();
+        let slot = slots.iter().position(|f| f.is_some()).unwrap();
+        st.set_finger(slot as u32, slots[slot].unwrap());
         assert!(!st.on_notify(sts[3].me()));
+        let runs = st.fingers.as_ptr();
         assert!(!st.on_peer_dead(NodeId(99)));
+        st.set_finger(slot as u32, slots[slot].unwrap());
+        assert_eq!(st.fingers.as_ptr(), runs, "runs were rebuilt");
         assert_eq!(st.known_peers().as_ptr(), before, "view was rebuilt");
         assert_eq!(st.known_peers(), reference::known_peers(&st));
     }
@@ -746,6 +788,16 @@ mod tests {
         assert_eq!(joiner.position_taken_by(), None);
         joiner.adopt_successor(sts[1].me());
         assert_eq!(joiner.position_taken_by(), Some(NodeId(1)));
+    }
+
+    /// A converged 600-member D-ring (the paper's Table 1) holds a
+    /// dozen finger runs per member, not 64 slots.
+    #[test]
+    fn a_converged_ring_holds_few_finger_runs() {
+        let ids: Vec<u64> = (0..600).map(crate::id::hash64).collect();
+        let sts = ring(&ids);
+        let most = sts.iter().map(|st| st.fingers.len()).max().unwrap();
+        assert!(most <= 16, "{most} runs");
     }
 
     #[test]
@@ -861,6 +913,61 @@ mod proptests {
                 apply(&mut st, s);
                 check_against_reference(&st, pool_keys().chain([probe]));
                 prop_assert_eq!(st.known_peers(), &view[..]);
+            }
+        }
+
+        /// The finger runs against 64 plain slots: after every
+        /// `set_finger`, `on_peer_dead`, `install` and `from_handoff`
+        /// of a random sequence the table lists the slots' peers, the
+        /// view is built from the slots, and the runs are maximal.
+        #[test]
+        fn finger_runs_hold_the_slots(
+            me in pool_peer(),
+            steps in proptest::collection::vec(step(), 1..40),
+        ) {
+            let mut st = ChordState::new(me, ChordConfig::default());
+            let mut slots = [None; SLOTS];
+            for s in &steps {
+                let (kind, slot, a, _, list) = s;
+                match kind % 4 {
+                    0 => {
+                        st.set_finger(*slot, *a);
+                        slots[*slot as usize] = (a.node != me.node).then_some(*a);
+                    }
+                    1 => {
+                        st.on_peer_dead(a.node);
+                        for f in &mut slots {
+                            if f.is_some_and(|p| p.node == a.node) {
+                                *f = None;
+                            }
+                        }
+                    }
+                    2 => {
+                        apply(&mut st, &(6, *slot, *a, *a, list.clone()));
+                        slots = [None; SLOTS];
+                        for (k, f) in list.iter().enumerate() {
+                            slots[(*slot as usize + 3 * k) % 64] = Some(*f);
+                            slots[(*slot as usize + 3 * k + 1) % 64] = Some(*f);
+                        }
+                    }
+                    _ => {
+                        st = ChordState::from_handoff(me, list, ChordConfig::default());
+                        slots = [None; SLOTS];
+                    }
+                }
+                let listed: Vec<PeerRef> = st.fingers().collect();
+                let expect: Vec<PeerRef> = slots.iter().flatten().copied().collect();
+                prop_assert_eq!(listed, expect);
+                let mut view = st.successors.clone();
+                view.extend(slots.iter().flatten());
+                view.extend(st.predecessor);
+                view.sort_by_key(|p| p.id.0);
+                view.dedup_by_key(|p| p.node);
+                prop_assert_eq!(st.known_peers(), &view[..]);
+                prop_assert_eq!(st.fingers[0].0, 0);
+                for w in st.fingers.windows(2) {
+                    prop_assert!(w[0].0 < w[1].0 && w[0].1 != w[1].1, "runs {:?}", st.fingers);
+                }
             }
         }
 

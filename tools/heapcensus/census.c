@@ -12,8 +12,9 @@
  * Where the blocks come from: about one allocation in `SAMPLE_ONE_IN`
  * of every size (a per-thread random draw, so sites that alternate
  * cannot hide behind a stride), and every one of `SAMPLE_ALL_FROM`
- * bytes or more (few, and often one of a size), records its
- * `backtrace()`. Equal
+ * (4 KiB) or more, records its `backtrace()`: blocks that large are
+ * few, often only a few dozen live of a size, which a one-in-64 draw
+ * can miss altogether. Equal
  * stacks of one size share a *site*, which counts its sampled blocks
  * that are live, and the snapshot copies those counts too. At exit
  * the process writes `$HEAPCENSUS_OUT.<pid>`:
@@ -52,7 +53,7 @@ extern void __libc_free(void *);
 #define SLOTS (1 << 16) /* distinct sizes */
 #define STEP (256 << 10)
 #define SAMPLE_ONE_IN 64
-#define SAMPLE_ALL_FROM (64 << 10)
+#define SAMPLE_ALL_FROM (4 << 10)
 #define SITES (1 << 14) /* distinct (size, stack) pairs */
 #define DEPTH 32
 #define OFFSET_MASK 0xffffffffull /* header[1]: offset low, site + 1 high */

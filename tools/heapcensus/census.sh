@@ -26,7 +26,7 @@
 # (blocks past the mmap threshold cost more, in whole pages). A small
 # block costs several times what it asks for — a live 8-byte block
 # takes 32 — which is why sizes are ranked by this figure. About one
-# allocation in 64, and every one of 64 KiB or more, records its stack,
+# allocation in 64, and every one of 4 KiB or more, records its stack,
 # which slows an allocation-heavy command by a few times. To see where one benchmark
 # workload's memory sits, census the child directly:
 #
