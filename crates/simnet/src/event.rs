@@ -41,11 +41,23 @@
 //! wheel, `current` holds exactly that instant, sorted by full key
 //! (same-instant ties break by stream id, then per-stream sequence),
 //! and a pop takes its tail. When `current` runs dry the next instant
-//! comes in: a level-0 slot is swapped in whole and sorted; a higher
+//! comes in: a level-0 slot is copied in whole and sorted; a higher
 //! slot is *cascaded* — the origin moves to the slot's start and the
 //! slot's entries are re-filed a level or more lower — but only once
 //! the clock, the last popped instant, has reached that start. Until
 //! then only the slot's earliest instant is taken out, by a scan.
+//!
+//! A slot is not a growing buffer but a set of fixed blocks of 64
+//! entries (2 KiB), every one full but the newest, drawn from one pool
+//! the wheel owns: filing appends to the newest block, which the slot
+//! holds inline, and takes a new one only when it is full. The
+//! level-0 copy, a cascade and the scan (which re-files what it
+//! leaves) take a slot's blocks off one at a time and give each back
+//! to the pool as soon as it is drained, so a cascade's targets fill
+//! the very blocks its source gave up and no entry is ever held
+//! twice. The wheel's slot memory is thus the most blocks it ever had
+//! in use at once: a block is allocated only when the pool is empty,
+//! and kept for the queue's lifetime.
 //!
 //! That bound keeps `pos` at or behind the clock, and no push may be
 //! earlier than the clock, so no push lands behind the wheel: one at
@@ -125,7 +137,7 @@ const TIMER: u32 = 1 << 31;
 /// payload, or [`TIMER`] with a timer's kind — beside the timer's
 /// `tag`. Keys are unique, so the derived order, `(at, src, seq)`
 /// first, is the key order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 struct Entry {
     at: u64,
     src: u32,
@@ -218,6 +230,11 @@ const SLOT_BITS: usize = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 11;
 
+/// Entries per block of a slot's chain: 2 KiB of them. Blocks are
+/// held boxed, so that one moves between a chain and the pool as a
+/// pointer.
+const BLOCK: usize = SLOTS;
+
 /// The level an entry due at `at` files into while the wheel's origin
 /// is `pos`: the 6-bit digit holding the highest bit in which the two
 /// differ, 0 when they are equal.
@@ -225,18 +242,96 @@ fn level_of(pos: u64, at: u64) -> usize {
     ((pos ^ at) | 1).ilog2() as usize / SLOT_BITS
 }
 
+type Block = [Entry; BLOCK];
+
+/// One wheel slot: its `len` entries, unsorted, in blocks, every one
+/// full but the newest, which holds at least one. The newest is
+/// inline, so an append follows one pointer.
+#[derive(Debug, Default)]
+struct Chain {
+    newest: Option<Box<Block>>,
+    #[allow(clippy::vec_box)]
+    full: Vec<Box<Block>>,
+    len: usize,
+}
+
+impl Chain {
+    /// Append `entry`, taking a block from `pool` only when the newest
+    /// one is full.
+    #[inline]
+    fn push(&mut self, entry: Entry, pool: &mut Pool) {
+        let at = self.len % BLOCK;
+        if at == 0 {
+            if let Some(full) = self.newest.replace(pool.take()) {
+                self.full.push(full);
+            }
+        }
+        self.newest.as_mut().expect("a block with room")[at] = entry;
+        self.len += 1;
+    }
+
+    /// Take off the newest block, with the number of entries it holds;
+    /// the caller gives it back to the pool once it has read them.
+    #[inline]
+    fn pop(&mut self) -> Option<(Box<Block>, usize)> {
+        let block = self.newest.take()?;
+        let n = (self.len - 1) % BLOCK + 1;
+        self.len -= n;
+        self.newest = self.full.pop();
+        Some((block, n))
+    }
+
+    /// The entries, block by block, newest first.
+    fn runs(&self) -> impl Iterator<Item = &[Entry]> {
+        let newest = self.len.wrapping_sub(1) % BLOCK + 1;
+        let full = self.full.iter().map(|block| &block[..]);
+        self.newest
+            .iter()
+            .map(move |block| &block[..newest])
+            .chain(full)
+    }
+}
+
+/// The blocks of every slot's chain not in use: a block is allocated
+/// only when this is empty, and never freed while the wheel lives.
+#[derive(Debug, Default)]
+struct Pool {
+    #[allow(clippy::vec_box)]
+    free: Vec<Box<Block>>,
+    #[cfg(test)]
+    counts: tests::Blocks,
+}
+
+impl Pool {
+    fn take(&mut self) -> Box<Block> {
+        #[cfg(test)]
+        self.counts.take(self.free.is_empty());
+        self.free
+            .pop()
+            .unwrap_or_else(|| Box::new([Entry::default(); BLOCK]))
+    }
+
+    fn give(&mut self, block: Box<Block>) {
+        #[cfg(test)]
+        self.counts.give();
+        self.free.push(block);
+    }
+}
+
 /// The wheel. Invariants, whenever the queue is non-empty: `current`
 /// holds exactly the events of the earliest pending instant, sorted
 /// descending by key (so the global minimum is `current.last()`);
 /// every other event is in the slot [`Wheel::slot_for`] names for it,
 /// and bit `d` of `occupied[l]` is set iff slot `d` of level `l` is
-/// non-empty; `pos <= clock`.
+/// non-empty; `pos <= clock`. A slot's chain holds exactly
+/// ⌈len / [`BLOCK`]⌉ blocks; every other block is in `pool`.
 #[derive(Debug)]
 struct Wheel<T> {
     /// The instant being drained (pop = `pop()` off the tail).
     current: Vec<Entry>,
-    /// Level `l`, digit `d` at `slots[l * SLOTS + d]`; unsorted.
-    slots: Vec<Vec<Entry>>,
+    /// Level `l`, digit `d` at `slots[l * SLOTS + d]`.
+    slots: Vec<Chain>,
+    pool: Pool,
     occupied: [u64; LEVELS],
     /// The origin every filed entry is due at or after, in ms.
     pos: u64,
@@ -252,7 +347,8 @@ impl<T> Wheel<T> {
     fn new() -> Self {
         Wheel {
             current: Vec::new(),
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            slots: (0..LEVELS * SLOTS).map(|_| Chain::default()).collect(),
+            pool: Pool::default(),
             occupied: [0; LEVELS],
             pos: 0,
             clock: 0,
@@ -294,7 +390,9 @@ impl<T> Wheel<T> {
                 );
                 if let Some(at) = self.current.last().map(|e| e.at) {
                     let i = self.slot_for(at);
-                    self.slots[i].append(&mut self.current);
+                    for e in self.current.drain(..) {
+                        self.slots[i].push(e, &mut self.pool);
+                    }
                     #[cfg(test)]
                     {
                         self.paths.spills += 1;
@@ -305,9 +403,10 @@ impl<T> Wheel<T> {
         }
     }
 
+    #[inline]
     fn file(&mut self, entry: Entry) {
         let i = self.slot_for(entry.at);
-        self.slots[i].push(entry);
+        self.slots[i].push(entry, &mut self.pool);
     }
 
     /// The index in `slots` of the slot an entry due at `at` files
@@ -354,29 +453,37 @@ impl<T> Wheel<T> {
             let digit = self.occupied[level].trailing_zeros() as usize;
             let i = level * SLOTS + digit;
             if level == 0 {
-                // One instant: swap it in whole, and the drained
-                // buffer becomes the slot's.
+                // One instant: copy it in whole.
                 self.occupied[0] &= !(1 << digit);
-                std::mem::swap(&mut self.current, &mut self.slots[i]);
+                while let Some((block, n)) = self.slots[i].pop() {
+                    self.current.extend_from_slice(&block[..n]);
+                    self.pool.give(block);
+                }
                 break;
             }
             let shift = level * SLOT_BITS;
             let start = ((self.pos >> shift) & !(SLOTS as u64 - 1) | digit as u64) << shift;
             if self.clock < start {
-                // Not reached: take out only the earliest instant.
-                let slot = &mut self.slots[i];
-                let at = slot.iter().map(|e| e.at).min().expect("occupied");
-                let current = &mut self.current;
-                slot.retain(|e| {
-                    let later = e.at != at;
-                    if !later {
-                        current.push(*e);
+                // Not reached: take out only the earliest instant,
+                // re-filing the rest into the slot block by block.
+                let at = self.slots[i]
+                    .runs()
+                    .filter_map(|run| run.iter().map(|e| e.at).min())
+                    .min()
+                    .expect("occupied");
+                let mut rest = std::mem::take(&mut self.slots[i]);
+                while let Some((block, n)) = rest.pop() {
+                    for &e in &block[..n] {
+                        if e.at == at {
+                            self.current.push(e);
+                        } else {
+                            self.slots[i].push(e, &mut self.pool);
+                        }
                     }
-                    later
-                });
-                if slot.is_empty() {
+                    self.pool.give(block);
+                }
+                if self.slots[i].len == 0 {
                     self.occupied[level] &= !(1 << digit);
-                    *slot = Vec::new();
                 }
                 #[cfg(test)]
                 {
@@ -384,12 +491,16 @@ impl<T> Wheel<T> {
                 }
                 break;
             }
-            // Reached: move the origin to the slot's start, re-file its
-            // entries lower and free its buffer.
+            // Reached: move the origin to the slot's start and re-file
+            // its entries lower, each drained block back in the pool
+            // before the next is read. None files back into this slot.
             self.occupied[level] &= !(1 << digit);
             self.pos = start;
-            for entry in std::mem::take(&mut self.slots[i]) {
-                self.file(entry);
+            while let Some((block, n)) = self.slots[i].pop() {
+                for &entry in &block[..n] {
+                    self.file(entry);
+                }
+                self.pool.give(block);
             }
             #[cfg(test)]
             {
@@ -598,6 +709,34 @@ mod tests {
         pub scans: u64,
         /// Pushes that handed the instant being drained back.
         pub spills: u64,
+    }
+
+    /// The wheel's blocks: how many it allocated, how many sit in its
+    /// pool, and the most it ever had in use at once.
+    #[derive(Debug, Default)]
+    pub(super) struct Blocks {
+        pub owned: usize,
+        pub idle: usize,
+        pub peak_in_use: usize,
+    }
+
+    impl Blocks {
+        pub fn take(&mut self, allocates: bool) {
+            if allocates {
+                self.owned += 1;
+            } else {
+                self.idle -= 1;
+            }
+            self.peak_in_use = self.peak_in_use.max(self.in_use());
+        }
+
+        pub fn give(&mut self) {
+            self.idle += 1;
+        }
+
+        pub fn in_use(&self) -> usize {
+            self.owned - self.idle
+        }
     }
 
     fn key(at_ms: u64, src: u64, seq: u64) -> EventKey {
@@ -814,17 +953,43 @@ mod tests {
         );
     }
 
+    /// The wheel's block accounting, exactly: every occupied slot's
+    /// chain holds ⌈len / [`BLOCK`]⌉ blocks, those are all the blocks
+    /// in use, and the wheel owns no more blocks than it ever had in
+    /// use at once — it allocates one only when its pool is empty.
+    pub(super) fn assert_blocks<T>(q: &EventQueue<T>) {
+        let wheel = &q.wheel;
+        let mut filed = 0;
+        for (level, &word) in wheel.occupied.iter().enumerate() {
+            let mut digits = word;
+            while digits != 0 {
+                let chain = &wheel.slots[level * SLOTS + digits.trailing_zeros() as usize];
+                digits &= digits - 1;
+                assert!(chain.len > 0, "an occupied slot is empty");
+                let blocks = chain.runs().count();
+                assert_eq!(blocks, chain.len.div_ceil(BLOCK));
+                filed += blocks;
+            }
+        }
+        let counts = &wheel.pool.counts;
+        assert_eq!(counts.in_use(), filed, "blocks in use");
+        assert_eq!(counts.owned, counts.peak_in_use, "blocks owned");
+    }
+
     /// A hold model over a backlog of sparse long timers, against the
-    /// heap at every pop: 600 messages in flight, each re-sent 0–39 ms
+    /// heap at every pop, starting `start` ms in and numbering its
+    /// events from `seq`: 600 messages in flight, each re-sent 0–39 ms
     /// after delivery, so pushes land in the instant being popped, in
     /// the slots ahead of it and, where the next instant is more than
     /// a millisecond off, before it. Every fifth re-send is a timer
-    /// instead, which arms the next message in turn.
-    #[test]
-    fn hold_model_over_a_timer_backlog_matches_heap() {
-        let mut q = EventQueue::new();
-        let mut heap = reference::HeapQueue::new();
-        let mut seq = 0u64;
+    /// instead, which arms the next message in turn. Runs until both
+    /// queues are empty and returns the in-flight timers popped.
+    fn hold_model(
+        q: &mut EventQueue<u64>,
+        heap: &mut reference::HeapQueue<u64>,
+        start: u64,
+        seq: &mut u64,
+    ) -> u64 {
         let mut push = |q: &mut EventQueue<u64>,
                         heap: &mut reference::HeapQueue<u64>,
                         at,
@@ -832,26 +997,28 @@ mod tests {
                         timer: bool| {
             let item = if timer {
                 Item::Timer {
-                    kind: (seq % 3) as u16,
-                    tag: seq,
+                    kind: (*seq % 3) as u16,
+                    tag: *seq,
                 }
             } else {
-                Item::Payload(seq)
+                Item::Payload(*seq)
             };
-            q.push(key(at, src, seq), item);
-            heap.push(key(at, src, seq), item);
-            seq += 1;
+            q.push(key(at, src, *seq), item);
+            heap.push(key(at, src, *seq), item);
+            assert_blocks(q);
+            *seq += 1;
         };
         for i in 0..2_000u64 {
-            push(&mut q, &mut heap, i * 1_000, 1, true);
+            push(q, heap, start + i * 1_000, 1, true);
         }
         for i in 0..600u64 {
-            push(&mut q, &mut heap, i % 40, 2, false);
+            push(q, heap, start + i % 40, 2, false);
         }
         let mut timers = 0;
         for step in 0..40_000u64 {
             let (k, item) = q.pop().expect("hold model keeps the queue full");
             assert_eq!(Some((k, item)), heap.pop(), "diverged at step {step}");
+            assert_blocks(q);
             if k.src == 2 {
                 let p = match item {
                     Item::Payload(p) => p,
@@ -861,21 +1028,51 @@ mod tests {
                     }
                 };
                 let at = k.at.as_ms() + (p * 7 + step) % 40;
-                push(&mut q, &mut heap, at, 2, step % 5 == 0);
+                push(q, heap, at, 2, step % 5 == 0);
             }
         }
         loop {
             let (a, b) = (q.pop(), heap.pop());
             assert_eq!(a, b, "diverged in the drain");
+            assert_blocks(q);
             if a.is_none() {
                 break;
             }
         }
+        timers
+    }
+
+    #[test]
+    fn hold_model_over_a_timer_backlog_matches_heap() {
+        let mut q = EventQueue::new();
+        let timers = hold_model(&mut q, &mut reference::HeapQueue::new(), 0, &mut 0);
         assert!(timers > 1_000, "{timers} in-flight timers");
         let paths = &q.wheel.paths;
         assert!(paths.cascades[2..].iter().sum::<u64>() > 0, "{paths:?}");
         assert!(paths.scans > 0, "{paths:?}");
         assert!(paths.spills > 0, "{paths:?}");
+    }
+
+    /// The blocks a pass drains stay in the pool and serve the next:
+    /// the hold model run again on the same queue, from where the
+    /// first left the clock, allocates none.
+    #[test]
+    fn a_second_pass_allocates_no_block() {
+        let (mut q, mut heap, mut seq) = (EventQueue::new(), reference::HeapQueue::new(), 0);
+        hold_model(&mut q, &mut heap, 0, &mut seq);
+        let owned = q.wheel.pool.counts.owned;
+        assert!(owned > 600 / BLOCK, "{owned} blocks after the first pass");
+        assert_eq!(
+            q.wheel.pool.counts.in_use(),
+            0,
+            "a drained wheel uses no block"
+        );
+        let clock = q.wheel.clock;
+        hold_model(&mut q, &mut heap, clock, &mut seq);
+        assert_eq!(
+            q.wheel.pool.counts.owned, owned,
+            "blocks owned after the second pass"
+        );
     }
 
     #[test]
@@ -901,6 +1098,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::reference::HeapQueue;
+    use super::tests::assert_blocks;
     use super::*;
     use crate::time::SimDuration;
     use proptest::prelude::*;
@@ -991,11 +1189,13 @@ mod proptests {
                 let seq = seqs[src as usize];
                 seqs[src as usize] += 1;
                 q.push(key(t, src, seq), item(i, src, timer));
+                assert_blocks(&q);
                 heap.push(key(t, src, seq), item(i, src, timer));
             }
             loop {
                 let (a, b) = (q.pop(), heap.pop());
                 prop_assert_eq!(a, b, "the wheel diverged from the heap");
+                assert_blocks(&q);
                 if a.is_none() {
                     break;
                 }
@@ -1045,6 +1245,7 @@ mod proptests {
                     spills += u64::from(q.peek_time().is_some_and(|head| k.at < head));
                     let it = item(i, src, timer);
                     q.push(k, it);
+                    assert_blocks(&q);
                     heap.push(k, it);
                     keys.push(k);
                     dsts.push(destination(k, lent(&it)));
@@ -1071,9 +1272,11 @@ mod proptests {
                     }
                     let (mut a, mut b) = (q.pop_if_before(limit), heap.pop_if_before(limit));
                     prop_assert_eq!(&a, &b, "diverged mid-epoch");
+                    assert_blocks(&q);
                     if a.is_none() {
                         (a, b) = (q.pop(), heap.pop());
                         prop_assert_eq!(&a, &b, "diverged at the epoch boundary");
+                        assert_blocks(&q);
                     }
                     prop_assert_eq!(q.len(), heap.len());
                     prop_assert_eq!(a.as_ref().map(|(_, it)| id_of(lent(it))), forecast.pop_front(), "not the event forecast");
@@ -1088,6 +1291,7 @@ mod proptests {
             loop {
                 let (a, b) = (q.pop(), heap.pop());
                 prop_assert_eq!(&a, &b, "diverged in the final drain");
+                assert_blocks(&q);
                 prop_assert_eq!(q.len(), heap.len());
                 if a.is_none() {
                     break;
@@ -1115,11 +1319,13 @@ mod proptests {
                 at += gap * 50;
                 let timer = Item::Timer { kind: 1, tag: seq };
                 q.push(key(at, 1, seq), timer);
+                assert_blocks(&q);
                 heap.push(key(at, 1, seq), timer);
                 seq += 1;
             }
             for i in 0..flight as u64 {
                 q.push(key(i % spread, 2, seq), seq);
+                assert_blocks(&q);
                 heap.push(key(i % spread, 2, seq), seq);
                 seq += 1;
             }
@@ -1127,10 +1333,12 @@ mod proptests {
                 prop_assert_eq!(q.peek_key(), heap.peek_key(), "heads diverged");
                 let (a, b) = (q.pop(), heap.pop());
                 prop_assert_eq!(&a, &b, "diverged at step {}", step);
+                assert_blocks(&q);
                 let Some((k, _)) = a else { break };
                 if k.src == 2 {
                     let delay = delays[step % delays.len()] % spread;
                     q.push(key(k.at.as_ms() + delay, 2, seq), seq);
+                    assert_blocks(&q);
                     heap.push(key(k.at.as_ms() + delay, 2, seq), seq);
                     seq += 1;
                 }
@@ -1139,6 +1347,7 @@ mod proptests {
             loop {
                 let (a, b) = (q.pop(), heap.pop());
                 prop_assert_eq!(&a, &b, "diverged in the final drain");
+                assert_blocks(&q);
                 if a.is_none() {
                     break;
                 }

@@ -19,7 +19,8 @@
  * that are live, and the snapshot copies those counts too. At exit
  * the process writes `$HEAPCENSUS_OUT.<pid>`:
  *
- *   line 1      <peak live bytes> <live bytes at the snapshot> <path of the executable>
+ *   line 1      <peak live bytes> <live bytes at the snapshot>
+ *               <peak resident kB> <path of the executable>
  *   then        <size> <live blocks> at the snapshot, one size a line
  *   then        @ <size> <live sampled blocks> <frame> <frame> … at the
  *               snapshot, one site a line, innermost frame first, each
@@ -31,7 +32,10 @@
  * `__libc_malloc` family: every block carries a 16-byte header (its
  * requested size; its offset from the block glibc returned, and its
  * site, if sampled), so the process's own resident size under the
- * census is not the one it has without it.
+ * census is not the one it has without it. The peak resident size is
+ * the kernel's (`VmHWM` of `/proc/self/status`, 0 where it cannot be
+ * read): beside the peak live heap it shows what the allocator keeps
+ * after the program has freed it.
  */
 #define _GNU_SOURCE
 #include <errno.h>
@@ -299,6 +303,21 @@ static void executable_range(const char *exe, uintptr_t *lo, uintptr_t *hi) {
     fclose(maps);
 }
 
+/* The process's peak resident set in kB, from `/proc/self/status`;
+ * 0 if it cannot be read. */
+static unsigned long peak_resident_kb(void) {
+    FILE *status = fopen("/proc/self/status", "r");
+    if (!status)
+        return 0;
+    char line[256];
+    unsigned long kb = 0;
+    while (fgets(line, sizeof line, status))
+        if (sscanf(line, "VmHWM: %lu kB", &kb) == 1)
+            break;
+    fclose(status);
+    return kb;
+}
+
 /* At exit: stop counting (other threads may still allocate, and the
  * report's own stdio allocates), then write the snapshot. */
 __attribute__((destructor)) static void report(void) {
@@ -317,7 +336,7 @@ __attribute__((destructor)) static void report(void) {
     FILE *out = fopen(path, "w");
     if (!out)
         return;
-    fprintf(out, "%zu %zu %s\n", peak_bytes, snapshot_bytes, exe);
+    fprintf(out, "%zu %zu %lu %s\n", peak_bytes, snapshot_bytes, peak_resident_kb(), exe);
     for (int i = 0; i < nused; i++)
         if (snapshot[used[i]].live > 0)
             fprintf(out, "%zu %ld\n", snapshot[used[i]].size, snapshot[used[i]].live);

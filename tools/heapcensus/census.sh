@@ -9,7 +9,10 @@
 # (`LD_PRELOAD`; the command's own output goes to standard error) and
 # prints, for every process of the command,
 #
-#   <executable>: peak live heap P MB, census at S MB (A MB allocated)
+#   <executable>: peak live heap P MB, peak RSS R MB, census at S MB
+#   (A MB allocated) — R, the kernel's high-water mark of the process
+#   (shim headers included), also counts what the allocator kept after
+#   the program freed it, which no size below shows
 #   the TOP (default 15) allocation sizes by allocated bytes at the
 #   census: size in bytes, live blocks, MB asked for, MB allocated,
 #   share of the census's allocated total; and
@@ -50,7 +53,7 @@ HEAPCENSUS_OUT="$work/census" LD_PRELOAD="$work/shim.so" "$@" >&2
 
 for f in "$work"/census.*; do
     [ -e "$f" ] || { echo "no process wrote a census" >&2; exit 1; }
-    read -r peak at exe <"$f"
+    read -r peak at hwm exe <"$f"
     # Per size: allocated bytes, size, blocks, requested bytes.
     tail -n +2 "$f" | grep -v '^@' | awk '{
         chunk = int(($1 + 8 + 15) / 16) * 16
@@ -59,8 +62,8 @@ for f in "$work"/census.*; do
     }' | sort -k1,1nr -k2,2n >"$work/sizes"
     alloc="$(awk '{ t += $1 } END { printf "%.0f", t }' "$work/sizes")"
     head -n "$top" "$work/sizes" >"$work/top"
-    awk -v exe="$exe" -v peak="$peak" -v at="$at" -v alloc="$alloc" 'BEGIN {
-        printf "%s: peak live heap %.1f MB, census at %.1f MB (%.1f MB allocated)\n", exe, peak / 1e6, at / 1e6, alloc / 1e6
+    awk -v exe="$exe" -v peak="$peak" -v hwm="$hwm" -v at="$at" -v alloc="$alloc" 'BEGIN {
+        printf "%s: peak live heap %.1f MB, peak RSS %.1f MB, census at %.1f MB (%.1f MB allocated)\n", exe, peak / 1e6, hwm * 1024 / 1e6, at / 1e6, alloc / 1e6
         printf "%12s %10s %9s %9s %7s\n", "size B", "blocks", "MB", "alloc MB", "share"
     }'
 
