@@ -14,8 +14,6 @@
 //! * **Swept by an experiment:** `cache_policy` and `cache_capacity`
 //!   (`cache`), `instance_bits`, `petal_split_threshold` and
 //!   `petal_merge_floor` (`scale`, §5.3).
-//! * **Turned on by a test:** `replication_period`
-//!   (`tests/extensions.rs`, `tests/shard_parity.rs`).
 //! * **Set by the time scaling or a workload** (`experiments::runner`,
 //!   `chaos`, `benchmark/src/workloads.rs`): `stabilize_period`,
 //!   `fix_finger_period`, `dir_replacement_jitter`, `query_timeout`,
@@ -23,7 +21,12 @@
 //!   a field only because `benchmark/src/probes/directory.rs` reads it.
 //! * **Constants** of `node`, each with one reader there:
 //!   `SUMMARY_FETCH_RETRIES` = 2, `HOLDER_RETRIES` = 3,
-//!   `SUMMARY_REFRESH_THRESHOLD` = 0.1, `REPLICATION_TOP_K` = 10.
+//!   `SUMMARY_REFRESH_THRESHOLD` = 0.1.
+//!
+//! The one knob outside this struct that only a test turns on is
+//! `simnet::ChurnConfig::permanent`. It stays because the benchmark
+//! pins it: `benchmark/src/workloads.rs` and
+//! `benchmark/src/probes/fault.rs` build `ChurnConfig` field by field.
 
 use simnet::SimDuration;
 
@@ -108,10 +111,6 @@ pub struct FlowerConfig {
     pub cache_policy: CachePolicy,
     /// Cache capacity in objects when the policy is bounded.
     pub cache_capacity: usize,
-    /// Period of the active-replication extension (§8: "pushing
-    /// popular contents towards other overlays of the same website");
-    /// `None` disables it (the paper's base system).
-    pub replication_period: Option<SimDuration>,
 }
 
 impl Default for FlowerConfig {
@@ -136,7 +135,6 @@ impl Default for FlowerConfig {
             query_retry_budget: 2,
             cache_policy: CachePolicy::Unbounded,
             cache_capacity: 0,
-            replication_period: None,
         }
     }
 }
@@ -207,11 +205,6 @@ impl FlowerConfig {
         if self.cache_policy != CachePolicy::Unbounded && self.cache_capacity == 0 {
             return Err("bounded cache policy needs a positive capacity".into());
         }
-        if let Some(p) = self.replication_period {
-            if p.is_zero() {
-                return Err("replication period must be positive".into());
-            }
-        }
         if let Some(t) = self.query_timeout {
             if t.is_zero() {
                 return Err("query timeout must be positive".into());
@@ -235,13 +228,10 @@ mod tests {
         assert!((c.push_threshold - 0.1).abs() < 1e-12);
         c.validate(6).unwrap();
         // The protocol constants that are not fields.
-        use crate::node::{
-            HOLDER_RETRIES, REPLICATION_TOP_K, SUMMARY_FETCH_RETRIES, SUMMARY_REFRESH_THRESHOLD,
-        };
+        use crate::node::{HOLDER_RETRIES, SUMMARY_FETCH_RETRIES, SUMMARY_REFRESH_THRESHOLD};
         assert_eq!(SUMMARY_FETCH_RETRIES, 2);
         assert_eq!(HOLDER_RETRIES, 3);
         assert_eq!(SUMMARY_REFRESH_THRESHOLD, 0.1);
-        assert_eq!(REPLICATION_TOP_K, 10);
     }
 
     #[test]

@@ -629,6 +629,9 @@ mod tests {
         assert_eq!(size_of::<RankSet>(), 32);
         assert!(size_of::<ContentPeerState>() <= 128);
         assert!(size_of::<crate::directory::DirEntry>() <= 40);
+        // A member-order table bucket: 48 B plus one control byte, so
+        // 2^16 buckets are 3 211 280 B with the table's 16 trailing bytes.
+        assert_eq!(size_of::<(NodeId, crate::directory::DirEntry)>(), 48);
     }
 
     /// A role with nothing to push holds no change-log box: not when

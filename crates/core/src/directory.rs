@@ -419,10 +419,6 @@ pub struct DirectoryState {
     neighbor_summaries: Vec<NeighborSummary>,
     /// Objects newly indexed since the last summary broadcast.
     new_since_refresh: usize,
-    /// §8 active replication: requests per object since the last
-    /// replication round (decayed each round). Filled only when
-    /// replication runs.
-    popularity: IdMap<ObjectId, u64>,
     /// Per-instance load counters (§5.3 PetalUp).
     load: DirLoad,
 }
@@ -455,7 +451,6 @@ impl DirectoryState {
             },
             neighbor_summaries: Vec::new(),
             new_since_refresh: 0,
-            popularity: IdMap::default(),
             load: DirLoad::default(),
         }
     }
@@ -705,44 +700,6 @@ impl DirectoryState {
         }
         self.new_since_refresh = 0;
         Some(self.build_summary())
-    }
-
-    /// §8 active replication: note one request for `o`.
-    pub fn note_request(&mut self, o: ObjectId) {
-        *self.popularity.entry(o).or_insert(0) += 1;
-    }
-
-    /// §8 active replication: the `k` most requested objects that some
-    /// live member holds, each paired with one such holder. Decays all
-    /// counters afterwards so popularity tracks the recent past.
-    pub fn take_hot_objects<R: Rng>(&mut self, rng: &mut R, k: usize) -> Vec<(ObjectId, NodeId)> {
-        let mut ranked: Vec<(ObjectId, u64)> =
-            self.popularity.iter().map(|(o, c)| (*o, *c)).collect();
-        // Select the top `k` by (count, key), a total ranking, then
-        // sort only those. A top-k object with no live holder yields
-        // a shorter offer, not the (k+1)-th as a substitute.
-        let rank_key = |(o, c): &(ObjectId, u64)| (std::cmp::Reverse(*c), o.key());
-        if k == 0 {
-            // No offer this round, but the decay below still runs —
-            // popularity must keep tracking the recent past.
-            ranked.clear();
-        } else if ranked.len() > k {
-            ranked.select_nth_unstable_by_key(k - 1, rank_key);
-            ranked.truncate(k);
-        }
-        ranked.sort_unstable_by_key(rank_key);
-        let mut out = Vec::with_capacity(k);
-        for (o, _) in ranked {
-            // Reuse Algorithm 3's holder choice for a live provider.
-            if let DirDecision::ToHolder(h) = self.process(rng, o, NodeId(u32::MAX), 0, 0) {
-                out.push((o, h));
-            }
-        }
-        for c in self.popularity.values_mut() {
-            *c /= 2;
-        }
-        self.popularity.retain(|_, c| *c > 0);
-        out
     }
 
     /// Bloom summary over every object currently indexed: a snapshot
@@ -1036,26 +993,6 @@ mod tests {
         }
     }
 
-    /// Only §8 replication reads request counts, so a run without it
-    /// records none.
-    #[test]
-    fn popularity_stays_empty_without_replication() {
-        let cfg = crate::system::SystemConfig::small_test();
-        assert!(cfg.flower.replication_period.is_none());
-        let (sys, _) = crate::system::FlowerSystem::run(&cfg);
-        let engine = sys.engine();
-        let dirs: Vec<&DirectoryState> = engine
-            .topology()
-            .node_ids()
-            .filter_map(|n| Some(&engine.node(n).dir_role()?.dir))
-            .collect();
-        assert!(
-            dirs.iter().any(|d| d.load().queries > 0),
-            "no query processed"
-        );
-        assert!(dirs.iter().all(|d| d.popularity.is_empty()));
-    }
-
     #[test]
     fn view_seed_prefers_young_entries() {
         let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 100, 10, 100);
@@ -1215,32 +1152,6 @@ mod tests {
         assert_eq!(d.build_summary(), ContentSummary::from_objects(100, &[O2]));
         d.remove_entry(NodeId(7));
         assert_eq!(d.build_summary(), ContentSummary::empty(100));
-    }
-
-    #[test]
-    fn hot_objects_rank_by_popularity_with_key_tiebreak() {
-        let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 5, 100);
-        let mut r = rng();
-        for holder in 1..=3u32 {
-            d.admit_or_refresh(NodeId(holder), obj(holder as usize));
-        }
-        for _ in 0..3 {
-            d.note_request(obj(2));
-        }
-        d.note_request(obj(1));
-        d.note_request(obj(3)); // tied with obj(1) → key order
-        let hot = d.take_hot_objects(&mut r, 2);
-        assert_eq!(hot.len(), 2);
-        assert_eq!(hot[0].0, obj(2), "hottest first");
-        assert_eq!(hot[1].0, obj(1).min(obj(3)), "tie broken by object key");
-        // Counters decayed (3/2=1, 1/2=0, 1/2=0): only obj 2 remains.
-        let again = d.take_hot_objects(&mut r, 5);
-        assert_eq!(again.len(), 1);
-        assert_eq!(again[0].0, obj(2));
-        // k = 0 offers nothing but still decays (obj 2's count 1 → 0),
-        // so the following round sees an empty popularity map.
-        assert!(d.take_hot_objects(&mut r, 0).is_empty());
-        assert!(d.take_hot_objects(&mut r, 5).is_empty());
     }
 
     #[test]

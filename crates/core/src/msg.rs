@@ -256,41 +256,6 @@ pub enum FlowerMsg {
         /// The overlay the sender left.
         website: WebsiteId,
     },
-    /// §8 active replication: a directory offers its hottest objects
-    /// (with a holder for each) to a same-website neighbour directory.
-    ReplicaOffer {
-        /// The website being replicated.
-        website: WebsiteId,
-        /// `(object, holder in the offering overlay)` pairs.
-        objects: Vec<(ObjectId, NodeId)>,
-    },
-    /// §8 active replication: the receiving directory instructs one of
-    /// its members to pull an object from a remote holder.
-    ReplicaInstruct {
-        /// The website being replicated.
-        website: WebsiteId,
-        /// The object to replicate.
-        object: ObjectId,
-        /// Where to pull it from.
-        holder: NodeId,
-    },
-    /// §8 active replication: the member asks the remote holder for
-    /// the object.
-    ReplicaPull {
-        /// The website being replicated.
-        website: WebsiteId,
-        /// The object to pull.
-        object: ObjectId,
-    },
-    /// §8 active replication: the object payload.
-    ReplicaData {
-        /// The website being replicated.
-        website: WebsiteId,
-        /// The replicated object.
-        object: ObjectId,
-        /// Payload size in bytes.
-        size: u32,
-    },
     /// §5.3 PetalUp split: the petal primary tells a sibling instance
     /// that the petal now runs `live` instances. A dormant sibling
     /// activates; an already-active one re-partitions its members
@@ -394,12 +359,6 @@ impl Message for FlowerMsg {
                     + 4
             }
             FlowerMsg::Moved { .. } => MSG_HEADER_BYTES,
-            FlowerMsg::ReplicaOffer { objects, .. } => {
-                MSG_HEADER_BYTES + (OBJECT_ID_BYTES + ADDR_BYTES) * objects.len() as u32
-            }
-            FlowerMsg::ReplicaInstruct { .. } => MSG_HEADER_BYTES + OBJECT_ID_BYTES + ADDR_BYTES,
-            FlowerMsg::ReplicaPull { .. } => MSG_HEADER_BYTES + OBJECT_ID_BYTES,
-            FlowerMsg::ReplicaData { size, .. } => MSG_HEADER_BYTES + OBJECT_ID_BYTES + size,
             // website + locality + live count (or retiring instance)
             FlowerMsg::PetalActivate { .. }
             | FlowerMsg::PetalDeactivate { .. }
@@ -433,21 +392,15 @@ impl Message for FlowerMsg {
                 TrafficClass::Gossip
             }
             // Directory summaries propagate index contents like pushes
-            // do; the paper counts both as background maintenance. The
-            // §8 replication control plane is likewise proactive
-            // maintenance.
+            // do; the paper counts both as background maintenance.
             // The PetalUp control plane is proactive directory
             // maintenance, like summary refreshes.
             FlowerMsg::Push { .. }
             | FlowerMsg::DirSummary { .. }
-            | FlowerMsg::ReplicaOffer { .. }
-            | FlowerMsg::ReplicaInstruct { .. }
-            | FlowerMsg::ReplicaPull { .. }
             | FlowerMsg::PetalActivate { .. }
             | FlowerMsg::PetalDeactivate { .. }
             | FlowerMsg::PetalRetire { .. }
             | FlowerMsg::PetalLoad { .. } => TrafficClass::Push,
-            FlowerMsg::ReplicaData { .. } => TrafficClass::Transfer,
             FlowerMsg::KeepAlive { .. } => TrafficClass::KeepAlive,
             FlowerMsg::DirHandoff { .. } => TrafficClass::DhtMaintenance,
         }

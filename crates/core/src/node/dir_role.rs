@@ -1,20 +1,17 @@
 //! The directory role: Algorithm 3 and optimistic admission (§3.4),
 //! the member traffic it indexes, the §4.2.1 summary broadcast and
-//! holder retries, and the §8 replication offers.
+//! holder retries.
 
 use bloom::ObjectId;
-use chord::ChordState;
 use gossip::PushPolicy;
 use metrics::{Counter, Hist};
 use simnet::NodeId;
 use workload::WebsiteId;
 
 use super::petal::petal_primary;
-use super::{
-    timers, Ctx, FlowerNode, HOLDER_RETRIES, REPLICATION_TOP_K, SUMMARY_REFRESH_THRESHOLD,
-};
+use super::{timers, Ctx, FlowerNode, HOLDER_RETRIES, SUMMARY_REFRESH_THRESHOLD};
 use crate::directory::{DirDecision, DirectoryState, NeighborSummary};
-use crate::id::{instance_for, KeyScheme};
+use crate::id::instance_for;
 use crate::msg::{FlowerMsg, Query};
 
 /// Up to `n` members of `dir` other than `exclude` (a view seed), with
@@ -30,24 +27,6 @@ pub(super) fn counted_view_seed(
     m.incr(Counter::DirViewSeeds);
     m.record(Hist::DirViewSeedLen, seed.len() as u64);
     seed
-}
-
-/// Send a copy of `msg` to every directory peer of this role's own
-/// website that its routing table knows — the neighbourhood §4.2.1
-/// summaries and §8 replica offers travel on — in ascending ring-id
-/// order.
-fn send_to_website_neighbours(
-    ctx: &mut Ctx<'_>,
-    ring: &ChordState,
-    scheme: KeyScheme,
-    msg: &FlowerMsg,
-) {
-    let (me, my_id) = (ctx.id(), ring.id());
-    for p in ring.known_peers() {
-        if p.node != me && scheme.same_website(p.id, my_id) {
-            ctx.send(p.node, msg.clone());
-        }
-    }
 }
 
 impl FlowerNode {
@@ -94,10 +73,6 @@ impl FlowerNode {
         // locality directory only.
         let admits_here = local && !role.dir.contains(query.origin);
         role.dir.note_query();
-        // §8 popularity, read only by the replication timer.
-        if self.shared.cfg.replication_period.is_some() {
-            role.dir.note_request(query.object);
-        }
         let max_hops = self.shared.cfg.max_dir_hops;
         let decision = role.dir.process(
             ctx.rng(),
@@ -175,7 +150,7 @@ impl FlowerNode {
 
     /// §4.2.1: if enough of the index changed, send a refreshed
     /// directory summary to the same-website directory peers we know
-    /// through the routing table.
+    /// through the routing table, in ascending ring-id order.
     fn maybe_broadcast_summary(&mut self, ctx: &mut Ctx<'_>) {
         let scheme = self.shared.scheme;
         let Some(role) = &mut self.dir_role else {
@@ -187,13 +162,18 @@ impl FlowerNode {
         else {
             return;
         };
+        let (me, my_id) = (ctx.id(), role.ring.id());
         let msg = FlowerMsg::DirSummary {
             website: role.dir.website(),
             locality: role.dir.locality(),
-            dir_id: role.ring.id(),
+            dir_id: my_id,
             summary,
         };
-        send_to_website_neighbours(ctx, &role.ring, scheme, &msg);
+        for p in role.ring.known_peers() {
+            if p.node != me && scheme.same_website(p.id, my_id) {
+                ctx.send(p.node, msg.clone());
+            }
+        }
     }
 
     /// A member's push (Algorithm 5). A node that is no longer its
@@ -238,61 +218,5 @@ impl FlowerNode {
         }
         // One tick = one §5.3 split/merge policy window.
         self.petal_policy_tick(ctx);
-    }
-
-    /// §8 active replication: offer our hottest objects to the
-    /// same-website neighbour directories.
-    pub(super) fn on_replicate_timer(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(period) = self.shared.cfg.replication_period else {
-            return;
-        };
-        let scheme = self.shared.scheme;
-        let Some(role) = &mut self.dir_role else {
-            return;
-        };
-        if !role.joining {
-            let hot = role.dir.take_hot_objects(ctx.rng(), REPLICATION_TOP_K);
-            if !hot.is_empty() {
-                let msg = FlowerMsg::ReplicaOffer {
-                    website: role.dir.website(),
-                    objects: hot,
-                };
-                send_to_website_neighbours(ctx, &role.ring, scheme, &msg);
-            }
-        }
-        ctx.set_timer(period, timers::REPLICATE, 0);
-    }
-
-    /// §8: pick a member to host each offered object we lack.
-    pub(super) fn on_replica_offer(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        website: WebsiteId,
-        objects: Vec<(ObjectId, NodeId)>,
-    ) {
-        let Some(role) = self.dir_for(website) else {
-            return;
-        };
-        for (object, holder) in objects {
-            // Skip objects some live member already holds.
-            let already = matches!(
-                role.dir.process(ctx.rng(), object, NodeId(u32::MAX), 0, 0),
-                DirDecision::ToHolder(_)
-            );
-            ctx.metrics().incr(Counter::DirProcess);
-            if already {
-                continue;
-            }
-            if let Some(&member) = counted_view_seed(ctx, &role.dir, 1, holder).first() {
-                ctx.send(
-                    member,
-                    FlowerMsg::ReplicaInstruct {
-                        website,
-                        object,
-                        holder,
-                    },
-                );
-            }
-        }
     }
 }

@@ -1,7 +1,6 @@
 //! The content peer (§4, Algorithms 4–6): serving fetches, gossip,
-//! pushes and keepalives, and the §8 replica transfers.
+//! pushes and keepalives.
 
-use bloom::ObjectId;
 use gossip::PushPolicy;
 use metrics::{Counter, Hist};
 use rand::Rng;
@@ -233,47 +232,5 @@ impl FlowerNode {
             }
             ctx.set_timer(period, timers::KEEPALIVE, ws.0 as u64);
         }
-    }
-
-    /// §8: our directory asks us to host `object`, held by `holder`.
-    pub(super) fn on_replica_instruct(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        website: WebsiteId,
-        object: ObjectId,
-        holder: NodeId,
-    ) {
-        if self.content.get(&website).is_some_and(|cp| !cp.has(object)) {
-            ctx.send(holder, FlowerMsg::ReplicaPull { website, object });
-        }
-    }
-
-    /// §8: a new replica host asks us for `object`.
-    pub(super) fn on_replica_pull(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: NodeId,
-        ws: WebsiteId,
-        object: ObjectId,
-    ) {
-        if self.content.get(&ws).is_some_and(|cp| cp.has(object)) {
-            let size = self.shared.catalog.object_size(object);
-            ctx.send(
-                from,
-                FlowerMsg::ReplicaData {
-                    website: ws,
-                    object,
-                    size,
-                },
-            );
-        }
-    }
-
-    /// §8: the replica arrived; it is pushed like any fetched object.
-    pub(super) fn on_replica_data(&mut self, ctx: &mut Ctx<'_>, ws: WebsiteId, object: ObjectId) {
-        if let Some(cp) = self.content.get_mut(&ws) {
-            cp.insert_object(object);
-        }
-        self.maybe_push(ctx, ws);
     }
 }

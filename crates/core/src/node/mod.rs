@@ -58,9 +58,6 @@ pub(crate) const HOLDER_RETRIES: u8 = 3;
 /// refresh to neighbour directory peers (§4.2.1, "delayed
 /// propagation").
 pub(crate) const SUMMARY_REFRESH_THRESHOLD: f64 = 0.1;
-/// How many of the most-requested objects each §8 replication round
-/// offers to neighbour overlays.
-pub(crate) const REPLICATION_TOP_K: usize = 10;
 
 /// Timer kinds used by [`FlowerNode`].
 pub mod timers {
@@ -79,8 +76,6 @@ pub mod timers {
     /// Watchdog for an in-flight §5.2 replacement join (tag =
     /// website): retries the join or stands down if a winner emerged.
     pub const JOIN_RETRY: u16 = 7;
-    /// §8 active-replication round at a directory peer.
-    pub const REPLICATE: u16 = 8;
     /// Pending-query timeout (tag = query id): fires when neither a
     /// serve nor a bounce arrived — the silent-loss/partition case
     /// the §5 synchronous failure signals cannot cover.
@@ -448,20 +443,6 @@ impl FlowerNode {
                 live,
             } => self.on_dir_handoff(ctx, website, locality, index, &neighbors, live),
             FlowerMsg::Moved { website } => self.forget_peer(website, from),
-            FlowerMsg::ReplicaOffer { website, objects } => {
-                self.on_replica_offer(ctx, website, objects)
-            }
-            FlowerMsg::ReplicaInstruct {
-                website,
-                object,
-                holder,
-            } => self.on_replica_instruct(ctx, website, object, holder),
-            FlowerMsg::ReplicaPull { website, object } => {
-                self.on_replica_pull(ctx, from, website, object)
-            }
-            FlowerMsg::ReplicaData {
-                website, object, ..
-            } => self.on_replica_data(ctx, website, object),
             FlowerMsg::PetalActivate {
                 website,
                 locality,
@@ -572,7 +553,6 @@ impl simnet::Node<FlowerMsg> for FlowerNode {
                     timers::STABILIZE | timers::FIX_FINGER => self.on_ring_timer(ctx, kind),
                     timers::REPLACE_DIR => self.on_replace_dir_timer(ctx, ws),
                     timers::JOIN_RETRY => self.on_join_retry_timer(ctx, ws),
-                    timers::REPLICATE => self.on_replicate_timer(ctx),
                     timers::QUERY_TIMEOUT => self.on_query_timeout(ctx, tag),
                     _ => {}
                 }

@@ -249,10 +249,6 @@ impl FlowerNode {
         ctx.set_timer(SimDuration::from_ms(s), timers::STABILIZE, 0);
         let f = ctx.rng().gen_range(0..cfg.fix_finger_period.as_ms().max(1));
         ctx.set_timer(SimDuration::from_ms(f), timers::FIX_FINGER, 0);
-        if let Some(p) = cfg.replication_period {
-            let r = ctx.rng().gen_range(0..p.as_ms().max(1));
-            ctx.set_timer(SimDuration::from_ms(r), timers::REPLICATE, 0);
-        }
     }
 
     /// A D-ring maintenance period elapsed (`STABILIZE`: neighbours,

@@ -427,17 +427,6 @@ impl FlowerSystem {
                     tag: 0,
                 },
             );
-            if let Some(p) = cfg.flower.replication_period {
-                let s = rng.gen_range(0..p.as_ms().max(2));
-                engine.schedule_at(
-                    SimTime::from_ms(s),
-                    *node,
-                    Event::Timer {
-                        kind: timers::REPLICATE,
-                        tag: 0,
-                    },
-                );
-            }
         }
 
         // The query trace with the §6.1 originator selection, drawing
@@ -646,8 +635,8 @@ mod tests {
         assert_eq!(sys.queries_injected(), r.submitted);
     }
 
-    /// `small_test` for 90 s with a flash crowd and a diurnal surge on
-    /// top of the base trace.
+    /// `small_test` for 90 s with two overlapping flash crowds, on
+    /// different websites, on top of the base trace.
     fn surged(shards: usize) -> SystemConfig {
         let mut cfg = SystemConfig::small_test();
         cfg.workload.duration_ms = 90_000;
@@ -658,9 +647,11 @@ mod tests {
                 website_rank: 1,
                 extra_rate_per_sec: 60.0,
             },
-            Surge::Diurnal {
-                period_ms: 60_000,
-                peak_extra_rate_per_sec: 40.0,
+            Surge::FlashCrowd {
+                start_ms: 30_000,
+                end_ms: 70_000,
+                website_rank: 0,
+                extra_rate_per_sec: 40.0,
             },
         ];
         cfg.shards = shards;

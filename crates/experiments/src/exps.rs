@@ -1183,7 +1183,6 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
         start,
         end: heal,
         probability: 0.25,
-        cross_locality_only: true,
     });
     let (sys, report) = run_chaos_family(
         &mut out,

@@ -812,27 +812,43 @@ mod tests {
     fn certain_link_loss_drops_every_send() {
         use crate::fault::{FaultPlane, LinkLoss};
         let mut e = engine();
+        let a = NodeId(0);
+        let la = e.topology().locality(a);
+        let far = e
+            .topology()
+            .node_ids()
+            .find(|n| e.topology().locality(*n) != la)
+            .expect("small_test has several localities");
+        let near = e
+            .topology()
+            .node_ids()
+            .find(|n| *n != a && e.topology().locality(*n) == la)
+            .expect("a locality of several nodes");
         e.set_fault_plane(FaultPlane::new().link_loss(LinkLoss {
             start: SimTime::ZERO,
             end: SimTime::from_secs(60),
             probability: 1.0,
-            cross_locality_only: false,
         }));
-        e.schedule_at(
-            SimTime::from_ms(1),
-            NodeId(0),
-            Event::Recv {
-                from: NodeId(1),
-                msg: PingMsg::Ping,
-            },
-        );
+        // `a` pongs a node of another locality and one of its own.
+        for from in [far, near] {
+            e.schedule_at(
+                SimTime::from_ms(1),
+                a,
+                Event::Recv {
+                    from,
+                    msg: PingMsg::Ping,
+                },
+            );
+        }
         e.run_until(SimTime::from_secs(10));
-        assert_eq!(e.node(NodeId(1)).pongs, 0);
+        assert_eq!(e.node(far).pongs, 0, "a cross-locality send is lost");
+        assert_eq!(e.node(near).pongs, 1, "an intra-locality link is lossless");
         assert_eq!(e.metrics().counter(metrics::Counter::EngineFaultDrops), 1);
+        assert_eq!(e.metrics().counter(metrics::Counter::SentQueryControl), 2);
         assert_eq!(
-            e.metrics().counter(metrics::Counter::SentQueryControl),
             e.metrics().counter(metrics::Counter::DropQueryControl),
-            "with p = 1 every send is a drop"
+            1,
+            "with p = 1 every cross-locality send is a drop"
         );
     }
 
@@ -1064,7 +1080,6 @@ mod tests {
                         start: SimTime::from_secs(4),
                         end: SimTime::from_secs(8),
                         probability: 0.4,
-                        cross_locality_only: false,
                     })
                     .regional_failure(RegionalFailure {
                         at: SimTime::from_secs(9),

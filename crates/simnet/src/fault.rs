@@ -15,8 +15,9 @@
 //!   evaluated at delivery time as a pure function of `(delivery
 //!   time, sender locality, destination locality)`, so it is
 //!   independent of the shard layout by construction.
-//! * **Link loss** ([`LinkLoss`]) drops each wire send inside the
-//!   active window with probability `p`. The coin is flipped **at
+//! * **Link loss** ([`LinkLoss`]) drops each wire send that crosses a
+//!   locality boundary inside the active window with probability `p`;
+//!   intra-locality (LAN) links stay lossless. The coin is flipped **at
 //!   send time from the emitter's own RNG stream**, which is the same
 //!   stream on every shard layout — results stay bit-identical across
 //!   `--shards 1/2/4`. When no loss window is active the emitter's
@@ -64,7 +65,8 @@ struct CompiledPartition {
     mask_b: u128,
 }
 
-/// A probabilistic message-loss window.
+/// A probabilistic message-loss window on the links between
+/// localities; intra-locality (LAN) links stay lossless.
 #[derive(Clone, Copy, Debug)]
 pub struct LinkLoss {
     /// Instant loss starts.
@@ -73,9 +75,6 @@ pub struct LinkLoss {
     pub end: SimTime,
     /// Per-message drop probability in `[0, 1]`.
     pub probability: f64,
-    /// When true, only messages crossing a locality boundary are at
-    /// risk — intra-locality (LAN) links stay lossless.
-    pub cross_locality_only: bool,
 }
 
 /// A correlated regional failure: every node of `locality` dies at
@@ -205,12 +204,16 @@ impl FaultPlane {
     /// The drop probability a send at `at` is exposed to, or `None`
     /// when no loss window applies — in which case the caller must
     /// not consume any randomness. `crosses_locality` is whether the
-    /// message leaves the sender's locality.
+    /// message leaves the sender's locality; one that does not is
+    /// never at risk.
     #[inline]
     pub fn loss_probability(&self, at: SimTime, crosses_locality: bool) -> Option<f64> {
+        if !crosses_locality {
+            return None;
+        }
         self.loss
             .iter()
-            .find(|l| at >= l.start && at < l.end && (crosses_locality || !l.cross_locality_only))
+            .find(|l| at >= l.start && at < l.end)
             .map(|l| l.probability)
     }
 
@@ -276,10 +279,9 @@ mod tests {
             start: t(1),
             end: t(2),
             probability: 0.25,
-            cross_locality_only: true,
         });
         assert_eq!(plane.loss_probability(t(1), true), Some(0.25));
-        // Intra-locality links are exempt under cross_locality_only.
+        // Intra-locality links are exempt.
         assert_eq!(plane.loss_probability(t(1), false), None);
         assert_eq!(plane.loss_probability(t(0), true), None);
         assert_eq!(plane.loss_probability(t(2), true), None);
@@ -292,7 +294,6 @@ mod tests {
             start: t(0),
             end: t(1),
             probability: 1.5,
-            cross_locality_only: false,
         });
     }
 

@@ -45,11 +45,11 @@ pub struct WorkloadConfig {
     /// workload the §5.3 PetalUp scale-up is designed for, where a
     /// few hot websites would overload their directory petals.
     pub website_zipf_alpha: f64,
-    /// Scripted load surges overlaid on the base Poisson trace
-    /// (flash crowds, diurnal cycles). Strictly *additive*: each
-    /// surge's extra queries come from its own derived RNG stream, so
-    /// the base trace — and every seed pin built on it — stays
-    /// bit-identical whether the list is empty or not.
+    /// Scripted flash crowds overlaid on the base Poisson trace.
+    /// Strictly *additive*: each surge's extra queries come from its
+    /// own derived RNG stream, so the base trace — and every seed pin
+    /// built on it — stays bit-identical whether the list is empty or
+    /// not.
     pub surges: Vec<Surge>,
 }
 
@@ -70,17 +70,6 @@ pub enum Surge {
         website_rank: usize,
         /// Additional mean arrival rate during the window.
         extra_rate_per_sec: f64,
-    },
-    /// A diurnal cycle: extra load rising and falling with a
-    /// sinusoidal day profile — Poisson arrivals at
-    /// `peak_extra_rate_per_sec`, thinned by `max(0, sin(2πt/period))`
-    /// so load is only *added* during the daytime half-cycle (an
-    /// additive overlay cannot model negative modulation).
-    Diurnal {
-        /// Full day length in trace milliseconds.
-        period_ms: u64,
-        /// Additional arrival rate at the daytime peak.
-        peak_extra_rate_per_sec: f64,
     },
 }
 
@@ -177,23 +166,14 @@ struct TraceShape {
     active: Vec<WebsiteId>,
 }
 
-/// Which process an [`Arrivals`] stream is, with what only it needs.
-#[derive(Clone, Debug)]
-enum ArrivalKind {
-    /// The base Poisson process over all active websites.
-    Base,
-    /// [`Surge::FlashCrowd`]: every query aims at `website`.
-    Flash { website: WebsiteId },
-    /// [`Surge::Diurnal`]: candidates thinned by the day profile.
-    Diurnal { period_ms: u64 },
-}
-
 /// One Poisson arrival process with its own RNG stream. Arrival times
 /// only grow, so each process yields its queries in time order; once
 /// it has returned `None` it is not polled again.
 #[derive(Clone, Debug)]
 struct Arrivals {
-    kind: ArrivalKind,
+    /// The website every query of a [`Surge::FlashCrowd`] aims at;
+    /// `None` is the base process over all active websites.
+    website: Option<WebsiteId>,
     rng: StdRng,
     /// Arrival clock in (fractional) milliseconds.
     t: f64,
@@ -204,41 +184,26 @@ struct Arrivals {
 
 impl Arrivals {
     fn next(&mut self, shape: &TraceShape) -> Option<QueryEvent> {
-        loop {
-            // Exponential inter-arrival (Poisson process).
-            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-            self.t += -u.ln() * self.mean_gap_ms;
-            let at_ms = self.t as u64;
-            if at_ms >= self.end_ms {
-                return None;
-            }
-            let active = &shape.active;
-            let website = match self.kind {
-                ArrivalKind::Base => match &shape.website_zipf {
-                    Some(z) => active[z.sample(&mut self.rng)],
-                    None => active[self.rng.gen_range(0..active.len())],
-                },
-                ArrivalKind::Flash { website } => website,
-                ArrivalKind::Diurnal { period_ms } => {
-                    // Thinned Poisson process: candidates at the peak
-                    // rate, each kept with probability
-                    // max(0, sin(2πt/period)).
-                    let phase = (self.t / period_ms as f64) * std::f64::consts::TAU;
-                    let keep: f64 = self.rng.gen_range(0.0..1.0);
-                    if keep >= phase.sin() {
-                        continue;
-                    }
-                    active[self.rng.gen_range(0..active.len())]
-                }
-            };
-            let rank = shape.zipf.sample(&mut self.rng);
-            return Some(QueryEvent {
-                at_ms,
-                website,
-                object: shape.catalog.object_id(website, rank),
-                rank: rank as u32,
-            });
+        // Exponential inter-arrival (Poisson process).
+        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        self.t += -u.ln() * self.mean_gap_ms;
+        let at_ms = self.t as u64;
+        if at_ms >= self.end_ms {
+            return None;
         }
+        let active = &shape.active;
+        let website = match (self.website, &shape.website_zipf) {
+            (Some(website), _) => website,
+            (None, Some(z)) => active[z.sample(&mut self.rng)],
+            (None, None) => active[self.rng.gen_range(0..active.len())],
+        };
+        let rank = shape.zipf.sample(&mut self.rng);
+        Some(QueryEvent {
+            at_ms,
+            website,
+            object: shape.catalog.object_id(website, rank),
+            rank: rank as u32,
+        })
     }
 }
 
@@ -268,7 +233,7 @@ impl QueryGen {
         let active: Vec<WebsiteId> = catalog.active_websites().collect();
         assert!(!active.is_empty(), "no active websites to query");
         let mut processes = vec![Arrivals {
-            kind: ArrivalKind::Base,
+            website: None,
             rng: StdRng::seed_from_u64(seed ^ 0x0131_D000),
             t: 0.0,
             mean_gap_ms: 1000.0 / cfg.query_rate_per_sec,
@@ -276,45 +241,23 @@ impl QueryGen {
         }];
         for (i, surge) in cfg.surges.iter().enumerate() {
             let rng = StdRng::seed_from_u64(seed ^ 0x5a26_e000 ^ ((i as u64) << 32));
-            processes.push(match *surge {
-                Surge::FlashCrowd {
-                    start_ms,
-                    end_ms,
-                    website_rank,
-                    extra_rate_per_sec,
-                } => {
-                    assert!(start_ms < end_ms, "flash crowd window must be non-empty");
-                    assert!(
-                        extra_rate_per_sec > 0.0,
-                        "flash crowd rate must be positive"
-                    );
-                    Arrivals {
-                        kind: ArrivalKind::Flash {
-                            website: active[website_rank.min(active.len() - 1)],
-                        },
-                        rng,
-                        t: start_ms as f64,
-                        mean_gap_ms: 1000.0 / extra_rate_per_sec,
-                        end_ms: end_ms.min(cfg.duration_ms),
-                    }
-                }
-                Surge::Diurnal {
-                    period_ms,
-                    peak_extra_rate_per_sec,
-                } => {
-                    assert!(period_ms > 0, "diurnal period must be positive");
-                    assert!(
-                        peak_extra_rate_per_sec > 0.0,
-                        "diurnal peak rate must be positive"
-                    );
-                    Arrivals {
-                        kind: ArrivalKind::Diurnal { period_ms },
-                        rng,
-                        t: 0.0,
-                        mean_gap_ms: 1000.0 / peak_extra_rate_per_sec,
-                        end_ms: cfg.duration_ms,
-                    }
-                }
+            let Surge::FlashCrowd {
+                start_ms,
+                end_ms,
+                website_rank,
+                extra_rate_per_sec,
+            } = *surge;
+            assert!(start_ms < end_ms, "flash crowd window must be non-empty");
+            assert!(
+                extra_rate_per_sec > 0.0,
+                "flash crowd rate must be positive"
+            );
+            processes.push(Arrivals {
+                website: Some(active[website_rank.min(active.len() - 1)]),
+                rng,
+                t: start_ms as f64,
+                mean_gap_ms: 1000.0 / extra_rate_per_sec,
+                end_ms: end_ms.min(cfg.duration_ms),
             });
         }
         let shape = TraceShape {
@@ -618,28 +561,6 @@ mod tests {
         assert!(s.events().windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
     }
 
-    #[test]
-    fn diurnal_cycle_peaks_in_daytime_half() {
-        let cfg = WorkloadConfig {
-            duration_ms: 1_200_000,
-            query_rate_per_sec: 1.0,
-            surges: vec![Surge::Diurnal {
-                period_ms: 1_200_000,
-                peak_extra_rate_per_sec: 20.0,
-            }],
-            ..Default::default()
-        };
-        let s = QueryStream::generate(&cfg, &catalog(), 13);
-        // Daytime = first half-period (sin > 0); night adds nothing.
-        let day = s.rate_in(0, 600_000);
-        let night = s.rate_in(600_000, 1_200_000);
-        assert!(
-            day > night * 3.0,
-            "daytime rate {day:.2} must dwarf night {night:.2}"
-        );
-        assert!(s.events().windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
-    }
-
     /// The merge against what it replaced: every process generated to
     /// completion, concatenated base-then-surges, stable-sorted by
     /// time. Rates high enough that equal timestamps across processes
@@ -656,9 +577,11 @@ mod tests {
                     website_rank: 1,
                     extra_rate_per_sec: 900.0,
                 },
-                Surge::Diurnal {
-                    period_ms: 20_000,
-                    peak_extra_rate_per_sec: 700.0,
+                Surge::FlashCrowd {
+                    start_ms: 0,
+                    end_ms: 20_000,
+                    website_rank: 3,
+                    extra_rate_per_sec: 700.0,
                 },
             ],
             ..Default::default()

@@ -194,7 +194,8 @@ fn squirrel_cell_pins_every_report_field() {
 /// "Trace-identical" by construction: both harnesses inject from the
 /// one `workload::OriginatedTrace`, so over the same communities and
 /// draw stream they see the same `(qid, at, website, object, origin)`
-/// sequence — surges, equal-instant ties and skipped queries included.
+/// sequence — two overlapping surges, equal-instant ties and skipped
+/// queries included.
 #[test]
 fn both_harnesses_inject_the_same_originated_trace() {
     let catalog = Catalog::new(CatalogConfig::small_test());
@@ -208,9 +209,11 @@ fn both_harnesses_inject_the_same_originated_trace() {
                 website_rank: 1,
                 extra_rate_per_sec: 500.0,
             },
-            Surge::Diurnal {
-                period_ms: 10_000,
-                peak_extra_rate_per_sec: 300.0,
+            Surge::FlashCrowd {
+                start_ms: 3_000,
+                end_ms: 8_000,
+                website_rank: 0,
+                extra_rate_per_sec: 300.0,
             },
         ],
         ..Default::default()

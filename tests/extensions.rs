@@ -1,9 +1,9 @@
-//! Integration tests for the implemented extensions: §8 active
-//! replication, §8 cache replacement and §5.3 scale-up keys.
+//! Integration tests for the implemented extensions: §8 cache
+//! replacement and §5.3 scale-up keys.
 
 use flower_cdn::core::system::{FlowerSystem, SystemConfig};
 use flower_cdn::core::{CachePolicy, KeyScheme};
-use flower_cdn::simnet::{Locality, SimDuration};
+use flower_cdn::simnet::Locality;
 use flower_cdn::workload::WebsiteId;
 
 fn base(seed: u64) -> SystemConfig {
@@ -11,32 +11,6 @@ fn base(seed: u64) -> SystemConfig {
         seed,
         ..SystemConfig::small_test()
     }
-}
-
-#[test]
-fn active_replication_spreads_hot_objects() {
-    let mut off = base(51);
-    let mut on = base(51);
-    on.flower.replication_period = Some(SimDuration::from_secs(20));
-    off.flower.replication_period = None;
-
-    let (_, r_off) = FlowerSystem::run(&off);
-    let (sys_on, r_on) = FlowerSystem::run(&on);
-
-    // Replication must actually move objects: replica traffic exists.
-    let t = sys_on.engine().traffic();
-    assert!(
-        t.total_sent(flower_cdn::simnet::TrafficClass::Push) > 0,
-        "replication control plane silent"
-    );
-    // And must not hurt the system.
-    assert!(
-        r_on.hit_ratio >= r_off.hit_ratio - 0.05,
-        "replication degraded hit ratio: {:.3} vs {:.3}",
-        r_on.hit_ratio,
-        r_off.hit_ratio
-    );
-    assert!(r_on.resolved as f64 >= r_on.submitted as f64 * 0.99);
 }
 
 #[test]

@@ -221,37 +221,6 @@ fn petalup_cell_pins_every_report_field() {
     );
 }
 
-/// Regression pin for §8 active replication (offers, instructions,
-/// pulls, data) at seed 42 on the small deployment.
-#[test]
-fn replication_cell_pins_every_report_field() {
-    let mut cfg = SystemConfig::small_test();
-    cfg.seed = 42;
-    cfg.flower.replication_period = Some(flower_cdn::simnet::SimDuration::from_secs(20));
-    let (sys, r) = FlowerSystem::run(&cfg);
-    assert_eq!(
-        pin(&sys, &r),
-        Pin {
-            report: [
-                6033,
-                6033,
-                4606443389522527471,
-                4630723603904672481,
-                4634688756351701185,
-                4630992356277603321,
-                4648054143675008749,
-                122,
-                0,
-                4607151516527384674,
-                4607608434980984887,
-                18,
-            ],
-            registry_fnv: 2430694212248304671,
-            splits_merges_forwards: [0, 0, 0],
-        }
-    );
-}
-
 /// Regression pin for the per-node RNG streams
 /// (`StdRng::seed_from_u64(hash(seed, node_id))`): seed 42 on the
 /// small test deployment must keep yielding exactly these statistics.
@@ -346,7 +315,6 @@ mod fault_plane_proptests {
                     start: SimTime::from_secs(part_start / 2),
                     end: SimTime::from_secs(part_start / 2 + part_len),
                     probability: loss_pct as f64 / 100.0,
-                    cross_locality_only: true,
                 })
                 .regional_failure(RegionalFailure {
                     at: SimTime::from_secs(part_start + part_len + 30),
