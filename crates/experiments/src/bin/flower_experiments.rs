@@ -15,8 +15,11 @@
 //!
 //! `--scale 0.1` simulates 2.4 h instead of 24 h (protocol periods
 //! scale along); `--scale full` is the paper's exact setup.
-//! The §6 commands (`table2a` to `fig8`) end with their claims table
-//! (`experiments::claims`; `<cmd>_claims.csv` under `--csv-dir`).
+//! Every command but `scale` and `chaos` is one declaration of
+//! `experiments::claims::SWEEPS`, run by `experiments::exps::sweep`;
+//! `all` runs every declaration in order. The §6 commands (`table2a`
+//! to `fig8`) end with their claims table (`<cmd>_claims.csv` under
+//! `--csv-dir`).
 //! `--shards N` runs the simulation engine on N locality shards
 //! (worker threads); results are bit-identical for every N.
 //! `--instance-bits b` enables the §5.3 PetalUp scale-up: up to `2^b`
@@ -56,6 +59,7 @@
 use std::fs::File;
 use std::io::Write;
 
+use experiments::claims::SWEEPS;
 use experiments::exps::{self, ExpOutput, ScaleParams};
 use experiments::gate;
 use experiments::report::{metrics_json, MetricsRecord};
@@ -104,26 +108,11 @@ struct Args {
     /// `--metrics-out`: gate the registry snapshots and write them as
     /// METRICS.json.
     metrics_out: Option<String>,
-    scale_nodes: Vec<usize>,
-    scale_shards: Vec<usize>,
-    /// §5.3 instance-bits sweep of the `scale` experiment (single
-    /// value for every other experiment).
-    scale_bits: Vec<u32>,
-    horizon_secs: u64,
+    /// The `scale` sweep: `--nodes`, `--shard-sweep`, `--instance-bits`
+    /// and `--horizon-secs` as lists, under `--seed`.
+    scale: ScaleParams,
     /// `--summary-out`: where the attribution table goes as markdown.
     summary_out: Option<String>,
-}
-
-impl Args {
-    fn scale_params(&self) -> ScaleParams {
-        ScaleParams {
-            nodes: self.scale_nodes.clone(),
-            shards: self.scale_shards.clone(),
-            instance_bits: self.scale_bits.clone(),
-            horizon: SimDuration::from_secs(self.horizon_secs),
-            seed: self.opts.seed,
-        }
-    }
 }
 
 fn parse_list(s: &str) -> Result<Vec<usize>, String> {
@@ -155,10 +144,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         opts: RunOpts::new(),
         csv_dir: None,
         metrics_out: None,
-        scale_nodes: vec![10_000, 50_000, 100_000],
-        scale_shards: vec![1, 2, 4, 8],
-        scale_bits: vec![0],
-        horizon_secs: 60,
+        scale: ScaleParams::default(),
         summary_out: None,
     };
     while let Some(a) = args.next() {
@@ -196,18 +182,18 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--nodes" => {
                 let v = args.next().ok_or("--nodes needs a value")?;
-                out.scale_nodes = parse_list(&v)?;
+                out.scale.nodes = parse_list(&v)?;
                 // Outside `scale` the flag is a single node-count
                 // override for the experiment's deployment.
-                if out.scale_nodes.len() == 1 {
-                    out.opts.nodes = Some(out.scale_nodes[0]);
+                if out.scale.nodes.len() == 1 {
+                    out.opts.nodes = Some(out.scale.nodes[0]);
                 } else if out.cmd != "scale" {
                     return Err("--nodes takes a single value outside `scale`".into());
                 }
             }
             "--shard-sweep" => {
                 let v = args.next().ok_or("--shard-sweep needs a value")?;
-                out.scale_shards = v
+                out.scale.shards = v
                     .split(',')
                     .map(|p| shard_count("--shard-sweep", p))
                     .collect::<Result<_, _>>()?;
@@ -222,11 +208,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                     return Err("an --instance-bits sweep is only valid for `scale`".into());
                 }
                 out.opts.instance_bits = bits[0];
-                out.scale_bits = bits;
+                out.scale.instance_bits = bits;
             }
             "--horizon-secs" => {
                 let v = args.next().ok_or("--horizon-secs needs a value")?;
-                out.horizon_secs = v.parse().map_err(|_| format!("bad horizon {v:?}"))?;
+                let secs = v.parse().map_err(|_| format!("bad horizon {v:?}"))?;
+                out.scale.horizon = SimDuration::from_secs(secs);
             }
             "--summary-out" => {
                 out.summary_out = Some(args.next().ok_or("--summary-out needs a value")?);
@@ -237,6 +224,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     if out.summary_out.is_some() && out.metrics_out.is_none() {
         return Err("--summary-out needs --metrics-out".into());
     }
+    out.scale.seed = out.opts.seed;
     Ok(out)
 }
 
@@ -359,7 +347,7 @@ fn die(code: i32, msg: &str) -> ! {
 
 fn main() {
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| die(2, &e));
-    if let Err(e) = exps::check_deployment_size(&args.cmd, args.opts, &args.scale_params()) {
+    if let Err(e) = exps::check_deployment_size(&args.cmd, args.opts, &args.scale) {
         die(2, &e);
     }
     let (metrics_out, summary_out) = open_outputs(&args).unwrap_or_else(|e| die(2, &e));
@@ -368,23 +356,11 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut failed = false;
 
-    let mut outputs: Vec<(String, ExpOutput)> = Vec::new();
-    match args.cmd.as_str() {
-        "all" => {
-            for name in ["table2a", "table2b", "table2c", "push-threshold", "fig5"] {
-                outputs.push((name.to_string(), run_one(name, &args)));
-            }
-            let (fsys, ssys) = exps::comparison_pair(opts);
-            outputs.push(("fig6".into(), exps::fig6(&fsys, &ssys)));
-            outputs.push(("fig7".into(), exps::fig7(&fsys, &ssys)));
-            outputs.push(("fig8".into(), exps::fig8(&fsys, &ssys)));
-            drop((fsys, ssys));
-            for name in ["churn", "cache"] {
-                outputs.push((name.to_string(), run_one(name, &args)));
-            }
-        }
-        name => outputs.push((name.to_string(), run_one(name, &args))),
-    }
+    let outputs: Vec<(&str, ExpOutput)> = match args.cmd.as_str() {
+        "scale" => vec![("scale", exps::scale(&args.scale))],
+        "chaos" => vec![("chaos", exps::chaos(opts))],
+        cmd => exps::sweep(&declared(cmd), opts),
+    };
 
     let mut metrics_records: Vec<MetricsRecord> = Vec::new();
     for (name, out) in &outputs {
@@ -401,25 +377,11 @@ fn main() {
     }
 }
 
-fn run_one(name: &str, args: &Args) -> ExpOutput {
-    let opts = args.opts;
-    match name {
-        "table2a" | "table2b" | "table2c" | "push-threshold" => exps::sweep(name, opts),
-        "fig5" => exps::fig5(opts),
-        "fig6" | "fig7" | "fig8" => {
-            let (fsys, ssys) = exps::comparison_pair(opts);
-            match name {
-                "fig6" => exps::fig6(&fsys, &ssys),
-                "fig7" => exps::fig7(&fsys, &ssys),
-                _ => exps::fig8(&fsys, &ssys),
-            }
-        }
-        "churn" => exps::churn(opts),
-        "chaos" => exps::chaos(opts),
-        "cache" => exps::cache_pressure(opts),
-        "scale" => exps::scale(&args.scale_params()),
-        other => unreachable!("parse_args admits only COMMANDS, got {other:?}"),
-    }
+/// The declarations ([`SWEEPS`]) `cmd` runs: its own, or every one
+/// for `all`, in declaration order.
+fn declared(cmd: &str) -> Vec<&'static str> {
+    let cmds = SWEEPS.iter().map(|s| s.cmd);
+    cmds.filter(|c| cmd == "all" || *c == cmd).collect()
 }
 
 #[cfg(test)]
@@ -459,7 +421,7 @@ mod tests {
         assert!(parse("scale --shard-sweep 1,,4").is_err(), "empty entry");
         assert!(parse("scale --shard-sweep ,").is_err(), "empty entries");
         let ok = parse("scale --shard-sweep 1,2,8").unwrap();
-        assert_eq!(ok.scale_shards, vec![1, 2, 8]);
+        assert_eq!(ok.scale.shards, vec![1, 2, 8]);
         assert_eq!(parse("fig5 --shards 3").unwrap().opts.shards, 3);
     }
 
@@ -612,7 +574,9 @@ mod tests {
     }
 
     /// Every §6 command (the first eight) checks at least one claim
-    /// row, and every row names a command that runs it.
+    /// row, and every row names a command that runs it; every command
+    /// but `scale`, `chaos` and `all` is exactly one declaration, and
+    /// `all` runs every declaration in order.
     #[test]
     fn claim_rows_and_section_6_commands_match() {
         use experiments::claims::CLAIMS;
@@ -622,5 +586,28 @@ mod tests {
         for c in CLAIMS {
             assert!(COMMANDS.contains(&c.figure), "{}", c.figure);
         }
+        for cmd in COMMANDS
+            .iter()
+            .filter(|c| !["scale", "chaos", "all"].contains(c))
+        {
+            let decls = SWEEPS.iter().filter(|s| s.cmd == *cmd);
+            assert_eq!(decls.count(), 1, "{cmd}");
+            assert_eq!(declared(cmd), [*cmd]);
+        }
+        assert_eq!(
+            declared("all"),
+            [
+                "table2a",
+                "table2b",
+                "table2c",
+                "push-threshold",
+                "fig5",
+                "fig6",
+                "fig7",
+                "fig8",
+                "churn",
+                "cache"
+            ]
+        );
     }
 }

@@ -1,21 +1,26 @@
-//! The paper's §6 evaluation as data: one [`Claim`] row per claim, the
-//! four parameter sweeps of §6.2 as [`Sweep`] declarations, and
-//! [`judge`], the one evaluator that turns a figure's rows into its
-//! `claims` table and checks.
+//! The paper's evaluation as data: one [`Claim`] row per §6 claim,
+//! one [`Sweep`] declaration per experiment [`exps::sweep`] runs —
+//! Table 2(a–c), the push-threshold sweep, Figures 5–8, and the churn
+//! and cache extensions — and [`judge`], the one evaluator that turns
+//! a figure's rows into its `claims` table and checks.
 //!
-//! Each number §6 reports appears once, in its row or sweep step. A
-//! band starts at what holds today and is only ever tightened.
+//! A declaration names which systems run, its config steps, the table
+//! functions that read the finished runs ([`crate::exps`]) and its
+//! verdict. Each number §6 reports appears once, in its row or sweep
+//! step. A band starts at what holds today and is only ever tightened.
 
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 
-use flower_core::FlowerConfig;
+use flower_core::{CachePolicy, FlowerConfig, FlowerSystem, SystemConfig, SystemReport};
 use simnet::{QueryStats, SimDuration, SimTime, TimeSeries};
 
-use crate::exps::{early_and_late_means, ExpOutput};
+use crate::exps::{self, early_and_late_means, ExpOutput, Finished};
 use crate::report::{f3, Table};
 use crate::runner::RunScale;
 use Horizon::{Any, Long, Short};
+use Systems::{Flower, Pair};
+use Verdict::{Claims, Shape};
 
 /// The simulated horizons a claim applies to. The paper's levels are
 /// 24-hour numbers; shorter (scaled) runs are dominated by warm-up, when
@@ -53,31 +58,45 @@ pub struct Claim {
 }
 
 /// The scalars the claims read from one run's query statistics.
+///
+/// A *cumulative* field reads every query resolved — by a peer (a
+/// hit, the requester's own cache included) or by the origin server (a
+/// miss) — from the start of the run to its horizon, the trace's end
+/// plus the drain, whoever submitted it. A *windowed* field reads the
+/// run's per-window series as `early_and_late_means` does: the first
+/// three and the last three non-empty windows that start before the
+/// trace's end, each one metric window (30 minutes of paper time). A
+/// *transfer* is a resolved query some other node served: queries a
+/// requester's own cache answered move no object and are left out.
+/// `bps` is taken per participant, a node holding a directory or
+/// content role at the horizon, in paper time.
 #[derive(Debug, Default)]
 pub struct Run {
-    /// Hit ratio at the horizon.
+    /// Cumulative: hits over resolved queries.
     pub hit: f64,
-    /// Background traffic per peer, bps of paper time (0 if unread).
+    /// Cumulative: gossip and push bits per second per participant,
+    /// times the scale factor (paper time); Squirrel's run reads 0.
     pub bps: f64,
-    /// Mean hit ratio of the last three windows minus the first three.
+    /// Windowed: the late mean hit ratio minus the early one.
     pub hit_rise: f64,
-    /// Fraction of lookups within 150 ms.
+    /// Cumulative: the fraction of lookups within 150 ms.
     pub lookup_le_150: f64,
-    /// Fraction of lookups beyond 1050 ms.
+    /// Cumulative: the fraction of lookups beyond 1050 ms.
     pub lookup_gt_1050: f64,
-    /// Mean lookup latency, ms.
+    /// Cumulative: mean lookup latency (submission to provider), ms.
     pub mean_lookup_ms: f64,
-    /// Mean lookup latency of the last three windows, ms.
+    /// Windowed: the late mean lookup latency, ms.
     pub late_lookup_ms: f64,
-    /// Fraction of transfers within 100 ms.
+    /// Cumulative: the fraction of transfers within 100 ms.
     pub transfer_le_100: f64,
-    /// Mean transfer distance, ms.
+    /// Cumulative: mean transfer distance, ms.
     pub mean_transfer_ms: f64,
-    /// Mean transfer distance of P2P hits, ms.
+    /// Cumulative: mean transfer distance of transfers from a peer, ms.
     pub mean_transfer_hit_ms: f64,
-    /// Mean transfer distance of the last three windows, ms.
+    /// Windowed: the late mean transfer distance, ms.
     pub late_transfer_ms: f64,
-    /// Fraction of hits served inside the requester's locality.
+    /// Cumulative: the fraction of hits served inside the requester's
+    /// locality.
     pub local_hits: f64,
 }
 
@@ -123,11 +142,14 @@ fn hit_spread(runs: &[Run]) -> f64 {
     hits.clone().fold(f64::MIN, f64::max) - hits.fold(f64::MAX, f64::min)
 }
 
-/// Every §6 claim, in the order the figures print them.
+/// Every §6 claim, in the order the figures print them. Each group's
+/// comment says which [`Run`] readings its rows take: cumulative over
+/// the whole run, or windowed (the first and last three windows).
 #[rustfmt::skip]
 pub const CLAIMS: &[Claim] = &[
     // Table 2(a): bandwidth is linear in Lgossip (×4 from 5 to 20), the
-    // hit ratio rises only mildly.
+    // hit ratio rises only mildly. Table 2 and the push thresholds read
+    // each step's cumulative hit ratio and bps per participant.
     Claim { figure: "table2a", what: "bw(L=20) / bw(L=5)", paper: Some(4.0), horizon: Any,
         band: (Included(2.5), Excluded(6.0)), read: |r| ratio(r[2].bps, r[0].bps) },
     Claim { figure: "table2a", what: "smallest hit-ratio rise, L=5→10→20", paper: None,
@@ -150,12 +172,14 @@ pub const CLAIMS: &[Claim] = &[
     // §6.2: all push thresholds perform alike.
     Claim { figure: "push-threshold", what: "hit-ratio spread", paper: None, horizon: Any,
         band: (Unbounded, Excluded(0.05)), read: hit_spread },
-    // Figure 5: the hit ratio rises; traffic per peer stabilises.
+    // Figure 5: the hit ratio rises (windowed); traffic per peer
+    // stabilises (cumulative bps per participant, paper time).
     Claim { figure: "fig5", what: "hit-ratio rise, late − early windows", paper: None, horizon: Any,
         band: (Excluded(0.0), Unbounded), read: |r| r[0].hit_rise },
     Claim { figure: "fig5", what: "background bps per peer (paper time)", paper: Some(74.0),
         horizon: Any, band: (Excluded(0.1), Excluded(10_000.0)), read: |r| r[0].bps },
     // Figure 6: Squirrel converges a bit higher and faster; both high.
+    // Cumulative hit ratios, every requester of each system.
     Claim { figure: "fig6", what: "flower hit ratio at horizon", paper: None, horizon: Any,
         band: (Excluded(0.5), Unbounded), read: |r| r[0].hit },
     Claim { figure: "fig6", what: "squirrel − flower hit ratio", paper: Some(0.13), horizon: Long,
@@ -163,7 +187,8 @@ pub const CLAIMS: &[Claim] = &[
     Claim { figure: "fig6", what: "squirrel − flower hit ratio", paper: None, horizon: Short,
         band: (Excluded(-0.03), Excluded(0.45)), read: |r| r[1].hit - r[0].hit },
     // Figure 7: Flower-CDN resolves most lookups within 150 ms, Squirrel
-    // has a long tail; mean lookup latency ≈ 9× lower.
+    // has a long tail; mean lookup latency ≈ 9× lower. Cumulative over
+    // resolved queries, but the windowed late-lookup row.
     Claim { figure: "fig7", what: "flower lookups ≤ 150 ms", paper: Some(0.87), horizon: Long,
         band: (Excluded(0.5), Unbounded), read: |r| r[0].lookup_le_150 },
     Claim { figure: "fig7", what: "flower − squirrel lookups ≤ 150 ms", paper: None, horizon: Short,
@@ -176,7 +201,8 @@ pub const CLAIMS: &[Claim] = &[
     Claim { figure: "fig7", what: "flower lookup ms, late windows", paper: Some(120.0),
         horizon: Any, band: (Excluded(0.0), Excluded(150.0)), read: |r| r[0].late_lookup_ms },
     // Figure 8: Flower-CDN serves from nearby, in-locality peers; mean
-    // transfer distance ≈ 2× lower.
+    // transfer distance ≈ 2× lower. Cumulative over transfers (over hits
+    // for in-locality), but the windowed late-transfer row.
     Claim { figure: "fig8", what: "flower transfers ≤ 100 ms", paper: Some(0.59), horizon: Any,
         band: (Excluded(0.3), Excluded(0.9)), read: |r| r[0].transfer_le_100 },
     Claim { figure: "fig8", what: "squirrel transfers ≤ 100 ms", paper: Some(0.17), horizon: Any,
@@ -240,7 +266,7 @@ fn show_band((lo, hi): (Bound<f64>, Bound<f64>)) -> String {
     format!("{lo}, {hi}")
 }
 
-/// One swept value of a [`Sweep`].
+/// One step of a [`Sweep`]: a config and the label of its table row.
 pub struct Step {
     /// The label of its table row.
     pub label: &'static str,
@@ -252,18 +278,38 @@ pub struct Step {
     pub paper: Option<(f64, f64)>,
 }
 
-/// A parameter sweep of §6.2.
+/// Which systems run each step of a [`Sweep`].
+#[derive(Clone, Copy)]
+pub enum Systems {
+    /// Flower-CDN alone, run by the fn: [`FlowerSystem::run`], or
+    /// churn's scripted run.
+    Flower(fn(&SystemConfig) -> (FlowerSystem, SystemReport)),
+    /// Flower-CDN and Squirrel, both from the step's config. Every
+    /// `Pair` declaration runs the configuration as given, so
+    /// consecutive ones read one pair of runs.
+    Pair,
+}
+
+/// What judges a [`Sweep`]'s finished runs.
+pub enum Verdict {
+    /// Its rows of [`CLAIMS`], printed as a `claims` table.
+    Claims,
+    /// The shape checks the fn pushes, printed after its tables.
+    Shape(fn(&Finished, &mut ExpOutput)),
+}
+
+/// One experiment as data, run by [`exps::sweep`].
 pub struct Sweep {
     /// The subcommand that runs it.
     pub cmd: &'static str,
-    /// Its table's title.
-    pub title: &'static str,
-    /// Its table's columns.
-    pub columns: &'static [&'static str],
-    /// Its table's CSV stem.
-    pub csv: &'static str,
-    /// The swept values, in table order.
-    pub steps: [Step; 3],
+    /// Which systems run.
+    pub systems: Systems,
+    /// Its config steps, in table order.
+    pub steps: &'static [Step],
+    /// Its tables, `(CSV stem, table)`, read from the finished runs.
+    pub tables: fn(&Finished) -> Vec<(String, Table)>,
+    /// What judges it.
+    pub verdict: Verdict,
 }
 
 /// Table 2(b)'s setter: Tgossip of `mins` minutes, scaled like every
@@ -272,49 +318,85 @@ fn t_gossip(f: &mut FlowerConfig, scale: RunScale, mins: u64) {
     f.t_gossip = scale.scale_duration(SimDuration::from_mins(mins));
 }
 
+/// The cache sweep's setter: a replacement policy and its capacity.
+fn cache(f: &mut FlowerConfig, policy: CachePolicy, capacity: usize) {
+    f.cache_policy = policy;
+    f.cache_capacity = capacity;
+}
+
 /// The columns of Table 2(a–c).
 #[rustfmt::skip]
 const TABLE_2: &[&str] =
     &["param", "hit ratio (paper)", "hit ratio (ours)", "bw bps (paper)", "bw bps (ours)"];
 
-/// Table 2(a–c) and the push-threshold remark.
+/// The one step of an experiment that runs the configuration as the
+/// run options give it.
 #[rustfmt::skip]
-pub const SWEEPS: [Sweep; 4] = [
+const AS_GIVEN: &[Step] = &[Step { label: "", set: |_, _| {}, paper: None }];
+
+/// Every declared experiment, in the order `all` runs them.
+#[rustfmt::skip]
+pub const SWEEPS: [Sweep; 10] = [
     Sweep {
-        cmd: "table2a", columns: TABLE_2, csv: "table",
-        title: "Table 2(a) — effect of gossip length Lgossip (Tgossip=30min, Vgossip=50)",
-        steps: [
+        cmd: "table2a", systems: Flower(FlowerSystem::run), verdict: Claims,
+        tables: |f| exps::step_table(f, "Table 2(a) — effect of gossip length Lgossip \
+            (Tgossip=30min, Vgossip=50)", TABLE_2, "table"),
+        steps: &[
             Step { label: "5", set: |f, _| f.l_gossip = 5, paper: Some((0.823, 37.0)) },
             Step { label: "10", set: |f, _| f.l_gossip = 10, paper: Some((0.86, 74.0)) },
             Step { label: "20", set: |f, _| f.l_gossip = 20, paper: Some((0.89, 147.0)) },
         ],
     },
     Sweep {
-        cmd: "table2b", columns: TABLE_2, csv: "table",
-        title: "Table 2(b) — effect of gossip period Tgossip (Lgossip=10, Vgossip=50)",
-        steps: [
+        cmd: "table2b", systems: Flower(FlowerSystem::run), verdict: Claims,
+        tables: |f| exps::step_table(f, "Table 2(b) — effect of gossip period Tgossip \
+            (Lgossip=10, Vgossip=50)", TABLE_2, "table"),
+        steps: &[
             Step { label: "1min", set: |f, s| t_gossip(f, s, 1), paper: Some((0.94, 2239.0)) },
             Step { label: "30min", set: |f, s| t_gossip(f, s, 30), paper: Some((0.86, 74.0)) },
             Step { label: "1h", set: |f, s| t_gossip(f, s, 60), paper: Some((0.81, 37.0)) },
         ],
     },
     Sweep {
-        cmd: "table2c", columns: TABLE_2, csv: "table",
-        title: "Table 2(c) — effect of view size Vgossip (Lgossip=10, Tgossip=30min)",
-        steps: [
+        cmd: "table2c", systems: Flower(FlowerSystem::run), verdict: Claims,
+        tables: |f| exps::step_table(f, "Table 2(c) — effect of view size Vgossip \
+            (Lgossip=10, Tgossip=30min)", TABLE_2, "table"),
+        steps: &[
             Step { label: "20", set: |f, _| f.v_gossip = 20, paper: Some((0.78, 74.0)) },
             Step { label: "50", set: |f, _| f.v_gossip = 50, paper: Some((0.86, 74.0)) },
             Step { label: "70", set: |f, _| f.v_gossip = 70, paper: Some((0.863, 74.0)) },
         ],
     },
     Sweep {
-        cmd: "push-threshold", csv: "push_threshold",
-        columns: &["threshold", "hit ratio", "bw bps"],
-        title: "Push-threshold sweep (paper §6.2: all values perform alike)",
-        steps: [
+        cmd: "push-threshold", systems: Flower(FlowerSystem::run), verdict: Claims,
+        tables: |f| exps::step_table(f, "Push-threshold sweep (paper §6.2: all values perform \
+            alike)", &["threshold", "hit ratio", "bw bps"], "push_threshold"),
+        steps: &[
             Step { label: "0.1", set: |f, _| f.push_threshold = 0.1, paper: None },
             Step { label: "0.5", set: |f, _| f.push_threshold = 0.5, paper: None },
             Step { label: "0.7", set: |f, _| f.push_threshold = 0.7, paper: None },
+        ],
+    },
+    Sweep { cmd: "fig5", systems: Flower(FlowerSystem::run), steps: AS_GIVEN,
+        tables: exps::fig5_table, verdict: Claims },
+    Sweep { cmd: "fig6", systems: Pair, steps: AS_GIVEN, tables: exps::fig6_table,
+        verdict: Claims },
+    Sweep { cmd: "fig7", systems: Pair, steps: AS_GIVEN, verdict: Claims,
+        tables: |f| exps::latency_tables(f, 7, "lookup latency", "lookup ms",
+            |q| (q.lookup_series(), q.lookup_hist())) },
+    Sweep { cmd: "fig8", systems: Pair, steps: AS_GIVEN, verdict: Claims,
+        tables: |f| exps::latency_tables(f, 8, "transfer distance", "transfer ms",
+            |q| (q.transfer_series(), q.transfer_hist())) },
+    Sweep { cmd: "churn", systems: Flower(exps::churn_run), steps: AS_GIVEN,
+        tables: exps::churn_table, verdict: Shape(exps::churn_checks) },
+    Sweep {
+        cmd: "cache", systems: Flower(FlowerSystem::run), tables: exps::cache_table,
+        verdict: Shape(exps::cache_checks),
+        steps: &[
+            Step { label: "unbounded", set: |f, _| cache(f, CachePolicy::Unbounded, 0), paper: None },
+            Step { label: "lru-50", set: |f, _| cache(f, CachePolicy::Lru, 50), paper: None },
+            Step { label: "lru-10", set: |f, _| cache(f, CachePolicy::Lru, 10), paper: None },
+            Step { label: "lfu-10", set: |f, _| cache(f, CachePolicy::Lfu, 10), paper: None },
         ],
     },
 ];

@@ -1,10 +1,13 @@
-//! One function per table/figure of the paper's evaluation, and per
-//! extension experiment.
+//! [`sweep`], which runs every declared experiment, the table and check
+//! functions their declarations name, and the two experiments that
+//! sweep shard layouts themselves.
 //!
-//! Every experiment returns an [`ExpOutput`]: rendered text (the
-//! tables and series it measured), CSV artefacts, and a list of
-//! checks. The §6 commands take theirs from [`crate::claims`]: each
-//! prints its tables, then its claims against the paper's numbers.
+//! [`sweep`] runs any declaration of [`SWEEPS`]: one run per step (or
+//! one Flower-CDN/Squirrel pair), then the declaration's tables, then
+//! its verdict — the §6 claim rows, or shape checks. `scale` and
+//! `chaos` run one simulation on several shard layouts through
+//! `shard_parity`'s loop. Every experiment returns an
+//! [`ExpOutput`]: rendered text, CSV artefacts and a list of checks.
 
 use flower_core::{FlowerSystem, SystemConfig, SystemReport};
 use metrics::Counter;
@@ -15,9 +18,9 @@ use simnet::{
 use squirrel::SquirrelSystem;
 use workload::Surge;
 
-use crate::claims::{judge, Run, SWEEPS};
+use crate::claims::{judge, Run, Step, Sweep, Systems, Verdict, SWEEPS};
 use crate::report::{f1, f3, pct, MetricsRecord, Table};
-use crate::runner::{self, RunOpts};
+use crate::runner::{self, RunOpts, RunScale};
 
 /// Rendered output of one experiment.
 #[derive(Debug, Default)]
@@ -160,35 +163,133 @@ fn deployment_fits(cfg: &SystemConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the §6.2 sweep `cmd` ([`SWEEPS`]): one Flower-CDN run per
-/// swept value, its table beside the paper's values, then its claims.
-pub fn sweep(cmd: &str, opts: RunOpts) -> ExpOutput {
-    let sweep = SWEEPS.iter().find(|s| s.cmd == cmd).expect("a sweep");
-    let mut out = ExpOutput::default();
-    let mut table = Table::new(sweep.title, sweep.columns);
-    let (mut horizon, mut runs) = (SimTime::ZERO, Vec::new());
-    for step in &sweep.steps {
+/// A declaration's last step, run: the config it ran, Flower-CDN at
+/// its horizon, and Squirrel from the same config where a
+/// [`Systems::Pair`] runs it.
+struct Last {
+    cfg: SystemConfig,
+    flower: FlowerSystem,
+    squirrel: Option<SquirrelSystem>,
+}
+
+/// What a declaration's tables and verdict read: each step with its
+/// Flower-CDN report, in step order; the [`Run`]s its claim rows read
+/// (each step's Flower-CDN run, followed by its Squirrel run where
+/// Squirrel runs); the systems of the last step only — the one step of
+/// Figures 5–8 and churn — as a step's systems are dropped before the
+/// next step builds; and the time scale they ran at.
+pub struct Finished {
+    steps: Vec<(&'static Step, SystemReport)>,
+    runs: Vec<Run>,
+    last: Option<Last>,
+    scale: RunScale,
+}
+
+impl Finished {
+    /// The last step's systems.
+    fn last(&self) -> &Last {
+        self.last.as_ref().expect("a declaration has a step")
+    }
+
+    /// The last step's Flower-CDN and Squirrel runs.
+    fn pair(&self) -> (&FlowerSystem, &SquirrelSystem) {
+        let last = self.last();
+        (&last.flower, last.squirrel.as_ref().expect("a pair"))
+    }
+}
+
+/// Run the declared experiments `cmds` ([`SWEEPS`]) in order and
+/// return one output each, under its command: its tables, then its
+/// claim rows or shape checks. Consecutive [`Systems::Pair`]
+/// declarations read one pair of runs, so Figures 6–8 run it once under
+/// `all`.
+pub fn sweep(cmds: &[&str], opts: RunOpts) -> Vec<(&'static str, ExpOutput)> {
+    let mut last: Option<(Systems, Finished)> = None;
+    let mut outs = Vec::new();
+    for cmd in cmds {
+        let sweep = SWEEPS.iter().find(|s| s.cmd == *cmd).expect("a sweep");
+        let f = match last.take() {
+            Some((Systems::Pair, f)) if matches!(sweep.systems, Systems::Pair) => f,
+            old => {
+                drop(old);
+                run(sweep, opts)
+            }
+        };
+        let mut out = ExpOutput::default();
+        let tables = (sweep.tables)(&f);
+        let texts: Vec<String> = tables.iter().map(|(_, t)| t.render()).collect();
+        out.text = texts.join("\n");
+        out.csv = tables
+            .into_iter()
+            .map(|(stem, t)| (stem, t.to_csv()))
+            .collect();
+        match sweep.verdict {
+            Verdict::Claims => judge(&mut out, sweep.cmd, f.last().flower.duration(), &f.runs),
+            Verdict::Shape(check) => {
+                check(&f, &mut out);
+                out.text.push_str(&out.render_checks());
+            }
+        }
+        outs.push((sweep.cmd, out));
+        last = Some((sweep.systems, f));
+    }
+    outs
+}
+
+/// Run every step of `sweep` under `opts`.
+fn run(sweep: &Sweep, opts: RunOpts) -> Finished {
+    let mut f = Finished {
+        steps: Vec::new(),
+        runs: Vec::new(),
+        last: None,
+        scale: opts.scale,
+    };
+    for step in sweep.steps {
+        // The previous step's systems go before this step builds.
+        f.last = None;
         let mut cfg = runner::flower_config(opts);
         (step.set)(&mut cfg.flower, opts.scale);
-        let (sys, r) = FlowerSystem::run(&cfg);
-        // Scaled runs compress 24 h of gossip into less simulated
-        // time; multiplying by the scale factor restores paper-time
-        // bps for comparison.
-        let bps = r.background_bps * opts.scale.factor();
-        let run = Run::of(sys.engine().query_stats(), sys.duration(), bps);
+        let (flower, report) = match sweep.systems {
+            Systems::Flower(run) => run(&cfg),
+            Systems::Pair => FlowerSystem::run(&cfg),
+        };
+        let squirrel = matches!(sweep.systems, Systems::Pair).then(|| SquirrelSystem::run(&cfg).0);
+        let bps = report.background_bps * opts.scale.factor();
+        let horizon = flower.duration();
+        f.runs
+            .push(Run::of(flower.engine().query_stats(), horizon, bps));
+        if let Some(s) = &squirrel {
+            f.runs.push(Run::of(s.engine().query_stats(), horizon, 0.0));
+        }
+        f.steps.push((step, report));
+        f.last = Some(Last {
+            cfg,
+            flower,
+            squirrel,
+        });
+    }
+    f
+}
+
+/// A table of one row per step: its label, then the hit ratio and
+/// background bps it measured, each beside the paper's value where the
+/// step gives one (Table 2(a–c), the push-threshold sweep).
+pub(crate) fn step_table(
+    f: &Finished,
+    title: &str,
+    columns: &[&str],
+    stem: &str,
+) -> Vec<(String, Table)> {
+    let mut table = Table::new(title, columns);
+    for ((step, _), run) in f.steps.iter().zip(&f.runs) {
         let mut row = vec![step.label.to_string()];
         match step.paper {
             Some((hit, bps)) => row.extend([f3(hit), f3(run.hit), f1(bps), f1(run.bps)]),
             None => row.extend([f3(run.hit), f1(run.bps)]),
         }
         table.row(row);
-        horizon = sys.duration();
-        runs.push(run);
     }
-    out.text = table.render();
-    out.csv.push((sweep.csv.into(), table.to_csv()));
-    judge(&mut out, cmd, horizon, &runs);
-    out
+    vec![(stem.into(), table)]
 }
 
 /// Render a per-window series table, one row per window start, in
@@ -228,72 +329,43 @@ pub(crate) fn early_and_late_means(points: &[SeriesPoint], horizon: SimTime) -> 
     (early, late)
 }
 
-/// **Figure 5** — hit ratio and background traffic vs time.
-pub fn fig5(opts: RunOpts) -> ExpOutput {
-    let mut out = ExpOutput::default();
-    let cfg = runner::flower_config(opts);
-    let (sys, report) = FlowerSystem::run(&cfg);
+/// **Figure 5** — hit ratio and background traffic per peer vs time.
+pub(crate) fn fig5_table(f: &Finished) -> Vec<(String, Table)> {
+    let Last { cfg, flower, .. } = f.last();
     let window = cfg.window;
     let win_secs = window.as_ms() as f64 / 1000.0;
     let dirs = cfg.catalog.num_websites * cfg.topology.localities;
 
-    let hit = sys.engine().query_stats().hit_series().points();
-    let bg = sys.engine().traffic().background_series().points();
+    let hit = flower.engine().query_stats().hit_series().points();
+    let bg = flower.engine().traffic().background_series().points();
     // Participants over time: directories + cumulative joins.
-    let joins = sys.engine().query_stats().join_series().points();
+    let joins = flower.engine().query_stats().join_series().points();
     let mut cum_joins = 0.0;
-    let mut participants_at: Vec<f64> = Vec::new();
-    for i in 0..hit.len().max(bg.len()) {
-        cum_joins += joins.get(i).map(|p| p.sum).unwrap_or(0.0);
-        participants_at.push(dirs as f64 + cum_joins);
-    }
-
     let rows = (0..hit.len().max(bg.len())).map(|i| {
+        cum_joins += joins.get(i).map(|p| p.sum).unwrap_or(0.0);
         let at = SimTime::from_ms(i as u64 * window.as_ms());
         let hr = hit.get(i).map(|p| p.mean()).unwrap_or(0.0);
         let bytes = bg.get(i).map(|p| p.sum).unwrap_or(0.0);
-        let parts = participants_at.get(i).copied().unwrap_or(1.0).max(1.0);
-        let bps = bytes * 8.0 / win_secs / parts * opts.scale.factor();
+        let parts = (dirs as f64 + cum_joins).max(1.0);
+        let bps = bytes * 8.0 / win_secs / parts * f.scale.factor();
         (at, vec![f3(hr), f1(bps)])
     });
     let t = series_table(
         "Figure 5 — hit ratio and background traffic per peer vs time",
         &["hit ratio", "bg bps/peer"],
-        sys.duration(),
+        flower.duration(),
         rows,
     );
-    out.text = t.render();
-    out.csv.push(("fig5".into(), t.to_csv()));
-    let bps = report.background_bps * opts.scale.factor();
-    let run = Run::of(sys.engine().query_stats(), sys.duration(), bps);
-    judge(&mut out, "fig5", sys.duration(), &[run]);
-    out
-}
-
-/// Run the shared Flower/Squirrel pair for Figures 6–8, both from one
-/// config.
-pub fn comparison_pair(opts: RunOpts) -> (FlowerSystem, SquirrelSystem) {
-    let cfg = runner::flower_config(opts);
-    (FlowerSystem::run(&cfg).0, SquirrelSystem::run(&cfg).0)
-}
-
-/// Figures 6–8's runs: Flower-CDN's, then Squirrel's.
-fn pair_runs(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> [Run; 2] {
-    let run = |q| Run::of(q, fsys.duration(), 0.0);
-    [
-        run(fsys.engine().query_stats()),
-        run(ssys.engine().query_stats()),
-    ]
+    vec![("fig5".into(), t)]
 }
 
 /// **Figure 6** — hit ratio over time, Flower-CDN vs Squirrel.
-pub fn fig6(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
-    let mut out = ExpOutput::default();
-    let f = fsys.engine().query_stats();
-    let s = ssys.engine().query_stats();
-    let fh = f.hit_series().points();
-    let sh = s.hit_series().points();
-    let win_ms = f.hit_series().window().as_ms();
+pub(crate) fn fig6_table(f: &Finished) -> Vec<(String, Table)> {
+    let (fsys, ssys) = f.pair();
+    let fq = fsys.engine().query_stats();
+    let fh = fq.hit_series().points();
+    let sh = ssys.engine().query_stats().hit_series().points();
+    let win_ms = fq.hit_series().window().as_ms();
     let rows = (0..fh.len().max(sh.len())).map(|i| {
         (
             SimTime::from_ms(i as u64 * win_ms),
@@ -309,41 +381,21 @@ pub fn fig6(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
         fsys.duration(),
         rows,
     );
-    out.text = t.render();
-    out.csv.push(("fig6".into(), t.to_csv()));
-    judge(&mut out, "fig6", fsys.duration(), &pair_runs(fsys, ssys));
-    out
+    vec![("fig6".into(), t)]
 }
 
-/// **Figure 7** — lookup latency: variation over time (a) and
-/// distribution (b), Flower-CDN vs Squirrel.
-pub fn fig7(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
-    latency_figure(7, "lookup latency", "lookup ms", fsys, ssys, |q| {
-        (q.lookup_series(), q.lookup_hist())
-    })
-}
-
-/// **Figure 8** — transfer distance: variation over time (a) and
-/// distribution (b), Flower-CDN vs Squirrel.
-pub fn fig8(fsys: &FlowerSystem, ssys: &SquirrelSystem) -> ExpOutput {
-    latency_figure(8, "transfer distance", "transfer ms", fsys, ssys, |q| {
-        (q.transfer_series(), q.transfer_hist())
-    })
-}
-
-/// Figure `n`'s tables: Flower-CDN's mean `what` per window (a), and
-/// the distribution of both systems' values (b); then its claims.
-fn latency_figure(
+/// **Figures 7 and 8**: Flower-CDN's mean `what` per window (a), and
+/// the distribution of both systems' values (b), for Figure `n`.
+pub(crate) fn latency_tables(
+    f: &Finished,
     n: u8,
     what: &str,
     col: &str,
-    fsys: &FlowerSystem,
-    ssys: &SquirrelSystem,
     pick: fn(&QueryStats) -> (&TimeSeries, &Histogram),
-) -> ExpOutput {
-    let mut out = ExpOutput::default();
-    let (series, f) = pick(fsys.engine().query_stats());
-    let (_, s) = pick(ssys.engine().query_stats());
+) -> Vec<(String, Table)> {
+    let (fsys, ssys) = f.pair();
+    let (series, fh) = pick(fsys.engine().query_stats());
+    let (_, sh) = pick(ssys.engine().query_stats());
     let ta = series_table(
         &format!("Figure {n}(a) — Flower-CDN average {what} vs time (ms)"),
         &[col],
@@ -354,37 +406,41 @@ fn latency_figure(
         format!("Figure {n}(b) — {what} distribution"),
         &["bucket (ms)", "flower", "squirrel"],
     );
-    let (fd, sd) = (f.distribution(), s.distribution());
+    let (fd, sd) = (fh.distribution(), sh.distribution());
     for (i, (start, ff)) in fd.iter().enumerate() {
         let label = if i + 1 == fd.len() {
             format!(">{start}")
         } else {
-            format!("{}-{}", start, start + f.bucket_width())
+            format!("{}-{}", start, start + fh.bucket_width())
         };
         tb.row(vec![label, pct(*ff), pct(sd[i].1)]);
     }
-    out.text = format!("{}\n{}", ta.render(), tb.render());
-    out.csv.push((format!("fig{n}a"), ta.to_csv()));
-    out.csv.push((format!("fig{n}b"), tb.to_csv()));
-    judge(
-        &mut out,
-        &format!("fig{n}"),
-        fsys.duration(),
-        &pair_runs(fsys, ssys),
-    );
-    out
+    vec![(format!("fig{n}a"), ta), (format!("fig{n}b"), tb)]
 }
 
-/// **Churn extension** (the paper's §8 announced analysis): session
-/// churn over the client base plus targeted directory kills; checks
-/// that §5.2 recovery keeps the system serving.
-pub fn churn(opts: RunOpts) -> ExpOutput {
-    let mut out = ExpOutput::default();
-    let cfg = runner::flower_config(opts);
-    let mut sys = FlowerSystem::build(&cfg);
-    let horizon = SimTime::from_ms(cfg.workload.duration_ms);
+/// **Churn extension** (the paper's §8 announced analysis), run:
+/// [`churn_plan`]'s directory kills and session churn, then the
+/// trace to a minute past its end.
+pub(crate) fn churn_run(cfg: &SystemConfig) -> (FlowerSystem, SystemReport) {
+    let mut sys = FlowerSystem::build(cfg);
+    let (kills, _, script) = churn_plan(&sys, cfg);
+    sys.apply_churn(&ChurnScript::kill_at(&kills));
+    sys.apply_churn(&script);
+    sys.run_until(SimTime::from_ms(cfg.workload.duration_ms) + SimDuration::from_secs(60));
+    let report = sys.report();
+    (sys, report)
+}
 
-    // Kill one directory peer per active website mid-run.
+/// What `churn` scripts over a built system — a pure function of the
+/// deployment, so its table re-derives the counts from the finished
+/// run: one directory kill per active website a third into the trace,
+/// the peers under session churn ([`churn_population`]), and their
+/// churn script.
+fn churn_plan(
+    sys: &FlowerSystem,
+    cfg: &SystemConfig,
+) -> (Vec<(SimTime, NodeId)>, Vec<NodeId>, ChurnScript) {
+    let horizon = SimTime::from_ms(cfg.workload.duration_ms);
     let k = cfg.topology.localities;
     let mut kills: Vec<(SimTime, NodeId)> = Vec::new();
     for ws in 0..cfg.catalog.active_websites as u16 {
@@ -393,10 +449,8 @@ pub fn churn(opts: RunOpts) -> ExpOutput {
             kills.push((SimTime::from_ms(horizon.as_ms() / 3), d));
         }
     }
-    sys.apply_churn(&ChurnScript::kill_at(&kills));
-
     // Session churn over a third of community members.
-    let affected = churn_population(&sys, &cfg);
+    let affected = churn_population(sys, cfg);
     let churn_cfg = ChurnConfig {
         start: SimTime::from_ms(horizon.as_ms() / 4),
         end: horizon,
@@ -404,41 +458,51 @@ pub fn churn(opts: RunOpts) -> ExpOutput {
         mean_downtime: SimDuration::from_ms(horizon.as_ms() / 20),
         permanent: false,
     };
-    let script = ChurnScript::generate(&churn_cfg, &affected, opts.seed);
-    sys.apply_churn(&script);
+    let script = ChurnScript::generate(&churn_cfg, &affected, cfg.seed);
+    (kills, affected, script)
+}
 
-    sys.run_until(horizon + SimDuration::from_secs(60));
-    let r = sys.report();
-    out.metrics.push(MetricsRecord {
-        experiment: "churn".into(),
-        sim_key: format!("churn/seed{}", opts.seed),
-        shards: sys.engine().num_shards(),
-        set: sys.engine().metrics().clone(),
-    });
-
-    let replacements = sys.engine().metrics().counter(Counter::DirReplacementsWon);
-
+/// The churn run's table.
+pub(crate) fn churn_table(f: &Finished) -> Vec<(String, Table)> {
+    let (Last { cfg, flower, .. }, r) = (f.last(), &f.steps[0].1);
+    let (kills, affected, script) = churn_plan(flower, cfg);
+    let m = flower.engine().metrics();
     let mut t = Table::new(
         "Churn extension — session churn + directory kills",
         &["metric", "value"],
     );
-    t.row(vec!["peers under churn".into(), affected.len().to_string()]);
-    t.row(vec!["directory kills".into(), kills.len().to_string()]);
-    t.row(vec!["churn events".into(), script.len().to_string()]);
-    t.row(vec!["hit ratio".into(), f3(r.hit_ratio)]);
-    t.row(vec![
-        "resolved/submitted".into(),
-        format!("{}/{}", r.resolved, r.submitted),
-    ]);
-    t.row(vec![
-        "redirection failures".into(),
-        r.redirection_failures.to_string(),
-    ]);
-    t.row(vec![
-        "directory replacements won".into(),
-        replacements.to_string(),
-    ]);
-    out.text = t.render();
+    for (metric, value) in [
+        ("peers under churn", affected.len().to_string()),
+        ("directory kills", kills.len().to_string()),
+        ("churn events", script.len().to_string()),
+        ("hit ratio", f3(r.hit_ratio)),
+        (
+            "resolved/submitted",
+            format!("{}/{}", r.resolved, r.submitted),
+        ),
+        ("redirection failures", r.redirection_failures.to_string()),
+        (
+            "directory replacements won",
+            m.counter(Counter::DirReplacementsWon).to_string(),
+        ),
+    ] {
+        t.row(vec![metric.into(), value]);
+    }
+    vec![("churn".into(), t)]
+}
+
+/// The churn run's checks — §5.2 recovery keeps the system serving —
+/// and its registry snapshot for `--metrics-out`.
+pub(crate) fn churn_checks(f: &Finished, out: &mut ExpOutput) {
+    let (Last { cfg, flower, .. }, r) = (f.last(), &f.steps[0].1);
+    let engine = flower.engine();
+    out.metrics.push(MetricsRecord {
+        experiment: "churn".into(),
+        sim_key: format!("churn/seed{}", cfg.seed),
+        shards: engine.num_shards(),
+        set: engine.metrics().clone(),
+    });
+    let replacements = engine.metrics().counter(Counter::DirReplacementsWon);
     out.push_check(
         format!("system keeps serving under churn (hit {:.3})", r.hit_ratio),
         r.hit_ratio > 0.3,
@@ -454,9 +518,6 @@ pub fn churn(opts: RunOpts) -> ExpOutput {
         ),
         r.resolved as f64 > r.submitted as f64 * 0.9,
     );
-    out.text.push_str(&out.render_checks());
-    out.csv.push(("churn".into(), t.to_csv()));
-    out
 }
 
 /// Who session churn takes down and brings back, in `churn` and in the
@@ -476,12 +537,8 @@ fn churn_population(sys: &FlowerSystem, cfg: &SystemConfig) -> Vec<NodeId> {
 }
 
 /// **§8 extension: cache replacement** — bounded per-peer caches with
-/// LRU/LFU. Smaller caches mean fewer self-hits and more stale
-/// directory entries (exercising §5.1 retries); the hit ratio must
-/// degrade gracefully, not collapse.
-pub fn cache_pressure(opts: RunOpts) -> ExpOutput {
-    use flower_core::CachePolicy;
-    let mut out = ExpOutput::default();
+/// LRU/LFU, one row per capacity step.
+pub(crate) fn cache_table(f: &Finished) -> Vec<(String, Table)> {
     let mut t = Table::new(
         "Cache replacement (§8 future work) — capacity sweep (objects/peer)",
         &[
@@ -491,39 +548,26 @@ pub fn cache_pressure(opts: RunOpts) -> ExpOutput {
             "redirection failures",
         ],
     );
-    let mut hits = Vec::new();
-    let variants: [(&str, CachePolicy, usize); 4] = [
-        ("unbounded", CachePolicy::Unbounded, 0),
-        ("lru-50", CachePolicy::Lru, 50),
-        ("lru-10", CachePolicy::Lru, 10),
-        ("lfu-10", CachePolicy::Lfu, 10),
-    ];
-    for (name, policy, cap) in variants {
-        let mut cfg = runner::flower_config(opts);
-        cfg.flower.cache_policy = policy;
-        cfg.flower.cache_capacity = cap;
-        let (_, r) = FlowerSystem::run(&cfg);
+    for (step, r) in &f.steps {
         t.row(vec![
-            name.into(),
+            step.label.into(),
             f3(r.hit_ratio),
             f1(r.mean_lookup_ms),
             r.redirection_failures.to_string(),
         ]);
-        hits.push(r.hit_ratio);
     }
-    out.text = t.render();
-    cache_pressure_checks(&mut out, &hits);
-    out.text.push_str(&out.render_checks());
-    out.csv.push(("cache".into(), t.to_csv()));
-    out
+    vec![("cache".into(), t)]
 }
 
-/// [`cache_pressure`]'s verdicts on the hit ratios of its variants,
-/// in table order (`unbounded`, `lru-50`, `lru-10`, `lfu-10`). A scale
-/// at which no cache fills runs every variant identically, so the
-/// bounded ones must score strictly below the unbounded one for the
-/// sweep to have evicted — and measured — anything at all.
-fn cache_pressure_checks(out: &mut ExpOutput, hits: &[f64]) {
+/// The cache sweep's verdicts on the hit ratios of its runs, in step
+/// order (`unbounded`, `lru-50`, `lru-10`, `lfu-10`). Smaller caches
+/// mean fewer self-hits and more stale directory entries (exercising
+/// §5.1 retries); the hit ratio must degrade gracefully, not collapse.
+/// A scale at which no cache fills runs every variant identically, so
+/// the bounded ones must score strictly below the unbounded one for
+/// the sweep to have evicted — and measured — anything at all.
+pub(crate) fn cache_checks(f: &Finished, out: &mut ExpOutput) {
+    let hits: Vec<f64> = f.runs.iter().map(|r| r.hit).collect();
     out.push_check(
         format!(
             "bounded caches evict: lru-10 hits less than unbounded ({:.3} vs {:.3})",
@@ -670,7 +714,7 @@ fn scale_mean_petal_window(nodes: usize) -> f64 {
 /// D-ring (`b = 0`) and a PetalUp one (`b ≥ 1`), it also checks that
 /// the splits actually flatten the per-instance directory load under
 /// the Zipf-skewed website workload.
-pub fn scale(params: &ScaleParams) -> ExpOutput {
+pub fn scale(p: &ScaleParams) -> ExpOutput {
     let mut out = ExpOutput::default();
     let mut table = Table::new(
         "Scale — engine throughput (instance bits × locality shards)",
@@ -689,75 +733,66 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
             "live dirs",
         ],
     );
-    for &nodes in &params.nodes {
+    for &nodes in &p.nodes {
         // Per-instance load imbalance of each instance-bits group
         // (identical across the group's cells, so the base cell's
         // value represents it).
         let mut load_ratios: Vec<(u32, f64)> = Vec::new();
-        for &bits in &params.instance_bits {
-            // Baseline = the first shard count of the group; its state
-            // is kept only when a later cell compares against it.
-            let mut base: Option<(f64, usize, Option<_>)> = None;
-            for &shards in &params.shards {
-                let cfg = scale_config(nodes, shards, bits, params.horizon, params.seed);
-                let name = if bits == 0 {
-                    format!("scale/{nodes}n")
-                } else {
-                    format!("scale/{nodes}n/b{bits}")
-                };
-                let (sys, report, wall_s) = runner::run_flower_timed(&cfg);
-                let engine = sys.engine();
-                // What the engine ran, not what was asked for: it
-                // clamps to the number of localities.
-                let shards = engine.num_shards();
-                let events = engine.events_processed();
-                let speedup = match &base {
-                    None => format!("×1.00 (base: {shards} shard(s))"),
-                    Some((base_wall, _, _)) => format!("×{:.2}", base_wall / wall_s.max(1e-9)),
-                };
-                table.row(vec![
-                    nodes.to_string(),
-                    bits.to_string(),
-                    shards.to_string(),
-                    format!("{wall_s:.2}"),
-                    events.to_string(),
-                    f1(events as f64 / wall_s.max(1e-9)),
-                    engine.peak_queue_depth().to_string(),
-                    engine.epochs().to_string(),
-                    speedup,
-                    f3(report.hit_ratio),
-                    f3(report.dir_load_max_mean),
-                    report.dir_instances_live.to_string(),
-                ]);
-                match &base {
-                    None => {
-                        load_ratios.push((bits, report.dir_load_max_mean));
-                        let state = (params.shards.len() > 1).then(|| engine.sim_state());
-                        base = Some((wall_s, shards, state));
-                    }
-                    Some((_, base_shards, base_state)) => out.push_check(
-                        format!(
-                            "{nodes} nodes / b{bits} / {shards} shards: query statistics \
-                             identical to the {base_shards}-shard run \
-                             ({}/{} hit {:.6}, {} msgs, dir load {:.4})",
-                            report.submitted,
-                            report.resolved,
-                            report.hit_ratio,
-                            engine.traffic().messages(),
-                            report.dir_load_max_mean
-                        ),
-                        base_state.as_ref() == Some(&engine.sim_state()),
-                    ),
-                }
-                out.metrics.push(MetricsRecord {
-                    experiment: name.clone(),
-                    // The shard count is an execution knob: every
-                    // cell of the group simulates the same trace.
-                    sim_key: name,
-                    shards,
-                    set: engine.metrics().clone(),
-                });
-            }
+        for &bits in &p.instance_bits {
+            let name = if bits == 0 {
+                format!("scale/{nodes}n")
+            } else {
+                format!("scale/{nodes}n/b{bits}")
+            };
+            // The shard count is an execution knob: every cell of the
+            // group simulates the same trace, under one sim key.
+            let (_, ratio) = shard_parity(
+                &mut out,
+                &name,
+                &name,
+                &p.shards,
+                |k| FlowerSystem::build(&scale_config(nodes, k, bits, p.horizon, p.seed)),
+                |sys, report, base_shards| {
+                    format!(
+                        "{nodes} nodes / b{bits} / {} shards: query statistics \
+                         identical to the {base_shards}-shard run \
+                         ({}/{} hit {:.6}, {} msgs, dir load {:.4})",
+                        sys.engine().num_shards(),
+                        report.submitted,
+                        report.resolved,
+                        report.hit_ratio,
+                        sys.engine().traffic().messages(),
+                        report.dir_load_max_mean
+                    )
+                },
+                |sys, report, wall_s, base: Option<&(f64, f64)>| {
+                    let engine = sys.engine();
+                    // What the engine ran, not what was asked for: it
+                    // clamps to the number of localities.
+                    let shards = engine.num_shards();
+                    let events = engine.events_processed();
+                    let speedup = match base {
+                        None => format!("×1.00 (base: {shards} shard(s))"),
+                        Some((base_wall, _)) => format!("×{:.2}", base_wall / wall_s.max(1e-9)),
+                    };
+                    table.row(vec![
+                        nodes.to_string(),
+                        bits.to_string(),
+                        shards.to_string(),
+                        format!("{wall_s:.2}"),
+                        events.to_string(),
+                        f1(events as f64 / wall_s.max(1e-9)),
+                        engine.peak_queue_depth().to_string(),
+                        engine.epochs().to_string(),
+                        speedup,
+                        f3(report.hit_ratio),
+                        f3(report.dir_load_max_mean),
+                        report.dir_instances_live.to_string(),
+                    ]);
+                    (wall_s, report.dir_load_max_mean)
+                },
+            );
+            load_ratios.push((bits, ratio));
         }
         // §5.3 PetalUp shape: splits must flatten the per-instance
         // directory load relative to the flat D-ring on the same
@@ -786,7 +821,7 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
     }
     out.text = table.render();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if params.shards.iter().any(|&k| k > cores) {
+    if p.shards.iter().any(|&k| k > cores) {
         out.text.push_str(
             "note: wall-clock speedup needs real cores; on a single-CPU host the sweep\n\
              still verifies shard determinism while events/s stays flat.\n",
@@ -795,6 +830,57 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
     out.text.push_str(&out.render_checks());
     out.csv.push(("scale".into(), table.to_csv()));
     out
+}
+
+/// The shard-parity loop of `scale` and `chaos`: one run of the same
+/// simulation per shard count of `shards`, each built by `build` and
+/// run to its drain horizon. Every run records its registry snapshot
+/// under `experiment` and the shared `sim_key` (so the metrics gate
+/// re-checks the parity from the registry side); every run after the
+/// first pushes a check, named by `label` from the run and the first
+/// run's shard count, that its [`simnet::Engine::sim_state`] — the
+/// merged statistics whole, not just the totals — equals the first's
+/// (kept only when there is a second). `keep` reads each run, its
+/// report, the wall seconds of its run and what it kept of the first
+/// run, which is returned.
+fn shard_parity<T>(
+    out: &mut ExpOutput,
+    experiment: &str,
+    sim_key: &str,
+    shards: &[usize],
+    build: impl Fn(usize) -> FlowerSystem,
+    label: impl Fn(&FlowerSystem, &SystemReport, usize) -> String,
+    mut keep: impl FnMut(FlowerSystem, SystemReport, f64, Option<&T>) -> T,
+) -> T {
+    let mut first: Option<(T, usize, Option<_>)> = None;
+    for &k in shards {
+        let mut sys = build(k);
+        let t0 = std::time::Instant::now();
+        sys.run_until(sys.drain_horizon());
+        let wall_s = t0.elapsed().as_secs_f64();
+        let report = sys.report();
+        let engine = sys.engine();
+        out.metrics.push(MetricsRecord {
+            experiment: experiment.into(),
+            sim_key: sim_key.into(),
+            shards: engine.num_shards(),
+            set: engine.metrics().clone(),
+        });
+        let state = match &first {
+            None => (shards.len() > 1).then(|| engine.sim_state()),
+            Some((_, base_shards, base)) => {
+                let same = base.as_ref() == Some(&engine.sim_state());
+                out.push_check(label(&sys, &report, *base_shards), same);
+                None
+            }
+        };
+        let shards_run = engine.num_shards();
+        let kept = keep(sys, report, wall_s, first.as_ref().map(|(t, _, _)| t));
+        if first.is_none() {
+            first = Some((kept, shards_run, state));
+        }
+    }
+    first.expect("a shard sweep is non-empty").0
 }
 
 // ------------------------------------------------------------------
@@ -810,15 +896,11 @@ const CHAOS_NODES: usize = 2000;
 /// The scripted fault window shared by every chaos family: strike at
 /// 150 s, heal/end at 240 s of the 360 s horizon — a settled plateau
 /// on both sides of the disruption.
-fn chaos_fault_window() -> (SimTime, SimTime) {
-    (SimTime::from_secs(150), SimTime::from_secs(240))
-}
+const CHAOS_FAULT_WINDOW: (SimTime, SimTime) = (SimTime::from_secs(150), SimTime::from_secs(240));
 
 /// Hit-ratio bucket width of the chaos cells — fine enough to resolve
 /// the dip and the recovery point inside the 90 s fault window.
-fn chaos_window() -> SimDuration {
-    SimDuration::from_secs(15)
-}
+const CHAOS_WINDOW: SimDuration = SimDuration::from_secs(15);
 
 /// The chaos deployment: the flat-D-ring `scale` deployment over a
 /// 360 s horizon, but with only 2 active websites, so the origin
@@ -831,7 +913,7 @@ pub fn chaos_config(nodes: usize, shards: usize, seed: u64) -> SystemConfig {
     let mut cfg = scale_config(nodes, shards, 0, SimDuration::from_secs(360), seed);
     cfg.catalog.active_websites = 2;
     cfg.flower.query_timeout = Some(SimDuration::from_secs(2));
-    cfg.window = chaos_window();
+    cfg.window = CHAOS_WINDOW;
     cfg
 }
 
@@ -841,7 +923,7 @@ pub fn chaos_config(nodes: usize, shards: usize, seed: u64) -> SystemConfig {
 /// tripling the deployment's total query rate while it lasts.
 pub fn chaos_flash_config(nodes: usize, shards: usize, seed: u64) -> SystemConfig {
     let mut cfg = chaos_config(nodes, shards, seed);
-    let (start, end) = chaos_fault_window();
+    let (start, end) = CHAOS_FAULT_WINDOW;
     cfg.workload.surges = vec![Surge::FlashCrowd {
         start_ms: start.as_ms(),
         end_ms: end.as_ms(),
@@ -975,71 +1057,6 @@ pub fn availability(
     }
 }
 
-/// Run one chaos cell family across `shard_sweep`: every multi-shard
-/// run must be bit-identical to the first ([`simnet::Engine::sim_state`]:
-/// the merged statistics whole, not just the totals), every cell
-/// records a metrics snapshot under the family's shared `sim_key` — so
-/// the metrics gate re-checks the parity from the registry side.
-/// Returns the first cell's system and report for series analysis.
-fn run_chaos_family(
-    out: &mut ExpOutput,
-    family: &str,
-    seed: u64,
-    shard_sweep: &[usize],
-    mk_cfg: &dyn Fn(usize) -> SystemConfig,
-    prep: &dyn Fn(&mut FlowerSystem, &SystemConfig),
-) -> (FlowerSystem, SystemReport) {
-    let mut first: Option<(FlowerSystem, SystemReport, Option<_>)> = None;
-    for &shards in shard_sweep {
-        let cfg = mk_cfg(shards);
-        let name = format!("chaos/{family}");
-        let mut sys = FlowerSystem::build(&cfg);
-        prep(&mut sys, &cfg);
-        let horizon = sys.drain_horizon();
-        sys.run_until(horizon);
-        let report = sys.report();
-        out.metrics.push(MetricsRecord {
-            experiment: name.clone(),
-            sim_key: format!("{name}/seed{seed}"),
-            shards: sys.engine().num_shards(),
-            set: sys.engine().metrics().clone(),
-        });
-        match &first {
-            None => {
-                let state = (shard_sweep.len() > 1).then(|| sys.engine().sim_state());
-                first = Some((sys, report, state));
-            }
-            Some((_, _, base)) => out.push_check(
-                format!(
-                    "chaos/{family}: {shards}-shard run bit-identical to \
-                     the {}-shard run",
-                    shard_sweep[0]
-                ),
-                base.as_ref() == Some(&sys.engine().sim_state()),
-            ),
-        }
-    }
-    let (sys, report, _) = first.expect("chaos shard sweep is non-empty");
-    (sys, report)
-}
-
-/// One availability row of the chaos table.
-fn chaos_row(t: &mut Table, cell: &str, sys: &FlowerSystem, r: &SystemReport, a: &Availability) {
-    let m = sys.engine().metrics();
-    t.row(vec![
-        cell.into(),
-        f3(a.pre_hit),
-        f3(a.min_fault_hit),
-        f3(a.dip_depth),
-        a.recovery_s.map_or("-".into(), |s| format!("{s:.0}")),
-        m.counter(Counter::DirQueryTimeouts).to_string(),
-        m.counter(Counter::DirQueryRetries).to_string(),
-        m.counter(Counter::DirQueryOriginFallbacks).to_string(),
-        m.counter(Counter::EngineFaultDrops).to_string(),
-        format!("{}/{}", r.resolved, r.submitted),
-    ]);
-}
-
 /// **Chaos** — the fault-injection plane exercised end to end: a
 /// pairwise-island partition with heal, a flash crowd on the colder
 /// active website, probabilistic cross-locality message loss, and a
@@ -1052,9 +1069,9 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
     let mut out = ExpOutput::default();
     let seed = opts.seed;
     let nodes = opts.nodes.unwrap_or(CHAOS_NODES);
-    let (start, heal) = chaos_fault_window();
+    let (start, heal) = CHAOS_FAULT_WINDOW;
     let settle = SimTime::from_secs(60);
-    let window = chaos_window();
+    let window = CHAOS_WINDOW;
     let mut table = Table::new(
         "Chaos — scripted faults, surges and the availability they cost",
         &[
@@ -1071,43 +1088,70 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
         ],
     );
 
+    // Each family runs one simulation on every shard layout of its
+    // sweep; its row and checks read the first layout's run.
+    let mut family = |out: &mut ExpOutput,
+                      name: &str,
+                      shards: &[usize],
+                      build: &dyn Fn(usize) -> FlowerSystem| {
+        let exp = format!("chaos/{name}");
+        let (sys, r) = shard_parity(
+            out,
+            &exp,
+            &format!("{exp}/seed{seed}"),
+            shards,
+            build,
+            |sys, _, first| {
+                let shards = sys.engine().num_shards();
+                format!("{exp}: {shards}-shard run bit-identical to the {first}-shard run")
+            },
+            |sys, report, _, _| (sys, report),
+        );
+        let points = sys.engine().query_stats().hit_series().points();
+        let a = availability(&points, window, settle, start, heal);
+        let m = sys.engine().metrics();
+        table.row(vec![
+            name.into(),
+            f3(a.pre_hit),
+            f3(a.min_fault_hit),
+            f3(a.dip_depth),
+            a.recovery_s.map_or("-".into(), |s| format!("{s:.0}")),
+            m.counter(Counter::DirQueryTimeouts).to_string(),
+            m.counter(Counter::DirQueryRetries).to_string(),
+            m.counter(Counter::DirQueryOriginFallbacks).to_string(),
+            m.counter(Counter::EngineFaultDrops).to_string(),
+            format!("{}/{}", r.resolved, r.submitted),
+        ]);
+        (sys, r, a)
+    };
+
+    // "(resolved n/m)", and whether at least `frac` of them were.
+    let served = |r: &SystemReport, frac: f64| {
+        let ok = r.resolved as f64 >= r.submitted as f64 * frac;
+        (format!("(resolved {}/{})", r.resolved, r.submitted), ok)
+    };
+
     // --- partition + heal -------------------------------------------
     let plane = chaos_partition_plane(start, heal);
-    let (sys, report) = run_chaos_family(
-        &mut out,
-        "partition",
-        seed,
-        &[1, 2, 4],
-        &|shards| chaos_config(nodes, shards, seed),
-        &|s, cfg| {
-            let script = chaos_churn(s, cfg, seed);
-            s.apply_churn(&script);
-            s.apply_faults(&plane);
-        },
-    );
-    let a = availability(
-        &sys.engine().query_stats().hit_series().points(),
-        window,
-        settle,
-        start,
-        heal,
-    );
-    chaos_row(&mut table, "partition", &sys, &report, &a);
+    let (sys, _, a) = family(&mut out, "partition", &[1, 2, 4], &|shards| {
+        let cfg = chaos_config(nodes, shards, seed);
+        let mut s = FlowerSystem::build(&cfg);
+        s.apply_churn(&chaos_churn(&s, &cfg, seed));
+        s.apply_faults(&plane);
+        s
+    });
     let m = sys.engine().metrics();
+    let timeouts = m.counter(Counter::DirQueryTimeouts);
     out.push_check(
-        format!(
-            "partition: lookups time out while the D-ring is cut ({} timeouts)",
-            m.counter(Counter::DirQueryTimeouts)
-        ),
-        m.counter(Counter::DirQueryTimeouts) > 0,
+        format!("partition: lookups time out while the D-ring is cut ({timeouts} timeouts)"),
+        timeouts > 0,
     );
+    let fallbacks = m.counter(Counter::DirQueryOriginFallbacks);
     out.push_check(
         format!(
-            "partition: exhausted retries degrade to the origin server \
-             ({} fallbacks)",
-            m.counter(Counter::DirQueryOriginFallbacks)
+            "partition: exhausted retries degrade to the origin server ({fallbacks} fallbacks)"
         ),
-        m.counter(Counter::DirQueryOriginFallbacks) > 0,
+        fallbacks > 0,
     );
     out.push_check(
         format!(
@@ -1128,17 +1172,10 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
     );
 
     // --- flash crowd -------------------------------------------------
-    let (sys, report) = run_chaos_family(
-        &mut out,
-        "flash",
-        seed,
-        &[1, 2, 4],
-        &|shards| chaos_flash_config(nodes, shards, seed),
-        &|_, _| {},
-    );
+    let (sys, report, a) = family(&mut out, "flash", &[1, 2, 4], &|shards| {
+        FlowerSystem::build(&chaos_flash_config(nodes, shards, seed))
+    });
     let points = sys.engine().query_stats().hit_series().points();
-    let a = availability(&points, window, settle, start, heal);
-    chaos_row(&mut table, "flash", &sys, &report, &a);
     // Resolution throughput per second, from the windowed counts.
     let rate = |lo: SimTime, hi: SimTime| -> f64 {
         let (mut n, mut ms) = (0u64, 0u64);
@@ -1162,12 +1199,10 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
         ),
         surge_rate > 1.5 * pre_rate,
     );
+    let (resolved, ok) = served(&report, 0.9);
     out.push_check(
-        format!(
-            "flash: the overlay absorbs the crowd (resolved {}/{})",
-            report.resolved, report.submitted
-        ),
-        report.resolved as f64 >= report.submitted as f64 * 0.9,
+        format!("flash: the overlay absorbs the crowd {resolved}"),
+        ok,
     );
     out.push_check(
         format!(
@@ -1184,36 +1219,20 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
         end: heal,
         probability: 0.25,
     });
-    let (sys, report) = run_chaos_family(
-        &mut out,
-        "loss",
-        seed,
-        &[1, 4],
-        &|shards| chaos_config(nodes, shards, seed),
-        &|s, _| s.apply_faults(&loss_plane),
-    );
-    let a = availability(
-        &sys.engine().query_stats().hit_series().points(),
-        window,
-        settle,
-        start,
-        heal,
-    );
-    chaos_row(&mut table, "loss", &sys, &report, &a);
-    let m = sys.engine().metrics();
+    let (sys, report, _) = family(&mut out, "loss", &[1, 4], &|shards| {
+        let mut s = FlowerSystem::build(&chaos_config(nodes, shards, seed));
+        s.apply_faults(&loss_plane);
+        s
+    });
+    let drops = sys.engine().metrics().counter(Counter::EngineFaultDrops);
     out.push_check(
-        format!(
-            "loss: the lossy window drops traffic ({} fault drops)",
-            m.counter(Counter::EngineFaultDrops)
-        ),
-        m.counter(Counter::EngineFaultDrops) > 0,
+        format!("loss: the lossy window drops traffic ({drops} fault drops)"),
+        drops > 0,
     );
+    let (resolved, ok) = served(&report, 0.9);
     out.push_check(
-        format!(
-            "loss: retries absorb 25% cross-locality loss (resolved {}/{})",
-            report.resolved, report.submitted
-        ),
-        report.resolved as f64 >= report.submitted as f64 * 0.9,
+        format!("loss: retries absorb 25% cross-locality loss {resolved}"),
+        ok,
     );
 
     // --- correlated regional failure ---------------------------------
@@ -1224,22 +1243,11 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
         recover_start: heal,
         stagger: SimDuration::from_ms(50),
     });
-    let (sys, report) = run_chaos_family(
-        &mut out,
-        "regional",
-        seed,
-        &[1, 4],
-        &|shards| chaos_config(nodes, shards, seed),
-        &|s, _| s.apply_faults(&regional_plane),
-    );
-    let a = availability(
-        &sys.engine().query_stats().hit_series().points(),
-        window,
-        settle,
-        start,
-        heal,
-    );
-    chaos_row(&mut table, "regional", &sys, &report, &a);
+    let (sys, report, _) = family(&mut out, "regional", &[1, 4], &|shards| {
+        let mut s = FlowerSystem::build(&chaos_config(nodes, shards, seed));
+        s.apply_faults(&regional_plane);
+        s
+    });
     let back_up = sys
         .engine()
         .topology()
@@ -1253,13 +1261,10 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
         ),
         back_up,
     );
+    let (resolved, ok) = served(&report, 0.8);
     out.push_check(
-        format!(
-            "regional: the surviving localities keep serving \
-             (resolved {}/{})",
-            report.resolved, report.submitted
-        ),
-        report.resolved as f64 >= report.submitted as f64 * 0.8,
+        format!("regional: the surviving localities keep serving {resolved}"),
+        ok,
     );
 
     out.text = table.render();
@@ -1271,7 +1276,6 @@ pub fn chaos(opts: RunOpts) -> ExpOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunScale;
 
     /// The experiments run the full 5000-node topology; in debug-mode
     /// test builds that takes minutes per run, so the heavy shape
@@ -1337,9 +1341,23 @@ mod tests {
     /// every variant reads the same.
     #[test]
     fn cache_pressure_fails_when_nothing_was_evicted() {
+        let cache = SWEEPS.iter().find(|s| s.cmd == "cache").unwrap();
+        let Verdict::Shape(check) = cache.verdict else {
+            panic!("the cache sweep is judged by shape checks")
+        };
         let verdicts = |hits: &[f64]| {
+            let runs = hits.iter().map(|&hit| Run {
+                hit,
+                ..Run::default()
+            });
+            let finished = Finished {
+                steps: Vec::new(),
+                runs: runs.collect(),
+                last: None,
+                scale: RunScale::Scaled(0.2),
+            };
             let mut out = ExpOutput::default();
-            cache_pressure_checks(&mut out, hits);
+            check(&finished, &mut out);
             out.checks.iter().map(|c| c.1).collect::<Vec<_>>()
         };
         assert_eq!(verdicts(&[0.633, 0.633, 0.547, 0.545]), [true, true]);
@@ -1375,7 +1393,7 @@ mod tests {
     #[test]
     #[ignore = "runs paper-scale simulations; use --release -- --ignored"]
     fn table2a_shape() {
-        let out = sweep("table2a", opts(11));
+        let (_, out) = sweep(&["table2a"], opts(11)).remove(0);
         assert!(out.all_passed(), "{}", out.text);
         assert_eq!(out.checks.len(), short_rows("table2a"));
         assert!(out.text.contains("Table 2(a)"));
@@ -1384,12 +1402,8 @@ mod tests {
     #[test]
     #[ignore = "runs paper-scale simulations; use --release -- --ignored"]
     fn fig6_7_8_shapes() {
-        let (fsys, ssys) = comparison_pair(opts(13));
-        for (figure, out) in [
-            ("fig6", fig6(&fsys, &ssys)),
-            ("fig7", fig7(&fsys, &ssys)),
-            ("fig8", fig8(&fsys, &ssys)),
-        ] {
+        let figures = ["fig6", "fig7", "fig8"];
+        for (figure, out) in sweep(&figures, opts(13)) {
             assert!(out.all_passed(), "{figure}:\n{}", out.text);
             assert_eq!(out.checks.len(), short_rows(figure), "{figure}");
         }
@@ -1398,7 +1412,7 @@ mod tests {
     #[test]
     #[ignore = "runs paper-scale simulations; use --release -- --ignored"]
     fn churn_recovers() {
-        let out = churn(opts(17));
+        let (_, out) = sweep(&["churn"], opts(17)).remove(0);
         assert!(out.all_passed(), "{}", out.render_checks());
     }
 
@@ -1636,7 +1650,7 @@ mod tests {
 
     #[test]
     fn chaos_partition_plane_spares_the_origin_localities() {
-        let (start, heal) = chaos_fault_window();
+        let (start, heal) = CHAOS_FAULT_WINDOW;
         let plane = chaos_partition_plane(start, heal);
         let mid = SimTime::from_secs((start.as_secs() + heal.as_secs()) / 2);
         // 6 victims pairwise severed: C(6,2) = 15 cuts, all healed.

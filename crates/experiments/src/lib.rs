@@ -2,17 +2,19 @@
 //!
 //! One module per concern:
 //!
-//! * [`claims`] — the paper's §6 as data: one row per claim (the
-//!   paper's value, an accepted band, a reader over the run) and the
-//!   parameter sweeps of Table 2(a–c);
+//! * [`claims`] — the evaluation as data: one row per §6 claim (the
+//!   paper's value, an accepted band, a reader over the runs) and one
+//!   declaration per experiment [`exps::sweep`] runs (Table 2(a–c), the
+//!   push-threshold sweep, Figures 5–8, churn and cache);
 //! * [`runner`] — configured runs of the Flower-CDN system and the
 //!   Squirrel baseline at paper scale (optionally time-scaled down);
 //! * [`report`] — fixed-width table, CSV and `METRICS.json`
 //!   rendering;
 //! * [`gate`] — the metrics gate: the invariants a run's registry
 //!   snapshots must satisfy, and their attribution table;
-//! * [`exps`] — one function per table/figure and extension
-//!   experiment, each returning a printable report and its checks.
+//! * [`exps`] — `sweep`, which runs those declarations, the table and
+//!   check functions they name, and the `scale` and `chaos` sweeps over
+//!   shard layouts, each returning a printable report and its checks.
 //!
 //! The binary `flower-experiments` exposes each experiment as a
 //! subcommand.

@@ -7,7 +7,7 @@
 //! for iterating on event simulations. `RunScale::Full` is the
 //! paper's exact setup.
 
-use flower_core::{FlowerConfig, FlowerSystem, SystemConfig, SystemReport};
+use flower_core::{FlowerConfig, SystemConfig};
 use simnet::SimDuration;
 
 /// The run parameters every experiment takes: time scale, master
@@ -185,19 +185,6 @@ pub fn scale_flower(base: &FlowerConfig, scale: RunScale) -> FlowerConfig {
         *d = scale.scale_duration(*d);
     }
     f
-}
-
-/// As [`FlowerSystem::run`], additionally returning the wall-clock
-/// seconds of the simulation itself (build excluded) for the `scale`
-/// table.
-pub fn run_flower_timed(cfg: &SystemConfig) -> (FlowerSystem, SystemReport, f64) {
-    let mut sys = FlowerSystem::build(cfg);
-    let horizon = sys.drain_horizon();
-    let t0 = std::time::Instant::now();
-    sys.run_until(horizon);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let report = sys.report();
-    (sys, report, wall_s)
 }
 
 #[cfg(test)]
