@@ -25,7 +25,7 @@
 //!   with snapshots identical to a from-scratch [`ContentSummary`]
 //!   (the hot-path replacement for rebuild-per-gossip);
 //! * [`MaintainedSummary`] — [`SummaryBits`] over a multiset of its
-//!   own, kept for the benchmark's probe until ROADMAP item 7.
+//!   own, kept for the benchmark's probe until ROADMAP item 5(b).
 
 #![forbid(unsafe_code)]
 
@@ -37,4 +37,4 @@ pub mod summary;
 pub use bits::BitVec;
 pub use filter::BloomFilter;
 pub use maintained::{MaintainedSummary, SummaryBits};
-pub use summary::{ContentSummary, ObjectId};
+pub use summary::{ContentSummary, ObjectId, SummaryForm};

@@ -44,7 +44,7 @@
 //!
 //! [`MaintainedSummary`] is the same filter with an owner of its own, a
 //! multiset of keys. Only the benchmark's `bloom` probe and this
-//! module's oracle tests use it; it goes when ROADMAP item 7 retires
+//! module's oracle tests use it; it goes when ROADMAP item 5(b) retires
 //! that probe.
 
 use std::collections::BTreeMap;
@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use crate::bits::BitVec;
 use crate::filter::{probe_positions, rate_bits, BloomFilter};
-use crate::summary::{ContentSummary, ObjectId, BITS_PER_OBJECT, PROBES};
+use crate::summary::{ContentSummary, ObjectId, SummaryForm, BITS_PER_OBJECT, PROBES};
 
 /// The bits of a content summary whose owner keeps the object list:
 /// no per-object storage, snapshots identical to a from-scratch
@@ -191,7 +191,7 @@ impl SummaryBits {
                     }
                     f.set_items(items);
                 }
-                ContentSummary::from_filter(Arc::clone(filter), capacity)
+                ContentSummary::from_parts(SummaryForm::Filter(Arc::clone(filter)), capacity)
             }
         };
         debug_assert_eq!(s.items(), items, "the keys disagree with the item count");
@@ -201,7 +201,7 @@ impl SummaryBits {
 
 /// [`SummaryBits`] with an owner of its own: a multiset of keys.
 /// Kept only for the benchmark's `bloom` probe and the oracle tests
-/// below; deleted when ROADMAP item 7 retires that probe.
+/// below; deleted when ROADMAP item 5(b) retires that probe.
 #[derive(Clone, Debug)]
 pub struct MaintainedSummary {
     live: BTreeMap<ObjectId, u32>,
@@ -253,6 +253,14 @@ impl MaintainedSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The shared filter of a summary of two or more inserts.
+    pub(super) fn filter_of(s: &ContentSummary) -> Option<Arc<BloomFilter>> {
+        match s.clone().into_parts().0 {
+            SummaryForm::Filter(filter) => Some(filter),
+            _ => None,
+        }
+    }
 
     #[test]
     fn snapshot_matches_from_scratch_exactly() {
@@ -306,10 +314,10 @@ mod tests {
             m.insert(*o);
         }
         let before = m.snapshot();
-        let shared = before.shared_filter().expect("ten objects keep bits");
+        let shared = filter_of(&before).expect("ten objects keep bits");
         m.remove(objs[0]);
         assert!(
-            Arc::ptr_eq(m.bits.filter.as_ref().unwrap(), shared),
+            Arc::ptr_eq(m.bits.filter.as_ref().unwrap(), &shared),
             "a removal touches no bit: the owner's bits are the snapshot's"
         );
         let after = m.snapshot();
@@ -388,6 +396,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::filter_of;
     use super::*;
     use proptest::prelude::*;
 
@@ -500,9 +509,9 @@ mod proptests {
                             .flat_map(|(&o, &n)| std::iter::repeat_n(o, n as usize))
                             .collect();
                         if let (false, Some((last, _))) = (bit_event, taken.last()) {
-                            if let (Some(a), Some(b)) = (last.shared_filter(), s.shared_filter()) {
+                            if let (Some(a), Some(b)) = (filter_of(last), filter_of(&s)) {
                                 prop_assert_eq!(
-                                    Arc::ptr_eq(a, b),
+                                    Arc::ptr_eq(&a, &b),
                                     last.items() == items,
                                     "no bit event: one filter exactly when the item count held"
                                 );

@@ -65,6 +65,18 @@ enum Repr {
     },
 }
 
+/// A [`ContentSummary`] taken apart by [`ContentSummary::into_parts`]:
+/// its form without the capacity.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum SummaryForm {
+    /// No insert.
+    Empty,
+    /// One insert: the object itself.
+    One(ObjectId),
+    /// Two or more inserts: the shared filter over them.
+    Filter(Arc<BloomFilter>),
+}
+
 /// Bits per object in a summary (Table 1: summary size = 8·nb-ob bits).
 pub const BITS_PER_OBJECT: usize = 8;
 
@@ -83,24 +95,39 @@ impl ContentSummary {
         ContentSummary(Repr::Empty { capacity })
     }
 
-    /// Assemble a summary of two or more inserts around an
-    /// already-built filter, which a [`crate::SummaryBits`] owner keeps
-    /// sharing.
-    pub(crate) fn from_filter(filter: Arc<BloomFilter>, capacity: usize) -> Self {
-        debug_assert!(
-            filter.items() >= 2,
-            "fewer than two inserts have a form of their own"
-        );
+    /// Put a summary back together from the parts
+    /// [`ContentSummary::into_parts`] took it apart into. A filter
+    /// must hold two or more inserts (fewer have a form of their own)
+    /// and have the geometry of `capacity`, as every filter a summary
+    /// gave out does; debug builds check both.
+    pub fn from_parts(form: SummaryForm, capacity: usize) -> Self {
         let capacity = u32::try_from(capacity).expect("summary capacity fits in u32");
-        ContentSummary(Repr::Filter { capacity, filter })
+        ContentSummary(match form {
+            SummaryForm::Empty => Repr::Empty { capacity },
+            SummaryForm::One(object) => Repr::One { capacity, object },
+            SummaryForm::Filter(filter) => {
+                debug_assert!(
+                    filter.items() >= 2,
+                    "fewer than two inserts have a form of their own"
+                );
+                debug_assert_eq!(
+                    filter.num_bits(),
+                    rate_bits(capacity as usize, BITS_PER_OBJECT),
+                    "a filter of another capacity's geometry"
+                );
+                Repr::Filter { capacity, filter }
+            }
+        })
     }
 
-    /// The shared filter of a summary of two or more inserts.
-    #[cfg(test)]
-    pub(crate) fn shared_filter(&self) -> Option<&Arc<BloomFilter>> {
-        match &self.0 {
-            Repr::Filter { filter, .. } => Some(filter),
-            _ => None,
+    /// Take the summary apart into its form and capacity, moving a
+    /// filter's `Arc` out as it is: [`ContentSummary::from_parts`]
+    /// puts back an equal summary sharing the same filter.
+    pub fn into_parts(self) -> (SummaryForm, usize) {
+        match self.0 {
+            Repr::Empty { capacity } => (SummaryForm::Empty, capacity as usize),
+            Repr::One { capacity, object } => (SummaryForm::One(object), capacity as usize),
+            Repr::Filter { capacity, filter } => (SummaryForm::Filter(filter), capacity as usize),
         }
     }
 
@@ -138,7 +165,10 @@ impl ContentSummary {
                 let mut filter = BloomFilter::with_rate(capacity as usize, BITS_PER_OBJECT);
                 filter.insert(object.key());
                 filter.insert(o.key());
-                *self = ContentSummary::from_filter(Arc::new(filter), capacity as usize);
+                self.0 = Repr::Filter {
+                    capacity,
+                    filter: Arc::new(filter),
+                };
             }
             Repr::Filter { ref mut filter, .. } => Arc::make_mut(filter).insert(o.key()),
         }
@@ -284,6 +314,8 @@ mod proptests {
                 _ => false,
             };
             prop_assert!(expect_form, "{} inserts gave {:?}", objs.len(), s);
+            let (form, cap) = s.clone().into_parts();
+            prop_assert_eq!(&ContentSummary::from_parts(form, cap), &s);
             prop_assert_eq!(s.items(), objs.len());
             prop_assert_eq!(s.wire_size() as usize, f.byte_size());
             for o in objs.iter().copied().chain(probes.into_iter().map(ObjectId)) {

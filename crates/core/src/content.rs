@@ -18,7 +18,7 @@
 //! search order is own content → view summaries → directory peer.
 
 use bloom::{ContentSummary, ObjectId, SummaryBits};
-use gossip::{ChangeKind, ChangeLog, PushPolicy, View, ViewEntry};
+use gossip::{ChangeKind, ChangeLog, Fold, PushPolicy, View, ViewEntry};
 use rand::Rng;
 use simnet::{Locality, NodeId};
 use workload::WebsiteId;
@@ -26,6 +26,11 @@ use workload::WebsiteId;
 use crate::cache::{CacheManager, CachePolicy};
 use crate::idmap::RankSet;
 use crate::msg::{GossipEntry, GossipPayload};
+
+#[allow(unsafe_code)]
+mod word;
+
+use word::{Scope, SummaryWord};
 
 /// State of one content-peer role (one per website the node supports).
 #[derive(Clone, Debug)]
@@ -44,7 +49,12 @@ pub struct ContentPeerState {
     /// The changes not pushed yet (Algorithm 5's ∆list); `None` while
     /// there is none, so a role with nothing to report holds no log.
     changes: Option<Box<ChangeLog<ObjectId>>>,
-    view: View<NodeId, Option<ContentSummary>>,
+    /// Each contact's summary as one word relative to the role's
+    /// [`Scope`] (`None` until gossip brings one), so an entry is 16
+    /// bytes; converted at the edges: `seed_view` and `absorb_gossip`
+    /// encode, `build_gossip`, `summary_candidates` and
+    /// `view_summaries` decode.
+    view: View<NodeId, Option<SummaryWord>>,
     dir: Option<NodeId>,
     dir_age: u32,
     /// §5.3 PetalUp: how many directory instances the petal had live
@@ -264,8 +274,35 @@ impl ContentPeerState {
     // ---- view management (Algorithm 4) ----
 
     /// Read-only access to the view.
-    pub fn view(&self) -> &View<NodeId, Option<ContentSummary>> {
+    pub(crate) fn view(&self) -> &View<NodeId, Option<SummaryWord>> {
         &self.view
+    }
+
+    /// Number of contacts in the view.
+    pub fn view_len(&self) -> usize {
+        self.view.len()
+    }
+
+    /// True if the view holds `peer`.
+    pub fn knows(&self, peer: NodeId) -> bool {
+        self.view.contains(peer)
+    }
+
+    /// The view's contacts with their summaries (`None` while gossip
+    /// brought none), in view order.
+    pub fn view_summaries(&self) -> impl Iterator<Item = (NodeId, Option<ContentSummary>)> + '_ {
+        let scope = self.scope();
+        self.view
+            .iter()
+            .map(move |e| (e.peer, e.data.as_ref().map(|w| w.decode(scope))))
+    }
+
+    /// What the view's summary words leave out.
+    fn scope(&self) -> Scope {
+        Scope {
+            website: self.website,
+            capacity: self.summary.capacity(),
+        }
     }
 
     /// Seed the view with contacts of unknown content (admission from
@@ -292,6 +329,7 @@ impl ContentPeerState {
     /// `Lgossip`-subset of the view, and the directory hint. `&mut`
     /// only for the summary-snapshot cache.
     pub fn build_gossip<R: Rng>(&mut self, rng: &mut R, l_gossip: usize) -> GossipPayload {
+        let scope = self.scope();
         let subset = self
             .view
             .select_subset(rng, l_gossip)
@@ -299,7 +337,7 @@ impl ContentPeerState {
             .map(|e| GossipEntry {
                 peer: e.peer,
                 age: e.age,
-                summary: e.data.clone(),
+                summary: e.data.as_ref().map(|w| w.decode(scope)),
             })
             .collect();
         GossipPayload {
@@ -326,17 +364,13 @@ impl ContentPeerState {
         payload: GossipPayload,
         max_hint_age: u32,
     ) {
-        let partner = ViewEntry::fresh(from, Some(payload.summary));
-        let subset = payload
-            .subset
-            .into_iter()
-            .map(|e| ViewEntry {
-                peer: e.peer,
-                age: e.age,
-                data: e.summary,
-            })
-            .collect();
-        self.view.merge(myself, partner, subset);
+        let partner = GossipEntry {
+            peer: from,
+            age: 0,
+            summary: Some(payload.summary),
+        };
+        self.view
+            .merge_from(myself, partner, payload.subset, &mut self.scope());
         if let Some((dir, age)) = payload.dir_hint {
             if age >= max_hint_age {
                 return;
@@ -356,10 +390,11 @@ impl ContentPeerState {
     /// the lower node id) whose summary suggests it holds the object,
     /// excluding already-tried peers.
     pub fn summary_candidates(&self, o: ObjectId, tried: &[NodeId]) -> Option<NodeId> {
+        let scope = self.scope();
         self.view
             .iter()
             .filter(|e| !tried.contains(&e.peer))
-            .filter(|e| e.data.as_ref().is_some_and(|s| s.might_contain(o)))
+            .filter(|e| e.data.as_ref().is_some_and(|w| w.might_contain(o, scope)))
             .min_by_key(|e| (e.age, e.peer.0))
             .map(|e| e.peer)
     }
@@ -377,6 +412,30 @@ impl ContentPeerState {
     /// in rank order: sort before anything order-sensitive.
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.content.iter()
+    }
+}
+
+/// A received subset entry enters the view as its summary's word.
+impl Fold<GossipEntry, NodeId, Option<SummaryWord>> for Scope {
+    fn key(&self, entry: &GossipEntry) -> (NodeId, u32) {
+        (entry.peer, entry.age)
+    }
+
+    fn refresh(
+        &mut self,
+        slot: &mut ViewEntry<NodeId, Option<SummaryWord>>,
+        entry: &mut GossipEntry,
+    ) {
+        slot.age = entry.age;
+        slot.data = entry.summary.take().map(|s| SummaryWord::encode(s, *self));
+    }
+
+    fn admit(&mut self, entry: GossipEntry) -> ViewEntry<NodeId, Option<SummaryWord>> {
+        ViewEntry {
+            peer: entry.peer,
+            age: entry.age,
+            data: entry.summary.map(|s| SummaryWord::encode(s, *self)),
+        }
     }
 }
 
@@ -489,7 +548,7 @@ mod tests {
             10,
         );
         assert_eq!(c.summary_candidates(O1, &[]), Some(NodeId(5)));
-        assert!(c.view().contains(NodeId(6)));
+        assert!(c.knows(NodeId(6)));
         // Tried peers are excluded.
         assert_eq!(c.summary_candidates(O1, &[NodeId(5)]), None);
     }
@@ -498,7 +557,7 @@ mod tests {
     fn self_never_enters_view() {
         let mut c = peer();
         c.seed_view(&[ME, NodeId(1)], ME);
-        assert!(!c.view().contains(ME));
+        assert!(!c.knows(ME));
         c.absorb_gossip(
             ME,
             NodeId(1),
@@ -515,7 +574,7 @@ mod tests {
             },
             10,
         );
-        assert!(!c.view().contains(ME));
+        assert!(!c.knows(ME));
     }
 
     #[test]
@@ -568,7 +627,7 @@ mod tests {
         c.seed_view(&[NodeId(1)], ME);
         c.set_directory(NodeId(1));
         c.forget_peer(NodeId(1));
-        assert!(!c.view().contains(NodeId(1)));
+        assert!(!c.knows(NodeId(1)));
         assert_eq!(c.directory(), None);
     }
 
@@ -612,7 +671,9 @@ mod tests {
     }
 
     /// A summary is one word of form and capacity plus one of object
-    /// id or filter pointer, so a view slot with one stays 24 B. An
+    /// id or filter pointer, 16 B with or without `Option` — the wire
+    /// type of a subset entry. A view slot holds it relative to its
+    /// role as one word, whose `Option` is free, so a slot is 16 B. An
     /// object set is two inline bit words or a `Vec` in the space of
     /// one `Vec`, and one word of count, bit-word count and website,
     /// so a directory entry is that and an age; a content role keeps
@@ -625,7 +686,8 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(size_of::<ContentSummary>(), 16);
         assert_eq!(size_of::<Option<ContentSummary>>(), 16);
-        assert_eq!(size_of::<ViewEntry<NodeId, Option<ContentSummary>>>(), 24);
+        assert_eq!(size_of::<Option<SummaryWord>>(), 8);
+        assert_eq!(size_of::<ViewEntry<NodeId, Option<SummaryWord>>>(), 16);
         assert_eq!(size_of::<RankSet>(), 32);
         assert!(size_of::<ContentPeerState>() <= 128);
         assert!(size_of::<crate::directory::DirEntry>() <= 40);
@@ -695,7 +757,94 @@ mod tests {
         v
     }
 
+    /// The summaries gossip carries in the tests below: filters at the
+    /// role's capacity and at another, one object of the role's
+    /// website and one made-up, and empty.
+    fn summary_pool() -> Vec<ContentSummary> {
+        let made_up = ObjectId(7919 * 4 + 3);
+        vec![
+            ContentSummary::from_objects(100, &[O1, O2]),
+            ContentSummary::from_objects(100, &[O1, made_up, obj(3)]),
+            ContentSummary::from_objects(30, &[O1, O2]),
+            ContentSummary::from_objects(100, &[O2]),
+            ContentSummary::from_objects(100, &[made_up]),
+            ContentSummary::empty(100),
+        ]
+    }
+
+    /// The shared filter of a summary of two or more inserts.
+    pub(super) fn filter_of(s: &ContentSummary) -> Option<std::sync::Arc<bloom::BloomFilter>> {
+        match s.clone().into_parts().0 {
+            bloom::SummaryForm::Filter(filter) => Some(filter),
+            _ => None,
+        }
+    }
+
     proptest! {
+        /// Gossip merges, removals, gossip built from one role and
+        /// absorbed by another, clones and drops of whole roles: a view
+        /// answers probes as its decoded summaries do, and once the
+        /// roles are gone every shared filter is back at the count it
+        /// had before any of them held it.
+        #[test]
+        fn view_words_answer_as_decoded_and_release_their_filters(
+            ops in proptest::collection::vec((0u8..5, 0u32..14, 0usize..6, any::<u64>()), 0..60),
+        ) {
+            let pool = summary_pool();
+            let filters: Vec<_> = pool.iter().filter_map(filter_of).collect();
+            let baseline: Vec<usize> = filters.iter().map(std::sync::Arc::strong_count).collect();
+            let mut roles = vec![peer()];
+            let mut rng = StdRng::seed_from_u64(11);
+            for (op, p, k, seed) in ops {
+                let at = seed as usize % roles.len();
+                match op {
+                    0 => {
+                        let entry = |j: usize| GossipEntry {
+                            peer: NodeId(1 + (p + j as u32) % 14),
+                            age: (seed >> (4 * j)) as u32 % 4,
+                            summary: (j != 2).then(|| pool[(k + j) % pool.len()].clone()),
+                        };
+                        let payload = GossipPayload {
+                            website: WebsiteId(1),
+                            locality: Locality(0),
+                            summary: pool[k].clone(),
+                            subset: (0..(seed % 5) as usize).map(entry).collect(),
+                            dir_hint: None,
+                        };
+                        roles[at].absorb_gossip(ME, NodeId(p), payload, 10);
+                    }
+                    1 => roles[at].forget_peer(NodeId(p)),
+                    2 => {
+                        let payload = roles[at].build_gossip(&mut rng, 4);
+                        let to = (at + 1) % roles.len();
+                        roles[to].absorb_gossip(ME, NodeId(p), payload, 10);
+                    }
+                    3 => roles.push(roles[at].clone()),
+                    _ => {
+                        if roles.len() > 1 {
+                            roles.swap_remove(at);
+                        }
+                    }
+                }
+                // Each probe goes to the youngest contact whose decoded
+                // summary answers yes.
+                for c in &roles {
+                    for o in [O1, O2, obj(3), obj(99), ObjectId(7919 * 4 + 3)] {
+                        let expect = c
+                            .view_summaries()
+                            .zip(c.view().iter())
+                            .filter(|((_, s), _)| s.as_ref().is_some_and(|s| s.might_contain(o)))
+                            .min_by_key(|(_, e)| (e.age, e.peer.0))
+                            .map(|((q, _), _)| q);
+                        prop_assert_eq!(c.summary_candidates(o, &[]), expect);
+                    }
+                }
+            }
+            drop(roles);
+            let after: Vec<usize> = filters.iter().map(std::sync::Arc::strong_count).collect();
+            prop_assert_eq!(after, baseline);
+        }
+
         /// Random admits (evicting from a bounded cache), hits on held
         /// objects, invalidations and snapshots: every snapshot is the
         /// from-scratch filter over `content`, and `summary_is_cached`

@@ -729,16 +729,16 @@ impl DirectoryState {
     /// Seed the index from a gossip view after a §5.2 takeover: the
     /// new directory knows members and their summaries, but not their
     /// exact object lists yet.
-    pub fn seed_from_view<'a>(
+    pub fn seed_from_view(
         &mut self,
-        entries: impl IntoIterator<Item = (NodeId, Option<&'a ContentSummary>)>,
+        entries: impl IntoIterator<Item = (NodeId, Option<ContentSummary>)>,
     ) {
         for (peer, summary) in entries {
             if self.is_full() || self.contains(peer) {
                 continue;
             }
             if let Some(s) = summary {
-                self.holders.seed(peer, s.clone());
+                self.holders.seed(peer, s);
             }
             self.members.insert(peer, DirEntry::fresh(self.website));
         }
@@ -1012,7 +1012,7 @@ mod tests {
         let mut r = rng();
         let mut s = ContentSummary::empty(100);
         s.insert(O1);
-        d.seed_from_view([(NodeId(7), Some(&s)), (NodeId(8), None)]);
+        d.seed_from_view([(NodeId(7), Some(s)), (NodeId(8), None)]);
         assert_eq!(d.overlay_size(), 2);
         assert_eq!(
             d.process(&mut r, O1, NodeId(99), 1, 0),
@@ -1026,7 +1026,7 @@ mod tests {
         let mut r = rng();
         let mut s = ContentSummary::empty(100);
         s.insert(O1);
-        d.seed_from_view([(NodeId(7), Some(&s))]);
+        d.seed_from_view([(NodeId(7), Some(s))]);
         // Answered from the summary while no push arrived.
         assert_eq!(
             d.process(&mut r, O1, NodeId(99), 1, 0),
@@ -1055,7 +1055,7 @@ mod tests {
         s.insert(O1);
         let mut d = DirectoryState::new(WebsiteId(1), Locality(0), 0, 10, 2, 100);
         d.apply_push(NodeId(1), &[O1], &[]);
-        d.seed_from_view([(NodeId(7), Some(&s)), (NodeId(8), Some(&s))]);
+        d.seed_from_view([(NodeId(7), Some(s.clone())), (NodeId(8), Some(s))]);
         assert_eq!(d.holders.seeds.len(), 2);
         assert!(d.remove_entry(NodeId(7)));
         assert_eq!(d.holders.seeds.len(), 1);
@@ -1120,7 +1120,7 @@ mod tests {
         // (whose gossip summary must never enter the filter).
         let mut s = ContentSummary::empty(100);
         s.insert(obj(77));
-        d.seed_from_view([(NodeId(3), Some(&s))]);
+        d.seed_from_view([(NodeId(3), Some(s))]);
         assert_eq!(d.build_summary(), scan_summary(&d));
         d.apply_push(NodeId(3), &[obj(40), obj(41)], &[]);
         d.apply_push(NodeId(1), &[], &[O2]);
@@ -1745,7 +1745,7 @@ mod tests {
                     6 => {
                         let s = ContentSummary::from_objects(bits, &[obj(k)]);
                         let entries = [(p, Some(s)), (NodeId(peer + 1), None)];
-                        d.seed_from_view(entries.iter().map(|(p, s)| (*p, s.as_ref())));
+                        d.seed_from_view(entries.iter().cloned());
                         r.seed_from_view(&entries);
                     }
                     7 => {
@@ -1803,7 +1803,7 @@ mod tests {
                     2 => d.apply_push(p, &[], &[obj(k), obj(k + 1)]),
                     3 => {
                         let s = ContentSummary::from_objects(30, &[obj(k)]);
-                        d.seed_from_view([(p, Some(&s)), (NodeId(peer + 1), None)]);
+                        d.seed_from_view([(p, Some(s)), (NodeId(peer + 1), None)]);
                     }
                     4 => {
                         d.remove_entry(p);
@@ -1861,7 +1861,7 @@ mod tests {
                     }
                     7 => {
                         let s = ContentSummary::empty(100);
-                        d.seed_from_view([(NodeId(peer), None), (NodeId(peer + 1), Some(&s))]);
+                        d.seed_from_view([(NodeId(peer), None), (NodeId(peer + 1), Some(s))]);
                         r.admit(peer);
                         r.admit(peer + 1);
                     }

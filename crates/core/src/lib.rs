@@ -38,7 +38,7 @@
 //! println!("hit ratio: {:.2}", report.hit_ratio);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod config;

@@ -230,8 +230,7 @@ impl FlowerNode {
         // their summaries ("answers first queries from its content
         // summaries").
         if let Some(cp) = self.content.get_mut(&ws) {
-            let view = cp.view().iter().map(|e| (e.peer, e.data.as_ref()));
-            role.dir.seed_from_view(view);
+            role.dir.seed_from_view(cp.view_summaries());
             // Index ourselves with our own content.
             for o in cp.objects() {
                 role.dir.admit_or_refresh(me, o);

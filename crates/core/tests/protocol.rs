@@ -329,7 +329,7 @@ fn old_overlay_forgets_moved_peers() {
             continue;
         }
         if let Some(cp) = sys.engine().node(*n).content_role(ws) {
-            if cp.view().contains(mover) {
+            if cp.knows(mover) {
                 still_known += 1;
             }
         }

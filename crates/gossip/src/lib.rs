@@ -29,4 +29,4 @@ pub mod push;
 pub mod view;
 
 pub use push::{ChangeKind, ChangeLog, PushPolicy};
-pub use view::{View, ViewEntry};
+pub use view::{Fold, View, ViewEntry};

@@ -132,36 +132,74 @@ impl<P: Copy + Eq, S: Clone> View<P, S> {
     /// Duplicates keep the instance with the smallest age; entries
     /// describing `myself` are discarded; finally the `Vgossip` most
     /// recent entries are kept.
+    pub fn merge(&mut self, myself: P, partner: ViewEntry<P, S>, subset: Vec<ViewEntry<P, S>>) {
+        self.merge_from(myself, partner, subset, &mut Same);
+    }
+
+    /// [`View::merge`] of received entries of another type `T`, which
+    /// `fold` reads and moves into the view.
     ///
     /// Every incoming entry is decided on `(peer, age)` first: a known
     /// peer's entry is replaced in place by a strictly younger one, and
     /// the newcomers — each peer's first youngest instance, in arrival
     /// order — are compacted to the front of `subset`'s own buffer.
     /// Only then are they admitted.
-    pub fn merge(
+    pub fn merge_from<T, F: Fold<T, P, S>>(
         &mut self,
         myself: P,
-        mut partner: ViewEntry<P, S>,
-        mut subset: Vec<ViewEntry<P, S>>,
+        mut partner: T,
+        mut subset: Vec<T>,
+        fold: &mut F,
     ) {
         let mut fresh = 0;
         for i in 0..subset.len() {
             let (newcomers, rest) = subset.split_at_mut(i);
             let incoming = &mut rest[0];
-            if incoming.peer == myself
-                || refresh(&mut self.entries, incoming)
-                || refresh(&mut newcomers[..fresh], incoming)
+            if fold.key(incoming).0 == myself
+                || self.refresh(fold, &mut newcomers[..fresh], incoming)
             {
                 continue;
             }
             subset.swap(fresh, i);
             fresh += 1;
         }
-        let partner_is_new = partner.peer != myself
-            && !refresh(&mut self.entries, &mut partner)
-            && !refresh(&mut subset[..fresh], &mut partner);
+        let partner_is_new = fold.key(&partner).0 != myself
+            && !self.refresh(fold, &mut subset[..fresh], &mut partner);
         subset.truncate(fresh);
-        self.admit(subset.into_iter().chain(partner_is_new.then_some(partner)));
+        self.admit(
+            subset
+                .into_iter()
+                .chain(partner_is_new.then_some(partner))
+                .map(|e| fold.admit(e)),
+        );
+    }
+
+    /// If the view or `newcomers` holds `incoming`'s peer, keep the
+    /// younger of the two there — a strictly younger `incoming` moves
+    /// in, so what is left in `incoming` is the loser either way — and
+    /// return true.
+    fn refresh<T, F: Fold<T, P, S>>(
+        &mut self,
+        fold: &mut F,
+        newcomers: &mut [T],
+        incoming: &mut T,
+    ) -> bool {
+        let (peer, age) = fold.key(incoming);
+        if let Some(e) = self.entries.iter_mut().find(|e| e.peer == peer) {
+            if age < e.age {
+                fold.refresh(e, incoming);
+            }
+            return true;
+        }
+        match newcomers.iter_mut().find(|e| fold.key(e).0 == peer) {
+            Some(e) => {
+                if age < fold.key(e).1 {
+                    std::mem::swap(e, incoming);
+                }
+                true
+            }
+            None => false,
+        }
     }
 
     /// Add `newcomers` (peers not in the view), in order, as appending
@@ -218,18 +256,32 @@ impl<P: Copy + Eq, S: Clone> View<P, S> {
     }
 }
 
-/// If `known` holds `incoming`'s peer, keep the younger of the two
-/// there — a strictly younger `incoming` swaps in, so what is left in
-/// `incoming` is the loser either way — and return true.
-fn refresh<P: Eq, S>(known: &mut [ViewEntry<P, S>], incoming: &mut ViewEntry<P, S>) -> bool {
-    match known.iter_mut().find(|e| e.peer == incoming.peer) {
-        Some(e) => {
-            if incoming.age < e.age {
-                std::mem::swap(e, incoming);
-            }
-            true
-        }
-        None => false,
+/// How [`View::merge_from`] reads a received entry of type `T` and
+/// moves it into a view of `ViewEntry<P, S>`s.
+pub trait Fold<T, P, S> {
+    /// The peer `entry` describes and the entry's age.
+    fn key(&self, entry: &T) -> (P, u32);
+    /// Move `entry`, a strictly younger instance of `slot`'s peer, into
+    /// `slot`; what is left of `entry` is only dropped.
+    fn refresh(&mut self, slot: &mut ViewEntry<P, S>, entry: &mut T);
+    /// `entry` as a view entry.
+    fn admit(&mut self, entry: T) -> ViewEntry<P, S>;
+}
+
+/// The [`Fold`] of [`View::merge`]: received entries are view entries.
+struct Same;
+
+impl<P: Copy, S> Fold<ViewEntry<P, S>, P, S> for Same {
+    fn key(&self, entry: &ViewEntry<P, S>) -> (P, u32) {
+        (entry.peer, entry.age)
+    }
+
+    fn refresh(&mut self, slot: &mut ViewEntry<P, S>, entry: &mut ViewEntry<P, S>) {
+        std::mem::swap(slot, entry);
+    }
+
+    fn admit(&mut self, entry: ViewEntry<P, S>) -> ViewEntry<P, S> {
+        entry
     }
 }
 
@@ -499,12 +551,31 @@ mod proptests {
         })
     }
 
+    /// Received entries as `(peer, age, data)`: a [`Fold`] that
+    /// overwrites a refreshed slot instead of swapping into it.
+    struct Triples;
+
+    impl Fold<(u8, u32, u8), u8, u8> for Triples {
+        fn key(&self, e: &(u8, u32, u8)) -> (u8, u32) {
+            (e.0, e.1)
+        }
+
+        fn refresh(&mut self, slot: &mut ViewEntry<u8, u8>, e: &mut (u8, u32, u8)) {
+            (slot.age, slot.data) = (e.1, e.2);
+        }
+
+        fn admit(&mut self, (peer, age, data): (u8, u32, u8)) -> ViewEntry<u8, u8> {
+            ViewEntry { peer, age, data }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The in-place `insert_fresh` and `merge` against the
-        /// push-sort-truncate `reference`, over random operation
-        /// sequences on a small peer pool (so merges meet self entries,
+        /// The in-place `insert_fresh` and `merge` (and `merge_from`,
+        /// for every odd `myself`) against the push-sort-truncate
+        /// `reference`, over random operation sequences on a small
+        /// peer pool (so merges meet self entries,
         /// duplicates inside one subset, partners already in the view,
         /// and subsets that overflow the view and ones that fit) with
         /// few distinct ages (so ties decide placement): after every
@@ -523,8 +594,14 @@ mod proptests {
                         v.insert_fresh(peer, data);
                         reference::insert_fresh(&mut model, peer, data);
                     }
-                    Op::Merge { myself, partner, subset } => {
+                    Op::Merge { myself, partner, subset } if myself % 2 == 0 => {
                         v.merge(myself, partner.clone(), subset.clone());
+                        reference::merge(&mut model, myself, partner, subset);
+                    }
+                    Op::Merge { myself, partner, subset } => {
+                        let triple = |e: &ViewEntry<u8, u8>| (e.peer, e.age, e.data);
+                        let triples = subset.iter().map(triple).collect();
+                        v.merge_from(myself, triple(&partner), triples, &mut Triples);
                         reference::merge(&mut model, myself, partner, subset);
                     }
                     Op::IncrementAges => {

@@ -109,10 +109,10 @@ fn gossip_views_converge_within_overlays() {
     for l in 0..cfg.topology.localities as u16 {
         for n in sys.community(ws, Locality(l)) {
             if let Some(cp) = sys.engine().node(*n).content_role(ws) {
-                view_sizes.push(cp.view().len());
+                view_sizes.push(cp.view_len());
                 // Views only contain same-overlay members (never the
                 // node itself).
-                assert!(!cp.view().contains(*n));
+                assert!(!cp.knows(*n));
             }
         }
     }
